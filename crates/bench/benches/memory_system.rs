@@ -3,7 +3,7 @@
 //! bandwidth-server models — these dominate the simulator's inner loop.
 
 use gsim_bench::tinybench::Group;
-use gsim_mem::{Cache, CacheGeometry, DramModel, Mshr, SlicedLlc};
+use gsim_mem::{Cache, CacheGeometry, DramModel, FillTracker, Mshr, SlicedLlc};
 use gsim_noc::Crossbar;
 use gsim_rng::Rng64;
 
@@ -34,6 +34,19 @@ fn cache_accesses() {
         });
     }
     {
+        // The memory-bound regime: a stream that never re-touches a line,
+        // so every access looks a full 64-way set over, evicts its LRU way
+        // and re-ranks the set.
+        let mut cache = Cache::new(CacheGeometry::new(512 * 1024, 64, 128));
+        let mut next = 0u64;
+        g.bench("llc_64way_streaming_miss", || {
+            for _ in 0..N {
+                cache.access(next, false);
+                next += 1;
+            }
+        });
+    }
+    {
         let mut llc = SlicedLlc::new(34 * 1024 * 1024 / 8, 64, 64, 128);
         g.bench("sliced_llc_64_slices", || {
             for &a in &addrs {
@@ -55,6 +68,32 @@ fn mshr_traffic() {
             }
             let _ = m.register(a, now + 300);
         }
+    });
+    // The engine's merge pass on a streaming workload: every line is new,
+    // so the file fills, retires what has landed, and allocates again.
+    g.bench("mshr_register_full", || {
+        let mut m = Mshr::new(384);
+        for now in 0..N {
+            if m.is_full() {
+                m.complete_up_to(now);
+            }
+            let _ = m.register(now, now + 300);
+        }
+    });
+}
+
+fn fill_tracking() {
+    let g = Group::new("fill_tracker").throughput(N);
+    // One memory partition's share of an LLC-miss stream: insert the fill,
+    // then probe a line requested a little earlier (still in flight).
+    g.bench("fill_tracker_insert_probe", || {
+        let mut t = FillTracker::new();
+        let mut in_flight = 0u64;
+        for now in 0..N {
+            t.insert(now, now + 400, now);
+            in_flight += u64::from(t.fill_after(now.saturating_sub(64), now).is_some());
+        }
+        std::hint::black_box(in_flight);
     });
 }
 
@@ -78,5 +117,6 @@ fn bandwidth_servers() {
 fn main() {
     cache_accesses();
     mshr_traffic();
+    fill_tracking();
     bandwidth_servers();
 }

@@ -1,6 +1,8 @@
 //! Set-associative, write-back tag-store cache model with selectable
 //! replacement policy.
 
+use std::ops::Range;
+
 use crate::geometry::CacheGeometry;
 
 /// Replacement policy of a [`Cache`].
@@ -62,18 +64,93 @@ impl AccessResult {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    line_addr: u64,
-    valid: bool,
-    dirty: bool,
+/// A tag word: `line_addr << 2`, with bit 1 = dirty and bit 0 = valid.
+const VALID: u64 = 1;
+const DIRTY: u64 = 2;
+/// An empty way. No valid entry equals it, and no lookup key matches it.
+const INVALID: u64 = 0;
+/// Line addresses must leave room for the two flag bits.
+const MAX_LINE_ADDR: u64 = u64::MAX >> 2;
+/// Ranks are bytes, and `PAD_RANK` is not one of them.
+const MAX_WAYS: u32 = 255;
+/// Rank byte of the padding that rounds a set's bytes up to whole words.
+const PAD_RANK: u8 = u8::MAX;
+
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// The tag word of a clean, valid `line_addr` — also the lookup key: a
+/// way matches when it equals the key once its dirty bit is masked.
+/// `None` for an address the tag word cannot hold (so cannot be resident).
+#[inline]
+fn key_of(line_addr: u64) -> Option<u64> {
+    (line_addr <= MAX_LINE_ADDR).then_some(line_addr << 2 | VALID)
 }
 
-const INVALID: Entry = Entry {
-    line_addr: 0,
-    valid: false,
-    dirty: false,
-};
+/// One-byte fingerprint of a line address; never 0, the fingerprint of
+/// empty ways and padding.
+#[inline]
+fn fingerprint(line_addr: u64) -> u8 {
+    (line_addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8 | 1
+}
+
+/// Per 8-byte word of `bytes`, a mask with bit `8 * i + 7` set if byte
+/// `i` equals `byte` (the classic zero-byte test on `word ^ pattern`).
+/// The test can also flag bytes *above* a true match in the same word, so
+/// the lowest flagged byte of a word is exact and the rest are candidates.
+#[inline]
+fn match_words(bytes: &[u8], byte: u8) -> impl Iterator<Item = u64> + '_ {
+    let pattern = LOW_BITS * u64::from(byte);
+    bytes.chunks_exact(8).map(move |w| {
+        let x = u64::from_le_bytes(w.try_into().expect("chunk of 8")) ^ pattern;
+        x.wrapping_sub(LOW_BITS) & !x & HIGH_BITS
+    })
+}
+
+/// The way holding `line_addr` in a set, if resident: tests the
+/// fingerprints eight at a time and compares tags only where they match.
+#[inline]
+fn find(tags: &[u64], fingerprints: &[u8], line_addr: u64) -> Option<usize> {
+    let key = key_of(line_addr)?;
+    for (i, mut flagged) in match_words(fingerprints, fingerprint(line_addr)).enumerate() {
+        while flagged != 0 {
+            // A flagged byte may also be padding: no tag there.
+            let way = 8 * i + (flagged.trailing_zeros() / 8) as usize;
+            if tags.get(way).is_some_and(|t| t & !DIRTY == key) {
+                return Some(way);
+            }
+            flagged &= flagged - 1;
+        }
+    }
+    None
+}
+
+/// The way of `ranks` (a permutation, padded) holding `rank`. Visits
+/// every word rather than stopping at the match: which way is, say,
+/// least recently used is as good as random, and a mispredicted loop exit
+/// costs more than the few words left.
+#[inline]
+fn way_at(ranks: &[u8], rank: usize) -> usize {
+    let mut way = usize::MAX;
+    for (i, flagged) in match_words(ranks, rank as u8).enumerate() {
+        if flagged != 0 {
+            way = 8 * i + (flagged.trailing_zeros() / 8) as usize;
+        }
+    }
+    way
+}
+
+/// Moves `way` to rank 0 and shifts every way ahead of it back by one —
+/// the rotate of a recency-ordered array, on one byte per way. Padding
+/// (`PAD_RANK`) is ahead of nothing and stays put.
+#[inline]
+fn promote(ranks: &mut [u8], way: usize) {
+    let rank = ranks[way];
+    for r in ranks.iter_mut() {
+        *r += u8::from(*r < rank);
+    }
+    ranks[way] = 0;
+}
 
 /// A set-associative cache with selectable replacement (true LRU by
 /// default) and write-back, write-allocate semantics, modelled as a tag
@@ -82,9 +159,14 @@ const INVALID: Entry = Entry {
 /// Used for the per-SM 48 KB 6-way L1 caches and, one instance per slice,
 /// for the 64-way LLC slices of the paper's configurations.
 ///
-/// Sets are stored as contiguous way-arrays ordered most-recently-used
-/// first, so a hit is a short linear scan plus a rotate, which is fast for
-/// the 6- to 64-way associativities used here.
+/// A way is ten bytes: its tag word, a fingerprint byte of the line it
+/// holds, and its rank byte — its position in the set's recency (LRU) or
+/// fill (FIFO) order, 0 = newest; empty ways hold the highest ranks. A
+/// lookup tests the fingerprints eight at a time and compares tags only
+/// where they match; a replacement rewrites one tag and the set's rank
+/// bytes. A 64-way miss therefore reads and writes ~130 B where an array
+/// of `{tag, valid, dirty}` structs kept in recency order scanned and
+/// shifted 1 KiB.
 ///
 /// # Example
 ///
@@ -99,9 +181,12 @@ const INVALID: Entry = Entry {
 pub struct Cache {
     geom: CacheGeometry,
     policy: ReplacementPolicy,
-    /// `sets * ways` entries; within a set, index 0 is MRU (LRU policy)
-    /// or newest-filled (FIFO).
-    entries: Vec<Entry>,
+    /// `sets * ways` tag words, set-major.
+    tags: Vec<u64>,
+    /// Per set: the fingerprint bytes, then the rank bytes, each padded
+    /// to `padded_ways` (whole 8-byte words) with bytes no lookup matches.
+    meta: Vec<u8>,
+    padded_ways: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -112,23 +197,41 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an empty LRU cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than 255 ways.
     pub fn new(geom: CacheGeometry) -> Self {
         Self::with_policy(geom, ReplacementPolicy::Lru)
     }
 
     /// Creates an empty cache with an explicit replacement policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than 255 ways.
     pub fn with_policy(geom: CacheGeometry, policy: ReplacementPolicy) -> Self {
-        let n = geom.sets() as usize * geom.ways() as usize;
-        Self {
+        assert!(
+            geom.ways() <= MAX_WAYS,
+            "{} ways exceed the tag store's {MAX_WAYS}",
+            geom.ways()
+        );
+        let (sets, ways) = (geom.sets() as usize, geom.ways() as usize);
+        let padded_ways = ways.next_multiple_of(8);
+        let mut cache = Self {
             geom,
             policy,
-            entries: vec![INVALID; n],
+            tags: vec![INVALID; sets * ways],
+            meta: vec![0; sets * 2 * padded_ways],
+            padded_ways,
             hits: 0,
             misses: 0,
             evictions: 0,
             dirty_evictions: 0,
             rng_state: 0x9E37_79B9_7F4A_7C15,
-        }
+        };
+        cache.reset();
+        cache
     }
 
     /// The replacement policy in force.
@@ -151,98 +254,105 @@ impl Cache {
         self.geom
     }
 
+    /// Where the set `line_addr` maps to lives in `tags` and in `meta`.
+    #[inline]
+    fn set_ranges(&self, line_addr: u64) -> (Range<usize>, Range<usize>) {
+        let set = self.geom.set_index(line_addr) as usize;
+        let (ways, meta) = (self.geom.ways() as usize, 2 * self.padded_ways);
+        (set * ways..(set + 1) * ways, set * meta..(set + 1) * meta)
+    }
+
+    /// The set `line_addr` maps to: its tags, fingerprints and (padded)
+    /// ranks.
+    #[inline]
+    fn set_mut(&mut self, line_addr: u64) -> (&mut [u64], &mut [u8], &mut [u8]) {
+        let (tags, meta) = self.set_ranges(line_addr);
+        let (fingerprints, ranks) = self.meta[meta].split_at_mut(self.padded_ways);
+        (&mut self.tags[tags], fingerprints, ranks)
+    }
+
     /// Accesses `line_addr` (a line address, not a byte address), filling on
     /// miss. `is_write` marks the line dirty on hit or fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line_addr` needs more than 62 bits.
     pub fn access(&mut self, line_addr: u64, is_write: bool) -> AccessResult {
-        let ways = self.geom.ways() as usize;
-        let set = self.geom.set_index(line_addr) as usize;
-        let base = set * ways;
+        let key = key_of(line_addr).unwrap_or_else(|| {
+            panic!("line address {line_addr:#x} exceeds the tag store's 62 bits")
+        });
+        let dirty = if is_write { DIRTY } else { 0 };
         let policy = self.policy;
-        let set_slice = &mut self.entries[base..base + ways];
-
-        // Hit path: scan MRU-first.
-        for i in 0..ways {
-            let e = set_slice[i];
-            if e.valid && e.line_addr == line_addr {
-                if policy == ReplacementPolicy::Lru {
-                    // Move to MRU position; FIFO/Random leave order alone.
-                    set_slice[..=i].rotate_right(1);
-                    set_slice[0].dirty = e.dirty || is_write;
-                } else {
-                    set_slice[i].dirty = e.dirty || is_write;
-                }
-                self.hits += 1;
-                return AccessResult::Hit;
+        let (tags, fingerprints, ranks) = self.set_mut(line_addr);
+        let ways = tags.len();
+        if let Some(way) = find(tags, fingerprints, line_addr) {
+            tags[way] |= dirty;
+            if policy == ReplacementPolicy::Lru {
+                // FIFO/Random leave the order alone on a hit.
+                promote(ranks, way);
             }
+            self.hits += 1;
+            return AccessResult::Hit;
         }
 
-        // Miss: pick a victim per policy. A set fills back-to-front, so
-        // the last slot is invalid until the set is full.
+        // Miss: pick a victim per policy. Empty ways rank last, so the
+        // last-ranked way is empty until the set is full.
+        let mut victim = way_at(ranks, ways - 1);
+        if tags[victim] != INVALID && policy == ReplacementPolicy::Random {
+            let rank = (self.next_random() % ways as u64) as usize;
+            victim = way_at(self.set_mut(line_addr).2, rank);
+        }
+        let (tags, fingerprints, ranks) = self.set_mut(line_addr);
+        let old = std::mem::replace(&mut tags[victim], key | dirty);
+        fingerprints[victim] = fingerprint(line_addr);
+        promote(ranks, victim);
+        let evicted = (old != INVALID).then_some(EvictedLine {
+            line_addr: old >> 2,
+            dirty: old & DIRTY != 0,
+        });
         self.misses += 1;
-        let victim_idx = if !set_slice[ways - 1].valid {
-            ways - 1
-        } else {
-            match self.policy {
-                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => ways - 1,
-                ReplacementPolicy::Random => (self.next_random() % ways as u64) as usize,
-            }
-        };
-        let set_slice = &mut self.entries[base..base + ways];
-        let victim = set_slice[victim_idx];
-        let evicted = if victim.valid {
+        if let Some(e) = evicted {
             self.evictions += 1;
-            if victim.dirty {
-                self.dirty_evictions += 1;
-            }
-            Some(EvictedLine {
-                line_addr: victim.line_addr,
-                dirty: victim.dirty,
-            })
-        } else {
-            None
-        };
-        // Shift the victim slot to the front (newest position) and fill.
-        set_slice[..=victim_idx].rotate_right(1);
-        set_slice[0] = Entry {
-            line_addr,
-            valid: true,
-            dirty: is_write,
-        };
+            self.dirty_evictions += u64::from(e.dirty);
+        }
         AccessResult::Miss(evicted)
     }
 
     /// Probes for `line_addr` without updating LRU state or statistics.
     pub fn contains(&self, line_addr: u64) -> bool {
-        let ways = self.geom.ways() as usize;
-        let set = self.geom.set_index(line_addr) as usize;
-        let base = set * ways;
-        self.entries[base..base + ways]
-            .iter()
-            .any(|e| e.valid && e.line_addr == line_addr)
+        let (tags, meta) = self.set_ranges(line_addr);
+        let fingerprints = &self.meta[meta][..self.padded_ways];
+        find(&self.tags[tags], fingerprints, line_addr).is_some()
     }
 
     /// Invalidates `line_addr` if present; returns whether it was dirty.
     pub fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
-        let ways = self.geom.ways() as usize;
-        let set = self.geom.set_index(line_addr) as usize;
-        let base = set * ways;
-        let set_slice = &mut self.entries[base..base + ways];
-        for i in 0..ways {
-            let e = set_slice[i];
-            if e.valid && e.line_addr == line_addr {
-                let dirty = e.dirty;
-                // Shift the hole to the LRU end.
-                set_slice[i..].rotate_left(1);
-                set_slice[ways - 1] = INVALID;
-                return Some(dirty);
-            }
+        let (tags, fingerprints, ranks) = self.set_mut(line_addr);
+        let way = find(tags, fingerprints, line_addr)?;
+        let was_dirty = tags[way] & DIRTY != 0;
+        tags[way] = INVALID;
+        fingerprints[way] = 0;
+        // The freed way takes the last rank; the ways behind it move up.
+        let ranks = &mut ranks[..tags.len()];
+        let rank = ranks[way];
+        for r in ranks.iter_mut() {
+            *r -= u8::from(*r > rank);
         }
-        None
+        ranks[way] = (ranks.len() - 1) as u8;
+        Some(was_dirty)
     }
 
     /// Empties the cache and resets statistics.
     pub fn reset(&mut self) {
-        self.entries.fill(INVALID);
+        self.tags.fill(INVALID);
+        let ways = self.geom.ways() as usize;
+        for set in self.meta.chunks_exact_mut(2 * self.padded_ways) {
+            let (fingerprints, ranks) = set.split_at_mut(self.padded_ways);
+            fingerprints.fill(0);
+            for (way, r) in ranks.iter_mut().enumerate() {
+                *r = if way < ways { way as u8 } else { PAD_RANK };
+            }
+        }
         self.hits = 0;
         self.misses = 0;
         self.evictions = 0;
@@ -286,7 +396,7 @@ impl Cache {
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> u64 {
-        self.entries.iter().filter(|e| e.valid).count() as u64
+        self.tags.iter().filter(|&&t| t != INVALID).count() as u64
     }
 }
 

@@ -40,6 +40,7 @@ mod banked;
 mod cache;
 mod dram;
 mod geometry;
+mod linehash;
 mod mshr;
 mod pending;
 mod slice;

@@ -5,7 +5,7 @@
 //! the same line while the fill is in flight merge into the existing entry
 //! instead of issuing duplicate memory traffic.
 
-use std::collections::HashMap;
+use crate::linehash::LineMap;
 
 /// Outcome of registering a miss with the MSHR file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +41,7 @@ pub enum MshrOutcome {
 #[derive(Debug, Clone)]
 pub struct Mshr {
     capacity: usize,
-    pending: HashMap<u64, u64>,
+    pending: LineMap<u64>,
     merges: u64,
     allocations: u64,
     full_stalls: u64,
@@ -57,7 +57,7 @@ impl Mshr {
         assert!(capacity > 0, "MSHR file needs at least one entry");
         Self {
             capacity,
-            pending: HashMap::with_capacity(capacity.min(1024)),
+            pending: LineMap::with_capacity_and_hasher(capacity.min(1024), Default::default()),
             merges: 0,
             allocations: 0,
             full_stalls: 0,

@@ -10,7 +10,7 @@
 //! entries with an amortized purge that never rescans more than once per
 //! doubling of the map.
 
-use std::collections::HashMap;
+use crate::linehash::LineMap;
 
 /// Minimum purge threshold; matches the historical `MemDomain` constant so
 /// purge timing (and therefore map contents at any instant) is unchanged.
@@ -40,7 +40,7 @@ const MIN_PURGE_AT: usize = 8192;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FillTracker {
-    map: HashMap<u64, u64>,
+    map: LineMap<u64>,
     /// Latest fill completion time currently tracked; 0 when empty.
     max_done: u64,
     /// Purge the map when its length reaches this.
@@ -51,7 +51,7 @@ impl FillTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
         Self {
-            map: HashMap::new(),
+            map: LineMap::default(),
             max_done: 0,
             purge_at: MIN_PURGE_AT,
         }

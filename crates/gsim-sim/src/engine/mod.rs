@@ -87,7 +87,9 @@ struct WinRec {
     sm: u32,
     completed: u32,
     mem: Option<MemIssue>,
-    reqs: Vec<LineReq>,
+    /// The staged line requests: `WindowOut::reqs[req_start..req_end]`.
+    req_start: u32,
+    req_end: u32,
 }
 
 /// Everything one SM shard hands to the flush for one window. Owned by
@@ -97,6 +99,9 @@ struct WinRec {
 struct WindowOut {
     /// Event records, sorted by (cycle, SM) by construction.
     recs: Vec<WinRec>,
+    /// The window's request arena: every record's line requests, in
+    /// record order, addressed by range.
+    reqs: Vec<LineReq>,
     /// Per window-cycle counts of SMs that issued / stalled on memory /
     /// sat idle, indexed by offset from the window start. Issue counts
     /// double as per-cycle warp-instruction counts (at most one
@@ -106,13 +111,20 @@ struct WindowOut {
     idle: Vec<u32>,
     l1_accesses: u64,
     l1_misses: u64,
-    /// Recycled request buffers for `WinRec::reqs`.
-    spare: Vec<Vec<LineReq>>,
+}
+
+impl WindowOut {
+    fn reqs_of(&self, rec: &WinRec) -> &[LineReq] {
+        &self.reqs[rec.req_start as usize..rec.req_end as usize]
+    }
 }
 
 /// Runs `len` cycles of phase A starting at `start` over one SM shard,
 /// buffering events and per-cycle counters into `out`. Touches only the
 /// shard's SMs, so disjoint shards run on worker threads.
+///
+/// An SM inside a compute batch is not stepped: it issues, whatever else
+/// happens, so the cycle is accounted without touching its queues.
 fn run_window<S: gsim_trace::WarpStream>(
     sms: &mut [Sm<S>],
     base_sm: u32,
@@ -122,46 +134,51 @@ fn run_window<S: gsim_trace::WarpStream>(
     out: &mut WindowOut,
 ) {
     out.issued.clear();
-    out.issued.resize(len as usize, 0);
     out.stalled.clear();
-    out.stalled.resize(len as usize, 0);
     out.idle.clear();
-    out.idle.resize(len as usize, 0);
     out.l1_accesses = 0;
     out.l1_misses = 0;
     debug_assert!(out.recs.is_empty(), "flush must drain records");
-    for w in 0..len {
-        let now = start + u64::from(w);
+    for now in start..start + u64::from(len) {
+        let (mut issued, mut stalled, mut idle) = (0u32, 0u32, 0u32);
         for (j, sm) in sms.iter_mut().enumerate() {
-            sm.phase_a(now, params);
-            out.l1_accesses += sm.out.l1_accesses;
-            out.l1_misses += sm.out.l1_misses;
-            if sm.out.issued {
-                out.issued[w as usize] += 1;
-            } else if sm.out.live {
-                out.stalled[w as usize] += 1;
-            } else {
-                out.idle[w as usize] += 1;
+            if now < sm.busy_until {
+                issued += 1;
+                continue;
             }
-            if let Some(mi) = sm.out.mem {
+            let req_start = out.reqs.len() as u32;
+            let lane = sm.phase_a(now, params, &mut out.reqs);
+            if lane.issued {
+                issued += 1;
+            } else if sm.live_warps > 0 {
+                stalled += 1;
+            } else {
+                idle += 1;
+            }
+            if lane.mem.is_none() && lane.completed_ctas == 0 {
+                continue;
+            }
+            out.l1_accesses += u64::from(lane.l1_accesses);
+            out.l1_misses += u64::from(lane.l1_misses);
+            if let Some(mi) = lane.mem {
                 // Non-blocking issuers (stores) continue immediately:
                 // re-queue locally, exactly where the serial apply would.
                 if !mi.blocks {
                     sm.insert_ready(mi.warp);
                 }
             }
-            if sm.out.mem.is_some() || sm.out.completed_ctas > 0 {
-                let fresh = out.spare.pop().unwrap_or_default();
-                let reqs = std::mem::replace(&mut sm.out.reqs, fresh);
-                out.recs.push(WinRec {
-                    cycle: now,
-                    sm: base_sm + j as u32,
-                    completed: sm.out.completed_ctas,
-                    mem: sm.out.mem.take(),
-                    reqs,
-                });
-            }
+            out.recs.push(WinRec {
+                cycle: now,
+                sm: base_sm + j as u32,
+                completed: lane.completed_ctas,
+                mem: lane.mem,
+                req_start,
+                req_end: out.reqs.len() as u32,
+            });
         }
+        out.issued.push(issued);
+        out.stalled.push(stalled);
+        out.idle.push(idle);
     }
 }
 
@@ -343,9 +360,10 @@ fn run_serial<W: WorkloadModel>(
         run_window(&mut sms, 0, now, window, &params, &mut out);
         let outcome = {
             let mut outs = [&mut out];
-            core.flush_route(&mut sms, &mut outs, &mut mem, now, window, &mut scratch);
-            for shard in mem.iter_mut() {
-                shard.apply(&ap);
+            if core.flush_route(&mut sms, &mut outs, &mut mem, now, window, &mut scratch) {
+                for shard in mem.iter_mut() {
+                    shard.apply(&ap);
+                }
             }
             core.flush_merge(&mut sms, &mut outs, &mut mem, now, window, &mut scratch)
         };
@@ -412,12 +430,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
             let age = self.dispatch_age;
             let sm = pool.sm_mut(sm_idx);
             let slot = sm.free_slots.pop().expect("checked free slots");
-            sm.warps[slot as usize] = Some(WarpCtx {
-                stream,
-                pending_compute: 0,
-                cta,
-                age,
-            });
+            sm.warps[slot as usize] = Some(WarpCtx { stream, cta, age });
             sm.live_warps += 1;
             sm.insert_ready(slot);
         }
@@ -501,7 +514,9 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
     /// The serial route pass of a flush: walks the window's records in
     /// (cycle, SM) order, driving CTA completions, dispatch, kernel
     /// sequencing, milestones and stall accounting, and binning every
-    /// line request into its owner partition's mailbox.
+    /// line request into its owner partition's mailbox. Returns whether
+    /// any request was routed; if none was, every mailbox is empty and
+    /// the apply phase can be skipped.
     fn flush_route<P: SmPool<W::Stream>>(
         &mut self,
         pool: &mut P,
@@ -510,7 +525,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         start: u64,
         len: u32,
         scratch: &mut FlushScratch,
-    ) {
+    ) -> bool {
         scratch.plan.clear();
         scratch.order.clear();
         scratch.done_at = None;
@@ -533,7 +548,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
                     }
                     if rec.mem.is_some() {
                         let chiplet = pool.sm_mut(rec.sm as usize).chiplet;
-                        self.route_reqs(mem, chiplet, now, &rec.reqs, &mut scratch.plan);
+                        self.route_reqs(mem, chiplet, now, out.reqs_of(rec), &mut scratch.plan);
                         scratch.order.push((s as u32, i as u32));
                     }
                 }
@@ -562,6 +577,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
             self.stats.l1_accesses += out.l1_accesses;
             self.stats.l1_misses += out.l1_misses;
         }
+        !scratch.plan.is_empty()
     }
 
     /// The final response time of one applied request: charges the
@@ -593,11 +609,12 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         let k = self.map.per_chiplet;
         let mut cursor = 0usize;
         for &(s, i) in &scratch.order {
-            let rec = &outs[s as usize].recs[i as usize];
+            let out = &*outs[s as usize];
+            let rec = &out.recs[i as usize];
             let mi = rec.mem.expect("ordered records stage memory");
             let sm_chiplet = pool.sm_mut(rec.sm as usize).chiplet;
             let mut wake = mi.base_wake;
-            for req in &rec.reqs {
+            for req in out.reqs_of(rec) {
                 let (sid, idx) = scratch.plan[cursor];
                 cursor += 1;
                 let result = mem.shard_mut(sid as usize).results[idx as usize];
@@ -633,14 +650,9 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
                     .push(Reverse((wake, mi.warp)));
             }
         }
-        // Recycle the record buffers.
         for out in outs.iter_mut() {
-            for i in 0..out.recs.len() {
-                let mut reqs = std::mem::take(&mut out.recs[i].reqs);
-                reqs.clear();
-                out.spare.push(reqs);
-            }
             out.recs.clear();
+            out.reqs.clear();
         }
         // Control flow.
         if let Some(done_cycle) = scratch.done_at {

@@ -1,11 +1,11 @@
 //! The intra-simulation thread pool: SMs *and* memory partitions sharded
 //! across worker threads.
 //!
-//! Each window runs in two parallel epochs (DESIGN.md §15): first the
-//! workers (plus the main thread) run the phase-A window on disjoint SM
-//! shards; then, after the main thread's serial route pass has filled
-//! the partition mailboxes, the workers apply their *memory* shards in
-//! parallel while the main thread applies its own; the main thread
+//! Each window runs in up to two parallel epochs (DESIGN.md §15): first
+//! the workers (plus the main thread) run the phase-A window on disjoint
+//! SM shards; then, if the main thread's serial route pass put anything
+//! into the partition mailboxes, the workers apply their *memory* shards
+//! in parallel while the main thread applies its own; the main thread
 //! finishes with the serial merge pass. A lightweight epoch barrier —
 //! one release and one gather per epoch — synchronises the handoffs;
 //! the mutexes are uncontended by construction (a worker locks its slot
@@ -40,8 +40,10 @@ fn spin_wait(mut ready: impl FnMut() -> bool) {
 /// Shared coordination state between the main thread and the workers.
 struct Control {
     /// Epoch counter; the main thread bumps it to release the workers.
-    /// Odd epochs are phase-A windows, even epochs are memory applies.
     epoch: AtomicU64,
+    /// What the released epoch runs: a memory apply, or else a phase-A
+    /// window. Published before each release.
+    apply: AtomicBool,
     /// Cumulative per-worker completions; epoch * n_workers when an
     /// epoch's parallel work has fully finished.
     done: AtomicU64,
@@ -149,6 +151,7 @@ where
     let n_workers = (threads - 1) as u64;
     let ctrl = Control {
         epoch: AtomicU64::new(0),
+        apply: AtomicBool::new(false),
         done: AtomicU64::new(0),
         now: AtomicU64::new(0),
         stop: AtomicBool::new(false),
@@ -173,7 +176,7 @@ where
                     if ctrl.stop.load(Ordering::Acquire) {
                         break;
                     }
-                    if seen % 2 == 1 {
+                    if !ctrl.apply.load(Ordering::Relaxed) {
                         // Phase-A window over this worker's SM shard.
                         let now = ctrl.now.load(Ordering::Relaxed);
                         let mut slot = slot.lock().expect("worker SM slot");
@@ -197,6 +200,7 @@ where
             // Phase-A epoch: release the workers, run our own shard.
             epoch += 1;
             ctrl.now.store(now, Ordering::Relaxed);
+            ctrl.apply.store(false, Ordering::Relaxed);
             ctrl.epoch.store(epoch, Ordering::Release);
             {
                 let mut slot = slots[0].lock().expect("main SM slot");
@@ -229,7 +233,7 @@ where
                     total: n_sms,
                     parts,
                 };
-                {
+                let routed = {
                     let mut mg: Vec<MutexGuard<'_, Vec<MemShard>>> = mem_groups
                         .iter()
                         .map(|m| m.lock().expect("route mem group"))
@@ -238,24 +242,28 @@ where
                         groups: &mut mg,
                         stride: threads,
                     };
-                    core.flush_route(&mut pool, &mut outs, &mut set, now, window, &mut scratch);
-                }
+                    core.flush_route(&mut pool, &mut outs, &mut set, now, window, &mut scratch)
+                };
 
-                // Apply epoch: workers take their groups, we take ours.
-                epoch += 1;
-                ctrl.epoch.store(epoch, Ordering::Release);
-                {
-                    let mut shards = mem_groups[0].lock().expect("main mem group");
-                    for shard in shards.iter_mut() {
-                        shard.apply(&ap);
+                // Apply epoch, unless the window routed nothing: workers
+                // take their groups, we take ours.
+                if routed {
+                    epoch += 1;
+                    ctrl.apply.store(true, Ordering::Relaxed);
+                    ctrl.epoch.store(epoch, Ordering::Release);
+                    {
+                        let mut shards = mem_groups[0].lock().expect("main mem group");
+                        for shard in shards.iter_mut() {
+                            shard.apply(&ap);
+                        }
                     }
-                }
-                spin_wait(|| {
-                    ctrl.done.load(Ordering::Acquire) >= epoch * n_workers
-                        || ctrl.failed.load(Ordering::Acquire)
-                });
-                if ctrl.failed.load(Ordering::Acquire) {
-                    break 'sim;
+                    spin_wait(|| {
+                        ctrl.done.load(Ordering::Acquire) >= epoch * n_workers
+                            || ctrl.failed.load(Ordering::Acquire)
+                    });
+                    if ctrl.failed.load(Ordering::Acquire) {
+                        break 'sim;
+                    }
                 }
 
                 let mut mg: Vec<MutexGuard<'_, Vec<MemShard>>> = mem_groups

@@ -11,7 +11,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use gsim_mem::{Cache, CacheGeometry, Mshr};
-use gsim_trace::{MemAccess, MemSpace, Op, WarpStream};
+use gsim_trace::{MemSpace, Op, WarpStream};
 
 use super::memsys::ReqKind;
 use crate::config::GpuConfig;
@@ -65,44 +65,25 @@ pub(super) struct MemIssue {
     pub blocks: bool,
 }
 
-/// Everything one SM's phase A hands to the serial phase B. Owned by the
-/// SM and reused across cycles so the steady state allocates nothing.
+/// Everything one SM's phase A hands to the window for one cycle, except
+/// the staged line requests: those go straight into the window's request
+/// arena, so a cycle's hand-off is a small value and allocates nothing.
 #[derive(Debug, Default)]
 pub(super) struct LaneOut {
     /// Did this SM issue an instruction this cycle?
     pub issued: bool,
-    /// Did this SM still hold live warps after its issue attempt?
-    pub live: bool,
-    /// Warp instructions issued (0 or 1).
-    pub warp_instrs: u64,
     /// L1 lookups performed.
-    pub l1_accesses: u64,
+    pub l1_accesses: u32,
     /// L1 misses taken.
-    pub l1_misses: u64,
+    pub l1_misses: u32,
     /// CTAs that fully retired on this SM this cycle.
     pub completed_ctas: u32,
     /// The staged memory instruction, if one issued.
     pub mem: Option<MemIssue>,
-    /// Line requests of the staged memory instruction, in program order.
-    pub reqs: Vec<LineReq>,
-}
-
-impl LaneOut {
-    fn reset(&mut self) {
-        self.issued = false;
-        self.live = false;
-        self.warp_instrs = 0;
-        self.l1_accesses = 0;
-        self.l1_misses = 0;
-        self.completed_ctas = 0;
-        self.mem = None;
-        self.reqs.clear();
-    }
 }
 
 pub(super) struct WarpCtx<S> {
     pub stream: S,
-    pub pending_compute: u16,
     pub cta: u32,
     pub age: u64,
 }
@@ -112,23 +93,28 @@ pub(super) struct Sm<S> {
     pub mshr: Mshr,
     pub warps: Vec<Option<WarpCtx<S>>>,
     /// Ready warp indices sorted by age descending (back = oldest, so the
-    /// GTO fallback pick is a `pop`). The greedy warp is *not* kept here
-    /// while it is issuing batched compute — see `greedy_stashed`.
+    /// GTO fallback pick is a `pop`). The last-issued warp is never kept
+    /// here — see `greedy_stashed`.
     pub ready: Vec<u32>,
     pub blocked: BinaryHeap<Reverse<(u64, u32)>>,
     pub last_issued: Option<u32>,
-    /// True when `last_issued` re-queued via the compute fast path and is
-    /// parked outside `ready`. GTO re-picks it first regardless of age, so
-    /// keeping it out of the sorted vector skips an insert/search/remove
-    /// round-trip per compute instruction — the issue phase's hot path.
+    /// True when `last_issued` is ready to issue again; it is parked
+    /// outside `ready`. GTO re-picks it first regardless of age, so keeping
+    /// it out of the sorted vector skips an insert/search/remove round-trip
+    /// per greedy instruction — the issue phase's hot path.
     pub greedy_stashed: bool,
+    /// The greedy warp is issuing a batch of compute instructions, one
+    /// per cycle, in every cycle before this one. GTO keeps picking it
+    /// whatever wakes up or is dispatched meanwhile, so those cycles are
+    /// fully determined: the window counts them as issued without
+    /// stepping the SM (wake-ups due meanwhile drain, age-sorted as ever,
+    /// at the first cycle that is stepped again).
+    pub busy_until: u64,
     pub free_slots: Vec<u32>,
     /// CTA id -> warps still running, for resident CTAs.
     pub cta_remaining: HashMap<u32, u32>,
     pub live_warps: u32,
     pub chiplet: u32,
-    /// Phase A -> phase B handoff for the current cycle.
-    pub out: LaneOut,
 }
 
 impl<S> Sm<S> {
@@ -146,15 +132,19 @@ impl<S> Sm<S> {
             blocked: BinaryHeap::with_capacity(n as usize),
             last_issued: None,
             greedy_stashed: false,
+            busy_until: 0,
             free_slots: (0..n).rev().collect(),
             cta_remaining: HashMap::new(),
             live_warps: 0,
             chiplet,
-            out: LaneOut::default(),
         }
     }
 
     pub(super) fn insert_ready(&mut self, warp: u32) {
+        if self.last_issued == Some(warp) {
+            self.greedy_stashed = true;
+            return;
+        }
         let age = self.warps[warp as usize].as_ref().expect("live warp").age;
         let pos = self
             .ready
@@ -170,23 +160,17 @@ impl<S> Sm<S> {
     /// Greedy-Then-Oldest: keep issuing the last-issued warp while it is
     /// ready; otherwise pick the oldest ready warp.
     fn pick(&mut self) -> Option<u32> {
-        if let Some(w) = self.last_issued {
-            if self.greedy_stashed {
-                self.greedy_stashed = false;
-                return Some(w);
-            }
-            if let Some(pos) = self.ready.iter().position(|&r| r == w) {
-                self.ready.remove(pos);
-                return Some(w);
-            }
+        if self.greedy_stashed {
+            self.greedy_stashed = false;
+            return self.last_issued;
         }
         self.ready.pop()
     }
 
     /// The per-SM half of warp retirement: releases the slot and the CTA
-    /// bookkeeping this SM owns, and reports a completed CTA (if any) for
-    /// phase B to turn into dispatches and kernel advances.
-    fn retire_local(&mut self, warp: u32) {
+    /// bookkeeping this SM owns. Returns whether the warp's CTA completed,
+    /// for phase B to turn into dispatches and kernel advances.
+    fn retire_local(&mut self, warp: u32) -> bool {
         let ctx = self.warps[warp as usize]
             .take()
             .expect("retiring a live warp");
@@ -201,19 +185,20 @@ impl<S> Sm<S> {
             .get_mut(&ctx.cta)
             .expect("warp belongs to a resident CTA");
         *remaining -= 1;
-        if *remaining == 0 {
+        let cta_done = *remaining == 0;
+        if cta_done {
             self.cta_remaining.remove(&ctx.cta);
-            self.out.completed_ctas += 1;
         }
+        cta_done
     }
 }
 
 impl<S: WarpStream> Sm<S> {
     /// One SM's share of a cycle: drain due wake-ups, then try to issue
-    /// one instruction. Touches only this SM; the staged result lands in
-    /// `self.out`.
-    pub(super) fn phase_a(&mut self, now: u64, p: &LaneParams) {
-        self.out.reset();
+    /// one instruction. Touches only this SM; line requests of a staged
+    /// memory instruction are appended to `reqs`.
+    pub(super) fn phase_a(&mut self, now: u64, p: &LaneParams, reqs: &mut Vec<LineReq>) -> LaneOut {
+        let mut out = LaneOut::default();
         // Wake phase.
         while let Some(&Reverse((t, w))) = self.blocked.peek() {
             if t <= now {
@@ -225,58 +210,44 @@ impl<S: WarpStream> Sm<S> {
         }
         // Issue phase.
         while let Some(warp) = self.pick() {
-            // Fast path: batched compute.
-            {
-                let ctx = self.warps[warp as usize]
-                    .as_mut()
-                    .expect("picked live warp");
-                if ctx.pending_compute > 0 {
-                    ctx.pending_compute -= 1;
-                    self.last_issued = Some(warp);
-                    self.greedy_stashed = true;
-                    self.out.warp_instrs += 1;
-                    self.out.issued = true;
-                    break;
-                }
-            }
-            let op = self.warps[warp as usize]
+            let ctx = self.warps[warp as usize]
                 .as_mut()
-                .expect("picked live warp")
-                .stream
-                .next_op();
-            match op {
+                .expect("picked live warp");
+            match ctx.stream.next_op() {
                 None => {
                     // Warp retired; pick another warp this same cycle.
-                    self.retire_local(warp);
+                    out.completed_ctas += u32::from(self.retire_local(warp));
                     continue;
                 }
                 Some(Op::Compute { n }) => {
-                    let ctx = self.warps[warp as usize].as_mut().expect("live");
-                    ctx.pending_compute = n - 1;
-                    self.last_issued = Some(warp);
+                    // One instruction now, the rest of the batch in the
+                    // following cycles; then the warp is ready again.
+                    self.busy_until = now + u64::from(n);
                     self.greedy_stashed = true;
-                    self.out.warp_instrs += 1;
-                    self.out.issued = true;
-                    break;
                 }
-                Some(op) => {
-                    let access = *op.mem().expect("memory op");
-                    self.stage_mem(warp, now, &op, &access, p);
-                    self.out.warp_instrs += 1;
-                    self.last_issued = Some(warp);
-                    self.out.issued = true;
-                    break;
-                }
+                Some(op) => self.stage_mem(warp, now, &op, p, &mut out, reqs),
             }
+            self.last_issued = Some(warp);
+            out.issued = true;
+            break;
         }
-        self.out.live = self.live_warps > 0;
+        out
     }
 
     /// The per-SM part of issuing one memory op: L1 lookups and MSHR
     /// probes now; every line that needs the shared memory system is
     /// staged for phase B. The issuing warp is re-queued by phase B once
     /// its wake cycle is known.
-    fn stage_mem(&mut self, warp: u32, now: u64, op: &Op, access: &MemAccess, p: &LaneParams) {
+    fn stage_mem(
+        &mut self,
+        warp: u32,
+        now: u64,
+        op: &Op,
+        p: &LaneParams,
+        out: &mut LaneOut,
+        reqs: &mut Vec<LineReq>,
+    ) {
+        let access = op.mem().expect("memory op");
         let kind = match op {
             Op::Load(_) => ReqKind::Load,
             Op::Store(_) => ReqKind::Store,
@@ -288,7 +259,7 @@ impl<S: WarpStream> Sm<S> {
             match (kind, access.space) {
                 (ReqKind::Load, MemSpace::Global) => {
                     // L1 lookup (write-through caches: loads only).
-                    self.out.l1_accesses += 1;
+                    out.l1_accesses += 1;
                     let t0 = now + p.l1_latency;
                     if self.l1.access(line, false).is_hit() {
                         let ready = match self.mshr.pending_fill(line) {
@@ -297,8 +268,8 @@ impl<S: WarpStream> Sm<S> {
                         };
                         base_wake = base_wake.max(ready);
                     } else {
-                        self.out.l1_misses += 1;
-                        self.out.reqs.push(LineReq {
+                        out.l1_misses += 1;
+                        reqs.push(LineReq {
                             line,
                             kind: LineKind::MissLoad,
                         });
@@ -306,21 +277,21 @@ impl<S: WarpStream> Sm<S> {
                 }
                 (ReqKind::Store, _) => {
                     // Write-through, no-write-allocate: straight to the LLC.
-                    self.out.reqs.push(LineReq {
+                    reqs.push(LineReq {
                         line,
                         kind: LineKind::Store,
                     });
                 }
                 _ => {
                     // Atomics (and any bypassing access) skip the L1.
-                    self.out.reqs.push(LineReq {
+                    reqs.push(LineReq {
                         line,
                         kind: LineKind::Direct(kind),
                     });
                 }
             }
         }
-        self.out.mem = Some(MemIssue {
+        out.mem = Some(MemIssue {
             warp,
             base_wake,
             blocks: op.blocks_warp(),

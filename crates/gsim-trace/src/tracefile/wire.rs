@@ -211,6 +211,11 @@ pub(super) fn encode_ops<S: Sink>(out: &mut S, ops: &[Op]) {
     }
 }
 
+/// Highest line address whose 128 B line still has a 64-bit byte address.
+/// The timing model's tag stores pack flags beside the line address and
+/// rely on this bound.
+const MAX_LINE_ADDR: i64 = (1 << 57) - 1;
+
 /// Decodes one warp's ops. Every length is validated before use: the
 /// op-count is capped by `limits.max_ops_per_warp` and the preallocation
 /// is capped independently, so a hostile count cannot trigger a huge
@@ -235,6 +240,11 @@ pub(super) fn decode_ops<G: ByteGet>(
                 let batch = get_varint(src)?;
                 let batch = u16::try_from(batch)
                     .map_err(|_| TraceReadError::corrupt("compute batch exceeds u16"))?;
+                if batch == 0 {
+                    // The engine issues a batch's first instruction on the
+                    // spot; a batch of none has no cycle to occupy.
+                    return Err(TraceReadError::corrupt("empty compute batch"));
+                }
                 ops.push(Op::Compute { n: batch });
             }
             kind => {
@@ -248,6 +258,12 @@ pub(super) fn decode_ops<G: ByteGet>(
                     .ok_or_else(|| TraceReadError::corrupt("address delta overflow"))?;
                 if addr < 0 {
                     return Err(TraceReadError::corrupt("negative line address"));
+                }
+                let span = i64::from(txns) * i64::from(stride);
+                if addr > MAX_LINE_ADDR - span {
+                    return Err(TraceReadError::corrupt(
+                        "line address beyond the 64-bit byte address space",
+                    ));
                 }
                 last_addr = addr;
                 let access = MemAccess {
@@ -308,6 +324,27 @@ mod tests {
         let mut sink = FnvSink::new();
         encode_ops(&mut sink, &ops);
         assert_eq!(sink.0, fnv1a(&buf));
+    }
+
+    #[test]
+    fn line_address_beyond_the_byte_address_space_is_rejected() {
+        for (line_addr, ok) in [((1u64 << 57) - 1, true), (1 << 57, false), (1 << 62, false)] {
+            let mut b = Vec::new();
+            encode_ops(&mut b, &[Op::Load(MemAccess::coalesced(line_addr))]);
+            let decoded = decode_ops(&mut SliceReader::new(&b), &TraceLimits::default());
+            match decoded {
+                Ok(ops) => assert!(ok && ops.len() == 1, "{line_addr:#x} accepted"),
+                Err(e) => assert!(!ok && matches!(e, TraceReadError::Corrupt(_)), "{e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn empty_compute_batch_is_rejected() {
+        let mut b = Vec::new();
+        encode_ops(&mut b, &[Op::Compute { n: 0 }]);
+        let err = decode_ops(&mut SliceReader::new(&b), &TraceLimits::default()).unwrap_err();
+        assert!(matches!(err, TraceReadError::Corrupt(_)), "{err}");
     }
 
     #[test]

@@ -8,10 +8,14 @@ use gpu_scale_model::core::{
     ScaleModelInputs, ScaleModelPredictor, ScalingPredictor, SizedMrc,
 };
 use gpu_scale_model::mem::mrc::{DistanceEngine, NaiveStack, TreeStack};
-use gpu_scale_model::mem::{Cache, CacheGeometry};
+use gpu_scale_model::mem::{
+    AccessResult, Cache, CacheGeometry, EvictedLine, FillTracker, Mshr, MshrOutcome,
+    ReplacementPolicy,
+};
 use gpu_scale_model::sim::{GpuConfig, Simulator};
 use gpu_scale_model::trace::{Kernel, MemScale, PatternKind, PatternSpec, Workload};
 use gsim_rng::Rng64;
+use std::collections::HashMap;
 
 /// Per-property case count; `--features ext-tests` multiplies it 8x.
 fn cases(default: usize) -> usize {
@@ -161,6 +165,262 @@ fn cliff_detection_matches_definition() {
         let mrc = SizedMrc::new(sizes.iter().copied().zip(mpki.iter().copied()));
         let manual = mpki.windows(2).any(|w| w[1] < w[0] / 2.0);
         assert_eq!(gpu_scale_model::core::detect_cliff(&mrc).is_some(), manual);
+    }
+}
+
+/// The obvious model of [`Cache`]: per set, a `Vec` of `(line, dirty)`
+/// kept newest-first. The packed tag store must be indistinguishable
+/// from it.
+struct NaiveCache {
+    ways: usize,
+    policy: ReplacementPolicy,
+    sets: Vec<Vec<(u64, bool)>>,
+    /// Same xorshift stream as the real cache (never reset).
+    rng_state: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    dirty_evictions: u64,
+}
+
+impl NaiveCache {
+    fn new(sets: u32, ways: u32, policy: ReplacementPolicy) -> Self {
+        Self {
+            ways: ways as usize,
+            policy,
+            sets: vec![Vec::new(); sets as usize],
+            rng_state: 0x9E37_79B9_7F4A_7C15,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            dirty_evictions: 0,
+        }
+    }
+
+    fn set_mut(&mut self, line: u64) -> &mut Vec<(u64, bool)> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(line % n) as usize]
+    }
+
+    fn access(&mut self, line: u64, is_write: bool) -> AccessResult {
+        let (ways, policy) = (self.ways, self.policy);
+        if let Some(pos) = self.set_mut(line).iter().position(|e| e.0 == line) {
+            let set = self.set_mut(line);
+            set[pos].1 |= is_write;
+            if policy == ReplacementPolicy::Lru {
+                let e = set.remove(pos);
+                set.insert(0, e);
+            }
+            self.hits += 1;
+            return AccessResult::Hit;
+        }
+        self.misses += 1;
+        let mut evicted = None;
+        if self.set_mut(line).len() == ways {
+            let victim = if policy == ReplacementPolicy::Random {
+                let mut x = self.rng_state;
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                self.rng_state = x;
+                (x % ways as u64) as usize
+            } else {
+                ways - 1
+            };
+            let (line_addr, dirty) = self.set_mut(line).remove(victim);
+            self.evictions += 1;
+            self.dirty_evictions += u64::from(dirty);
+            evicted = Some(EvictedLine { line_addr, dirty });
+        }
+        self.set_mut(line).insert(0, (line, is_write));
+        AccessResult::Miss(evicted)
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<bool> {
+        let set = self.set_mut(line);
+        let pos = set.iter().position(|e| e.0 == line)?;
+        Some(set.remove(pos).1)
+    }
+
+    fn reset(&mut self) {
+        self.sets.iter_mut().for_each(Vec::clear);
+        (self.hits, self.misses, self.evictions, self.dirty_evictions) = (0, 0, 0, 0);
+    }
+}
+
+/// Drives a [`Cache`] and the naive model with one random stream of
+/// accesses, invalidations, probes and resets: same hit/miss, same
+/// evicted line, same counters, same residency — for every policy at the
+/// associativities the configurations use and at one way.
+fn cache_matches_naive_model(seed: u64, ops: usize) {
+    let mut rng = Rng64::seed_from_u64(seed);
+    for policy in [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Fifo,
+        ReplacementPolicy::Random,
+    ] {
+        for ways in [1u32, 6, 64] {
+            let sets = [1u32, 3, 8][rng.gen_range(0, 3) as usize];
+            let mut real = Cache::with_policy(CacheGeometry::from_sets(sets, ways, 128), policy);
+            let mut naive = NaiveCache::new(sets, ways, policy);
+            // Enough distinct lines to overflow the sets, few enough to
+            // re-hit; drawn from a wide range so tags and fingerprints vary.
+            let universe: Vec<u64> = (0..sets * ways * 2 + 3)
+                .map(|_| rng.gen_range(0, 1 << 40))
+                .collect();
+            let pick = |rng: &mut Rng64| universe[rng.gen_range(0, universe.len() as u64) as usize];
+            for _ in 0..ops {
+                let line = pick(&mut rng);
+                match rng.gen_range(0, 1000) {
+                    0..=1 => {
+                        real.reset();
+                        naive.reset();
+                    }
+                    2..=80 => assert_eq!(real.invalidate(line), naive.invalidate(line)),
+                    _ => {
+                        let is_write = rng.gen_range(0, 4) == 0;
+                        assert_eq!(
+                            real.access(line, is_write),
+                            naive.access(line, is_write),
+                            "{policy:?} {sets}x{ways} line {line}"
+                        );
+                    }
+                }
+                let probe = pick(&mut rng);
+                assert_eq!(
+                    real.contains(probe),
+                    naive.sets[(probe % u64::from(sets)) as usize]
+                        .iter()
+                        .any(|e| e.0 == probe)
+                );
+                assert_eq!(
+                    (
+                        real.hits(),
+                        real.misses(),
+                        real.evictions(),
+                        real.dirty_evictions()
+                    ),
+                    (
+                        naive.hits,
+                        naive.misses,
+                        naive.evictions,
+                        naive.dirty_evictions
+                    )
+                );
+            }
+            let resident: usize = naive.sets.iter().map(Vec::len).sum();
+            assert_eq!(real.resident_lines(), resident as u64);
+        }
+    }
+}
+
+#[test]
+fn cache_is_indistinguishable_from_the_naive_model() {
+    for seed in 0..8 {
+        cache_matches_naive_model(0x5eed_000c + seed, 2_000);
+    }
+}
+
+/// The long soak of the differential test above.
+#[cfg(feature = "ext-tests")]
+#[test]
+fn cache_is_indistinguishable_from_the_naive_model_soak() {
+    for seed in 0..16 {
+        cache_matches_naive_model(0x5eed_1000 + seed, 200_000);
+    }
+}
+
+/// [`FillTracker`] is observably a `HashMap<line, done>` with the
+/// documented purge points: before an insert once the map holds
+/// `max(8192, 2 x survivors of the last purge)` entries, and on any probe
+/// at or past the latest completion time. The stream crosses the purge
+/// threshold several times, lets time step backwards (requests enter the
+/// memory system out of order by up to an L1 latency) and jumps past the
+/// horizon now and then.
+#[test]
+fn fill_tracker_matches_hash_map_model() {
+    let mut rng = Rng64::seed_from_u64(0x5eed_000d);
+    let mut real = FillTracker::new();
+    let mut model: HashMap<u64, u64> = HashMap::new();
+    let (mut max_done, mut purge_at) = (0u64, 8192usize);
+    let mut clock = 0u64;
+    for step in 0..cases(60_000) {
+        clock += rng.gen_range(0, 3);
+        if step % 20_000 == 19_999 {
+            clock += 5_000; // every fill has landed
+        }
+        let now = clock.saturating_sub(rng.gen_range(0, 30));
+        let line = rng.gen_range(0, 30_000);
+        if rng.gen_range(0, 4) > 0 {
+            let done = now + rng.gen_range(1, 2_000);
+            if model.len() >= purge_at {
+                model.retain(|_, d| *d > now);
+                purge_at = (model.len() * 2).max(8192);
+            }
+            max_done = max_done.max(done);
+            model.insert(line, done);
+            real.insert(line, done, now);
+        } else {
+            let expected = if now >= max_done {
+                model.clear();
+                None
+            } else {
+                model.get(&line).copied().filter(|&d| d > now)
+            };
+            assert_eq!(real.fill_after(line, now), expected, "step {step}");
+        }
+        assert_eq!(real.len(), model.len(), "step {step}");
+    }
+}
+
+/// [`Mshr`] is observably a capacity-bounded `HashMap<line, fill_done>`:
+/// merges return the primary's time, a full file rejects new lines but
+/// still merges, and `complete_up_to` retires exactly the landed fills.
+#[test]
+fn mshr_matches_hash_map_model() {
+    let mut rng = Rng64::seed_from_u64(0x5eed_000e);
+    for capacity in [1usize, 7, 384] {
+        let mut real = Mshr::new(capacity);
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        let (mut merges, mut allocations, mut full_stalls) = (0u64, 0u64, 0u64);
+        for now in 0..cases(20_000) as u64 {
+            let line = rng.gen_range(0, capacity as u64 * 3 + 2);
+            match rng.gen_range(0, 10) {
+                0 => assert_eq!(real.complete(line), model.remove(&line).is_some()),
+                1 => {
+                    let before = model.len();
+                    model.retain(|_, d| *d > now);
+                    assert_eq!(real.complete_up_to(now), before - model.len());
+                }
+                2 => assert_eq!(real.pending_fill(line), model.get(&line).copied()),
+                _ => {
+                    // The engine's use: retire landed fills only once full.
+                    if real.is_full() {
+                        model.retain(|_, d| *d > now);
+                        real.complete_up_to(now);
+                    }
+                    let done = now + rng.gen_range(1, 400);
+                    let expected = if let Some(&primary) = model.get(&line) {
+                        merges += 1;
+                        MshrOutcome::Merged(primary)
+                    } else if model.len() >= capacity {
+                        full_stalls += 1;
+                        MshrOutcome::Full
+                    } else {
+                        model.insert(line, done);
+                        allocations += 1;
+                        MshrOutcome::Allocated
+                    };
+                    assert_eq!(real.register(line, done), expected);
+                }
+            }
+            assert_eq!(real.in_flight(), model.len());
+            assert_eq!(real.is_full(), model.len() >= capacity);
+        }
+        assert_eq!(
+            (real.merges(), real.allocations(), real.full_stalls()),
+            (merges, allocations, full_stalls)
+        );
     }
 }
 
