@@ -7,8 +7,7 @@
 //! — the Figure 7 speedups come from exactly this gap), plus a 64-SM
 //! memory-bound workload as a strong-scaling family over `sim_threads`
 //! 1/2/4/8 (the sharded engine's headline case; results are
-//! bit-identical, only wall time moves) and one relaxed-sync run at a
-//! 16-cycle slack window.
+//! bit-identical, only wall time moves).
 //!
 //! Results also land in `BENCH_simulator.json` at the repo root; set
 //! `GSIM_BENCH_FAST=1` for a smoke-test-sized run (CI).
@@ -69,7 +68,6 @@ fn bench_sim(
         id,
         median,
         cfg.sim_threads.max(1),
-        cfg.sync_slack,
         Some(cycles.get()),
         speedup,
     );
@@ -100,8 +98,7 @@ fn weak_scaling_cost(rep: &mut JsonReport) {
 /// The sharded-engine case: a 64-SM target on an LLC-overflowing global
 /// sweep (memory-bound, so cycles are plentiful and phase A dominates),
 /// as a strong-scaling family over 1/2/4/8 intra-simulation threads
-/// (each record past `t1` carries its `speedup_vs_t1`), plus one
-/// relaxed-sync run showing what a 16-cycle slack window buys.
+/// (each record past `t1` carries its `speedup_vs_t1`).
 fn parallel_64sm_membound(rep: &mut JsonReport) {
     let sc = scale();
     let passes = if fast_mode() { 1 } else { 3 };
@@ -127,18 +124,6 @@ fn parallel_64sm_membound(rep: &mut JsonReport) {
             t1 = median;
         }
     }
-    let mut cfg = GpuConfig::paper_target(64, sc);
-    cfg.sim_threads = 8;
-    cfg.sync_slack = 16;
-    bench_sim(
-        &g,
-        rep,
-        "parallel_64sm_membound/t8_slack16",
-        "t8_slack16",
-        &cfg,
-        &wl,
-        t1,
-    );
 }
 
 /// The multi-GPU system model (DESIGN.md §16) as a strong-scaling family

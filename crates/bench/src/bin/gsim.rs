@@ -3,10 +3,9 @@
 //! ```text
 //! gsim list
 //! gsim run <benchmark> [--sms N] [--scale D] [--banked-dram BANKS] [--weak]
-//!          [--sim-threads N] [--sync-slack S] [--assert-determinism]
-//! gsim sweep <benchmark> [--scale D] [--threads N] [--weak] [--sim-threads N] [--sync-slack S]
-//! gsim mcm <benchmark> [--chiplets C] [--scale D] [--sim-threads N] [--sync-slack S]
-//!          [--assert-determinism]
+//!          [--sim-threads N] [--assert-determinism]
+//! gsim sweep <benchmark> [--scale D] [--threads N] [--weak] [--sim-threads N]
+//! gsim mcm <benchmark> [--chiplets C] [--scale D] [--sim-threads N] [--assert-determinism]
 //! gsim mrc <benchmark> [--scale D]
 //! gsim trace record <benchmark> [-o FILE] [--scale D] [--format 1|2] [--weak --sms N]
 //! gsim trace ingest <file> [--store DIR] [--max-trace-mb N]
@@ -58,16 +57,12 @@
 //! `--sim-threads N` shards each simulation's per-SM phase *and* its
 //! owner-sharded memory partitions over N threads (`--threads`
 //! parallelises *across* sweep jobs instead; under `serve` it sizes the
-//! HTTP worker pool). Results are bit-identical for any N ≥ 1.
-//! `--sync-slack S` opts into bounded-slack relaxed synchronisation: SMs
-//! run up to S cycles past the memory merge barrier (DESIGN.md §15).
-//! S = 0 (the default) is bit-exact; S > 0 is still deterministic for a
-//! given S but drifts within a small envelope, so it cannot be combined
-//! with `--assert-determinism`, which re-runs the simulation serially and
-//! asserts the sharded run is bit-identical (exit 2 on the combination,
-//! non-zero if the assertion trips). The run summary prints the effective
-//! phase-B mode: owner-sharded, or the serial fallback when
-//! `--sim-threads 1`.
+//! HTTP worker pool). Results are bit-identical for any N ≥ 1
+//! (DESIGN.md §15); `--assert-determinism` re-runs the simulation
+//! serially and asserts exactly that (non-zero exit if it trips). The
+//! run summary prints the effective phase-B mode: owner-sharded with the
+//! thread count the engine actually used (N clamped to the SM count), or
+//! the serial fallback when that is 1.
 //!
 //! `multigpu` runs the multi-GPU system model (DESIGN.md §16): `--gpus`
 //! GPUs of `--sms` SMs each, connected by a `--topology` fabric of
@@ -109,11 +104,11 @@ use gsim_tracestore::{StoreConfig, StoreError, TraceStore};
 fn usage() -> ! {
     eprintln!(
         "usage:\n  gsim list\n  gsim run <benchmark> [--sms N] [--scale D] \
-         [--banked-dram BANKS] [--weak] [--sim-threads N] [--sync-slack S] \
+         [--banked-dram BANKS] [--weak] [--sim-threads N] \
          [--assert-determinism]\n  gsim sweep <benchmark> [--scale D] \
-         [--threads N] [--weak] [--sim-threads N] [--sync-slack S]\n  \
+         [--threads N] [--weak] [--sim-threads N]\n  \
          gsim mcm <benchmark> [--chiplets C] \
-         [--scale D] [--sim-threads N] [--sync-slack S] [--assert-determinism]\n  \
+         [--scale D] [--sim-threads N] [--assert-determinism]\n  \
          gsim mrc <benchmark> [--scale D]\n  \
          gsim trace record <benchmark> [-o FILE] [--scale D] [--format 1|2] [--weak --sms N]\n  \
          gsim trace ingest <file> [--store DIR] [--max-trace-mb N]\n  \
@@ -198,7 +193,6 @@ struct Flags {
     threads: Option<usize>,
     runner_threads: usize,
     sim_threads: u32,
-    sync_slack: u32,
     assert_determinism: bool,
     weak: bool,
     addr: String,
@@ -241,7 +235,6 @@ fn parse(args: &[String]) -> Flags {
         threads: None,
         runner_threads: 0,
         sim_threads: 1,
-        sync_slack: 0,
         assert_determinism: false,
         weak: false,
         addr: "127.0.0.1:8191".to_string(),
@@ -283,8 +276,6 @@ fn parse(args: &[String]) -> Flags {
             "--threads" => f.threads = Some(flag_u32(&mut it, "--threads") as usize),
             "--runner-threads" => f.runner_threads = flag_u32(&mut it, "--runner-threads") as usize,
             "--sim-threads" => f.sim_threads = flag_u32_min(&mut it, "--sim-threads", 1),
-            // u32 parse already exits 2 on negatives and garbage.
-            "--sync-slack" => f.sync_slack = flag_u32(&mut it, "--sync-slack"),
             "--assert-determinism" => f.assert_determinism = true,
             "--weak" => f.weak = true,
             "--addr" => f.addr = flag_str(&mut it, "--addr", "HOST:PORT"),
@@ -360,36 +351,18 @@ fn parse(args: &[String]) -> Flags {
             other => f.positional.push(other.to_string()),
         }
     }
-    if f.assert_determinism && f.sync_slack > 0 {
-        eprintln!(
-            "--assert-determinism requires bit-exact mode; drop --sync-slack {} (relaxed \
-             sync is deterministic per slack value but not bit-identical to the exact run)",
-            f.sync_slack
-        );
-        exit(2)
-    }
     f
 }
 
-/// The effective phase-B execution mode of `cfg`, for the run summary.
+/// The effective phase-B execution mode of a run on `cfg` (the
+/// simulated machine: `n_sms` is the system total), for the run summary.
 fn phase_b_mode(cfg: &GpuConfig) -> String {
-    let partitions = cfg.mem_shards.max(1).min(cfg.llc_slices).min(cfg.n_mcs);
-    let mut mode = if cfg.sim_threads > 1 {
-        format!(
-            "owner-sharded ({partitions} partition{}, {} threads)",
-            if partitions == 1 { "" } else { "s" },
-            cfg.sim_threads
-        )
-    } else {
-        format!(
-            "serial fallback ({partitions} partition{})",
-            if partitions == 1 { "" } else { "s" }
-        )
-    };
-    if cfg.sync_slack > 0 {
-        mode.push_str(&format!(", slack {} cycles", cfg.sync_slack));
+    let partitions = cfg.mem_partitions();
+    let s = if partitions == 1 { "" } else { "s" };
+    match cfg.effective_sim_threads() {
+        1 => format!("serial fallback ({partitions} partition{s})"),
+        threads => format!("owner-sharded ({partitions} partition{s}, {threads} threads)"),
     }
-    mode
 }
 
 /// Re-runs `wl` on the serial driver and asserts the sharded run's stats
@@ -439,7 +412,6 @@ fn cmd_multigpu(f: &Flags) {
     let mut gpu = GpuConfig::paper_target(f.sms, f.scale);
     gpu.dram_banks_per_mc = f.banked_dram;
     gpu.sim_threads = f.sim_threads;
-    gpu.sync_slack = f.sync_slack;
     let cfg = SystemConfig {
         n_gpus: f.gpus,
         gpu,
@@ -515,7 +487,7 @@ fn cmd_multigpu(f: &Flags) {
         ),
         &report.stats,
     );
-    println!("  phase B           {}", phase_b_mode(&cfg.gpu));
+    println!("  phase B           {}", phase_b_mode(&cfg.slot_config()));
     println!("  fabric transfers  {:>14}", report.fabric.transfers);
     println!("  fabric bytes      {:>14}", report.fabric.link_bytes);
     println!("  fabric queue cyc  {:>14.0}", report.fabric.queue_cycles);
@@ -780,7 +752,6 @@ fn main() {
             let mut cfg = GpuConfig::paper_target(f.sms, f.scale);
             cfg.dram_banks_per_mc = f.banked_dram;
             cfg.sim_threads = f.sim_threads;
-            cfg.sync_slack = f.sync_slack;
             let st = Simulator::new(cfg.clone(), &wl).run();
             print_stats(&format!("{name} on {} SMs ({})", f.sms, f.scale), &st);
             println!("  phase B           {}", phase_b_mode(&cfg));
@@ -807,7 +778,6 @@ fn main() {
             };
             let scale = f.scale;
             let sim_threads = f.sim_threads;
-            let sync_slack = f.sync_slack;
             let sizes = [8u32, 16, 32, 64, 128];
             let runner = Runner::new(RunnerConfig {
                 threads: f.threads.unwrap_or(0),
@@ -823,7 +793,6 @@ fn main() {
                 move |&sms: &u32| {
                     let mut cfg = GpuConfig::paper_target(sms, scale);
                     cfg.sim_threads = sim_threads;
-                    cfg.sync_slack = sync_slack;
                     Simulator::new(cfg, &workload_for(sms)).run()
                 },
             );
@@ -874,8 +843,9 @@ fn main() {
             let wl = bench.workload_for_chiplets(f.chiplets);
             let mut mcm = ChipletConfig::paper_mcm(f.chiplets, f.scale);
             mcm.chiplet.sim_threads = f.sim_threads;
-            mcm.chiplet.sync_slack = f.sync_slack;
-            let st = Simulator::new_mcm(&mcm, &wl).run();
+            let sim = Simulator::new_mcm(&mcm, &wl);
+            let mode = phase_b_mode(sim.config());
+            let st = sim.run();
             print_stats(
                 &format!(
                     "{name} on {} chiplets = {} SMs ({})",
@@ -885,7 +855,7 @@ fn main() {
                 ),
                 &st,
             );
-            println!("  phase B           {}", phase_b_mode(&mcm.chiplet));
+            println!("  phase B           {mode}");
             if f.assert_determinism {
                 let mut serial = mcm.clone();
                 serial.chiplet.sim_threads = 1;
@@ -963,7 +933,6 @@ fn main() {
             let mut cfg = GpuConfig::paper_target(f.sms, f.scale);
             cfg.dram_banks_per_mc = f.banked_dram;
             cfg.sim_threads = f.sim_threads;
-            cfg.sync_slack = f.sync_slack;
             let st = Simulator::new(cfg.clone(), &traced).run();
             print_stats(
                 &format!("trace {} on {} SMs ({})", traced.name(), f.sms, f.scale),

@@ -6,9 +6,6 @@
 //!   --threads N        sweep worker threads (0 = auto, the default)
 //!   --sim-threads N    threads *inside* each simulation (default 1;
 //!                      results are bit-identical for any value)
-//!   --sync-slack S     bounded-slack relaxed sync in cycles (default 0 =
-//!                      bit-exact; S > 0 trades a documented accuracy
-//!                      envelope for fewer merge barriers, DESIGN.md §15)
 //!   --metrics FILE     append JSONL sweep metrics to FILE
 //!   --inject-panic B   replace benchmark B's job with one that panics
 //!                      (failure-isolation demo; the sweep still completes)
@@ -70,13 +67,12 @@ const ALL_SECTIONS: [&str; 17] = [
 ];
 
 const USAGE: &str = "usage: repro [--scale N] [--threads N] [--sim-threads N] \
-                     [--sync-slack S] [--metrics FILE] [--inject-panic BENCH] [SECTION ...]";
+                     [--metrics FILE] [--inject-panic BENCH] [SECTION ...]";
 
 struct Options {
     scale: MemScale,
     threads: usize,
     sim_threads: u32,
-    sync_slack: u32,
     metrics: Option<String>,
     inject_panic: Option<String>,
     sections: BTreeSet<String>,
@@ -87,7 +83,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
         scale: MemScale::default(),
         threads: 0,
         sim_threads: 1,
-        sync_slack: 0,
         metrics: None,
         inject_panic: None,
         sections: BTreeSet::new(),
@@ -120,13 +115,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
                 if opts.sim_threads == 0 {
                     return Err("--sim-threads must be >= 1".into());
                 }
-            }
-            "--sync-slack" => {
-                let v = args.next().ok_or("--sync-slack requires a value")?;
-                // u32 parse rejects negatives and garbage alike (exit 2).
-                opts.sync_slack = v.parse().map_err(|_| {
-                    format!("--sync-slack takes a non-negative cycle count, got {v:?}")
-                })?;
             }
             "--metrics" => {
                 opts.metrics = Some(args.next().ok_or("--metrics requires a file path")?);
@@ -205,16 +193,11 @@ fn main() -> ExitCode {
     let scale = opts.scale;
     let want = |s: &str| opts.sections.contains(s);
     eprintln!(
-        "[repro] phase B: {}{}",
+        "[repro] phase B: {}, bit-exact",
         if opts.sim_threads > 1 {
             format!("owner-sharded over {} threads", opts.sim_threads)
         } else {
             "serial fallback (--sim-threads 1)".to_string()
-        },
-        if opts.sync_slack > 0 {
-            format!(", relaxed sync slack {} cycles", opts.sync_slack)
-        } else {
-            ", bit-exact".to_string()
         }
     );
 
@@ -256,9 +239,7 @@ fn main() -> ExitCode {
             runner.threads()
         );
         let suite = strong_suite(scale);
-        let exp = StrongScalingExperiment::new(scale)
-            .with_sim_threads(opts.sim_threads)
-            .with_sync_slack(opts.sync_slack);
+        let exp = StrongScalingExperiment::new(scale).with_sim_threads(opts.sim_threads);
         let mut jobs = exp.jobs(&suite);
         if let Some(victim) = &opts.inject_panic {
             injected |= inject_panic(&mut jobs, victim);
@@ -297,9 +278,7 @@ fn main() -> ExitCode {
             runner.threads()
         );
         let suite = weak_suite(scale);
-        let exp = WeakScalingExperiment::new(scale)
-            .with_sim_threads(opts.sim_threads)
-            .with_sync_slack(opts.sync_slack);
+        let exp = WeakScalingExperiment::new(scale).with_sim_threads(opts.sim_threads);
         let mut jobs = exp.jobs(&suite);
         if let Some(victim) = &opts.inject_panic {
             injected |= inject_panic(&mut jobs, victim);
@@ -337,9 +316,7 @@ fn main() -> ExitCode {
             runner.threads()
         );
         let suite = weak_suite(scale);
-        let exp = McmExperiment::new(scale)
-            .with_sim_threads(opts.sim_threads)
-            .with_sync_slack(opts.sync_slack);
+        let exp = McmExperiment::new(scale).with_sim_threads(opts.sim_threads);
         let mut jobs = exp.jobs(&suite);
         if let Some(victim) = &opts.inject_panic {
             injected |= inject_panic(&mut jobs, victim);

@@ -152,9 +152,6 @@ pub struct Record {
     pub median_ns: Option<u128>,
     /// Intra-simulation threads the measured run used (1 = serial).
     pub sim_threads: u32,
-    /// Relaxed-sync slack window the run used, in cycles (0 = the
-    /// bit-exact default; see `--sync-slack`).
-    pub sync_slack: u32,
     /// Whether the run asked for more simulation threads than the host
     /// has logical CPUs — such timings measure scheduler contention,
     /// not the simulator, and diffs against them are not meaningful.
@@ -184,7 +181,7 @@ pub struct Record {
 ///   "host_logical_cpus": 8,
 ///   "records": [
 ///     {"name": "g/t2", "median_ns": 12, "sim_threads": 2,
-///      "sync_slack": 0, "oversubscribed": false,
+///      "oversubscribed": false,
 ///      "speedup_vs_t1": 1.8, "cycles_per_second": 3.1e6,
 ///      "n_gpus": 1, "placement": null}
 ///   ]
@@ -226,12 +223,11 @@ impl JsonReport {
         sim_threads: u32,
         cycles: Option<u64>,
     ) {
-        self.record_scaled(name, median, sim_threads, 0, cycles, None);
+        self.record_scaled(name, median, sim_threads, cycles, None);
     }
 
-    /// Adds one result with the full strong-scaling identity: the slack
-    /// window the run used and (for family members past `t1`) its
-    /// speedup over the family's serial run. On an oversubscribed ask
+    /// Adds one member of a strong-scaling family: past `t1` it carries
+    /// its speedup over the family's serial run. On an oversubscribed ask
     /// the timing-derived fields are dropped to `null` — only the
     /// record's identity is committed.
     pub fn record_scaled(
@@ -239,20 +235,10 @@ impl JsonReport {
         name: impl Into<String>,
         median: Duration,
         sim_threads: u32,
-        sync_slack: u32,
         cycles: Option<u64>,
         speedup_vs_t1: Option<f64>,
     ) {
-        self.push(
-            name,
-            median,
-            sim_threads,
-            sync_slack,
-            cycles,
-            speedup_vs_t1,
-            1,
-            None,
-        );
+        self.push(name, median, sim_threads, cycles, speedup_vs_t1, 1, None);
     }
 
     /// Adds one multi-GPU system result: like [`JsonReport::record_scaled`]
@@ -273,7 +259,6 @@ impl JsonReport {
             name,
             median,
             sim_threads,
-            0,
             cycles,
             speedup_vs_t1,
             n_gpus,
@@ -287,7 +272,6 @@ impl JsonReport {
         name: impl Into<String>,
         median: Duration,
         sim_threads: u32,
-        sync_slack: u32,
         cycles: Option<u64>,
         speedup_vs_t1: Option<f64>,
         n_gpus: u32,
@@ -300,7 +284,6 @@ impl JsonReport {
             name: name.into(),
             median_ns: (!oversubscribed).then_some(median.as_nanos()),
             sim_threads,
-            sync_slack,
             oversubscribed,
             speedup_vs_t1: speedup_vs_t1.filter(|s| s.is_finite() && !oversubscribed),
             cycles_per_second: cycles
@@ -327,13 +310,12 @@ impl JsonReport {
             }
             out.push_str(&format!(
                 "\n    {{\"name\": {}, \"median_ns\": {}, \"sim_threads\": {}, \
-                 \"sync_slack\": {}, \"oversubscribed\": {}, \
+                 \"oversubscribed\": {}, \
                  \"speedup_vs_t1\": {}, \"cycles_per_second\": {}, \
                  \"n_gpus\": {}, \"placement\": {}}}",
                 gsim_json::json_string(&r.name),
                 r.median_ns.map_or_else(|| "null".into(), |n| n.to_string()),
                 r.sim_threads,
-                r.sync_slack,
                 r.oversubscribed,
                 match r.speedup_vs_t1 {
                     Some(s) if s.is_finite() => format!("{s:.3}"),
@@ -436,7 +418,6 @@ mod tests {
                 Some(expected),
                 "record {i}"
             );
-            assert_eq!(rec.get("sync_slack").unwrap().as_u64(), Some(0));
             assert!(
                 matches!(rec.get("speedup_vs_t1"), Some(Json::Null)),
                 "record {i}: legacy entry point has no scaling family"
@@ -454,18 +435,10 @@ mod tests {
     }
 
     #[test]
-    fn scaled_records_carry_slack_and_speedup() {
+    fn scaled_records_carry_their_speedup() {
         let mut rep = JsonReport::for_target("test");
-        rep.record_scaled(
-            "g/t2_slack16",
-            Duration::from_micros(2),
-            1,
-            16,
-            Some(4_000),
-            Some(1.5),
-        );
+        rep.record_scaled("g/t2", Duration::from_micros(2), 1, Some(4_000), Some(1.5));
         let json = rep.render();
-        assert!(json.contains("\"sync_slack\": 16,"));
         assert!(json.contains("\"speedup_vs_t1\": 1.500,"));
         assert!(json.contains("\"cycles_per_second\": 2000000000.0"));
     }
@@ -513,7 +486,6 @@ mod tests {
             "g/overloaded",
             Duration::from_micros(5),
             threads,
-            0,
             Some(9_000),
             Some(0.4),
         );

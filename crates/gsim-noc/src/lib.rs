@@ -17,8 +17,6 @@
 //!   fixed per-hop latency.
 //! * [`ChipletInterconnect`] — one link per chiplet plus a fixed
 //!   chiplet-crossing latency, for the MCM case study.
-//! * [`Mesh`] — a 2-D XY-routed mesh whose average hop count grows with
-//!   system size, a what-if fabric the crossbar assumption hides.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,9 +24,7 @@
 mod chiplet;
 mod crossbar;
 mod link;
-mod mesh;
 
 pub use chiplet::ChipletInterconnect;
 pub use crossbar::Crossbar;
 pub use link::{BandwidthLink, LinkStats};
-pub use mesh::Mesh;

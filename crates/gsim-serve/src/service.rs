@@ -1930,8 +1930,6 @@ fn encode_config(c: &GpuConfig) -> String {
         llc_policy,
         dram_banks_per_mc,
         sim_threads: _, // host execution knob: results are identical
-        mem_shards,
-        sync_slack,
         mem_scale,
     } = c;
     format!(
@@ -1939,8 +1937,7 @@ fn encode_config(c: &GpuConfig) -> String {
          l1={l1_bytes}/{l1_ways}w/{l1_mshrs}m/{l1_latency}c;line={line_bytes};\
          llc={llc_bytes_total}/{llc_slices}s/{llc_ways}w/{llc_latency}c;\
          noc={noc_gbs}/{noc_hop_latency}c;dram={dram_gbs_per_mc}x{n_mcs}/{dram_latency}c;\
-         policy={llc_policy:?};banks={dram_banks_per_mc};shards={mem_shards};\
-         slack={sync_slack};scale={}",
+         policy={llc_policy:?};banks={dram_banks_per_mc};scale={}",
         mem_scale.divisor()
     )
 }

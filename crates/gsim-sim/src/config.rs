@@ -66,24 +66,6 @@ pub struct GpuConfig {
     /// simulation results are bit-identical for any value. `0` and `1`
     /// both select the serial path.
     pub sim_threads: u32,
-    /// Owner-sharded memory partitions per chip(let) (DESIGN.md §15):
-    /// the shared memory system is divided into
-    /// `min(mem_shards, llc_slices, n_mcs)` partitions, each owning a
-    /// slice group, its memory controllers and a proportional share of
-    /// the crossbar bisection, so the apply phase can run partition-
-    /// parallel. Unlike `sim_threads` this is part of the *simulated*
-    /// machine — it fixes the line-to-partition interleaving — so it must
-    /// not vary with host thread count. Small scale models (one MC)
-    /// collapse to a single partition, reproducing the unsharded model
-    /// exactly.
-    pub mem_shards: u32,
-    /// Bounded-slack relaxed synchronisation window in cycles
-    /// (DESIGN.md §15). `0` (the default) is bit-exact: every cycle is
-    /// globally merged. With slack `s > 0`, SMs run up to `s` cycles
-    /// ahead of the shared-memory merge barrier; results are still
-    /// deterministic for a given slack — and thread-count-invariant —
-    /// but drift from the exact run within a small documented envelope.
-    pub sync_slack: u32,
     /// The memory miniature this config was built with.
     pub mem_scale: MemScale,
 }
@@ -115,8 +97,6 @@ impl GpuConfig {
             llc_policy: ReplacementPolicy::Lru,
             dram_banks_per_mc: 0,
             sim_threads: 1,
-            mem_shards: 8,
-            sync_slack: 0,
             mem_scale: scale,
         }
     }
@@ -177,6 +157,12 @@ impl GpuConfig {
         let by_threads = self.max_threads_per_sm / threads_per_cta.max(1);
         let by_warps = self.warps_per_sm / warps_per_cta.max(1);
         by_threads.min(by_warps).max(1)
+    }
+
+    /// The execution contexts a run actually uses: `sim_threads` clamped
+    /// to `1..=n_sms` (an SM shard cannot be empty).
+    pub fn effective_sim_threads(&self) -> u32 {
+        self.sim_threads.clamp(1, self.n_sms.max(1))
     }
 
     /// The scale factor of this config relative to `other`, i.e.

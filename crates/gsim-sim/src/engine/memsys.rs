@@ -2,7 +2,7 @@
 //! into it.
 //!
 //! The shared memory system of every chip(let) is divided into
-//! `min(mem_shards, llc_slices, n_mcs)` fixed *partitions* ([`MemShard`]),
+//! `min(8, llc_slices, n_mcs)` fixed *partitions* ([`MemShard`]),
 //! each owning a slice group (global slice `g` belongs to partition
 //! `g % K`), the memory controllers interleaved onto it, its own in-flight
 //! fill tracker and a proportional share of the crossbar bisection — the
@@ -41,6 +41,22 @@ const BISECTION_FRACTION: f64 = 0.25;
 /// Response payload of an atomic (a word, not a line).
 const ATOMIC_BYTES: u32 = 32;
 
+/// Most owner partitions a chip(let)'s memory system divides into. Part of
+/// the *simulated* machine — it fixes the line-to-partition interleaving
+/// and each partition's crossbar share — so it never varies with the host
+/// thread count.
+const MEM_SHARDS: u32 = 8;
+
+impl GpuConfig {
+    /// Owner partitions per chip(let): `min(8, llc_slices, n_mcs)`, each
+    /// owning a slice group, its memory controllers and a proportional
+    /// share of the crossbar bisection (DESIGN.md §15). Small scale
+    /// models (one MC) collapse to a single partition.
+    pub fn mem_partitions(&self) -> u32 {
+        MEM_SHARDS.min(self.llc_slices).min(self.n_mcs)
+    }
+}
+
 /// What kind of request enters the shared memory system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum ReqKind {
@@ -78,7 +94,7 @@ impl Dram {
 /// + sub_shard`.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct ShardMap {
-    /// Partitions per chip(let): `min(mem_shards, llc_slices, n_mcs)`.
+    /// Partitions per chip(let): [`GpuConfig::mem_partitions`].
     pub per_chiplet: u32,
     /// Global LLC slices per chip(let) (the hash domain).
     pub llc_slices: u32,
@@ -87,7 +103,7 @@ pub(super) struct ShardMap {
 impl ShardMap {
     pub(super) fn new(cfg: &GpuConfig) -> Self {
         Self {
-            per_chiplet: cfg.mem_shards.max(1).min(cfg.llc_slices).min(cfg.n_mcs),
+            per_chiplet: cfg.mem_partitions(),
             llc_slices: cfg.llc_slices,
         }
     }
@@ -299,4 +315,26 @@ pub(super) fn build_shards(cfg: &GpuConfig, map: ShardMap, n_chiplets: u32) -> V
     (0..n_chiplets)
         .flat_map(|_| (0..map.per_chiplet).map(|k| MemShard::new(cfg, map, k)))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gsim_trace::MemScale;
+
+    #[test]
+    fn partition_count_is_min_of_8_slices_and_mcs() {
+        // Table I: 8 SMs have 1 MC, 64 SMs have 8, 128 SMs have 16.
+        let scale = MemScale::default();
+        assert_eq!(GpuConfig::paper_target(8, scale).mem_partitions(), 1);
+        assert_eq!(GpuConfig::paper_target(16, scale).mem_partitions(), 2);
+        assert_eq!(GpuConfig::paper_target(64, scale).mem_partitions(), 8);
+        assert_eq!(GpuConfig::paper_target(128, scale).mem_partitions(), 8);
+        let few_slices = GpuConfig {
+            llc_slices: 3,
+            ..GpuConfig::paper_target(128, scale)
+        };
+        assert_eq!(few_slices.mem_partitions(), 3);
+        assert_eq!(ShardMap::new(&few_slices).per_chiplet, 3);
+    }
 }

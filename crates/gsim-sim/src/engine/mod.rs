@@ -6,30 +6,25 @@
 //! controllers); an MCM GPU has those partitions per chiplet plus an
 //! inter-chiplet network and first-touch page placement.
 //!
-//! The engine advances in *windows* of `sync_slack + 1` cycles
-//! (DESIGN.md §15). Within a window:
+//! The engine advances one cycle at a time (DESIGN.md §15). Within a
+//! cycle:
 //!
 //! * **Phase A** (parallelisable): each SM independently drains its wake
-//!   heap, picks warps and issues, buffering event records
-//!   ([`WinRec`]) for each cycle that staged shared-memory work or
-//!   completed a CTA.
-//! * **Flush** (at the window barrier): a serial *route* pass walks the
-//!   records in (cycle, SM) order — CTA completions, dispatch, kernel
-//!   sequencing, first-touch page placement — and bins line requests into
+//!   heap, picks a warp and issues, buffering an event record
+//!   ([`WinRec`]) if it staged shared-memory work or completed a CTA.
+//! * **Flush** (at the cycle barrier): a serial *route* pass walks the
+//!   records in SM order — CTA completions, dispatch, kernel sequencing,
+//!   first-touch page placement — and bins line requests into
 //!   per-partition mailboxes; the partitions then *apply* their mailboxes
 //!   in parallel (each touches only its own LLC slices, DRAM channels,
 //!   crossbar share and fill tracker); a serial *merge* pass finishes in
 //!   global order (MSHR registration, warp wake-ups, inter-chiplet legs)
 //!   and makes the control-flow decision (advance, jump, finish).
 //!
-//! With the default `sync_slack = 0` the window is one cycle and every
-//! result is bit-identical for any [`GpuConfig::sim_threads`] value: the
-//! route and merge passes run in a fixed global order, and each partition
-//! sees the same mailbox sequence regardless of which thread applies it.
-//! With slack `s > 0`, SMs run up to `s` cycles past the merge barrier;
-//! results drift within a small envelope but stay deterministic for a
-//! given slack — and still thread-count-invariant, because the window
-//! structure does not depend on the host thread count.
+//! Every result is bit-identical for any [`GpuConfig::sim_threads`]
+//! value: the route and merge passes run in a fixed global order, and
+//! each partition sees the same mailbox sequence regardless of which
+//! thread applies it.
 
 mod memsys;
 mod shard;
@@ -71,19 +66,17 @@ impl<S> SmPool<S> for Vec<Sm<S>> {
 
 /// The flush's verdict on how the simulation proceeds.
 enum CycleOutcome {
-    /// Continue at this cycle (either the next window start or a jump
-    /// target).
+    /// Continue at this cycle (the next one, or a jump target).
     Advance(u64),
     /// The simulation is over; the final cycle count is attached.
     Done(u64),
 }
 
-/// One SM's buffered phase-A output for one cycle that produced events
-/// (a staged memory instruction and/or completed CTAs). Pure-compute and
-/// idle cycles leave no record — their statistics live in the per-cycle
-/// counters of [`WindowOut`].
+/// One SM's buffered phase-A output for a cycle that produced events (a
+/// staged memory instruction and/or completed CTAs). Pure-compute and
+/// idle cycles leave no record — their statistics live in the counters
+/// of [`WindowOut`].
 struct WinRec {
-    cycle: u64,
     sm: u32,
     completed: u32,
     mem: Option<MemIssue>,
@@ -92,23 +85,22 @@ struct WinRec {
     req_end: u32,
 }
 
-/// Everything one SM shard hands to the flush for one window. Owned by
-/// the execution context that ran the shard and reused across windows so
+/// Everything one SM shard hands to the flush for one cycle. Owned by
+/// the execution context that ran the shard and reused across cycles so
 /// the steady state allocates nothing.
 #[derive(Default)]
 struct WindowOut {
-    /// Event records, sorted by (cycle, SM) by construction.
+    /// Event records, ascending SM by construction.
     recs: Vec<WinRec>,
-    /// The window's request arena: every record's line requests, in
+    /// The cycle's request arena: every record's line requests, in
     /// record order, addressed by range.
     reqs: Vec<LineReq>,
-    /// Per window-cycle counts of SMs that issued / stalled on memory /
-    /// sat idle, indexed by offset from the window start. Issue counts
-    /// double as per-cycle warp-instruction counts (at most one
-    /// instruction issues per SM per cycle).
-    issued: Vec<u32>,
-    stalled: Vec<u32>,
-    idle: Vec<u32>,
+    /// SMs of the shard that issued / stalled on memory / sat idle this
+    /// cycle. The issue count doubles as the warp-instruction count (at
+    /// most one instruction issues per SM per cycle).
+    issued: u32,
+    stalled: u32,
+    idle: u32,
     l1_accesses: u64,
     l1_misses: u64,
 }
@@ -119,84 +111,70 @@ impl WindowOut {
     }
 }
 
-/// Runs `len` cycles of phase A starting at `start` over one SM shard,
-/// buffering events and per-cycle counters into `out`. Touches only the
-/// shard's SMs, so disjoint shards run on worker threads.
+/// Runs phase A of cycle `now` over one SM shard, buffering events and
+/// counters into `out`. Touches only the shard's SMs, so disjoint shards
+/// run on worker threads.
 ///
 /// An SM inside a compute batch is not stepped: it issues, whatever else
 /// happens, so the cycle is accounted without touching its queues.
 fn run_window<S: gsim_trace::WarpStream>(
     sms: &mut [Sm<S>],
     base_sm: u32,
-    start: u64,
-    len: u32,
+    now: u64,
     params: &LaneParams,
     out: &mut WindowOut,
 ) {
-    out.issued.clear();
-    out.stalled.clear();
-    out.idle.clear();
     out.l1_accesses = 0;
     out.l1_misses = 0;
     debug_assert!(out.recs.is_empty(), "flush must drain records");
-    for now in start..start + u64::from(len) {
-        let (mut issued, mut stalled, mut idle) = (0u32, 0u32, 0u32);
-        for (j, sm) in sms.iter_mut().enumerate() {
-            if now < sm.busy_until {
-                issued += 1;
-                continue;
-            }
-            let req_start = out.reqs.len() as u32;
-            let lane = sm.phase_a(now, params, &mut out.reqs);
-            if lane.issued {
-                issued += 1;
-            } else if sm.live_warps > 0 {
-                stalled += 1;
-            } else {
-                idle += 1;
-            }
-            if lane.mem.is_none() && lane.completed_ctas == 0 {
-                continue;
-            }
-            out.l1_accesses += u64::from(lane.l1_accesses);
-            out.l1_misses += u64::from(lane.l1_misses);
-            if let Some(mi) = lane.mem {
-                // Non-blocking issuers (stores) continue immediately:
-                // re-queue locally, exactly where the serial apply would.
-                if !mi.blocks {
-                    sm.insert_ready(mi.warp);
-                }
-            }
-            out.recs.push(WinRec {
-                cycle: now,
-                sm: base_sm + j as u32,
-                completed: lane.completed_ctas,
-                mem: lane.mem,
-                req_start,
-                req_end: out.reqs.len() as u32,
-            });
+    let (mut issued, mut stalled, mut idle) = (0u32, 0u32, 0u32);
+    for (j, sm) in sms.iter_mut().enumerate() {
+        if now < sm.busy_until {
+            issued += 1;
+            continue;
         }
-        out.issued.push(issued);
-        out.stalled.push(stalled);
-        out.idle.push(idle);
+        let req_start = out.reqs.len() as u32;
+        let lane = sm.phase_a(now, params, &mut out.reqs);
+        if lane.issued {
+            issued += 1;
+        } else if sm.live_warps > 0 {
+            stalled += 1;
+        } else {
+            idle += 1;
+        }
+        if lane.mem.is_none() && lane.completed_ctas == 0 {
+            continue;
+        }
+        out.l1_accesses += u64::from(lane.l1_accesses);
+        out.l1_misses += u64::from(lane.l1_misses);
+        if let Some(mi) = lane.mem {
+            // Non-blocking issuers (stores) continue immediately:
+            // re-queue locally, exactly where the serial apply would.
+            if !mi.blocks {
+                sm.insert_ready(mi.warp);
+            }
+        }
+        out.recs.push(WinRec {
+            sm: base_sm + j as u32,
+            completed: lane.completed_ctas,
+            mem: lane.mem,
+            req_start,
+            req_end: out.reqs.len() as u32,
+        });
     }
+    out.issued = issued;
+    out.stalled = stalled;
+    out.idle = idle;
 }
 
-/// Route-pass bookkeeping reused across windows.
+/// Route-pass bookkeeping reused across cycles.
 #[derive(Default)]
 struct FlushScratch {
     /// `(shard id, mailbox index)` per routed request, in global
-    /// (cycle, SM, request) order — the merge pass consumes it with a
-    /// cursor.
+    /// (SM, request) order — the merge pass consumes it with a cursor.
     plan: Vec<(u32, u32)>,
-    /// `(window-out index, record index)` of every record with a staged
-    /// memory instruction, in global (cycle, SM) order.
-    order: Vec<(u32, u32)>,
-    /// Per-window-out cursor for the cycle-ordered record walk.
-    cursors: Vec<usize>,
-    /// Set when the route pass exhausted the kernel sequence: the cycle
-    /// the last CTA completed.
-    done_at: Option<u64>,
+    /// Set when the route pass exhausted the kernel sequence.
+    done: bool,
 }
 
 /// Everything the engine owns *besides* the per-SM lanes and the memory
@@ -321,34 +299,30 @@ impl<'wl, W: WorkloadModel> Simulator<'wl, W> {
     /// With `sim_threads > 1`, the per-SM phase of each cycle and the
     /// per-partition memory apply are sharded across that many execution
     /// contexts (hence `W::Stream: Send`); the results are bit-identical
-    /// to the serial run either way. `sync_slack > 0` additionally lets
-    /// SMs run that many cycles past the merge barrier (still
-    /// deterministic per slack value, no longer bit-exact).
+    /// to the serial run either way.
     pub fn run(mut self) -> SimStats
     where
         W::Stream: Send,
     {
         let wall = Instant::now();
-        let threads = (self.core.cfg.sim_threads.max(1) as usize).min(self.sms.len().max(1));
-        let window = self.core.cfg.sync_slack.saturating_add(1);
+        let threads = self.core.cfg.effective_sim_threads() as usize;
         self.core.dispatch_round_robin(&mut self.sms);
         let mut stats = if threads <= 1 {
-            run_serial(self.core, self.sms, self.mem, window)
+            run_serial(self.core, self.sms, self.mem)
         } else {
-            shard::run_sharded(self.core, self.sms, self.mem, threads, window)
+            shard::run_sharded(self.core, self.sms, self.mem, threads)
         };
         stats.sim_wall_seconds = wall.elapsed().as_secs_f64();
         stats
     }
 }
 
-/// The serial driver: window, route, apply and merge inline on the
+/// The serial driver: phase A, route, apply and merge inline on the
 /// calling thread.
 fn run_serial<W: WorkloadModel>(
     mut core: EngineCore<'_, W>,
     mut sms: Vec<Sm<W::Stream>>,
     mut mem: Vec<MemShard>,
-    window: u32,
 ) -> SimStats {
     let params = LaneParams::from_cfg(&core.cfg);
     let ap = core.apply_params();
@@ -357,15 +331,15 @@ fn run_serial<W: WorkloadModel>(
     let mut scratch = FlushScratch::default();
     let mut now = 0u64;
     loop {
-        run_window(&mut sms, 0, now, window, &params, &mut out);
+        run_window(&mut sms, 0, now, &params, &mut out);
         let outcome = {
             let mut outs = [&mut out];
-            if core.flush_route(&mut sms, &mut outs, &mut mem, now, window, &mut scratch) {
+            if core.flush_route(&mut sms, &mut outs, &mut mem, now, &mut scratch) {
                 for shard in mem.iter_mut() {
                     shard.apply(&ap);
                 }
             }
-            core.flush_merge(&mut sms, &mut outs, &mut mem, now, window, &mut scratch)
+            core.flush_merge(&mut sms, &mut outs, &mut mem, now, &scratch)
         };
         match outcome {
             CycleOutcome::Advance(t) => now = t,
@@ -511,72 +485,47 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         }
     }
 
-    /// The serial route pass of a flush: walks the window's records in
-    /// (cycle, SM) order, driving CTA completions, dispatch, kernel
-    /// sequencing, milestones and stall accounting, and binning every
-    /// line request into its owner partition's mailbox. Returns whether
-    /// any request was routed; if none was, every mailbox is empty and
-    /// the apply phase can be skipped.
+    /// The serial route pass of a flush: walks cycle `now`'s records in
+    /// SM order, driving CTA completions, dispatch, kernel sequencing,
+    /// milestones and stall accounting, and binning every line request
+    /// into its owner partition's mailbox. Returns whether any request
+    /// was routed; if none was, every mailbox is empty and the apply
+    /// phase can be skipped.
     fn flush_route<P: SmPool<W::Stream>>(
         &mut self,
         pool: &mut P,
         outs: &mut [&mut WindowOut],
         mem: &mut dyn ShardSet,
-        start: u64,
-        len: u32,
+        now: u64,
         scratch: &mut FlushScratch,
     ) -> bool {
         scratch.plan.clear();
-        scratch.order.clear();
-        scratch.done_at = None;
-        scratch.cursors.clear();
-        scratch.cursors.resize(outs.len(), 0);
-        'cycles: for w in 0..len as usize {
-            let now = start + w as u64;
-            // Records of this cycle, ascending SM (shards hold contiguous
-            // ascending SM ranges, and each shard's records are
-            // (cycle, SM)-sorted by construction).
-            for (s, out) in outs.iter().enumerate() {
-                while let Some(rec) = out.recs.get(scratch.cursors[s]) {
-                    if rec.cycle != now {
-                        break;
-                    }
-                    let i = scratch.cursors[s];
-                    scratch.cursors[s] += 1;
-                    for _ in 0..rec.completed {
-                        self.on_cta_completed(pool, rec.sm as usize, now);
-                    }
-                    if rec.mem.is_some() {
-                        let chiplet = pool.sm_mut(rec.sm as usize).chiplet;
-                        self.route_reqs(mem, chiplet, now, out.reqs_of(rec), &mut scratch.plan);
-                        scratch.order.push((s as u32, i as u32));
-                    }
+        // Shards hold contiguous ascending SM ranges, so shard order is
+        // SM order.
+        for out in outs.iter() {
+            for rec in &out.recs {
+                for _ in 0..rec.completed {
+                    self.on_cta_completed(pool, rec.sm as usize, now);
+                }
+                if rec.mem.is_some() {
+                    let chiplet = pool.sm_mut(rec.sm as usize).chiplet;
+                    self.route_reqs(mem, chiplet, now, out.reqs_of(rec), &mut scratch.plan);
                 }
             }
-            // Cycle-level statistics and milestones, in cycle order.
-            let issued: u64 = outs.iter().map(|o| u64::from(o.issued[w])).sum();
-            self.stats.warp_instrs += issued;
-            self.stats.mem_stall_sm_cycles +=
-                outs.iter().map(|o| u64::from(o.stalled[w])).sum::<u64>();
-            self.stats.idle_sm_cycles += outs.iter().map(|o| u64::from(o.idle[w])).sum::<u64>();
-            if self.stats.cycle_at_10pct == 0 && self.stats.warp_instrs >= self.milestone_10 {
-                self.stats.cycle_at_10pct = now + 1;
-            }
-            if self.stats.cycle_at_90pct == 0 && self.stats.warp_instrs >= self.milestone_90 {
-                self.stats.cycle_at_90pct = now + 1;
-                self.stats.warp_instrs_window = self.stats.warp_instrs - self.milestone_10;
-            }
-            if self.kernel_idx >= self.wl.n_kernels() {
-                // The kernel sequence drained at this cycle; later window
-                // cycles (necessarily event-free) are discarded.
-                scratch.done_at = Some(now);
-                break 'cycles;
-            }
-        }
-        for out in outs.iter() {
+            self.stats.warp_instrs += u64::from(out.issued);
+            self.stats.mem_stall_sm_cycles += u64::from(out.stalled);
+            self.stats.idle_sm_cycles += u64::from(out.idle);
             self.stats.l1_accesses += out.l1_accesses;
             self.stats.l1_misses += out.l1_misses;
         }
+        if self.stats.cycle_at_10pct == 0 && self.stats.warp_instrs >= self.milestone_10 {
+            self.stats.cycle_at_10pct = now + 1;
+        }
+        if self.stats.cycle_at_90pct == 0 && self.stats.warp_instrs >= self.milestone_90 {
+            self.stats.cycle_at_90pct = now + 1;
+            self.stats.warp_instrs_window = self.stats.warp_instrs - self.milestone_10;
+        }
+        scratch.done = self.kernel_idx >= self.wl.n_kernels();
         !scratch.plan.is_empty()
     }
 
@@ -592,79 +541,80 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         (done.ceil() as u64).max(r.t0 + 1)
     }
 
-    /// The serial merge pass of a flush: walks the routed memory
-    /// instructions in global (cycle, SM, request) order, finishing each
-    /// request (inter-chiplet legs), registering fills with the issuing
-    /// SM's MSHR file, re-queueing warps, and deciding how the simulation
-    /// proceeds.
+    /// The serial merge pass of a flush: walks cycle `now`'s memory
+    /// instructions in global (SM, request) order, finishing each request
+    /// (inter-chiplet legs), registering fills with the issuing SM's MSHR
+    /// file, re-queueing warps, and deciding how the simulation proceeds.
     fn flush_merge<P: SmPool<W::Stream>>(
         &mut self,
         pool: &mut P,
         outs: &mut [&mut WindowOut],
         mem: &mut dyn ShardSet,
-        start: u64,
-        len: u32,
-        scratch: &mut FlushScratch,
+        now: u64,
+        scratch: &FlushScratch,
     ) -> CycleOutcome {
-        let k = self.map.per_chiplet;
-        let mut cursor = 0usize;
-        for &(s, i) in &scratch.order {
-            let out = &*outs[s as usize];
-            let rec = &out.recs[i as usize];
-            let mi = rec.mem.expect("ordered records stage memory");
-            let sm_chiplet = pool.sm_mut(rec.sm as usize).chiplet;
-            let mut wake = mi.base_wake;
-            for req in out.reqs_of(rec) {
-                let (sid, idx) = scratch.plan[cursor];
-                cursor += 1;
-                let result = mem.shard_mut(sid as usize).results[idx as usize];
-                let done = self.finish_entry(&result, sid / k, sm_chiplet);
-                let smx = pool.sm_mut(rec.sm as usize);
-                match req.kind {
-                    LineKind::MissLoad => {
-                        if smx.mshr.is_full() {
-                            smx.mshr.complete_up_to(rec.cycle);
-                        }
-                        match smx.mshr.register(req.line, done) {
-                            MshrOutcome::Allocated | MshrOutcome::Full => {
-                                wake = wake.max(done);
+        // Most cycles of a compute phase stage nothing; testing for that
+        // first keeps the walk's loop-invariant set-up off their path.
+        if outs.iter().any(|o| !o.recs.is_empty()) {
+            let k = self.map.per_chiplet;
+            let mut cursor = 0usize;
+            for out in outs.iter() {
+                for rec in &out.recs {
+                    let Some(mi) = rec.mem else { continue };
+                    let sm_chiplet = pool.sm_mut(rec.sm as usize).chiplet;
+                    let mut wake = mi.base_wake;
+                    for req in out.reqs_of(rec) {
+                        let (sid, idx) = scratch.plan[cursor];
+                        cursor += 1;
+                        let result = mem.shard_mut(sid as usize).results[idx as usize];
+                        let done = self.finish_entry(&result, sid / k, sm_chiplet);
+                        let smx = pool.sm_mut(rec.sm as usize);
+                        match req.kind {
+                            LineKind::MissLoad => {
+                                if smx.mshr.is_full() {
+                                    smx.mshr.complete_up_to(now);
+                                }
+                                match smx.mshr.register(req.line, done) {
+                                    MshrOutcome::Allocated | MshrOutcome::Full => {
+                                        wake = wake.max(done);
+                                    }
+                                    MshrOutcome::Merged(f) => {
+                                        // A merge cannot be slower than a re-fetch.
+                                        wake = wake.max(f.min(done));
+                                    }
+                                }
                             }
-                            MshrOutcome::Merged(f) => {
-                                // A merge cannot be slower than a re-fetch.
-                                wake = wake.max(f.min(done));
+                            // Stores are fire-and-forget: the request was charged
+                            // (including the inter-chiplet legs), the warp was
+                            // already re-queued in phase A.
+                            LineKind::Store => {}
+                            LineKind::Direct(_) => {
+                                wake = wake.max(done);
                             }
                         }
                     }
-                    // Stores are fire-and-forget: the request was charged
-                    // (including the inter-chiplet legs), the warp was
-                    // already re-queued during the window.
-                    LineKind::Store => {}
-                    LineKind::Direct(_) => {
-                        wake = wake.max(done);
+                    if mi.blocks {
+                        pool.sm_mut(rec.sm as usize)
+                            .blocked
+                            .push(Reverse((wake, mi.warp)));
                     }
                 }
             }
-            if mi.blocks {
-                pool.sm_mut(rec.sm as usize)
-                    .blocked
-                    .push(Reverse((wake, mi.warp)));
+            for out in outs.iter_mut() {
+                out.recs.clear();
+                out.reqs.clear();
             }
         }
-        for out in outs.iter_mut() {
-            out.recs.clear();
-            out.reqs.clear();
-        }
         // Control flow.
-        if let Some(done_cycle) = scratch.done_at {
-            return CycleOutcome::Done(done_cycle + 1);
+        let end = now + 1;
+        if scratch.done {
+            return CycleOutcome::Done(end);
         }
-        let end = start + u64::from(len);
-        let last = (len - 1) as usize;
-        if outs.iter().any(|o| o.issued[last] > 0) {
+        if outs.iter().any(|o| o.issued > 0) {
             return CycleOutcome::Advance(end);
         }
-        // Nothing issued at the window's last cycle: jump to the next
-        // wake-up unless a flush-time dispatch made warps ready.
+        // Nothing issued this cycle: jump to the next wake-up unless a
+        // flush-time dispatch made warps ready.
         let n = pool.n_sms();
         let mut next_wake: Option<u64> = None;
         let mut any_ready = false;
@@ -678,14 +628,14 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
             }
         }
         if any_ready {
-            // A kernel boundary inside this window made warps ready on
+            // A kernel boundary in this cycle made warps ready on
             // SMs that had already issued their attempt; give them the
             // next cycle.
             return CycleOutcome::Advance(end);
         }
         let Some(next_wake) = next_wake else {
             // No ready warps, no blocked warps, nothing issued: completion.
-            return CycleOutcome::Done(end - 1);
+            return CycleOutcome::Done(now);
         };
         let target = next_wake.max(end);
         let dt = target - end;
@@ -1068,107 +1018,5 @@ mod tests {
         c.sim_threads = 0;
         let zero = Simulator::new(c, &wl).run();
         serial.assert_deterministic_eq(&zero);
-    }
-
-    #[test]
-    fn mem_shards_are_part_of_the_simulated_machine() {
-        // Different partition counts interleave lines differently, so
-        // they are different (but internally deterministic) machines;
-        // the 64-SM model has 8 MCs, so shard counts 1 vs 8 diverge.
-        let wl = sweep_workload(60_000, 1, 256);
-        let mut one = small_cfg(64);
-        one.mem_shards = 1;
-        let s1 = Simulator::new(one.clone(), &wl).run();
-        let s8 = Simulator::new(small_cfg(64), &wl).run();
-        assert_eq!(s1.warp_instrs, s8.warp_instrs);
-        assert_ne!(s1.cycles, s8.cycles, "partitioning must change timing");
-        // ... and each is still thread-invariant.
-        assert_thread_invariant(&one, &wl);
-    }
-
-    // ---- bounded-slack relaxed sync (DESIGN.md §15) ----
-
-    #[test]
-    fn sync_slack_zero_is_byte_identical_to_default() {
-        let wl = sweep_workload(20_000, 2, 48);
-        let base = Simulator::new(small_cfg(8), &wl).run();
-        let mut c = small_cfg(8);
-        c.sync_slack = 0;
-        c.sim_threads = 4;
-        let relaxed_off = Simulator::new(c, &wl).run();
-        base.assert_deterministic_eq(&relaxed_off);
-    }
-
-    #[test]
-    fn sync_slack_is_thread_count_invariant() {
-        // Relaxed mode is *still* deterministic for a fixed slack: the
-        // window structure does not depend on the host thread count.
-        let wl = sweep_workload(60_000, 2, 96);
-        for slack in [4u32, 16] {
-            let mut c = small_cfg(8);
-            c.sync_slack = slack;
-            let serial = Simulator::new(c.clone(), &wl).run();
-            for threads in [2u32, 4] {
-                let mut ct = c.clone();
-                ct.sim_threads = threads;
-                let parallel = Simulator::new(ct, &wl).run();
-                serial.assert_deterministic_eq(&parallel);
-            }
-        }
-    }
-
-    #[test]
-    fn sync_slack_error_stays_within_envelope() {
-        // The accuracy contract of DESIGN.md §15: predicted cycles under
-        // slack in {4, 16, 64} stay within 5% of the exact run, and all
-        // work is still executed.
-        let workloads = [
-            sweep_workload(60_000, 2, 96),
-            sweep_workload(1_500, 8, 48),
-            {
-                let spec = PatternSpec::new(PatternKind::PointerChase, 30_000)
-                    .mem_ops_per_warp(16)
-                    .compute_per_mem(1.0);
-                Workload::new("pc", 7, vec![Kernel::new("k", 64, 256, spec)])
-            },
-        ];
-        for wl in &workloads {
-            let exact = Simulator::new(small_cfg(8), wl).run();
-            for slack in [4u32, 16, 64] {
-                let mut c = small_cfg(8);
-                c.sync_slack = slack;
-                let relaxed = Simulator::new(c, wl).run();
-                assert_eq!(relaxed.warp_instrs, exact.warp_instrs);
-                assert_eq!(relaxed.ctas_executed, exact.ctas_executed);
-                assert_eq!(relaxed.kernels_executed, exact.kernels_executed);
-                let err = (relaxed.cycles as f64 - exact.cycles as f64).abs() / exact.cycles as f64;
-                assert!(
-                    err <= 0.05,
-                    "slack {slack} drifted {:.2}% on {} ({} vs {} cycles)",
-                    err * 100.0,
-                    wl.name(),
-                    relaxed.cycles,
-                    exact.cycles
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sync_slack_mcm_runs_to_completion() {
-        use crate::chiplet::ChipletConfig;
-        let spec = PatternSpec::new(PatternKind::PointerChase, 20_000)
-            .mem_ops_per_warp(10)
-            .compute_per_mem(1.0);
-        let wl = Workload::new("m", 12, vec![Kernel::new("k", 512, 256, spec)]);
-        let mut mcm = ChipletConfig::paper_mcm(2, MemScale::default());
-        let exact = Simulator::new_mcm(&mcm, &wl).run();
-        mcm.chiplet.sync_slack = 16;
-        mcm.chiplet.sim_threads = 4;
-        let relaxed = Simulator::new_mcm(&mcm, &wl).run();
-        assert_eq!(relaxed.warp_instrs, exact.warp_instrs);
-        assert_eq!(relaxed.ctas_executed, exact.ctas_executed);
-        let err = (relaxed.cycles as f64 - exact.cycles as f64).abs() / exact.cycles as f64;
-        assert!(err <= 0.05, "MCM slack drift {:.2}%", err * 100.0);
     }
 }

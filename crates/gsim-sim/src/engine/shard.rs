@@ -1,8 +1,8 @@
 //! The intra-simulation thread pool: SMs *and* memory partitions sharded
 //! across worker threads.
 //!
-//! Each window runs in up to two parallel epochs (DESIGN.md §15): first
-//! the workers (plus the main thread) run the phase-A window on disjoint
+//! Each cycle runs in up to two parallel epochs (DESIGN.md §15): first
+//! the workers (plus the main thread) run phase A on disjoint
 //! SM shards; then, if the main thread's serial route pass put anything
 //! into the partition mailboxes, the workers apply their *memory* shards
 //! in parallel while the main thread applies its own; the main thread
@@ -22,7 +22,7 @@ use super::sm::{LaneParams, Sm};
 use super::{run_window, CycleOutcome, EngineCore, FlushScratch, SmPool, WindowOut};
 use crate::stats::SimStats;
 
-/// Spin briefly, then politely: a phase-A window is microseconds long, so
+/// Spin briefly, then politely: a phase-A epoch is microseconds long, so
 /// the common case resolves within the spin budget; on oversubscribed
 /// hosts the yield keeps waiters from starving the workers they wait for.
 fn spin_wait(mut ready: impl FnMut() -> bool) {
@@ -41,13 +41,13 @@ fn spin_wait(mut ready: impl FnMut() -> bool) {
 struct Control {
     /// Epoch counter; the main thread bumps it to release the workers.
     epoch: AtomicU64,
-    /// What the released epoch runs: a memory apply, or else a phase-A
-    /// window. Published before each release.
+    /// What the released epoch runs: a memory apply, or else phase A.
+    /// Published before each release.
     apply: AtomicBool,
     /// Cumulative per-worker completions; epoch * n_workers when an
     /// epoch's parallel work has fully finished.
     done: AtomicU64,
-    /// Window start cycle, published before each phase-A release.
+    /// The cycle to run, published before each phase-A release.
     now: AtomicU64,
     /// Tells released workers to exit instead of running an epoch.
     stop: AtomicBool,
@@ -67,7 +67,7 @@ impl Drop for PanicSentinel<'_> {
     }
 }
 
-/// One execution context's SM shard and its window output buffer. Slot 0
+/// One execution context's SM shard and its phase-A output buffer. Slot 0
 /// belongs to the main thread; slots `1..threads` to the workers.
 struct SmSlot<S> {
     sms: Vec<Sm<S>>,
@@ -111,14 +111,12 @@ impl ShardSet for GroupedShards<'_, '_> {
 /// Runs the prepared simulation with SMs and memory partitions sharded
 /// over `threads` execution contexts (the calling thread plus
 /// `threads - 1` workers). Bit-identical to the serial path for any
-/// `threads` (and, with `window > 1`, to the serial path at the same
-/// window).
+/// `threads`.
 pub(super) fn run_sharded<W: WorkloadModel>(
     mut core: EngineCore<'_, W>,
     sms: Vec<Sm<W::Stream>>,
     mem: Vec<MemShard>,
     threads: usize,
-    window: u32,
 ) -> SimStats
 where
     W::Stream: Send,
@@ -177,11 +175,11 @@ where
                         break;
                     }
                     if !ctrl.apply.load(Ordering::Relaxed) {
-                        // Phase-A window over this worker's SM shard.
+                        // Phase A over this worker's SM shard.
                         let now = ctrl.now.load(Ordering::Relaxed);
                         let mut slot = slot.lock().expect("worker SM slot");
                         let s = &mut *slot;
-                        run_window(&mut s.sms, base_sm, now, window, params, &mut s.out);
+                        run_window(&mut s.sms, base_sm, now, params, &mut s.out);
                     } else {
                         // Apply this worker's memory partitions.
                         let mut shards = group.lock().expect("worker mem group");
@@ -205,7 +203,7 @@ where
             {
                 let mut slot = slots[0].lock().expect("main SM slot");
                 let s = &mut *slot;
-                run_window(&mut s.sms, 0, now, window, &params, &mut s.out);
+                run_window(&mut s.sms, 0, now, &params, &mut s.out);
             }
             spin_wait(|| {
                 ctrl.done.load(Ordering::Acquire) >= epoch * n_workers
@@ -242,10 +240,10 @@ where
                         groups: &mut mg,
                         stride: threads,
                     };
-                    core.flush_route(&mut pool, &mut outs, &mut set, now, window, &mut scratch)
+                    core.flush_route(&mut pool, &mut outs, &mut set, now, &mut scratch)
                 };
 
-                // Apply epoch, unless the window routed nothing: workers
+                // Apply epoch, unless the cycle routed nothing: workers
                 // take their groups, we take ours.
                 if routed {
                     epoch += 1;
@@ -274,7 +272,7 @@ where
                     groups: &mut mg,
                     stride: threads,
                 };
-                core.flush_merge(&mut pool, &mut outs, &mut set, now, window, &mut scratch)
+                core.flush_merge(&mut pool, &mut outs, &mut set, now, &scratch)
             };
             match outcome {
                 CycleOutcome::Advance(t) => now = t,

@@ -197,6 +197,13 @@ impl<S: WarpStream> Sm<S> {
     /// One SM's share of a cycle: drain due wake-ups, then try to issue
     /// one instruction. Touches only this SM; line requests of a staged
     /// memory instruction are appended to `reqs`.
+    ///
+    /// Forced into `run_window`, its one caller, together with
+    /// `stage_mem`: this is the engine's innermost loop, and whether the
+    /// compiler inlines it on its own depends on codegen-unit placement.
+    /// As a call, every stalled SM's `LaneOut` goes through memory, which
+    /// cost the simulator workloads of `benchmark/` 2–7 % of their wall.
+    #[inline(always)]
     pub(super) fn phase_a(&mut self, now: u64, p: &LaneParams, reqs: &mut Vec<LineReq>) -> LaneOut {
         let mut out = LaneOut::default();
         // Wake phase.
@@ -238,6 +245,7 @@ impl<S: WarpStream> Sm<S> {
     /// probes now; every line that needs the shared memory system is
     /// staged for phase B. The issuing warp is re-queued by phase B once
     /// its wake cycle is known.
+    #[inline(always)]
     fn stage_mem(
         &mut self,
         warp: u32,

@@ -109,17 +109,6 @@ fn cases() -> Vec<(String, String)> {
         Simulator::new(cfg, &seq).run()
     });
     out.push(("multi-kernel@8".to_string(), d));
-
-    let sweep =
-        PatternSpec::new(PatternKind::GlobalSweep { passes: 2 }, 60_000).compute_per_mem(1.5);
-    let slack_wl = Workload::new("t", 9, vec![Kernel::new("k", 96, 256, sweep)]);
-    let d = run_both(|threads| {
-        let mut cfg = GpuConfig::paper_target(8, MemScale::default());
-        cfg.sync_slack = 16;
-        cfg.sim_threads = threads;
-        Simulator::new(cfg, &slack_wl).run()
-    });
-    out.push(("sweep@8-slack16".to_string(), d));
     out
 }
 
@@ -137,7 +126,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("gemm@64", "25908 1622016 51904512 9435 3225 147456 9435 412800 15236 20860 1658112 768 1 2535 22810 1297639 [25907]"),
     ("mcm2-chase", "4317 81920 2621440 40860 17364 40960 40860 2222592 446265 24391 552576 512 1 64 3262 65540 [4316]"),
     ("multi-kernel@8", "49556 31552 1009664 15776 15717 15776 15776 2011776 206441 158455 396448 196 3 1307 47825 25241 [4997, 39596, 4962]"),
-    ("sweep@8-slack16", "107402 303360 9707520 121344 120768 121344 121344 15458304 554912 944 859216 96 1 10649 96193 242688 [107401]"),
 ];
 
 #[test]
