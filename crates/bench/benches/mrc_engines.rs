@@ -12,10 +12,9 @@ use std::cell::Cell;
 
 use gsim_bench::tinybench::{fast_mode, Group, JsonReport};
 use gsim_core::plan::{
-    collect_sampled, synthesize_observation, Fit, PlanWorkload, SampledCollectConfig,
+    collect_sampled_inline, synthesize_observation, Fit, PlanWorkload, SampledCollectConfig,
 };
 use gsim_mem::mrc::{DistanceEngine, NaiveStack, ShardsStack, TreeStack};
-use gsim_runner::{RunOverrides, Runner, RunnerConfig};
 use gsim_sim::{collect_mrc, GpuConfig, Simulator};
 use gsim_trace::suite::strong_benchmark;
 use gsim_trace::{MemScale, WarpStream};
@@ -120,8 +119,12 @@ fn stack_engines(rep: &mut JsonReport) {
 
 /// Per-stage latency of the staged collect→fit→predict plan (DESIGN.md
 /// §14) on bfs, a memory-bound workload the gate answers functionally.
-/// `fast_path_end_to_end` is the whole cache-miss fast path — the
-/// service's millisecond-class claim lives or dies on this record.
+/// The two `identity_*` records price the two ways of naming the
+/// workload for a stage-cache key; `stage_collect` is the streaming
+/// sampled collection (a fan-out over pool jobs up to PR 13).
+/// `fast_path_end_to_end` is the whole cache-miss fast path as the
+/// service pays it — recipe identity, collection, fit, forecast — the
+/// millisecond-class claim lives or dies on this record.
 fn predict_stages(rep: &mut JsonReport) {
     let bench = strong_benchmark("bfs", scale()).expect("bfs exists");
     let wl = PlanWorkload::Synthetic(bench.workload.clone());
@@ -131,23 +134,22 @@ fn predict_stages(rep: &mut JsonReport) {
         .map(|&s| GpuConfig::paper_target(s, scale()))
         .collect();
     let scfg = SampledCollectConfig::default();
-    let runner = Runner::new(RunnerConfig::default());
     let targets = [32u32, 64, 128];
 
     let g = Group::new("predict_stages").samples(samples());
+    if let Some(median) = g.bench("identity_recipe", || wl.stage_identity()) {
+        rep.record("predict_stages/identity_recipe", median, 1, None);
+    }
+    if let Some(median) = g.bench("identity_content", || wl.semantic_hash()) {
+        rep.record("predict_stages/identity_content", median, 1, None);
+    }
     if let Some(median) = g.bench("stage_collect", || {
-        collect_sampled(
-            &wl,
-            &configs,
-            &scfg,
-            Some((&runner, RunOverrides::default())),
-        )
-        .expect("sampled collect")
+        collect_sampled_inline(&wl, &configs, &scfg, None).expect("sampled collect")
     }) {
         rep.record("predict_stages/stage_collect", median, 1, None);
     }
 
-    let collected = collect_sampled(&wl, &configs, &scfg, None).expect("sampled collect");
+    let collected = collect_sampled_inline(&wl, &configs, &scfg, None).expect("sampled collect");
     let mrc = collected.sized_mrc();
     let (small_cfg, large_cfg) = (&configs[0], &configs[1]);
     if let Some(median) = g.bench("stage_fit", || {
@@ -174,13 +176,9 @@ fn predict_stages(rep: &mut JsonReport) {
     }
 
     if let Some(median) = g.bench("fast_path_end_to_end", || {
-        let collected = collect_sampled(
-            &wl,
-            &configs,
-            &scfg,
-            Some((&runner, RunOverrides::default())),
-        )
-        .expect("sampled collect");
+        let identity = wl.stage_identity();
+        let collected =
+            collect_sampled_inline(&wl, &configs, &scfg, None).expect("sampled collect");
         let mrc = collected.sized_mrc();
         let fit = Fit::new(
             synthesize_observation(&collected, small_cfg),
@@ -188,7 +186,7 @@ fn predict_stages(rep: &mut JsonReport) {
             Some(&mrc),
         )
         .expect("fit");
-        fit.forecast(&targets).expect("forecast")
+        (identity, fit.forecast(&targets).expect("forecast"))
     }) {
         rep.record("predict_stages/fast_path_end_to_end", median, 1, None);
     }

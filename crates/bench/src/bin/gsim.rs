@@ -378,7 +378,7 @@ where
     base.assert_deterministic_eq(sharded);
     println!(
         "determinism: t{} bit-identical to t1 ({} cycles)",
-        cfg.sim_threads.max(1),
+        cfg.effective_sim_threads(),
         sharded.cycles
     );
 }
@@ -505,7 +505,7 @@ fn cmd_multigpu(f: &Flags) {
         base.stats.assert_deterministic_eq(&report.stats);
         println!(
             "determinism: t{} bit-identical to t1 ({} cycles)",
-            cfg.gpu.sim_threads.max(1),
+            cfg.slot_config().effective_sim_threads(),
             report.stats.cycles
         );
     }
@@ -845,6 +845,7 @@ fn main() {
             mcm.chiplet.sim_threads = f.sim_threads;
             let sim = Simulator::new_mcm(&mcm, &wl);
             let mode = phase_b_mode(sim.config());
+            let threads = sim.config().effective_sim_threads();
             let st = sim.run();
             print_stats(
                 &format!(
@@ -862,8 +863,7 @@ fn main() {
                 let base = Simulator::new_mcm(&serial, &wl).run();
                 base.assert_deterministic_eq(&st);
                 println!(
-                    "determinism: t{} bit-identical to t1 ({} cycles)",
-                    f.sim_threads.max(1),
+                    "determinism: t{threads} bit-identical to t1 ({} cycles)",
                     st.cycles
                 );
             }
@@ -947,8 +947,8 @@ fn main() {
             use std::time::Instant;
 
             use gsim_core::plan::{
-                collect_sampled, observation_of, observe_scale_models, synthesize_observation, Fit,
-                PlanWorkload, SampledCollectConfig,
+                collect_sampled_inline, observation_of, observe_scale_models,
+                synthesize_observation, Fit, PlanWorkload, SampledCollectConfig,
             };
             use gsim_runner::RunOverrides;
 
@@ -992,17 +992,20 @@ fn main() {
                 f.fast_path_gate
             };
 
+            // What the service's fast path does on a miss: name the
+            // workload by its recipe (no op is generated for the key),
+            // then collect in one pass on this thread.
+            let t_identity = Instant::now();
+            let identity = wl.stage_identity();
+            let identity_time = t_identity.elapsed();
+
             let t_collect = Instant::now();
-            let collected = collect_sampled(
-                &wl,
-                &configs,
-                &SampledCollectConfig::default(),
-                Some((&runner, RunOverrides::default())),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("collection failed: {e}");
-                exit(1)
-            });
+            let collected =
+                collect_sampled_inline(&wl, &configs, &SampledCollectConfig::default(), None)
+                    .unwrap_or_else(|e| {
+                        eprintln!("collection failed: {e}");
+                        exit(1)
+                    });
             let collect_time = t_collect.elapsed();
             let pressure = collected.memory_pressure(&cfg_of(*targets.last().expect("non-empty")));
             let fast = match f.path.as_str() {
@@ -1054,6 +1057,10 @@ fn main() {
                 "{name} staged predict ({}): pressure {pressure:.2} vs gate {gate:.2} -> {} path",
                 f.scale,
                 if fast { "fast" } else { "full" }
+            );
+            println!(
+                "  identity {identity}: {:.3} ms",
+                identity_time.as_secs_f64() * 1e3
             );
             println!(
                 "  stages: collect {:.2} ms, fit {:.2} ms ({}), predict {:.3} ms",

@@ -198,6 +198,29 @@ fn gsim_run_accepts_sim_threads_and_stays_deterministic() {
 }
 
 #[test]
+fn gsim_reports_the_sim_threads_it_ran_with_not_the_ones_requested() {
+    // 8 SMs cannot feed 16 execution contexts: the run clamps to 8 and
+    // the determinism line must name what actually ran.
+    let out = gsim(&[
+        "run",
+        "pf",
+        "--sms",
+        "8",
+        "--scale",
+        "64",
+        "--sim-threads",
+        "16",
+        "--assert-determinism",
+    ]);
+    assert!(out.status.success(), "clamped run failed: {out:?}");
+    let stdout = stdout_of(&out);
+    assert!(
+        stdout.contains("determinism: t8 bit-identical to t1"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn gsim_rejects_zero_sim_threads() {
     let out = gsim(&["run", "pf", "--sim-threads", "0"]);
     assert_eq!(out.status.code(), Some(2));

@@ -65,8 +65,9 @@ pub use oneshot::{
 };
 pub use parallel::{SuiteRun, SweepFailure};
 pub use plan::{
-    collect_replay, collect_sampled, observe_scale_models, synthesize_observation, CollectEngine,
-    CollectFailure, CollectStats, Collected, Fit, PlanWorkload, SampledCollectConfig,
+    collect_replay, collect_sampled, collect_sampled_inline, observe_scale_models,
+    synthesize_observation, CollectEngine, CollectFailure, CollectStats, Collected, Fit,
+    PlanWorkload, SampledCollectConfig, StageIdentity,
 };
 pub use predictor::{
     LinearRegression, LogRegression, PowerLawRegression, Proportional, ScalingPredictor,

@@ -8,12 +8,12 @@
 //! expensive timing simulation, so consumers can cache, parallelise, and —
 //! when the workload is memory-bound — skip the timing stage entirely.
 //!
-//! * **Stage 1 — collect** ([`collect_replay`], [`collect_sampled`]):
-//!   functional replay of the workload's line stream into a miss-rate
-//!   curve plus the stream statistics a compute-intensity gate needs.
-//!   The sampled collector shards the stream across a
-//!   [`Runner`](gsim_runner::Runner) pool with a deterministic merge
-//!   order, so it produces bit-identical results serial or parallel.
+//! * **Stage 1 — collect** ([`collect_replay`],
+//!   [`collect_sampled_inline`]): functional replay of the workload's
+//!   line stream into a miss-rate curve plus the stream statistics a
+//!   compute-intensity gate needs. The sampled collector is one
+//!   streaming pass on the caller's thread — generate, route, record —
+//!   that materialises nothing and gives up once its deadline passes.
 //! * **Stage 2 — fit** ([`Fit`]): the five predictor fits from the
 //!   observations and curve. A [`Fit`] is a plain value — cloneable,
 //!   comparable, cacheable.
@@ -29,11 +29,22 @@
 //! simulation at all. Compute-sensitive workloads escalate to the real
 //! 8/16-SM simulations, run concurrently via [`observe_scale_models`].
 //!
+//! A [`PlanWorkload`] has **two identities**, and which one a cache keys
+//! by is a cost decision. [`PlanWorkload::semantic_hash`] names the
+//! *content*: it is shared between a synthetic workload and a trace of
+//! it, but for a synthetic workload it drains every op of every warp
+//! (1–25 ms on the Table II suite). [`PlanWorkload::stage_identity`]
+//! names a synthetic workload by its *recipe* in O(kernels) and a trace
+//! by the content hash its reader already computed. Results that cost
+//! seconds to rebuild (timing observations) are worth the content hash;
+//! a millisecond sampled collection is not — keying it by content would
+//! cost more than recomputing it.
+//!
 //! [`oneshot`]: crate::oneshot
 //! [`oneshot::predict_targets`]: crate::oneshot::predict_targets
 
-use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
 use gsim_mem::mrc::{DistanceEngine, LineRouter, StackDistanceHistogram, TreeStack};
 use gsim_runner::{Job, RunOverrides, Runner};
@@ -137,12 +148,46 @@ impl WorkloadModel for PlanWorkload {
     }
 }
 
+/// The cheap identity of a [`PlanWorkload`] (see
+/// [`PlanWorkload::stage_identity`]). The two variants are separate hash
+/// domains and never compare equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StageIdentity {
+    /// [`Workload::recipe_hash`] of a synthetic workload.
+    Recipe(u64),
+    /// Content hash of a recorded trace.
+    Content(u64),
+}
+
+impl std::fmt::Display for StageIdentity {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Recipe(h) => write!(f, "recipe:{h:016x}"),
+            Self::Content(h) => write!(f, "content:{h:016x}"),
+        }
+    }
+}
+
 impl PlanWorkload {
-    /// Content identity shared between a synthetic workload and its trace.
+    /// Content identity shared between a synthetic workload and its
+    /// trace. Generates and hashes every op of a synthetic workload —
+    /// milliseconds to tens of milliseconds; free for a trace.
     pub fn semantic_hash(&self) -> u64 {
         match self {
             Self::Synthetic(wl) => semantic_hash_of(wl),
-            Self::Traced(wl) => semantic_hash_of(&**wl),
+            Self::Traced(wl) => wl.semantic_hash(),
+        }
+    }
+
+    /// Identity without a drain, for caching results that are cheaper to
+    /// recompute than the content hash is to take: equal identities
+    /// imply equal instruction streams. A synthetic workload and a trace
+    /// of it get *different* identities, so they do not share entries
+    /// keyed by this.
+    pub fn stage_identity(&self) -> StageIdentity {
+        match self {
+            Self::Synthetic(wl) => StageIdentity::Recipe(wl.recipe_hash()),
+            Self::Traced(wl) => StageIdentity::Content(wl.semantic_hash()),
         }
     }
 
@@ -253,12 +298,13 @@ impl Collected {
     }
 }
 
-/// Why a pooled collection did not complete.
+/// Why a collection did not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CollectFailure {
-    /// A shard job exceeded the deadline.
+    /// The deadline passed first.
     TimedOut,
-    /// A shard job crashed; the message is kept.
+    /// A pooled job (a scale-model simulation) crashed; the message is
+    /// kept.
     Failed(String),
 }
 
@@ -317,11 +363,8 @@ pub struct SampledCollectConfig {
     pub max_ctas_per_kernel: u32,
     /// Spatial line-sampling keep rate (SHARDS).
     pub line_rate: f64,
-    /// Spatial shards the kept lines are routed across. Fixed — results
-    /// never depend on the pool's thread count.
+    /// Spatial shards the kept lines are routed across.
     pub n_shards: u32,
-    /// Sampled CTAs per generation job (phase-A granularity).
-    pub ctas_per_job: u32,
 }
 
 impl Default for SampledCollectConfig {
@@ -330,7 +373,6 @@ impl Default for SampledCollectConfig {
             max_ctas_per_kernel: 64,
             line_rate: 0.25,
             n_shards: 8,
-            ctas_per_job: 8,
         }
     }
 }
@@ -345,190 +387,38 @@ impl SampledCollectConfig {
     }
 }
 
-/// One phase-A generation job's output.
-struct ChunkOut {
-    /// Kept line addresses, already routed: `shards[s]` in stream order.
-    shards: Vec<Vec<u64>>,
+/// CTA-stride sampling of one kernel's grid: `(stride, n_slots)`, where
+/// slot `i` replays CTA `i * stride`.
+fn sampled_slots(n_ctas: u32, max_ctas: u32) -> (u32, u32) {
+    let stride = n_ctas.div_ceil(max_ctas).max(1);
+    (stride, n_ctas.div_ceil(stride))
+}
+
+/// Instruction and access totals of the replayed (sampled) stream.
+#[derive(Default)]
+struct StreamCounts {
     thread_instrs: u64,
     mem_thread_instrs: u64,
     line_accesses: u64,
 }
 
-/// One phase-A work item: a strided range of sampled CTAs of one kernel.
-#[derive(Clone)]
-struct Chunk {
-    kernel: usize,
-    /// Range of sampled *slots*; slot `i` replays CTA `i * stride`.
-    slots: Range<u32>,
-    stride: u32,
-}
-
-fn replay_chunk<W: WorkloadModel>(wl: &W, router: &LineRouter, chunk: &Chunk) -> ChunkOut {
-    let mut out = ChunkOut {
-        shards: vec![Vec::new(); router.n_shards() as usize],
-        thread_instrs: 0,
-        mem_thread_instrs: 0,
-        line_accesses: 0,
-    };
-    let warps = wl.warps_per_cta(chunk.kernel);
-    for slot in chunk.slots.clone() {
-        let cta = slot * chunk.stride;
-        for w in 0..warps {
-            let mut stream = wl.warp_stream(chunk.kernel, cta, w);
-            while let Some(op) = stream.next_op() {
-                out.thread_instrs += op.warp_instrs() * u64::from(THREADS_PER_WARP);
-                let Some(access) = op.mem() else { continue };
-                out.mem_thread_instrs += op.warp_instrs() * u64::from(THREADS_PER_WARP);
-                for line in access.lines() {
-                    out.line_accesses += 1;
-                    if let Some(s) = router.route(line) {
-                        out.shards[s as usize].push(line);
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Sampled Stage-1 collection: CTA-stride sampling plus SHARDS spatial
-/// line sampling, with the kept lines routed across
-/// [`SampledCollectConfig::n_shards`] fixed spatial shards whose exact
-/// stack-distance histograms are computed independently — concurrently on
-/// `pool` when one is given — and merged in ascending shard order.
-///
-/// **Deterministic by construction**: sampling decisions are pure
-/// functions of CTA index and line address, phase outputs are combined in
-/// submission order, and the shard count never follows the thread count,
-/// so serial and pooled runs return bit-identical [`Collected`] values.
-///
-/// The curve is an estimate (warp-major streams, no L1 filter, no
-/// associativity): cliff positions and shape track the exact replay,
-/// absolute MPKI can deviate — which is why the full path keeps
-/// [`collect_replay`]. CTA sampling is compensated by evaluating each
-/// capacity at `capacity × cta_rate`, matching the proportionally
-/// shrunken footprint.
-///
-/// # Errors
-///
-/// Returns a [`CollectFailure`] when a pooled job times out (deadline in
-/// `overrides`) or crashes. The serial path (`pool: None`) only
-/// propagates panics.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty or `cfg` is degenerate.
-pub fn collect_sampled<W>(
-    wl: &W,
+/// Merges the per-shard histograms (ascending shard order) and reads
+/// the curve out at every config's capacity. CTA sampling is compensated
+/// by evaluating each capacity at `capacity × cta_rate`.
+fn finish_sampled(
+    router: &LineRouter,
+    hists: &[StackDistanceHistogram],
+    counts: StreamCounts,
+    (sampled_ctas, total_ctas): (u64, u64),
     configs: &[GpuConfig],
-    cfg: &SampledCollectConfig,
-    pool: Option<(&Runner, RunOverrides)>,
-) -> Result<Collected, CollectFailure>
-where
-    W: WorkloadModel + Clone + Send + Sync + 'static,
-{
-    assert!(!configs.is_empty(), "need at least one configuration");
-    assert!(cfg.max_ctas_per_kernel > 0 && cfg.ctas_per_job > 0);
-    let router = LineRouter::new(cfg.n_shards, cfg.line_rate);
-
-    // Enumerate sampled work.
-    let mut chunks: Vec<Chunk> = Vec::new();
-    let mut sampled_ctas = 0u64;
-    let mut total_ctas = 0u64;
-    for kernel in 0..wl.n_kernels() {
-        let (n_ctas, _) = wl.grid(kernel);
-        total_ctas += u64::from(n_ctas);
-        if n_ctas == 0 {
-            continue;
-        }
-        let stride = n_ctas.div_ceil(cfg.max_ctas_per_kernel).max(1);
-        let n_slots = n_ctas.div_ceil(stride);
-        sampled_ctas += u64::from(n_slots);
-        let mut s = 0;
-        while s < n_slots {
-            let e = (s + cfg.ctas_per_job).min(n_slots);
-            chunks.push(Chunk {
-                kernel,
-                slots: s..e,
-                stride,
-            });
-            s = e;
-        }
-    }
+) -> Collected {
     let cta_rate = if total_ctas == 0 {
         1.0
     } else {
         sampled_ctas as f64 / total_ctas as f64
     };
-
-    // Phase A: generate + route, in parallel when a pool is available.
-    let outs: Vec<ChunkOut> = match pool {
-        Some((runner, overrides)) if chunks.len() > 1 => {
-            let jobs: Vec<Job<ChunkOut>> = chunks
-                .iter()
-                .map(|chunk| {
-                    let wl = wl.clone();
-                    let router = router.clone();
-                    let chunk = chunk.clone();
-                    Job::new(
-                        format!("collect-k{}c{}", chunk.kernel, chunk.slots.start),
-                        move || replay_chunk(&wl, &router, &chunk),
-                    )
-                })
-                .collect();
-            collect_reports(runner.run_with("collect-sampled", jobs, overrides))?
-        }
-        _ => chunks
-            .iter()
-            .map(|c| replay_chunk(wl, &router, c))
-            .collect(),
-    };
-
-    let mut stats = CollectStats {
-        thread_instrs: 0,
-        mem_thread_instrs: 0,
-        line_accesses: 0,
-        cta_rate,
-        line_rate: router.keep_rate(),
-    };
-    let mut shard_lines: Vec<Vec<u64>> = vec![Vec::new(); cfg.n_shards as usize];
-    for out in outs {
-        stats.thread_instrs += out.thread_instrs;
-        stats.mem_thread_instrs += out.mem_thread_instrs;
-        stats.line_accesses += out.line_accesses;
-        for (acc, lines) in shard_lines.iter_mut().zip(out.shards) {
-            acc.extend(lines);
-        }
-    }
-
-    // Phase B: one exact tree per shard, merged in shard order.
-    let hists: Vec<StackDistanceHistogram> = match pool {
-        Some((runner, overrides)) if cfg.n_shards > 1 => {
-            let jobs: Vec<Job<StackDistanceHistogram>> = shard_lines
-                .into_iter()
-                .enumerate()
-                .map(|(s, lines)| {
-                    Job::new(format!("shard{s}"), move || {
-                        let mut tree = TreeStack::new();
-                        tree.record_all(lines.iter().copied());
-                        tree.finish()
-                    })
-                })
-                .collect();
-            collect_reports(runner.run_with("collect-shards", jobs, overrides))?
-        }
-        _ => shard_lines
-            .into_iter()
-            .map(|lines| {
-                let mut tree = TreeStack::new();
-                tree.record_all(lines);
-                tree.finish()
-            })
-            .collect(),
-    };
-    let hist = router.merge(&hists);
-
-    let kinsns = stats.thread_instrs as f64 / 1e3;
+    let hist = router.merge(hists);
+    let kinsns = counts.thread_instrs as f64 / 1e3;
     let points = configs
         .iter()
         .map(|c| {
@@ -542,11 +432,139 @@ where
             (c.n_sms, mpki)
         })
         .collect();
-    Ok(Collected {
+    Collected {
         engine: CollectEngine::Sampled,
         points,
-        stats,
-    })
+        stats: CollectStats {
+            thread_instrs: counts.thread_instrs,
+            mem_thread_instrs: counts.mem_thread_instrs,
+            line_accesses: counts.line_accesses,
+            cta_rate,
+            line_rate: router.keep_rate(),
+        },
+    }
+}
+
+/// Initial time-axis slots of each shard's tree. All the trees are live
+/// at once, so they start small enough to stay cache-resident together
+/// and grow by compaction (distances are exact either way):
+/// [`TreeStack::new`]'s 64 Ki slots are 2 MiB of zeroed memory per
+/// collection and measured 15–25 % slower end to end.
+const SHARD_TREE_SLOTS: usize = 1 << 10;
+
+/// Ops replayed between two looks at the clock. One request can ask for
+/// a single warp of millions of ops, so the deadline is checked by work
+/// done, not by position in the grid; 1 Ki ops is tens of microseconds.
+const DEADLINE_CHECK_OPS: u32 = 1 << 10;
+
+/// Sampled Stage-1 collection: CTA-stride sampling plus SHARDS spatial
+/// line sampling, with the kept lines routed across
+/// [`SampledCollectConfig::n_shards`] fixed spatial shards, each with
+/// its own exact stack-distance tree, merged in ascending shard order.
+///
+/// One streaming pass on the calling thread: kernel → sampled CTA →
+/// warp → op → route → record on that shard's tree. No line is stored
+/// and the workload is never cloned. This is what the prediction
+/// service's fast path runs: a collection is ~1 ms of work, and fanning
+/// it out as pool jobs measured no faster on an idle host and slower
+/// under concurrent requests.
+///
+/// **Deterministic by construction**: sampling decisions are pure
+/// functions of CTA index and line address, and every shard sees its
+/// lines in stream order.
+///
+/// The curve is an estimate (warp-major streams, no L1 filter, no
+/// associativity): cliff positions and shape track the exact replay,
+/// absolute MPKI can deviate — which is why the full path keeps
+/// [`collect_replay`].
+///
+/// # Errors
+///
+/// Returns [`CollectFailure::TimedOut`] — and no partial result — once
+/// `deadline` has passed: checked before the first op and every
+/// [`DEADLINE_CHECK_OPS`] ops after it.
+///
+/// # Panics
+///
+/// Panics if `configs` is empty or `cfg` is degenerate.
+pub fn collect_sampled_inline<W: WorkloadModel>(
+    wl: &W,
+    configs: &[GpuConfig],
+    cfg: &SampledCollectConfig,
+    deadline: Option<Instant>,
+) -> Result<Collected, CollectFailure> {
+    assert!(!configs.is_empty(), "need at least one configuration");
+    assert!(cfg.max_ctas_per_kernel > 0);
+    let router = LineRouter::new(cfg.n_shards, cfg.line_rate);
+    let mut trees: Vec<TreeStack> = (0..cfg.n_shards)
+        .map(|_| TreeStack::with_capacity(SHARD_TREE_SLOTS))
+        .collect();
+    let mut counts = StreamCounts::default();
+    let (mut sampled_ctas, mut total_ctas) = (0u64, 0u64);
+    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+    if expired() {
+        return Err(CollectFailure::TimedOut);
+    }
+    let mut ops_to_check = DEADLINE_CHECK_OPS;
+    for kernel in 0..wl.n_kernels() {
+        let (n_ctas, _) = wl.grid(kernel);
+        let (stride, n_slots) = sampled_slots(n_ctas, cfg.max_ctas_per_kernel);
+        total_ctas += u64::from(n_ctas);
+        sampled_ctas += u64::from(n_slots);
+        let warps = wl.warps_per_cta(kernel);
+        for slot in 0..n_slots {
+            for w in 0..warps {
+                let mut stream = wl.warp_stream(kernel, slot * stride, w);
+                while let Some(op) = stream.next_op() {
+                    ops_to_check -= 1;
+                    if ops_to_check == 0 {
+                        if expired() {
+                            return Err(CollectFailure::TimedOut);
+                        }
+                        ops_to_check = DEADLINE_CHECK_OPS;
+                    }
+                    let thread_instrs = op.warp_instrs() * u64::from(THREADS_PER_WARP);
+                    counts.thread_instrs += thread_instrs;
+                    let Some(access) = op.mem() else { continue };
+                    counts.mem_thread_instrs += thread_instrs;
+                    for line in access.lines() {
+                        counts.line_accesses += 1;
+                        if let Some(s) = router.route(line) {
+                            trees[s as usize].record(line);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let hists: Vec<StackDistanceHistogram> = trees.into_iter().map(TreeStack::finish).collect();
+    Ok(finish_sampled(
+        &router,
+        &hists,
+        counts,
+        (sampled_ctas, total_ctas),
+        configs,
+    ))
+}
+
+/// [`collect_sampled_inline`] without a deadline. `pool` is ignored: the
+/// parameter survives because the repository's benchmark, which this
+/// crate may not edit, passes one.
+///
+/// # Errors
+///
+/// None in practice — there is no deadline to pass.
+///
+/// # Panics
+///
+/// Panics if `configs` is empty or `cfg` is degenerate.
+pub fn collect_sampled<W: WorkloadModel>(
+    wl: &W,
+    configs: &[GpuConfig],
+    cfg: &SampledCollectConfig,
+    _pool: Option<(&Runner, RunOverrides)>,
+) -> Result<Collected, CollectFailure> {
+    collect_sampled_inline(wl, configs, cfg, None)
 }
 
 /// Unwraps a pooled run's reports (already sorted by submission index)
@@ -842,23 +860,160 @@ mod tests {
         assert!(collected.stats.line_accesses > 0);
     }
 
+    fn assert_bit_identical(a: &Collected, b: &Collected, what: &str) {
+        assert_eq!(a.engine, b.engine, "{what}");
+        assert_eq!(a.points.len(), b.points.len(), "{what}");
+        for (p, q) in a.points.iter().zip(&b.points) {
+            assert_eq!((p.0, p.1.to_bits()), (q.0, q.1.to_bits()), "{what}");
+        }
+        let (s, t) = (&a.stats, &b.stats);
+        assert_eq!(s.thread_instrs, t.thread_instrs, "{what}");
+        assert_eq!(s.mem_thread_instrs, t.mem_thread_instrs, "{what}");
+        assert_eq!(s.line_accesses, t.line_accesses, "{what}");
+        assert_eq!(s.cta_rate.to_bits(), t.cta_rate.to_bits(), "{what}");
+        assert_eq!(s.line_rate.to_bits(), t.line_rate.to_bits(), "{what}");
+    }
+
+    /// The sampled collection written the slow, obvious way: drain the
+    /// sampled stream, store every kept line per shard, then build one
+    /// full-size tree per shard.
+    fn collect_sampled_reference(
+        wl: &Workload,
+        configs: &[GpuConfig],
+        cfg: &SampledCollectConfig,
+    ) -> Collected {
+        let router = LineRouter::new(cfg.n_shards, cfg.line_rate);
+        let mut shard_lines = vec![Vec::new(); cfg.n_shards as usize];
+        let mut counts = StreamCounts::default();
+        let (mut sampled_ctas, mut total_ctas) = (0u64, 0u64);
+        for kernel in 0..wl.n_kernels() {
+            let (n_ctas, _) = wl.grid(kernel);
+            let (stride, n_slots) = sampled_slots(n_ctas, cfg.max_ctas_per_kernel);
+            total_ctas += u64::from(n_ctas);
+            sampled_ctas += u64::from(n_slots);
+            for slot in 0..n_slots {
+                for w in 0..wl.warps_per_cta(kernel) {
+                    let mut stream = wl.warp_stream(kernel, slot * stride, w);
+                    while let Some(op) = stream.next_op() {
+                        let thread_instrs = op.warp_instrs() * u64::from(THREADS_PER_WARP);
+                        counts.thread_instrs += thread_instrs;
+                        let Some(access) = op.mem() else { continue };
+                        counts.mem_thread_instrs += thread_instrs;
+                        for line in access.lines() {
+                            counts.line_accesses += 1;
+                            if let Some(s) = router.route(line) {
+                                shard_lines[s as usize].push(line);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let hists: Vec<StackDistanceHistogram> = shard_lines
+            .into_iter()
+            .map(|lines| {
+                let mut tree = TreeStack::new();
+                tree.record_all(lines);
+                tree.finish()
+            })
+            .collect();
+        finish_sampled(&router, &hists, counts, (sampled_ctas, total_ctas), configs)
+    }
+
     #[test]
-    fn sampled_collect_is_pool_invariant() {
-        let wl = membound_workload();
-        let cfgs = ladder(&[8, 16, 32, 64], MemScale::default());
+    fn streaming_collection_matches_the_materialising_reference() {
+        let scale = MemScale::default();
+        let mut workloads: Vec<Workload> = gsim_trace::suite::strong_suite(scale)
+            .into_iter()
+            .map(|b| b.workload)
+            .collect();
+        assert_eq!(workloads.len(), 21);
+        for i in 0..10u32 {
+            let kind = match i % 5 {
+                0 => PatternKind::GlobalSweep { passes: 1 + i % 3 },
+                1 => PatternKind::Streaming,
+                2 => PatternKind::PointerChase,
+                3 => PatternKind::Tiled {
+                    tile_lines: 4 + u64::from(i),
+                    reuses: 3,
+                },
+                _ => PatternKind::WorkingSetMix {
+                    levels: vec![(0.7, 0.1), (0.3, 1.0 + f64::from(i))],
+                },
+            };
+            let spec = PatternSpec::new(kind, 3_000 + 7_919 * u64::from(i))
+                .mem_ops_per_warp(16 + i)
+                .compute_per_mem(f64::from(i) * 0.75)
+                .write_frac(0.1)
+                .divergence(1 + (i % 4) as u8)
+                .shared_hot(0.05, 16);
+            let kernels = vec![Kernel::new("k", 40 + 37 * i, 256, spec); 1 + (i % 3) as usize];
+            workloads.push(Workload::new("seeded", u64::from(i), kernels));
+        }
+        let cfgs = ladder(&[8, 16, 32, 64, 128], scale);
         let scfg = SampledCollectConfig::default();
-        let serial = collect_sampled(&wl, &cfgs, &scfg, None).unwrap();
-        let runner = Runner::new(RunnerConfig {
-            threads: 2,
-            ..RunnerConfig::default()
-        });
-        let pooled =
-            collect_sampled(&wl, &cfgs, &scfg, Some((&runner, RunOverrides::default()))).unwrap();
+        for wl in &workloads {
+            let inline = collect_sampled_inline(wl, &cfgs, &scfg, None).unwrap();
+            let reference = collect_sampled_reference(wl, &cfgs, &scfg);
+            assert_eq!(inline.engine, CollectEngine::Sampled);
+            assert_bit_identical(&inline, &reference, WorkloadModel::name(wl));
+        }
+    }
+
+    /// A workload whose streams must never be generated.
+    struct Untouchable;
+
+    impl WorkloadModel for Untouchable {
+        type Stream = SpecStream;
+        fn name(&self) -> &str {
+            "untouchable"
+        }
+        fn n_kernels(&self) -> usize {
+            3
+        }
+        fn grid(&self, _: usize) -> (u32, u32) {
+            (64, 256)
+        }
+        fn warp_stream(&self, _: usize, _: u32, _: u32) -> SpecStream {
+            panic!("an expired collection generated a warp")
+        }
+        fn approx_warp_instrs(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn an_expired_deadline_times_out_before_collecting() {
+        let cfgs = ladder(&[8, 16], MemScale::default());
+        let scfg = SampledCollectConfig::default();
+        let expired = Instant::now();
         assert_eq!(
-            serial, pooled,
-            "sampled collection must not depend on the pool"
+            collect_sampled_inline(&Untouchable, &cfgs, &scfg, Some(expired)),
+            Err(CollectFailure::TimedOut)
         );
-        assert_eq!(serial.engine, CollectEngine::Sampled);
+        // A deadline that holds changes nothing about the result.
+        let wl = membound_workload();
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
+        assert_eq!(
+            collect_sampled_inline(&wl, &cfgs, &scfg, Some(far)),
+            collect_sampled_inline(&wl, &cfgs, &scfg, None)
+        );
+    }
+
+    #[test]
+    fn a_deadline_that_passes_inside_one_kernel_stops_the_collection() {
+        // One kernel, one long warp per CTA: seconds of replay with no
+        // kernel boundary to stop at.
+        let spec = PatternSpec::new(PatternKind::PointerChase, 50_000).mem_ops_per_warp(2_000_000);
+        let wl = Workload::new("long", 1, vec![Kernel::new("k", 64, 32, spec)]);
+        let cfgs = ladder(&[8, 16], MemScale::default());
+        let started = Instant::now();
+        let deadline = started + std::time::Duration::from_millis(20);
+        assert_eq!(
+            collect_sampled_inline(&wl, &cfgs, &SampledCollectConfig::default(), Some(deadline)),
+            Err(CollectFailure::TimedOut)
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(2));
     }
 
     #[test]
@@ -937,6 +1092,14 @@ mod tests {
         let synth = PlanWorkload::Synthetic(wl);
         let traced = PlanWorkload::Traced(Arc::new(traced));
         assert_eq!(synth.semantic_hash(), traced.semantic_hash());
+        // The cheap identities are separate domains: a trace is named by
+        // its content, a synthetic workload by its recipe.
+        assert_eq!(
+            traced.stage_identity(),
+            StageIdentity::Content(traced.semantic_hash())
+        );
+        assert!(matches!(synth.stage_identity(), StageIdentity::Recipe(_)));
+        assert_ne!(synth.stage_identity(), traced.stage_identity());
         let cfgs = ladder(&[8, 16, 32], MemScale::default());
         let scfg = SampledCollectConfig::default();
         let a = collect_sampled(&synth, &cfgs, &scfg, None).unwrap();

@@ -18,6 +18,7 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
+use std::hash::Hash;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -40,23 +41,82 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// A bounded map that evicts its least-recently-used entry: every entry
+/// carries the tick of a logical clock from its last `get` or `insert`,
+/// and an insert into a full map scans for the smallest. The scan is
+/// O(capacity); capacities here are a few hundred entries and an insert
+/// follows work that costs far more. Every in-memory cache of the
+/// service — results, 400 verdicts, the four stage maps — is one of
+/// these behind a mutex.
+pub(crate) struct Lru<K, V> {
+    map: HashMap<K, (u64, V)>,
+    capacity: usize,
+    clock: u64,
+}
+
+impl<K: Hash + Eq + Clone, V> Lru<K, V> {
+    /// An empty map of at most `capacity` entries (clamped to at least 1).
+    pub(crate) fn new(capacity: usize) -> Self {
+        Self {
+            map: HashMap::new(),
+            capacity: capacity.max(1),
+            clock: 0,
+        }
+    }
+
+    /// The value under `key`, marking it most-recently used.
+    pub(crate) fn get(&mut self, key: &K) -> Option<&V> {
+        self.clock += 1;
+        let (last_used, value) = self.map.get_mut(key)?;
+        *last_used = self.clock;
+        Some(value)
+    }
+
+    /// Inserts (or replaces) `value` under `key` as most-recently used,
+    /// evicting the least-recently-used entry if the key is new and the
+    /// map is full. Returns whether the key was new.
+    pub(crate) fn insert(&mut self, key: K, value: V) -> bool {
+        self.clock += 1;
+        if self.is_full() && !self.map.contains_key(&key) {
+            let victim = self
+                .map
+                .iter()
+                .min_by_key(|(_, (last_used, _))| *last_used)
+                .map(|(k, _)| k.clone());
+            if let Some(victim) = victim {
+                self.map.remove(&victim);
+            }
+        }
+        self.map.insert(key, (self.clock, value)).is_none()
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    pub(crate) fn is_full(&self) -> bool {
+        self.map.len() >= self.capacity
+    }
+
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values().map(|(_, value)| value)
+    }
+}
+
 struct Entry {
     canonical: String,
     body: Arc<String>,
-    last_used: u64,
 }
 
-struct Lru {
-    map: HashMap<u64, Entry>,
-    capacity: usize,
-    clock: u64,
+struct Results {
+    lru: Lru<u64, Entry>,
     /// Lines appended to disk since the last compaction.
     appended: usize,
 }
 
 /// The shared result cache.
 pub struct ResultCache {
-    inner: Mutex<Lru>,
+    inner: Mutex<Results>,
     /// Persistence root; `None` disables the disk tier.
     dir: Option<PathBuf>,
 }
@@ -71,12 +131,7 @@ impl ResultCache {
     /// Returns an error if the cache directory cannot be created or its
     /// existing file cannot be read (individual bad lines are skipped).
     pub fn new(capacity: usize, dir: Option<PathBuf>) -> io::Result<Self> {
-        let mut lru = Lru {
-            map: HashMap::new(),
-            capacity: capacity.max(1),
-            clock: 0,
-            appended: 0,
-        };
+        let mut lru = Lru::new(capacity);
         if let Some(dir) = &dir {
             std::fs::create_dir_all(dir)?;
             let path = dir.join(FILE_NAME);
@@ -85,19 +140,14 @@ impl ResultCache {
             }
         }
         Ok(Self {
-            inner: Mutex::new(lru),
+            inner: Mutex::new(Results { lru, appended: 0 }),
             dir,
         })
     }
 
     /// The body cached under `key`, marking it most-recently used.
     pub fn get(&self, key: u64) -> Option<Arc<String>> {
-        let mut lru = self.lock();
-        lru.clock += 1;
-        let clock = lru.clock;
-        let entry = lru.map.get_mut(&key)?;
-        entry.last_used = clock;
-        Some(Arc::clone(&entry.body))
+        self.lock().lru.get(&key).map(|e| Arc::clone(&e.body))
     }
 
     /// Inserts `body` under `key` (which the caller derived as
@@ -105,32 +155,16 @@ impl ResultCache {
     /// full, and appends to the persistence file when one is configured.
     pub fn put(&self, key: u64, canonical: &str, body: Arc<String>) {
         debug_assert_eq!(key, fnv1a(canonical.as_bytes()), "key must address content");
-        let mut lru = self.lock();
-        lru.clock += 1;
-        let clock = lru.clock;
-        if !lru.map.contains_key(&key) && lru.map.len() >= lru.capacity {
-            if let Some(&victim) = lru
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
-            {
-                lru.map.remove(&victim);
-            }
-        }
-        let fresh = lru
-            .map
-            .insert(
-                key,
-                Entry {
-                    canonical: canonical.to_string(),
-                    body: Arc::clone(&body),
-                    last_used: clock,
-                },
-            )
-            .is_none();
+        let mut results = self.lock();
+        let fresh = results.lru.insert(
+            key,
+            Entry {
+                canonical: canonical.to_string(),
+                body: Arc::clone(&body),
+            },
+        );
         if let (true, Some(dir)) = (fresh, &self.dir) {
-            if let Err(e) = self.persist(dir, &mut lru, canonical, &body) {
+            if let Err(e) = self.persist(dir, &mut results, canonical, &body) {
                 eprintln!("gsim-serve: cache persistence failed: {e}");
             }
         }
@@ -138,7 +172,7 @@ impl ResultCache {
 
     /// Number of entries currently held in memory.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.lock().lru.len()
     }
 
     /// Whether the cache holds no entries.
@@ -146,25 +180,31 @@ impl ResultCache {
         self.len() == 0
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Lru> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Results> {
         self.inner.lock().expect("cache lock poisoned")
     }
 
-    fn persist(&self, dir: &Path, lru: &mut Lru, canonical: &str, body: &str) -> io::Result<()> {
+    fn persist(
+        &self,
+        dir: &Path,
+        results: &mut Results,
+        canonical: &str,
+        body: &str,
+    ) -> io::Result<()> {
         let path = dir.join(FILE_NAME);
         // Compact instead of appending once the file holds twice the
         // capacity in stale + live lines.
-        if lru.appended + lru.map.len() > 2 * lru.capacity {
+        if results.appended + results.lru.len() > 2 * results.lru.capacity {
             let mut f = File::create(&path)?;
-            for e in lru.map.values() {
+            for e in results.lru.values() {
                 writeln!(f, "{}", line_json(&e.canonical, &e.body).render())?;
             }
-            lru.appended = 0;
+            results.appended = 0;
             return Ok(());
         }
         let mut f = OpenOptions::new().create(true).append(true).open(&path)?;
         writeln!(f, "{}", line_json(canonical, body).render())?;
-        lru.appended += 1;
+        results.appended += 1;
         Ok(())
     }
 }
@@ -179,58 +219,30 @@ impl ResultCache {
 /// negative-cached — the trace may be uploaded a second later. Memory
 /// only; verdicts are cheap to re-derive after a restart.
 pub struct NegativeCache {
-    inner: Mutex<NegLru>,
-}
-
-struct NegLru {
-    map: HashMap<u64, (u64, Arc<String>)>,
-    capacity: usize,
-    clock: u64,
+    inner: Mutex<Lru<u64, Arc<String>>>,
 }
 
 impl NegativeCache {
     /// A cache of at most `capacity` verdicts (clamped to at least 1).
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(NegLru {
-                map: HashMap::new(),
-                capacity: capacity.max(1),
-                clock: 0,
-            }),
+            inner: Mutex::new(Lru::new(capacity)),
         }
     }
 
     /// The stored 400 message for a body hashing to `key`, if any.
     pub fn get(&self, key: u64) -> Option<Arc<String>> {
-        let mut lru = self.lock();
-        lru.clock += 1;
-        let clock = lru.clock;
-        let (last_used, message) = lru.map.get_mut(&key)?;
-        *last_used = clock;
-        Some(Arc::clone(message))
+        self.lock().get(&key).cloned()
     }
 
     /// Records that a body hashing to `key` was rejected with `message`.
     pub fn put(&self, key: u64, message: &str) {
-        let mut lru = self.lock();
-        lru.clock += 1;
-        let clock = lru.clock;
-        if !lru.map.contains_key(&key) && lru.map.len() >= lru.capacity {
-            if let Some(&victim) = lru
-                .map
-                .iter()
-                .min_by_key(|(_, (last_used, _))| *last_used)
-                .map(|(k, _)| k)
-            {
-                lru.map.remove(&victim);
-            }
-        }
-        lru.map.insert(key, (clock, Arc::new(message.to_string())));
+        self.lock().insert(key, Arc::new(message.to_string()));
     }
 
     /// Number of verdicts currently held.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.lock().len()
     }
 
     /// Whether no verdicts are held.
@@ -238,7 +250,7 @@ impl NegativeCache {
         self.len() == 0
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, NegLru> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<u64, Arc<String>>> {
         self.inner.lock().expect("negative cache lock poisoned")
     }
 }
@@ -251,7 +263,7 @@ fn line_json(canonical: &str, body: &str) -> Json {
     ])
 }
 
-fn load_file(path: &Path, lru: &mut Lru) -> io::Result<()> {
+fn load_file(path: &Path, lru: &mut Lru<u64, Entry>) -> io::Result<()> {
     let reader = BufReader::new(File::open(path)?);
     for line in reader.lines() {
         let line = line?;
@@ -272,15 +284,14 @@ fn load_file(path: &Path, lru: &mut Lru) -> io::Result<()> {
         };
         // Self-validating: the key is re-derived, never stored.
         let key = fnv1a(canonical.as_bytes());
-        lru.clock += 1;
-        let clock = lru.clock;
-        if lru.map.len() < lru.capacity || lru.map.contains_key(&key) {
-            lru.map.insert(
+        // A file longer than the capacity keeps its first lines: loading
+        // never evicts.
+        if !lru.is_full() || lru.get(&key).is_some() {
+            lru.insert(
                 key,
                 Entry {
                     canonical: canonical.to_string(),
                     body: Arc::new(body.to_string()),
-                    last_used: clock,
                 },
             );
         }

@@ -105,6 +105,10 @@ pub struct Metrics {
     /// Staged predicts whose Stage-2 predictor fits came from the stage
     /// cache.
     pub stage_fit_hits: AtomicU64,
+    /// Full-drain identity computations: times a synthetic workload's
+    /// semantic hash was taken (every op of every warp generated and
+    /// hashed). Only the full path pays it; the fast path must not.
+    pub content_hashes: AtomicU64,
     /// Predict computations answered by the functional-first fast path
     /// (replayed-MRC fits, zero timing simulations).
     pub fast_path: AtomicU64,
@@ -227,6 +231,7 @@ impl Metrics {
                         Json::from(get(&self.stage_collect_hits)),
                     ),
                     ("stage_fit_hits", Json::from(get(&self.stage_fit_hits))),
+                    ("content_hashes", Json::from(get(&self.content_hashes))),
                     ("fast_path", Json::from(get(&self.fast_path))),
                     ("escalated", Json::from(get(&self.escalated))),
                     ("degraded", Json::from(get(&self.degraded))),
@@ -397,6 +402,7 @@ mod tests {
         assert_eq!(predict.get("fast_path").unwrap().as_u64(), Some(0));
         assert_eq!(predict.get("escalated").unwrap().as_u64(), Some(0));
         assert_eq!(predict.get("stage_collect_hits").unwrap().as_u64(), Some(0));
+        assert_eq!(predict.get("content_hashes").unwrap().as_u64(), Some(0));
         assert_eq!(doc.get("collects_started").unwrap().as_u64(), Some(0));
         Metrics::observe_stage(&m.stage_collect, Duration::from_micros(700));
         let doc = m.to_json(7, Json::Null, Json::Null);

@@ -21,30 +21,49 @@
 //! streams, identical for any encoding of the same workload. A predict
 //! request may then name `trace_ref` instead of a workload or pattern.
 //!
-//! Because synthetic predicts key their intermediate results (the two
-//! scale-model observations and the miss-rate curve) by the same
-//! semantic hash in an in-memory *stage cache*, a trace predict whose
-//! content matches an already-predicted synthetic workload reuses both
-//! stages and schedules **zero** timing simulations; a cold trace
-//! predict runs exactly the two scale models plus the functional MRC
-//! replay.
+//! Because full-path predicts key their expensive intermediate results
+//! (the two scale-model observations and the exact miss-rate curve) by
+//! the same semantic hash in an in-memory *stage cache*, a full-path
+//! trace predict whose content matches an already-predicted synthetic
+//! workload reuses both stages and schedules **zero** timing
+//! simulations; a cold trace predict runs exactly the two scale models
+//! plus the functional MRC replay.
 //!
 //! # The staged fast path
 //!
 //! A predict request may carry `"path": "auto" | "fast" | "full"`
 //! (default `auto`). Unless forced onto the full path, the service runs
 //! the staged **collect → fit → predict** pipeline from
-//! [`gsim_core::plan`]: a sampled, sharded Stage-1 collection measures
-//! the miss-rate curve and the workload's compute intensity in
-//! milliseconds; a memory-bound workload (measured pressure at or above
+//! [`gsim_core::plan`]: a sampled Stage-1 collection — one streaming
+//! pass on the request's own thread, no runner jobs — measures the
+//! miss-rate curve and the workload's compute intensity in about a
+//! millisecond; a memory-bound workload (measured pressure at or above
 //! the configured gate) is then answered from roofline-synthesized
 //! observations plus that curve — **zero timing simulations** — while a
 //! compute-sensitive one escalates to the full path, whose body is
-//! byte-identical to a forced-`full` request's. Every stage is cached
-//! by the workload's semantic hash plus a stage tag, so repeat requests
-//! over the same content (different targets, a trace of the same
-//! workload) skip straight to Stage 3. The chosen path travels in the
-//! `X-Gsim-Path` response header (`fast` / `full` / `degraded`).
+//! byte-identical to a forced-`full` request's. The chosen path travels
+//! in the `X-Gsim-Path` response header (`fast` / `full` / `degraded`).
+//!
+//! # Two identities, one per price class
+//!
+//! Every stage result is cached under the workload's identity plus a
+//! stage tag and the config encodings, so repeat requests over the same
+//! workload (different targets) skip straight to Stage 3. *Which*
+//! identity depends on what the entry saves:
+//!
+//! * Fast-path entries (`collects`, `fits`) are keyed by
+//!   [`PlanWorkload::stage_identity`]: a synthetic workload's *recipe*
+//!   hash, O(kernels), or a trace's stored content hash. The semantic
+//!   hash of a synthetic workload generates and hashes every op —
+//!   1–25 ms to index a value that takes 0.1–2.5 ms to recompute — so the
+//!   fast path never takes it (`predict.content_hashes` in `/metrics`
+//!   counts the drains; a fast-path predict leaves it untouched). The
+//!   price: a fast-path trace predict and its synthetic twin collect
+//!   separately (same bytes out, no timing simulation either way).
+//! * Full-path entries (`observations`, `mrcs`) keep the semantic hash:
+//!   there it buys back two timing simulations, 10–100× its cost.
+//!
+//! All four maps are LRU-bounded at the result cache's capacity.
 //!
 //! # Determinism contract
 //!
@@ -56,7 +75,7 @@
 //! `X-Gsim-Cache` response header (`hit` / `miss` / `coalesced`), not
 //! the body.
 
-use std::collections::HashMap;
+use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -64,8 +83,8 @@ use std::time::{Duration, Instant};
 
 use gsim_core::oneshot::{predict_targets, Observation};
 use gsim_core::plan::{
-    collect_sampled, synthesize_observation, CollectFailure, Collected, Fit, PlanWorkload,
-    SampledCollectConfig, STAGE_COLLECT_SAMPLED, STAGE_FIT,
+    collect_sampled_inline, synthesize_observation, CollectFailure, Collected, Fit, PlanWorkload,
+    SampledCollectConfig, StageIdentity, STAGE_COLLECT_SAMPLED, STAGE_FIT,
 };
 use gsim_json::{obj, Json};
 use gsim_multigpu::{scaling_efficiency, Placement, Topology};
@@ -76,7 +95,7 @@ use gsim_trace::weak::{weak_benchmark, weak_suite};
 use gsim_trace::{Kernel, MemScale, PatternKind, PatternSpec, Workload};
 use gsim_tracestore::{StoreConfig, StoreError, StoreStats, TraceMeta, TraceStore};
 
-use crate::cache::{fnv1a, NegativeCache, ResultCache};
+use crate::cache::{fnv1a, Lru, NegativeCache, ResultCache};
 use crate::http::{Request, Response, ShutdownFlag};
 use crate::metrics::{Metrics, RunnerJobCounter};
 use crate::overload::{retry_after_secs, AdmissionGate, EndpointClass};
@@ -261,29 +280,68 @@ fn mrc_mpki(wl: &PlanWorkload, configs: &[GpuConfig]) -> Vec<f64> {
         .collect()
 }
 
-/// Deterministic intermediate results keyed by `(semantic hash, stage
-/// tag + derived config encodings)`. Every stage is a pure function of
-/// the workload's instruction streams and the GPU configs, so a
+/// Deterministic intermediate results keyed by `(workload identity,
+/// stage tag + derived config encodings)`, each map LRU-bounded. Every
+/// stage is a pure function of the workload's instruction streams and
+/// the GPU configs. The full-path maps are keyed by *content*, so a
 /// synthetic workload and a trace of it share entries — which is what
 /// lets a trace-driven predict skip the timing simulator entirely when
-/// the synthetic path already ran (and vice versa).
-#[derive(Default)]
+/// the synthetic path already ran (and vice versa). The fast-path maps
+/// are keyed by the cheap [`StageIdentity`] (see the module docs).
 struct StageCache {
-    /// `(hash, small|large config)` → the two scale-model observations.
-    observations: Mutex<HashMap<StageKey, (SimPoint, SimPoint)>>,
-    /// `(hash, ladder configs)` → `(size, mpki)` miss-rate-curve points.
-    mrcs: Mutex<HashMap<StageKey, Vec<(u32, f64)>>>,
-    /// `(hash, collect tag + ladder configs)` → the sampled Stage-1
+    /// `(content hash, small|large config)` → the two scale-model
+    /// observations.
+    observations: Stage<ContentKey, (SimPoint, SimPoint)>,
+    /// `(content hash, ladder configs)` → `(size, mpki)` miss-rate-curve
+    /// points.
+    mrcs: Stage<ContentKey, Vec<(u32, f64)>>,
+    /// `(identity, collect tag + ladder configs)` → the sampled Stage-1
     /// collection of the staged fast path.
-    collects: Mutex<HashMap<StageKey, Collected>>,
-    /// `(hash, fit tag + ladder configs)` → the Stage-2 predictor fits
-    /// of the staged fast path.
-    fits: Mutex<HashMap<StageKey, Fit>>,
+    collects: Stage<FastKey, Collected>,
+    /// `(identity, fit tag + ladder configs)` → the Stage-2 predictor
+    /// fits of the staged fast path.
+    fits: Stage<FastKey, Fit>,
 }
 
-/// Stage-cache key: the workload's semantic hash plus the exhaustive
+impl StageCache {
+    fn new(capacity: usize) -> Self {
+        Self {
+            observations: Stage::new(capacity),
+            mrcs: Stage::new(capacity),
+            collects: Stage::new(capacity),
+            fits: Stage::new(capacity),
+        }
+    }
+}
+
+/// Full-path stage key: the workload's semantic hash plus the exhaustive
 /// encoding of every config involved in the stage.
-type StageKey = (u64, String);
+type ContentKey = (u64, String);
+/// Fast-path stage key: the workload's cheap identity plus the stage
+/// tag and config encodings.
+type FastKey = (StageIdentity, String);
+
+/// One stage's shared map. Values are deterministic in the key, so
+/// concurrent writers of one key store the same thing.
+struct Stage<K, V>(Mutex<Lru<K, V>>);
+
+impl<K: Hash + Eq + Clone, V: Clone> Stage<K, V> {
+    fn new(capacity: usize) -> Self {
+        Self(Mutex::new(Lru::new(capacity)))
+    }
+
+    fn get(&self, key: &K) -> Option<V> {
+        self.lock().get(key).cloned()
+    }
+
+    fn put(&self, key: K, value: V) {
+        self.lock().insert(key, value);
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<K, V>> {
+        self.0.lock().expect("stage cache poisoned")
+    }
+}
 
 /// One scale-model simulation's deterministic outputs.
 #[derive(Debug, Clone)]
@@ -380,7 +438,7 @@ impl PredictService {
             flights: SingleFlight::new(),
             metrics: Arc::clone(&metrics),
             store,
-            stages: StageCache::default(),
+            stages: StageCache::new(capacity),
             shutdown,
             gate: AdmissionGate::new(max_cheap, max_heavy),
             default_deadline_ms: cfg.default_deadline_ms,
@@ -694,9 +752,10 @@ impl PredictService {
     /// functional-first fast path and the full timing-simulation path.
     ///
     /// MRC-capable plans not forced onto the full path run the sampled
-    /// Stage-1 collection first (stage-cached, sharded across the pool)
-    /// and consult the compute-intensity gate: memory-bound workloads
-    /// are answered from replayed-MRC fits alone in milliseconds;
+    /// Stage-1 collection first (stage-cached under the workload's cheap
+    /// identity — the workload is never drained for a key here) and
+    /// consult the compute-intensity gate: memory-bound workloads are
+    /// answered from replayed-MRC fits alone in about a millisecond;
     /// compute-sensitive ones escalate to [`Self::compute_full`], whose
     /// body is byte-identical to a forced-full computation.
     fn compute(
@@ -708,13 +767,16 @@ impl PredictService {
     ) -> Result<(String, bool), ApiError> {
         if let PlanKind::WithMrc(wl) = &plan.kind {
             if plan.path != PathMode::Full {
-                let sem = plan.semantic.unwrap_or_else(|| wl.semantic_hash());
-                let collected = self.stage_collect(sem, plan, wl, deadline, degrade)?;
+                let id = wl.stage_identity();
+                // The config half of both fast-path stage keys.
+                let ladder = collect_ladder_encoding(plan);
+                let collected = self.stage_collect(id, &ladder, plan, wl, deadline)?;
                 let gate_cfg = GpuConfig::paper_target(plan.large, plan.scale);
                 let pressure = collected.memory_pressure(&gate_cfg);
                 if plan.path == PathMode::Fast || pressure >= self.fast_path_gate {
                     self.metrics.fast_path.fetch_add(1, Ordering::Relaxed);
-                    return Ok((self.fast_body(plan, sem, &collected, pressure)?, false));
+                    let body = self.fast_body(plan, id, &ladder, &collected, pressure)?;
+                    return Ok((body, false));
                 }
                 // Compute matters: the roofline synthesis is not
                 // trustworthy, fall through to the real simulations.
@@ -724,55 +786,30 @@ impl PredictService {
         self.compute_full(plan, key, deadline, degrade)
     }
 
-    /// Stage 1 of the staged path: the sampled sharded collection,
-    /// consulted from (and inserted into) the stage cache. Sharded
-    /// across the runner pool normally; computed serially on the
-    /// request's own thread when the pool is saturated (`serial`) — the
-    /// results are bit-identical either way, so the cache key does not
-    /// care.
+    /// Stage 1 of the staged path: the sampled collection, consulted
+    /// from (and inserted into) the stage cache. A miss is one streaming
+    /// pass on this request's thread, checked against `deadline` every
+    /// thousand ops — it never touches the runner pool, so a saturated
+    /// pool cannot slow it and it cannot slow the pool.
     fn stage_collect(
         &self,
-        sem: u64,
+        id: StageIdentity,
+        ladder: &str,
         plan: &Plan,
         wl: &PlanWorkload,
         deadline: Option<Instant>,
-        serial: bool,
     ) -> Result<Collected, ApiError> {
         let scfg = SampledCollectConfig::default();
         let stage_key = (
-            sem,
-            format!(
-                "{STAGE_COLLECT_SAMPLED}:{}|{}",
-                scfg.cache_tag(),
-                collect_ladder_encoding(plan)
-            ),
+            id,
+            format!("{STAGE_COLLECT_SAMPLED}:{}|{ladder}", scfg.cache_tag()),
         );
-        if let Some(c) = self
-            .stages
-            .collects
-            .lock()
-            .expect("stage cache poisoned")
-            .get(&stage_key)
-            .cloned()
-        {
+        if let Some(c) = self.stages.collects.get(&stage_key) {
             self.metrics
                 .stage_collect_hits
                 .fetch_add(1, Ordering::Relaxed);
             return Ok(c);
         }
-        let overrides = match deadline {
-            Some(d) => {
-                let left = d.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    self.metrics
-                        .deadline_timeouts
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(deadline_error());
-                }
-                RunOverrides::deadline(left)
-            }
-            None => RunOverrides::default(),
-        };
         let configs: Vec<GpuConfig> = collect_ladder(plan)
             .iter()
             .map(|&s| GpuConfig::paper_target(s, plan.scale))
@@ -781,26 +818,17 @@ impl PredictService {
             .collects_started
             .fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let pool = (!serial).then_some((&self.runner, overrides));
-        let collected = collect_sampled(wl, &configs, &scfg, pool).map_err(|e| match e {
-            CollectFailure::TimedOut => {
-                self.metrics
-                    .deadline_timeouts
-                    .fetch_add(1, Ordering::Relaxed);
-                deadline_error()
-            }
-            CollectFailure::Failed(msg) => ApiError {
-                status: 503,
-                message: format!("collection failed: {msg}; retry later"),
-            },
+        let collected = collect_sampled_inline(wl, &configs, &scfg, deadline).map_err(|e| {
+            // No jobs, so nothing to crash: the pass fails only by
+            // running out of time.
+            debug_assert_eq!(e, CollectFailure::TimedOut);
+            self.metrics
+                .deadline_timeouts
+                .fetch_add(1, Ordering::Relaxed);
+            deadline_error()
         })?;
         Metrics::observe_stage(&self.metrics.stage_collect, started.elapsed());
-        self.stages
-            .collects
-            .lock()
-            .expect("stage cache poisoned")
-            .entry(stage_key)
-            .or_insert_with(|| collected.clone());
+        self.stages.collects.put(stage_key, collected.clone());
         Ok(collected)
     }
 
@@ -810,26 +838,19 @@ impl PredictService {
     fn fast_body(
         &self,
         plan: &Plan,
-        sem: u64,
+        id: StageIdentity,
+        ladder: &str,
         collected: &Collected,
         pressure: f64,
     ) -> Result<String, ApiError> {
         let fit_key = (
-            sem,
+            id,
             format!(
-                "{STAGE_FIT}:fast:{}|{}",
-                SampledCollectConfig::default().cache_tag(),
-                collect_ladder_encoding(plan)
+                "{STAGE_FIT}:fast:{}|{ladder}",
+                SampledCollectConfig::default().cache_tag()
             ),
         );
-        let cached = self
-            .stages
-            .fits
-            .lock()
-            .expect("stage cache poisoned")
-            .get(&fit_key)
-            .cloned();
-        let fit = match cached {
+        let fit = match self.stages.fits.get(&fit_key) {
             Some(fit) => {
                 self.metrics.stage_fit_hits.fetch_add(1, Ordering::Relaxed);
                 fit
@@ -848,12 +869,7 @@ impl PredictService {
                 let fit = Fit::new(small, large, Some(&mrc))
                     .map_err(|e| ApiError::bad(format!("prediction failed: {e}")))?;
                 Metrics::observe_stage(&self.metrics.stage_fit, started.elapsed());
-                self.stages
-                    .fits
-                    .lock()
-                    .expect("stage cache poisoned")
-                    .entry(fit_key)
-                    .or_insert_with(|| fit.clone());
+                self.stages.fits.put(fit_key, fit.clone());
                 fit
             }
         };
@@ -944,10 +960,16 @@ impl PredictService {
         let mut jobs = Vec::new();
         let mut cached_obs: Option<(SimPoint, SimPoint)> = None;
         let mut mrc_points: Option<Vec<(u32, f64)>> = None;
-        let mut stage_keys: Option<((u64, String), (u64, String))> = None;
+        let mut stage_keys: Option<(ContentKey, ContentKey)> = None;
         match &plan.kind {
             PlanKind::WithMrc(wl) => {
-                let sem = plan.semantic.unwrap_or_else(|| wl.semantic_hash());
+                // The content hash: known for a trace, a full drain of a
+                // synthetic workload. Worth it here — it is what lets a
+                // trace and its synthetic twin share the timing sims.
+                let sem = plan.semantic.unwrap_or_else(|| {
+                    self.metrics.content_hashes.fetch_add(1, Ordering::Relaxed);
+                    wl.semantic_hash()
+                });
                 let obs_key = (
                     sem,
                     format!(
@@ -957,20 +979,8 @@ impl PredictService {
                     ),
                 );
                 let mrc_key = (sem, ladder_encoding(plan));
-                cached_obs = self
-                    .stages
-                    .observations
-                    .lock()
-                    .expect("stage cache poisoned")
-                    .get(&obs_key)
-                    .cloned();
-                mrc_points = self
-                    .stages
-                    .mrcs
-                    .lock()
-                    .expect("stage cache poisoned")
-                    .get(&mrc_key)
-                    .cloned();
+                cached_obs = self.stages.observations.get(&obs_key);
+                mrc_points = self.stages.mrcs.get(&mrc_key);
                 if degrade && cached_obs.is_none() {
                     // Saturated pool and no staged observations: answer
                     // with the functional-replay MRC alone, computed on
@@ -988,12 +998,7 @@ impl PredictService {
                                 .collect();
                             // Stage it: the eventual full predict (and
                             // any sibling degraded one) reuses it.
-                            self.stages
-                                .mrcs
-                                .lock()
-                                .expect("stage cache poisoned")
-                                .entry(mrc_key)
-                                .or_insert_with(|| pts.clone());
+                            self.stages.mrcs.put(mrc_key, pts.clone());
                             pts
                         }
                     };
@@ -1101,17 +1106,9 @@ impl PredictService {
         if let Some((obs_key, mrc_key)) = stage_keys {
             self.stages
                 .observations
-                .lock()
-                .expect("stage cache poisoned")
-                .entry(obs_key)
-                .or_insert_with(|| (small.clone(), large.clone()));
+                .put(obs_key, (small.clone(), large.clone()));
             if let Some(pts) = &mrc_points {
-                self.stages
-                    .mrcs
-                    .lock()
-                    .expect("stage cache poisoned")
-                    .entry(mrc_key)
-                    .or_insert_with(|| pts.clone());
+                self.stages.mrcs.put(mrc_key, pts.clone());
             }
         }
         let mrc = mrc_points
@@ -2211,6 +2208,48 @@ mod tests {
         .unwrap_err();
         assert_eq!(miss.status, 404);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stage_caches_are_bounded_and_evict_least_recently_used() {
+        const CAPACITY: usize = 4;
+        let svc = PredictService::new(
+            ServeConfig {
+                cache_capacity: CAPACITY,
+                ..ServeConfig::default()
+            },
+            ShutdownFlag::new(),
+        )
+        .expect("service starts");
+        let predict = |footprint_mb: usize, target: u32| {
+            let body = format!(
+                r#"{{"pattern": {{"kind": "streaming", "footprint_mb": {footprint_mb}.0}}, "target_sms": {target}, "path": "fast"}}"#
+            );
+            let resp = svc.handle(&Request {
+                method: "POST".into(),
+                path: "/v1/predict".into(),
+                headers: Vec::new(),
+                body: body.into_bytes(),
+            });
+            assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        };
+        let collects = || svc.metrics.collects_started.load(Ordering::Relaxed);
+        let extra = 3;
+        for footprint_mb in 1..=CAPACITY + extra {
+            predict(footprint_mb, 64);
+        }
+        assert_eq!(collects(), (CAPACITY + extra) as u64);
+        assert_eq!(svc.stages.collects.lock().len(), CAPACITY);
+        assert_eq!(svc.stages.fits.lock().len(), CAPACITY);
+
+        // The newest workload is still staged: other targets, no collect.
+        predict(CAPACITY + extra, 128);
+        assert_eq!(collects(), (CAPACITY + extra) as u64);
+        // The oldest was evicted: it collects again, within the bound.
+        predict(1, 128);
+        assert_eq!(collects(), (CAPACITY + extra) as u64 + 1);
+        assert_eq!(svc.stages.collects.lock().len(), CAPACITY);
+        assert_eq!(svc.metrics.content_hashes.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! for the same content reuse the per-stage caches (zero redundant
 //! collections), compute-sensitive workloads escalate to a body that is
 //! byte-identical to a forced-full computation, and every response
-//! names the path it took in `X-Gsim-Path`.
+//! names the path it took in `X-Gsim-Path`. The fast path names a
+//! synthetic workload by its recipe — it never drains the workload for
+//! a content hash (`predict.content_hashes` stays 0) — collects on the
+//! request's own thread, and honours the request deadline while it does.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -51,14 +54,29 @@ fn request(
     path: &str,
     body: &str,
 ) -> (u16, Vec<(String, String)>, Vec<u8>) {
+    request_with(addr, method, path, &[], body.as_bytes())
+}
+
+fn request_with(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    extra_headers: &[(&str, &str)],
+    body: &[u8],
+) -> (u16, Vec<(String, String)>, Vec<u8>) {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(60)))
         .expect("read timeout");
-    let raw = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+    let extra: String = extra_headers
+        .iter()
+        .map(|(k, v)| format!("{k}: {v}\r\n"))
+        .collect();
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n{extra}Content-Length: {}\r\n\r\n",
         body.len()
     );
-    s.write_all(raw.as_bytes()).expect("send");
+    s.write_all(head.as_bytes()).expect("send head");
+    s.write_all(body).expect("send body");
     let mut out = Vec::new();
     s.read_to_end(&mut out).expect("read response");
     let header_end = out
@@ -343,5 +361,151 @@ fn an_infinite_gate_escalates_even_memory_bound_workloads() {
         m.render()
     );
     assert_eq!(metric_at(&m, &["timing_sims_started"]), 2, "{}", m.render());
+    server.stop();
+}
+
+#[test]
+fn a_pattern_is_named_by_its_recipe_and_collected_once() {
+    let server = RunningServer::start(ServeConfig::default());
+    let addr = server.addr;
+
+    // One memory-bound pattern, two target sets: two result-cache
+    // misses, one collection — and no full-drain content hash anywhere.
+    let body = |targets: &str| {
+        format!(
+            r#"{{"pattern": {{"kind": "global_sweep", "footprint_mb": 48.0, "passes": 2,
+                "compute_per_mem": 1.0}}, "targets": {targets}}}"#
+        )
+    };
+    for targets in ["[32, 64]", "[128, 256]"] {
+        let (status, headers, resp) = request(addr, "POST", "/v1/predict", &body(targets));
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&resp));
+        assert_eq!(header(&headers, "x-gsim-cache"), Some("miss"));
+        assert_eq!(header(&headers, "x-gsim-path"), Some("fast"));
+    }
+    let m = metrics(addr);
+    assert_eq!(metric_at(&m, &["collects_started"]), 1, "{}", m.render());
+    assert!(
+        metric_at(&m, &["predict", "stage_collect_hits"]) >= 1,
+        "{}",
+        m.render()
+    );
+    assert_eq!(
+        metric_at(&m, &["predict", "content_hashes"]),
+        0,
+        "the fast path must not drain the workload for a key: {}",
+        m.render()
+    );
+    assert_eq!(
+        metric_at(&m, &["runner_jobs_started"]),
+        0,
+        "a fast-path collection runs on the request thread: {}",
+        m.render()
+    );
+    server.stop();
+}
+
+#[test]
+fn a_fast_path_trace_predict_matches_its_synthetic_twin() {
+    use gsim_trace::{Kernel, MemScale, PatternKind, PatternSpec, Workload};
+
+    let server = RunningServer::start(ServeConfig::default());
+    let addr = server.addr;
+
+    // The workload `parse_pattern` builds for the request below.
+    let spec = PatternSpec::new(
+        PatternKind::WorkingSetMix {
+            levels: vec![(1.0, 0.5)],
+        },
+        MemScale::default().mb_to_model_lines(4.0),
+    )
+    .mem_ops_per_warp(64)
+    .compute_per_mem(2.0);
+    let wl = Workload::new("pattern", 42, vec![Kernel::new("pattern", 128, 256, spec)]);
+    let mut trace = Vec::new();
+    gsim_trace::write_trace(&wl, &mut trace).expect("write trace");
+
+    let synthetic = r#"{"pattern": {"kind": "working_set_mix", "footprint_mb": 4.0,
+        "levels": [[1.0, 0.5]], "ctas": 128, "seed": 42}, "targets": [32, 64], "path": "fast"}"#;
+    let (status, _, first) = request(addr, "POST", "/v1/predict", synthetic);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&first));
+
+    let (status, _, meta) = request_with(addr, "POST", "/v1/traces", &[], &trace);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&meta));
+    let meta = gsim_json::parse(std::str::from_utf8(&meta).expect("utf8")).expect("json");
+    let trace_ref = meta.get("ref").and_then(|r| r.as_str()).expect("ref");
+    let traced = format!(r#"{{"trace_ref": "{trace_ref}", "targets": [32, 64], "path": "fast"}}"#);
+    let (status, headers, second) = request(addr, "POST", "/v1/predict", &traced);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&second));
+    assert_eq!(header(&headers, "x-gsim-path"), Some("fast"));
+
+    // Everything but the echoed request is byte-identical.
+    let fields = |body: &[u8]| {
+        let doc = gsim_json::parse(std::str::from_utf8(body).expect("utf8")).expect("json");
+        [
+            "memory_pressure",
+            "scale_models",
+            "mrc",
+            "correction_factor",
+            "cliff_at",
+            "predictions",
+        ]
+        .map(|k| doc.get(k).expect("field").render())
+        .join("|")
+    };
+    assert_eq!(fields(&first), fields(&second));
+
+    // The two are named apart on the fast path — a recipe and a content
+    // identity — so each collected once; neither cost a timing sim or a
+    // drain of the synthetic workload.
+    let m = metrics(addr);
+    assert_eq!(metric_at(&m, &["collects_started"]), 2, "{}", m.render());
+    assert_eq!(metric_at(&m, &["timing_sims_started"]), 0, "{}", m.render());
+    assert_eq!(
+        metric_at(&m, &["predict", "content_hashes"]),
+        0,
+        "{}",
+        m.render()
+    );
+    server.stop();
+}
+
+#[test]
+fn a_deadline_that_expires_during_the_collect_is_a_504() {
+    let server = RunningServer::start(ServeConfig::default());
+    let addr = server.addr;
+
+    // One kernel whose warps each chase 300 000 pointers: seconds of
+    // collection even in a release build, hundreds of times the
+    // deadline, and no kernel boundary inside it to stop at.
+    let body = r#"{"pattern": {"kind": "pointer_chase", "footprint_mb": 48.0,
+        "mem_ops_per_warp": 300000}, "targets": [32, 64], "path": "fast"}"#;
+    for attempt in 1..=2u64 {
+        let started = std::time::Instant::now();
+        let (status, _, resp) = request_with(
+            addr,
+            "POST",
+            "/v1/predict",
+            &[("X-Gsim-Deadline-Ms", "20")],
+            body.as_bytes(),
+        );
+        assert_eq!(status, 504, "{}", String::from_utf8_lossy(&resp));
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(2),
+            "the collection must stop at the deadline, not at its end: {:?}",
+            started.elapsed()
+        );
+        // The deadline expired inside the collection, and nothing
+        // partial was staged: the retry collects again.
+        let m = metrics(addr);
+        for (path, want) in [
+            (&["overload", "deadline_timeouts"][..], attempt),
+            (&["collects_started"][..], attempt),
+            (&["predict", "stage_collect_hits"][..], 0),
+            (&["predict", "fast_path"][..], 0),
+        ] {
+            assert_eq!(metric_at(&m, path), want, "{path:?}: {}", m.render());
+        }
+    }
     server.stop();
 }

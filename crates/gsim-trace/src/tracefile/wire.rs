@@ -42,7 +42,7 @@ pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// A byte destination for the encoders.
-pub(super) trait Sink {
+pub(crate) trait Sink {
     /// Appends one byte.
     fn put(&mut self, b: u8);
     /// Appends a slice.
@@ -60,10 +60,10 @@ impl Sink for Vec<u8> {
 
 /// A [`Sink`] that hashes instead of storing — encoding into it computes
 /// the FNV-1a 64 of the encoded bytes without materialising them.
-pub(super) struct FnvSink(pub u64);
+pub(crate) struct FnvSink(pub u64);
 
 impl FnvSink {
-    pub(super) fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self(FNV_OFFSET)
     }
 }
