@@ -40,13 +40,10 @@ chaos-smoke:
 	cargo build --release -p gsim-bench --bin gsim --bin serve_bench
 	bash scripts/chaos_smoke.sh
 
-# Multi-GPU system-model smoke (DESIGN.md §16): 2-GPU determinism across
-# sim_threads, a placement-policy sweep, and the scale-model validation
-# experiment in smoke mode. Used by CI.
+# Multi-GPU system-model smoke (DESIGN.md §16): a placement-policy sweep
+# and the scale-model validation experiment in smoke mode. Used by CI.
 multigpu-smoke:
 	cargo build --release -p gsim-bench --bin gsim
-	target/release/gsim multigpu --gpus 2 --sms 8 --scale 64 \
-		--sim-threads 2 --assert-determinism
 	for p in first-touch interleave replicate; do \
 		target/release/gsim multigpu --gpus 4 --sms 8 --scale 64 \
 			--placement $$p | grep "fabric bytes" || exit 1; \

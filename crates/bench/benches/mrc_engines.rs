@@ -65,7 +65,6 @@ fn detailed_simulation(rep: &mut JsonReport) {
         rep.record(
             format!("mrc_vs_detailed/{name}"),
             median,
-            1,
             Some(cycles.get()),
         );
     }
@@ -79,7 +78,6 @@ fn detailed_simulation(rep: &mut JsonReport) {
         rep.record(
             "mrc_vs_detailed/functional_replay_5_capacities",
             median,
-            1,
             None,
         );
     }
@@ -95,14 +93,14 @@ fn stack_engines(rep: &mut JsonReport) {
         e.record_all(lines.iter().copied());
         e.finish()
     }) {
-        rep.record("stack_distance/tree_exact", median, 1, None);
+        rep.record("stack_distance/tree_exact", median, None);
     }
     if let Some(median) = g.bench("shards_10pct", || {
         let mut e = ShardsStack::new(0.1);
         e.record_all(lines.iter().copied());
         e.finish()
     }) {
-        rep.record("stack_distance/shards_10pct", median, 1, None);
+        rep.record("stack_distance/shards_10pct", median, None);
     }
 
     // The quadratic reference implementation, on a small prefix only.
@@ -113,7 +111,7 @@ fn stack_engines(rep: &mut JsonReport) {
         e.record_all(small.iter().copied());
         e.finish()
     }) {
-        rep.record("stack_distance_reference/naive_20k", median, 1, None);
+        rep.record("stack_distance_reference/naive_20k", median, None);
     }
 }
 
@@ -138,15 +136,15 @@ fn predict_stages(rep: &mut JsonReport) {
 
     let g = Group::new("predict_stages").samples(samples());
     if let Some(median) = g.bench("identity_recipe", || wl.stage_identity()) {
-        rep.record("predict_stages/identity_recipe", median, 1, None);
+        rep.record("predict_stages/identity_recipe", median, None);
     }
     if let Some(median) = g.bench("identity_content", || wl.semantic_hash()) {
-        rep.record("predict_stages/identity_content", median, 1, None);
+        rep.record("predict_stages/identity_content", median, None);
     }
     if let Some(median) = g.bench("stage_collect", || {
         collect_sampled_inline(&wl, &configs, &scfg, None).expect("sampled collect")
     }) {
-        rep.record("predict_stages/stage_collect", median, 1, None);
+        rep.record("predict_stages/stage_collect", median, None);
     }
 
     let collected = collect_sampled_inline(&wl, &configs, &scfg, None).expect("sampled collect");
@@ -160,7 +158,7 @@ fn predict_stages(rep: &mut JsonReport) {
         )
         .expect("fit")
     }) {
-        rep.record("predict_stages/stage_fit", median, 1, None);
+        rep.record("predict_stages/stage_fit", median, None);
     }
 
     let fit = Fit::new(
@@ -172,7 +170,7 @@ fn predict_stages(rep: &mut JsonReport) {
     if let Some(median) = g.bench("stage_predict", || {
         fit.forecast(&targets).expect("forecast")
     }) {
-        rep.record("predict_stages/stage_predict", median, 1, None);
+        rep.record("predict_stages/stage_predict", median, None);
     }
 
     if let Some(median) = g.bench("fast_path_end_to_end", || {
@@ -188,7 +186,7 @@ fn predict_stages(rep: &mut JsonReport) {
         .expect("fit");
         (identity, fit.forecast(&targets).expect("forecast"))
     }) {
-        rep.record("predict_stages/fast_path_end_to_end", median, 1, None);
+        rep.record("predict_stages/fast_path_end_to_end", median, None);
     }
 }
 

@@ -1,13 +1,11 @@
-//! Timing-simulator cost: what scale-model simulation saves, and what
-//! intra-simulation parallelism buys on top.
+//! Timing-simulator cost: what scale-model simulation saves.
 //!
 //! Benchmarks the detailed simulator on scale models vs target systems
 //! under both strong scaling (same workload everywhere — little saving,
 //! footnote 1 of the paper) and weak scaling (input grows with the target
 //! — the Figure 7 speedups come from exactly this gap), plus a 64-SM
-//! memory-bound workload as a strong-scaling family over `sim_threads`
-//! 1/2/4/8 (the sharded engine's headline case; results are
-//! bit-identical, only wall time moves).
+//! memory-bound workload (the engine's slow case) and the multi-GPU
+//! system model as a strong-scaling family over the GPU count.
 //!
 //! Results also land in `BENCH_simulator.json` at the repo root; set
 //! `GSIM_BENCH_FAST=1` for a smoke-test-sized run (CI).
@@ -43,9 +41,7 @@ fn sm_sizes() -> &'static [u32] {
 }
 
 /// Times one simulator configuration and records it in the JSON report
-/// with its deterministic cycle count (for the cycles/sec rate). Pass
-/// the family's `t1` median to get a `speedup_vs_t1` in the record;
-/// returns this run's median so the caller can seed that baseline.
+/// with its deterministic cycle count (for the cycles/sec rate).
 fn bench_sim(
     g: &Group,
     rep: &mut JsonReport,
@@ -53,25 +49,15 @@ fn bench_sim(
     name: &str,
     cfg: &GpuConfig,
     wl: &Workload,
-    t1_median: Option<Duration>,
-) -> Option<Duration> {
+) {
     let cycles = Cell::new(0u64);
-    let median = g.bench(name, || {
+    if let Some(median) = g.bench(name, || {
         let st = Simulator::new(cfg.clone(), wl).run();
         cycles.set(st.cycles);
         st
-    })?;
-    let speedup = t1_median
-        .filter(|_| !median.is_zero())
-        .map(|t1| t1.as_secs_f64() / median.as_secs_f64());
-    rep.record_scaled(
-        id,
-        median,
-        cfg.sim_threads.max(1),
-        Some(cycles.get()),
-        speedup,
-    );
-    Some(median)
+    }) {
+        rep.record(id, median, Some(cycles.get()));
+    }
 }
 
 fn strong_scaling_cost(rep: &mut JsonReport) {
@@ -80,7 +66,7 @@ fn strong_scaling_cost(rep: &mut JsonReport) {
     for &sms in sm_sizes() {
         let cfg = GpuConfig::paper_target(sms, scale());
         let id = format!("simulate_strong_pf/{sms}");
-        bench_sim(&g, rep, &id, &sms.to_string(), &cfg, &bench.workload, None);
+        bench_sim(&g, rep, &id, &sms.to_string(), &cfg, &bench.workload);
     }
 }
 
@@ -91,15 +77,15 @@ fn weak_scaling_cost(rep: &mut JsonReport) {
         let wl = bench.workload_for_sms(sms);
         let cfg = GpuConfig::paper_target(sms, scale());
         let id = format!("simulate_weak_va/{sms}");
-        bench_sim(&g, rep, &id, &sms.to_string(), &cfg, &wl, None);
+        bench_sim(&g, rep, &id, &sms.to_string(), &cfg, &wl);
     }
 }
 
-/// The sharded-engine case: a 64-SM target on an LLC-overflowing global
-/// sweep (memory-bound, so cycles are plentiful and phase A dominates),
-/// as a strong-scaling family over 1/2/4/8 intra-simulation threads
-/// (each record past `t1` carries its `speedup_vs_t1`).
-fn parallel_64sm_membound(rep: &mut JsonReport) {
+/// The engine's slow case: a 64-SM target on an LLC-overflowing global
+/// sweep (memory-bound, so cycles are plentiful and most SMs stall).
+/// The record keeps the name it had as the serial member of the removed
+/// thread-scaling family, minus the thread suffix.
+fn membound_64sm(rep: &mut JsonReport) {
     let sc = scale();
     let passes = if fast_mode() { 1 } else { 3 };
     let spec = PatternSpec::new(
@@ -113,17 +99,8 @@ fn parallel_64sm_membound(rep: &mut JsonReport) {
         vec![Kernel::new("sweep", 2048, 256, spec)],
     );
     let g = Group::new("parallel_64sm_membound").samples(samples());
-    let mut t1 = None;
-    for threads in [1u32, 2, 4, 8] {
-        let mut cfg = GpuConfig::paper_target(64, sc);
-        cfg.sim_threads = threads;
-        let id = format!("parallel_64sm_membound/t{threads}");
-        let baseline = if threads == 1 { None } else { t1 };
-        let median = bench_sim(&g, rep, &id, &format!("t{threads}"), &cfg, &wl, baseline);
-        if threads == 1 {
-            t1 = median;
-        }
-    }
+    let cfg = GpuConfig::paper_target(64, sc);
+    bench_sim(&g, rep, "parallel_64sm_membound", "64", &cfg, &wl);
 }
 
 /// The multi-GPU system model (DESIGN.md §16) as a strong-scaling family
@@ -162,7 +139,6 @@ fn multigpu_strong_scaling(rep: &mut JsonReport) {
         rep.record_multigpu(
             format!("multigpu_strong/g{n_gpus}"),
             median,
-            1,
             n_gpus,
             cfg.placement.as_str(),
             Some(cycles.get()),
@@ -183,7 +159,6 @@ fn multigpu_strong_scaling(rep: &mut JsonReport) {
         rep.record_multigpu(
             "multigpu_strong/g4_replicate",
             median,
-            1,
             4,
             cfg.placement.as_str(),
             Some(cycles.get()),
@@ -196,7 +171,7 @@ fn main() {
     let mut rep = JsonReport::for_target("simulator");
     strong_scaling_cost(&mut rep);
     weak_scaling_cost(&mut rep);
-    parallel_64sm_membound(&mut rep);
+    membound_64sm(&mut rep);
     multigpu_strong_scaling(&mut rep);
     rep.write();
 }

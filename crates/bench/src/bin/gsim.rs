@@ -3,16 +3,15 @@
 //! ```text
 //! gsim list
 //! gsim run <benchmark> [--sms N] [--scale D] [--banked-dram BANKS] [--weak]
-//!          [--sim-threads N] [--assert-determinism]
-//! gsim sweep <benchmark> [--scale D] [--threads N] [--weak] [--sim-threads N]
-//! gsim mcm <benchmark> [--chiplets C] [--scale D] [--sim-threads N] [--assert-determinism]
+//! gsim sweep <benchmark> [--scale D] [--threads N] [--weak]
+//! gsim mcm <benchmark> [--chiplets C] [--scale D]
 //! gsim mrc <benchmark> [--scale D]
 //! gsim trace record <benchmark> [-o FILE] [--scale D] [--format 1|2] [--weak --sms N]
 //! gsim trace ingest <file> [--store DIR] [--max-trace-mb N]
 //! gsim trace info <file|ref> [--store DIR] [--mrc] [--max-trace-mb N]
 //! gsim trace ls [--store DIR]
 //! gsim trace-dump <benchmark> -o <file> [--scale D]
-//! gsim trace-run <file> [--sms N] [--scale D] [--sim-threads N]
+//! gsim trace-run <file> [--sms N] [--scale D]
 //! gsim predict <benchmark> [targets...] [--scale D] [--threads N]
 //!              [--path auto|fast|full] [--fast-path-gate X]
 //! gsim serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR]
@@ -22,8 +21,7 @@
 //! gsim multigpu [--gpus N] [--sms N] [--scale D] [--topology ring|full]
 //!               [--placement first-touch|interleave|replicate] [--link-gbs X]
 //!               [--link-latency C] [--tenants N] [--dag-kernels N] [--seed S]
-//!               [--sharing K] [--page-lines L] [--sim-threads N]
-//!               [--assert-determinism] [--validate [--smoke]]
+//!               [--sharing K] [--page-lines L] [--validate [--smoke]]
 //! ```
 //!
 //! `run` simulates a Table II benchmark (or, with `--weak`, the Table IV
@@ -54,15 +52,9 @@
 //! same flag tunes the service's gate, `inf` escalates every `auto`
 //! request).
 //!
-//! `--sim-threads N` shards each simulation's per-SM phase *and* its
-//! owner-sharded memory partitions over N threads (`--threads`
-//! parallelises *across* sweep jobs instead; under `serve` it sizes the
-//! HTTP worker pool). Results are bit-identical for any N ≥ 1
-//! (DESIGN.md §15); `--assert-determinism` re-runs the simulation
-//! serially and asserts exactly that (non-zero exit if it trips). The
-//! run summary prints the effective phase-B mode: owner-sharded with the
-//! thread count the engine actually used (N clamped to the SM count), or
-//! the serial fallback when that is 1.
+//! `--threads` parallelises *across* sweep jobs (under `serve` it sizes
+//! the HTTP worker pool); one simulation always runs on one thread
+//! (DESIGN.md §10).
 //!
 //! `multigpu` runs the multi-GPU system model (DESIGN.md §16): `--gpus`
 //! GPUs of `--sms` SMs each, connected by a `--topology` fabric of
@@ -71,8 +63,7 @@
 //! kernel-dependency DAGs of `--dag-kernels` kernels seeded by `--seed`.
 //! `--placement` picks the page-placement policy, `--sharing K` splits
 //! each GPU into K MIG-style kernel slots, and `--page-lines` sets the
-//! page granularity. `--assert-determinism` re-runs the system serially
-//! and asserts bit-identical aggregate stats. `--validate` runs the
+//! page granularity. `--validate` runs the
 //! scale-model validation experiment instead: the five predictors are
 //! fitted on 1- and 2-GPU system runs and forecast 4/8/16 GPUs (just
 //! 4 with `--smoke`), each checked against an actual run.
@@ -104,18 +95,16 @@ use gsim_tracestore::{StoreConfig, StoreError, TraceStore};
 fn usage() -> ! {
     eprintln!(
         "usage:\n  gsim list\n  gsim run <benchmark> [--sms N] [--scale D] \
-         [--banked-dram BANKS] [--weak] [--sim-threads N] \
-         [--assert-determinism]\n  gsim sweep <benchmark> [--scale D] \
-         [--threads N] [--weak] [--sim-threads N]\n  \
-         gsim mcm <benchmark> [--chiplets C] \
-         [--scale D] [--sim-threads N] [--assert-determinism]\n  \
+         [--banked-dram BANKS] [--weak]\n  gsim sweep <benchmark> [--scale D] \
+         [--threads N] [--weak]\n  \
+         gsim mcm <benchmark> [--chiplets C] [--scale D]\n  \
          gsim mrc <benchmark> [--scale D]\n  \
          gsim trace record <benchmark> [-o FILE] [--scale D] [--format 1|2] [--weak --sms N]\n  \
          gsim trace ingest <file> [--store DIR] [--max-trace-mb N]\n  \
          gsim trace info <file|ref> [--store DIR] [--mrc] [--max-trace-mb N]\n  \
          gsim trace ls [--store DIR]\n  \
          gsim trace-dump <benchmark> -o <file> [--scale D]\n  \
-         gsim trace-run <file> [--sms N] [--scale D] [--sim-threads N]\n  \
+         gsim trace-run <file> [--sms N] [--scale D]\n  \
          gsim predict <benchmark> [targets...] [--scale D] [--threads N] \
          [--path auto|fast|full] [--fast-path-gate X]\n  \
          gsim serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR] \
@@ -125,7 +114,7 @@ fn usage() -> ! {
          gsim multigpu [--gpus N] [--sms N] [--scale D] [--topology ring|full] \
          [--placement first-touch|interleave|replicate] [--link-gbs X] [--link-latency C] \
          [--tenants N] [--dag-kernels N] [--seed S] [--sharing K] [--page-lines L] \
-         [--sim-threads N] [--assert-determinism] [--validate [--smoke]]"
+         [--validate [--smoke]]"
     );
     exit(2)
 }
@@ -192,8 +181,6 @@ struct Flags {
     banked_dram: u32,
     threads: Option<usize>,
     runner_threads: usize,
-    sim_threads: u32,
-    assert_determinism: bool,
     weak: bool,
     addr: String,
     cache_dir: Option<String>,
@@ -234,8 +221,6 @@ fn parse(args: &[String]) -> Flags {
         banked_dram: 0,
         threads: None,
         runner_threads: 0,
-        sim_threads: 1,
-        assert_determinism: false,
         weak: false,
         addr: "127.0.0.1:8191".to_string(),
         cache_dir: None,
@@ -275,8 +260,6 @@ fn parse(args: &[String]) -> Flags {
             "--banked-dram" => f.banked_dram = flag_u32(&mut it, "--banked-dram"),
             "--threads" => f.threads = Some(flag_u32(&mut it, "--threads") as usize),
             "--runner-threads" => f.runner_threads = flag_u32(&mut it, "--runner-threads") as usize,
-            "--sim-threads" => f.sim_threads = flag_u32_min(&mut it, "--sim-threads", 1),
-            "--assert-determinism" => f.assert_determinism = true,
             "--weak" => f.weak = true,
             "--addr" => f.addr = flag_str(&mut it, "--addr", "HOST:PORT"),
             "--cache-dir" => f.cache_dir = Some(flag_str(&mut it, "--cache-dir", "a directory")),
@@ -354,35 +337,6 @@ fn parse(args: &[String]) -> Flags {
     f
 }
 
-/// The effective phase-B execution mode of a run on `cfg` (the
-/// simulated machine: `n_sms` is the system total), for the run summary.
-fn phase_b_mode(cfg: &GpuConfig) -> String {
-    let partitions = cfg.mem_partitions();
-    let s = if partitions == 1 { "" } else { "s" };
-    match cfg.effective_sim_threads() {
-        1 => format!("serial fallback ({partitions} partition{s})"),
-        threads => format!("owner-sharded ({partitions} partition{s}, {threads} threads)"),
-    }
-}
-
-/// Re-runs `wl` on the serial driver and asserts the sharded run's stats
-/// are bit-identical (the `--assert-determinism` test flag; panics — and
-/// thus exits non-zero — on divergence).
-fn check_determinism<W: WorkloadModel>(cfg: &GpuConfig, wl: &W, sharded: &SimStats)
-where
-    W::Stream: Send,
-{
-    let mut serial = cfg.clone();
-    serial.sim_threads = 1;
-    let base = Simulator::new(serial, wl).run();
-    base.assert_deterministic_eq(sharded);
-    println!(
-        "determinism: t{} bit-identical to t1 ({} cycles)",
-        cfg.effective_sim_threads(),
-        sharded.cycles
-    );
-}
-
 fn print_stats(label: &str, st: &SimStats) {
     println!("{label}:");
     println!("  cycles            {:>14}", st.cycles);
@@ -411,7 +365,6 @@ fn cmd_multigpu(f: &Flags) {
 
     let mut gpu = GpuConfig::paper_target(f.sms, f.scale);
     gpu.dram_banks_per_mc = f.banked_dram;
-    gpu.sim_threads = f.sim_threads;
     let cfg = SystemConfig {
         n_gpus: f.gpus,
         gpu,
@@ -487,7 +440,6 @@ fn cmd_multigpu(f: &Flags) {
         ),
         &report.stats,
     );
-    println!("  phase B           {}", phase_b_mode(&cfg.slot_config()));
     println!("  fabric transfers  {:>14}", report.fabric.transfers);
     println!("  fabric bytes      {:>14}", report.fabric.link_bytes);
     println!("  fabric queue cyc  {:>14.0}", report.fabric.queue_cycles);
@@ -496,17 +448,6 @@ fn cmd_multigpu(f: &Flags) {
         println!(
             "  gpu{g} busy         {:>13.1}%",
             busy as f64 / (report.stats.cycles.max(1) * slots) as f64 * 100.0
-        );
-    }
-    if f.assert_determinism {
-        let mut serial = cfg.clone();
-        serial.gpu.sim_threads = 1;
-        let base = SystemSim::new(serial, &tenants).run();
-        base.stats.assert_deterministic_eq(&report.stats);
-        println!(
-            "determinism: t{} bit-identical to t1 ({} cycles)",
-            cfg.slot_config().effective_sim_threads(),
-            report.stats.cycles
         );
     }
 }
@@ -751,13 +692,8 @@ fn main() {
             };
             let mut cfg = GpuConfig::paper_target(f.sms, f.scale);
             cfg.dram_banks_per_mc = f.banked_dram;
-            cfg.sim_threads = f.sim_threads;
-            let st = Simulator::new(cfg.clone(), &wl).run();
+            let st = Simulator::new(cfg, &wl).run();
             print_stats(&format!("{name} on {} SMs ({})", f.sms, f.scale), &st);
-            println!("  phase B           {}", phase_b_mode(&cfg));
-            if f.assert_determinism {
-                check_determinism(&cfg, &wl, &st);
-            }
         }
         "multigpu" => cmd_multigpu(&f),
         "sweep" => {
@@ -777,7 +713,6 @@ fn main() {
                 Box::new(move |_| bench.workload.clone())
             };
             let scale = f.scale;
-            let sim_threads = f.sim_threads;
             let sizes = [8u32, 16, 32, 64, 128];
             let runner = Runner::new(RunnerConfig {
                 threads: f.threads.unwrap_or(0),
@@ -791,8 +726,7 @@ fn main() {
                     .map(|&z| (format!("{name}@{z}sm"), z))
                     .collect(),
                 move |&sms: &u32| {
-                    let mut cfg = GpuConfig::paper_target(sms, scale);
-                    cfg.sim_threads = sim_threads;
+                    let cfg = GpuConfig::paper_target(sms, scale);
                     Simulator::new(cfg, &workload_for(sms)).run()
                 },
             );
@@ -841,12 +775,8 @@ fn main() {
                 exit(2)
             });
             let wl = bench.workload_for_chiplets(f.chiplets);
-            let mut mcm = ChipletConfig::paper_mcm(f.chiplets, f.scale);
-            mcm.chiplet.sim_threads = f.sim_threads;
-            let sim = Simulator::new_mcm(&mcm, &wl);
-            let mode = phase_b_mode(sim.config());
-            let threads = sim.config().effective_sim_threads();
-            let st = sim.run();
+            let mcm = ChipletConfig::paper_mcm(f.chiplets, f.scale);
+            let st = Simulator::new_mcm(&mcm, &wl).run();
             print_stats(
                 &format!(
                     "{name} on {} chiplets = {} SMs ({})",
@@ -856,17 +786,6 @@ fn main() {
                 ),
                 &st,
             );
-            println!("  phase B           {mode}");
-            if f.assert_determinism {
-                let mut serial = mcm.clone();
-                serial.chiplet.sim_threads = 1;
-                let base = Simulator::new_mcm(&serial, &wl).run();
-                base.assert_deterministic_eq(&st);
-                println!(
-                    "determinism: t{threads} bit-identical to t1 ({} cycles)",
-                    st.cycles
-                );
-            }
         }
         "mrc" => {
             let name = f.positional.first().unwrap_or_else(|| usage());
@@ -932,16 +851,11 @@ fn main() {
                 .unwrap_or_else(|e| trace_exit(&format!("bad trace {path}"), &e));
             let mut cfg = GpuConfig::paper_target(f.sms, f.scale);
             cfg.dram_banks_per_mc = f.banked_dram;
-            cfg.sim_threads = f.sim_threads;
-            let st = Simulator::new(cfg.clone(), &traced).run();
+            let st = Simulator::new(cfg, &traced).run();
             print_stats(
                 &format!("trace {} on {} SMs ({})", traced.name(), f.sms, f.scale),
                 &st,
             );
-            println!("  phase B           {}", phase_b_mode(&cfg));
-            if f.assert_determinism {
-                check_determinism(&cfg, &traced, &st);
-            }
         }
         "predict" => {
             use std::time::Instant;

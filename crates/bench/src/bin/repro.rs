@@ -4,8 +4,6 @@
 //! repro [OPTIONS] [SECTION ...]
 //!   --scale N          memory divisor for the miniature (default 8)
 //!   --threads N        sweep worker threads (0 = auto, the default)
-//!   --sim-threads N    threads *inside* each simulation (default 1;
-//!                      results are bit-identical for any value)
 //!   --metrics FILE     append JSONL sweep metrics to FILE
 //!   --inject-panic B   replace benchmark B's job with one that panics
 //!                      (failure-isolation demo; the sweep still completes)
@@ -66,13 +64,12 @@ const ALL_SECTIONS: [&str; 17] = [
     "sampling",
 ];
 
-const USAGE: &str = "usage: repro [--scale N] [--threads N] [--sim-threads N] \
+const USAGE: &str = "usage: repro [--scale N] [--threads N] \
                      [--metrics FILE] [--inject-panic BENCH] [SECTION ...]";
 
 struct Options {
     scale: MemScale,
     threads: usize,
-    sim_threads: u32,
     metrics: Option<String>,
     inject_panic: Option<String>,
     sections: BTreeSet<String>,
@@ -82,7 +79,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         scale: MemScale::default(),
         threads: 0,
-        sim_threads: 1,
         metrics: None,
         inject_panic: None,
         sections: BTreeSet::new(),
@@ -106,15 +102,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
                 opts.threads = v
                     .parse()
                     .map_err(|_| format!("--threads takes a thread count, got {v:?}"))?;
-            }
-            "--sim-threads" => {
-                let v = args.next().ok_or("--sim-threads requires a value")?;
-                opts.sim_threads = v
-                    .parse()
-                    .map_err(|_| format!("--sim-threads takes a thread count, got {v:?}"))?;
-                if opts.sim_threads == 0 {
-                    return Err("--sim-threads must be >= 1".into());
-                }
             }
             "--metrics" => {
                 opts.metrics = Some(args.next().ok_or("--metrics requires a file path")?);
@@ -192,15 +179,6 @@ fn main() -> ExitCode {
     };
     let scale = opts.scale;
     let want = |s: &str| opts.sections.contains(s);
-    eprintln!(
-        "[repro] phase B: {}, bit-exact",
-        if opts.sim_threads > 1 {
-            format!("owner-sharded over {} threads", opts.sim_threads)
-        } else {
-            "serial fallback (--sim-threads 1)".to_string()
-        }
-    );
-
     let mut runner = Runner::new(RunnerConfig {
         threads: opts.threads,
         ..RunnerConfig::default()
@@ -239,7 +217,7 @@ fn main() -> ExitCode {
             runner.threads()
         );
         let suite = strong_suite(scale);
-        let exp = StrongScalingExperiment::new(scale).with_sim_threads(opts.sim_threads);
+        let exp = StrongScalingExperiment::new(scale);
         let mut jobs = exp.jobs(&suite);
         if let Some(victim) = &opts.inject_panic {
             injected |= inject_panic(&mut jobs, victim);
@@ -278,7 +256,7 @@ fn main() -> ExitCode {
             runner.threads()
         );
         let suite = weak_suite(scale);
-        let exp = WeakScalingExperiment::new(scale).with_sim_threads(opts.sim_threads);
+        let exp = WeakScalingExperiment::new(scale);
         let mut jobs = exp.jobs(&suite);
         if let Some(victim) = &opts.inject_panic {
             injected |= inject_panic(&mut jobs, victim);
@@ -316,7 +294,7 @@ fn main() -> ExitCode {
             runner.threads()
         );
         let suite = weak_suite(scale);
-        let exp = McmExperiment::new(scale).with_sim_threads(opts.sim_threads);
+        let exp = McmExperiment::new(scale);
         let mut jobs = exp.jobs(&suite);
         if let Some(victim) = &opts.inject_panic {
             injected |= inject_panic(&mut jobs, victim);

@@ -41,18 +41,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            // Accepted for CLI uniformity with `gsim`/`repro`; this tool
-            // fits analytic models from already-measured numbers, so the
-            // value (validated like everywhere else) changes nothing.
-            "--sim-threads" => {
-                let n: u32 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--sim-threads takes an integer")?;
-                if n == 0 {
-                    return Err("--sim-threads must be >= 1".into());
-                }
-            }
             "--size" => {
                 size = args
                     .next()

@@ -144,22 +144,11 @@ pub fn fast_mode() -> bool {
 pub struct Record {
     /// The `group/name` benchmark id.
     pub name: String,
-    /// Median wall time of one iteration, in nanoseconds. `None` when
-    /// the run was oversubscribed: such timings measure scheduler
-    /// contention, not the simulator, and committing them would invite
-    /// meaningless diffs — the record keeps its identity fields but
-    /// refuses to carry a number.
-    pub median_ns: Option<u128>,
-    /// Intra-simulation threads the measured run used (1 = serial).
-    pub sim_threads: u32,
-    /// Whether the run asked for more simulation threads than the host
-    /// has logical CPUs — such timings measure scheduler contention,
-    /// not the simulator, and diffs against them are not meaningful.
-    /// `false` when the host size is unknown (`host_logical_cpus` 0).
-    pub oversubscribed: bool,
-    /// Wall-time speedup relative to this record's family `t1` run
-    /// (`median_t1 / median_tN`); `None` for records outside a
-    /// strong-scaling family or when either side is oversubscribed.
+    /// Median wall time of one iteration, in nanoseconds.
+    pub median_ns: u128,
+    /// Wall-time speedup relative to the first member of this record's
+    /// strong-scaling family (`median_first / median_this`); `None` for
+    /// records outside a family.
     pub speedup_vs_t1: Option<f64>,
     /// Simulated cycles per wall-clock second, for simulator benches
     /// (`None` for benches that do not run the timing simulator).
@@ -180,18 +169,12 @@ pub struct Record {
 ///   "fast_mode": false,
 ///   "host_logical_cpus": 8,
 ///   "records": [
-///     {"name": "g/t2", "median_ns": 12, "sim_threads": 2,
-///      "oversubscribed": false,
+///     {"name": "g/g4", "median_ns": 12,
 ///      "speedup_vs_t1": 1.8, "cycles_per_second": 3.1e6,
-///      "n_gpus": 1, "placement": null}
+///      "n_gpus": 4, "placement": "interleave"}
 ///   ]
 /// }
 /// ```
-///
-/// Oversubscribed records (thread ask beyond the host's CPUs) keep
-/// their identity fields but emit `median_ns`, `speedup_vs_t1` and
-/// `cycles_per_second` as `null`: a contended timing committed as a
-/// number would silently poison every later diff.
 ///
 /// `host_logical_cpus` records the machine the numbers came from —
 /// timings from hosts with different logical-CPU counts are not
@@ -216,40 +199,18 @@ impl JsonReport {
 
     /// Adds one result. `cycles` (the deterministic simulated-cycle count
     /// of one iteration) turns into a cycles-per-second rate.
-    pub fn record(
-        &mut self,
-        name: impl Into<String>,
-        median: Duration,
-        sim_threads: u32,
-        cycles: Option<u64>,
-    ) {
-        self.record_scaled(name, median, sim_threads, cycles, None);
+    pub fn record(&mut self, name: impl Into<String>, median: Duration, cycles: Option<u64>) {
+        self.push(name, median, cycles, None, 1, None);
     }
 
-    /// Adds one member of a strong-scaling family: past `t1` it carries
-    /// its speedup over the family's serial run. On an oversubscribed ask
-    /// the timing-derived fields are dropped to `null` — only the
-    /// record's identity is committed.
-    pub fn record_scaled(
-        &mut self,
-        name: impl Into<String>,
-        median: Duration,
-        sim_threads: u32,
-        cycles: Option<u64>,
-        speedup_vs_t1: Option<f64>,
-    ) {
-        self.push(name, median, sim_threads, cycles, speedup_vs_t1, 1, None);
-    }
-
-    /// Adds one multi-GPU system result: like [`JsonReport::record_scaled`]
-    /// but carrying the system shape (GPU count and placement policy) so
-    /// strong-scaling families over GPUs are diffable by identity.
-    #[allow(clippy::too_many_arguments)]
+    /// Adds one multi-GPU system result: like [`JsonReport::record`] but
+    /// carrying the system shape (GPU count and placement policy) so
+    /// strong-scaling families over GPUs are diffable by identity, and,
+    /// past the family's first member, its speedup over that member.
     pub fn record_multigpu(
         &mut self,
         name: impl Into<String>,
         median: Duration,
-        sim_threads: u32,
         n_gpus: u32,
         placement: &str,
         cycles: Option<u64>,
@@ -258,7 +219,6 @@ impl JsonReport {
         self.push(
             name,
             median,
-            sim_threads,
             cycles,
             speedup_vs_t1,
             n_gpus,
@@ -266,29 +226,21 @@ impl JsonReport {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn push(
         &mut self,
         name: impl Into<String>,
         median: Duration,
-        sim_threads: u32,
         cycles: Option<u64>,
         speedup_vs_t1: Option<f64>,
         n_gpus: u32,
         placement: Option<String>,
     ) {
         let secs = median.as_secs_f64();
-        let cpus = host_logical_cpus();
-        let oversubscribed = cpus > 0 && sim_threads as usize > cpus;
         self.records.push(Record {
             name: name.into(),
-            median_ns: (!oversubscribed).then_some(median.as_nanos()),
-            sim_threads,
-            oversubscribed,
-            speedup_vs_t1: speedup_vs_t1.filter(|s| s.is_finite() && !oversubscribed),
-            cycles_per_second: cycles
-                .filter(|_| secs > 0.0 && !oversubscribed)
-                .map(|c| c as f64 / secs),
+            median_ns: median.as_nanos(),
+            speedup_vs_t1: speedup_vs_t1.filter(|s| s.is_finite()),
+            cycles_per_second: cycles.filter(|_| secs > 0.0).map(|c| c as f64 / secs),
             n_gpus,
             placement,
         });
@@ -309,14 +261,11 @@ impl JsonReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\n    {{\"name\": {}, \"median_ns\": {}, \"sim_threads\": {}, \
-                 \"oversubscribed\": {}, \
+                "\n    {{\"name\": {}, \"median_ns\": {}, \
                  \"speedup_vs_t1\": {}, \"cycles_per_second\": {}, \
                  \"n_gpus\": {}, \"placement\": {}}}",
                 gsim_json::json_string(&r.name),
-                r.median_ns.map_or_else(|| "null".into(), |n| n.to_string()),
-                r.sim_threads,
-                r.oversubscribed,
+                r.median_ns,
                 match r.speedup_vs_t1 {
                     Some(s) if s.is_finite() => format!("{s:.3}"),
                     _ => "null".into(),
@@ -391,9 +340,9 @@ mod tests {
     #[test]
     fn json_report_renders_schema() {
         let mut rep = JsonReport::for_target("test");
-        rep.record("g/serial", Duration::from_micros(3), 1, Some(6_000));
-        rep.record("g/\"odd\"", Duration::from_nanos(0), 1, Some(1));
-        rep.record("g/no_sim", Duration::from_millis(1), 1, None);
+        rep.record("g/serial", Duration::from_micros(3), Some(6_000));
+        rep.record("g/\"odd\"", Duration::from_nanos(0), Some(1));
+        rep.record("g/no_sim", Duration::from_millis(1), None);
         let json = rep.render();
         assert!(json.contains("\"schema\": \"gsim-tinybench-v1\""));
         // The whole document is valid JSON and records the host size.
@@ -402,8 +351,7 @@ mod tests {
         assert_eq!(cpus, host_logical_cpus() as u64);
         // 6000 cycles in 3 us = 2e9 cycles/sec.
         assert!(json.contains("\"cycles_per_second\": 2000000000.0"));
-        // Every record says whether its thread ask fit the host, and
-        // carries the full identity even through the legacy entry point.
+        // Records outside a scaling family carry no speedup.
         for (i, rec) in doc
             .get("records")
             .and_then(gsim_json::Json::as_arr)
@@ -411,23 +359,15 @@ mod tests {
             .iter()
             .enumerate()
         {
-            let threads = rec.get("sim_threads").unwrap().as_u64().unwrap();
-            let expected = cpus > 0 && threads > cpus;
-            assert_eq!(
-                rec.get("oversubscribed").unwrap().as_bool(),
-                Some(expected),
-                "record {i}"
-            );
             assert!(
                 matches!(rec.get("speedup_vs_t1"), Some(Json::Null)),
-                "record {i}: legacy entry point has no scaling family"
+                "record {i}"
             );
         }
-        // Serial asks never oversubscribe, so the medians are committed.
-        assert!(json.contains("\"median_ns\": 3000, \"sim_threads\": 1,"));
+        assert!(json.contains("\"median_ns\": 3000,"));
         // Zero-duration medians cannot produce a rate.
         assert!(json.contains("\\\"odd\\\""));
-        assert!(json.contains("\"median_ns\": 0, \"sim_threads\": 1,"));
+        assert!(json.contains("\"median_ns\": 0,"));
         assert!(json.matches("\"cycles_per_second\": null").count() >= 1);
         // Non-simulator benches carry no rate either.
         assert!(json.contains("\"name\": \"g/no_sim\""));
@@ -435,22 +375,12 @@ mod tests {
     }
 
     #[test]
-    fn scaled_records_carry_their_speedup() {
-        let mut rep = JsonReport::for_target("test");
-        rep.record_scaled("g/t2", Duration::from_micros(2), 1, Some(4_000), Some(1.5));
-        let json = rep.render();
-        assert!(json.contains("\"speedup_vs_t1\": 1.500,"));
-        assert!(json.contains("\"cycles_per_second\": 2000000000.0"));
-    }
-
-    #[test]
     fn multigpu_records_carry_the_system_shape() {
         let mut rep = JsonReport::for_target("test");
-        rep.record("g/single", Duration::from_micros(3), 1, Some(6_000));
+        rep.record("g/single", Duration::from_micros(3), Some(6_000));
         rep.record_multigpu(
             "g/g4",
             Duration::from_micros(4),
-            1,
             4,
             "interleave",
             Some(8_000),
@@ -472,41 +402,6 @@ mod tests {
             Some("interleave")
         );
         assert!(json.contains("\"speedup_vs_t1\": 2.500,"));
-    }
-
-    #[test]
-    fn oversubscribed_records_refuse_to_commit_timings() {
-        let cpus = host_logical_cpus();
-        if cpus == 0 {
-            return; // Host size unknown: oversubscription undetectable.
-        }
-        let threads = u32::try_from(cpus).unwrap_or(u32::MAX).saturating_add(1);
-        let mut rep = JsonReport::for_target("test");
-        rep.record_scaled(
-            "g/overloaded",
-            Duration::from_micros(5),
-            threads,
-            Some(9_000),
-            Some(0.4),
-        );
-        let json = rep.render();
-        let doc = gsim_json::parse(&json).expect("report is valid JSON");
-        let rec = &doc
-            .get("records")
-            .and_then(gsim_json::Json::as_arr)
-            .unwrap()[0];
-        assert_eq!(rec.get("oversubscribed").unwrap().as_bool(), Some(true));
-        // Identity survives; every timing-derived field is null.
-        assert_eq!(
-            rec.get("sim_threads").unwrap().as_u64(),
-            Some(u64::from(threads))
-        );
-        for field in ["median_ns", "speedup_vs_t1", "cycles_per_second"] {
-            assert!(
-                matches!(rec.get(field), Some(Json::Null)),
-                "{field} must be null when oversubscribed"
-            );
-        }
     }
 
     #[test]

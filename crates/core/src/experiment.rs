@@ -175,7 +175,6 @@ pub struct StrongScalingExperiment {
     scale: MemScale,
     sizes: Vec<u32>,
     model_sizes: (u32, u32),
-    sim_threads: u32,
 }
 
 impl StrongScalingExperiment {
@@ -185,18 +184,7 @@ impl StrongScalingExperiment {
             scale,
             sizes: vec![8, 16, 32, 64, 128],
             model_sizes: (8, 16),
-            sim_threads: 1,
         }
-    }
-
-    /// Shards each simulation's per-SM phase over `sim_threads` threads
-    /// (`GpuConfig::sim_threads`); results are bit-identical either way.
-    /// Composes with sweep-level parallelism: a sweep of small configs
-    /// keeps one simulation per core, a single big run fans out inside.
-    #[must_use]
-    pub fn with_sim_threads(mut self, sim_threads: u32) -> Self {
-        self.sim_threads = sim_threads.max(1);
-        self
     }
 
     /// Uses different scale-model sizes (the artifact appendix evaluates
@@ -229,11 +217,7 @@ impl StrongScalingExperiment {
         let configs: Vec<GpuConfig> = self
             .sizes
             .iter()
-            .map(|&s| {
-                let mut cfg = GpuConfig::paper_target(s, self.scale);
-                cfg.sim_threads = self.sim_threads;
-                cfg
-            })
+            .map(|&s| GpuConfig::paper_target(s, self.scale))
             .collect();
         // Detailed simulation of every size (targets are the ground truth;
         // scale models are the predictor inputs).
@@ -319,24 +303,12 @@ pub struct WeakOutcome {
 #[derive(Debug, Clone)]
 pub struct WeakScalingExperiment {
     scale: MemScale,
-    sim_threads: u32,
 }
 
 impl WeakScalingExperiment {
     /// The paper's setup (8/16-SM scale models, 32/64/128-SM targets).
     pub fn new(scale: MemScale) -> Self {
-        Self {
-            scale,
-            sim_threads: 1,
-        }
-    }
-
-    /// Shards each simulation's per-SM phase over `sim_threads` threads
-    /// (`GpuConfig::sim_threads`); results are bit-identical either way.
-    #[must_use]
-    pub fn with_sim_threads(mut self, sim_threads: u32) -> Self {
-        self.sim_threads = sim_threads.max(1);
-        self
+        Self { scale }
     }
 
     /// Runs the pipeline for one weak-scalable benchmark.
@@ -350,8 +322,7 @@ impl WeakScalingExperiment {
             .iter()
             .map(|&s| {
                 let wl = bench.workload_for_sms(s);
-                let mut cfg = GpuConfig::paper_target(s, self.scale);
-                cfg.sim_threads = self.sim_threads;
+                let cfg = GpuConfig::paper_target(s, self.scale);
                 measure(&Simulator::new(cfg, &wl).run(), s)
             })
             .collect();
@@ -391,7 +362,6 @@ impl WeakScalingExperiment {
 pub struct McmExperiment {
     scale: MemScale,
     chiplet_counts: [u32; 3],
-    sim_threads: u32,
 }
 
 impl McmExperiment {
@@ -400,16 +370,7 @@ impl McmExperiment {
         Self {
             scale,
             chiplet_counts: [4, 8, 16],
-            sim_threads: 1,
         }
-    }
-
-    /// Shards each simulation's per-SM phase over `sim_threads` threads
-    /// (`GpuConfig::sim_threads`); results are bit-identical either way.
-    #[must_use]
-    pub fn with_sim_threads(mut self, sim_threads: u32) -> Self {
-        self.sim_threads = sim_threads.max(1);
-        self
     }
 
     /// Runs the pipeline for one benchmark; returns `None` if the
@@ -427,8 +388,7 @@ impl McmExperiment {
             .iter()
             .map(|&c| {
                 let wl = bench.workload_for_chiplets(c);
-                let mut mcm = ChipletConfig::paper_mcm(c, self.scale);
-                mcm.chiplet.sim_threads = self.sim_threads;
+                let mcm = ChipletConfig::paper_mcm(c, self.scale);
                 measure(&Simulator::new_mcm(&mcm, &wl).run(), c)
             })
             .collect();

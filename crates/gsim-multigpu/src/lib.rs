@@ -19,10 +19,10 @@
 //!   counts forecast larger systems, ground-truthed by actual runs.
 //!
 //! Determinism contract: [`SystemSim::run`] produces aggregate
-//! [`gsim_sim::SimStats`] that are bit-identical across
-//! `GpuConfig::sim_threads`, because per-kernel simulations are
-//! thread-invariant (the engine contract of DESIGN.md §10/§15) and every
-//! system-level step is host-thread-free arithmetic in a fixed order.
+//! [`gsim_sim::SimStats`] that are bit-identical from run to run, because
+//! per-kernel simulations are deterministic (the engine contract of
+//! DESIGN.md §10) and every system-level step is arithmetic in a fixed
+//! order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -68,7 +68,7 @@ pub struct KernelSpan {
 /// determinism contract, plus system-level detail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemReport {
-    /// Aggregate statistics. Bit-identical across `sim_threads` — see
+    /// Aggregate statistics. Bit-identical from run to run — see
     /// [`SimStats::assert_deterministic_eq`].
     pub stats: SimStats,
     /// Inter-GPU fabric statistics.
@@ -91,9 +91,9 @@ pub struct SystemReport {
 /// DRAM traffic crosses the fabric, and the kernel completes when both
 /// its compute and its remote transfers have finished.
 ///
-/// Every step is host-thread-free arithmetic over per-kernel simulations
-/// that are themselves `sim_threads`-invariant, so the aggregate
-/// [`SimStats`] inherit the engine's determinism contract by construction.
+/// Every step is fixed-order arithmetic over per-kernel simulations that
+/// are themselves deterministic, so the aggregate [`SimStats`] inherit the
+/// engine's determinism contract by construction.
 #[derive(Debug, Clone)]
 pub struct SystemSim<'a> {
     cfg: SystemConfig,

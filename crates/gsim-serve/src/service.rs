@@ -1926,7 +1926,7 @@ fn encode_config(c: &GpuConfig) -> String {
         dram_latency,
         llc_policy,
         dram_banks_per_mc,
-        sim_threads: _, // host execution knob: results are identical
+        sim_threads: _, // inert field (GpuConfig docs): never part of the key
         mem_scale,
     } = c;
     format!(
@@ -2302,7 +2302,7 @@ mod tests {
         let b = encode_config(&GpuConfig::paper_target(8, MemScale::new(16)));
         assert_ne!(a, b);
         assert!(a.contains("n_sms=8"));
-        // sim_threads must NOT affect the address (results are identical).
+        // The inert thread-count field must NOT affect the address.
         let mut cfg = GpuConfig::paper_target(8, MemScale::default());
         cfg.sim_threads = 7;
         assert_eq!(a, encode_config(&cfg));

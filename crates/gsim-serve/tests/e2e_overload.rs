@@ -12,15 +12,19 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gsim_serve::{PredictService, ServeConfig, Server, ServerConfig, ShutdownFlag};
 
-/// Heavy enough to hold its admission slot while the test probes the
-/// gate, light enough to finish in a few seconds. Pinned to the full
-/// path: these tests are about timing-simulation saturation, which the
-/// functional-first fast path would sidestep.
-const SLOW_BODY: &str = r#"{"pattern": {"kind": "global_sweep", "footprint_mb": 8.0, "passes": 4}, "target_sms": 64, "path": "full"}"#;
+/// A predict of `passes` sweeps over 8 MB, pinned to the full path:
+/// these tests are about timing-simulation saturation, which the
+/// functional-first fast path would sidestep. Its cost grows with
+/// `passes`; 4 is a few seconds in a debug build.
+fn slow_body(passes: u32) -> String {
+    format!(
+        r#"{{"pattern": {{"kind": "global_sweep", "footprint_mb": 8.0, "passes": {passes}}}, "target_sms": 64, "path": "full"}}"#
+    )
+}
 
 struct RunningServer {
     addr: SocketAddr,
@@ -131,16 +135,37 @@ fn metric(doc: &gsim_json::Json, group: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("missing metric {group}.{name} in {}", doc.render()))
 }
 
-/// Polls `/metrics` until `f` observes what it wants or ~5s elapse.
-fn wait_for(addr: SocketAddr, what: &str, f: impl Fn(&gsim_json::Json) -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        if f(&metrics(addr)) {
-            return;
+/// Runs `probe` while a slow predict occupies the service, and returns
+/// what it returned. "Occupies" is `occupied` holding on `/metrics` both
+/// right before and right after the probe; the slow predict raises and
+/// drops the watched gauge once each, so it held throughout. How long a
+/// predict must be to outlast the probe depends on the build profile and
+/// the host, so nothing is assumed: a predict that finished too early is
+/// followed by one four times longer (a different body, so never a cache
+/// hit), and its probe's result is dropped. `probe` gets the attempt
+/// number, to give its own workloads distinct content across attempts
+/// (an earlier probe that ran in full has staged its observations).
+fn while_occupied<T>(
+    addr: SocketAddr,
+    occupied: impl Fn(&gsim_json::Json) -> bool,
+    probe: impl Fn(u32) -> T,
+) -> T {
+    for attempt in 0..10 {
+        let body = slow_body(4 << (2 * attempt));
+        let slow = std::thread::spawn(move || request(addr, "POST", "/v1/predict", &body));
+        while !slow.is_finished() && !occupied(&metrics(addr)) {
+            std::thread::sleep(Duration::from_millis(2));
         }
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
+        let out = probe(attempt);
+        let held = occupied(&metrics(addr));
+        // The admitted predict is unharmed by whatever the probe did.
+        let (status, _, _) = slow.join().expect("slow predict thread");
+        assert_eq!(status, 200, "the admitted predict must still succeed");
+        if held {
+            return out;
+        }
     }
+    panic!("no slow predict outlasted the probe");
 }
 
 fn inflight_heavy(doc: &gsim_json::Json) -> u64 {
@@ -160,23 +185,29 @@ fn over_budget_predicts_shed_with_429_and_retry_after() {
     });
     let addr = server.addr;
 
-    // Occupy the single predict slot with a slow computation.
-    let slow = std::thread::spawn(move || request(addr, "POST", "/v1/predict", SLOW_BODY));
-    wait_for(addr, "the slow predict to be admitted", |m| {
-        inflight_heavy(m) >= 1
-    });
-
-    // Everything else bounces immediately — distinct bodies so none of
+    // While a slow computation occupies the single predict slot,
+    // everything else bounces immediately — distinct bodies so none of
     // them could coalesce onto the in-flight leader even in principle.
+    let (shed_before, responses) = while_occupied(
+        addr,
+        |m| inflight_heavy(m) >= 1,
+        |_| {
+            let before = metric(&metrics(addr), "overload", "shed_heavy");
+            let responses: Vec<_> = (1..=3)
+                .map(|i| {
+                    let body = format!(
+                        r#"{{"pattern": {{"kind": "streaming", "footprint_mb": {i}.0}}, "target_sms": 64}}"#
+                    );
+                    request(addr, "POST", "/v1/predict", &body)
+                })
+                .collect();
+            (before, responses)
+        },
+    );
     let mut shed = 0;
-    for i in 0..3 {
-        let body = format!(
-            r#"{{"pattern": {{"kind": "streaming", "footprint_mb": {}.0}}, "target_sms": 64}}"#,
-            i + 1
-        );
-        let (status, headers, _) = request(addr, "POST", "/v1/predict", &body);
-        assert_eq!(status, 429, "over-budget predict must shed, not queue");
-        let retry_after = header(&headers, "retry-after")
+    for (status, headers, _) in &responses {
+        assert_eq!(*status, 429, "over-budget predict must shed, not queue");
+        let retry_after = header(headers, "retry-after")
             .unwrap_or_else(|| panic!("429 without Retry-After: {headers:?}"));
         let secs: u64 = retry_after
             .parse()
@@ -185,13 +216,9 @@ fn over_budget_predicts_shed_with_429_and_retry_after() {
         shed += 1;
     }
 
-    // The admitted predict is unharmed by the shedding around it.
-    let (status, _, _) = slow.join().expect("slow predict thread");
-    assert_eq!(status, 200, "the admitted predict must still succeed");
-
     let m = metrics(addr);
     assert_eq!(
-        metric(&m, "overload", "shed_heavy"),
+        metric(&m, "overload", "shed_heavy") - shed_before,
         shed,
         "shed counter must match the rejected requests: {}",
         m.render()
@@ -213,7 +240,7 @@ fn deadline_header_cuts_predicts_off_with_504() {
         "POST",
         "/v1/predict",
         &[("X-Gsim-Deadline-Ms", "1")],
-        SLOW_BODY,
+        &slow_body(4),
     );
     assert_eq!(
         status,
@@ -234,7 +261,7 @@ fn deadline_header_cuts_predicts_off_with_504() {
         "POST",
         "/v1/predict",
         &[("X-Gsim-Deadline-Ms", "soon")],
-        SLOW_BODY,
+        &slow_body(4),
     );
     assert_eq!(status, 400);
     server.stop();
@@ -250,19 +277,27 @@ fn saturated_pool_degrades_to_mrc_only_and_never_caches_it() {
     });
     let addr = server.addr;
 
-    let slow = std::thread::spawn(move || request(addr, "POST", "/v1/predict", SLOW_BODY));
-    wait_for(addr, "the slow predict to occupy the pool", |m| {
-        m.get("sims_inflight")
-            .and_then(gsim_json::Json::as_u64)
-            .unwrap_or(0)
-            >= 1
-    });
-
     // An MRC-capable full-path predict sent into the saturated pool
     // degrades. (An `auto` request would sidestep saturation entirely
     // via the fast path — see e2e_fastpath.rs.)
-    let body = r#"{"pattern": {"kind": "streaming", "footprint_mb": 2.0}, "target_sms": 64, "path": "full"}"#;
-    let (status, _, resp) = request(addr, "POST", "/v1/predict", body);
+    let (degraded_before, body, (status, _, resp)) = while_occupied(
+        addr,
+        |m| {
+            m.get("sims_inflight")
+                .and_then(gsim_json::Json::as_u64)
+                .unwrap_or(0)
+                >= 1
+        },
+        |attempt| {
+            let before = metric(&metrics(addr), "predict", "degraded");
+            let body = format!(
+                r#"{{"pattern": {{"kind": "streaming", "footprint_mb": 2.0, "compute_per_mem": {}.0}}, "target_sms": 64, "path": "full"}}"#,
+                attempt + 2
+            );
+            let response = request(addr, "POST", "/v1/predict", &body);
+            (before, body, response)
+        },
+    );
     assert_eq!(status, 200);
     let text = std::str::from_utf8(&resp).expect("utf8 body");
     assert!(text.contains("\"degraded\":true"), "{text}");
@@ -275,12 +310,9 @@ fn saturated_pool_degrades_to_mrc_only_and_never_caches_it() {
         "a degraded body must not fabricate predictions: {text}"
     );
 
-    let (status, _, _) = slow.join().expect("slow predict thread");
-    assert_eq!(status, 200);
-
     // The degraded body was never result-cached: once the pool is calm,
     // the same request computes the full answer (a miss, not a hit).
-    let (status, headers, resp) = request(addr, "POST", "/v1/predict", body);
+    let (status, headers, resp) = request(addr, "POST", "/v1/predict", &body);
     assert_eq!(status, 200);
     assert_eq!(
         header(&headers, "x-gsim-cache"),
@@ -292,7 +324,12 @@ fn saturated_pool_degrades_to_mrc_only_and_never_caches_it() {
     assert!(!text.contains("\"degraded\":true"), "{text}");
 
     let m = metrics(addr);
-    assert_eq!(metric(&m, "predict", "degraded"), 1, "{}", m.render());
+    assert_eq!(
+        metric(&m, "predict", "degraded") - degraded_before,
+        1,
+        "{}",
+        m.render()
+    );
     server.stop();
 }
 

@@ -61,10 +61,11 @@ pub struct GpuConfig {
     /// 0 (the default) selects the flat bandwidth model the paper-level
     /// studies use.
     pub dram_banks_per_mc: u32,
-    /// Worker threads the engine shards SMs across *within* one
-    /// simulation (DESIGN.md §10). Purely a host-side execution knob:
-    /// simulation results are bit-identical for any value. `0` and `1`
-    /// both select the serial path.
+    /// Accepted and ignored: the engine is single-threaded (DESIGN.md
+    /// §10), and independent simulations run side by side on
+    /// `gsim-runner` instead. The field stays only because the frozen
+    /// `benchmark/src/sim.rs` assigns it; retire it with the next
+    /// benchmark PR.
     pub sim_threads: u32,
     /// The memory miniature this config was built with.
     pub mem_scale: MemScale,
@@ -159,12 +160,6 @@ impl GpuConfig {
         by_threads.min(by_warps).max(1)
     }
 
-    /// The execution contexts a run actually uses: `sim_threads` clamped
-    /// to `1..=n_sms` (an SM shard cannot be empty).
-    pub fn effective_sim_threads(&self) -> u32 {
-        self.sim_threads.clamp(1, self.n_sms.max(1))
-    }
-
     /// The scale factor of this config relative to `other`, i.e.
     /// `self.n_sms / other.n_sms` as used in Equations (1)–(4).
     pub fn relative_scale(&self, other: &GpuConfig) -> f64 {
@@ -250,6 +245,24 @@ mod tests {
         let s16 = GpuConfig::paper_target(16, scale);
         assert_eq!(s16.relative_scale(&s8), 2.0);
         assert_eq!(s8.relative_scale(&s16), 0.5);
+    }
+
+    #[test]
+    fn sim_threads_is_inert() {
+        // benchmark/src/sim.rs still assigns the field (1 for its timed
+        // runs, 2 for its twin check); any value must give the same run.
+        use gsim_trace::{Kernel, PatternKind, PatternSpec, Workload};
+        let spec =
+            PatternSpec::new(PatternKind::GlobalSweep { passes: 1 }, 10_000).compute_per_mem(1.5);
+        let wl = Workload::new("t", 9, vec![Kernel::new("k", 24, 256, spec)]);
+        let run = |sim_threads| {
+            let cfg = GpuConfig {
+                sim_threads,
+                ..GpuConfig::paper_target(8, MemScale::default())
+            };
+            crate::Simulator::new(cfg, &wl).run()
+        };
+        run(1).assert_deterministic_eq(&run(7));
     }
 
     #[test]

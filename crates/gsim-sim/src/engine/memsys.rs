@@ -1,22 +1,17 @@
-//! The owner-sharded memory system of a chip(let) and the request path
-//! into it.
+//! The owner-partitioned memory system of a chip(let) and the request
+//! path into it.
 //!
 //! The shared memory system of every chip(let) is divided into
 //! `min(8, llc_slices, n_mcs)` fixed *partitions* ([`MemShard`]),
 //! each owning a slice group (global slice `g` belongs to partition
 //! `g % K`), the memory controllers interleaved onto it, its own in-flight
 //! fill tracker and a proportional share of the crossbar bisection — the
-//! memory-partition structure of real GPUs, and the unit of ownership the
-//! parallel apply phase hands to worker threads (DESIGN.md §15).
+//! memory-partition structure of real GPUs (DESIGN.md §10). The split is
+//! part of the simulated machine, not of how the host runs it.
 //!
-//! A request is *routed* serially (deterministic first-touch page
-//! placement and mailbox order), *applied* partition-parallel (each shard
-//! replays its mailbox against purely shard-local state), and *merged*
-//! serially in global (cycle, SM, request) order (MSHR registration, warp
-//! wake-ups and the inter-chiplet legs, which touch cross-partition
-//! state). Because mailbox order is fixed by the serial route pass and
-//! every shard owns disjoint state, the results are bit-identical for any
-//! thread count.
+//! The engine's flush resolves a cycle's requests one at a time in global
+//! (SM, request) order; each goes to its owner partition's
+//! [`MemShard::apply_one`], which touches only that partition's state.
 
 use gsim_mem::{slice_for_line, BankedDramModel, DramModel, DramTiming, FillTracker, SlicedLlc};
 use gsim_noc::Crossbar;
@@ -42,15 +37,14 @@ const BISECTION_FRACTION: f64 = 0.25;
 const ATOMIC_BYTES: u32 = 32;
 
 /// Most owner partitions a chip(let)'s memory system divides into. Part of
-/// the *simulated* machine — it fixes the line-to-partition interleaving
-/// and each partition's crossbar share — so it never varies with the host
-/// thread count.
+/// the *simulated* machine: it fixes the line-to-partition interleaving
+/// and each partition's crossbar share.
 const MEM_SHARDS: u32 = 8;
 
 impl GpuConfig {
     /// Owner partitions per chip(let): `min(8, llc_slices, n_mcs)`, each
     /// owning a slice group, its memory controllers and a proportional
-    /// share of the crossbar bisection (DESIGN.md §15). Small scale
+    /// share of the crossbar bisection (DESIGN.md §10). Small scale
     /// models (one MC) collapse to a single partition.
     pub fn mem_partitions(&self) -> u32 {
         MEM_SHARDS.min(self.llc_slices).min(self.n_mcs)
@@ -89,7 +83,7 @@ impl Dram {
 }
 
 /// The fixed partitioning of a chip(let)'s memory system into owner
-/// shards. Identical for every chiplet of an MCM (they share one
+/// partitions. Identical for every chiplet of an MCM (they share one
 /// per-chiplet configuration); global shard id = `chiplet * per_chiplet
 /// + sub_shard`.
 #[derive(Debug, Clone, Copy)]
@@ -118,32 +112,18 @@ impl ShardMap {
     }
 }
 
-/// One staged request in a shard's mailbox. `t0` is the cycle the request
-/// enters the memory system (the `now` of the historical `mem_request`).
-pub(super) struct MailEntry {
-    pub t0: u64,
-    pub line: u64,
-    pub local_slice: u32,
-    pub kind: ReqKind,
-    /// Requester chiplet differs from the owner chiplet (MCM remote).
-    pub remote: bool,
-}
-
-/// A shard's answer for one mailbox entry. `local_done` is the response
-/// arrival over the shard's crossbar share; `data_at_llc` is when the
-/// data left the LLC (the departure time of the inter-chiplet leg, which
-/// the serial merge charges for remote entries).
+/// A partition's answer for one request. `local_done` is the response
+/// arrival over the partition's crossbar share; `data_at_llc` is when the
+/// data left the LLC (the departure time of the inter-chiplet leg the
+/// flush charges for a remote requester).
 #[derive(Debug, Clone, Copy)]
 pub(super) struct ApplyOut {
     pub local_done: f64,
     pub data_at_llc: f64,
     pub payload: u32,
-    pub t0: u64,
-    pub remote: bool,
 }
 
-/// The configuration slice the partition-parallel apply needs; `Copy` so
-/// worker threads can share one instance.
+/// The configuration slice [`MemShard::apply_one`] needs.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct ApplyParams {
     pub llc_latency: f64,
@@ -153,9 +133,7 @@ pub(super) struct ApplyParams {
 
 /// One memory partition: a slice group of the LLC, the memory controllers
 /// interleaved onto it, a proportional share of the crossbar bisection,
-/// and its own in-flight fill tracker. Everything here is owned by
-/// exactly one shard, so the apply phase touches it without locks held by
-/// anyone else.
+/// and its own in-flight fill tracker.
 pub(super) struct MemShard {
     pub noc: Crossbar,
     pub llc: SlicedLlc,
@@ -167,11 +145,6 @@ pub(super) struct MemShard {
     pub llc_accesses: u64,
     pub llc_misses: u64,
     pub dram_bytes: u64,
-    /// Requests staged by the serial route pass, in global
-    /// (cycle, SM, request) order restricted to this shard.
-    pub mailbox: Vec<MailEntry>,
-    /// Per-entry answers, parallel to the mailbox of the last apply.
-    pub results: Vec<ApplyOut>,
 }
 
 impl MemShard {
@@ -223,89 +196,73 @@ impl MemShard {
             llc_accesses: 0,
             llc_misses: 0,
             dram_bytes: 0,
-            mailbox: Vec::new(),
-            results: Vec::new(),
         }
     }
 
-    /// Replays the mailbox against this shard's state, in mailbox order
-    /// (= global request order restricted to this shard), filling
-    /// `results` one entry per request. Touches only shard-local state,
-    /// so disjoint shards apply in parallel with bit-identical outcomes.
-    pub(super) fn apply(&mut self, p: &ApplyParams) {
-        self.results.clear();
-        let hop = f64::from(self.noc.hop_latency());
-        for e in &self.mailbox {
-            // Request travel: crossbar hop (+ chiplet crossing if remote).
-            let mut t = e.t0 as f64 + hop;
-            if e.remote {
-                t += p.crossing_latency;
+    /// Serves one request against this partition's state. `t0` is the
+    /// cycle the request enters the memory system; `remote` says the
+    /// requester sits on another chiplet than the owner (MCM).
+    #[inline]
+    pub(super) fn apply_one(
+        &mut self,
+        p: &ApplyParams,
+        t0: u64,
+        line: u64,
+        local_slice: u32,
+        kind: ReqKind,
+        remote: bool,
+    ) -> ApplyOut {
+        // Request travel: crossbar hop (+ chiplet crossing if remote).
+        let mut t = t0 as f64 + f64::from(self.noc.hop_latency());
+        if remote {
+            t += p.crossing_latency;
+        }
+        // Slice port (camping point).
+        let occupancy = if kind == ReqKind::Atomic {
+            ATOMIC_OCCUPANCY
+        } else {
+            SLICE_OCCUPANCY
+        };
+        let start = self.slice_free[local_slice as usize].max(t);
+        self.slice_free[local_slice as usize] = start + occupancy;
+        let tag_done = start + p.llc_latency;
+
+        // Tag lookup; eager fill with an in-flight merge map for timing.
+        let is_write = kind == ReqKind::Store;
+        let result = self.llc.access_in_slice(local_slice, line, is_write);
+        self.llc_accesses += 1;
+        let data_at_llc = if result.is_hit() {
+            match self.pending.fill_after(line, t0) {
+                Some(fill) => fill as f64,
+                None => tag_done,
             }
-            // Slice port (camping point).
-            let occupancy = if e.kind == ReqKind::Atomic {
-                ATOMIC_OCCUPANCY
-            } else {
-                SLICE_OCCUPANCY
-            };
-            let start = self.slice_free[e.local_slice as usize].max(t);
-            self.slice_free[e.local_slice as usize] = start + occupancy;
-            let tag_done = start + p.llc_latency;
-
-            // Tag lookup; eager fill with an in-flight merge map for
-            // timing.
-            let is_write = e.kind == ReqKind::Store;
-            let result = self.llc.access_in_slice(e.local_slice, e.line, is_write);
-            self.llc_accesses += 1;
-            let data_at_llc = if result.is_hit() {
-                match self.pending.fill_after(e.line, e.t0) {
-                    Some(fill) => fill as f64,
-                    None => tag_done,
+        } else {
+            self.llc_misses += 1;
+            if let Some(victim) = result.evicted() {
+                if victim.dirty {
+                    self.dram
+                        .write_back(tag_done as u64, victim.line_addr, p.line_bytes);
+                    self.dram_bytes += u64::from(p.line_bytes);
                 }
-            } else {
-                self.llc_misses += 1;
-                if let Some(victim) = result.evicted() {
-                    if victim.dirty {
-                        self.dram
-                            .write_back(tag_done as u64, victim.line_addr, p.line_bytes);
-                        self.dram_bytes += u64::from(p.line_bytes);
-                    }
-                }
-                let fill = self.dram.read(tag_done as u64, e.line, p.line_bytes);
-                self.dram_bytes += u64::from(p.line_bytes);
-                self.pending.insert(e.line, fill, e.t0);
-                fill as f64
-            };
+            }
+            let fill = self.dram.read(tag_done as u64, line, p.line_bytes);
+            self.dram_bytes += u64::from(p.line_bytes);
+            self.pending.insert(line, fill, t0);
+            fill as f64
+        };
 
-            // Response travel over this shard's bisection share.
-            let payload = if e.kind == ReqKind::Atomic {
-                ATOMIC_BYTES
-            } else {
-                p.line_bytes
-            };
-            let eff = ((f64::from(payload) * BISECTION_FRACTION) as u32).max(1);
-            let local_done = self.noc.traverse(data_at_llc, eff);
-            self.results.push(ApplyOut {
-                local_done,
-                data_at_llc,
-                payload,
-                t0: e.t0,
-                remote: e.remote,
-            });
+        // Response travel over this partition's bisection share.
+        let payload = if kind == ReqKind::Atomic {
+            ATOMIC_BYTES
+        } else {
+            p.line_bytes
+        };
+        let eff = ((f64::from(payload) * BISECTION_FRACTION) as u32).max(1);
+        ApplyOut {
+            local_done: self.noc.traverse(data_at_llc, eff),
+            data_at_llc,
+            payload,
         }
-        self.mailbox.clear();
-    }
-}
-
-/// Mutable access to every memory shard by global id, whether the shards
-/// live in one `Vec` (serial) or behind per-worker mutex guards
-/// (parallel).
-pub(super) trait ShardSet {
-    fn shard_mut(&mut self, id: usize) -> &mut MemShard;
-}
-
-impl ShardSet for Vec<MemShard> {
-    fn shard_mut(&mut self, id: usize) -> &mut MemShard {
-        &mut self[id]
     }
 }
 

@@ -2,32 +2,28 @@
 //!
 //! One engine serves both monolithic GPUs and multi-chiplet (MCM) GPUs: a
 //! monolithic GPU is a single chip(let) whose memory system is divided
-//! into owner-sharded partitions (slice groups + their memory
-//! controllers); an MCM GPU has those partitions per chiplet plus an
-//! inter-chiplet network and first-touch page placement.
+//! into owner partitions (slice groups + their memory controllers); an
+//! MCM GPU has those partitions per chiplet plus an inter-chiplet network
+//! and first-touch page placement.
 //!
-//! The engine advances one cycle at a time (DESIGN.md §15). Within a
-//! cycle:
+//! The engine is single-threaded and advances one cycle at a time
+//! (DESIGN.md §10). Within a cycle:
 //!
-//! * **Phase A** (parallelisable): each SM independently drains its wake
-//!   heap, picks a warp and issues, buffering an event record
-//!   ([`WinRec`]) if it staged shared-memory work or completed a CTA.
-//! * **Flush** (at the cycle barrier): a serial *route* pass walks the
-//!   records in SM order — CTA completions, dispatch, kernel sequencing,
-//!   first-touch page placement — and bins line requests into
-//!   per-partition mailboxes; the partitions then *apply* their mailboxes
-//!   in parallel (each touches only its own LLC slices, DRAM channels,
-//!   crossbar share and fill tracker); a serial *merge* pass finishes in
-//!   global order (MSHR registration, warp wake-ups, inter-chiplet legs)
-//!   and makes the control-flow decision (advance, jump, finish).
+//! * **Phase A**: each SM in turn drains its wake heap, picks a warp and
+//!   issues, buffering an event record ([`WinRec`]) if it staged
+//!   shared-memory work or completed a CTA. Phase A of one SM touches
+//!   only that SM.
+//! * **Flush**: one walk over the records in ascending SM order. Per
+//!   record: CTA completions (dispatch, kernel sequencing), then per line
+//!   request first-touch page placement, the owner partition's LLC /
+//!   DRAM / crossbar share, the inter-chiplet legs and the issuing SM's
+//!   MSHR file; then the warp's wake-up. The walk ends with the
+//!   control-flow decision (advance, jump, finish).
 //!
-//! Every result is bit-identical for any [`GpuConfig::sim_threads`]
-//! value: the route and merge passes run in a fixed global order, and
-//! each partition sees the same mailbox sequence regardless of which
-//! thread applies it.
+//! Parallelism lives one level up: independent simulations run side by
+//! side on `gsim-runner`.
 
 mod memsys;
-mod shard;
 mod sm;
 
 use std::cmp::Reverse;
@@ -41,28 +37,8 @@ use gsim_trace::{Workload, WorkloadModel};
 use crate::chiplet::ChipletConfig;
 use crate::config::GpuConfig;
 use crate::stats::SimStats;
-use memsys::{build_shards, ApplyOut, ApplyParams, MemShard, ReqKind, ShardMap, ShardSet};
+use memsys::{build_shards, ApplyParams, MemShard, ReqKind, ShardMap};
 use sm::{LaneParams, LineKind, LineReq, MemIssue, Sm, WarpCtx};
-
-/// Mutable access to every SM by global index, regardless of whether the
-/// SMs live in one `Vec` (serial) or are spread over shard mutexes
-/// (parallel). The flush passes are written against this so both
-/// execution paths share one code path — the determinism argument in one
-/// place.
-trait SmPool<S> {
-    fn n_sms(&self) -> usize;
-    fn sm_mut(&mut self, idx: usize) -> &mut Sm<S>;
-}
-
-impl<S> SmPool<S> for Vec<Sm<S>> {
-    fn n_sms(&self) -> usize {
-        self.len()
-    }
-
-    fn sm_mut(&mut self, idx: usize) -> &mut Sm<S> {
-        &mut self[idx]
-    }
-}
 
 /// The flush's verdict on how the simulation proceeds.
 enum CycleOutcome {
@@ -85,9 +61,8 @@ struct WinRec {
     req_end: u32,
 }
 
-/// Everything one SM shard hands to the flush for one cycle. Owned by
-/// the execution context that ran the shard and reused across cycles so
-/// the steady state allocates nothing.
+/// Everything phase A hands to the flush for one cycle. Reused across
+/// cycles so the steady state allocates nothing.
 #[derive(Default)]
 struct WindowOut {
     /// Event records, ascending SM by construction.
@@ -95,9 +70,9 @@ struct WindowOut {
     /// The cycle's request arena: every record's line requests, in
     /// record order, addressed by range.
     reqs: Vec<LineReq>,
-    /// SMs of the shard that issued / stalled on memory / sat idle this
-    /// cycle. The issue count doubles as the warp-instruction count (at
-    /// most one instruction issues per SM per cycle).
+    /// SMs that issued / stalled on memory / sat idle this cycle. The
+    /// issue count doubles as the warp-instruction count (at most one
+    /// instruction issues per SM per cycle).
     issued: u32,
     stalled: u32,
     idle: u32,
@@ -111,15 +86,13 @@ impl WindowOut {
     }
 }
 
-/// Runs phase A of cycle `now` over one SM shard, buffering events and
-/// counters into `out`. Touches only the shard's SMs, so disjoint shards
-/// run on worker threads.
+/// Runs phase A of cycle `now` over every SM, buffering events and
+/// counters into `out`.
 ///
 /// An SM inside a compute batch is not stepped: it issues, whatever else
 /// happens, so the cycle is accounted without touching its queues.
 fn run_window<S: gsim_trace::WarpStream>(
     sms: &mut [Sm<S>],
-    base_sm: u32,
     now: u64,
     params: &LaneParams,
     out: &mut WindowOut,
@@ -128,7 +101,7 @@ fn run_window<S: gsim_trace::WarpStream>(
     out.l1_misses = 0;
     debug_assert!(out.recs.is_empty(), "flush must drain records");
     let (mut issued, mut stalled, mut idle) = (0u32, 0u32, 0u32);
-    for (j, sm) in sms.iter_mut().enumerate() {
+    for (i, sm) in sms.iter_mut().enumerate() {
         if now < sm.busy_until {
             issued += 1;
             continue;
@@ -148,14 +121,13 @@ fn run_window<S: gsim_trace::WarpStream>(
         out.l1_accesses += u64::from(lane.l1_accesses);
         out.l1_misses += u64::from(lane.l1_misses);
         if let Some(mi) = lane.mem {
-            // Non-blocking issuers (stores) continue immediately:
-            // re-queue locally, exactly where the serial apply would.
+            // Non-blocking issuers (stores) continue immediately.
             if !mi.blocks {
                 sm.insert_ready(mi.warp);
             }
         }
         out.recs.push(WinRec {
-            sm: base_sm + j as u32,
+            sm: i as u32,
             completed: lane.completed_ctas,
             mem: lane.mem,
             req_start,
@@ -167,21 +139,10 @@ fn run_window<S: gsim_trace::WarpStream>(
     out.idle = idle;
 }
 
-/// Route-pass bookkeeping reused across cycles.
-#[derive(Default)]
-struct FlushScratch {
-    /// `(shard id, mailbox index)` per routed request, in global
-    /// (SM, request) order — the merge pass consumes it with a cursor.
-    plan: Vec<(u32, u32)>,
-    /// Set when the route pass exhausted the kernel sequence.
-    done: bool,
-}
-
 /// Everything the engine owns *besides* the per-SM lanes and the memory
 /// partitions: configuration, interconnect, kernel sequencing and
-/// statistics. During a parallel run this stays on the coordinating
-/// thread; worker threads see only their SM shard and their assigned
-/// memory partitions.
+/// statistics. Kept apart from them so the flush can borrow all three
+/// mutably at once.
 struct EngineCore<'wl, W: WorkloadModel> {
     cfg: GpuConfig,
     wl: &'wl W,
@@ -207,8 +168,7 @@ struct EngineCore<'wl, W: WorkloadModel> {
 ///
 /// Create one per (configuration, workload) pair and call
 /// [`Simulator::run`]; the simulator is deterministic for a given workload
-/// seed — including across [`GpuConfig::sim_threads`] settings, which only
-/// change how the host work is scheduled.
+/// seed.
 pub struct Simulator<'wl, W: WorkloadModel = Workload> {
     core: EngineCore<'wl, W>,
     sms: Vec<Sm<W::Stream>>,
@@ -295,61 +255,32 @@ impl<'wl, W: WorkloadModel> Simulator<'wl, W> {
     }
 
     /// Runs the workload to completion and returns the statistics.
-    ///
-    /// With `sim_threads > 1`, the per-SM phase of each cycle and the
-    /// per-partition memory apply are sharded across that many execution
-    /// contexts (hence `W::Stream: Send`); the results are bit-identical
-    /// to the serial run either way.
-    pub fn run(mut self) -> SimStats
-    where
-        W::Stream: Send,
-    {
+    pub fn run(self) -> SimStats {
         let wall = Instant::now();
-        let threads = self.core.cfg.effective_sim_threads() as usize;
-        self.core.dispatch_round_robin(&mut self.sms);
-        let mut stats = if threads <= 1 {
-            run_serial(self.core, self.sms, self.mem)
-        } else {
-            shard::run_sharded(self.core, self.sms, self.mem, threads)
-        };
+        let Self {
+            mut core,
+            mut sms,
+            mut mem,
+        } = self;
+        let params = LaneParams::from_cfg(&core.cfg);
+        let ap = core.apply_params();
+        let mut out = WindowOut::default();
+        core.dispatch_round_robin(&mut sms);
+        let mut now = 0u64;
+        loop {
+            run_window(&mut sms, now, &params, &mut out);
+            match core.flush(&mut sms, &mut out, &mut mem, &ap, now) {
+                CycleOutcome::Advance(t) => now = t,
+                CycleOutcome::Done(t) => {
+                    now = t;
+                    break;
+                }
+            }
+        }
+        let mut stats = core.finish(now, sms.len(), &mem);
         stats.sim_wall_seconds = wall.elapsed().as_secs_f64();
         stats
     }
-}
-
-/// The serial driver: phase A, route, apply and merge inline on the
-/// calling thread.
-fn run_serial<W: WorkloadModel>(
-    mut core: EngineCore<'_, W>,
-    mut sms: Vec<Sm<W::Stream>>,
-    mut mem: Vec<MemShard>,
-) -> SimStats {
-    let params = LaneParams::from_cfg(&core.cfg);
-    let ap = core.apply_params();
-    let n_sms = sms.len();
-    let mut out = WindowOut::default();
-    let mut scratch = FlushScratch::default();
-    let mut now = 0u64;
-    loop {
-        run_window(&mut sms, 0, now, &params, &mut out);
-        let outcome = {
-            let mut outs = [&mut out];
-            if core.flush_route(&mut sms, &mut outs, &mut mem, now, &mut scratch) {
-                for shard in mem.iter_mut() {
-                    shard.apply(&ap);
-                }
-            }
-            core.flush_merge(&mut sms, &mut outs, &mut mem, now, &scratch)
-        };
-        match outcome {
-            CycleOutcome::Advance(t) => now = t,
-            CycleOutcome::Done(t) => {
-                now = t;
-                break;
-            }
-        }
-    }
-    core.finish(now, n_sms, &mem)
 }
 
 impl<W: WorkloadModel> EngineCore<'_, W> {
@@ -360,11 +291,11 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
 
     /// Dispatches CTAs of the current kernel round-robin across all SMs
     /// (Table III: round-robin CTA scheduling), used at kernel launch.
-    fn dispatch_round_robin<P: SmPool<W::Stream>>(&mut self, pool: &mut P) {
+    fn dispatch_round_robin(&mut self, sms: &mut [Sm<W::Stream>]) {
         loop {
             let mut progress = false;
-            for i in 0..pool.n_sms() {
-                if self.try_dispatch_one(pool, i) {
+            for sm in sms.iter_mut() {
+                if self.try_dispatch_one(sm) {
                     progress = true;
                 }
             }
@@ -374,9 +305,9 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         }
     }
 
-    /// Dispatches at most one CTA of the current kernel onto `sm_idx`;
+    /// Dispatches at most one CTA of the current kernel onto `sm`;
     /// returns whether one was placed.
-    fn try_dispatch_one<P: SmPool<W::Stream>>(&mut self, pool: &mut P, sm_idx: usize) -> bool {
+    fn try_dispatch_one(&mut self, sm: &mut Sm<W::Stream>) -> bool {
         let kernel_idx = self.kernel_idx;
         if kernel_idx >= self.wl.n_kernels() {
             return false;
@@ -384,16 +315,11 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         let (n_ctas, threads_per_cta) = self.cur_grid();
         let warps_per_cta = self.wl.warps_per_cta(kernel_idx);
         let max_ctas = self.cfg.ctas_per_sm(threads_per_cta);
-        if self.next_cta >= n_ctas {
-            return false;
-        }
+        if self.next_cta >= n_ctas
+            || sm.cta_remaining.len() >= max_ctas as usize
+            || (sm.free_slots.len() as u32) < warps_per_cta
         {
-            let sm = pool.sm_mut(sm_idx);
-            if sm.cta_remaining.len() >= max_ctas as usize
-                || (sm.free_slots.len() as u32) < warps_per_cta
-            {
-                return false;
-            }
+            return false;
         }
         let cta = self.next_cta;
         self.next_cta += 1;
@@ -402,23 +328,22 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
             let stream = self.wl.warp_stream(kernel_idx, cta, w);
             self.dispatch_age += 1;
             let age = self.dispatch_age;
-            let sm = pool.sm_mut(sm_idx);
             let slot = sm.free_slots.pop().expect("checked free slots");
             sm.warps[slot as usize] = Some(WarpCtx { stream, cta, age });
             sm.live_warps += 1;
             sm.insert_ready(slot);
         }
-        pool.sm_mut(sm_idx).cta_remaining.insert(cta, warps_per_cta);
+        sm.cta_remaining.insert(cta, warps_per_cta);
         true
     }
 
     /// Global bookkeeping for one CTA that completed on `sm_idx` at
     /// `now`: backfill dispatch, and advance the kernel sequence when the
     /// grid has drained.
-    fn on_cta_completed<P: SmPool<W::Stream>>(&mut self, pool: &mut P, sm_idx: usize, now: u64) {
+    fn on_cta_completed(&mut self, sms: &mut [Sm<W::Stream>], sm_idx: usize, now: u64) {
         self.ctas_in_flight -= 1;
         self.stats.ctas_executed += 1;
-        self.try_dispatch_one(pool, sm_idx);
+        self.try_dispatch_one(&mut sms[sm_idx]);
         if self.ctas_in_flight == 0 && self.next_cta >= self.cur_grid().0 {
             // Kernel barrier reached: move to the next kernel.
             self.stats.kernels_executed += 1;
@@ -427,7 +352,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
             self.kernel_idx += 1;
             self.next_cta = 0;
             if self.kernel_idx < self.wl.n_kernels() {
-                self.dispatch_round_robin(pool);
+                self.dispatch_round_robin(sms);
             }
         }
     }
@@ -453,71 +378,100 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         *self.page_owner.entry(page).or_insert(toucher)
     }
 
-    /// Routes the staged line requests of one memory instruction into the
-    /// per-partition mailboxes, recording the placement in `plan`.
-    fn route_reqs(
+    /// Sends one staged line request through the shared memory system:
+    /// first-touch placement, the owner partition, and — for a remote
+    /// owner — the inter-chiplet legs (egress of the owner, ingress of
+    /// the requester). Returns the cycle the response reaches the SM.
+    fn resolve_req(
         &mut self,
-        mem: &mut dyn ShardSet,
+        mem: &mut [MemShard],
+        ap: &ApplyParams,
         sm_chiplet: u32,
-        cycle: u64,
-        reqs: &[LineReq],
-        plan: &mut Vec<(u32, u32)>,
-    ) {
+        now: u64,
+        req: &LineReq,
+    ) -> u64 {
         let l1_lat = u64::from(self.cfg.l1_latency);
-        for req in reqs {
-            let (t0, kind) = match req.kind {
-                LineKind::MissLoad => (cycle + l1_lat, ReqKind::Load),
-                LineKind::Store => (cycle + l1_lat, ReqKind::Store),
-                LineKind::Direct(kind) => (cycle, kind),
-            };
-            let owner = self.owner_of(req.line, sm_chiplet);
-            let (sub, local_slice) = self.map.route(req.line);
-            let sid = owner * self.map.per_chiplet + sub;
-            let shard = mem.shard_mut(sid as usize);
-            shard.mailbox.push(memsys::MailEntry {
-                t0,
-                line: req.line,
-                local_slice,
-                kind,
-                remote: owner != sm_chiplet,
-            });
-            plan.push((sid, (shard.mailbox.len() - 1) as u32));
+        let (t0, kind) = match req.kind {
+            LineKind::MissLoad => (now + l1_lat, ReqKind::Load),
+            LineKind::Store => (now + l1_lat, ReqKind::Store),
+            LineKind::Direct(kind) => (now, kind),
+        };
+        let owner = self.owner_of(req.line, sm_chiplet);
+        let remote = owner != sm_chiplet;
+        let (sub, local_slice) = self.map.route(req.line);
+        let shard = &mut mem[(owner * self.map.per_chiplet + sub) as usize];
+        let r = shard.apply_one(ap, t0, req.line, local_slice, kind, remote);
+        let mut done = r.local_done;
+        if remote {
+            let icn = self.icn.as_mut().expect("remote access implies MCM");
+            done = done.max(icn.traverse(r.data_at_llc, owner, sm_chiplet, r.payload));
         }
+        (done.ceil() as u64).max(t0 + 1)
     }
 
-    /// The serial route pass of a flush: walks cycle `now`'s records in
-    /// SM order, driving CTA completions, dispatch, kernel sequencing,
-    /// milestones and stall accounting, and binning every line request
-    /// into its owner partition's mailbox. Returns whether any request
-    /// was routed; if none was, every mailbox is empty and the apply
-    /// phase can be skipped.
-    fn flush_route<P: SmPool<W::Stream>>(
+    /// The flush of cycle `now`: one walk over the cycle's records in
+    /// ascending SM order. Per record, CTA completions drive dispatch and
+    /// kernel sequencing; then each line request of the staged memory
+    /// instruction is resolved against the shared memory system and
+    /// registered with the issuing SM's MSHR file, and the warp is parked
+    /// until its wake cycle. Every piece of ordered state (page owners,
+    /// each partition, the inter-chiplet network, each MSHR file) sees
+    /// its requests in global (SM, request) order. Ends with the decision
+    /// on how the simulation proceeds.
+    fn flush(
         &mut self,
-        pool: &mut P,
-        outs: &mut [&mut WindowOut],
-        mem: &mut dyn ShardSet,
+        sms: &mut [Sm<W::Stream>],
+        out: &mut WindowOut,
+        mem: &mut [MemShard],
+        ap: &ApplyParams,
         now: u64,
-        scratch: &mut FlushScratch,
-    ) -> bool {
-        scratch.plan.clear();
-        // Shards hold contiguous ascending SM ranges, so shard order is
-        // SM order.
-        for out in outs.iter() {
-            for rec in &out.recs {
-                for _ in 0..rec.completed {
-                    self.on_cta_completed(pool, rec.sm as usize, now);
-                }
-                if rec.mem.is_some() {
-                    let chiplet = pool.sm_mut(rec.sm as usize).chiplet;
-                    self.route_reqs(mem, chiplet, now, out.reqs_of(rec), &mut scratch.plan);
+    ) -> CycleOutcome {
+        for rec in &out.recs {
+            let sm_idx = rec.sm as usize;
+            for _ in 0..rec.completed {
+                self.on_cta_completed(sms, sm_idx, now);
+            }
+            let Some(mi) = rec.mem else { continue };
+            let sm = &mut sms[sm_idx];
+            let mut wake = mi.base_wake;
+            for req in out.reqs_of(rec) {
+                let done = self.resolve_req(mem, ap, sm.chiplet, now, req);
+                match req.kind {
+                    LineKind::MissLoad => {
+                        if sm.mshr.is_full() {
+                            sm.mshr.complete_up_to(now);
+                        }
+                        match sm.mshr.register(req.line, done) {
+                            MshrOutcome::Allocated | MshrOutcome::Full => {
+                                wake = wake.max(done);
+                            }
+                            MshrOutcome::Merged(f) => {
+                                // A merge cannot be slower than a re-fetch.
+                                wake = wake.max(f.min(done));
+                            }
+                        }
+                    }
+                    // Stores are fire-and-forget: the request was charged
+                    // (including the inter-chiplet legs), the warp was
+                    // already re-queued in phase A.
+                    LineKind::Store => {}
+                    LineKind::Direct(_) => {
+                        wake = wake.max(done);
+                    }
                 }
             }
-            self.stats.warp_instrs += u64::from(out.issued);
-            self.stats.mem_stall_sm_cycles += u64::from(out.stalled);
-            self.stats.idle_sm_cycles += u64::from(out.idle);
-            self.stats.l1_accesses += out.l1_accesses;
-            self.stats.l1_misses += out.l1_misses;
+            if mi.blocks {
+                sm.blocked.push(Reverse((wake, mi.warp)));
+            }
         }
+        out.recs.clear();
+        out.reqs.clear();
+
+        self.stats.warp_instrs += u64::from(out.issued);
+        self.stats.mem_stall_sm_cycles += u64::from(out.stalled);
+        self.stats.idle_sm_cycles += u64::from(out.idle);
+        self.stats.l1_accesses += out.l1_accesses;
+        self.stats.l1_misses += out.l1_misses;
         if self.stats.cycle_at_10pct == 0 && self.stats.warp_instrs >= self.milestone_10 {
             self.stats.cycle_at_10pct = now + 1;
         }
@@ -525,105 +479,24 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
             self.stats.cycle_at_90pct = now + 1;
             self.stats.warp_instrs_window = self.stats.warp_instrs - self.milestone_10;
         }
-        scratch.done = self.kernel_idx >= self.wl.n_kernels();
-        !scratch.plan.is_empty()
-    }
 
-    /// The final response time of one applied request: charges the
-    /// inter-chiplet legs for remote entries (egress of the owner,
-    /// ingress of the requester — cross-partition state, hence serial).
-    fn finish_entry(&mut self, r: &ApplyOut, owner_chiplet: u32, sm_chiplet: u32) -> u64 {
-        let mut done = r.local_done;
-        if r.remote {
-            let icn = self.icn.as_mut().expect("remote access implies MCM");
-            done = done.max(icn.traverse(r.data_at_llc, owner_chiplet, sm_chiplet, r.payload));
-        }
-        (done.ceil() as u64).max(r.t0 + 1)
-    }
-
-    /// The serial merge pass of a flush: walks cycle `now`'s memory
-    /// instructions in global (SM, request) order, finishing each request
-    /// (inter-chiplet legs), registering fills with the issuing SM's MSHR
-    /// file, re-queueing warps, and deciding how the simulation proceeds.
-    fn flush_merge<P: SmPool<W::Stream>>(
-        &mut self,
-        pool: &mut P,
-        outs: &mut [&mut WindowOut],
-        mem: &mut dyn ShardSet,
-        now: u64,
-        scratch: &FlushScratch,
-    ) -> CycleOutcome {
-        // Most cycles of a compute phase stage nothing; testing for that
-        // first keeps the walk's loop-invariant set-up off their path.
-        if outs.iter().any(|o| !o.recs.is_empty()) {
-            let k = self.map.per_chiplet;
-            let mut cursor = 0usize;
-            for out in outs.iter() {
-                for rec in &out.recs {
-                    let Some(mi) = rec.mem else { continue };
-                    let sm_chiplet = pool.sm_mut(rec.sm as usize).chiplet;
-                    let mut wake = mi.base_wake;
-                    for req in out.reqs_of(rec) {
-                        let (sid, idx) = scratch.plan[cursor];
-                        cursor += 1;
-                        let result = mem.shard_mut(sid as usize).results[idx as usize];
-                        let done = self.finish_entry(&result, sid / k, sm_chiplet);
-                        let smx = pool.sm_mut(rec.sm as usize);
-                        match req.kind {
-                            LineKind::MissLoad => {
-                                if smx.mshr.is_full() {
-                                    smx.mshr.complete_up_to(now);
-                                }
-                                match smx.mshr.register(req.line, done) {
-                                    MshrOutcome::Allocated | MshrOutcome::Full => {
-                                        wake = wake.max(done);
-                                    }
-                                    MshrOutcome::Merged(f) => {
-                                        // A merge cannot be slower than a re-fetch.
-                                        wake = wake.max(f.min(done));
-                                    }
-                                }
-                            }
-                            // Stores are fire-and-forget: the request was charged
-                            // (including the inter-chiplet legs), the warp was
-                            // already re-queued in phase A.
-                            LineKind::Store => {}
-                            LineKind::Direct(_) => {
-                                wake = wake.max(done);
-                            }
-                        }
-                    }
-                    if mi.blocks {
-                        pool.sm_mut(rec.sm as usize)
-                            .blocked
-                            .push(Reverse((wake, mi.warp)));
-                    }
-                }
-            }
-            for out in outs.iter_mut() {
-                out.recs.clear();
-                out.reqs.clear();
-            }
-        }
         // Control flow.
         let end = now + 1;
-        if scratch.done {
+        if self.kernel_idx >= self.wl.n_kernels() {
             return CycleOutcome::Done(end);
         }
-        if outs.iter().any(|o| o.issued > 0) {
+        if out.issued > 0 {
             return CycleOutcome::Advance(end);
         }
         // Nothing issued this cycle: jump to the next wake-up unless a
         // flush-time dispatch made warps ready.
-        let n = pool.n_sms();
         let mut next_wake: Option<u64> = None;
         let mut any_ready = false;
-        for i in 0..n {
-            let smx = pool.sm_mut(i);
-            if let Some(&Reverse((t, _))) = smx.blocked.peek() {
+        for sm in sms.iter() {
+            if let Some(&Reverse((t, _))) = sm.blocked.peek() {
                 next_wake = Some(next_wake.map_or(t, |m| m.min(t)));
             }
-            if smx.has_ready() {
+            if sm.has_ready() {
                 any_ready = true;
             }
         }
@@ -640,8 +513,8 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         let target = next_wake.max(end);
         let dt = target - end;
         if dt > 0 {
-            for i in 0..n {
-                if pool.sm_mut(i).live_warps > 0 {
+            for sm in sms.iter() {
+                if sm.live_warps > 0 {
                     self.stats.mem_stall_sm_cycles += dt;
                 } else {
                     self.stats.idle_sm_cycles += dt;
@@ -679,19 +552,6 @@ mod tests {
         let spec = PatternSpec::new(PatternKind::GlobalSweep { passes }, footprint_lines)
             .compute_per_mem(1.5);
         Workload::new("t", 9, vec![Kernel::new("k", ctas, 256, spec)])
-    }
-
-    /// Runs `wl` on `cfg` serially and with `sim_threads` in {2, 4, 8}
-    /// and asserts bit-identical statistics — the tentpole's determinism
-    /// contract.
-    fn assert_thread_invariant(cfg: &GpuConfig, wl: &Workload) {
-        let serial = Simulator::new(cfg.clone(), wl).run();
-        for threads in [2u32, 4, 8] {
-            let mut c = cfg.clone();
-            c.sim_threads = threads;
-            let parallel = Simulator::new(c, wl).run();
-            serial.assert_deterministic_eq(&parallel);
-        }
     }
 
     #[test]
@@ -916,107 +776,5 @@ mod tests {
         let stats = Simulator::new(small_cfg(8), &wl).run();
         assert_eq!(stats.kernels_executed, 2);
         assert_eq!(stats.ctas_executed, 96);
-    }
-
-    // ---- sim_threads determinism contract (DESIGN.md §10/§15) ----
-
-    #[test]
-    fn sim_threads_bit_identical_8sm() {
-        let wl = sweep_workload(20_000, 2, 48);
-        assert_thread_invariant(&small_cfg(8), &wl);
-    }
-
-    #[test]
-    fn sim_threads_bit_identical_8sm_pointer_chase() {
-        let spec = PatternSpec::new(PatternKind::PointerChase, 30_000)
-            .mem_ops_per_warp(16)
-            .compute_per_mem(1.0);
-        let wl = Workload::new("pc", 7, vec![Kernel::new("k", 64, 256, spec)]);
-        assert_thread_invariant(&small_cfg(8), &wl);
-    }
-
-    #[test]
-    fn sim_threads_bit_identical_64sm_memory_bound() {
-        let wl = sweep_workload(150_000, 1, 512);
-        assert_thread_invariant(&small_cfg(64), &wl);
-    }
-
-    #[test]
-    fn sim_threads_bit_identical_multi_kernel_boundaries() {
-        // Kernel boundaries mid-run exercise the dispatch/kernel-advance
-        // path of the serial route pass.
-        let spec = || PatternSpec::new(PatternKind::Streaming, 5_000).compute_per_mem(1.0);
-        let wl = Workload::new(
-            "seq",
-            3,
-            vec![
-                Kernel::new("big1", 96, 256, spec()),
-                Kernel::new("tiny", 4, 256, spec()),
-                Kernel::new("big2", 96, 256, spec()),
-            ],
-        );
-        assert_thread_invariant(&small_cfg(8), &wl);
-    }
-
-    #[test]
-    fn sim_threads_bit_identical_mcm() {
-        use crate::chiplet::ChipletConfig;
-        let spec = PatternSpec::new(PatternKind::PointerChase, 20_000)
-            .mem_ops_per_warp(10)
-            .compute_per_mem(1.0);
-        let wl = Workload::new("m", 12, vec![Kernel::new("k", 512, 256, spec)]);
-        let mcm = ChipletConfig::paper_mcm(2, MemScale::default());
-        let serial = Simulator::new_mcm(&mcm, &wl).run();
-        for threads in [2u32, 4, 8] {
-            let mut m = mcm.clone();
-            m.chiplet.sim_threads = threads;
-            let parallel = Simulator::new_mcm(&m, &wl).run();
-            serial.assert_deterministic_eq(&parallel);
-        }
-    }
-
-    #[test]
-    fn sim_threads_bit_identical_mcm_multi_kernel() {
-        use crate::chiplet::ChipletConfig;
-        let spec = || {
-            PatternSpec::new(PatternKind::GlobalSweep { passes: 1 }, 30_000).compute_per_mem(1.0)
-        };
-        let wl = Workload::new(
-            "m-seq",
-            14,
-            vec![
-                Kernel::new("k0", 384, 256, spec()),
-                Kernel::new("k1", 8, 256, spec()),
-                Kernel::new("k2", 384, 256, spec()),
-            ],
-        );
-        let mcm = ChipletConfig::paper_mcm(2, MemScale::default());
-        let serial = Simulator::new_mcm(&mcm, &wl).run();
-        for threads in [2u32, 4, 8] {
-            let mut m = mcm.clone();
-            m.chiplet.sim_threads = threads;
-            let parallel = Simulator::new_mcm(&m, &wl).run();
-            serial.assert_deterministic_eq(&parallel);
-        }
-    }
-
-    #[test]
-    fn sim_threads_beyond_sm_count_is_clamped() {
-        let wl = sweep_workload(10_000, 1, 24);
-        let serial = Simulator::new(small_cfg(8), &wl).run();
-        let mut c = small_cfg(8);
-        c.sim_threads = 64; // clamps to 8 execution contexts
-        let parallel = Simulator::new(c, &wl).run();
-        serial.assert_deterministic_eq(&parallel);
-    }
-
-    #[test]
-    fn sim_threads_zero_selects_serial_path() {
-        let wl = sweep_workload(5_000, 1, 16);
-        let serial = Simulator::new(small_cfg(8), &wl).run();
-        let mut c = small_cfg(8);
-        c.sim_threads = 0;
-        let zero = Simulator::new(c, &wl).run();
-        serial.assert_deterministic_eq(&zero);
     }
 }

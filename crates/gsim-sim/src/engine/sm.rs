@@ -1,11 +1,9 @@
-//! Per-SM state and the parallel per-SM half of a cycle (phase A).
+//! Per-SM state and the per-SM half of a cycle (phase A).
 //!
 //! Everything in this module touches exactly one SM: the warp contexts,
-//! the GTO scheduler queues, the L1 tag store and the MSHR file. That is
-//! what makes phase A safe to run on worker threads — an SM's phase A
-//! reads and writes only its own [`Sm`], and records everything that
-//! needs the *shared* memory system in its [`LaneOut`] for the serial
-//! apply phase (DESIGN.md §10).
+//! the GTO scheduler queues, the L1 tag store and the MSHR file. An SM's
+//! phase A reads and writes only its own [`Sm`], and stages everything
+//! that needs the *shared* memory system for the flush (DESIGN.md §10).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -16,8 +14,7 @@ use gsim_trace::{MemSpace, Op, WarpStream};
 use super::memsys::ReqKind;
 use crate::config::GpuConfig;
 
-/// The per-SM configuration slice phase A needs; `Copy` so worker threads
-/// can share one instance by reference.
+/// The per-SM configuration slice phase A needs.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct LaneParams {
     pub l1_latency: u64,
@@ -31,8 +28,8 @@ impl LaneParams {
     }
 }
 
-/// How one staged line request must be applied to the shared memory
-/// system in phase B.
+/// How the flush must apply one staged line request to the shared
+/// memory system.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum LineKind {
     /// A cached global load that missed the L1: request at `now + l1_lat`,
@@ -53,10 +50,10 @@ pub(super) struct LineReq {
 }
 
 /// The memory instruction (at most one per SM per cycle) staged by phase
-/// A for resolution in phase B.
+/// A for resolution in the flush.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct MemIssue {
-    /// The issuing warp; phase B re-queues it once its wake cycle is known.
+    /// The issuing warp; the flush re-queues it once its wake cycle is known.
     pub warp: u32,
     /// Wake lower bound from per-SM effects alone (L1 hits, `now + 1`).
     pub base_wake: u64,
@@ -169,7 +166,7 @@ impl<S> Sm<S> {
 
     /// The per-SM half of warp retirement: releases the slot and the CTA
     /// bookkeeping this SM owns. Returns whether the warp's CTA completed,
-    /// for phase B to turn into dispatches and kernel advances.
+    /// for the flush to turn into dispatches and kernel advances.
     fn retire_local(&mut self, warp: u32) -> bool {
         let ctx = self.warps[warp as usize]
             .take()
@@ -243,8 +240,8 @@ impl<S: WarpStream> Sm<S> {
 
     /// The per-SM part of issuing one memory op: L1 lookups and MSHR
     /// probes now; every line that needs the shared memory system is
-    /// staged for phase B. The issuing warp is re-queued by phase B once
-    /// its wake cycle is known.
+    /// staged for the flush, which re-queues the issuing warp once its
+    /// wake cycle is known.
     #[inline(always)]
     fn stage_mem(
         &mut self,

@@ -132,8 +132,7 @@ impl SimStats {
     /// ignoring host-side wall-clock measurements (`sim_wall_seconds`).
     ///
     /// This is the determinism contract of the engine: two runs of the same
-    /// (configuration, workload) pair — including runs with different
-    /// `sim_threads` — must satisfy it.
+    /// (configuration, workload) pair must satisfy it.
     ///
     /// # Panics
     ///

@@ -2,11 +2,11 @@
 //!
 //! The engine's host-side optimisations (compute batches that are not
 //! stepped, the rank-byte tag store, the multiply-hashed fill/MSHR maps,
-//! the request arena) must leave every simulated quantity bit-identical.
-//! The determinism suites compare the engine with *itself* (serial vs
-//! sharded); this test compares it with digests recorded at the commit
-//! before those optimisations landed, so behavioural drift fails tier-1
-//! without depending on `benchmark/`.
+//! the request arena, the one-walk flush) must leave every simulated
+//! quantity bit-identical. The determinism tests compare the engine with
+//! *itself* (run to run); this test compares it with digests recorded at
+//! the commit before those optimisations landed, so behavioural drift
+//! fails tier-1 without depending on `benchmark/`.
 //!
 //! After a *deliberate* model change, run the test, and paste the table
 //! it prints on failure over [`GOLDEN`].
@@ -58,25 +58,13 @@ fn table2(abbr: &str) -> Workload {
         .workload
 }
 
-/// Runs one case serially and at `sim_threads = 2`; the two must agree,
-/// and the serial digest is what gets pinned.
-fn run_both(run: impl Fn(u32) -> SimStats) -> String {
-    let serial = run(1);
-    serial.assert_deterministic_eq(&run(2));
-    digest(&serial)
-}
-
 fn cases() -> Vec<(String, String)> {
     let mut out = Vec::new();
     for abbr in ["dct", "as", "bfs", "gemm"] {
         let wl = table2(abbr);
         for sms in [8u32, 64] {
-            let d = run_both(|threads| {
-                let mut cfg = GpuConfig::paper_target(sms, scale());
-                cfg.sim_threads = threads;
-                Simulator::new(cfg, &wl).run()
-            });
-            out.push((format!("{abbr}@{sms}"), d));
+            let stats = Simulator::new(GpuConfig::paper_target(sms, scale()), &wl).run();
+            out.push((format!("{abbr}@{sms}"), digest(&stats)));
         }
     }
 
@@ -84,15 +72,12 @@ fn cases() -> Vec<(String, String)> {
         .mem_ops_per_warp(10)
         .compute_per_mem(1.0);
     let mcm_wl = Workload::new("m", 12, vec![Kernel::new("k", 512, 256, chase)]);
-    let d = run_both(|threads| {
-        let mut mcm = ChipletConfig::paper_mcm(2, MemScale::default());
-        mcm.chiplet.sim_threads = threads;
-        Simulator::new_mcm(&mcm, &mcm_wl).run()
-    });
-    out.push(("mcm2-chase".to_string(), d));
+    let mcm = ChipletConfig::paper_mcm(2, MemScale::default());
+    let stats = Simulator::new_mcm(&mcm, &mcm_wl).run();
+    out.push(("mcm2-chase".to_string(), digest(&stats)));
 
     // A kernel smaller than one SM's slot budget between two big ones:
-    // the dispatch / kernel-advance path of the route pass.
+    // the dispatch / kernel-advance path of the flush.
     let stream = || PatternSpec::new(PatternKind::Streaming, 5_000).compute_per_mem(1.0);
     let seq = Workload::new(
         "seq",
@@ -103,12 +88,8 @@ fn cases() -> Vec<(String, String)> {
             Kernel::new("big2", 96, 256, stream()),
         ],
     );
-    let d = run_both(|threads| {
-        let mut cfg = GpuConfig::paper_target(8, MemScale::default());
-        cfg.sim_threads = threads;
-        Simulator::new(cfg, &seq).run()
-    });
-    out.push(("multi-kernel@8".to_string(), d));
+    let stats = Simulator::new(GpuConfig::paper_target(8, MemScale::default()), &seq).run();
+    out.push(("multi-kernel@8".to_string(), digest(&stats)));
     out
 }
 

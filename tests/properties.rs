@@ -425,8 +425,7 @@ fn mshr_matches_hash_map_model() {
 }
 
 /// The simulator is deterministic: identical runs give identical
-/// statistics (modulo wall-clock time), and sharding the run over worker
-/// threads (`sim_threads`) changes nothing either.
+/// statistics (modulo wall-clock time).
 #[test]
 fn simulator_is_deterministic() {
     let mut rng = Rng64::seed_from_u64(0x5eed_0009);
@@ -440,24 +439,21 @@ fn simulator_is_deterministic() {
         let wl = Workload::new("prop", seed, vec![Kernel::new("k", ctas, 256, spec)]);
         let cfg = GpuConfig::paper_target(8, MemScale::new(32));
         let a = Simulator::new(cfg.clone(), &wl).run();
-        let b = Simulator::new(cfg.clone(), &wl).run();
+        let b = Simulator::new(cfg, &wl).run();
         a.assert_deterministic_eq(&b);
-        let mut sharded_cfg = cfg;
-        sharded_cfg.sim_threads = 3;
-        let c = Simulator::new(sharded_cfg, &wl).run();
-        a.assert_deterministic_eq(&c);
     }
 }
 
-/// Randomized strong form of the sharded-engine determinism contract
-/// (DESIGN.md §15): over random machine shapes (SM count, memory
+/// Randomized strong form of the engine's determinism contract
+/// (DESIGN.md §10): over random machine shapes (SM count, memory
 /// partitions), random multi-kernel workloads and random access
-/// patterns, every worker-thread count produces statistics bit-identical
-/// to the serial engine. Much heavier than the fixed-config engine
-/// tests, so it runs only in the `ext-tests` soak tier.
+/// patterns, a second run gives bit-identical statistics and every
+/// instruction, CTA and kernel of the grid is executed exactly once.
+/// Much heavier than the fixed-config engine tests, so it runs only in
+/// the `ext-tests` soak tier.
 #[cfg(feature = "ext-tests")]
 #[test]
-fn sharded_engine_matches_serial_on_random_machines() {
+fn engine_repeats_and_conserves_work_on_random_machines() {
     let mut rng = Rng64::seed_from_u64(0x5eed_000b);
     for _ in 0..cases(2) {
         let seed = rng.gen_range(0, 1 << 20);
@@ -487,13 +483,11 @@ fn sharded_engine_matches_serial_on_random_machines() {
         let mut cfg = GpuConfig::paper_target(sms, MemScale::new(32));
         cfg.n_mcs = n_mcs;
         cfg.llc_slices = llc_slices;
-        let serial = Simulator::new(cfg.clone(), &wl).run();
-        for threads in [2u32, 4, 8] {
-            let mut sharded = cfg.clone();
-            sharded.sim_threads = threads;
-            let st = Simulator::new(sharded, &wl).run();
-            serial.assert_deterministic_eq(&st);
-        }
+        let st = Simulator::new(cfg.clone(), &wl).run();
+        st.assert_deterministic_eq(&Simulator::new(cfg, &wl).run());
+        assert_eq!(st.warp_instrs, wl.approx_warp_instrs());
+        assert_eq!(st.ctas_executed, wl.total_ctas());
+        assert_eq!(st.kernels_executed, wl.kernels().len() as u64);
     }
 }
 
