@@ -26,6 +26,19 @@ fn cache_accesses() {
         });
     }
     {
+        // The compute-bound regime: a working set the L1 holds, so every
+        // access finds its line in a six-way set and makes it the newest.
+        // Beside `llc_64way_streaming_miss` this keeps a tag store tuned
+        // for wide sets honest about narrow ones.
+        let mut cache = Cache::new(CacheGeometry::new(48 * 1024, 6, 128));
+        let resident = addresses(256);
+        g.bench("l1_6way_hit", || {
+            for &a in &resident {
+                cache.access(a, false);
+            }
+        });
+    }
+    {
         let mut cache = Cache::new(CacheGeometry::new(512 * 1024, 64, 128));
         g.bench("llc_slice_64way", || {
             for &a in &addrs {
@@ -35,8 +48,8 @@ fn cache_accesses() {
     }
     {
         // The memory-bound regime: a stream that never re-touches a line,
-        // so every access looks a full 64-way set over, evicts its LRU way
-        // and re-ranks the set.
+        // so every access looks a full 64-way set over, evicts the way at
+        // the old end of its recency list and relinks it at the new end.
         let mut cache = Cache::new(CacheGeometry::new(512 * 1024, 64, 128));
         let mut next = 0u64;
         g.bench("llc_64way_streaming_miss", || {

@@ -71,10 +71,8 @@ const DIRTY: u64 = 2;
 const INVALID: u64 = 0;
 /// Line addresses must leave room for the two flag bits.
 const MAX_LINE_ADDR: u64 = u64::MAX >> 2;
-/// Ranks are bytes, and `PAD_RANK` is not one of them.
+/// Ways and the order list's sentinel are numbered in a byte.
 const MAX_WAYS: u32 = 255;
-/// Rank byte of the padding that rounds a set's bytes up to whole words.
-const PAD_RANK: u8 = u8::MAX;
 
 const LOW_BITS: u64 = 0x0101_0101_0101_0101;
 const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
@@ -91,7 +89,7 @@ fn key_of(line_addr: u64) -> Option<u64> {
 /// empty ways and padding.
 #[inline]
 fn fingerprint(line_addr: u64) -> u8 {
-    (line_addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8 | 1
+    ((line_addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8).max(1)
 }
 
 /// Per 8-byte word of `bytes`, a mask with bit `8 * i + 7` set if byte
@@ -125,31 +123,47 @@ fn find(tags: &[u64], fingerprints: &[u8], line_addr: u64) -> Option<usize> {
     None
 }
 
-/// The way of `ranks` (a permutation, padded) holding `rank`. Visits
-/// every word rather than stopping at the match: which way is, say,
-/// least recently used is as good as random, and a mispredicted loop exit
-/// costs more than the few words left.
-#[inline]
-fn way_at(ranks: &[u8], rank: usize) -> usize {
-    let mut way = usize::MAX;
-    for (i, flagged) in match_words(ranks, rank as u8).enumerate() {
-        if flagged != 0 {
-            way = 8 * i + (flagged.trailing_zeros() / 8) as usize;
-        }
-    }
-    way
+/// A set's recency (LRU) or fill (FIFO) order: a circular doubly linked
+/// list threaded through the ways, newest first, closed by a sentinel
+/// numbered `ways` so that no link is ever absent. `links` holds `next`
+/// and `prev` of every way, then of the sentinel, whose `next` is the
+/// newest way and whose `prev` the oldest. Empty ways sit at the old end.
+struct Order<'a> {
+    links: &'a mut [u8],
+    ways: usize,
 }
 
-/// Moves `way` to rank 0 and shifts every way ahead of it back by one —
-/// the rotate of a recency-ordered array, on one byte per way. Padding
-/// (`PAD_RANK`) is ahead of nothing and stays put.
-#[inline]
-fn promote(ranks: &mut [u8], way: usize) {
-    let rank = ranks[way];
-    for r in ranks.iter_mut() {
-        *r += u8::from(*r < rank);
+impl Order<'_> {
+    fn next(&self, way: usize) -> usize {
+        usize::from(self.links[2 * way])
     }
-    ranks[way] = 0;
+
+    fn prev(&self, way: usize) -> usize {
+        usize::from(self.links[2 * way + 1])
+    }
+
+    fn link(&mut self, from: usize, to: usize) {
+        self.links[2 * from] = to as u8;
+        self.links[2 * to + 1] = from as u8;
+    }
+
+    /// The way `rank` places from the newest.
+    fn at(&self, rank: usize) -> usize {
+        (0..rank).fold(self.next(self.ways), |way, _| self.next(way))
+    }
+
+    /// Relinks `way` behind `after`: behind the sentinel it is the newest,
+    /// behind the oldest way (the sentinel's `prev`) the oldest.
+    #[inline]
+    fn move_after(&mut self, way: usize, after: usize) {
+        if way == after || self.prev(way) == after {
+            return;
+        }
+        self.link(self.prev(way), self.next(way));
+        let behind = self.next(after);
+        self.link(after, way);
+        self.link(way, behind);
+    }
 }
 
 /// A set-associative cache with selectable replacement (true LRU by
@@ -159,14 +173,13 @@ fn promote(ranks: &mut [u8], way: usize) {
 /// Used for the per-SM 48 KB 6-way L1 caches and, one instance per slice,
 /// for the 64-way LLC slices of the paper's configurations.
 ///
-/// A way is ten bytes: its tag word, a fingerprint byte of the line it
-/// holds, and its rank byte — its position in the set's recency (LRU) or
-/// fill (FIFO) order, 0 = newest; empty ways hold the highest ranks. A
-/// lookup tests the fingerprints eight at a time and compares tags only
-/// where they match; a replacement rewrites one tag and the set's rank
-/// bytes. A 64-way miss therefore reads and writes ~130 B where an array
-/// of `{tag, valid, dirty}` structs kept in recency order scanned and
-/// shifted 1 KiB.
+/// A way is eleven bytes: its tag word, a fingerprint byte of the line it
+/// holds, and its two links in the set's recency (LRU) or fill (FIFO)
+/// order, a doubly linked list with the newest way first and the empty
+/// ways last. A lookup tests the fingerprints eight at a time and
+/// compares tags only where they match; a hit or a replacement relinks
+/// one way, whatever the associativity, and the victim is the list's
+/// last way.
 ///
 /// # Example
 ///
@@ -183,10 +196,12 @@ pub struct Cache {
     policy: ReplacementPolicy,
     /// `sets * ways` tag words, set-major.
     tags: Vec<u64>,
-    /// Per set: the fingerprint bytes, then the rank bytes, each padded
-    /// to `padded_ways` (whole 8-byte words) with bytes no lookup matches.
+    /// Per set, `set_meta` bytes: the fingerprints, padded to
+    /// `padded_ways` (whole 8-byte words) with bytes no lookup matches,
+    /// then the links of the set's [`Order`].
     meta: Vec<u8>,
     padded_ways: usize,
+    set_meta: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -218,12 +233,14 @@ impl Cache {
         );
         let (sets, ways) = (geom.sets() as usize, geom.ways() as usize);
         let padded_ways = ways.next_multiple_of(8);
+        let set_meta = (padded_ways + 2 * (ways + 1)).next_multiple_of(8);
         let mut cache = Self {
             geom,
             policy,
             tags: vec![INVALID; sets * ways],
-            meta: vec![0; sets * 2 * padded_ways],
+            meta: vec![0; sets * set_meta],
             padded_ways,
+            set_meta,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -258,17 +275,17 @@ impl Cache {
     #[inline]
     fn set_ranges(&self, line_addr: u64) -> (Range<usize>, Range<usize>) {
         let set = self.geom.set_index(line_addr) as usize;
-        let (ways, meta) = (self.geom.ways() as usize, 2 * self.padded_ways);
+        let (ways, meta) = (self.geom.ways() as usize, self.set_meta);
         (set * ways..(set + 1) * ways, set * meta..(set + 1) * meta)
     }
 
-    /// The set `line_addr` maps to: its tags, fingerprints and (padded)
-    /// ranks.
+    /// The set `line_addr` maps to: its tags, fingerprints and order.
     #[inline]
-    fn set_mut(&mut self, line_addr: u64) -> (&mut [u64], &mut [u8], &mut [u8]) {
+    fn set_mut(&mut self, line_addr: u64) -> (&mut [u64], &mut [u8], Order<'_>) {
         let (tags, meta) = self.set_ranges(line_addr);
-        let (fingerprints, ranks) = self.meta[meta].split_at_mut(self.padded_ways);
-        (&mut self.tags[tags], fingerprints, ranks)
+        let ways = tags.len();
+        let (fingerprints, links) = self.meta[meta].split_at_mut(self.padded_ways);
+        (&mut self.tags[tags], fingerprints, Order { links, ways })
     }
 
     /// Accesses `line_addr` (a line address, not a byte address), filling on
@@ -283,29 +300,29 @@ impl Cache {
         });
         let dirty = if is_write { DIRTY } else { 0 };
         let policy = self.policy;
-        let (tags, fingerprints, ranks) = self.set_mut(line_addr);
+        let (tags, fingerprints, mut order) = self.set_mut(line_addr);
         let ways = tags.len();
         if let Some(way) = find(tags, fingerprints, line_addr) {
             tags[way] |= dirty;
             if policy == ReplacementPolicy::Lru {
                 // FIFO/Random leave the order alone on a hit.
-                promote(ranks, way);
+                order.move_after(way, ways);
             }
             self.hits += 1;
             return AccessResult::Hit;
         }
 
-        // Miss: pick a victim per policy. Empty ways rank last, so the
-        // last-ranked way is empty until the set is full.
-        let mut victim = way_at(ranks, ways - 1);
+        // Miss: pick a victim per policy. Empty ways come last, so the
+        // oldest way is empty until the set is full.
+        let mut victim = order.prev(ways);
         if tags[victim] != INVALID && policy == ReplacementPolicy::Random {
             let rank = (self.next_random() % ways as u64) as usize;
-            victim = way_at(self.set_mut(line_addr).2, rank);
+            victim = self.set_mut(line_addr).2.at(rank);
         }
-        let (tags, fingerprints, ranks) = self.set_mut(line_addr);
+        let (tags, fingerprints, mut order) = self.set_mut(line_addr);
         let old = std::mem::replace(&mut tags[victim], key | dirty);
         fingerprints[victim] = fingerprint(line_addr);
-        promote(ranks, victim);
+        order.move_after(victim, ways);
         let evicted = (old != INVALID).then_some(EvictedLine {
             line_addr: old >> 2,
             dirty: old & DIRTY != 0,
@@ -327,30 +344,28 @@ impl Cache {
 
     /// Invalidates `line_addr` if present; returns whether it was dirty.
     pub fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
-        let (tags, fingerprints, ranks) = self.set_mut(line_addr);
+        let (tags, fingerprints, mut order) = self.set_mut(line_addr);
         let way = find(tags, fingerprints, line_addr)?;
         let was_dirty = tags[way] & DIRTY != 0;
         tags[way] = INVALID;
         fingerprints[way] = 0;
-        // The freed way takes the last rank; the ways behind it move up.
-        let ranks = &mut ranks[..tags.len()];
-        let rank = ranks[way];
-        for r in ranks.iter_mut() {
-            *r -= u8::from(*r > rank);
-        }
-        ranks[way] = (ranks.len() - 1) as u8;
+        // The freed way becomes the oldest: the next to be filled.
+        let oldest = order.prev(tags.len());
+        order.move_after(way, oldest);
         Some(was_dirty)
     }
 
     /// Empties the cache and resets statistics.
     pub fn reset(&mut self) {
         self.tags.fill(INVALID);
-        let ways = self.geom.ways() as usize;
-        for set in self.meta.chunks_exact_mut(2 * self.padded_ways) {
-            let (fingerprints, ranks) = set.split_at_mut(self.padded_ways);
+        // Way 0 is the newest, the last way the oldest and first filled.
+        let nodes = self.geom.ways() as usize + 1;
+        for set in self.meta.chunks_exact_mut(self.set_meta) {
+            let (fingerprints, links) = set.split_at_mut(self.padded_ways);
             fingerprints.fill(0);
-            for (way, r) in ranks.iter_mut().enumerate() {
-                *r = if way < ways { way as u8 } else { PAD_RANK };
+            for node in 0..nodes {
+                links[2 * node] = ((node + 1) % nodes) as u8;
+                links[2 * node + 1] = ((node + nodes - 1) % nodes) as u8;
             }
         }
         self.hits = 0;

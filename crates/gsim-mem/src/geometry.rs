@@ -103,7 +103,22 @@ impl CacheGeometry {
     /// lines spread perfectly evenly over the sets.
     #[inline]
     pub fn set_index(&self, line_addr: u64) -> u32 {
-        (line_addr % u64::from(self.sets)) as u32
+        rem(line_addr, self.sets) as u32
+    }
+}
+
+/// `x % n`. Every index of the per-line path divides by a count fixed at
+/// run time — sets, slices, controllers — that is a power of two on all
+/// the paper's machines: those take the mask, the rest the division.
+/// (`n & (n - 1)` because `is_power_of_two` is a population count, a
+/// dozen instructions on the baseline x86-64 this builds for.)
+#[inline]
+pub(crate) fn rem(x: u64, n: u32) -> u64 {
+    debug_assert!(n > 0);
+    if n & n.wrapping_sub(1) == 0 {
+        x & u64::from(n.wrapping_sub(1))
+    } else {
+        x % u64::from(n)
     }
 }
 

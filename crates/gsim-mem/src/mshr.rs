@@ -85,22 +85,6 @@ impl Mshr {
         self.pending.get(&line_addr).copied()
     }
 
-    /// Overwrites the completion time of the in-flight fill for `line_addr`.
-    /// Returns `true` if an entry existed.
-    ///
-    /// Used by the two-phase engine: the parallel per-SM phase allocates the
-    /// entry with a placeholder time, and the serial apply phase patches in
-    /// the real fill time once the shared memory system has been consulted.
-    pub fn update_fill(&mut self, line_addr: u64, fill_done: u64) -> bool {
-        match self.pending.get_mut(&line_addr) {
-            Some(done) => {
-                *done = fill_done;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Releases the entry for `line_addr` once its fill has completed.
     /// Returns `true` if an entry existed.
     pub fn complete(&mut self, line_addr: u64) -> bool {

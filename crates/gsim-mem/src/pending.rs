@@ -1,6 +1,6 @@
 //! Tracking of in-flight LLC fills.
 //!
-//! The timing simulator keeps, per memory domain, the set of lines whose
+//! The timing simulator keeps, per memory partition, the set of lines whose
 //! DRAM fill has not yet landed in the LLC: a hit on such a line must wait
 //! for the in-flight fill instead of completing at tag latency. The naive
 //! representation (a `HashMap` probed on every LLC hit plus a periodic
@@ -12,8 +12,8 @@
 
 use crate::linehash::LineMap;
 
-/// Minimum purge threshold; matches the historical `MemDomain` constant so
-/// purge timing (and therefore map contents at any instant) is unchanged.
+/// Minimum purge threshold. Purging is invisible to probes: a landed fill
+/// answers `None` whether or not it is still stored.
 const MIN_PURGE_AT: usize = 8192;
 
 /// In-flight fill completion times, keyed by line address.

@@ -7,7 +7,7 @@
 //! that owns it — one of the two mechanisms behind sub-linear scaling.
 
 use crate::cache::{AccessResult, Cache, ReplacementPolicy};
-use crate::geometry::CacheGeometry;
+use crate::geometry::{rem, CacheGeometry};
 
 /// Maps a line address to its owning slice.
 ///
@@ -18,7 +18,7 @@ pub fn slice_for_line(line_addr: u64, n_slices: u32) -> u32 {
     debug_assert!(n_slices > 0);
     // Fibonacci hashing on the line address.
     let h = line_addr.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((h >> 32) % u64::from(n_slices)) as u32
+    rem(h >> 32, n_slices) as u32
 }
 
 /// A shared LLC organised as `n_slices` address-hashed slices, each an
@@ -127,19 +127,6 @@ impl SlicedLlc {
     pub fn access(&mut self, line_addr: u64, is_write: bool) -> AccessResult {
         let s = self.slice_of(line_addr) as usize;
         self.slices[s].access(line_addr, is_write)
-    }
-
-    /// Accesses `line_addr` in `slice`, previously computed via
-    /// [`SlicedLlc::slice_of`]. Lets callers that already hashed the address
-    /// (e.g. for slice-port arbitration) avoid hashing it a second time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slice` is out of range; debug-asserts that it matches the
-    /// owning slice of `line_addr`.
-    pub fn access_at(&mut self, slice: u32, line_addr: u64, is_write: bool) -> AccessResult {
-        debug_assert_eq!(slice, self.slice_of(line_addr));
-        self.slices[slice as usize].access(line_addr, is_write)
     }
 
     /// Accesses `line_addr` in `slice`, where the slice index comes from

@@ -116,6 +116,12 @@ const NEGATIVE_CACHE_CAPACITY: usize = 256;
 const MAX_PREDICT_BYTES: usize = 64 * 1024;
 /// Largest accepted target system size.
 const MAX_TARGET_SMS: u32 = 1 << 20;
+/// Largest accepted `pattern.passes` and `pattern.mem_ops_per_warp`: the
+/// two fields that multiply a kernel's work without growing anything a
+/// request is otherwise billed for. Every workload of Tables II/IV stays
+/// below a tenth of either.
+const MAX_PATTERN_PASSES: u32 = 64;
+const MAX_PATTERN_MEM_OPS_PER_WARP: u32 = 4096;
 
 /// Service construction knobs.
 #[derive(Debug, Clone, Default)]
@@ -1413,6 +1419,14 @@ fn as_u32(json: &Json, what: &str) -> Result<u32, ApiError> {
         .ok_or_else(|| ApiError::bad(format!("{what} must be a non-negative integer")))
 }
 
+/// [`as_u32`], at least 1 (0 counts as 1) and at most `max`.
+fn as_count(json: &Json, what: &str, max: u32) -> Result<u32, ApiError> {
+    match as_u32(json, what)?.max(1) {
+        n if n <= max => Ok(n),
+        _ => Err(ApiError::bad(format!("{what} must be at most {max}"))),
+    }
+}
+
 fn as_f64(json: &Json, what: &str) -> Result<f64, ApiError> {
     json.as_f64()
         .filter(|v| v.is_finite())
@@ -1750,7 +1764,7 @@ fn parse_pattern(pattern: &Json, scale: MemScale) -> Result<(Workload, Json), Ap
     let kind = match kind_name.as_str() {
         "global_sweep" => {
             let passes = match f.get("passes") {
-                Some(v) => as_u32(v, "pattern.passes")?.max(1),
+                Some(v) => as_count(v, "pattern.passes", MAX_PATTERN_PASSES)?,
                 None => 1,
             };
             extra.push(("passes", Json::from(passes)));
@@ -1821,7 +1835,10 @@ fn parse_pattern(pattern: &Json, scale: MemScale) -> Result<(Workload, Json), Ap
             None => Ok(default),
         }
     };
-    let mem_ops_per_warp = num(&mut f, "mem_ops_per_warp", 64)?.max(1);
+    let mem_ops_per_warp = match f.get("mem_ops_per_warp") {
+        Some(v) => as_count(v, "pattern.mem_ops_per_warp", MAX_PATTERN_MEM_OPS_PER_WARP)?,
+        None => 64,
+    };
     let compute_per_mem = match f.get("compute_per_mem") {
         Some(v) => as_f64(v, "pattern.compute_per_mem")?.max(0.0),
         None => 2.0,

@@ -475,11 +475,12 @@ fn a_deadline_that_expires_during_the_collect_is_a_504() {
     let server = RunningServer::start(ServeConfig::default());
     let addr = server.addr;
 
-    // One kernel whose warps each chase 300 000 pointers: seconds of
-    // collection even in a release build, hundreds of times the
-    // deadline, and no kernel boundary inside it to stop at.
+    // One kernel of 128 Ki CTAs whose warps each chase 4096 pointers
+    // (the most a body may ask for): seconds of collection even in a
+    // release build, hundreds of times the deadline, and no kernel
+    // boundary inside it to stop at.
     let body = r#"{"pattern": {"kind": "pointer_chase", "footprint_mb": 48.0,
-        "mem_ops_per_warp": 300000}, "targets": [32, 64], "path": "fast"}"#;
+        "ctas": 131072, "mem_ops_per_warp": 4096}, "targets": [32, 64], "path": "fast"}"#;
     for attempt in 1..=2u64 {
         let started = std::time::Instant::now();
         let (status, _, resp) = request_with(

@@ -16,13 +16,14 @@ use std::time::Duration;
 
 use gsim_serve::{PredictService, ServeConfig, Server, ServerConfig, ShutdownFlag};
 
-/// A predict of `passes` sweeps over 8 MB, pinned to the full path:
+/// A predict of 4 sweeps over `8 * scale` MB, pinned to the full path:
 /// these tests are about timing-simulation saturation, which the
 /// functional-first fast path would sidestep. Its cost grows with
-/// `passes`; 4 is a few seconds in a debug build.
-fn slow_body(passes: u32) -> String {
+/// `scale` (`passes` is capped); 1 is a few seconds in a debug build.
+fn slow_body(scale: u32) -> String {
     format!(
-        r#"{{"pattern": {{"kind": "global_sweep", "footprint_mb": 8.0, "passes": {passes}}}, "target_sms": 64, "path": "full"}}"#
+        r#"{{"pattern": {{"kind": "global_sweep", "footprint_mb": {}.0, "passes": 4}}, "target_sms": 64, "path": "full"}}"#,
+        8 * scale
     )
 }
 
@@ -151,7 +152,7 @@ fn while_occupied<T>(
     probe: impl Fn(u32) -> T,
 ) -> T {
     for attempt in 0..10 {
-        let body = slow_body(4 << (2 * attempt));
+        let body = slow_body(1 << (2 * attempt));
         let slow = std::thread::spawn(move || request(addr, "POST", "/v1/predict", &body));
         while !slow.is_finished() && !occupied(&metrics(addr)) {
             std::thread::sleep(Duration::from_millis(2));
@@ -240,7 +241,7 @@ fn deadline_header_cuts_predicts_off_with_504() {
         "POST",
         "/v1/predict",
         &[("X-Gsim-Deadline-Ms", "1")],
-        &slow_body(4),
+        &slow_body(1),
     );
     assert_eq!(
         status,
@@ -261,7 +262,7 @@ fn deadline_header_cuts_predicts_off_with_504() {
         "POST",
         "/v1/predict",
         &[("X-Gsim-Deadline-Ms", "soon")],
-        &slow_body(4),
+        &slow_body(1),
     );
     assert_eq!(status, 400);
     server.stop();

@@ -243,6 +243,44 @@ fn full_api_surface_responds_over_http() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
+/// `passes` and `mem_ops_per_warp` multiply a kernel's work without
+/// growing anything else a request is billed for, so they are capped: a
+/// body past either cap is a 400 that names the field and its limit, and
+/// costs no computation; a body at the cap is served.
+#[test]
+fn pattern_work_multipliers_are_capped() {
+    let cache_dir = fresh_cache_dir("caps");
+    let server = RunningServer::start(&cache_dir);
+    let addr = server.addr;
+    let sweep = |passes: u32| {
+        format!(
+            r#"{{"pattern": {{"kind": "global_sweep", "footprint_mb": 1.0, "passes": {passes}}}, "targets": [32]}}"#
+        )
+    };
+    let chase = |ops: u32| {
+        format!(
+            r#"{{"pattern": {{"kind": "pointer_chase", "footprint_mb": 1.0, "ctas": 8, "mem_ops_per_warp": {ops}}}, "targets": [32]}}"#
+        )
+    };
+    for (over, field, limit) in [
+        (sweep(65), "pattern.passes", "64"),
+        (sweep(u32::MAX), "pattern.passes", "64"),
+        (chase(4097), "pattern.mem_ops_per_warp", "4096"),
+        (chase(300_000), "pattern.mem_ops_per_warp", "4096"),
+    ] {
+        let (status, _, body) = request(addr, "POST", "/v1/predict", &over);
+        let text = String::from_utf8_lossy(&body);
+        assert_eq!(status, 400, "{over}: {text}");
+        assert!(text.contains(field) && text.contains(limit), "{text}");
+    }
+    for at_cap in [sweep(64), chase(4096)] {
+        let (status, _, body) = request(addr, "POST", "/v1/predict", &at_cap);
+        assert_eq!(status, 200, "{at_cap}: {}", String::from_utf8_lossy(&body));
+    }
+    server.stop();
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
 #[test]
 fn multigpu_predicts_scale_and_cache_separately() {
     let cache_dir = fresh_cache_dir("multigpu");

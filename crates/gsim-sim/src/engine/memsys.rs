@@ -107,8 +107,13 @@ impl ShardMap {
     /// partition `k` owns global slices `{k, k + K, k + 2K, ...}`.
     #[inline]
     pub(super) fn route(&self, line: u64) -> (u32, u32) {
-        let g = slice_for_line(line, self.llc_slices);
-        (g % self.per_chiplet, g / self.per_chiplet)
+        let (g, k) = (slice_for_line(line, self.llc_slices), self.per_chiplet);
+        if k & (k - 1) == 0 {
+            // A power of two (no population count: see `gsim_mem`'s `rem`).
+            (g & (k - 1), g >> k.trailing_zeros())
+        } else {
+            (g % k, g / k)
+        }
     }
 }
 
@@ -293,5 +298,33 @@ mod tests {
         };
         assert_eq!(few_slices.mem_partitions(), 3);
         assert_eq!(ShardMap::new(&few_slices).per_chiplet, 3);
+    }
+
+    #[test]
+    fn route_is_the_slice_hash_split_by_partition_count() {
+        // Power-of-two partition counts take a mask and a shift, the rest
+        // divide: the paper's machines, odd slice counts, and the
+        // three-partition machine above.
+        let scale = MemScale::default();
+        for (sms, llc_slices) in [
+            (8, 2),
+            (16, 4),
+            (64, 32),
+            (128, 64),
+            (128, 3),
+            (64, 6),
+            (128, 12),
+            (128, 24),
+        ] {
+            let cfg = GpuConfig {
+                llc_slices,
+                ..GpuConfig::paper_target(sms, scale)
+            };
+            let (map, k) = (ShardMap::new(&cfg), cfg.mem_partitions());
+            for line in (0..50_000u64).map(|i| i.wrapping_mul(0x2545_F491_4F6C_DD1D) >> (i % 40)) {
+                let g = slice_for_line(line, llc_slices);
+                assert_eq!(map.route(line), (g % k, g / k), "{llc_slices} slices / {k}");
+            }
+        }
     }
 }

@@ -26,7 +26,6 @@
 mod memsys;
 mod sm;
 
-use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -461,7 +460,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
                 }
             }
             if mi.blocks {
-                sm.blocked.push(Reverse((wake, mi.warp)));
+                sm.park(mi.warp, wake);
             }
         }
         out.recs.clear();
@@ -493,7 +492,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         let mut next_wake: Option<u64> = None;
         let mut any_ready = false;
         for sm in sms.iter() {
-            if let Some(&Reverse((t, _))) = sm.blocked.peek() {
+            if let Some(t) = sm.next_wake() {
                 next_wake = Some(next_wake.map_or(t, |m| m.min(t)));
             }
             if sm.has_ready() {

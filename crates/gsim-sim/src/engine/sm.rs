@@ -79,6 +79,9 @@ pub(super) struct LaneOut {
     pub mem: Option<MemIssue>,
 }
 
+/// Bits of a wake-heap key that hold the warp slot.
+const WARP_BITS: u32 = 16;
+
 pub(super) struct WarpCtx<S> {
     pub stream: S,
     pub cta: u32,
@@ -93,7 +96,9 @@ pub(super) struct Sm<S> {
     /// GTO fallback pick is a `pop`). The last-issued warp is never kept
     /// here — see `greedy_stashed`.
     pub ready: Vec<u32>,
-    pub blocked: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Parked warps, earliest wake-up first, as `wake << WARP_BITS | warp`:
+    /// ordered as the pair is, in half the bytes to sift.
+    blocked: BinaryHeap<Reverse<u64>>,
     pub last_issued: Option<u32>,
     /// True when `last_issued` is ready to issue again; it is parked
     /// outside `ready`. GTO re-picks it first regardless of age, so keeping
@@ -117,6 +122,7 @@ pub(super) struct Sm<S> {
 impl<S> Sm<S> {
     pub(super) fn new(cfg: &GpuConfig, chiplet: u32) -> Self {
         let n = cfg.warps_per_sm;
+        assert!(n <= 1 << WARP_BITS, "{n} warp slots exceed a wake key");
         Self {
             l1: Cache::new(CacheGeometry::new(
                 cfg.l1_bytes,
@@ -147,6 +153,17 @@ impl<S> Sm<S> {
             .ready
             .partition_point(|&w| self.warps[w as usize].as_ref().expect("live").age > age);
         self.ready.insert(pos, warp);
+    }
+
+    /// Parks `warp` until cycle `wake`.
+    pub(super) fn park(&mut self, warp: u32, wake: u64) {
+        self.blocked
+            .push(Reverse(wake << WARP_BITS | u64::from(warp)));
+    }
+
+    /// The earliest wake-up among the parked warps.
+    pub(super) fn next_wake(&self) -> Option<u64> {
+        self.blocked.peek().map(|&Reverse(key)| key >> WARP_BITS)
     }
 
     /// Whether any warp could issue next cycle without a wake-up.
@@ -204,13 +221,12 @@ impl<S: WarpStream> Sm<S> {
     pub(super) fn phase_a(&mut self, now: u64, p: &LaneParams, reqs: &mut Vec<LineReq>) -> LaneOut {
         let mut out = LaneOut::default();
         // Wake phase.
-        while let Some(&Reverse((t, w))) = self.blocked.peek() {
-            if t <= now {
-                self.blocked.pop();
-                self.insert_ready(w);
-            } else {
+        while let Some(&Reverse(key)) = self.blocked.peek() {
+            if key >> WARP_BITS > now {
                 break;
             }
+            self.blocked.pop();
+            self.insert_ready(key as u32 & ((1 << WARP_BITS) - 1));
         }
         // Issue phase.
         while let Some(warp) = self.pick() {

@@ -49,61 +49,58 @@ impl FunctionalReplay {
     /// Replays the whole workload (synthetic or trace-driven). May be
     /// called once.
     pub fn run<W: WorkloadModel>(&mut self, wl: &W, ctas_per_sm_of: impl Fn(u32) -> u32) {
+        // Per-SM L1s and resident warp streams (flattened CTA slots),
+        // allocated once: every kernel starts with cold L1s and ends with
+        // no resident warp.
+        let mut l1s = vec![Cache::new(self.l1_geom); self.n_sms as usize];
+        let mut resident: Vec<Vec<(u32, W::Stream)>> =
+            (0..self.n_sms).map(|_| Vec::new()).collect();
+        let mut cta_live: Vec<u32> = Vec::new();
         for kidx in 0..wl.n_kernels() {
             let (n_ctas, threads_per_cta) = wl.grid(kidx);
             let warps_per_cta = wl.warps_per_cta(kidx);
-            let max_ctas = ctas_per_sm_of(threads_per_cta).max(1);
+            let slots = (ctas_per_sm_of(threads_per_cta).max(1) * warps_per_cta) as usize;
             let mut next_cta: u32 = 0;
-            // Per-SM resident warp streams (flattened CTA slots).
-            let mut resident: Vec<Vec<(u32, W::Stream)>> =
-                (0..self.n_sms).map(|_| Vec::new()).collect();
-            let mut cta_live: Vec<u32> = vec![0; n_ctas as usize];
-            let mut l1s: Vec<Cache> = (0..self.n_sms).map(|_| Cache::new(self.l1_geom)).collect();
-            // Initial fill.
-            for slot in resident.iter_mut() {
-                while slot.len() < (max_ctas * warps_per_cta) as usize && next_cta < n_ctas {
-                    let cta = next_cta;
+            l1s.iter_mut().for_each(Cache::reset);
+            cta_live.clear();
+            cta_live.resize(n_ctas as usize, warps_per_cta);
+            // Pulls CTAs onto an SM while it has free slots; returns
+            // whether any arrived.
+            let mut fill = |slot: &mut Vec<(u32, W::Stream)>| {
+                let before = slot.len();
+                while slot.len() < slots && next_cta < n_ctas {
+                    slot.extend(
+                        (0..warps_per_cta).map(|w| (next_cta, wl.warp_stream(kidx, next_cta, w))),
+                    );
                     next_cta += 1;
-                    cta_live[cta as usize] = warps_per_cta;
-                    for w in 0..warps_per_cta {
-                        slot.push((cta, wl.warp_stream(kidx, cta, w)));
-                    }
                 }
+                slot.len() > before
+            };
+            for slot in &mut resident {
+                fill(slot);
             }
             // Round-robin advance: one op per resident warp per round.
             let mut live = true;
             while live {
                 live = false;
-                for sm in 0..self.n_sms as usize {
+                for (slot, l1) in resident.iter_mut().zip(&mut l1s) {
                     let mut i = 0;
-                    while i < resident[sm].len() {
-                        let (cta, stream) = &mut resident[sm][i];
+                    while i < slot.len() {
+                        let (cta, stream) = &mut slot[i];
                         match stream.next_op() {
                             Some(op) => {
                                 live = true;
                                 self.thread_instrs +=
                                     op.warp_instrs() * u64::from(THREADS_PER_WARP);
-                                self.process(&mut l1s[sm], &op);
+                                self.process(l1, &op);
                                 i += 1;
                             }
                             None => {
-                                let cta = *cta;
-                                resident[sm].swap_remove(i);
-                                cta_live[cta as usize] -= 1;
-                                if cta_live[cta as usize] == 0 {
-                                    // Slot freed: pull the next CTA.
-                                    while resident[sm].len() < (max_ctas * warps_per_cta) as usize
-                                        && next_cta < n_ctas
-                                    {
-                                        let c = next_cta;
-                                        next_cta += 1;
-                                        cta_live[c as usize] = warps_per_cta;
-                                        for w in 0..warps_per_cta {
-                                            resident[sm].push((c, wl.warp_stream(kidx, c, w)));
-                                        }
-                                        live = true;
-                                    }
-                                }
+                                let cta = *cta as usize;
+                                slot.swap_remove(i);
+                                cta_live[cta] -= 1;
+                                // A CTA's last warp frees its slots.
+                                live |= cta_live[cta] == 0 && fill(slot);
                             }
                         }
                     }

@@ -1,6 +1,8 @@
 //! Kernels, grids, and workloads.
 
-use crate::pattern::{PatternSpec, SpecStream, StreamCtx};
+use std::sync::Arc;
+
+use crate::pattern::{PatternSpec, SpecStream, StreamCtx, StreamShared};
 use crate::tracefile::{FnvSink, Sink};
 use crate::THREADS_PER_WARP;
 
@@ -14,7 +16,9 @@ pub struct Kernel {
     name: String,
     n_ctas: u32,
     threads_per_cta: u32,
-    spec: PatternSpec,
+    /// The spec and what its streams derive from it and the grid, shared
+    /// by every stream (and every clone) of this kernel.
+    shared: Arc<StreamShared>,
 }
 
 impl Kernel {
@@ -23,8 +27,8 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if the grid is empty or `threads_per_cta` is 0 or > 1024
-    /// (the CUDA limit).
+    /// Panics if the grid is empty, `threads_per_cta` is 0 or > 1024
+    /// (the CUDA limit), or `spec` is `Tiled` with empty tiles.
     pub fn new(
         name: impl Into<String>,
         n_ctas: u32,
@@ -36,11 +40,12 @@ impl Kernel {
             (1..=1024).contains(&threads_per_cta),
             "threads per CTA must be in 1..=1024, got {threads_per_cta}"
         );
+        let total_warps = u64::from(n_ctas) * u64::from(threads_per_cta.div_ceil(THREADS_PER_WARP));
         Self {
             name: name.into(),
             n_ctas,
             threads_per_cta,
-            spec,
+            shared: Arc::new(StreamShared::new(spec, total_warps)),
         }
     }
 
@@ -71,7 +76,7 @@ impl Kernel {
 
     /// The access pattern.
     pub fn spec(&self) -> &PatternSpec {
-        &self.spec
+        &self.shared.spec
     }
 
     /// Stream context for warp `warp` of CTA `cta` in kernel `kernel_idx`
@@ -113,10 +118,8 @@ impl Kernel {
             "warp {warp} outside CTA of {} warps",
             self.warps_per_cta()
         );
-        SpecStream::new(
-            self.spec.clone(),
-            self.stream_ctx(workload, kernel_idx, cta, warp),
-        )
+        let ctx = self.stream_ctx(workload, kernel_idx, cta, warp);
+        SpecStream::new(Arc::clone(&self.shared), ctx.global_warp, ctx.seed)
     }
 
     /// Approximate warp instructions the whole kernel executes.
@@ -124,7 +127,7 @@ impl Kernel {
         // All warps of a kernel execute the same op count for a given grid,
         // so sample warp 0.
         let ctx = self.stream_ctx(workload, kernel_idx, 0, 0);
-        self.spec.warp_instrs_for(&ctx) * self.total_warps()
+        self.spec().warp_instrs_for(&ctx) * self.total_warps()
     }
 }
 
@@ -234,11 +237,12 @@ impl Workload {
                 name: _,
                 n_ctas,
                 threads_per_cta,
-                spec,
+                // The spec plus state derived from it and the grid.
+                shared: _,
             } = kernel;
             put(u64::from(*n_ctas));
             put(u64::from(*threads_per_cta));
-            spec.fold_recipe(&mut put);
+            kernel.spec().fold_recipe(&mut put);
         }
         sink.0
     }

@@ -1,5 +1,7 @@
 //! Access-pattern families and the deterministic warp-stream generator.
 
+use std::sync::Arc;
+
 use gsim_rng::Rng64;
 
 use crate::op::{MemAccess, MemSpace, Op};
@@ -244,14 +246,21 @@ impl PatternSpec {
         put(u64::from(*tail_compute));
     }
 
+    /// `(lines of the footprint per warp, memory ops per warp)` in a grid
+    /// of `total_warps` warps.
+    fn per_warp(&self, total_warps: u64) -> (u64, u64) {
+        let lines = self.footprint_lines.div_ceil(total_warps.max(1)).max(1);
+        let ops = match &self.kind {
+            PatternKind::GlobalSweep { passes } => lines * u64::from(*passes),
+            PatternKind::Streaming => lines,
+            _ => u64::from(self.mem_ops_per_warp),
+        };
+        (lines, ops)
+    }
+
     /// Memory ops a warp with context `ctx` will execute.
     pub fn mem_ops_for(&self, ctx: &StreamCtx) -> u64 {
-        let lines_per_warp = self.footprint_lines.div_ceil(ctx.total_warps.max(1)).max(1);
-        match &self.kind {
-            PatternKind::GlobalSweep { passes } => lines_per_warp * u64::from(*passes),
-            PatternKind::Streaming => lines_per_warp,
-            _ => u64::from(self.mem_ops_per_warp),
-        }
+        self.per_warp(ctx.total_warps).1
     }
 
     /// Approximate warp instructions a warp with context `ctx` executes
@@ -273,6 +282,96 @@ pub struct StreamCtx {
     pub seed: u64,
 }
 
+/// The address sequence of a kind that wraps around its lines as the op
+/// number `i` grows, as the strides of a cursor: an add and a compare per
+/// op where the closed form (beside each kind in [`StreamShared::new`])
+/// divides two to five times. Warp `g` starts at `origin = g * origin_mul
+/// % footprint` with `off = 0`. An op lands on `(origin + off) %
+/// footprint`; `off` then moves `step` around `off_mod`, and after every
+/// `tile` ops either goes `rewind` further, which is back to where the
+/// tile began, to walk it again (`reuses` walks in all) or stays, at the
+/// next tile.
+#[derive(Debug, PartialEq)]
+struct Walk {
+    origin_mul: u64,
+    step: u64,
+    off_mod: u64,
+    tile: u64,
+    reuses: u32,
+    rewind: u64,
+}
+
+/// What every warp stream of one kernel reads and none writes: the spec
+/// and what follows from it and the grid alone. Built once per
+/// [`Kernel`](crate::Kernel) and shared by its streams, so creating a
+/// stream allocates nothing and a stream is only its own cursor.
+#[derive(Debug, PartialEq)]
+pub(crate) struct StreamShared {
+    pub(crate) spec: PatternSpec,
+    total_warps: u64,
+    mem_ops_total: u64,
+    /// `None` for the kinds that do not wrap.
+    walk: Option<Walk>,
+    /// Normalised cumulative level weights for `WorkingSetMix`.
+    mix_cdf: Vec<(f64, u64)>,
+}
+
+impl StreamShared {
+    /// # Panics
+    ///
+    /// Panics on a `Tiled` spec with empty tiles.
+    pub(crate) fn new(spec: PatternSpec, total_warps: u64) -> Self {
+        let (lpw, mem_ops_total) = spec.per_warp(total_warps);
+        let (fp, mut mix_cdf) = (spec.footprint_lines, Vec::new());
+        let walk = match &spec.kind {
+            // (g + (i % lpw) * total_warps) % fp: a "tile" is one pass.
+            PatternKind::GlobalSweep { .. } => {
+                let step = total_warps % fp;
+                let pass = u128::from(lpw) * u128::from(step) % u128::from(fp);
+                Some(Walk {
+                    origin_mul: 1,
+                    step,
+                    off_mod: fp,
+                    tile: lpw,
+                    reuses: u32::MAX,
+                    rewind: fp - pass as u64,
+                })
+            }
+            // (g * lpw % fp + (tile * tile_lines + i % tile_lines) % lpw) % fp
+            // with tile = i / (tile_lines * reuses).
+            PatternKind::Tiled { tile_lines, reuses } => {
+                assert!(*tile_lines > 0, "tiles must be non-empty");
+                Some(Walk {
+                    origin_mul: lpw,
+                    step: 1,
+                    off_mod: lpw,
+                    tile: *tile_lines,
+                    reuses: *reuses,
+                    rewind: lpw - tile_lines % lpw,
+                })
+            }
+            PatternKind::WorkingSetMix { levels } => {
+                let total: f64 = levels.iter().map(|(w, _)| w).sum();
+                let mut acc = 0.0;
+                mix_cdf.extend(levels.iter().map(|&(w, frac)| {
+                    acc += w / total;
+                    (acc, ((fp as f64 * frac) as u64).max(1))
+                }));
+                None
+            }
+            PatternKind::Streaming | PatternKind::PointerChase => None,
+        };
+        Self {
+            total_warps: total_warps.max(1),
+            mem_ops_total,
+            walk,
+            mix_cdf,
+            spec,
+        }
+    }
+}
+
+#[derive(Debug)]
 enum Phase {
     ComputeBeforeMem,
     Mem,
@@ -280,101 +379,91 @@ enum Phase {
     Done,
 }
 
-/// The deterministic generator realising a [`PatternSpec`] for one warp.
-pub struct SpecStream {
-    spec: PatternSpec,
-    ctx: StreamCtx,
-    rng: Rng64,
-    mem_ops_total: u64,
-    mem_op_idx: u64,
-    lines_per_warp: u64,
-    compute_acc: f64,
-    phase: Phase,
-    tail_left: u32,
-    /// Normalised cumulative level weights for `WorkingSetMix`.
-    mix_cdf: Vec<(f64, u64)>,
+/// `a + b` reduced below `n`, for `a < n` and `b <= n`.
+#[inline]
+fn add_mod(a: u64, b: u64, n: u64) -> u64 {
+    let sum = a + b;
+    sum - u64::from(sum >= n) * n
 }
 
-impl std::fmt::Debug for SpecStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpecStream")
-            .field("spec", &self.spec)
-            .field("ctx", &self.ctx)
-            .field("mem_op_idx", &self.mem_op_idx)
-            .field("mem_ops_total", &self.mem_ops_total)
-            .finish()
-    }
+/// The deterministic generator realising a [`PatternSpec`] for one warp.
+#[derive(Debug)]
+pub struct SpecStream {
+    shared: Arc<StreamShared>,
+    rng: Rng64,
+    /// The cursor of the kind's [`Walk`] (`at` counts the ops of the
+    /// tile, `rep` the walks over it); without one, `origin` is the
+    /// warp's index in the grid.
+    origin: u64,
+    off: u64,
+    at: u64,
+    rep: u32,
+    tail_left: u32,
+    mem_ops_left: u64,
+    compute_acc: f64,
+    phase: Phase,
 }
 
 impl SpecStream {
-    /// Creates the stream for one warp.
-    pub fn new(spec: PatternSpec, ctx: StreamCtx) -> Self {
-        let mem_ops_total = spec.mem_ops_for(&ctx);
-        let lines_per_warp = spec.footprint_lines.div_ceil(ctx.total_warps.max(1)).max(1);
-        let mix_cdf = if let PatternKind::WorkingSetMix { levels } = &spec.kind {
-            let total: f64 = levels.iter().map(|(w, _)| w).sum();
-            let mut acc = 0.0;
-            levels
-                .iter()
-                .map(|&(w, frac)| {
-                    acc += w / total;
-                    let lines = ((spec.footprint_lines as f64 * frac) as u64).max(1);
-                    (acc, lines)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let tail_left = spec.tail_compute;
+    /// Creates the stream of warp `global_warp` of the grid `shared` was
+    /// built for.
+    pub(crate) fn new(shared: Arc<StreamShared>, global_warp: u64, seed: u64) -> Self {
+        let fp = shared.spec.footprint_lines;
+        let to_origin = |w: &Walk| global_warp * w.origin_mul % fp;
         Self {
-            rng: Rng64::seed_from_u64(ctx.seed),
-            spec,
-            ctx,
-            mem_ops_total,
-            mem_op_idx: 0,
-            lines_per_warp,
+            rng: Rng64::seed_from_u64(seed),
+            origin: shared.walk.as_ref().map_or(global_warp, to_origin),
+            off: 0,
+            at: 0,
+            rep: 0,
+            tail_left: shared.spec.tail_compute,
+            mem_ops_left: shared.mem_ops_total,
             compute_acc: 0.0,
             phase: Phase::ComputeBeforeMem,
-            tail_left,
-            mix_cdf,
+            shared,
         }
     }
 
-    fn base_line(&mut self) -> u64 {
-        let i = self.mem_op_idx;
-        let g = self.ctx.global_warp;
-        let total = self.ctx.total_warps.max(1);
-        let fp = self.spec.footprint_lines;
-        match &self.spec.kind {
-            PatternKind::GlobalSweep { .. } => {
-                let k = i % self.lines_per_warp;
-                (g + k * total) % fp
+    /// The line the kind's address sequence gives this op. The kinds
+    /// indexed by op number count every op, also the hot ones that go
+    /// elsewhere; the random kinds draw only when asked (`hot` unset).
+    fn base_line(&mut self, hot: bool) -> u64 {
+        let sh = &*self.shared;
+        let fp = sh.spec.footprint_lines;
+        let Some(w) = &sh.walk else {
+            return match sh.spec.kind {
+                // g + i * total_warps
+                PatternKind::Streaming => {
+                    self.origin + (sh.mem_ops_total - self.mem_ops_left) * sh.total_warps
+                }
+                _ if hot => 0,
+                PatternKind::WorkingSetMix { .. } => {
+                    let u = self.rng.next_f64();
+                    let level = sh.mix_cdf.iter().find(|&&(cdf, _)| u <= cdf);
+                    self.rng.gen_range(0, level.map_or(fp, |&(_, lines)| lines))
+                }
+                _ => self.rng.gen_range(0, fp),
+            };
+        };
+        let here = add_mod(self.origin, self.off, fp);
+        self.off = add_mod(self.off, w.step, w.off_mod);
+        self.at += 1;
+        if self.at == w.tile {
+            (self.at, self.rep) = (0, self.rep + 1);
+            if self.rep < w.reuses {
+                self.off = add_mod(self.off, w.rewind, w.off_mod);
+            } else {
+                self.rep = 0;
             }
-            PatternKind::Streaming => g + i * total,
-            PatternKind::WorkingSetMix { .. } => {
-                let u = self.rng.next_f64();
-                let lines = self
-                    .mix_cdf
-                    .iter()
-                    .find(|&&(cdf, _)| u <= cdf)
-                    .map(|&(_, l)| l)
-                    .unwrap_or(fp);
-                self.rng.gen_range(0, lines)
-            }
-            PatternKind::Tiled { tile_lines, reuses } => {
-                let tile_span = tile_lines * u64::from(*reuses).max(1);
-                let tile = i / tile_span;
-                let within = (i % tile_span) % tile_lines;
-                let region_start = (g * self.lines_per_warp) % fp;
-                (region_start + (tile * tile_lines + within) % self.lines_per_warp) % fp
-            }
-            PatternKind::PointerChase => self.rng.gen_range(0, fp),
         }
+        here
     }
 
     fn mem_op(&mut self) -> Op {
-        if let Some(hot) = self.spec.shared_hot {
+        let spec = &self.shared.spec;
+        if let Some(hot) = spec.shared_hot {
             if self.rng.gen_bool(hot.prob) {
+                self.base_line(true);
                 // Log-uniform rank selection: the hottest line draws
                 // ~ln2/ln(H) of the atomic traffic, the next octave half
                 // of that, and so on — so the owning LLC slices saturate
@@ -393,13 +482,13 @@ impl SpecStream {
                 });
             }
         }
-        let line = self.base_line();
-        let txns = if self.spec.divergence > 1 {
+        let (divergence, write_frac) = (spec.divergence, spec.write_frac);
+        let line = self.base_line(false);
+        let txns = if divergence > 1 {
             // Divergence varies per op between half and full configured width.
-            self.rng.gen_range_inclusive(
-                u64::from((self.spec.divergence / 2).max(1)),
-                u64::from(self.spec.divergence),
-            ) as u8
+            self.rng
+                .gen_range_inclusive(u64::from((divergence / 2).max(1)), u64::from(divergence))
+                as u8
         } else {
             1
         };
@@ -414,7 +503,7 @@ impl SpecStream {
             txn_stride_lines: stride,
             space: MemSpace::Global,
         };
-        if self.spec.write_frac > 0.0 && self.rng.gen_bool(self.spec.write_frac) {
+        if write_frac > 0.0 && self.rng.gen_bool(write_frac) {
             Op::Store(access)
         } else {
             Op::Load(access)
@@ -427,12 +516,12 @@ impl WarpStream for SpecStream {
         loop {
             match self.phase {
                 Phase::ComputeBeforeMem => {
-                    if self.mem_op_idx >= self.mem_ops_total {
+                    if self.mem_ops_left == 0 {
                         self.phase = Phase::Tail;
                         continue;
                     }
                     self.phase = Phase::Mem;
-                    self.compute_acc += self.spec.compute_per_mem;
+                    self.compute_acc += self.shared.spec.compute_per_mem;
                     let n = self.compute_acc as u16;
                     if n > 0 {
                         self.compute_acc -= f64::from(n);
@@ -441,7 +530,7 @@ impl WarpStream for SpecStream {
                 }
                 Phase::Mem => {
                     let op = self.mem_op();
-                    self.mem_op_idx += 1;
+                    self.mem_ops_left -= 1;
                     self.phase = Phase::ComputeBeforeMem;
                     return Some(op);
                 }
@@ -473,7 +562,8 @@ mod tests {
     }
 
     fn drain(spec: &PatternSpec, c: StreamCtx) -> Vec<Op> {
-        let mut s = SpecStream::new(spec.clone(), c);
+        let shared = Arc::new(StreamShared::new(spec.clone(), c.total_warps));
+        let mut s = SpecStream::new(shared, c.global_warp, c.seed);
         std::iter::from_fn(move || s.next_op()).collect()
     }
 

@@ -9,8 +9,8 @@ use gpu_scale_model::core::{
 };
 use gpu_scale_model::mem::mrc::{DistanceEngine, NaiveStack, TreeStack};
 use gpu_scale_model::mem::{
-    AccessResult, Cache, CacheGeometry, EvictedLine, FillTracker, Mshr, MshrOutcome,
-    ReplacementPolicy,
+    slice_for_line, AccessResult, BankedDramModel, Cache, CacheGeometry, DramModel, DramTiming,
+    EvictedLine, FillTracker, Mshr, MshrOutcome, ReplacementPolicy,
 };
 use gpu_scale_model::sim::{GpuConfig, Simulator};
 use gpu_scale_model::trace::{Kernel, MemScale, PatternKind, PatternSpec, Workload};
@@ -251,7 +251,8 @@ impl NaiveCache {
 /// Drives a [`Cache`] and the naive model with one random stream of
 /// accesses, invalidations, probes and resets: same hit/miss, same
 /// evicted line, same counters, same residency — for every policy at the
-/// associativities the configurations use and at one way.
+/// associativities the configurations use and at one way, over a few
+/// sets and at the two real geometries (the paper's L1 and LLC slice).
 fn cache_matches_naive_model(seed: u64, ops: usize) {
     let mut rng = Rng64::seed_from_u64(seed);
     for policy in [
@@ -259,8 +260,11 @@ fn cache_matches_naive_model(seed: u64, ops: usize) {
         ReplacementPolicy::Fifo,
         ReplacementPolicy::Random,
     ] {
-        for ways in [1u32, 6, 64] {
-            let sets = [1u32, 3, 8][rng.gen_range(0, 3) as usize];
+        for (sets, ways) in [(0u32, 1u32), (0, 6), (0, 64), (64, 6), (64, 64)] {
+            let few = [1u32, 3, 8][rng.gen_range(0, 3) as usize];
+            let sets = if sets == 0 { few } else { sets };
+            // Long enough to fill every set and evict from it.
+            let ops = ops.max(3 * (sets * ways) as usize);
             let mut real = Cache::with_policy(CacheGeometry::from_sets(sets, ways, 128), policy);
             let mut naive = NaiveCache::new(sets, ways, policy);
             // Enough distinct lines to overflow the sets, few enough to
@@ -321,12 +325,71 @@ fn cache_is_indistinguishable_from_the_naive_model() {
     }
 }
 
+/// Random replacement picks a *rank*, and the tag store finds the way at
+/// that rank by walking its recency list: after invalidations and refills
+/// have permuted the list, the walk must still land where the naive
+/// model's index does. Both real geometries, sets full throughout.
+#[test]
+fn random_victims_follow_the_list_after_invalidate_and_refill() {
+    let mut rng = Rng64::seed_from_u64(0x5eed_000f);
+    for ways in [6u32, 64] {
+        let policy = ReplacementPolicy::Random;
+        let mut real = Cache::with_policy(CacheGeometry::from_sets(64, ways, 128), policy);
+        let mut naive = NaiveCache::new(64, ways, policy);
+        let mut resident: Vec<u64> = (0..u64::from(64 * ways)).collect();
+        for &line in &resident {
+            assert_eq!(real.access(line, false), naive.access(line, false));
+        }
+        let mut fresh = resident.len() as u64;
+        for _ in 0..cases(4_000) {
+            // Free a way, refill it (no eviction), then evict by rank.
+            let gone = resident.swap_remove(rng.gen_range(0, resident.len() as u64) as usize);
+            assert_eq!(real.invalidate(gone), naive.invalidate(gone));
+            for _ in 0..2 {
+                let line = fresh + rng.gen_range(0, 64);
+                fresh = line + 1;
+                let is_write = rng.gen_bool(0.3);
+                let result = real.access(line, is_write);
+                assert_eq!(result, naive.access(line, is_write));
+                if let Some(victim) = result.evicted() {
+                    resident.retain(|&l| l != victim.line_addr);
+                }
+                resident.push(line);
+            }
+        }
+        assert_eq!(real.resident_lines(), resident.len() as u64);
+        assert!(resident.iter().all(|&l| real.contains(l)));
+    }
+}
+
 /// The long soak of the differential test above.
 #[cfg(feature = "ext-tests")]
 #[test]
 fn cache_is_indistinguishable_from_the_naive_model_soak() {
     for seed in 0..16 {
         cache_matches_naive_model(0x5eed_1000 + seed, 200_000);
+    }
+}
+
+/// Every index of the per-line path — cache set, LLC slice, memory
+/// controller — takes a mask when its divisor is a power of two and a
+/// division otherwise; both must be the plain `%` of the definition, at
+/// the paper's power-of-two machines and at odd ones (3, 6, 12, 24).
+#[test]
+fn line_indices_equal_their_modulo_definitions() {
+    let mut rng = Rng64::seed_from_u64(0x5eed_0010);
+    for n in [1u32, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 133, 1024] {
+        let geom = CacheGeometry::from_sets(n, 4, 128);
+        let dram = DramModel::new(n, 145.0, 1.0, 100);
+        let banked = BankedDramModel::new(n, 16, 145.0, 1.0, DramTiming::default());
+        for _ in 0..cases(2_000) {
+            let line = rng.next_u64() >> rng.gen_range(0, 64);
+            let hash = |l: u64| (l.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % u64::from(n);
+            assert_eq!(u64::from(geom.set_index(line)), line % u64::from(n));
+            assert_eq!(u64::from(slice_for_line(line, n)), hash(line));
+            assert_eq!(u64::from(dram.mc_of(line)), hash(line >> 3));
+            assert_eq!(u64::from(banked.mc_of(line)), hash(line >> 3));
+        }
     }
 }
 
