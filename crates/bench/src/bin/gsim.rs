@@ -13,11 +13,11 @@
 //! gsim trace-dump <benchmark> -o <file> [--scale D]
 //! gsim trace-run <file> [--sms N] [--scale D]
 //! gsim predict <benchmark> [targets...] [--scale D] [--threads N]
-//!              [--path auto|fast|full] [--fast-path-gate X]
+//!              [--path auto|fast|full]
 //! gsim serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR]
-//!            [--default-deadline-ms N] [--max-inflight-predicts N]
-//!            [--max-inflight-cheap N] [--degrade-threshold N]
-//!            [--drain-grace-ms N] [--fast-path-gate X] [--fault-plan SPEC]
+//!            [--runner-threads N] [--default-deadline-ms N]
+//!            [--max-inflight-predicts N] [--max-inflight-cheap N]
+//!            [--drain-grace-ms N] [--fault-plan SPEC]
 //! gsim multigpu [--gpus N] [--sms N] [--scale D] [--topology ring|full]
 //!               [--placement first-touch|interleave|replicate] [--link-gbs X]
 //!               [--link-latency C] [--tenants N] [--dag-kernels N] [--seed S]
@@ -47,10 +47,9 @@
 //! compute-intensity gate, memory-bound workloads are answered from
 //! roofline-synthesized fits in milliseconds, and compute-sensitive ones
 //! escalate to the two scale-model timing simulations run concurrently
-//! on the runner pool. `--path` forces either path; `--fast-path-gate`
-//! moves the memory-pressure threshold (default 1.0; under `serve` the
-//! same flag tunes the service's gate, `inf` escalates every `auto`
-//! request).
+//! on the runner pool, fitted on the exact replayed miss-rate curve —
+//! the same inputs, and the same forecast, as the service's full path.
+//! `--path` forces either path.
 //!
 //! `--threads` parallelises *across* sweep jobs (under `serve` it sizes
 //! the HTTP worker pool); one simulation always runs on one thread
@@ -72,9 +71,7 @@
 //! bounds every predict unless the request's `X-Gsim-Deadline-Ms` header
 //! overrides it; `--max-inflight-predicts` / `--max-inflight-cheap` are
 //! the per-class admission budgets (shed with 429 + `Retry-After`
-//! beyond them); `--degrade-threshold` sets how many concurrent leaders
-//! saturate the simulation pool before MRC-capable predicts degrade to
-//! the MRC-only fast path; `--drain-grace-ms` bounds the shutdown
+//! beyond them); `--drain-grace-ms` bounds the shutdown
 //! drain. `--fault-plan SPEC` (or the `GSIM_FAULTS` env var; the flag
 //! wins) installs a deterministic fault-injection plan, e.g.
 //! `seed=42,http_delay_p=0.05,job_panic_p=0.02` — see `gsim-faults`.
@@ -106,11 +103,10 @@ fn usage() -> ! {
          gsim trace-dump <benchmark> -o <file> [--scale D]\n  \
          gsim trace-run <file> [--sms N] [--scale D]\n  \
          gsim predict <benchmark> [targets...] [--scale D] [--threads N] \
-         [--path auto|fast|full] [--fast-path-gate X]\n  \
+         [--path auto|fast|full]\n  \
          gsim serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR] \
          [--runner-threads N] [--default-deadline-ms N] [--max-inflight-predicts N] \
-         [--max-inflight-cheap N] [--degrade-threshold N] [--drain-grace-ms N] \
-         [--fast-path-gate X] [--fault-plan SPEC]\n  \
+         [--max-inflight-cheap N] [--drain-grace-ms N] [--fault-plan SPEC]\n  \
          gsim multigpu [--gpus N] [--sms N] [--scale D] [--topology ring|full] \
          [--placement first-touch|interleave|replicate] [--link-gbs X] [--link-latency C] \
          [--tenants N] [--dag-kernels N] [--seed S] [--sharing K] [--page-lines L] \
@@ -192,9 +188,7 @@ struct Flags {
     default_deadline_ms: u64,
     max_inflight_predicts: usize,
     max_inflight_cheap: usize,
-    degrade_threshold: usize,
     drain_grace_ms: u64,
-    fast_path_gate: f64,
     path: String,
     fault_plan: Option<String>,
     // gsim multigpu
@@ -232,9 +226,7 @@ fn parse(args: &[String]) -> Flags {
         default_deadline_ms: 0,
         max_inflight_predicts: 0,
         max_inflight_cheap: 0,
-        degrade_threshold: 0,
         drain_grace_ms: 5000,
-        fast_path_gate: 0.0,
         path: "auto".to_string(),
         fault_plan: None,
         gpus: 2,
@@ -283,19 +275,8 @@ fn parse(args: &[String]) -> Flags {
             "--max-inflight-cheap" => {
                 f.max_inflight_cheap = flag_u32(&mut it, "--max-inflight-cheap") as usize
             }
-            "--degrade-threshold" => {
-                f.degrade_threshold = flag_u32(&mut it, "--degrade-threshold") as usize
-            }
             "--drain-grace-ms" => {
                 f.drain_grace_ms = u64::from(flag_u32(&mut it, "--drain-grace-ms"))
-            }
-            "--fast-path-gate" => {
-                f.fast_path_gate = flag_f64(
-                    &mut it,
-                    "--fast-path-gate",
-                    "a non-negative number (or inf)",
-                    |g| g >= 0.0,
-                );
             }
             "--path" => f.path = flag_choice(&mut it, "--path", &["auto", "fast", "full"]),
             "--fault-plan" => {
@@ -861,7 +842,7 @@ fn main() {
             use std::time::Instant;
 
             use gsim_core::plan::{
-                collect_sampled_inline, observation_of, observe_scale_models,
+                collect_replay, collect_sampled_inline, observation_of, observe_scale_models,
                 synthesize_observation, Fit, PlanWorkload, SampledCollectConfig,
             };
             use gsim_runner::RunOverrides;
@@ -900,11 +881,9 @@ fn main() {
                 threads: f.threads.unwrap_or(0),
                 ..RunnerConfig::default()
             });
-            let gate = if f.fast_path_gate == 0.0 {
-                1.0
-            } else {
-                f.fast_path_gate
-            };
+            // The service's gate: measured pressure at or above the
+            // machine's balance point is memory-bound.
+            let gate = 1.0;
 
             // What the service's fast path does on a miss: name the
             // workload by its recipe (no op is generated for the key),
@@ -927,14 +906,13 @@ fn main() {
                 "full" => false,
                 _ => pressure >= gate,
             };
-            let mrc = collected.sized_mrc();
 
             let t_fit = Instant::now();
             let fit = if fast {
                 Fit::new(
                     synthesize_observation(&collected, &cfg_of(small)),
                     synthesize_observation(&collected, &cfg_of(large)),
-                    Some(&mrc),
+                    Some(&collected.sized_mrc()),
                 )
             } else {
                 let (st_s, st_l) = observe_scale_models(
@@ -948,10 +926,13 @@ fn main() {
                     eprintln!("scale-model simulation failed: {e}");
                     exit(1)
                 });
+                // Timing observations are fitted on the exact replayed
+                // curve, as the service's full path does; the sampled
+                // one above only fed the gate.
                 Fit::new(
                     observation_of(small, &st_s),
                     observation_of(large, &st_l),
-                    Some(&mrc),
+                    Some(&collect_replay(&wl, &configs).sized_mrc()),
                 )
             }
             .unwrap_or_else(|e| {
@@ -983,7 +964,7 @@ fn main() {
                 if fast {
                     "roofline synthesis"
                 } else {
-                    "2 concurrent timing sims"
+                    "2 concurrent timing sims + replayed MRC"
                 },
                 predict_time.as_secs_f64() * 1e3,
             );
@@ -1067,9 +1048,6 @@ fn main() {
                     default_deadline_ms: f.default_deadline_ms,
                     max_inflight_predicts: f.max_inflight_predicts,
                     max_inflight_cheap: f.max_inflight_cheap,
-                    degrade_threshold: f.degrade_threshold,
-                    fast_path_gate: f.fast_path_gate,
-                    ..ServeConfig::default()
                 },
                 shutdown.clone(),
             )

@@ -24,7 +24,6 @@ use gsim_core::{
     detect_cliff, LinearRegression, LogRegression, ModelError, PowerLawRegression, Proportional,
     ScaleModelInputs, ScaleModelPredictor, ScalingPredictor, SizedMrc,
 };
-use gsim_runner::{Job, Runner, RunnerConfig};
 
 struct Args {
     size: u32,
@@ -102,12 +101,11 @@ fn main() {
     }
 
     let mut inputs =
-        ScaleModelInputs::new(s, args.ipc_small, l, args.ipc_large).with_sized_mrc(mrc.clone());
+        ScaleModelInputs::new(s, args.ipc_small, l, args.ipc_large).with_sized_mrc(mrc);
     if let Some(f) = args.f_mem {
         inputs = inputs.with_f_mem(f);
     }
-    // Validate up front so cliff-without---f-mem keeps its tailored hint.
-    if let Err(e) = ScaleModelPredictor::new(inputs.clone()) {
+    let scale_model = ScaleModelPredictor::new(inputs).unwrap_or_else(|e| {
         match e {
             ModelError::MissingFMem => eprintln!(
                 "the curve contains a cliff: pass --f-mem <fraction>, the fraction \
@@ -116,79 +114,45 @@ fn main() {
             ),
             e => eprintln!("invalid inputs: {e}"),
         }
-        std::process::exit(2);
-    }
+        std::process::exit(2)
+    });
 
-    // One fit-and-predict job per method; the pool returns them in
-    // submission order, so the report keeps the artifact's method order.
-    const METHOD_NAMES: [&str; 5] = [
-        "scale-model",
-        "proportional",
-        "linear",
-        "power-law",
-        "logarithmic",
+    // The artifact's method order. The scale-model predictor validated
+    // the observations; the baselines check nothing more.
+    let (ipc_s, ipc_l) = (args.ipc_small, args.ipc_large);
+    const VALIDATED: &str = "observations validated by the scale-model predictor";
+    let models: [Box<dyn ScalingPredictor>; 5] = [
+        Box::new(scale_model),
+        Box::new(Proportional::fit(s, ipc_s, l, ipc_l).expect(VALIDATED)),
+        Box::new(LinearRegression::fit(s, ipc_s, l, ipc_l).expect(VALIDATED)),
+        Box::new(PowerLawRegression::fit(s, ipc_s, l, ipc_l).expect(VALIDATED)),
+        Box::new(LogRegression::fit(s, ipc_s, l, ipc_l).expect(VALIDATED)),
     ];
-    // (predictions at each target, values for the text graph)
-    type MethodCurves = (Vec<f64>, Vec<f64>);
     let targets: Vec<u32> = sizes.iter().copied().filter(|&z| z > l).collect();
-    let jobs: Vec<Job<Result<MethodCurves, ModelError>>> = METHOD_NAMES
+    // (name, predictions at each target, values for the text graph:
+    // scale-model sizes show the measurements, targets the prediction)
+    let methods: Vec<(&str, Vec<f64>, Vec<f64>)> = models
         .iter()
-        .map(|&name| {
-            let inputs = inputs.clone();
-            let (sizes, targets) = (sizes.clone(), targets.clone());
-            let (ipc_small, ipc_large) = (args.ipc_small, args.ipc_large);
-            Job::new(name, move || {
-                let model: Box<dyn ScalingPredictor> = match name {
-                    "scale-model" => Box::new(ScaleModelPredictor::new(inputs.clone())?),
-                    "proportional" => Box::new(Proportional::fit(s, ipc_small, l, ipc_large)?),
-                    "linear" => Box::new(LinearRegression::fit(s, ipc_small, l, ipc_large)?),
-                    "power-law" => Box::new(PowerLawRegression::fit(s, ipc_small, l, ipc_large)?),
-                    _ => Box::new(LogRegression::fit(s, ipc_small, l, ipc_large)?),
-                };
-                let target_preds = targets
-                    .iter()
-                    .map(|&t| model.predict(f64::from(t)))
-                    .collect();
-                // Values for the text graph: scale-model sizes show the
-                // measurements, targets the prediction.
-                let graph = sizes
-                    .iter()
-                    .map(|&z| {
-                        if z == s {
-                            ipc_small
-                        } else if z <= l {
-                            ipc_large
-                        } else {
-                            model.predict(f64::from(z))
-                        }
-                    })
-                    .collect();
-                Ok((target_preds, graph))
-            })
+        .map(|model| {
+            let target_preds = targets
+                .iter()
+                .map(|&t| model.predict(f64::from(t)))
+                .collect();
+            let graph = sizes
+                .iter()
+                .map(|&z| {
+                    if z == s {
+                        ipc_s
+                    } else if z <= l {
+                        ipc_l
+                    } else {
+                        model.predict(f64::from(z))
+                    }
+                })
+                .collect();
+            (model.name(), target_preds, graph)
         })
         .collect();
-    let runner = Runner::new(RunnerConfig::default());
-    let mut methods: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
-    let mut failed = false;
-    for report in runner.run("predict", jobs) {
-        match report.status {
-            gsim_runner::JobStatus::Done(Ok((target_preds, graph))) => {
-                methods.push((report.name, target_preds, graph));
-            }
-            gsim_runner::JobStatus::Done(Err(e)) => {
-                eprintln!("{}: cannot fit: {e}", report.name);
-                failed = true;
-            }
-            _ => {
-                eprintln!(
-                    "{}: {}",
-                    report.name,
-                    report.failure().unwrap_or_else(|| "failed".into())
-                );
-                failed = true;
-            }
-        }
-    }
 
     println!("\n(2) predicted IPC per target system:");
     print!("    {:>13}", "size");
@@ -223,7 +187,4 @@ fn main() {
         print!("  {name:<20}");
     }
     println!();
-    if failed {
-        std::process::exit(1);
-    }
 }

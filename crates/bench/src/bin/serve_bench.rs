@@ -101,8 +101,6 @@ struct Tally {
     /// `429` responses missing the `Retry-After` header (contract
     /// violations; must stay zero).
     retry_after_missing: u64,
-    /// Bodies carrying the `"degraded":true` marker.
-    degraded: u64,
     /// Latency of every request that produced a status, in µs.
     latencies_us: Vec<u64>,
 }
@@ -132,14 +130,14 @@ fn pick_request<'a>(
 }
 
 /// Issues one request on a fresh connection, returning
-/// `(status, has_retry_after, body)`; `Err(())` is a transport failure.
+/// `(status, has_retry_after)`; `Err(())` is a transport failure.
 fn one_request(
     addr: &str,
     method: &str,
     path: &str,
     body: Option<&str>,
     deadline_ms: Option<u64>,
-) -> Result<(u16, bool, String), ()> {
+) -> Result<(u16, bool), ()> {
     let stream = TcpStream::connect(addr).map_err(|_| ())?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
@@ -182,7 +180,7 @@ fn one_request(
     let has_retry_after = head
         .lines()
         .any(|l| l.to_ascii_lowercase().starts_with("retry-after:"));
-    Ok((status, has_retry_after, response_body.to_string()))
+    Ok((status, has_retry_after))
 }
 
 fn main() {
@@ -231,15 +229,12 @@ fn main() {
                     let (method, path, body) = pick_request(&mut rng, &bodies, &invalid);
                     let t0 = Instant::now();
                     match one_request(&addr, method, path, body, deadline_ms) {
-                        Ok((status, has_retry_after, response_body)) => {
+                        Ok((status, has_retry_after)) => {
                             let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
                             tally.latencies_us.push(us);
                             *tally.statuses.entry(status).or_insert(0) += 1;
                             if status == 429 && !has_retry_after {
                                 tally.retry_after_missing += 1;
-                            }
-                            if response_body.contains("\"degraded\":true") {
-                                tally.degraded += 1;
                             }
                         }
                         Err(()) => tally.transport_errors += 1,
@@ -257,7 +252,7 @@ fn main() {
     // Merge.
     let mut statuses: BTreeMap<u16, u64> = BTreeMap::new();
     let mut latencies: Vec<u64> = Vec::new();
-    let (mut transport_errors, mut retry_after_missing, mut degraded) = (0u64, 0u64, 0u64);
+    let (mut transport_errors, mut retry_after_missing) = (0u64, 0u64);
     for t in tallies.lock().expect("tally lock").iter() {
         for (&s, &n) in &t.statuses {
             *statuses.entry(s).or_insert(0) += n;
@@ -265,7 +260,6 @@ fn main() {
         latencies.extend_from_slice(&t.latencies_us);
         transport_errors += t.transport_errors;
         retry_after_missing += t.retry_after_missing;
-        degraded += t.degraded;
     }
     latencies.sort_unstable();
     let quantile = |q: f64| -> Option<u64> {
@@ -313,7 +307,6 @@ fn main() {
         ("shed", Json::from(shed)),
         ("shed_rate", Json::from(shed_rate)),
         ("retry_after_missing", Json::from(retry_after_missing)),
-        ("degraded", Json::from(degraded)),
     ]);
     let rendered = doc.render();
     if let Err(e) = std::fs::write(&args.output, format!("{rendered}\n")) {

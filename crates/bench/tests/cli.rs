@@ -306,3 +306,138 @@ fn gsim_multigpu_rejects_flag_garbage_with_exit_2() {
     let out = gsim(&["multigpu", "--sms", "8", "--sharing", "3"]);
     assert_eq!(out.status.code(), Some(2), "indivisible sharing");
 }
+
+#[test]
+fn removed_serve_knobs_are_unknown() {
+    // Spelt in halves so a grep for the removed flags finds nothing.
+    let degrade = concat!("--degrade", "-threshold");
+    let gate = concat!("--fast-path", "-gate");
+    for args in [
+        &["serve", degrade, "1"][..],
+        &["serve", gate, "2"],
+        &["predict", "bfs", gate, "2"],
+    ] {
+        let out = gsim(args);
+        assert_eq!(out.status.code(), Some(2), "gsim {args:?}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    }
+}
+
+/// The artifact tool's report, byte for byte, with and without a cliff
+/// on the curve.
+#[test]
+fn scale_model_predict_output_is_pinned() {
+    let cliff = scale_model_predict(&[
+        "--size", "8", "--f-mem", "0.5", "120", "236", "8.0", "8.0", "7.9", "7.8", "0.6",
+    ]);
+    assert!(cliff.status.success(), "{cliff:?}");
+    assert_eq!(
+        stdout_of(&cliff),
+        "\
+(1) measured scale models:
+       8 SMs: IPC     120.00
+      16 SMs: IPC     236.00
+    miss-rate cliff detected between 64 and 128 SMs
+
+(2) predicted IPC per target system:
+             size          32          64         128
+      scale-model      464.13      897.58     3590.33
+     proportional      472.00      944.00     1888.00
+           linear      468.00      932.00     1860.00
+        power-law      464.13      912.80     1795.16
+      logarithmic      260.80      312.96      365.12
+
+(3) performance vs system size (each row scaled to its maximum):
+       8 SMs  |#                    |#                    |#                    |#                    |#                   
+      16 SMs  |#                    |#                    |#                    |#                    |#                   
+      32 SMs  |###                  |###                  |###                  |###                  |#                   
+      64 SMs  |#####                |#####                |#####                |#####                |##                  
+     128 SMs  |#################### |###########          |##########           |##########           |##                  
+               scale-model           proportional          linear                power-law             logarithmic         
+"
+    );
+    let flat = scale_model_predict(&["100", "190", "10.0", "10.0", "10.0", "9.8", "9.5"]);
+    assert!(flat.status.success(), "{flat:?}");
+    assert_eq!(
+        stdout_of(&flat),
+        "\
+(1) measured scale models:
+       8 SMs: IPC     100.00
+      16 SMs: IPC     190.00
+    no miss-rate cliff: the whole range is pre-cliff
+
+(2) predicted IPC per target system:
+             size          32          64         128
+      scale-model      361.00      651.61     1061.47
+     proportional      380.00      760.00     1520.00
+           linear      370.00      730.00     1450.00
+        power-law      361.00      685.90     1303.21
+      logarithmic      212.00      254.40      296.80
+
+(3) performance vs system size (each row scaled to its maximum):
+       8 SMs  |#                    |#                    |#                    |#                    |#                   
+      16 SMs  |###                  |###                  |###                  |###                  |###                 
+      32 SMs  |#####                |#####                |#####                |#####                |###                 
+      64 SMs  |#########            |##########           |##########           |#########            |###                 
+     128 SMs  |##############       |#################### |###################  |#################    |####                
+               scale-model           proportional          linear                power-law             logarithmic         
+"
+    );
+}
+
+/// `gsim predict --path full` and the service's full path answer the
+/// same question from the same inputs — two timing simulations and the
+/// replayed miss-rate curve — so their scale-model forecasts agree to
+/// the precision the CLI prints.
+#[test]
+fn gsim_predict_full_path_matches_the_service() {
+    use gsim_serve::{PredictService, Request, ServeConfig, ShutdownFlag};
+
+    let store = fresh_dir("predict-vs-serve");
+    let service = PredictService::new(
+        ServeConfig {
+            trace_store_dir: Some(store.clone()),
+            ..ServeConfig::default()
+        },
+        ShutdownFlag::new(),
+    )
+    .expect("service starts");
+    for name in ["gemm", "bfs"] {
+        let out = gsim(&["predict", name, "--path", "full", "--scale", "32"]);
+        assert!(out.status.success(), "{out:?}");
+        let from_cli: Vec<String> = stdout_of(&out)
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("scale-model"))
+            .map(|rest| rest.trim().trim_start_matches("IPC").trim().to_string())
+            .collect();
+
+        let body = format!(
+            r#"{{"workload": "{name}", "targets": [32, 64, 128], "mem_scale": 32, "path": "full"}}"#
+        );
+        let resp = service.handle(&Request {
+            method: "POST".into(),
+            path: "/v1/predict".into(),
+            headers: Vec::new(),
+            body: body.into_bytes(),
+        });
+        assert_eq!(resp.status, 200);
+        let doc = gsim_json::parse(std::str::from_utf8(&resp.body).expect("utf8")).expect("json");
+        let Some(gsim_json::Json::Arr(rows)) = doc.get("predictions") else {
+            panic!("no predictions in {}", doc.render());
+        };
+        let from_service: Vec<String> = rows
+            .iter()
+            .map(|row| {
+                let ipc = row
+                    .get("ipc_by_method")
+                    .and_then(|m| m.get("scale-model"))
+                    .and_then(gsim_json::Json::as_f64)
+                    .expect("scale-model ipc");
+                format!("{ipc:.1}")
+            })
+            .collect();
+        assert_eq!(from_cli.len(), 3, "{}", stdout_of(&out));
+        assert_eq!(from_cli, from_service, "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&store);
+}

@@ -18,8 +18,9 @@ use gsim_trace::MemScale;
 use crate::classify::classify_scaling;
 use crate::cliff::SizedMrc;
 use crate::error::ModelError;
-use crate::oneshot::{build_predictors, NamedPredictor, Observation};
+use crate::oneshot::{NamedPredictor, Observation};
 use crate::percent_error;
+use crate::plan::Fit;
 
 /// One simulated system point.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,30 +122,13 @@ fn measure(stats: &gsim_sim::SimStats, size: u32) -> MeasuredPoint {
     }
 }
 
-/// Builds the five predictors through the shared roster in
-/// [`oneshot`](crate::oneshot), so the experiment pipelines and the
-/// one-shot service entry point can never disagree on the method set.
-fn build_methods(
-    s: u32,
-    ipc_s: f64,
-    l: u32,
-    ipc_l: f64,
-    mrc: Option<&SizedMrc>,
-    f_mem_l: f64,
-) -> Result<Vec<NamedPredictor>, ModelError> {
-    build_predictors(
-        Observation {
-            size: s,
-            ipc: ipc_s,
-            f_mem: 0.0,
-        },
-        Observation {
-            size: l,
-            ipc: ipc_l,
-            f_mem: f_mem_l,
-        },
-        mrc,
-    )
+/// A measured scale model as a [`Fit`] input.
+fn observation(m: &MeasuredPoint) -> Observation {
+    Observation {
+        size: m.size,
+        ipc: m.ipc,
+        f_mem: m.f_mem,
+    }
 }
 
 fn predict_all(methods: Vec<NamedPredictor>, targets: &[(u32, f64)]) -> Vec<MethodOutcome> {
@@ -240,21 +224,8 @@ impl StrongScalingExperiment {
                 .find(|m| m.size == size)
                 .expect("scale model size is simulated")
         };
-        let (ipc_s, ipc_l, f_mem_l) = (obs(s).ipc, obs(l).ipc, obs(l).f_mem);
         // Stage 2: the shared fit (also the source of cliff detection).
-        let fit = crate::plan::Fit::new(
-            Observation {
-                size: s,
-                ipc: ipc_s,
-                f_mem: 0.0,
-            },
-            Observation {
-                size: l,
-                ipc: ipc_l,
-                f_mem: f_mem_l,
-            },
-            Some(&mrc),
-        )?;
+        let fit = Fit::new(observation(obs(s)), observation(obs(l)), Some(&mrc))?;
         let cliff_at = fit.scale_model().cliff_at();
         let methods = fit.predictors();
         let targets: Vec<(u32, f64)> = measured
@@ -326,9 +297,9 @@ impl WeakScalingExperiment {
                 measure(&Simulator::new(cfg, &wl).run(), s)
             })
             .collect();
-        let (s, l) = (8, 16);
-        let (ipc_s, ipc_l, f_mem_l) = (measured[0].ipc, measured[1].ipc, measured[1].f_mem);
-        let methods = build_methods(s, ipc_s, l, ipc_l, None, f_mem_l)?;
+        let l = measured[1].size;
+        let methods =
+            Fit::new(observation(&measured[0]), observation(&measured[1]), None)?.predictors();
         let targets: Vec<(u32, f64)> = measured
             .iter()
             .filter(|m| m.size > l)
@@ -392,9 +363,8 @@ impl McmExperiment {
                 measure(&Simulator::new_mcm(&mcm, &wl).run(), c)
             })
             .collect();
-        let (s, l) = (self.chiplet_counts[0], self.chiplet_counts[1]);
-        let (ipc_s, ipc_l, f_mem_l) = (measured[0].ipc, measured[1].ipc, measured[1].f_mem);
-        let methods = build_methods(s, ipc_s, l, ipc_l, None, f_mem_l)?;
+        let methods =
+            Fit::new(observation(&measured[0]), observation(&measured[1]), None)?.predictors();
         let target = self.chiplet_counts[2];
         let real = measured[2].ipc;
         let model_cost = measured[0].sim_seconds + measured[1].sim_seconds;
@@ -434,8 +404,12 @@ pub fn reanalyze(
             .measured_at(size)
             .ok_or(ModelError::InvalidScaleModels { small, large })
     };
-    let (ipc_s, ipc_l, f_mem_l) = (obs(small)?.ipc, obs(large)?.ipc, obs(large)?.f_mem);
-    let methods = build_methods(small, ipc_s, large, ipc_l, outcome.mrc.as_ref(), f_mem_l)?;
+    let methods = Fit::new(
+        observation(obs(small)?),
+        observation(obs(large)?),
+        outcome.mrc.as_ref(),
+    )?
+    .predictors();
     let targets: Vec<(u32, f64)> = outcome
         .measured
         .iter()

@@ -59,10 +59,7 @@ pub use classify::classify_scaling;
 pub use cliff::{detect_cliff, detect_cliff_with, Region, SizedMrc};
 pub use error::ModelError;
 pub use multi_cliff::{detect_cliffs, MultiCliffPredictor};
-pub use oneshot::{
-    build_predictors, mrc_from_trace, predict_targets, Forecast, Observation, TargetForecast,
-    TraceMrc,
-};
+pub use oneshot::{mrc_from_trace, Forecast, Observation, TargetForecast, TraceMrc};
 pub use parallel::{SuiteRun, SweepFailure};
 pub use plan::{
     collect_replay, collect_sampled, collect_sampled_inline, observe_scale_models,

@@ -1,21 +1,16 @@
-//! One-shot prediction: the predictor entry point reusable outside the
-//! experiment pipelines.
+//! One-shot prediction: the input and output types of a prediction made
+//! without ground truth, plus the streamed-trace miss-rate curve.
 //!
 //! The [`experiment`](crate::experiment) pipelines are built for the
 //! paper's evaluation: they simulate the *target* systems too, because
 //! the whole point there is comparing predictions against ground truth.
 //! A consumer that just wants an answer — "how fast would this workload
 //! run on a 128-SM GPU?", the `gsim-serve` HTTP service's entire job —
-//! has only the scale-model observations and must not be forced through
-//! a pipeline that simulates what it is trying to avoid simulating.
-//!
-//! [`predict_targets`] is that entry point: scale-model observations in,
-//! per-method IPC predictions out, no ground truth anywhere. The
-//! experiment pipelines build their predictors through the same
-//! [`build_predictors`] so the two paths cannot drift apart. Both are
-//! thin wrappers over the Stage-2 [`Fit`](crate::plan::Fit) of the
-//! staged [`plan`](crate::plan) pipeline — the fit/predict arithmetic
-//! lives in exactly one place.
+//! has only the scale-model [`Observation`]s and must not be forced
+//! through a pipeline that simulates what it is trying to avoid
+//! simulating. It builds a [`Fit`](crate::plan::Fit) from them and asks
+//! it for a [`Forecast`]; the experiment pipelines build their
+//! predictors through the same `Fit`, so the two cannot drift apart.
 
 use std::io::Read;
 
@@ -24,7 +19,6 @@ use gsim_sim::GpuConfig;
 use gsim_trace::{Op, TraceLimits, TraceReadError, TraceReader};
 
 use crate::cliff::SizedMrc;
-use crate::error::ModelError;
 use crate::predictor::ScalingPredictor;
 
 /// One simulated scale-model observation, as a prediction input.
@@ -39,26 +33,9 @@ pub struct Observation {
     pub f_mem: f64,
 }
 
-/// A named, boxed predictor, as both the experiment pipelines and the
-/// one-shot entry point carry them.
+/// A named, boxed predictor, as the experiment pipelines carry them
+/// (see [`Fit::predictors`](crate::plan::Fit::predictors)).
 pub type NamedPredictor = (&'static str, Box<dyn ScalingPredictor>);
-
-/// Builds the four baseline predictors plus the scale-model predictor
-/// from the two scale-model observations — the one place the method
-/// roster is defined.
-///
-/// # Errors
-///
-/// Returns an error if the observations are degenerate (sizes not
-/// `small < large`, non-positive IPC) or a cliff lies beyond the scale
-/// models but no `f_mem` is usable.
-pub fn build_predictors(
-    small: Observation,
-    large: Observation,
-    mrc: Option<&SizedMrc>,
-) -> Result<Vec<NamedPredictor>, ModelError> {
-    Ok(crate::plan::Fit::new(small, large, mrc)?.predictors())
-}
 
 /// One method's prediction at one target size.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,24 +76,6 @@ pub struct Forecast {
     pub cliff_at: Option<u32>,
     /// One forecast per requested target, in request order.
     pub targets: Vec<TargetForecast>,
-}
-
-/// Predicts IPC at each of `targets` with all five methods, from the two
-/// scale-model observations and (for strong scaling) the miss-rate
-/// curve. No target is ever simulated.
-///
-/// # Errors
-///
-/// Returns an error if the observations are degenerate, a target is not
-/// the larger scale model times a power of two, or the miss-rate curve
-/// does not cover a target past the scale models.
-pub fn predict_targets(
-    small: Observation,
-    large: Observation,
-    mrc: Option<&SizedMrc>,
-    targets: &[u32],
-) -> Result<Forecast, ModelError> {
-    crate::plan::Fit::new(small, large, mrc)?.forecast(targets)
 }
 
 /// The output of [`mrc_from_trace`]: a per-size miss-rate curve plus the
@@ -211,16 +170,27 @@ pub fn mrc_from_trace<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ModelError;
+    use crate::plan::Fit;
     use gsim_trace::{write_trace, Kernel, MemScale, PatternKind, PatternSpec, Workload};
 
     fn obs(size: u32, ipc: f64, f_mem: f64) -> Observation {
         Observation { size, ipc, f_mem }
     }
 
+    fn forecast(
+        small: Observation,
+        large: Observation,
+        mrc: Option<&SizedMrc>,
+        targets: &[u32],
+    ) -> Result<Forecast, ModelError> {
+        Fit::new(small, large, mrc)?.forecast(targets)
+    }
+
     #[test]
     fn forecast_matches_direct_predictors() {
         let mrc = SizedMrc::new([(8, 10.0), (16, 10.0), (32, 10.0), (64, 9.8), (128, 9.5)]);
-        let f = predict_targets(
+        let f = forecast(
             obs(8, 100.0, 0.3),
             obs(16, 190.0, 0.4),
             Some(&mrc),
@@ -242,7 +212,7 @@ mod tests {
 
     #[test]
     fn weak_scaling_needs_no_mrc() {
-        let f = predict_targets(obs(8, 100.0, 0.2), obs(16, 196.0, 0.2), None, &[128]).unwrap();
+        let f = forecast(obs(8, 100.0, 0.2), obs(16, 196.0, 0.2), None, &[128]).unwrap();
         let expected = 196.0 * 8.0 * 0.98f64.powi(7);
         assert!((f.targets[0].method("scale-model").unwrap() - expected).abs() < 1e-9);
     }
@@ -250,8 +220,7 @@ mod tests {
     #[test]
     fn cliff_crossing_uses_f_mem() {
         let mrc = SizedMrc::new([(8, 8.0), (16, 8.0), (32, 8.0), (64, 8.0), (128, 0.4)]);
-        let f =
-            predict_targets(obs(8, 100.0, 0.3), obs(16, 190.0, 0.5), Some(&mrc), &[128]).unwrap();
+        let f = forecast(obs(8, 100.0, 0.3), obs(16, 190.0, 0.5), Some(&mrc), &[128]).unwrap();
         assert_eq!(f.cliff_at, Some(128));
         let expected = 190.0 * (2.0 * 0.95) * (2.0 * 0.95f64.powi(2)) * (2.0 / 0.5);
         assert!((f.targets[0].method("scale-model").unwrap() - expected).abs() < 1e-9);
@@ -259,17 +228,17 @@ mod tests {
 
     #[test]
     fn bad_targets_are_errors_not_panics() {
-        let err = predict_targets(obs(8, 100.0, 0.2), obs(16, 190.0, 0.2), None, &[48]);
+        let err = forecast(obs(8, 100.0, 0.2), obs(16, 190.0, 0.2), None, &[48]);
         assert!(matches!(err, Err(ModelError::TargetNotDoubling { .. })));
         let mrc = SizedMrc::new([(8, 8.0), (16, 8.0)]);
-        let err = predict_targets(obs(8, 100.0, 0.2), obs(16, 190.0, 0.2), Some(&mrc), &[64]);
+        let err = forecast(obs(8, 100.0, 0.2), obs(16, 190.0, 0.2), Some(&mrc), &[64]);
         assert!(matches!(err, Err(ModelError::MrcDoesNotCover { .. })));
     }
 
     #[test]
     fn degenerate_observations_are_rejected() {
-        assert!(predict_targets(obs(16, 100.0, 0.2), obs(8, 190.0, 0.2), None, &[32]).is_err());
-        assert!(predict_targets(obs(8, 0.0, 0.2), obs(16, 190.0, 0.2), None, &[32]).is_err());
+        assert!(forecast(obs(16, 100.0, 0.2), obs(8, 190.0, 0.2), None, &[32]).is_err());
+        assert!(forecast(obs(8, 0.0, 0.2), obs(16, 190.0, 0.2), None, &[32]).is_err());
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! * **Stage 2 — fit** ([`Fit`]): the five predictor fits from the
 //!   observations and curve. A [`Fit`] is a plain value — cloneable,
 //!   comparable, cacheable.
-//! * **Stage 3 — predict** ([`Fit::forecast`]): target evaluation,
-//!   byte-identical to [`oneshot::predict_targets`] (which is now a thin
-//!   wrapper over this type).
+//! * **Stage 3 — predict** ([`Fit::forecast`]): target evaluation.
+//!   [`Fit`] is the one entry point to the fit/predict arithmetic: the
+//!   service, the CLI and the experiment pipelines all call it directly.
 //!
 //! The **functional-first fast path** rests on the gate in
 //! [`Collected::memory_pressure`]: a workload whose measured memory
@@ -41,7 +41,6 @@
 //! cost more than recomputing it.
 //!
 //! [`oneshot`]: crate::oneshot
-//! [`oneshot::predict_targets`]: crate::oneshot::predict_targets
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -61,15 +60,6 @@ use crate::predictor::{
     LinearRegression, LogRegression, PowerLawRegression, Proportional, ScalingPredictor,
 };
 use crate::scale_model::{ScaleModelInputs, ScaleModelPredictor};
-
-/// Stage tag for the sampled (sharded, fast-path) collection.
-pub const STAGE_COLLECT_SAMPLED: &str = "collect.sampled";
-/// Stage tag for the exact functional-replay collection.
-pub const STAGE_COLLECT_REPLAY: &str = "collect.replay";
-/// Stage tag for the scale-model timing observations.
-pub const STAGE_OBSERVE: &str = "observe";
-/// Stage tag for the predictor fits.
-pub const STAGE_FIT: &str = "fit";
 
 /// A fixed workload a staged plan runs: synthetic (generated streams) or
 /// trace-driven (replayed streams). Both sides implement
@@ -377,16 +367,6 @@ impl Default for SampledCollectConfig {
     }
 }
 
-impl SampledCollectConfig {
-    /// Deterministic encoding for content-addressed stage-cache keys.
-    pub fn cache_tag(&self) -> String {
-        format!(
-            "sampled(ctas={},rate={},shards={})",
-            self.max_ctas_per_kernel, self.line_rate, self.n_shards
-        )
-    }
-}
-
 /// CTA-stride sampling of one kernel's grid: `(stride, n_slots)`, where
 /// slot `i` replays CTA `i * stride`.
 fn sampled_slots(n_ctas: u32, max_ctas: u32) -> (u32, u32) {
@@ -659,10 +639,9 @@ pub fn observe_scale_models(
 
 /// Stage 2: the five predictor fits as one cacheable value.
 ///
-/// Holds the concretely typed predictors so it is `Clone + PartialEq`
-/// (content-addressable) and its [`forecast`](Fit::forecast) reproduces
-/// [`predict_targets`](crate::oneshot::predict_targets) byte for byte —
-/// `oneshot` is implemented on top of this type.
+/// Holds the concretely typed predictors, so it is `Clone + PartialEq`.
+/// Building one is about a microsecond — cheaper than hashing a cache key
+/// for it, so consumers build it per prediction rather than store it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fit {
     small: Observation,
@@ -810,33 +789,6 @@ mod tests {
     fn compute_workload() -> Workload {
         let spec = PatternSpec::new(PatternKind::Streaming, 2_000).compute_per_mem(30.0);
         Workload::new("cmp", 3, vec![Kernel::new("k", 128, 256, spec)])
-    }
-
-    #[test]
-    fn fit_forecast_matches_oneshot_predict_targets() {
-        let mrc = SizedMrc::new([(8, 10.0), (16, 10.0), (32, 10.0), (64, 9.8), (128, 9.5)]);
-        let small = Observation {
-            size: 8,
-            ipc: 100.0,
-            f_mem: 0.3,
-        };
-        let large = Observation {
-            size: 16,
-            ipc: 190.0,
-            f_mem: 0.4,
-        };
-        let via_fit = Fit::new(small, large, Some(&mrc))
-            .unwrap()
-            .forecast(&[32, 64, 128])
-            .unwrap();
-        let via_oneshot =
-            crate::oneshot::predict_targets(small, large, Some(&mrc), &[32, 64, 128]).unwrap();
-        assert_eq!(via_fit, via_oneshot);
-        for t in &via_fit.targets {
-            for m in &t.by_method {
-                assert!(m.predicted_ipc.is_finite());
-            }
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the target size, and optionally the scale-model sizes and memory
 //! miniature; the service simulates only the two small scale models on a
 //! [`gsim_runner`] pool, collects the functional miss-rate curve, runs
-//! the [`gsim_core::oneshot`] predictor, and returns a JSON report.
+//! the [`gsim_core::plan::Fit`] predictors, and returns a JSON report.
 //!
 //! Three layers keep repeated questions cheap:
 //!
@@ -24,14 +24,14 @@
 //!   loop, bounded workers, strict limits, keep-alive, cooperative
 //!   shutdown. The whole workspace builds offline; so does its service.
 //!
-//! Under load the service degrades deliberately rather than
-//! accidentally ([`overload`], DESIGN.md §13): per-class admission
-//! budgets shed excess requests with `429` + `Retry-After`, deadlines
-//! (`X-Gsim-Deadline-Ms` or `--default-deadline-ms`) propagate into the
-//! runner and cut over-budget predicts off with `504`, a saturated
-//! simulation pool downgrades MRC-capable predicts to an MRC-only
-//! `"degraded": true` fast path, and shutdown drains within a bounded
-//! grace period. A deterministic fault-injection plan ([`gsim_faults`])
+//! Under load the service has one story ([`overload`], DESIGN.md §13):
+//! per-class admission budgets shed excess requests with `429` +
+//! `Retry-After`, deadlines (`X-Gsim-Deadline-Ms` or
+//! `--default-deadline-ms`) propagate into the runner and cut
+//! over-budget predicts off with `504` — never a late `200` — and
+//! shutdown drains within a bounded grace period. There is no third
+//! answer shape: a `200` always carries `predictions`.
+//! A deterministic fault-injection plan ([`gsim_faults`])
 //! exercises all of it in the chaos harness (`scripts/chaos_smoke.sh`).
 //!
 //! `GET /metrics` ([`metrics`]) exposes request counts, cache hit/miss,

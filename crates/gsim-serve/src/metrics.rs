@@ -102,9 +102,6 @@ pub struct Metrics {
     /// Staged predicts whose sampled Stage-1 collection came from the
     /// stage cache (no collection work scheduled at all).
     pub stage_collect_hits: AtomicU64,
-    /// Staged predicts whose Stage-2 predictor fits came from the stage
-    /// cache.
-    pub stage_fit_hits: AtomicU64,
     /// Full-drain identity computations: times a synthetic workload's
     /// semantic hash was taken (every op of every warp generated and
     /// hashed). Only the full path pays it; the fast path must not.
@@ -129,16 +126,11 @@ pub struct Metrics {
     pub shed_heavy: AtomicU64,
     /// Predict requests that hit their deadline and were answered 504.
     pub deadline_timeouts: AtomicU64,
-    /// Predict requests answered by the degraded MRC-only fast path.
-    pub degraded: AtomicU64,
     /// Predict requests whose 400 verdict was replayed from the
     /// negative cache without re-parsing.
     pub negative_hits: AtomicU64,
     /// Requests currently inside the handler.
     pub in_flight: AtomicI64,
-    /// Predict leaders currently blocked in `Runner::run` — the gauge
-    /// the degraded fast path compares against its threshold.
-    pub sims_inflight: AtomicI64,
     /// Per-request wall latency, all endpoints.
     pub latency: Mutex<Histogram>,
     /// Wall latency of predict leaders only (cache misses that computed);
@@ -147,10 +139,10 @@ pub struct Metrics {
     /// Wall latency of executed Stage-1 sampled collections (stage-cache
     /// misses only).
     pub stage_collect: Mutex<Histogram>,
-    /// Wall latency of executed Stage-2 predictor fits (stage-cache
-    /// misses only).
+    /// Wall latency of the Stage-2 predictor fits (every computed
+    /// prediction, either path).
     pub stage_fit: Mutex<Histogram>,
-    /// Wall latency of Stage-3 target evaluation on the fast path.
+    /// Wall latency of the Stage-3 target evaluation (likewise).
     pub stage_predict: Mutex<Histogram>,
 }
 
@@ -196,11 +188,6 @@ impl Metrics {
     /// caller has no gate, e.g. unit tests).
     pub fn to_json(&self, cache_entries: usize, trace_store: Json, admission: Json) -> Json {
         let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let hist = self.latency.lock().expect("latency histogram poisoned");
-        let heavy = self
-            .heavy_latency
-            .lock()
-            .expect("heavy latency histogram poisoned");
         obj([
             ("schema", Json::from("gsim-serve-metrics-v1")),
             (
@@ -230,11 +217,9 @@ impl Metrics {
                         "stage_collect_hits",
                         Json::from(get(&self.stage_collect_hits)),
                     ),
-                    ("stage_fit_hits", Json::from(get(&self.stage_fit_hits))),
                     ("content_hashes", Json::from(get(&self.content_hashes))),
                     ("fast_path", Json::from(get(&self.fast_path))),
                     ("escalated", Json::from(get(&self.escalated))),
-                    ("degraded", Json::from(get(&self.degraded))),
                     (
                         "deadline_timeouts",
                         Json::from(get(&self.deadline_timeouts)),
@@ -250,7 +235,6 @@ impl Metrics {
                         "deadline_timeouts",
                         Json::from(get(&self.deadline_timeouts)),
                     ),
-                    ("degraded", Json::from(get(&self.degraded))),
                     ("admission", admission),
                 ]),
             ),
@@ -276,39 +260,19 @@ impl Metrics {
                 "in_flight",
                 Json::from(self.in_flight.load(Ordering::Relaxed)),
             ),
-            (
-                "sims_inflight",
-                Json::from(self.sims_inflight.load(Ordering::Relaxed)),
-            ),
             ("cache_entries", Json::from(cache_entries)),
-            (
-                "latency_us",
-                obj([
-                    ("count", Json::from(hist.count())),
-                    ("p50", Json::from(hist.quantile_us(0.50))),
-                    ("p99", Json::from(hist.quantile_us(0.99))),
-                    ("mean", Json::from(hist.mean_us())),
-                ]),
-            ),
-            (
-                "heavy_latency_us",
-                obj([
-                    ("count", Json::from(heavy.count())),
-                    ("p50", Json::from(heavy.quantile_us(0.50))),
-                    ("p99", Json::from(heavy.quantile_us(0.99))),
-                    ("mean", Json::from(heavy.mean_us())),
-                ]),
-            ),
-            ("stage_collect_us", stage_json(&self.stage_collect)),
-            ("stage_fit_us", stage_json(&self.stage_fit)),
-            ("stage_predict_us", stage_json(&self.stage_predict)),
+            ("latency_us", quantiles_json(&self.latency)),
+            ("heavy_latency_us", quantiles_json(&self.heavy_latency)),
+            ("stage_collect_us", quantiles_json(&self.stage_collect)),
+            ("stage_fit_us", quantiles_json(&self.stage_fit)),
+            ("stage_predict_us", quantiles_json(&self.stage_predict)),
         ])
     }
 }
 
-/// Renders one per-stage latency histogram's quantile group.
-fn stage_json(hist: &Mutex<Histogram>) -> Json {
-    let h = hist.lock().expect("stage histogram poisoned");
+/// Renders one latency histogram's quantile group.
+fn quantiles_json(hist: &Mutex<Histogram>) -> Json {
+    let h = hist.lock().expect("latency histogram poisoned");
     obj([
         ("count", Json::from(h.count())),
         ("p50", Json::from(h.quantile_us(0.50))),

@@ -38,20 +38,25 @@
 //! pass on the request's own thread, no runner jobs — measures the
 //! miss-rate curve and the workload's compute intensity in about a
 //! millisecond; a memory-bound workload (measured pressure at or above
-//! the configured gate) is then answered from roofline-synthesized
-//! observations plus that curve — **zero timing simulations** — while a
-//! compute-sensitive one escalates to the full path, whose body is
-//! byte-identical to a forced-`full` request's. The chosen path travels
-//! in the `X-Gsim-Path` response header (`fast` / `full` / `degraded`).
+//! the machine's balance point) is then answered from
+//! roofline-synthesized observations plus that curve — **zero timing
+//! simulations** — while a compute-sensitive one escalates to the full
+//! path, whose body is byte-identical to a forced-`full` request's. The
+//! chosen path travels in the `X-Gsim-Path` response header (`fast` /
+//! `full`). Either path ends in the same tail: two scale-model points
+//! and a curve in, one `Fit`, one forecast, one rendered body out.
 //!
 //! # Two identities, one per price class
 //!
-//! Every stage result is cached under the workload's identity plus a
-//! stage tag and the config encodings, so repeat requests over the same
-//! workload (different targets) skip straight to Stage 3. *Which*
-//! identity depends on what the entry saves:
+//! Every stage result that costs more than its key is cached under the
+//! workload's identity plus the sizes and memory miniature that select
+//! the GPU configs (within one process `GpuConfig::paper_target` is a
+//! pure function of them), so repeat requests over the same workload
+//! (different targets) skip the expensive stages. The fits and the
+//! forecast are not cached: a microsecond each, less than hashing a key.
+//! *Which* identity depends on what the entry saves:
 //!
-//! * Fast-path entries (`collects`, `fits`) are keyed by
+//! * The fast-path entry (`collects`) is keyed by
 //!   [`PlanWorkload::stage_identity`]: a synthetic workload's *recipe*
 //!   hash, O(kernels), or a trace's stored content hash. The semantic
 //!   hash of a synthetic workload generates and hashes every op —
@@ -63,7 +68,7 @@
 //! * Full-path entries (`observations`, `mrcs`) keep the semantic hash:
 //!   there it buys back two timing simulations, 10–100× its cost.
 //!
-//! All four maps are LRU-bounded at the result cache's capacity.
+//! All three maps are LRU-bounded at the result cache's capacity.
 //!
 //! # Determinism contract
 //!
@@ -77,19 +82,19 @@
 
 use std::hash::Hash;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use gsim_core::oneshot::{predict_targets, Observation};
+use gsim_core::oneshot::Observation;
 use gsim_core::plan::{
-    collect_sampled_inline, synthesize_observation, CollectFailure, Collected, Fit, PlanWorkload,
-    SampledCollectConfig, StageIdentity, STAGE_COLLECT_SAMPLED, STAGE_FIT,
+    collect_replay, collect_sampled_inline, observation_of, synthesize_observation, CollectFailure,
+    Collected, Fit, PlanWorkload, SampledCollectConfig, StageIdentity,
 };
 use gsim_json::{obj, Json};
 use gsim_multigpu::{scaling_efficiency, Placement, Topology};
 use gsim_runner::{Job, JobStatus, RunOverrides, Runner, RunnerConfig};
-use gsim_sim::{collect_mrc, GpuConfig};
+use gsim_sim::GpuConfig;
 use gsim_trace::suite::{strong_benchmark, strong_suite};
 use gsim_trace::weak::{weak_benchmark, weak_suite};
 use gsim_trace::{Kernel, MemScale, PatternKind, PatternSpec, Workload};
@@ -103,8 +108,6 @@ use crate::singleflight::{Role, SingleFlight};
 
 /// Response-body schema tag.
 const PREDICT_SCHEMA: &str = "gsim-serve-predict-v1";
-/// Schema tag of the degraded (MRC-only) predict body.
-const PREDICT_DEGRADED_SCHEMA: &str = "gsim-serve-predict-degraded-v1";
 /// Schema tag of the functional-first fast-path predict body.
 const PREDICT_FAST_SCHEMA: &str = "gsim-serve-predict-fast-v1";
 /// Per-request deadline header (milliseconds; overrides the configured
@@ -116,12 +119,17 @@ const NEGATIVE_CACHE_CAPACITY: usize = 256;
 const MAX_PREDICT_BYTES: usize = 64 * 1024;
 /// Largest accepted target system size.
 const MAX_TARGET_SMS: u32 = 1 << 20;
-/// Largest accepted `pattern.passes` and `pattern.mem_ops_per_warp`: the
-/// two fields that multiply a kernel's work without growing anything a
-/// request is otherwise billed for. Every workload of Tables II/IV stays
-/// below a tenth of either.
+/// Largest accepted `pattern.passes`, `pattern.mem_ops_per_warp` and
+/// `pattern.ctas`: the fields that multiply a kernel's work without
+/// growing anything a request is otherwise billed for. Every workload of
+/// Tables II/IV stays below a tenth of each.
 const MAX_PATTERN_PASSES: u32 = 64;
 const MAX_PATTERN_MEM_OPS_PER_WARP: u32 = 4096;
+const MAX_PATTERN_CTAS: u32 = 65_536;
+/// The compute-intensity gate, as a multiple of the machine's DRAM
+/// balance point: an `"auto"` request whose measured memory pressure
+/// reaches it is answered on the fast path, anything below escalates.
+const MEMORY_BOUND_PRESSURE: f64 = 1.0;
 
 /// Service construction knobs.
 #[derive(Debug, Clone, Default)]
@@ -136,8 +144,6 @@ pub struct ServeConfig {
     /// `<cache_dir>/tracestore`, or a per-process temp directory when
     /// there is no cache dir either (uploads then live for the process).
     pub trace_store_dir: Option<PathBuf>,
-    /// Byte budget for stored trace blobs (0 = default 1 GiB).
-    pub trace_store_bytes: u64,
     /// Default predict deadline in milliseconds; `0` means none. A
     /// request's `X-Gsim-Deadline-Ms` header overrides it either way.
     pub default_deadline_ms: u64,
@@ -147,16 +153,6 @@ pub struct ServeConfig {
     /// Concurrent cheap requests (catalogs, uploads, metrics) admitted
     /// before shedding (0 = default 64).
     pub max_inflight_cheap: usize,
-    /// Predict leaders concurrently inside the simulation pool beyond
-    /// which new MRC-capable predicts degrade to the MRC-only fast path
-    /// (0 = half the predict budget).
-    pub degrade_threshold: usize,
-    /// Compute-intensity gate of the functional-first fast path, as a
-    /// multiple of the machine's DRAM balance point: an `"auto"` request
-    /// whose measured memory pressure meets this threshold is answered
-    /// from replayed-MRC fits alone, with zero timing simulations
-    /// (0 = default 1.0; `f64::INFINITY` escalates every `"auto"`).
-    pub fast_path_gate: f64,
 }
 
 /// A client-visible error: HTTP status plus message. Cloneable so
@@ -271,42 +267,30 @@ enum PlanKind {
     WithMrc(PlanWorkload),
     /// Input grows with the machine; no MRC (weak scaling, Table IV).
     PerSize {
-        small_wl: Workload,
-        large_wl: Workload,
+        small_wl: PlanWorkload,
+        large_wl: PlanWorkload,
     },
 }
 
-/// Functional-replay MPKI of a [`PlanWorkload`] at each config's LLC
-/// capacity, in order — the exact (full-path) miss-rate curve.
-fn mrc_mpki(wl: &PlanWorkload, configs: &[GpuConfig]) -> Vec<f64> {
-    collect_mrc(wl, configs)
-        .points()
-        .iter()
-        .map(|p| p.mpki)
-        .collect()
-}
-
-/// Deterministic intermediate results keyed by `(workload identity,
-/// stage tag + derived config encodings)`, each map LRU-bounded. Every
-/// stage is a pure function of the workload's instruction streams and
-/// the GPU configs. The full-path maps are keyed by *content*, so a
+/// Deterministic intermediate results, each map LRU-bounded. Every stage
+/// is a pure function of the workload's instruction streams and the GPU
+/// configs, and within one process the configs are a pure function of
+/// the sizes and the memory miniature — so the keys are typed tuples,
+/// not config encodings. The full-path maps are keyed by *content*, so a
 /// synthetic workload and a trace of it share entries — which is what
 /// lets a trace-driven predict skip the timing simulator entirely when
-/// the synthetic path already ran (and vice versa). The fast-path maps
-/// are keyed by the cheap [`StageIdentity`] (see the module docs).
+/// the synthetic path already ran (and vice versa). The fast-path map is
+/// keyed by the cheap [`StageIdentity`] (see the module docs).
 struct StageCache {
-    /// `(content hash, small|large config)` → the two scale-model
+    /// `(content hash, small, large, mem_scale)` → the two scale-model
     /// observations.
     observations: Stage<ContentKey, (SimPoint, SimPoint)>,
-    /// `(content hash, ladder configs)` → `(size, mpki)` miss-rate-curve
-    /// points.
+    /// `(content hash, small, max target, mem_scale)` → `(size, mpki)`
+    /// miss-rate-curve points over the doubling ladder between the two.
     mrcs: Stage<ContentKey, Vec<(u32, f64)>>,
-    /// `(identity, collect tag + ladder configs)` → the sampled Stage-1
-    /// collection of the staged fast path.
-    collects: Stage<FastKey, Collected>,
-    /// `(identity, fit tag + ladder configs)` → the Stage-2 predictor
-    /// fits of the staged fast path.
-    fits: Stage<FastKey, Fit>,
+    /// `(identity, small, mem_scale)` → the sampled Stage-1 collection
+    /// over [`collect_ladder`].
+    collects: Stage<(StageIdentity, u32, u32), Collected>,
 }
 
 impl StageCache {
@@ -315,17 +299,13 @@ impl StageCache {
             observations: Stage::new(capacity),
             mrcs: Stage::new(capacity),
             collects: Stage::new(capacity),
-            fits: Stage::new(capacity),
         }
     }
 }
 
-/// Full-path stage key: the workload's semantic hash plus the exhaustive
-/// encoding of every config involved in the stage.
-type ContentKey = (u64, String);
-/// Fast-path stage key: the workload's cheap identity plus the stage
-/// tag and config encodings.
-type FastKey = (StageIdentity, String);
+/// Full-path stage key: the workload's semantic hash, two sizes and the
+/// memory-miniature divisor.
+type ContentKey = (u64, u32, u32, u32);
 
 /// One stage's shared map. Values are deterministic in the key, so
 /// concurrent writers of one key store the same thing.
@@ -336,12 +316,33 @@ impl<K: Hash + Eq + Clone, V: Clone> Stage<K, V> {
         Self(Mutex::new(Lru::new(capacity)))
     }
 
-    fn get(&self, key: &K) -> Option<V> {
-        self.lock().get(key).cloned()
+    /// The staged value, counted in `hits` when present.
+    fn get(&self, key: &K, hits: &AtomicU64) -> Option<V> {
+        let found = self.lock().get(key).cloned();
+        if found.is_some() {
+            hits.fetch_add(1, Ordering::Relaxed);
+        }
+        found
     }
 
     fn put(&self, key: K, value: V) {
         self.lock().insert(key, value);
+    }
+
+    /// [`Stage::get`], or `compute` and stage its result. Nothing is
+    /// staged when `compute` fails.
+    fn get_or_compute(
+        &self,
+        key: K,
+        hits: &AtomicU64,
+        compute: impl FnOnce() -> Result<V, ApiError>,
+    ) -> Result<V, ApiError> {
+        if let Some(v) = self.get(&key, hits) {
+            return Ok(v);
+        }
+        let value = compute()?;
+        self.put(key, value.clone());
+        Ok(value)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Lru<K, V>> {
@@ -349,14 +350,41 @@ impl<K: Hash + Eq + Clone, V: Clone> Stage<K, V> {
     }
 }
 
-/// One scale-model simulation's deterministic outputs.
+/// One scale model: the observation the predictors fit, plus what only
+/// a timing simulation measures — `(mpki, cycles)`. A
+/// roofline-synthesized point has no `timing` and its body row leaves
+/// both columns out.
 #[derive(Debug, Clone)]
 struct SimPoint {
-    size: u32,
-    ipc: f64,
-    mpki: f64,
-    f_mem: f64,
-    cycles: u64,
+    obs: Observation,
+    timing: Option<(f64, u64)>,
+}
+
+impl SimPoint {
+    fn json(&self) -> Json {
+        let (mpki, cycles) = self.timing.unzip();
+        obj([
+            ("size", Some(Json::from(self.obs.size))),
+            ("ipc", Some(Json::from(self.obs.ipc))),
+            ("mpki", mpki.map(Json::from)),
+            ("f_mem", Some(Json::from(self.obs.f_mem))),
+            ("cycles", cycles.map(Json::from)),
+        ]
+        .into_iter()
+        .filter_map(|(k, v)| Some((k, v?))))
+    }
+}
+
+/// What either path hands the shared tail ([`PredictService::finish`]).
+struct Staged {
+    schema: &'static str,
+    /// Body fields between `request` and `scale_models`.
+    head: Vec<(&'static str, Json)>,
+    small: SimPoint,
+    large: SimPoint,
+    /// `(size, mpki)` points of the miss-rate curve; `None` for per-size
+    /// (weak-scaling) plans.
+    mrc: Option<Vec<(u32, f64)>>,
 }
 
 /// What one runner job returns.
@@ -378,8 +406,6 @@ pub struct PredictService {
     shutdown: ShutdownFlag,
     gate: AdmissionGate,
     default_deadline_ms: u64,
-    degrade_threshold: i64,
-    fast_path_gate: f64,
 }
 
 impl PredictService {
@@ -398,11 +424,9 @@ impl PredictService {
             retry_once: true,
         })
         .with_sink(RunnerJobCounter(Arc::clone(&metrics)));
-        let capacity = if cfg.cache_capacity == 0 {
-            256
-        } else {
-            cfg.cache_capacity
-        };
+        // A zero knob means its default.
+        let or_default = |knob: usize, default: usize| if knob == 0 { default } else { knob };
+        let capacity = or_default(cfg.cache_capacity, 256);
         let store_root = cfg
             .trace_store_dir
             .clone()
@@ -411,32 +435,7 @@ impl PredictService {
                 None => std::env::temp_dir()
                     .join(format!("gsim-serve-tracestore-{}", std::process::id())),
             });
-        let store = TraceStore::open(
-            store_root,
-            StoreConfig {
-                max_bytes: if cfg.trace_store_bytes == 0 {
-                    1 << 30
-                } else {
-                    cfg.trace_store_bytes
-                },
-                ..StoreConfig::default()
-            },
-        )?;
-        let max_heavy = if cfg.max_inflight_predicts == 0 {
-            8
-        } else {
-            cfg.max_inflight_predicts
-        };
-        let max_cheap = if cfg.max_inflight_cheap == 0 {
-            64
-        } else {
-            cfg.max_inflight_cheap
-        };
-        let degrade_threshold = if cfg.degrade_threshold == 0 {
-            (max_heavy / 2).max(1)
-        } else {
-            cfg.degrade_threshold
-        };
+        let store = TraceStore::open(store_root, StoreConfig::default())?;
         Ok(Arc::new(Self {
             runner,
             cache: ResultCache::new(capacity, cfg.cache_dir)?,
@@ -446,14 +445,11 @@ impl PredictService {
             store,
             stages: StageCache::new(capacity),
             shutdown,
-            gate: AdmissionGate::new(max_cheap, max_heavy),
+            gate: AdmissionGate::new(
+                or_default(cfg.max_inflight_cheap, 64),
+                or_default(cfg.max_inflight_predicts, 8),
+            ),
             default_deadline_ms: cfg.default_deadline_ms,
-            degrade_threshold: i64::try_from(degrade_threshold).unwrap_or(i64::MAX),
-            fast_path_gate: if cfg.fast_path_gate == 0.0 {
-                1.0
-            } else {
-                cfg.fast_path_gate
-            },
         }))
     }
 
@@ -621,8 +617,7 @@ impl PredictService {
 
     /// `POST /v1/predict`: admit (or shed), normalize, address, then hit
     /// the cache, join an identical in-flight computation, or lead a new
-    /// one — degrading to the MRC-only fast path when the simulation
-    /// pool is saturated, and abandoning work past its deadline.
+    /// one — abandoning work past its deadline.
     fn predict(&self, req: &Request) -> Response {
         let fail = || {
             self.metrics.predict_errors.fetch_add(1, Ordering::Relaxed);
@@ -637,11 +632,10 @@ impl PredictService {
         let Some(_permit) = self.gate.try_admit(EndpointClass::Heavy) else {
             self.metrics.shed_heavy.fetch_add(1, Ordering::Relaxed);
             fail();
-            let secs = retry_after_secs(
-                self.metrics.heavy_p50_us(),
-                self.gate.inflight(EndpointClass::Heavy),
+            return shed_response(
+                self.retry_after(),
+                "predict budget exhausted; service is at capacity",
             );
-            return shed_response(secs, "predict budget exhausted; service is at capacity");
         };
         // Byte-identical bodies we already rejected with 400 skip the
         // parser. Keyed on raw bytes: only deterministic verdicts
@@ -670,34 +664,17 @@ impl PredictService {
         let key = fnv1a(plan.canonical.as_bytes());
         if let Some(cached) = self.cache.get(key) {
             self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let path = path_of_body(&cached);
-            return Response::json(200, cached.as_bytes().to_vec())
-                .with_header("X-Gsim-Cache", "hit")
-                .with_header("X-Gsim-Path", path);
+            return self.respond(Ok(cached), "hit");
         }
         match self.flights.join(key) {
             Role::Leader(promise) => {
                 self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
                 self.metrics.computations.fetch_add(1, Ordering::Relaxed);
-                let saturated =
-                    self.metrics.sims_inflight.load(Ordering::Relaxed) >= self.degrade_threshold;
                 let started = Instant::now();
-                let outcome: Outcome = match self.compute(&plan, key, deadline, saturated) {
-                    Ok((body, degraded)) => {
-                        let body = Arc::new(body);
-                        if degraded {
-                            // A degraded body is an overload artifact,
-                            // not the request's answer: publish it to
-                            // the followers waiting right now, but never
-                            // cache it as *the* result.
-                            self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            self.cache.put(key, &plan.canonical, Arc::clone(&body));
-                        }
-                        Ok(body)
-                    }
-                    Err(e) => Err(e),
-                };
+                let outcome: Outcome = self.compute(&plan, key, deadline).map(Arc::new);
+                if let Ok(body) = &outcome {
+                    self.cache.put(key, &plan.canonical, Arc::clone(body));
+                }
                 self.metrics.observe_heavy(started.elapsed());
                 self.flights.publish(key, promise, outcome.clone());
                 self.respond(outcome, "miss")
@@ -713,11 +690,8 @@ impl PredictService {
                 match waited {
                     Ok(Some(outcome)) => self.respond((*outcome).clone(), "coalesced"),
                     Ok(None) => {
-                        self.metrics
-                            .deadline_timeouts
-                            .fetch_add(1, Ordering::Relaxed);
                         fail();
-                        deadline_error().response()
+                        self.deadline_exceeded().response()
                     }
                     Err(_) => {
                         fail();
@@ -742,11 +716,7 @@ impl PredictService {
                 if e.status == 503 {
                     // A transient failure: tell the client when a retry
                     // is likely to find a calmer pool.
-                    let secs = retry_after_secs(
-                        self.metrics.heavy_p50_us(),
-                        self.gate.inflight(EndpointClass::Heavy),
-                    );
-                    resp.with_header("Retry-After", secs.to_string())
+                    resp.with_header("Retry-After", self.retry_after().to_string())
                 } else {
                     resp
                 }
@@ -754,220 +724,136 @@ impl PredictService {
         }
     }
 
-    /// Computes one prediction, dispatching between the staged
-    /// functional-first fast path and the full timing-simulation path.
-    ///
-    /// MRC-capable plans not forced onto the full path run the sampled
-    /// Stage-1 collection first (stage-cached under the workload's cheap
-    /// identity — the workload is never drained for a key here) and
-    /// consult the compute-intensity gate: memory-bound workloads are
-    /// answered from replayed-MRC fits alone in about a millisecond;
-    /// compute-sensitive ones escalate to [`Self::compute_full`], whose
-    /// body is byte-identical to a forced-full computation.
+    /// Seconds a shed or failed predict should wait before retrying.
+    fn retry_after(&self) -> u64 {
+        retry_after_secs(
+            self.metrics.heavy_p50_us(),
+            self.gate.inflight(EndpointClass::Heavy),
+        )
+    }
+
+    /// Computes one prediction: the staged functional-first fast path
+    /// when it applies, the timing-simulation path otherwise, and one
+    /// shared fit → forecast → render tail behind both.
     fn compute(
         &self,
         plan: &Plan,
         key: u64,
         deadline: Option<Instant>,
-        degrade: bool,
-    ) -> Result<(String, bool), ApiError> {
-        if let PlanKind::WithMrc(wl) = &plan.kind {
-            if plan.path != PathMode::Full {
-                let id = wl.stage_identity();
-                // The config half of both fast-path stage keys.
-                let ladder = collect_ladder_encoding(plan);
-                let collected = self.stage_collect(id, &ladder, plan, wl, deadline)?;
-                let gate_cfg = GpuConfig::paper_target(plan.large, plan.scale);
-                let pressure = collected.memory_pressure(&gate_cfg);
-                if plan.path == PathMode::Fast || pressure >= self.fast_path_gate {
-                    self.metrics.fast_path.fetch_add(1, Ordering::Relaxed);
-                    let body = self.fast_body(plan, id, &ladder, &collected, pressure)?;
-                    return Ok((body, false));
-                }
-                // Compute matters: the roofline synthesis is not
-                // trustworthy, fall through to the real simulations.
-                self.metrics.escalated.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.compute_full(plan, key, deadline, degrade)
-    }
-
-    /// Stage 1 of the staged path: the sampled collection, consulted
-    /// from (and inserted into) the stage cache. A miss is one streaming
-    /// pass on this request's thread, checked against `deadline` every
-    /// thousand ops — it never touches the runner pool, so a saturated
-    /// pool cannot slow it and it cannot slow the pool.
-    fn stage_collect(
-        &self,
-        id: StageIdentity,
-        ladder: &str,
-        plan: &Plan,
-        wl: &PlanWorkload,
-        deadline: Option<Instant>,
-    ) -> Result<Collected, ApiError> {
-        let scfg = SampledCollectConfig::default();
-        let stage_key = (
-            id,
-            format!("{STAGE_COLLECT_SAMPLED}:{}|{ladder}", scfg.cache_tag()),
-        );
-        if let Some(c) = self.stages.collects.get(&stage_key) {
-            self.metrics
-                .stage_collect_hits
-                .fetch_add(1, Ordering::Relaxed);
-            return Ok(c);
-        }
-        let configs: Vec<GpuConfig> = collect_ladder(plan)
-            .iter()
-            .map(|&s| GpuConfig::paper_target(s, plan.scale))
-            .collect();
-        self.metrics
-            .collects_started
-            .fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let collected = collect_sampled_inline(wl, &configs, &scfg, deadline).map_err(|e| {
-            // No jobs, so nothing to crash: the pass fails only by
-            // running out of time.
-            debug_assert_eq!(e, CollectFailure::TimedOut);
-            self.metrics
-                .deadline_timeouts
-                .fetch_add(1, Ordering::Relaxed);
-            deadline_error()
-        })?;
-        Metrics::observe_stage(&self.metrics.stage_collect, started.elapsed());
-        self.stages.collects.put(stage_key, collected.clone());
-        Ok(collected)
-    }
-
-    /// Stages 2 and 3 of the fast path: fit the five predictors to
-    /// roofline observations synthesized from the sampled collection
-    /// (stage-cached), evaluate the targets, and render the fast body.
-    fn fast_body(
-        &self,
-        plan: &Plan,
-        id: StageIdentity,
-        ladder: &str,
-        collected: &Collected,
-        pressure: f64,
     ) -> Result<String, ApiError> {
-        let fit_key = (
-            id,
-            format!(
-                "{STAGE_FIT}:fast:{}|{ladder}",
-                SampledCollectConfig::default().cache_tag()
-            ),
-        );
-        let fit = match self.stages.fits.get(&fit_key) {
-            Some(fit) => {
-                self.metrics.stage_fit_hits.fetch_add(1, Ordering::Relaxed);
-                fit
-            }
-            None => {
-                let started = Instant::now();
-                let small = synthesize_observation(
-                    collected,
-                    &GpuConfig::paper_target(plan.small, plan.scale),
-                );
-                let large = synthesize_observation(
-                    collected,
-                    &GpuConfig::paper_target(plan.large, plan.scale),
-                );
-                let mrc = collected.sized_mrc();
-                let fit = Fit::new(small, large, Some(&mrc))
-                    .map_err(|e| ApiError::bad(format!("prediction failed: {e}")))?;
-                Metrics::observe_stage(&self.metrics.stage_fit, started.elapsed());
-                self.stages.fits.put(fit_key, fit.clone());
-                fit
-            }
+        let staged = match self.stage_fast(plan, deadline)? {
+            Some(staged) => staged,
+            None => self.stage_full(plan, key, deadline)?,
         };
-        let started = Instant::now();
-        let forecast = fit
-            .forecast(&plan.targets)
-            .map_err(|e| ApiError::bad(format!("prediction failed: {e}")))?;
-        Metrics::observe_stage(&self.metrics.stage_predict, started.elapsed());
-
-        let obs_json = |o: &Observation| {
-            obj([
-                ("size", Json::from(o.size)),
-                ("ipc", Json::from(o.ipc)),
-                ("f_mem", Json::from(o.f_mem)),
-            ])
-        };
-        let predictions = predictions_json(plan, &forecast, fit.large().f_mem);
-        let body = obj([
-            ("schema", Json::from(PREDICT_FAST_SCHEMA)),
-            ("request", plan.normalized.clone()),
-            ("fast_path", Json::from(true)),
-            ("mrc_engine", Json::from("sampled")),
-            ("memory_pressure", Json::from(pressure)),
-            ("forced", Json::from(plan.path == PathMode::Fast)),
-            (
-                "scale_models",
-                Json::Arr(vec![obs_json(&fit.small()), obs_json(&fit.large())]),
-            ),
-            (
-                "mrc",
-                Json::Arr(
-                    collected
-                        .points
-                        .iter()
-                        .map(|&(s, m)| Json::Arr(vec![Json::from(s), Json::from(m)]))
-                        .collect(),
-                ),
-            ),
-            ("correction_factor", Json::from(forecast.correction_factor)),
-            ("cliff_at", Json::from(forecast.cliff_at)),
-            ("predictions", Json::Arr(predictions)),
-        ]);
-        Ok(body.render())
+        self.finish(plan, staged)
     }
 
-    /// Runs the scale-model simulations (and, for MRC plans, the
-    /// functional replay) as jobs on the runner pool, then the one-shot
-    /// predictor, and renders the response body.
+    /// The fast path: MRC-capable plans not forced onto the full path
+    /// run the sampled Stage-1 collection (stage-cached under the
+    /// workload's cheap identity — the workload is never drained for a
+    /// key here) and consult the compute-intensity gate. Memory-bound
+    /// workloads are answered from roofline observations synthesized
+    /// from the collection, in about a millisecond; compute-sensitive
+    /// ones (and everything this path does not apply to) return `None`
+    /// and escalate to [`Self::stage_full`].
+    ///
+    /// A collection miss is one streaming pass on this request's
+    /// thread, checked against `deadline` every thousand ops — it never
+    /// touches the runner pool.
+    fn stage_fast(
+        &self,
+        plan: &Plan,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Staged>, ApiError> {
+        let PlanKind::WithMrc(wl) = &plan.kind else {
+            return Ok(None);
+        };
+        if plan.path == PathMode::Full {
+            return Ok(None);
+        }
+        let cfg_of = |sms: u32| GpuConfig::paper_target(sms, plan.scale);
+        let collected = self.stages.collects.get_or_compute(
+            (wl.stage_identity(), plan.small, plan.scale.divisor()),
+            &self.metrics.stage_collect_hits,
+            || {
+                let configs: Vec<GpuConfig> =
+                    collect_ladder(plan).into_iter().map(cfg_of).collect();
+                self.metrics
+                    .collects_started
+                    .fetch_add(1, Ordering::Relaxed);
+                let started = Instant::now();
+                let scfg = SampledCollectConfig::default();
+                let collected =
+                    collect_sampled_inline(wl, &configs, &scfg, deadline).map_err(|e| {
+                        // No jobs, so nothing to crash: the pass fails
+                        // only by running out of time.
+                        debug_assert_eq!(e, CollectFailure::TimedOut);
+                        self.deadline_exceeded()
+                    })?;
+                Metrics::observe_stage(&self.metrics.stage_collect, started.elapsed());
+                Ok(collected)
+            },
+        )?;
+        let pressure = collected.memory_pressure(&cfg_of(plan.large));
+        let fast = plan.path == PathMode::Fast || pressure >= MEMORY_BOUND_PRESSURE;
+        if !fast {
+            // Compute matters: the roofline synthesis is not
+            // trustworthy, escalate to the real simulations.
+            self.metrics.escalated.fetch_add(1, Ordering::Relaxed);
+            return Ok(None);
+        }
+        self.metrics.fast_path.fetch_add(1, Ordering::Relaxed);
+        let synthesize = |size: u32| SimPoint {
+            obs: synthesize_observation(&collected, &cfg_of(size)),
+            timing: None,
+        };
+        Ok(Some(Staged {
+            schema: PREDICT_FAST_SCHEMA,
+            head: vec![
+                ("fast_path", Json::from(true)),
+                ("mrc_engine", Json::from("sampled")),
+                ("memory_pressure", Json::from(pressure)),
+                ("forced", Json::from(plan.path == PathMode::Fast)),
+            ],
+            small: synthesize(plan.small),
+            large: synthesize(plan.large),
+            mrc: Some(collected.points),
+        }))
+    }
+
+    /// The full path: the scale-model simulations (and, for MRC plans,
+    /// the functional replay) as jobs on the runner pool.
     ///
     /// Strong-scaling plans first consult the [`StageCache`]: when both
     /// the observations and the miss-rate curve are cached under the
     /// workload's semantic hash, no jobs are scheduled at all — the
     /// path that makes a trace predict of an already-seen workload
-    /// simulation-free.
-    ///
-    /// When `degrade` is set and the scale-model observations are not
-    /// already staged, MRC-capable plans skip the timing simulations
-    /// entirely and return the MRC-only degraded body; the returned
-    /// flag tells the caller which body it got (degraded bodies are
-    /// never result-cached). The `deadline` bounds the runner jobs; a
-    /// run cut short maps to 504.
-    fn compute_full(
+    /// simulation-free. The `deadline` bounds the runner jobs; a run cut
+    /// short — or one that finished, but late — maps to 504.
+    fn stage_full(
         &self,
         plan: &Plan,
         key: u64,
         deadline: Option<Instant>,
-        degrade: bool,
-    ) -> Result<(String, bool), ApiError> {
+    ) -> Result<Staged, ApiError> {
         let cfg_of = |sms: u32| GpuConfig::paper_target(sms, plan.scale);
-        let sim_job = |label: String, sms: u32, wl: PlanWorkload| {
+        let sim_job = |sms: u32, wl: PlanWorkload| {
             let cfg = cfg_of(sms);
             let metrics = Arc::clone(&self.metrics);
-            Job::new(label, move || {
+            Job::new(format!("sim@{sms}sm"), move || {
                 if gsim_faults::active().is_some_and(|f| f.job_panic()) {
                     panic!("injected fault: simulation job panic");
                 }
                 metrics.timing_sims_started.fetch_add(1, Ordering::Relaxed);
                 let stats = wl.simulate(cfg.clone());
                 SimOut::Point(SimPoint {
-                    size: sms,
-                    ipc: stats.sustained_ipc(),
-                    mpki: stats.mpki(),
-                    f_mem: stats.f_mem(),
-                    cycles: stats.cycles,
+                    obs: observation_of(sms, &stats),
+                    timing: Some((stats.mpki(), stats.cycles)),
                 })
             })
         };
-        let mut jobs = Vec::new();
-        let mut cached_obs: Option<(SimPoint, SimPoint)> = None;
-        let mut mrc_points: Option<Vec<(u32, f64)>> = None;
-        let mut stage_keys: Option<(ContentKey, ContentKey)> = None;
-        match &plan.kind {
+        let (small_wl, large_wl, keys) = match &plan.kind {
+            // One workload at every size, and a miss-rate curve.
             PlanKind::WithMrc(wl) => {
                 // The content hash: known for a trace, a full drain of a
                 // synthetic workload. Worth it here — it is what lets a
@@ -976,99 +862,40 @@ impl PredictService {
                     self.metrics.content_hashes.fetch_add(1, Ordering::Relaxed);
                     wl.semantic_hash()
                 });
-                let obs_key = (
-                    sem,
-                    format!(
-                        "{}|{}",
-                        encode_config(&cfg_of(plan.small)),
-                        encode_config(&cfg_of(plan.large))
-                    ),
-                );
-                let mrc_key = (sem, ladder_encoding(plan));
-                cached_obs = self.stages.observations.get(&obs_key);
-                mrc_points = self.stages.mrcs.get(&mrc_key);
-                if degrade && cached_obs.is_none() {
-                    // Saturated pool and no staged observations: answer
-                    // with the functional-replay MRC alone, computed on
-                    // this request's thread — no timing simulations.
-                    let pts = match mrc_points {
-                        Some(pts) => pts,
-                        None => {
-                            let configs: Vec<GpuConfig> =
-                                plan.ladder.iter().map(|&s| cfg_of(s)).collect();
-                            let pts: Vec<(u32, f64)> = plan
-                                .ladder
-                                .iter()
-                                .copied()
-                                .zip(mrc_mpki(wl, &configs))
-                                .collect();
-                            // Stage it: the eventual full predict (and
-                            // any sibling degraded one) reuses it.
-                            self.stages.mrcs.put(mrc_key, pts.clone());
-                            pts
-                        }
-                    };
-                    return Ok((degraded_body(plan, &pts), true));
-                }
-                if cached_obs.is_some() {
-                    self.metrics.stage_obs_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    jobs.push(sim_job(
-                        format!("sim@{}sm", plan.small),
-                        plan.small,
-                        wl.clone(),
-                    ));
-                    jobs.push(sim_job(
-                        format!("sim@{}sm", plan.large),
-                        plan.large,
-                        wl.clone(),
-                    ));
-                }
-                if mrc_points.is_some() {
-                    self.metrics.stage_mrc_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    let mrc_wl = wl.clone();
-                    let configs: Vec<GpuConfig> = plan.ladder.iter().map(|&s| cfg_of(s)).collect();
-                    let sizes = plan.ladder.clone();
-                    jobs.push(Job::new("mrc", move || {
-                        SimOut::Mrc(
-                            sizes
-                                .iter()
-                                .copied()
-                                .zip(mrc_mpki(&mrc_wl, &configs))
-                                .collect(),
-                        )
-                    }));
-                }
-                stage_keys = Some((obs_key, mrc_key));
+                let max_target = *plan.ladder.last().expect("ladder holds the scale models");
+                let scale = plan.scale.divisor();
+                let obs_key: ContentKey = (sem, plan.small, plan.large, scale);
+                let mrc_key: ContentKey = (sem, plan.small, max_target, scale);
+                (wl, wl, Some((obs_key, mrc_key)))
             }
-            PlanKind::PerSize { small_wl, large_wl } => {
-                jobs.push(sim_job(
-                    format!("sim@{}sm", plan.small),
-                    plan.small,
-                    PlanWorkload::Synthetic(small_wl.clone()),
-                ));
-                jobs.push(sim_job(
-                    format!("sim@{}sm", plan.large),
-                    plan.large,
-                    PlanWorkload::Synthetic(large_wl.clone()),
-                ));
-            }
+            PlanKind::PerSize { small_wl, large_wl } => (small_wl, large_wl, None),
+        };
+        let mut points = keys.and_then(|(obs_key, _)| {
+            self.stages
+                .observations
+                .get(&obs_key, &self.metrics.stage_obs_hits)
+        });
+        let mut mrc = keys
+            .and_then(|(_, mrc_key)| self.stages.mrcs.get(&mrc_key, &self.metrics.stage_mrc_hits));
+        let mut jobs = Vec::new();
+        if points.is_none() {
+            jobs.push(sim_job(plan.small, small_wl.clone()));
+            jobs.push(sim_job(plan.large, large_wl.clone()));
         }
-        let mut points: Vec<SimPoint> = Vec::new();
-        if let Some((a, b)) = cached_obs {
-            points.push(a);
-            points.push(b);
+        if keys.is_some() && mrc.is_none() {
+            // The exact functional replay over the request's ladder.
+            let configs: Vec<GpuConfig> = plan.ladder.iter().copied().map(cfg_of).collect();
+            let wl = small_wl.clone();
+            jobs.push(Job::new("mrc", move || {
+                SimOut::Mrc(collect_replay(&wl, &configs).points)
+            }));
         }
         if !jobs.is_empty() {
             let overrides = match deadline {
                 Some(d) => {
                     let left = d.saturating_duration_since(Instant::now());
                     if left.is_zero() {
-                        self.metrics
-                            .deadline_timeouts
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Err(deadline_error());
+                        return Err(self.deadline_exceeded());
                     }
                     // A deadline-bound run must not retry: a retry would
                     // double the worst-case wall time past the promise.
@@ -1076,23 +903,17 @@ impl PredictService {
                 }
                 None => RunOverrides::default(),
             };
-            self.metrics.sims_inflight.fetch_add(1, Ordering::Relaxed);
             let reports = self
                 .runner
                 .run_with(&format!("predict-{key:016x}"), jobs, overrides);
-            self.metrics.sims_inflight.fetch_sub(1, Ordering::Relaxed);
+            let mut sims = Vec::new();
             for report in reports {
                 let name = report.name.clone();
                 let timed_out = matches!(report.status, JobStatus::TimedOut);
                 match report.into_ok() {
-                    Some(SimOut::Point(p)) => points.push(p),
-                    Some(SimOut::Mrc(m)) => mrc_points = Some(m),
-                    None if timed_out => {
-                        self.metrics
-                            .deadline_timeouts
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Err(deadline_error());
-                    }
+                    Some(SimOut::Point(p)) => sims.push(p),
+                    Some(SimOut::Mrc(m)) => mrc = Some(m),
+                    None if timed_out => return Err(self.deadline_exceeded()),
                     None => {
                         // Crashed even after the runner's retry: the
                         // failure is transient (a panic, an injected
@@ -1104,71 +925,92 @@ impl PredictService {
                     }
                 }
             }
-        }
-        points.sort_by_key(|p| p.size);
-        let [small, large] = points.as_slice() else {
-            return Err(ApiError::internal("scale-model simulations missing"));
-        };
-        if let Some((obs_key, mrc_key)) = stage_keys {
-            self.stages
-                .observations
-                .put(obs_key, (small.clone(), large.clone()));
-            if let Some(pts) = &mrc_points {
-                self.stages.mrcs.put(mrc_key, pts.clone());
+            // Reports come back in submission order: small, then large.
+            if let Ok([small, large]) = <[SimPoint; 2]>::try_from(sims) {
+                points = Some((small, large));
+            }
+            if let (Some((obs_key, mrc_key)), Some(observed)) = (keys, &points) {
+                self.stages.observations.put(obs_key, observed.clone());
+                if let Some(pts) = &mrc {
+                    self.stages.mrcs.put(mrc_key, pts.clone());
+                }
+            }
+            // The runner's timeout runs per job from the job's start, so
+            // a job that queued behind a sibling can finish after the
+            // request's deadline: what it computed is staged, the answer
+            // is still a 504.
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(self.deadline_exceeded());
             }
         }
-        let mrc = mrc_points
+        let Some((small, large)) = points else {
+            return Err(ApiError::internal("scale-model simulations missing"));
+        };
+        Ok(Staged {
+            schema: PREDICT_SCHEMA,
+            head: Vec::new(),
+            small,
+            large,
+            mrc,
+        })
+    }
+
+    /// The tail both paths share: fit the five predictors to the two
+    /// scale-model points and the curve, evaluate the targets, render.
+    /// Neither the fit nor the forecast is cached — each is about a
+    /// microsecond, less than a key for it would cost to hash.
+    fn finish(&self, plan: &Plan, staged: Staged) -> Result<String, ApiError> {
+        let failed = |e| ApiError::bad(format!("prediction failed: {e}"));
+        let started = Instant::now();
+        let mrc = staged
+            .mrc
             .as_ref()
             .map(|pts| gsim_core::SizedMrc::new(pts.iter().copied()));
-        let forecast = predict_targets(
-            Observation {
-                size: small.size,
-                ipc: small.ipc,
-                f_mem: small.f_mem,
-            },
-            Observation {
-                size: large.size,
-                ipc: large.ipc,
-                f_mem: large.f_mem,
-            },
-            mrc.as_ref(),
-            &plan.targets,
-        )
-        .map_err(|e| ApiError::bad(format!("prediction failed: {e}")))?;
+        let fit = Fit::new(staged.small.obs, staged.large.obs, mrc.as_ref()).map_err(failed)?;
+        Metrics::observe_stage(&self.metrics.stage_fit, started.elapsed());
+        let started = Instant::now();
+        let forecast = fit.forecast(&plan.targets).map_err(failed)?;
+        Metrics::observe_stage(&self.metrics.stage_predict, started.elapsed());
 
-        let point_json = |p: &SimPoint| {
-            obj([
-                ("size", Json::from(p.size)),
-                ("ipc", Json::from(p.ipc)),
-                ("mpki", Json::from(p.mpki)),
-                ("f_mem", Json::from(p.f_mem)),
-                ("cycles", Json::from(p.cycles)),
-            ])
-        };
-        let predictions = predictions_json(plan, &forecast, large.f_mem);
-        let body = obj([
-            ("schema", Json::from(PREDICT_SCHEMA)),
+        let mut body = vec![
+            ("schema", Json::from(staged.schema)),
             ("request", plan.normalized.clone()),
+        ];
+        body.extend(staged.head);
+        body.extend([
             (
                 "scale_models",
-                Json::Arr(vec![point_json(small), point_json(large)]),
+                Json::Arr(vec![staged.small.json(), staged.large.json()]),
             ),
             (
                 "mrc",
-                match &mrc_points {
-                    Some(pts) => Json::Arr(
-                        pts.iter()
-                            .map(|&(s, m)| Json::Arr(vec![Json::from(s), Json::from(m)]))
+                Json::from(staged.mrc.map(|pts| {
+                    Json::Arr(
+                        pts.into_iter()
+                            .map(|(s, m)| Json::Arr(vec![Json::from(s), Json::from(m)]))
                             .collect(),
-                    ),
-                    None => Json::Null,
-                },
+                    )
+                })),
             ),
             ("correction_factor", Json::from(forecast.correction_factor)),
             ("cliff_at", Json::from(forecast.cliff_at)),
-            ("predictions", Json::Arr(predictions)),
+            (
+                "predictions",
+                Json::Arr(predictions_json(plan, &forecast, staged.large.obs.f_mem)),
+            ),
         ]);
-        Ok((body.render(), false))
+        Ok(obj(body).render())
+    }
+
+    /// Counts one deadline miss and returns its `504`.
+    fn deadline_exceeded(&self) -> ApiError {
+        self.metrics
+            .deadline_timeouts
+            .fetch_add(1, Ordering::Relaxed);
+        ApiError {
+            status: 504,
+            message: "deadline exceeded before the prediction completed".into(),
+        }
     }
 }
 
@@ -1224,68 +1066,23 @@ fn shed_response(retry_after_secs: u64, message: &str) -> Response {
     .with_header("Retry-After", retry_after_secs.to_string())
 }
 
-/// The `504` for work cancelled at its deadline.
-fn deadline_error() -> ApiError {
-    ApiError {
-        status: 504,
-        message: "deadline exceeded before the prediction completed".into(),
-    }
-}
-
-/// The MRC-only degraded body: the request echo, the functional-replay
-/// miss-rate curve and its cliff — everything the memory miniature can
-/// say without a timing simulation. Marked `"degraded": true` and tagged
-/// with its own schema; deliberately free of `predictions`.
-fn degraded_body(plan: &Plan, pts: &[(u32, f64)]) -> String {
-    let mrc = gsim_core::SizedMrc::new(pts.iter().copied());
-    let cliff_at = gsim_core::detect_cliff(&mrc).map(|i| mrc.points()[i + 1].0);
-    obj([
-        ("schema", Json::from(PREDICT_DEGRADED_SCHEMA)),
-        ("request", plan.normalized.clone()),
-        ("degraded", Json::from(true)),
-        (
-            "mrc",
-            Json::Arr(
-                pts.iter()
-                    .map(|&(s, m)| Json::Arr(vec![Json::from(s), Json::from(m)]))
-                    .collect(),
-            ),
-        ),
-        ("cliff_at", Json::from(cliff_at)),
-    ])
-    .render()
-}
-
 /// The `X-Gsim-Path` value of a response body, derived from its leading
 /// schema tag — so cached and coalesced responses label their path
 /// without carrying side-channel state.
 fn path_of_body(body: &str) -> &'static str {
     if body.starts_with("{\"schema\":\"gsim-serve-predict-fast-v1\"") {
         "fast"
-    } else if body.starts_with("{\"schema\":\"gsim-serve-predict-degraded-v1\"") {
-        "degraded"
     } else {
         "full"
     }
-}
-
-/// The exhaustive config encodings of a plan's whole doubling ladder,
-/// joined — the config part of every stage-cache key.
-fn ladder_encoding(plan: &Plan) -> String {
-    plan.ladder
-        .iter()
-        .map(|&s| encode_config(&GpuConfig::paper_target(s, plan.scale)))
-        .collect::<Vec<_>>()
-        .join("|")
 }
 
 /// The doubling ladder the sampled collect stage covers: all of it,
 /// from the smaller scale model to [`MAX_TARGET_SMS`], regardless of
 /// the request's targets. The replay pass dominates the collection
 /// cost and the per-capacity readout is a histogram query, so one
-/// collection (and the fit built on it) serves every target set for
-/// the same content — a repeat request with different targets must
-/// never re-collect.
+/// collection serves every target set for the same content — a repeat
+/// request with different targets must never re-collect.
 fn collect_ladder(plan: &Plan) -> Vec<u32> {
     let mut ladder = vec![plan.small];
     let mut size = plan.small;
@@ -1294,16 +1091,6 @@ fn collect_ladder(plan: &Plan) -> Vec<u32> {
         ladder.push(size);
     }
     ladder
-}
-
-/// The config encodings of [`collect_ladder`] — the config part of the
-/// collect- and fit-stage cache keys, target-independent by design.
-fn collect_ladder_encoding(plan: &Plan) -> String {
-    collect_ladder(plan)
-        .iter()
-        .map(|&s| encode_config(&GpuConfig::paper_target(s, plan.scale)))
-        .collect::<Vec<_>>()
-        .join("|")
 }
 
 /// The `GET /v1/workloads` catalog.
@@ -1600,8 +1387,8 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
                     ))
                 })?;
                 PlanKind::PerSize {
-                    small_wl: bench.workload_for_sms(small),
-                    large_wl: bench.workload_for_sms(large),
+                    small_wl: PlanWorkload::Synthetic(bench.workload_for_sms(small)),
+                    large_wl: PlanWorkload::Synthetic(bench.workload_for_sms(large)),
                 }
             } else {
                 let bench = strong_benchmark(abbr, scale).ok_or_else(|| {
@@ -1849,7 +1636,10 @@ fn parse_pattern(pattern: &Json, scale: MemScale) -> Result<(Workload, Json), Ap
     };
     let divergence = num(&mut f, "divergence", 1)?.clamp(1, 32) as u8;
     let tail_compute = num(&mut f, "tail_compute", 0)?;
-    let ctas = num(&mut f, "ctas", 1024)?.max(1);
+    let ctas = match f.get("ctas") {
+        Some(v) => as_count(v, "pattern.ctas", MAX_PATTERN_CTAS)?,
+        None => 1024,
+    };
     let threads_per_cta = num(&mut f, "threads_per_cta", 256)?;
     if !(1..=1024).contains(&threads_per_cta) {
         return Err(ApiError::bad("threads_per_cta must be in 1..=1024"));
@@ -2257,7 +2047,6 @@ mod tests {
         }
         assert_eq!(collects(), (CAPACITY + extra) as u64);
         assert_eq!(svc.stages.collects.lock().len(), CAPACITY);
-        assert_eq!(svc.stages.fits.lock().len(), CAPACITY);
 
         // The newest workload is still staged: other targets, no collect.
         predict(CAPACITY + extra, 128);
@@ -2306,10 +2095,6 @@ mod tests {
         assert_eq!(
             path_of_body("{\"schema\":\"gsim-serve-predict-fast-v1\",…"),
             "fast"
-        );
-        assert_eq!(
-            path_of_body("{\"schema\":\"gsim-serve-predict-degraded-v1\",…"),
-            "degraded"
         );
     }
 

@@ -181,8 +181,8 @@ fn memory_bound_auto_predicts_answer_from_the_fast_path_without_timing_sims() {
     assert_eq!(header(&headers, "x-gsim-path"), Some("fast"));
     assert_eq!(first, again, "cached fast bodies replay byte-identically");
 
-    // Same content, different targets: Stage 1 and Stage 2 replay from
-    // the stage caches — no new collection, still zero timing sims.
+    // Same content, different targets: Stage 1 replays from the stage
+    // cache — no new collection, still zero timing sims.
     let other = r#"{"workload": "bfs", "targets": [128]}"#;
     let (status, headers, _) = request(addr, "POST", "/v1/predict", other);
     assert_eq!(status, 200);
@@ -200,21 +200,17 @@ fn memory_bound_auto_predicts_answer_from_the_fast_path_without_timing_sims() {
         "{}",
         m.render()
     );
-    assert!(
-        metric_at(&m, &["predict", "stage_fit_hits"]) >= 1,
-        "{}",
-        m.render()
-    );
     assert_eq!(metric_at(&m, &["timing_sims_started"]), 0, "{}", m.render());
 
-    // Stage latencies were observed for the cold request.
+    // Stage latencies were observed: one collection, a fit and a
+    // forecast per computed prediction.
     assert!(
         metric_at(&m, &["stage_collect_us", "count"]) >= 1,
         "{}",
         m.render()
     );
     assert!(
-        metric_at(&m, &["stage_fit_us", "count"]) >= 1,
+        metric_at(&m, &["stage_fit_us", "count"]) >= 2,
         "{}",
         m.render()
     );
@@ -227,7 +223,7 @@ fn memory_bound_auto_predicts_answer_from_the_fast_path_without_timing_sims() {
 }
 
 #[test]
-fn forced_fast_reuses_the_fit_staged_by_an_auto_predict() {
+fn forced_fast_reuses_the_collection_staged_by_an_auto_predict() {
     let server = RunningServer::start(ServeConfig::default());
     let addr = server.addr;
 
@@ -239,11 +235,11 @@ fn forced_fast_reuses_the_fit_staged_by_an_auto_predict() {
     );
     assert_eq!(status, 200);
     let before = metrics(addr);
-    let fit_hits = metric_at(&before, &["predict", "stage_fit_hits"]);
+    let collect_hits = metric_at(&before, &["predict", "stage_collect_hits"]);
 
     // Forcing the fast path on the same content addresses a different
-    // result-cache entry (the body records `forced`), but Stages 1 and
-    // 2 are shared: the fit staged by the auto predict is reused as-is.
+    // result-cache entry (the body records `forced`), but Stage 1 is
+    // shared: the collection staged by the auto predict is reused as-is.
     let (status, headers, body) = request(
         addr,
         "POST",
@@ -259,8 +255,8 @@ fn forced_fast_reuses_the_fit_staged_by_an_auto_predict() {
     let m = metrics(addr);
     assert_eq!(metric_at(&m, &["collects_started"]), 1, "{}", m.render());
     assert!(
-        metric_at(&m, &["predict", "stage_fit_hits"]) > fit_hits,
-        "the forced-fast predict must reuse the staged fit: {}",
+        metric_at(&m, &["predict", "stage_collect_hits"]) > collect_hits,
+        "the forced-fast predict must reuse the staged collection: {}",
         m.render()
     );
     assert_eq!(metric_at(&m, &["timing_sims_started"]), 0, "{}", m.render());
@@ -330,37 +326,6 @@ fn compute_bound_auto_escalates_to_bytes_identical_to_forced_full() {
         escalated, forced,
         "escalated and forced-full bodies must match byte for byte"
     );
-    server.stop();
-}
-
-#[test]
-fn an_infinite_gate_escalates_even_memory_bound_workloads() {
-    let server = RunningServer::start(ServeConfig {
-        fast_path_gate: f64::INFINITY,
-        ..ServeConfig::default()
-    });
-    let addr = server.addr;
-
-    let (status, headers, _) = request(
-        addr,
-        "POST",
-        "/v1/predict",
-        r#"{"workload": "bfs", "targets": [32]}"#,
-    );
-    assert_eq!(status, 200);
-    assert_eq!(
-        header(&headers, "x-gsim-path"),
-        Some("full"),
-        "an infinite gate must force every auto predict onto the full path"
-    );
-    let m = metrics(addr);
-    assert_eq!(
-        metric_at(&m, &["predict", "escalated"]),
-        1,
-        "{}",
-        m.render()
-    );
-    assert_eq!(metric_at(&m, &["timing_sims_started"]), 2, "{}", m.render());
     server.stop();
 }
 
@@ -475,12 +440,12 @@ fn a_deadline_that_expires_during_the_collect_is_a_504() {
     let server = RunningServer::start(ServeConfig::default());
     let addr = server.addr;
 
-    // One kernel of 128 Ki CTAs whose warps each chase 4096 pointers
-    // (the most a body may ask for): seconds of collection even in a
+    // One kernel of 64 Ki CTAs whose warps each chase 4096 pointers
+    // (the most a body may ask for of either): seconds of collection even in a
     // release build, hundreds of times the deadline, and no kernel
     // boundary inside it to stop at.
     let body = r#"{"pattern": {"kind": "pointer_chase", "footprint_mb": 48.0,
-        "ctas": 131072, "mem_ops_per_warp": 4096}, "targets": [32, 64], "path": "fast"}"#;
+        "ctas": 65536, "mem_ops_per_warp": 4096}, "targets": [32, 64], "path": "fast"}"#;
     for attempt in 1..=2u64 {
         let started = std::time::Instant::now();
         let (status, _, resp) = request_with(

@@ -1,7 +1,6 @@
 //! End-to-end tests of the overload behavior over real HTTP sockets:
 //! admission control sheds with `429` + `Retry-After`, deadlines cut
-//! predicts off with `504`, a saturated pool degrades to the MRC-only
-//! fast path (never cached as the real answer), and byte-identical bad
+//! predicts off with `504` (never a late `200`), and byte-identical bad
 //! requests replay their `400` verdict from the negative cache.
 //!
 //! No fault plan is installed here — fault-injecting tests live in
@@ -269,68 +268,58 @@ fn deadline_header_cuts_predicts_off_with_504() {
 }
 
 #[test]
-fn saturated_pool_degrades_to_mrc_only_and_never_caches_it() {
+fn a_full_path_predict_past_its_deadline_is_a_504_never_a_late_200() {
     let server = RunningServer::start(ServeConfig {
         runner_threads: 1,
         max_inflight_predicts: 4,
-        degrade_threshold: 1, // one leader in the pool already saturates
         ..ServeConfig::default()
     });
     let addr = server.addr;
 
-    // An MRC-capable full-path predict sent into the saturated pool
-    // degrades. (An `auto` request would sidestep saturation entirely
-    // via the fast path — see e2e_fastpath.rs.)
-    let (degraded_before, body, (status, _, resp)) = while_occupied(
+    // A full-path predict that needs far more than 20 ms (some 150 ms
+    // in a release build on an idle host), sent while another one keeps
+    // the host busy: the only answer is a 504.
+    let (timeouts_before, body, (status, _, resp)) = while_occupied(
         addr,
-        |m| {
-            m.get("sims_inflight")
-                .and_then(gsim_json::Json::as_u64)
-                .unwrap_or(0)
-                >= 1
-        },
+        |m| inflight_heavy(m) >= 1,
         |attempt| {
-            let before = metric(&metrics(addr), "predict", "degraded");
+            let before = metric(&metrics(addr), "overload", "deadline_timeouts");
             let body = format!(
-                r#"{{"pattern": {{"kind": "streaming", "footprint_mb": 2.0, "compute_per_mem": {}.0}}, "target_sms": 64, "path": "full"}}"#,
+                r#"{{"pattern": {{"kind": "global_sweep", "footprint_mb": 64.0, "passes": 4, "compute_per_mem": {}.0}}, "target_sms": 64, "path": "full"}}"#,
                 attempt + 2
             );
-            let response = request(addr, "POST", "/v1/predict", &body);
+            let response = request_with(
+                addr,
+                "POST",
+                "/v1/predict",
+                &[("X-Gsim-Deadline-Ms", "20")],
+                &body,
+            );
             (before, body, response)
         },
     );
-    assert_eq!(status, 200);
-    let text = std::str::from_utf8(&resp).expect("utf8 body");
-    assert!(text.contains("\"degraded\":true"), "{text}");
-    assert!(
-        text.contains("gsim-serve-predict-degraded-v1"),
-        "degraded bodies carry their own schema: {text}"
-    );
-    assert!(
-        !text.contains("\"predictions\""),
-        "a degraded body must not fabricate predictions: {text}"
-    );
-
-    // The degraded body was never result-cached: once the pool is calm,
-    // the same request computes the full answer (a miss, not a hit).
-    let (status, headers, resp) = request(addr, "POST", "/v1/predict", &body);
-    assert_eq!(status, 200);
     assert_eq!(
-        header(&headers, "x-gsim-cache"),
-        Some("miss"),
-        "degraded bodies must not poison the result cache"
+        status,
+        504,
+        "a predict past its deadline must not answer late: {}",
+        String::from_utf8_lossy(&resp)
     );
-    let text = std::str::from_utf8(&resp).expect("utf8 body");
-    assert!(text.contains("\"predictions\""), "{text}");
-    assert!(!text.contains("\"degraded\":true"), "{text}");
-
     let m = metrics(addr);
     assert_eq!(
-        metric(&m, "predict", "degraded") - degraded_before,
+        metric(&m, "overload", "deadline_timeouts") - timeouts_before,
         1,
         "{}",
         m.render()
     );
+
+    // Nothing was result-cached for it: once the service is calm, the
+    // same request without a deadline computes the full answer.
+    let (status, headers, resp) = request(addr, "POST", "/v1/predict", &body);
+    assert_eq!(status, 200);
+    assert_eq!(header(&headers, "x-gsim-cache"), Some("miss"));
+    assert_eq!(header(&headers, "x-gsim-path"), Some("full"));
+    let text = std::str::from_utf8(&resp).expect("utf8 body");
+    assert!(text.contains("\"predictions\""), "{text}");
     server.stop();
 }
 

@@ -243,10 +243,10 @@ fn full_api_surface_responds_over_http() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
-/// `passes` and `mem_ops_per_warp` multiply a kernel's work without
-/// growing anything else a request is billed for, so they are capped: a
-/// body past either cap is a 400 that names the field and its limit, and
-/// costs no computation; a body at the cap is served.
+/// `passes`, `mem_ops_per_warp` and `ctas` multiply a kernel's work
+/// without growing anything else a request is billed for, so they are
+/// capped: a body past a cap is a 400 that names the field and its
+/// limit, and costs no computation; a body at the cap is served.
 #[test]
 fn pattern_work_multipliers_are_capped() {
     let cache_dir = fresh_cache_dir("caps");
@@ -262,7 +262,14 @@ fn pattern_work_multipliers_are_capped() {
             r#"{{"pattern": {{"kind": "pointer_chase", "footprint_mb": 1.0, "ctas": 8, "mem_ops_per_warp": {ops}}}, "targets": [32]}}"#
         )
     };
+    let grid = |ctas: u32| {
+        format!(
+            r#"{{"pattern": {{"kind": "streaming", "footprint_mb": 1.0, "ctas": {ctas}, "threads_per_cta": 32}}, "targets": [32], "path": "fast"}}"#
+        )
+    };
     for (over, field, limit) in [
+        (grid(65_537), "pattern.ctas", "65536"),
+        (grid(u32::MAX), "pattern.ctas", "65536"),
         (sweep(65), "pattern.passes", "64"),
         (sweep(u32::MAX), "pattern.passes", "64"),
         (chase(4097), "pattern.mem_ops_per_warp", "4096"),
@@ -273,7 +280,7 @@ fn pattern_work_multipliers_are_capped() {
         assert_eq!(status, 400, "{over}: {text}");
         assert!(text.contains(field) && text.contains(limit), "{text}");
     }
-    for at_cap in [sweep(64), chase(4096)] {
+    for at_cap in [sweep(64), chase(4096), grid(65_536)] {
         let (status, _, body) = request(addr, "POST", "/v1/predict", &at_cap);
         assert_eq!(status, 200, "{at_cap}: {}", String::from_utf8_lossy(&body));
     }

@@ -37,7 +37,7 @@ HOLD=$!
 # budget, comfortably past 2x saturation for the whole run.
 "$GSIM" serve --addr 127.0.0.1:0 --cache-dir "$WORK/cache" \
     --store "$WORK/store" --runner-threads 2 \
-    --max-inflight-predicts 2 --degrade-threshold 2 \
+    --max-inflight-predicts 2 \
     --drain-grace-ms 5000 --fault-plan "$FAULT_PLAN" \
     < "$WORK/stdin" > "$WORK/serve.log" 2>&1 &
 SERVER=$!
