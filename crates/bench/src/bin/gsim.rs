@@ -844,6 +844,7 @@ fn main() {
             use gsim_core::plan::{
                 collect_replay, collect_sampled_inline, observation_of, observe_scale_models,
                 synthesize_observation, Fit, PlanWorkload, SampledCollectConfig,
+                MEMORY_BOUND_PRESSURE,
             };
             use gsim_runner::RunOverrides;
 
@@ -881,10 +882,6 @@ fn main() {
                 threads: f.threads.unwrap_or(0),
                 ..RunnerConfig::default()
             });
-            // The service's gate: measured pressure at or above the
-            // machine's balance point is memory-bound.
-            let gate = 1.0;
-
             // What the service's fast path does on a miss: name the
             // workload by its recipe (no op is generated for the key),
             // then collect in one pass on this thread.
@@ -900,11 +897,12 @@ fn main() {
                         exit(1)
                     });
             let collect_time = t_collect.elapsed();
-            let pressure = collected.memory_pressure(&cfg_of(*targets.last().expect("non-empty")));
+            // The service's gate, at the large scale model.
+            let pressure = collected.memory_pressure(&cfg_of(large));
             let fast = match f.path.as_str() {
                 "fast" => true,
                 "full" => false,
-                _ => pressure >= gate,
+                _ => collected.takes_fast_path(&cfg_of(large)),
             };
 
             let t_fit = Instant::now();
@@ -949,7 +947,7 @@ fn main() {
             let predict_time = t_predict.elapsed();
 
             println!(
-                "{name} staged predict ({}): pressure {pressure:.2} vs gate {gate:.2} -> {} path",
+                "{name} staged predict ({}): pressure {pressure:.2} vs gate {MEMORY_BOUND_PRESSURE:.2} -> {} path",
                 f.scale,
                 if fast { "fast" } else { "full" }
             );

@@ -242,6 +242,10 @@ pub fn machine_balance_bytes_per_instr(cfg: &GpuConfig) -> f64 {
     bytes_per_cycle / issue_per_cycle
 }
 
+/// The compute-intensity gate's threshold, in multiples of the machine's
+/// DRAM balance point (see [`Collected::takes_fast_path`]).
+pub const MEMORY_BOUND_PRESSURE: f64 = 1.0;
+
 /// The output of Stage 1: a per-size miss-rate curve plus the stream
 /// statistics it was measured from.
 #[derive(Debug, Clone, PartialEq)]
@@ -286,6 +290,13 @@ impl Collected {
     pub fn is_memory_bound(&self, cfg: &GpuConfig, threshold: f64) -> bool {
         self.memory_pressure(cfg) >= threshold
     }
+
+    /// The gate of an `"auto"` predict: memory-bound at
+    /// [`MEMORY_BOUND_PRESSURE`] on the `large` scale model. Those
+    /// workloads take the fast path; the rest escalate to timing sims.
+    pub fn takes_fast_path(&self, large: &GpuConfig) -> bool {
+        self.is_memory_bound(large, MEMORY_BOUND_PRESSURE)
+    }
 }
 
 /// Why a collection did not complete.
@@ -316,17 +327,7 @@ impl std::fmt::Display for CollectFailure {
 ///
 /// Panics if `configs` is empty.
 pub fn collect_replay<W: WorkloadModel>(wl: &W, configs: &[GpuConfig]) -> Collected {
-    assert!(!configs.is_empty(), "need at least one configuration");
-    let caps: Vec<(u64, u32)> = configs
-        .iter()
-        .map(|c| (c.llc_bytes_total, c.llc_slices))
-        .collect();
-    let biggest = configs
-        .iter()
-        .max_by_key(|c| c.n_sms)
-        .expect("non-empty configs");
-    let mut replay = FunctionalReplay::new(biggest, &caps);
-    replay.run(wl, |threads_per_cta| biggest.ctas_per_sm(threads_per_cta));
+    let replay = FunctionalReplay::collect(wl, configs);
     let points = configs
         .iter()
         .zip(replay.curve().points())
@@ -994,12 +995,12 @@ mod tests {
         let mem = collect_sampled(&membound_workload(), &cfgs, &scfg, None).unwrap();
         let cmp = collect_sampled(&compute_workload(), &cfgs, &scfg, None).unwrap();
         assert!(
-            mem.is_memory_bound(&cfgs[1], 1.0),
+            mem.takes_fast_path(&cfgs[1]),
             "sweep pressure {}",
             mem.memory_pressure(&cfgs[1])
         );
         assert!(
-            !cmp.is_memory_bound(&cfgs[1], 1.0),
+            !cmp.takes_fast_path(&cfgs[1]),
             "compute pressure {}",
             cmp.memory_pressure(&cfgs[1])
         );
@@ -1007,6 +1008,32 @@ mod tests {
         let b8 = machine_balance_bytes_per_instr(&cfgs[0]);
         let b16 = machine_balance_bytes_per_instr(&cfgs[1]);
         assert!((b8 - b16).abs() / b8 < 0.01, "balance {b8} vs {b16}");
+    }
+
+    #[test]
+    fn gate_is_one_balance_point_at_the_large_scale_model() {
+        let large = GpuConfig::paper_target(16, MemScale::default());
+        let with_lines = |line_accesses| Collected {
+            engine: CollectEngine::Sampled,
+            points: Vec::new(),
+            stats: CollectStats {
+                thread_instrs: 1 << 20,
+                mem_thread_instrs: 0,
+                line_accesses,
+                cta_rate: 1.0,
+                line_rate: 1.0,
+            },
+        };
+        // 4640 lines of 128 B over 2^20 instructions is the 16-SM
+        // model's balance point, 290 B/cycle over 512 issue slots.
+        assert_eq!(MEMORY_BOUND_PRESSURE, 1.0);
+        assert_eq!(with_lines(4640).memory_pressure(&large), 1.0);
+        assert!(with_lines(4640).takes_fast_path(&large));
+        assert!(!with_lines(4639).takes_fast_path(&large));
+        // The gate reads the model it is given: half the DRAM bandwidth
+        // halves the balance point.
+        let narrow = GpuConfig { n_mcs: 1, ..large };
+        assert!(with_lines(2320).takes_fast_path(&narrow));
     }
 
     #[test]

@@ -14,12 +14,13 @@
 //!   (one queueing server per memory controller).
 //! * [`mrc`] — miss-rate-curve collection engines: an exact Mattson stack
 //!   algorithm (naive and O(log n) tree-accelerated variants), a SHARDS-style
-//!   sampled approximation, and an exhaustive per-capacity cache replay.
+//!   sampled approximation, and an exact replay of every candidate capacity
+//!   through one shared tag store.
 //!
 //! Miss-rate curves (LLC misses per thousand instructions as a function of
 //! LLC capacity) are one of the two inputs of GPU scale-model simulation; the
-//! engines in [`mrc`] collect them from a functional address trace orders of
-//! magnitude faster than detailed timing simulation, as the paper requires.
+//! engines in [`mrc`] collect them from a functional address trace instead
+//! of a detailed timing simulation, as the paper requires.
 //!
 //! # Example
 //!

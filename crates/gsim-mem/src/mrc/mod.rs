@@ -14,10 +14,10 @@
 //! * [`ShardsStack`] — SHARDS-style spatially-hashed sampling on top of the
 //!   tree engine; approximate, with a configurable sampling rate, for a
 //!   further constant-factor speedup on long traces.
-//! * [`CapacityReplay`] — exhaustive replay through one real set-associative
-//!   [`SlicedLlc`](crate::SlicedLlc) per candidate capacity. Slower, but
-//!   captures associativity and slicing exactly as the timing simulator
-//!   sees them.
+//! * [`CapacityReplay`] — exact replay of every candidate capacity as a
+//!   set-associative [`SlicedLlc`](crate::SlicedLlc), from one shared tag
+//!   store searched once per line. Slower, but captures associativity and
+//!   slicing exactly as the timing simulator sees them.
 //!
 //! All exact/approximate stack engines produce a [`StackDistanceHistogram`],
 //! which converts to a [`MissRateCurve`] for any set of capacities.

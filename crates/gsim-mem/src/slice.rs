@@ -171,16 +171,6 @@ impl SlicedLlc {
         self.slices.iter().map(Cache::accesses).collect()
     }
 
-    /// Overall miss rate; 0 if no accesses.
-    pub fn miss_rate(&self) -> f64 {
-        let a = self.accesses();
-        if a == 0 {
-            0.0
-        } else {
-            self.misses() as f64 / a as f64
-        }
-    }
-
     /// Empties all slices and resets statistics.
     pub fn reset(&mut self) {
         for s in &mut self.slices {

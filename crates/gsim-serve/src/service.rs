@@ -126,10 +126,6 @@ const MAX_TARGET_SMS: u32 = 1 << 20;
 const MAX_PATTERN_PASSES: u32 = 64;
 const MAX_PATTERN_MEM_OPS_PER_WARP: u32 = 4096;
 const MAX_PATTERN_CTAS: u32 = 65_536;
-/// The compute-intensity gate, as a multiple of the machine's DRAM
-/// balance point: an `"auto"` request whose measured memory pressure
-/// reaches it is answered on the fast path, anything below escalates.
-const MEMORY_BOUND_PRESSURE: f64 = 1.0;
 
 /// Service construction knobs.
 #[derive(Debug, Clone, Default)]
@@ -794,8 +790,9 @@ impl PredictService {
                 Ok(collected)
             },
         )?;
-        let pressure = collected.memory_pressure(&cfg_of(plan.large));
-        let fast = plan.path == PathMode::Fast || pressure >= MEMORY_BOUND_PRESSURE;
+        let large = cfg_of(plan.large);
+        let pressure = collected.memory_pressure(&large);
+        let fast = plan.path == PathMode::Fast || collected.takes_fast_path(&large);
         if !fast {
             // Compute matters: the roofline synthesis is not
             // trustworthy, escalate to the real simulations.

@@ -9,8 +9,9 @@
 //! the thread-level parallelism that shapes GPU reuse distances: resident
 //! CTAs are scheduled round-robin onto SMs, all resident warps advance one
 //! operation per round, loads filter through their SM's L1, and the
-//! post-L1 stream feeds one set-associative sliced LLC per candidate
-//! capacity ([`gsim_mem::mrc::CapacityReplay`]).
+//! post-L1 stream feeds [`gsim_mem::mrc::CapacityReplay`], which counts
+//! the misses of a set-associative sliced LLC at every candidate capacity
+//! exactly while looking each line up once.
 
 use gsim_mem::mrc::{CapacityReplay, MissRateCurve};
 use gsim_mem::{Cache, CacheGeometry};
@@ -21,8 +22,6 @@ use crate::config::GpuConfig;
 /// Functional replay of a workload through L1s and multi-capacity LLCs.
 #[derive(Debug)]
 pub struct FunctionalReplay {
-    l1_geom: CacheGeometry,
-    n_sms: u32,
     replay: CapacityReplay,
     thread_instrs: u64,
     mem_thread_instrs: u64,
@@ -31,35 +30,45 @@ pub struct FunctionalReplay {
 }
 
 impl FunctionalReplay {
-    /// Creates a replay with LLC candidates `(model_bytes, slices)` and the
-    /// L1/occupancy parameters of `cfg`; the interleaving emulates
-    /// `cfg.n_sms` SMs.
-    pub fn new(cfg: &GpuConfig, capacities: &[(u64, u32)]) -> Self {
-        Self {
-            l1_geom: CacheGeometry::new(cfg.l1_bytes, cfg.l1_ways, cfg.line_bytes),
-            n_sms: cfg.n_sms,
-            replay: CapacityReplay::new(capacities, cfg.llc_ways, cfg.line_bytes),
+    /// Replays the whole workload (synthetic or trace-driven) through an
+    /// LLC at the capacity of each of `configs`, with the L1s, occupancy
+    /// and SM count of the largest (by SM count) setting the interleave.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty.
+    pub fn collect<W: WorkloadModel>(wl: &W, configs: &[GpuConfig]) -> Self {
+        let biggest = configs
+            .iter()
+            .max_by_key(|c| c.n_sms)
+            .expect("need at least one configuration");
+        let caps: Vec<(u64, u32)> = configs
+            .iter()
+            .map(|c| (c.llc_bytes_total, c.llc_slices))
+            .collect();
+        let mut replay = Self {
+            replay: CapacityReplay::new(&caps, biggest.llc_ways, biggest.line_bytes),
             thread_instrs: 0,
             mem_thread_instrs: 0,
             line_accesses: 0,
             llc_accesses: 0,
-        }
+        };
+        replay.run(wl, biggest);
+        replay
     }
 
-    /// Replays the whole workload (synthetic or trace-driven). May be
-    /// called once.
-    pub fn run<W: WorkloadModel>(&mut self, wl: &W, ctas_per_sm_of: impl Fn(u32) -> u32) {
+    fn run<W: WorkloadModel>(&mut self, wl: &W, cfg: &GpuConfig) {
         // Per-SM L1s and resident warp streams (flattened CTA slots),
         // allocated once: every kernel starts with cold L1s and ends with
         // no resident warp.
-        let mut l1s = vec![Cache::new(self.l1_geom); self.n_sms as usize];
-        let mut resident: Vec<Vec<(u32, W::Stream)>> =
-            (0..self.n_sms).map(|_| Vec::new()).collect();
+        let l1_geom = CacheGeometry::new(cfg.l1_bytes, cfg.l1_ways, cfg.line_bytes);
+        let mut l1s = vec![Cache::new(l1_geom); cfg.n_sms as usize];
+        let mut resident: Vec<Vec<(u32, W::Stream)>> = (0..cfg.n_sms).map(|_| Vec::new()).collect();
         let mut cta_live: Vec<u32> = Vec::new();
         for kidx in 0..wl.n_kernels() {
             let (n_ctas, threads_per_cta) = wl.grid(kidx);
             let warps_per_cta = wl.warps_per_cta(kidx);
-            let slots = (ctas_per_sm_of(threads_per_cta).max(1) * warps_per_cta) as usize;
+            let slots = (cfg.ctas_per_sm(threads_per_cta) * warps_per_cta) as usize;
             let mut next_cta: u32 = 0;
             l1s.iter_mut().for_each(Cache::reset);
             cta_live.clear();
@@ -191,18 +200,7 @@ impl FunctionalReplay {
 /// assert_eq!(mrc.len(), 3);
 /// ```
 pub fn collect_mrc<W: WorkloadModel>(wl: &W, configs: &[GpuConfig]) -> MissRateCurve {
-    assert!(!configs.is_empty(), "need at least one configuration");
-    let caps: Vec<(u64, u32)> = configs
-        .iter()
-        .map(|c| (c.llc_bytes_total, c.llc_slices))
-        .collect();
-    let biggest = configs
-        .iter()
-        .max_by_key(|c| c.n_sms)
-        .expect("non-empty configs");
-    let mut replay = FunctionalReplay::new(biggest, &caps);
-    replay.run(wl, |threads_per_cta| biggest.ctas_per_sm(threads_per_cta));
-    replay.curve()
+    FunctionalReplay::collect(wl, configs).curve()
 }
 
 #[cfg(test)]
@@ -299,8 +297,7 @@ mod tests {
         let spec = PatternSpec::new(PatternKind::Streaming, 1_000).compute_per_mem(2.0);
         let wl = Workload::new("cnt", 5, vec![Kernel::new("k", 48, 256, spec)]);
         let cfg = GpuConfig::paper_target(8, MemScale::default());
-        let mut r = FunctionalReplay::new(&cfg, &[(cfg.llc_bytes_total, cfg.llc_slices)]);
-        r.run(&wl, |t| cfg.ctas_per_sm(t));
+        let r = FunctionalReplay::collect(&wl, &[cfg]);
         assert_eq!(r.thread_instrs(), wl.approx_thread_instrs());
         assert!(r.llc_accesses() > 0);
     }
