@@ -1,4 +1,5 @@
-//! `gsim` — command-line front-end to the GPU timing simulator.
+//! `gsim` — the command-line front end to the GPU timing simulator and
+//! the scale-model method.
 //!
 //! ```text
 //! gsim list
@@ -6,14 +7,15 @@
 //! gsim sweep <benchmark> [--scale D] [--threads N] [--weak]
 //! gsim mcm <benchmark> [--chiplets C] [--scale D]
 //! gsim mrc <benchmark> [--scale D]
-//! gsim trace record <benchmark> [-o FILE] [--scale D] [--format 1|2] [--weak --sms N]
+//! gsim trace record <benchmark> [-o FILE] [--scale D] [--weak --sms N]
 //! gsim trace ingest <file> [--store DIR] [--max-trace-mb N]
 //! gsim trace info <file|ref> [--store DIR] [--mrc] [--max-trace-mb N]
 //! gsim trace ls [--store DIR]
-//! gsim trace-dump <benchmark> -o <file> [--scale D]
 //! gsim trace-run <file> [--sms N] [--scale D]
 //! gsim predict <benchmark> [targets...] [--scale D] [--threads N]
 //!              [--path auto|fast|full]
+//! gsim fit [--size N] [--f-mem F] <ipc_small> <ipc_large> <mpki...>
+//! gsim repro [SECTION...] [--scale D] [--threads N] [--metrics FILE] [-o DIR]
 //! gsim serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR]
 //!            [--runner-threads N] [--default-deadline-ms N]
 //!            [--max-inflight-predicts N] [--max-inflight-cheap N]
@@ -24,17 +26,19 @@
 //!               [--sharing K] [--page-lines L] [--validate [--smoke]]
 //! ```
 //!
+//! Every subcommand is parsed by one flag table; a flag a subcommand does
+//! not use is accepted and ignored, an unknown one exits 2.
+//!
 //! `run` simulates a Table II benchmark (or, with `--weak`, the Table IV
 //! input matched to `--sms`); `sweep` simulates the whole 8–128-SM size
-//! ladder on a gsim-runner worker pool; `trace-dump`/`trace-run` exercise
-//! the trace-driven front-end; `mrc` prints the functional miss-rate
-//! curve with region labels; `serve` runs the gsim-serve HTTP prediction
-//! service until `POST /v1/shutdown` arrives or stdin reaches EOF.
+//! ladder on a gsim-runner worker pool; `trace-run` replays a recorded
+//! trace; `mrc` prints the functional miss-rate curve with region labels;
+//! `serve` runs the gsim-serve HTTP prediction service until
+//! `POST /v1/shutdown` arrives or stdin reaches EOF.
 //!
 //! `trace` manages the content-addressed trace store (default
 //! `./tracestore`, override with `--store`): `record` captures a suite
-//! benchmark to a `.gstr` file (v2 framed format by default, `--format 1`
-//! for the legacy buffer format), `ingest` validates and stores a trace
+//! benchmark to a v2 `.gstr` file, `ingest` validates and stores a trace
 //! under its content hash, `info` streams a file (or a stored `ref`)
 //! printing its metadata — with `--mrc`, also a stack-distance miss-rate
 //! curve collected without the timing simulator — and `ls` lists the
@@ -42,18 +46,29 @@
 //! trace, 4 = unsupported version, 5 = corrupt, 6 = over the size limit
 //! (`--max-trace-mb`), 1 = I/O.
 //!
-//! `predict` drives the staged collect→fit→predict plan (DESIGN.md §14)
-//! from the command line: a sampled sharded Stage-1 collection feeds the
-//! compute-intensity gate, memory-bound workloads are answered from
-//! roofline-synthesized fits in milliseconds, and compute-sensitive ones
-//! escalate to the two scale-model timing simulations run concurrently
-//! on the runner pool, fitted on the exact replayed miss-rate curve —
-//! the same inputs, and the same forecast, as the service's full path.
-//! `--path` forces either path.
+//! `predict` asks an in-process prediction service the `/v1/predict`
+//! question `{"workload", "targets", "mem_scale": --scale, "path"}` and
+//! prints the response body exactly as `gsim serve` would send it
+//! (DESIGN.md §14): the same gate, ladder, fit and bytes. A `400` verdict
+//! exits 2, any other failure 1.
+//!
+//! `fit` is the artifact appendix's prediction tool (`scaleModel.py`):
+//! from the two scale models' IPCs (the larger twice the size of the
+//! smaller, `--size`, default 8) and a miss-rate curve — one MPKI per
+//! doubling from the smaller model on, so five values predict 32, 64 and
+//! 128 — it prints the measurements, every method's prediction per
+//! target, and a text graph of performance versus size. `--f-mem` (the
+//! larger model's memory-stall fraction) is needed only when the curve
+//! has a cliff past the scale models.
+//!
+//! `repro` regenerates the paper's tables and figures (no sections = all)
+//! on stdout; with `-o DIR` each section is also written to
+//! `DIR/<section>.txt`. `--metrics FILE` appends one JSON line per sweep
+//! job event.
 //!
 //! `--threads` parallelises *across* sweep jobs (under `serve` it sizes
-//! the HTTP worker pool); one simulation always runs on one thread
-//! (DESIGN.md §10).
+//! the HTTP worker pool, under `predict` the runner pool); one simulation
+//! always runs on one thread (DESIGN.md §10).
 //!
 //! `multigpu` runs the multi-GPU system model (DESIGN.md §16): `--gpus`
 //! GPUs of `--sms` SMs each, connected by a `--topology` fabric of
@@ -77,13 +92,14 @@
 //! `seed=42,http_delay_p=0.05,job_panic_p=0.02` — see `gsim-faults`.
 
 use std::fs::File;
+use std::io::Write as _;
 use std::process::exit;
 
-use gsim_core::{detect_cliff, mrc_from_trace, SizedMrc};
+use gsim_core::{detect_cliff, mrc_from_trace, Fit, Observation, SizedMrc};
 use gsim_runner::{ProgressReporter, Runner, RunnerConfig};
 use gsim_sim::{collect_mrc, ChipletConfig, GpuConfig, SimStats, Simulator};
-use gsim_trace::suite::{strong_benchmark, strong_suite};
-use gsim_trace::weak::{weak_benchmark, weak_suite};
+use gsim_trace::suite::{strong_benchmark, strong_suite, StrongBenchmark};
+use gsim_trace::weak::{weak_benchmark, weak_suite, WeakBenchmark};
 use gsim_trace::{
     MemScale, TraceLimits, TraceReadError, TraceReader, TracedWorkload, Workload, WorkloadModel,
 };
@@ -96,14 +112,15 @@ fn usage() -> ! {
          [--threads N] [--weak]\n  \
          gsim mcm <benchmark> [--chiplets C] [--scale D]\n  \
          gsim mrc <benchmark> [--scale D]\n  \
-         gsim trace record <benchmark> [-o FILE] [--scale D] [--format 1|2] [--weak --sms N]\n  \
+         gsim trace record <benchmark> [-o FILE] [--scale D] [--weak --sms N]\n  \
          gsim trace ingest <file> [--store DIR] [--max-trace-mb N]\n  \
          gsim trace info <file|ref> [--store DIR] [--mrc] [--max-trace-mb N]\n  \
          gsim trace ls [--store DIR]\n  \
-         gsim trace-dump <benchmark> -o <file> [--scale D]\n  \
          gsim trace-run <file> [--sms N] [--scale D]\n  \
          gsim predict <benchmark> [targets...] [--scale D] [--threads N] \
          [--path auto|fast|full]\n  \
+         gsim fit [--size N] [--f-mem F] <ipc_small> <ipc_large> <mpki...>\n  \
+         gsim repro [SECTION...] [--scale D] [--threads N] [--metrics FILE] [-o DIR]\n  \
          gsim serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR] \
          [--runner-threads N] [--default-deadline-ms N] [--max-inflight-predicts N] \
          [--max-inflight-cheap N] [--drain-grace-ms N] [--fault-plan SPEC]\n  \
@@ -181,7 +198,6 @@ struct Flags {
     addr: String,
     cache_dir: Option<String>,
     store: Option<String>,
-    format: u8,
     max_trace_mb: u64,
     mrc: bool,
     output: Option<String>,
@@ -191,6 +207,11 @@ struct Flags {
     drain_grace_ms: u64,
     path: String,
     fault_plan: Option<String>,
+    // gsim fit
+    size: u32,
+    f_mem: Option<f64>,
+    // gsim repro
+    metrics: Option<String>,
     // gsim multigpu
     gpus: u32,
     topology: String,
@@ -219,7 +240,6 @@ fn parse(args: &[String]) -> Flags {
         addr: "127.0.0.1:8191".to_string(),
         cache_dir: None,
         store: None,
-        format: 2,
         max_trace_mb: 0,
         mrc: false,
         output: None,
@@ -229,6 +249,9 @@ fn parse(args: &[String]) -> Flags {
         drain_grace_ms: 5000,
         path: "auto".to_string(),
         fault_plan: None,
+        size: 8,
+        f_mem: None,
+        metrics: None,
         gpus: 2,
         topology: "ring".to_string(),
         placement: "interleave".to_string(),
@@ -246,9 +269,9 @@ fn parse(args: &[String]) -> Flags {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--sms" => f.sms = flag_u32(&mut it, "--sms"),
-            "--chiplets" => f.chiplets = flag_u32(&mut it, "--chiplets"),
-            "--scale" => f.scale = MemScale::new(flag_u32(&mut it, "--scale")),
+            "--sms" => f.sms = flag_u32_min(&mut it, "--sms", 1),
+            "--chiplets" => f.chiplets = flag_u32_min(&mut it, "--chiplets", 1),
+            "--scale" => f.scale = MemScale::new(flag_u32_min(&mut it, "--scale", 1)),
             "--banked-dram" => f.banked_dram = flag_u32(&mut it, "--banked-dram"),
             "--threads" => f.threads = Some(flag_u32(&mut it, "--threads") as usize),
             "--runner-threads" => f.runner_threads = flag_u32(&mut it, "--runner-threads") as usize,
@@ -256,11 +279,6 @@ fn parse(args: &[String]) -> Flags {
             "--addr" => f.addr = flag_str(&mut it, "--addr", "HOST:PORT"),
             "--cache-dir" => f.cache_dir = Some(flag_str(&mut it, "--cache-dir", "a directory")),
             "--store" => f.store = Some(flag_str(&mut it, "--store", "a directory")),
-            "--format" => {
-                f.format = flag_choice(&mut it, "--format", &["1", "2"])
-                    .parse()
-                    .expect("validated")
-            }
             "--max-trace-mb" => {
                 f.max_trace_mb = u64::from(flag_u32_min(&mut it, "--max-trace-mb", 1))
             }
@@ -286,6 +304,13 @@ fn parse(args: &[String]) -> Flags {
                     "a spec, e.g. seed=42,http_delay_p=0.05",
                 ))
             }
+            "--size" => f.size = flag_u32_min(&mut it, "--size", 1),
+            "--f-mem" => {
+                f.f_mem = Some(flag_f64(&mut it, "--f-mem", "a fraction in [0,1)", |g| {
+                    (0.0..1.0).contains(&g)
+                }))
+            }
+            "--metrics" => f.metrics = Some(flag_str(&mut it, "--metrics", "a file path")),
             "--gpus" => f.gpus = flag_u32_min(&mut it, "--gpus", 1),
             "--topology" => f.topology = flag_choice(&mut it, "--topology", &["ring", "full"]),
             "--placement" => {
@@ -316,6 +341,37 @@ fn parse(args: &[String]) -> Flags {
         }
     }
     f
+}
+
+/// The first positional argument: a benchmark or a file (usage if none).
+fn first_arg(f: &Flags) -> &str {
+    f.positional.first().unwrap_or_else(|| usage())
+}
+
+/// The Table II benchmark `name`, or exit 2.
+fn strong(name: &str, scale: MemScale) -> StrongBenchmark {
+    strong_benchmark(name, scale).unwrap_or_else(|| {
+        eprintln!("unknown benchmark {name}; try `gsim list`");
+        exit(2)
+    })
+}
+
+/// The Table IV benchmark `name`, or exit 2.
+fn weak(name: &str, scale: MemScale) -> WeakBenchmark {
+    weak_benchmark(name, scale).unwrap_or_else(|| {
+        eprintln!("unknown weak benchmark {name}; try `gsim list`");
+        exit(2)
+    })
+}
+
+/// The workload `run` and `trace record` take: benchmark `name` of
+/// Table II, or with `--weak` its Table IV input matched to `--sms`.
+fn workload(f: &Flags, name: &str) -> Workload {
+    if f.weak {
+        weak(name, f.scale).workload_for_sms(f.sms)
+    } else {
+        strong(name, f.scale).workload
+    }
 }
 
 fn print_stats(label: &str, st: &SimStats) {
@@ -483,38 +539,18 @@ fn cmd_trace(f: &Flags) {
                 eprintln!("trace record takes a benchmark name");
                 exit(2)
             };
-            let wl = if f.weak {
-                weak_benchmark(name, f.scale)
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown weak benchmark {name}");
-                        exit(2)
-                    })
-                    .workload_for_sms(f.sms)
-            } else {
-                strong_benchmark(name, f.scale)
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown benchmark {name}; try `gsim list`");
-                        exit(2)
-                    })
-                    .workload
-            };
+            let wl = workload(f, name);
             let out = f.output.clone().unwrap_or_else(|| format!("{name}.gstr"));
             let file = File::create(&out).unwrap_or_else(|e| {
                 eprintln!("cannot create {out}: {e}");
                 exit(1)
             });
-            let write = if f.format == 1 {
-                gsim_trace::write_trace_v1
-            } else {
-                gsim_trace::write_trace
-            };
-            let bytes = write(&wl, file).unwrap_or_else(|e| {
+            let bytes = gsim_trace::write_trace(&wl, file).unwrap_or_else(|e| {
                 eprintln!("trace write failed: {e}");
                 exit(1)
             });
             println!(
-                "wrote {out}: v{} format, {bytes} bytes, ref {:016x}",
-                f.format,
+                "wrote {out}: v2 format, {bytes} bytes, ref {:016x}",
                 gsim_trace::semantic_hash_of(&wl)
             );
         }
@@ -633,6 +669,225 @@ fn cmd_trace(f: &Flags) {
     }
 }
 
+/// `gsim predict`: one `/v1/predict` request answered by an in-process
+/// [`gsim_serve::PredictService`], its body printed verbatim.
+fn cmd_predict(f: &Flags) {
+    use gsim_json::{obj, Json};
+    use gsim_serve::{PredictService, Request, ServeConfig, ShutdownFlag};
+
+    let name = first_arg(f);
+    let mut targets: Vec<Json> = f.positional[1..]
+        .iter()
+        .map(|t| {
+            Json::from(t.parse::<u32>().unwrap_or_else(|_| {
+                eprintln!("bad target {t}: targets are SM counts");
+                exit(2)
+            }))
+        })
+        .collect();
+    if targets.is_empty() {
+        targets = [32u32, 64, 128].map(Json::from).to_vec();
+    }
+    let body = obj([
+        ("workload", Json::from(name)),
+        ("targets", Json::Arr(targets)),
+        ("mem_scale", Json::from(f.scale.divisor())),
+        ("path", Json::from(f.path.as_str())),
+    ])
+    .render();
+    let service = PredictService::new(
+        ServeConfig {
+            runner_threads: f.threads.unwrap_or(0),
+            ..ServeConfig::default()
+        },
+        ShutdownFlag::new(),
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("cannot start prediction service: {e}");
+        exit(1)
+    });
+    let resp = service.handle(&Request {
+        method: "POST".into(),
+        path: "/v1/predict".into(),
+        headers: Vec::new(),
+        body: body.into_bytes(),
+    });
+    // Dropped before any exit: that removes the service's scratch store.
+    drop(service);
+    if resp.status != 200 {
+        eprintln!(
+            "predict failed ({}): {}",
+            resp.status,
+            String::from_utf8_lossy(&resp.body)
+        );
+        exit(if resp.status == 400 { 2 } else { 1 })
+    }
+    if let Err(e) = std::io::stdout().write_all(&resp.body) {
+        eprintln!("cannot write the prediction: {e}");
+        exit(1)
+    }
+}
+
+/// `gsim fit`: the artifact's report — (1) the measured scale models,
+/// (2) every method's predicted IPC per target, (3) a text graph of
+/// performance versus system size.
+fn cmd_fit(f: &Flags) {
+    let values: Vec<f64> = f
+        .positional
+        .iter()
+        .map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                eprintln!("not a number: {v}");
+                exit(2)
+            })
+        })
+        .collect();
+    let (ipc_s, ipc_l, mpki) = match values[..] {
+        [s, l, ref mpki @ ..] if !mpki.is_empty() => (s, l, mpki),
+        _ => {
+            eprintln!("need <ipc_small> <ipc_large> and at least one MPKI value");
+            exit(2)
+        }
+    };
+    let s = f.size;
+    let l = s * 2;
+    let sizes: Vec<u32> = (0..mpki.len() as u32).map(|i| s << i).collect();
+    let mrc = SizedMrc::new(sizes.iter().copied().zip(mpki.iter().copied()));
+
+    println!("(1) measured scale models:");
+    println!("    {s:>4} SMs: IPC {ipc_s:10.2}");
+    println!("    {l:>4} SMs: IPC {ipc_l:10.2}");
+    let cliff = detect_cliff(&mrc).map(|i| (mrc.points()[i].0, mrc.points()[i + 1].0));
+    match cliff {
+        Some((lo, hi)) => println!("    miss-rate cliff detected between {lo} and {hi} SMs"),
+        None => println!("    no miss-rate cliff: the whole range is pre-cliff"),
+    }
+
+    // `f_mem` is read only where a doubling past the scale models
+    // crosses the cliff.
+    let f_mem = f.f_mem.unwrap_or_else(|| {
+        if cliff.is_some_and(|(_, hi)| hi > l) {
+            eprintln!(
+                "the curve contains a cliff: pass --f-mem <fraction>, the fraction \
+                 of cycles the largest scale model could not fetch because all \
+                 warps waited on memory"
+            );
+            exit(2)
+        }
+        0.0
+    });
+    let observe = |size, ipc| Observation { size, ipc, f_mem };
+    let fit = Fit::new(observe(s, ipc_s), observe(l, ipc_l), Some(&mrc)).unwrap_or_else(|e| {
+        eprintln!("invalid inputs: {e}");
+        exit(2)
+    });
+    // The artifact's method order: scale-model first, logarithmic last.
+    let mut models = fit.predictors();
+    models.swap(0, 4);
+    let targets: Vec<u32> = sizes.iter().copied().filter(|&z| z > l).collect();
+    // (name, predictions at each target, values for the text graph:
+    // scale-model sizes show the measurements, targets the prediction)
+    let methods: Vec<(&str, Vec<f64>, Vec<f64>)> = models
+        .iter()
+        .map(|(name, model)| {
+            let target_preds = targets
+                .iter()
+                .map(|&t| model.predict(f64::from(t)))
+                .collect();
+            let graph = sizes
+                .iter()
+                .map(|&z| {
+                    if z == s {
+                        ipc_s
+                    } else if z <= l {
+                        ipc_l
+                    } else {
+                        model.predict(f64::from(z))
+                    }
+                })
+                .collect();
+            (*name, target_preds, graph)
+        })
+        .collect();
+
+    println!("\n(2) predicted IPC per target system:");
+    print!("    {:>13}", "size");
+    for &t in &targets {
+        print!("  {t:>10}");
+    }
+    println!();
+    for (name, target_preds, _) in &methods {
+        print!("    {name:>13}");
+        for p in target_preds {
+            print!("  {p:>10.2}");
+        }
+        println!();
+    }
+
+    // (3) text graph: IPC vs size, one column per method, bar-scaled.
+    println!("\n(3) performance vs system size (each row scaled to its maximum):");
+    let max_ipc = methods
+        .iter()
+        .flat_map(|(_, _, graph)| graph.iter().copied())
+        .fold(ipc_l, f64::max);
+    for (i, &z) in sizes.iter().enumerate() {
+        print!("    {z:>4} SMs ");
+        for (_, _, graph) in &methods {
+            let bars = ((graph[i] / max_ipc) * 20.0).round().max(0.0) as usize;
+            print!(" |{:<20}", "#".repeat(bars.min(20)));
+        }
+        println!();
+    }
+    print!("             ");
+    for (name, _, _) in &methods {
+        print!("  {name:<20}");
+    }
+    println!();
+}
+
+/// `gsim repro`: the paper's tables and figures.
+fn cmd_repro(f: &Flags) {
+    use std::sync::Arc;
+
+    use gsim_bench::repro::{self, SECTIONS};
+    use gsim_runner::{EventSink, JsonlSink};
+
+    if let Some(bad) = f
+        .positional
+        .iter()
+        .find(|s| !SECTIONS.contains(&s.as_str()))
+    {
+        eprintln!("unknown section {bad}; sections: {}", SECTIONS.join(" "));
+        exit(2)
+    }
+    let sections = if f.positional.is_empty() {
+        SECTIONS.map(String::from).to_vec()
+    } else {
+        f.positional.clone()
+    };
+    let mut runner = Runner::new(RunnerConfig {
+        threads: f.threads.unwrap_or(0),
+        ..RunnerConfig::default()
+    })
+    .with_sink(ProgressReporter::new());
+    if let Some(path) = &f.metrics {
+        let sink = JsonlSink::create(path).unwrap_or_else(|e| {
+            eprintln!("cannot create metrics file {path}: {e}");
+            exit(2)
+        });
+        runner.add_sink(Arc::new(sink) as Arc<dyn EventSink>);
+    }
+    let out = f.output.as_deref().map(std::path::Path::new);
+    match repro::run(f.scale, &runner, &sections, out) {
+        Ok(true) => {}
+        Ok(false) => exit(1),
+        Err(e) => {
+            eprintln!("cannot write results: {e}");
+            exit(1)
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
@@ -655,22 +910,8 @@ fn main() {
             }
         }
         "run" => {
-            let name = f.positional.first().unwrap_or_else(|| usage());
-            let wl = if f.weak {
-                weak_benchmark(name, f.scale)
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown weak benchmark {name}");
-                        exit(2)
-                    })
-                    .workload_for_sms(f.sms)
-            } else {
-                strong_benchmark(name, f.scale)
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown benchmark {name}; try `gsim list`");
-                        exit(2)
-                    })
-                    .workload
-            };
+            let name = first_arg(&f);
+            let wl = workload(&f, name);
             let mut cfg = GpuConfig::paper_target(f.sms, f.scale);
             cfg.dram_banks_per_mc = f.banked_dram;
             let st = Simulator::new(cfg, &wl).run();
@@ -678,19 +919,13 @@ fn main() {
         }
         "multigpu" => cmd_multigpu(&f),
         "sweep" => {
-            let name = f.positional.first().unwrap_or_else(|| usage());
+            let name = first_arg(&f);
             // One simulation job per system size, run on the worker pool.
             let workload_for: Box<dyn Fn(u32) -> Workload + Send + Sync> = if f.weak {
-                let bench = weak_benchmark(name, f.scale).unwrap_or_else(|| {
-                    eprintln!("unknown weak benchmark {name}");
-                    exit(2)
-                });
+                let bench = weak(name, f.scale);
                 Box::new(move |sms| bench.workload_for_sms(sms))
             } else {
-                let bench = strong_benchmark(name, f.scale).unwrap_or_else(|| {
-                    eprintln!("unknown benchmark {name}; try `gsim list`");
-                    exit(2)
-                });
+                let bench = strong(name, f.scale);
                 Box::new(move |_| bench.workload.clone())
             };
             let scale = f.scale;
@@ -750,12 +985,8 @@ fn main() {
             }
         }
         "mcm" => {
-            let name = f.positional.first().unwrap_or_else(|| usage());
-            let bench = weak_benchmark(name, f.scale).unwrap_or_else(|| {
-                eprintln!("unknown weak benchmark {name}");
-                exit(2)
-            });
-            let wl = bench.workload_for_chiplets(f.chiplets);
+            let name = first_arg(&f);
+            let wl = weak(name, f.scale).workload_for_chiplets(f.chiplets);
             let mcm = ChipletConfig::paper_mcm(f.chiplets, f.scale);
             let st = Simulator::new_mcm(&mcm, &wl).run();
             print_stats(
@@ -769,11 +1000,8 @@ fn main() {
             );
         }
         "mrc" => {
-            let name = f.positional.first().unwrap_or_else(|| usage());
-            let bench = strong_benchmark(name, f.scale).unwrap_or_else(|| {
-                eprintln!("unknown benchmark {name}");
-                exit(2)
-            });
+            let name = first_arg(&f);
+            let bench = strong(name, f.scale);
             let sizes = [8u32, 16, 32, 64, 128];
             let configs: Vec<GpuConfig> = sizes
                 .iter()
@@ -801,29 +1029,8 @@ fn main() {
             }
         }
         "trace" => cmd_trace(&f),
-        "trace-dump" => {
-            let name = f.positional.first().unwrap_or_else(|| usage());
-            let out = f.output.unwrap_or_else(|| format!("{name}.gstr"));
-            let bench = strong_benchmark(name, f.scale).unwrap_or_else(|| {
-                eprintln!("unknown benchmark {name}");
-                exit(2)
-            });
-            let file = File::create(&out).unwrap_or_else(|e| {
-                eprintln!("cannot create {out}: {e}");
-                exit(1)
-            });
-            let bytes = gsim_trace::write_trace(&bench.workload, file).unwrap_or_else(|e| {
-                eprintln!("trace write failed: {e}");
-                exit(1)
-            });
-            println!(
-                "wrote {out}: {bytes} bytes, {} warp instructions ({:.2} B/instr)",
-                bench.workload.approx_warp_instrs(),
-                bytes as f64 / bench.workload.approx_warp_instrs() as f64
-            );
-        }
         "trace-run" => {
-            let path = f.positional.first().unwrap_or_else(|| usage());
+            let path = first_arg(&f);
             let file = File::open(path).unwrap_or_else(|e| {
                 eprintln!("cannot open {path}: {e}");
                 exit(1)
@@ -838,160 +1045,9 @@ fn main() {
                 &st,
             );
         }
-        "predict" => {
-            use std::time::Instant;
-
-            use gsim_core::plan::{
-                collect_replay, collect_sampled_inline, observation_of, observe_scale_models,
-                synthesize_observation, Fit, PlanWorkload, SampledCollectConfig,
-                MEMORY_BOUND_PRESSURE,
-            };
-            use gsim_runner::RunOverrides;
-
-            let name = f.positional.first().unwrap_or_else(|| usage());
-            let bench = strong_benchmark(name, f.scale).unwrap_or_else(|| {
-                eprintln!("unknown benchmark {name}; try `gsim list`");
-                exit(2)
-            });
-            let mut targets: Vec<u32> = f.positional[1..]
-                .iter()
-                .map(|t| {
-                    t.parse().unwrap_or_else(|_| {
-                        eprintln!("bad target {t}: targets are SM counts");
-                        exit(2)
-                    })
-                })
-                .collect();
-            if targets.is_empty() {
-                targets = vec![32, 64, 128];
-            }
-            targets.sort_unstable();
-            targets.dedup();
-
-            let (small, large) = (8u32, 16u32);
-            let cfg_of = |sms: u32| GpuConfig::paper_target(sms, f.scale);
-            // Collect over the whole doubling ladder through the largest
-            // target: the replay pass dominates, the readout is cheap.
-            let mut ladder = vec![small];
-            while *ladder.last().expect("non-empty") < *targets.last().expect("non-empty") {
-                ladder.push(ladder.last().expect("non-empty").saturating_mul(2));
-            }
-            let configs: Vec<GpuConfig> = ladder.iter().map(|&z| cfg_of(z)).collect();
-            let wl = PlanWorkload::Synthetic(bench.workload.clone());
-            let runner = Runner::new(RunnerConfig {
-                threads: f.threads.unwrap_or(0),
-                ..RunnerConfig::default()
-            });
-            // What the service's fast path does on a miss: name the
-            // workload by its recipe (no op is generated for the key),
-            // then collect in one pass on this thread.
-            let t_identity = Instant::now();
-            let identity = wl.stage_identity();
-            let identity_time = t_identity.elapsed();
-
-            let t_collect = Instant::now();
-            let collected =
-                collect_sampled_inline(&wl, &configs, &SampledCollectConfig::default(), None)
-                    .unwrap_or_else(|e| {
-                        eprintln!("collection failed: {e}");
-                        exit(1)
-                    });
-            let collect_time = t_collect.elapsed();
-            // The service's gate, at the large scale model.
-            let pressure = collected.memory_pressure(&cfg_of(large));
-            let fast = match f.path.as_str() {
-                "fast" => true,
-                "full" => false,
-                _ => collected.takes_fast_path(&cfg_of(large)),
-            };
-
-            let t_fit = Instant::now();
-            let fit = if fast {
-                Fit::new(
-                    synthesize_observation(&collected, &cfg_of(small)),
-                    synthesize_observation(&collected, &cfg_of(large)),
-                    Some(&collected.sized_mrc()),
-                )
-            } else {
-                let (st_s, st_l) = observe_scale_models(
-                    &runner,
-                    &wl,
-                    &cfg_of(small),
-                    &cfg_of(large),
-                    RunOverrides::default(),
-                )
-                .unwrap_or_else(|e| {
-                    eprintln!("scale-model simulation failed: {e}");
-                    exit(1)
-                });
-                // Timing observations are fitted on the exact replayed
-                // curve, as the service's full path does; the sampled
-                // one above only fed the gate.
-                Fit::new(
-                    observation_of(small, &st_s),
-                    observation_of(large, &st_l),
-                    Some(&collect_replay(&wl, &configs).sized_mrc()),
-                )
-            }
-            .unwrap_or_else(|e| {
-                eprintln!("fit failed: {e}");
-                exit(1)
-            });
-            let fit_time = t_fit.elapsed();
-
-            let t_predict = Instant::now();
-            let forecast = fit.forecast(&targets).unwrap_or_else(|e| {
-                eprintln!("prediction failed: {e}");
-                exit(2)
-            });
-            let predict_time = t_predict.elapsed();
-
-            println!(
-                "{name} staged predict ({}): pressure {pressure:.2} vs gate {MEMORY_BOUND_PRESSURE:.2} -> {} path",
-                f.scale,
-                if fast { "fast" } else { "full" }
-            );
-            println!(
-                "  identity {identity}: {:.3} ms",
-                identity_time.as_secs_f64() * 1e3
-            );
-            println!(
-                "  stages: collect {:.2} ms, fit {:.2} ms ({}), predict {:.3} ms",
-                collect_time.as_secs_f64() * 1e3,
-                fit_time.as_secs_f64() * 1e3,
-                if fast {
-                    "roofline synthesis"
-                } else {
-                    "2 concurrent timing sims + replayed MRC"
-                },
-                predict_time.as_secs_f64() * 1e3,
-            );
-            println!(
-                "  scale models: {} SMs IPC {:.1} (f_mem {:.2}), {} SMs IPC {:.1} (f_mem {:.2})",
-                fit.small().size,
-                fit.small().ipc,
-                fit.small().f_mem,
-                fit.large().size,
-                fit.large().ipc,
-                fit.large().f_mem,
-            );
-            match forecast.cliff_at {
-                Some(at) => println!(
-                    "  correction factor {:.3}, cliff at {at} SMs",
-                    forecast.correction_factor
-                ),
-                None => println!(
-                    "  correction factor {:.3}, no cliff on the ladder",
-                    forecast.correction_factor
-                ),
-            }
-            for t in &forecast.targets {
-                println!("  {:>6} SMs:", t.target);
-                for m in &t.by_method {
-                    println!("    {:<14} IPC {:>10.1}", m.method, m.predicted_ipc);
-                }
-            }
-        }
+        "predict" => cmd_predict(&f),
+        "fit" => cmd_fit(&f),
+        "repro" => cmd_repro(&f),
         "serve" => {
             use std::net::ToSocketAddrs;
             use std::sync::Arc;

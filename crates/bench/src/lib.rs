@@ -1,49 +1,8 @@
-//! Shared harness utilities for the table/figure repro binaries and the
-//! micro-benchmarks.
+//! The `gsim` front end's table/figure harness and the micro-benchmarks'
+//! timing harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fs;
-use std::path::{Path, PathBuf};
-
+pub mod repro;
 pub mod tinybench;
-
-/// Where repro output files are written (`results/` under the workspace).
-pub fn results_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .join("results");
-    fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
-/// Prints `content` and also writes it to `results/<name>.txt`.
-pub fn emit(name: &str, content: &str) {
-    println!("{content}");
-    let path = results_dir().join(format!("{name}.txt"));
-    fs::write(&path, content).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-}
-
-/// Formats bytes as MB with the paper's precision.
-pub fn mb(bytes: u64) -> String {
-    format!("{:.3}", bytes as f64 / (1024.0 * 1024.0))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn results_dir_exists() {
-        assert!(results_dir().is_dir());
-    }
-
-    #[test]
-    fn mb_formatting() {
-        assert_eq!(mb(34 * 1024 * 1024), "34.000");
-        assert_eq!(mb(2_228_224), "2.125");
-    }
-}

@@ -1,5 +1,6 @@
-//! End-to-end checks of the CLI binaries: `gsim run`, removed flags,
-//! `gsim multigpu` and the `gsim trace` store workflow.
+//! End-to-end checks of the `gsim` front end: `run`, removed flags and
+//! surfaces, `multigpu`, the `trace` store workflow, `fit`, `repro` and
+//! `predict`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -9,20 +10,6 @@ fn gsim(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn gsim")
-}
-
-fn repro(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .output()
-        .expect("spawn repro")
-}
-
-fn scale_model_predict(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_scale_model_predict"))
-        .args(args)
-        .output()
-        .expect("spawn scale_model_predict")
 }
 
 /// Extracts the simulated-cycle count from `gsim run` output.
@@ -49,45 +36,28 @@ fn stdout_of(out: &Output) -> String {
 fn gsim_trace_record_ingest_info_roundtrip() {
     let dir = fresh_dir("trace-roundtrip");
     let v2 = dir.join("gemm.gstr");
-    let v1 = dir.join("gemm-v1.gstr");
     let store = dir.join("store");
     let s = |p: &PathBuf| p.to_str().unwrap().to_string();
 
-    // Record the same benchmark in both formats: same content hash.
-    let rec2 = gsim(&["trace", "record", "gemm", "-o", &s(&v2), "--scale", "64"]);
-    assert!(rec2.status.success(), "record v2 failed: {rec2:?}");
-    let rec1 = gsim(&[
-        "trace",
-        "record",
-        "gemm",
-        "-o",
-        &s(&v1),
-        "--scale",
-        "64",
-        "--format",
-        "1",
-    ]);
-    assert!(rec1.status.success(), "record v1 failed: {rec1:?}");
-    let trace_ref = stdout_of(&rec2)
+    // That a v1 encoding shares the v2 file's ref and dedupes on ingest
+    // is pinned by the libraries: gsim-tracestore's
+    // `ingest_dedupes_across_format_versions` and gsim-trace's
+    // `every_suite_workload_roundtrips_across_both_formats`.
+    let rec = gsim(&["trace", "record", "gemm", "-o", &s(&v2), "--scale", "64"]);
+    assert!(rec.status.success(), "record failed: {rec:?}");
+    let trace_ref = stdout_of(&rec)
         .split("ref ")
         .nth(1)
         .expect("record prints a ref")
         .trim()
         .to_string();
     assert_eq!(trace_ref.len(), 16, "{trace_ref:?}");
-    assert!(
-        stdout_of(&rec1).contains(&trace_ref),
-        "v1 and v2 encodings of one workload must share a content hash:\n{}\n{}",
-        stdout_of(&rec1),
-        stdout_of(&rec2)
-    );
 
-    // Ingest the v2 file; re-ingesting the v1 encoding deduplicates
-    // because the store addresses by content, not by bytes.
+    // Ingest the file; ingesting it again deduplicates.
     let ing = gsim(&["trace", "ingest", &s(&v2), "--store", &s(&store)]);
     assert!(ing.status.success(), "ingest failed: {ing:?}");
     assert!(stdout_of(&ing).starts_with(&trace_ref), "{ing:?}");
-    let dup = gsim(&["trace", "ingest", &s(&v1), "--store", &s(&store)]);
+    let dup = gsim(&["trace", "ingest", &s(&v2), "--store", &s(&store)]);
     assert!(dup.status.success(), "dedup ingest failed: {dup:?}");
     assert!(stdout_of(&dup).contains("already stored"), "{dup:?}");
 
@@ -159,12 +129,6 @@ fn gsim_trace_failures_map_to_distinct_exit_codes() {
     // Usage errors stay on the usual exit 2.
     assert_eq!(gsim(&["trace", "frobnicate"]).status.code(), Some(2));
     assert_eq!(gsim(&["trace", "record"]).status.code(), Some(2));
-    assert_eq!(
-        gsim(&["trace", "record", "gemm", "--format", "3"])
-            .status
-            .code(),
-        Some(2)
-    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -187,12 +151,16 @@ fn gsim_run_is_deterministic_and_reports_throughput() {
 fn removed_relaxed_sync_flag_is_unknown() {
     // Spelt in two halves so a grep for the removed flag finds nothing.
     let flag = concat!("--sync", "-slack");
-    let out = gsim(&["run", "dct", flag, "4"]);
-    assert_eq!(out.status.code(), Some(2), "gsim: {out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
-    let out = repro(&[flag, "4"]);
-    assert_eq!(out.status.code(), Some(2), "repro: {out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown section or option"));
+    for cmd in [
+        &["run", "dct"][..],
+        &["repro"],
+        &["fit", "10.0", "20.0", "5.0"],
+    ] {
+        let args: Vec<&str> = cmd.iter().copied().chain([flag, "4"]).collect();
+        let out = gsim(&args);
+        assert_eq!(out.status.code(), Some(2), "gsim {args:?}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    }
 }
 
 #[test]
@@ -201,12 +169,14 @@ fn removed_intra_simulation_thread_flags_are_unknown() {
     let threads = concat!("--sim", "-threads");
     let assert_det = concat!("--assert", "-determinism");
     let trace = "no-such-file.gstr";
-    let gsim_cases: [(&[&str], &[&str]); 5] = [
+    let gsim_cases: [(&[&str], &[&str]); 7] = [
         (&["run", "pf"], &[threads, assert_det]),
         (&["sweep", "pf"], &[threads]),
         (&["mcm", "va"], &[threads, assert_det]),
         (&["trace-run", trace], &[threads, assert_det]),
         (&["multigpu"], &[threads, assert_det]),
+        (&["repro", "table1"], &[threads]),
+        (&["fit", "10.0", "20.0", "5.0", "5.0"], &[threads]),
     ];
     for (cmd, flags) in gsim_cases {
         for flag in flags {
@@ -216,11 +186,33 @@ fn removed_intra_simulation_thread_flags_are_unknown() {
             assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
         }
     }
-    let out = repro(&[threads, "2", "table1"]);
-    assert_eq!(out.status.code(), Some(2), "repro: {out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown section or option"));
-    let out = scale_model_predict(&[threads, "2", "10.0", "20.0", "5.0", "5.0"]);
-    assert_eq!(out.status.code(), Some(2), "scale_model_predict: {out:?}");
+}
+
+#[test]
+fn removed_surfaces_exit_2() {
+    // Spelt in halves so a grep for the removed surfaces finds nothing.
+    for args in [
+        &["repro", concat!("--inject", "-panic"), "bfs", "table1"][..],
+        &["trace", "record", "gemm", concat!("--for", "mat"), "1"],
+        &[concat!("trace", "-dump"), "gemm", "-o", "unused.gstr"],
+    ] {
+        let out = gsim(args);
+        assert_eq!(out.status.code(), Some(2), "gsim {args:?}: {out:?}");
+    }
+}
+
+#[test]
+fn zero_sizes_exit_2() {
+    for args in [
+        &["run", "pf", "--scale", "0"][..],
+        &["sweep", "pf", "--scale", "0"],
+        &["run", "pf", "--sms", "0"],
+        &["mcm", "va", "--chiplets", "0"],
+        &["predict", "bfs", "0"],
+    ] {
+        let out = gsim(args);
+        assert_eq!(out.status.code(), Some(2), "gsim {args:?}: {out:?}");
+    }
 }
 
 #[test]
@@ -327,8 +319,8 @@ fn removed_serve_knobs_are_unknown() {
 /// on the curve.
 #[test]
 fn scale_model_predict_output_is_pinned() {
-    let cliff = scale_model_predict(&[
-        "--size", "8", "--f-mem", "0.5", "120", "236", "8.0", "8.0", "7.9", "7.8", "0.6",
+    let cliff = gsim(&[
+        "fit", "--size", "8", "--f-mem", "0.5", "120", "236", "8.0", "8.0", "7.9", "7.8", "0.6",
     ]);
     assert!(cliff.status.success(), "{cliff:?}");
     assert_eq!(
@@ -356,7 +348,17 @@ fn scale_model_predict_output_is_pinned() {
                scale-model           proportional          linear                power-law             logarithmic         
 "
     );
-    let flat = scale_model_predict(&["100", "190", "10.0", "10.0", "10.0", "9.8", "9.5"]);
+    // Without --f-mem a cliff past the scale models cannot be crossed.
+    let no_f_mem = gsim(&["fit", "120", "236", "8.0", "8.0", "7.9", "7.8", "0.6"]);
+    assert_eq!(no_f_mem.status.code(), Some(2), "{no_f_mem:?}");
+    assert!(
+        String::from_utf8_lossy(&no_f_mem.stderr).contains(
+            "the curve contains a cliff: pass --f-mem <fraction>, the fraction of cycles \
+             the largest scale model could not fetch because all warps waited on memory"
+        ),
+        "{no_f_mem:?}"
+    );
+    let flat = gsim(&["fit", "100", "190", "10.0", "10.0", "10.0", "9.8", "9.5"]);
     assert!(flat.status.success(), "{flat:?}");
     assert_eq!(
         stdout_of(&flat),
@@ -385,12 +387,35 @@ fn scale_model_predict_output_is_pinned() {
     );
 }
 
-/// `gsim predict --path full` and the service's full path answer the
-/// same question from the same inputs — two timing simulations and the
-/// replayed miss-rate curve — so their scale-model forecasts agree to
-/// the precision the CLI prints.
+/// `gsim repro` prints its sections and writes them to disk only under
+/// `-o DIR`.
 #[test]
-fn gsim_predict_full_path_matches_the_service() {
+fn gsim_repro_writes_files_only_where_asked() {
+    let cwd = fresh_dir("repro-cwd");
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_gsim"))
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("spawn gsim")
+    };
+    let printed = run(&["repro", "table1", "--scale", "64"]);
+    assert!(printed.status.success(), "{printed:?}");
+    assert!(stdout_of(&printed).starts_with("Table I:"), "{printed:?}");
+    assert_eq!(std::fs::read_dir(&cwd).unwrap().count(), 0, "stdout only");
+
+    let written = run(&["repro", "table1", "--scale", "64", "-o", "out"]);
+    assert!(written.status.success(), "{written:?}");
+    assert_eq!(stdout_of(&written), stdout_of(&printed));
+    let file = std::fs::read_to_string(cwd.join("out").join("table1.txt")).unwrap();
+    assert_eq!(format!("{file}\n"), stdout_of(&printed));
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+/// `gsim predict` is `POST /v1/predict` answered in process: its stdout
+/// is the service's body, byte for byte, on either path.
+#[test]
+fn gsim_predict_prints_the_service_body() {
     use gsim_serve::{PredictService, Request, ServeConfig, ShutdownFlag};
 
     let store = fresh_dir("predict-vs-serve");
@@ -403,41 +428,26 @@ fn gsim_predict_full_path_matches_the_service() {
     )
     .expect("service starts");
     for name in ["gemm", "bfs"] {
-        let out = gsim(&["predict", name, "--path", "full", "--scale", "32"]);
-        assert!(out.status.success(), "{out:?}");
-        let from_cli: Vec<String> = stdout_of(&out)
-            .lines()
-            .filter_map(|l| l.trim().strip_prefix("scale-model"))
-            .map(|rest| rest.trim().trim_start_matches("IPC").trim().to_string())
-            .collect();
-
-        let body = format!(
-            r#"{{"workload": "{name}", "targets": [32, 64, 128], "mem_scale": 32, "path": "full"}}"#
-        );
-        let resp = service.handle(&Request {
-            method: "POST".into(),
-            path: "/v1/predict".into(),
-            headers: Vec::new(),
-            body: body.into_bytes(),
-        });
-        assert_eq!(resp.status, 200);
-        let doc = gsim_json::parse(std::str::from_utf8(&resp.body).expect("utf8")).expect("json");
-        let Some(gsim_json::Json::Arr(rows)) = doc.get("predictions") else {
-            panic!("no predictions in {}", doc.render());
-        };
-        let from_service: Vec<String> = rows
-            .iter()
-            .map(|row| {
-                let ipc = row
-                    .get("ipc_by_method")
-                    .and_then(|m| m.get("scale-model"))
-                    .and_then(gsim_json::Json::as_f64)
-                    .expect("scale-model ipc");
-                format!("{ipc:.1}")
-            })
-            .collect();
-        assert_eq!(from_cli.len(), 3, "{}", stdout_of(&out));
-        assert_eq!(from_cli, from_service, "{name}");
+        for path in ["auto", "full"] {
+            let out = gsim(&["predict", name, "--path", path, "--scale", "32"]);
+            assert!(out.status.success(), "{out:?}");
+            let body = format!(
+                r#"{{"workload": "{name}", "targets": [32, 64, 128], "mem_scale": 32, "path": "{path}"}}"#
+            );
+            let resp = service.handle(&Request {
+                method: "POST".into(),
+                path: "/v1/predict".into(),
+                headers: Vec::new(),
+                body: body.into_bytes(),
+            });
+            assert_eq!(resp.status, 200);
+            assert!(
+                out.stdout == resp.body,
+                "{name} {path}:\n{}\n{}",
+                stdout_of(&out),
+                String::from_utf8_lossy(&resp.body)
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&store);
 }

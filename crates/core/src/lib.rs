@@ -62,9 +62,9 @@ pub use multi_cliff::{detect_cliffs, MultiCliffPredictor};
 pub use oneshot::{mrc_from_trace, Forecast, Observation, TargetForecast, TraceMrc};
 pub use parallel::{SuiteRun, SweepFailure};
 pub use plan::{
-    collect_replay, collect_sampled, collect_sampled_inline, observe_scale_models,
-    synthesize_observation, CollectEngine, CollectFailure, CollectStats, Collected, Fit,
-    PlanWorkload, SampledCollectConfig, StageIdentity,
+    collect_replay, collect_sampled, collect_sampled_inline, synthesize_observation, CollectEngine,
+    CollectFailure, CollectStats, Collected, Fit, PlanWorkload, SampledCollectConfig,
+    StageIdentity,
 };
 pub use predictor::{
     LinearRegression, LogRegression, PowerLawRegression, Proportional, ScalingPredictor,

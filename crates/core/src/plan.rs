@@ -27,7 +27,7 @@
 //! answered from synthesized roofline observations
 //! ([`synthesize_observation`]) plus the replayed curve, with no timing
 //! simulation at all. Compute-sensitive workloads escalate to the real
-//! 8/16-SM simulations, run concurrently via [`observe_scale_models`].
+//! 8/16-SM simulations.
 //!
 //! A [`PlanWorkload`] has **two identities**, and which one a cache keys
 //! by is a cost decision. [`PlanWorkload::semantic_hash`] names the
@@ -46,7 +46,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gsim_mem::mrc::{DistanceEngine, LineRouter, StackDistanceHistogram, TreeStack};
-use gsim_runner::{Job, RunOverrides, Runner};
+use gsim_runner::{RunOverrides, Runner};
 use gsim_sim::{FunctionalReplay, GpuConfig, SimStats, Simulator};
 use gsim_trace::{
     semantic_hash_of, Op, SpecStream, TraceStream, TracedWorkload, WarpStream, Workload,
@@ -304,16 +304,12 @@ impl Collected {
 pub enum CollectFailure {
     /// The deadline passed first.
     TimedOut,
-    /// A pooled job (a scale-model simulation) crashed; the message is
-    /// kept.
-    Failed(String),
 }
 
 impl std::fmt::Display for CollectFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::TimedOut => write!(f, "collection timed out"),
-            Self::Failed(msg) => write!(f, "collection failed: {msg}"),
         }
     }
 }
@@ -548,20 +544,6 @@ pub fn collect_sampled<W: WorkloadModel>(
     collect_sampled_inline(wl, configs, cfg, None)
 }
 
-/// Unwraps a pooled run's reports (already sorted by submission index)
-/// into their values, or the first failure.
-fn collect_reports<T>(reports: Vec<gsim_runner::JobReport<T>>) -> Result<Vec<T>, CollectFailure> {
-    let mut out = Vec::with_capacity(reports.len());
-    for r in reports {
-        match r.status {
-            gsim_runner::JobStatus::Done(v) => out.push(v),
-            gsim_runner::JobStatus::TimedOut => return Err(CollectFailure::TimedOut),
-            gsim_runner::JobStatus::Panicked(msg) => return Err(CollectFailure::Failed(msg)),
-        }
-    }
-    Ok(out)
-}
-
 /// Synthesizes a scale-model observation from Stage-1 statistics alone —
 /// the fast path's replacement for a timing simulation.
 ///
@@ -604,38 +586,6 @@ pub fn observation_of(size: u32, stats: &SimStats) -> Observation {
         ipc: stats.sustained_ipc(),
         f_mem: stats.f_mem(),
     }
-}
-
-/// Runs the two scale-model timing simulations **concurrently** on the
-/// runner pool and returns their stats in `(small, large)` order — the
-/// escalation path's Stage 1b. With a multi-thread pool this halves the
-/// escalated-miss latency over running them back-to-back.
-///
-/// # Errors
-///
-/// Returns a [`CollectFailure`] if either simulation times out or
-/// crashes.
-pub fn observe_scale_models(
-    runner: &Runner,
-    wl: &PlanWorkload,
-    small: &GpuConfig,
-    large: &GpuConfig,
-    overrides: RunOverrides,
-) -> Result<(SimStats, SimStats), CollectFailure> {
-    let jobs: Vec<Job<SimStats>> = [small, large]
-        .into_iter()
-        .map(|cfg| {
-            let wl = wl.clone();
-            let cfg = cfg.clone();
-            Job::new(format!("sim@{}sm", cfg.n_sms), move || {
-                wl.simulate(cfg.clone())
-            })
-        })
-        .collect();
-    let mut stats = collect_reports(runner.run_with("scale-models", jobs, overrides))?;
-    let large_stats = stats.pop().expect("two reports");
-    let small_stats = stats.pop().expect("two reports");
-    Ok((small_stats, large_stats))
 }
 
 /// Stage 2: the five predictor fits as one cacheable value.
@@ -771,7 +721,6 @@ impl Fit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsim_runner::RunnerConfig;
     use gsim_trace::{Kernel, MemScale, PatternKind, PatternSpec};
 
     fn ladder(sizes: &[u32], scale: MemScale) -> Vec<GpuConfig> {
@@ -1084,21 +1033,5 @@ mod tests {
         let a = collect_sampled(&synth, &cfgs, &scfg, None).unwrap();
         let b = collect_sampled(&traced, &cfgs, &scfg, None).unwrap();
         assert_eq!(a, b, "a trace must collect exactly like its source");
-    }
-
-    #[test]
-    fn concurrent_scale_models_match_direct_simulation() {
-        let wl = PlanWorkload::Synthetic(compute_workload());
-        let scale = MemScale::default();
-        let small = GpuConfig::paper_target(8, scale);
-        let large = GpuConfig::paper_target(16, scale);
-        let runner = Runner::new(RunnerConfig {
-            threads: 2,
-            ..RunnerConfig::default()
-        });
-        let (s, l) =
-            observe_scale_models(&runner, &wl, &small, &large, RunOverrides::default()).unwrap();
-        s.assert_deterministic_eq(&wl.simulate(small));
-        l.assert_deterministic_eq(&wl.simulate(large));
     }
 }

@@ -137,8 +137,9 @@ pub struct ServeConfig {
     /// Persistence directory for the result cache (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
     /// Root of the content-addressed trace store. `None` derives
-    /// `<cache_dir>/tracestore`, or a per-process temp directory when
-    /// there is no cache dir either (uploads then live for the process).
+    /// `<cache_dir>/tracestore`, or a temp directory of the service's own
+    /// when there is no cache dir either (uploads then live as long as
+    /// the service; the directory is removed when it is dropped).
     pub trace_store_dir: Option<PathBuf>,
     /// Default predict deadline in milliseconds; `0` means none. A
     /// request's `X-Gsim-Deadline-Ms` header overrides it either way.
@@ -402,6 +403,17 @@ pub struct PredictService {
     shutdown: ShutdownFlag,
     gate: AdmissionGate,
     default_deadline_ms: u64,
+    /// The temp trace-store directory [`PredictService::new`] derived
+    /// because the caller configured none; removed on drop.
+    scratch_store: Option<PathBuf>,
+}
+
+impl Drop for PredictService {
+    fn drop(&mut self) {
+        if let Some(dir) = &self.scratch_store {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
 }
 
 impl PredictService {
@@ -423,14 +435,21 @@ impl PredictService {
         // A zero knob means its default.
         let or_default = |knob: usize, default: usize| if knob == 0 { default } else { knob };
         let capacity = or_default(cfg.cache_capacity, 256);
-        let store_root = cfg
-            .trace_store_dir
-            .clone()
-            .unwrap_or_else(|| match &cfg.cache_dir {
-                Some(dir) => dir.join("tracestore"),
-                None => std::env::temp_dir()
-                    .join(format!("gsim-serve-tracestore-{}", std::process::id())),
-            });
+        // One directory per service, so dropping one never pulls the
+        // store from under another in the same process.
+        static SCRATCH_STORES: AtomicU64 = AtomicU64::new(0);
+        let (store_root, scratch_store) = match (&cfg.trace_store_dir, &cfg.cache_dir) {
+            (Some(dir), _) => (dir.clone(), None),
+            (None, Some(dir)) => (dir.join("tracestore"), None),
+            (None, None) => {
+                let dir = std::env::temp_dir().join(format!(
+                    "gsim-serve-tracestore-{}-{}",
+                    std::process::id(),
+                    SCRATCH_STORES.fetch_add(1, Ordering::Relaxed)
+                ));
+                (dir.clone(), Some(dir))
+            }
+        };
         let store = TraceStore::open(store_root, StoreConfig::default())?;
         Ok(Arc::new(Self {
             runner,
@@ -446,6 +465,7 @@ impl PredictService {
                 or_default(cfg.max_inflight_predicts, 8),
             ),
             default_deadline_ms: cfg.default_deadline_ms,
+            scratch_store,
         }))
     }
 
@@ -2105,5 +2125,46 @@ mod tests {
         let mut cfg = GpuConfig::paper_target(8, MemScale::default());
         cfg.sim_threads = 7;
         assert_eq!(a, encode_config(&cfg));
+    }
+
+    #[test]
+    fn only_a_derived_trace_store_is_removed_on_drop() {
+        // Two services without directories get one store each, and
+        // dropping one leaves the other's in place.
+        let a = PredictService::new(ServeConfig::default(), ShutdownFlag::new()).unwrap();
+        let b = PredictService::new(ServeConfig::default(), ShutdownFlag::new()).unwrap();
+        let (dir_a, dir_b) = (
+            a.scratch_store.clone().unwrap(),
+            b.scratch_store.clone().unwrap(),
+        );
+        assert_ne!(dir_a, dir_b);
+        assert!(dir_a.is_dir() && dir_b.is_dir());
+        drop(a);
+        assert!(!dir_a.exists());
+        assert!(dir_b.is_dir());
+        drop(b);
+        assert!(!dir_b.exists());
+
+        // A configured store, or one derived under a configured cache
+        // dir, belongs to the caller and survives the service.
+        let root = std::env::temp_dir().join(format!("gsim-serve-kept-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        for cfg in [
+            ServeConfig {
+                trace_store_dir: Some(root.join("store")),
+                ..ServeConfig::default()
+            },
+            ServeConfig {
+                cache_dir: Some(root.join("cache")),
+                ..ServeConfig::default()
+            },
+        ] {
+            let svc = PredictService::new(cfg, ShutdownFlag::new()).unwrap();
+            assert!(svc.scratch_store.is_none());
+            drop(svc);
+        }
+        assert!(root.join("store").is_dir());
+        assert!(root.join("cache").join("tracestore").is_dir());
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
