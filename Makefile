@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: build test lint bench bench-smoke trace-smoke chaos-smoke multigpu-smoke
+.PHONY: build test lint trace-smoke chaos-smoke multigpu-smoke
 
 build:
 	cargo build --release
@@ -11,18 +11,6 @@ test:
 lint:
 	cargo fmt --all --check
 	cargo clippy --workspace --all-targets -- -D warnings
-
-# Full micro-benchmark run; refreshes BENCH_simulator.json and
-# BENCH_mrc_engines.json at the repo root.
-bench:
-	cargo bench -p gsim-bench --bench simulator
-	cargo bench -p gsim-bench --bench mrc_engines
-
-# Smoke-test-sized bench run (seconds, not minutes): verifies the harness
-# and the JSON schema, not the timings. Used by CI.
-bench-smoke:
-	GSIM_BENCH_FAST=1 cargo bench -p gsim-bench --bench simulator
-	GSIM_BENCH_FAST=1 cargo bench -p gsim-bench --bench mrc_engines
 
 # End-to-end trace smoke (DESIGN.md §12): record → ingest → info → serve,
 # then predict-from-trace must match the synthetic prediction bit for bit
@@ -35,7 +23,7 @@ trace-smoke:
 # deterministic fault plan and a tiny predict budget, drive it past
 # saturation with serve_bench, and verify only 200/400/404/429/503/504
 # come back, every 429 carries Retry-After, and shutdown drains within
-# the grace period. Refreshes BENCH_serve.json. Used by CI.
+# the grace period. Writes nothing into the checkout. Used by CI.
 chaos-smoke:
 	cargo build --release -p gsim-bench --bin gsim --bin serve_bench
 	bash scripts/chaos_smoke.sh

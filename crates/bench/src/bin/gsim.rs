@@ -99,7 +99,7 @@ use gsim_core::{detect_cliff, mrc_from_trace, Fit, Observation, SizedMrc};
 use gsim_runner::{ProgressReporter, Runner, RunnerConfig};
 use gsim_sim::{collect_mrc, ChipletConfig, GpuConfig, SimStats, Simulator};
 use gsim_trace::suite::{strong_benchmark, strong_suite, StrongBenchmark};
-use gsim_trace::weak::{weak_benchmark, weak_suite, WeakBenchmark};
+use gsim_trace::weak::{weak_benchmark, weak_suite, WeakBenchmark, WEAK_SM_SIZES};
 use gsim_trace::{
     MemScale, TraceLimits, TraceReadError, TraceReader, TracedWorkload, Workload, WorkloadModel,
 };
@@ -271,7 +271,15 @@ fn parse(args: &[String]) -> Flags {
         match a.as_str() {
             "--sms" => f.sms = flag_u32_min(&mut it, "--sms", 1),
             "--chiplets" => f.chiplets = flag_u32_min(&mut it, "--chiplets", 1),
-            "--scale" => f.scale = MemScale::new(flag_u32_min(&mut it, "--scale", 1)),
+            "--scale" => {
+                let d = flag_u32_min(&mut it, "--scale", 1);
+                let max = GpuConfig::max_mem_scale();
+                if d > max {
+                    eprintln!("--scale must be <= {max}: the L1 must hold a line");
+                    exit(2)
+                }
+                f.scale = MemScale::new(d)
+            }
             "--banked-dram" => f.banked_dram = flag_u32(&mut it, "--banked-dram"),
             "--threads" => f.threads = Some(flag_u32(&mut it, "--threads") as usize),
             "--runner-threads" => f.runner_threads = flag_u32(&mut it, "--runner-threads") as usize,
@@ -368,7 +376,12 @@ fn weak(name: &str, scale: MemScale) -> WeakBenchmark {
 /// Table II, or with `--weak` its Table IV input matched to `--sms`.
 fn workload(f: &Flags, name: &str) -> Workload {
     if f.weak {
-        weak(name, f.scale).workload_for_sms(f.sms)
+        weak(name, f.scale)
+            .workload_for_sms(f.sms)
+            .unwrap_or_else(|| {
+                eprintln!("--weak takes --sms in {WEAK_SM_SIZES:?} (the Table IV inputs)");
+                exit(2)
+            })
     } else {
         strong(name, f.scale).workload
     }
@@ -923,7 +936,7 @@ fn main() {
             // One simulation job per system size, run on the worker pool.
             let workload_for: Box<dyn Fn(u32) -> Workload + Send + Sync> = if f.weak {
                 let bench = weak(name, f.scale);
-                Box::new(move |sms| bench.workload_for_sms(sms))
+                Box::new(move |sms| bench.workload_for_sms(sms).expect("a Table IV size"))
             } else {
                 let bench = strong(name, f.scale);
                 Box::new(move |_| bench.workload.clone())

@@ -2,16 +2,16 @@
 //!
 //! ```text
 //! serve_bench --addr HOST:PORT [--duration-secs N] [--concurrency N]
-//!             [--seed N] [--deadline-ms N] [-o BENCH_serve.json]
+//!             [--seed N] [--deadline-ms N] [-o FILE]
 //! ```
 //!
 //! Drives a running `gsim serve` instance with a deterministic request
 //! mix (mostly predicts over a small pool of bodies, plus metrics and
 //! catalog reads and a slice of deliberately invalid predicts), one
 //! fresh connection per request, and writes a `gsim-serve-bench-v1`
-//! summary: sustained RPS, latency quantiles, the full status
-//! breakdown, the shed rate, and how many `429`s arrived without the
-//! promised `Retry-After` header (must be zero).
+//! summary to stdout (or to `-o FILE`): sustained RPS, latency quantiles,
+//! the full status breakdown, the shed rate, and how many `429`s arrived
+//! without the promised `Retry-After` header (must be zero).
 //!
 //! Transport-level failures — refused/reset connections, mid-body
 //! disconnects (as injected by `gsim-faults`), read timeouts — are
@@ -39,7 +39,7 @@ struct Args {
     concurrency: usize,
     seed: u64,
     deadline_ms: Option<u64>,
-    output: String,
+    output: Option<String>,
 }
 
 fn usage() -> ! {
@@ -57,7 +57,7 @@ fn parse_args() -> Args {
         concurrency: 16,
         seed: 42,
         deadline_ms: None,
-        output: "BENCH_serve.json".to_string(),
+        output: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
@@ -78,7 +78,7 @@ fn parse_args() -> Args {
             "--seed" => args.seed = num("--seed"),
             "--deadline-ms" => args.deadline_ms = Some(num("--deadline-ms")),
             "-o" | "--output" => match it.next() {
-                Some(v) => args.output = v.clone(),
+                Some(v) => args.output = Some(v.clone()),
                 None => usage(),
             },
             _ => usage(),
@@ -308,19 +308,23 @@ fn main() {
         ("shed_rate", Json::from(shed_rate)),
         ("retry_after_missing", Json::from(retry_after_missing)),
     ]);
-    let rendered = doc.render();
-    if let Err(e) = std::fs::write(&args.output, format!("{rendered}\n")) {
-        eprintln!("cannot write {}: {e}", args.output);
-        exit(1)
+    let rendered = format!("{}\n", doc.render());
+    match &args.output {
+        Some(path) => {
+            if let Err(e) = std::fs::write(path, rendered) {
+                eprintln!("cannot write {path}: {e}");
+                exit(1)
+            }
+        }
+        None => print!("{rendered}"),
     }
-    println!(
+    eprintln!(
         "serve_bench: {answered} answered ({transport_errors} transport errors) in {:.1}s \
-         = {rps:.0} rps; shed {shed} ({:.1}%); p50 {} us, p99 {} us; wrote {}",
+         = {rps:.0} rps; shed {shed} ({:.1}%); p50 {} us, p99 {} us",
         elapsed.as_secs_f64(),
         100.0 * shed_rate,
         quantile(0.50).unwrap_or(0),
         quantile(0.99).unwrap_or(0),
-        args.output
     );
     // The bench itself enforces the one non-negotiable contract.
     if retry_after_missing > 0 {

@@ -202,17 +202,22 @@ fn removed_surfaces_exit_2() {
 }
 
 #[test]
-fn zero_sizes_exit_2() {
+fn out_of_range_sizes_exit_2() {
     for args in [
         &["run", "pf", "--scale", "0"][..],
         &["sweep", "pf", "--scale", "0"],
         &["run", "pf", "--sms", "0"],
         &["mcm", "va", "--chiplets", "0"],
         &["predict", "bfs", "0"],
+        &["run", "va", "--weak", "--sms", "3"],
+        &["run", "pf", "--sms", "1", "--scale", "385"],
     ] {
         let out = gsim(args);
         assert_eq!(out.status.code(), Some(2), "gsim {args:?}: {out:?}");
     }
+    // The coarsest miniature whose L1 still holds a line.
+    let out = gsim(&["run", "pf", "--sms", "1", "--scale", "384"]);
+    assert!(out.status.success(), "{out:?}");
 }
 
 #[test]

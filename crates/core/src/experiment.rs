@@ -291,8 +291,9 @@ impl WeakScalingExperiment {
         let sizes = gsim_trace::weak::WEAK_SM_SIZES;
         let measured: Vec<MeasuredPoint> = sizes
             .iter()
-            .map(|&s| {
-                let wl = bench.workload_for_sms(s);
+            .enumerate()
+            .map(|(row, &s)| {
+                let wl = bench.workload_for_row(row);
                 let cfg = GpuConfig::paper_target(s, self.scale);
                 measure(&Simulator::new(cfg, &wl).run(), s)
             })
@@ -447,7 +448,7 @@ mod tests {
     use gsim_trace::weak::weak_benchmark;
 
     // A coarser miniature keeps the experiment-pipeline tests quick; the
-    // full divisor-8 runs live in the integration suite and repro binary.
+    // full divisor-8 runs live in the integration suite and `gsim repro`.
     fn fast_scale() -> MemScale {
         MemScale::new(32)
     }

@@ -51,8 +51,8 @@ impl<T> SuiteRun<T> {
 
 /// Folds ordered job reports into a [`SuiteRun`]. `Ok(None)` results
 /// (benchmarks excluded from a study) are skipped silently. Public so
-/// callers that post-process the job vector (e.g. fault injection in the
-/// repro binary) can still aggregate the standard way.
+/// callers that run the job vector on their own runner (`gsim repro`) can
+/// still aggregate the standard way.
 pub fn collect<T>(reports: Vec<JobReport<Result<Option<T>, ModelError>>>) -> SuiteRun<T> {
     let mut run = SuiteRun {
         outcomes: Vec::with_capacity(reports.len()),
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn parallel_strong_suite_matches_serial() {
         // The coarse divisor keeps this test fast; the fine-grained run
-        // lives in the repro binary.
+        // lives in `gsim repro`.
         let scale = MemScale::new(32);
         let suite: Vec<StrongBenchmark> = strong_suite(scale).into_iter().take(2).collect();
         let exp = StrongScalingExperiment::new(scale);

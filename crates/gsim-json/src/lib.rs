@@ -1,10 +1,9 @@
 //! A minimal, dependency-free JSON module shared across the workspace.
 //!
 //! The workspace deliberately has no external crates, so the pieces that
-//! speak JSON — the `gsim-runner` JSONL metrics sink, the tinybench
-//! `BENCH_*.json` reports, and the `gsim-serve` HTTP service — each used
-//! to hand-roll string escaping and object assembly. This crate is the
-//! one shared implementation:
+//! speak JSON — the `gsim-runner` JSONL metrics sink and the `gsim-serve`
+//! HTTP service — each used to hand-roll string escaping and object
+//! assembly. This crate is the one shared implementation:
 //!
 //! * [`Json`] — an insertion-ordered JSON value. Object member order is
 //!   preserved verbatim, so rendering is deterministic and two renders of

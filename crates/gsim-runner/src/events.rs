@@ -71,7 +71,7 @@ pub trait EventSink: Send + Sync {
 }
 
 /// Terminal progress: one stderr line per finished job plus sweep
-/// banners, in the style of the repro binary's `[repro] ...` notes.
+/// banners, in the style of `gsim repro`'s `[repro] ...` notes.
 #[derive(Debug, Default)]
 pub struct ProgressReporter {
     done: AtomicUsize,

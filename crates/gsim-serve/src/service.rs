@@ -96,7 +96,7 @@ use gsim_multigpu::{scaling_efficiency, Placement, Topology};
 use gsim_runner::{Job, JobStatus, RunOverrides, Runner, RunnerConfig};
 use gsim_sim::GpuConfig;
 use gsim_trace::suite::{strong_benchmark, strong_suite};
-use gsim_trace::weak::{weak_benchmark, weak_suite};
+use gsim_trace::weak::{weak_benchmark, weak_suite, WEAK_SM_SIZES};
 use gsim_trace::{Kernel, MemScale, PatternKind, PatternSpec, Workload};
 use gsim_tracestore::{StoreConfig, StoreError, StoreStats, TraceMeta, TraceStore};
 
@@ -1248,8 +1248,9 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
     let scale_divisor = match fields.get("mem_scale") {
         Some(v) => {
             let d = as_u32(v, "mem_scale")?;
-            if !(1..=4096).contains(&d) {
-                return Err(ApiError::bad("mem_scale must be in 1..=4096"));
+            let max = GpuConfig::max_mem_scale();
+            if !(1..=max).contains(&d) {
+                return Err(ApiError::bad(format!("mem_scale must be in 1..={max}")));
             }
             d
         }
@@ -1403,9 +1404,17 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
                         "unknown weak benchmark {abbr:?}; see GET /v1/workloads"
                     ))
                 })?;
+                let input = |sms| {
+                    let wl = bench.workload_for_sms(sms).ok_or_else(|| {
+                        ApiError::bad(format!(
+                            "Table IV has weak-scaling inputs for {WEAK_SM_SIZES:?} SMs, not {sms}"
+                        ))
+                    })?;
+                    Ok(PlanWorkload::Synthetic(wl))
+                };
                 PlanKind::PerSize {
-                    small_wl: PlanWorkload::Synthetic(bench.workload_for_sms(small)),
-                    large_wl: PlanWorkload::Synthetic(bench.workload_for_sms(large)),
+                    small_wl: input(small)?,
+                    large_wl: input(large)?,
                 }
             } else {
                 let bench = strong_benchmark(abbr, scale).ok_or_else(|| {
@@ -1932,6 +1941,19 @@ mod tests {
             .message
             .contains("power-of-two"));
         assert!(plan(r#"not json"#).unwrap_err().message.contains("JSON"));
+        assert!(plan(
+            r#"{"workload": "va", "suite": "weak", "scale_models": [4, 8], "targets": [16]}"#
+        )
+        .unwrap_err()
+        .message
+        .contains("[8, 16, 32, 64, 128]"));
+        assert!(plan(r#"{"workload": "bfs", "target_sms": 128, "mem_scale": 384}"#).is_ok());
+        assert!(
+            plan(r#"{"workload": "bfs", "target_sms": 128, "mem_scale": 385}"#)
+                .unwrap_err()
+                .message
+                .contains("1..=384")
+        );
         assert!(
             plan(r#"{"workload": "bfs", "pattern": {}, "target_sms": 128}"#)
                 .unwrap_err()

@@ -141,6 +141,13 @@ impl GpuConfig {
         Self::baseline_128sm(scale).scaled_to(n_sms)
     }
 
+    /// The largest [`MemScale`] divisor that still builds a machine: the
+    /// full-size L1 in lines. Past it the L1 holds less than one line.
+    pub fn max_mem_scale() -> u32 {
+        let full = Self::baseline_128sm(MemScale::full());
+        (full.l1_bytes / u64::from(full.line_bytes)) as u32
+    }
+
     /// LLC capacity in *paper-unit* bytes (for reporting).
     pub fn llc_paper_bytes(&self) -> u64 {
         self.mem_scale.to_paper_bytes(self.llc_bytes_total)
@@ -228,6 +235,14 @@ mod tests {
         assert_eq!(mini.noc_gbs, full.noc_gbs);
         assert_eq!(mini.n_mcs, full.n_mcs);
         assert_eq!(mini.llc_paper_bytes(), full.llc_bytes_total);
+    }
+
+    #[test]
+    fn max_mem_scale_leaves_the_l1_one_line() {
+        let max = GpuConfig::max_mem_scale();
+        assert_eq!(max, 384);
+        let cfg = GpuConfig::paper_target(8, MemScale::new(max));
+        assert_eq!(cfg.l1_bytes, u64::from(cfg.line_bytes));
     }
 
     #[test]

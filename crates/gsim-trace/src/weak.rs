@@ -71,18 +71,11 @@ impl WeakBenchmark {
             .with_paper_minsns(self.rows[row].minsns)
     }
 
-    /// The workload matched to an `n_sms`-SM system (must be one of
-    /// [`WEAK_SM_SIZES`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_sms` is not 8, 16, 32, 64 or 128.
-    pub fn workload_for_sms(&self, n_sms: u32) -> Workload {
-        let row = WEAK_SM_SIZES
-            .iter()
-            .position(|&s| s == n_sms)
-            .unwrap_or_else(|| panic!("no weak-scaling input for {n_sms} SMs"));
-        self.workload_for_row(row)
+    /// The workload matched to an `n_sms`-SM system, or `None` unless
+    /// `n_sms` is one of [`WEAK_SM_SIZES`].
+    pub fn workload_for_sms(&self, n_sms: u32) -> Option<Workload> {
+        let row = WEAK_SM_SIZES.iter().position(|&s| s == n_sms)?;
+        Some(self.workload_for_row(row))
     }
 
     /// The workload scaled to an `n_chiplets`-chiplet MCM system of 64 SMs
@@ -262,9 +255,10 @@ fn rows(data: [(u32, f64, f64, bool); 5]) -> [WeakRow; 5] {
 /// let suite = weak_suite(MemScale::default());
 /// assert_eq!(suite.len(), 6);
 /// let bfs = &suite[0];
-/// let small = bfs.workload_for_sms(8);
-/// let big = bfs.workload_for_sms(128);
+/// let small = bfs.workload_for_sms(8).unwrap();
+/// let big = bfs.workload_for_sms(128).unwrap();
 /// assert!(big.total_ctas() > 10 * small.total_ctas());
+/// assert!(bfs.workload_for_sms(48).is_none());
 /// ```
 pub fn weak_suite(scale: MemScale) -> Vec<WeakBenchmark> {
     vec![
@@ -380,8 +374,8 @@ mod tests {
     #[test]
     fn work_scales_with_system_size() {
         for b in weak_suite(MemScale::default()) {
-            let w8 = b.workload_for_sms(8).approx_warp_instrs() as f64;
-            let w128 = b.workload_for_sms(128).approx_warp_instrs() as f64;
+            let w8 = b.workload_for_sms(8).unwrap().approx_warp_instrs() as f64;
+            let w128 = b.workload_for_sms(128).unwrap().approx_warp_instrs() as f64;
             let ratio = w128 / w8;
             assert!(
                 (8.0..32.0).contains(&ratio),
@@ -437,9 +431,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no weak-scaling input")]
     fn rejects_unknown_system_size() {
         let va = weak_benchmark("va", MemScale::default()).unwrap();
-        let _ = va.workload_for_sms(48);
+        for n_sms in [0, 4, 48, 256] {
+            assert!(va.workload_for_sms(n_sms).is_none(), "{n_sms} SMs");
+        }
     }
 }

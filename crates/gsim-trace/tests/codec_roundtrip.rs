@@ -98,7 +98,7 @@ fn every_suite_workload_roundtrips_across_both_formats() {
         // The smallest weak-scaling input; larger rows only scale the
         // grid, which `shrunk` caps anyway.
         check_roundtrip(
-            &shrunk(&bench.workload_for_sms(8)),
+            &shrunk(&bench.workload_for_row(0)),
             &format!("weak {}", bench.abbr),
         );
     }

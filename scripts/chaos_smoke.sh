@@ -11,12 +11,12 @@
 #   - every 429 carries a Retry-After header (serve_bench exits 1 itself
 #     if one is missing);
 #   - shutdown under load drains within the grace period;
-#   - BENCH_serve.json is schema-valid and lands at the repo root.
+#   - serve_bench's summary, kept in the script's temp dir, is
+#     schema-valid.
 set -euo pipefail
 
 GSIM=${GSIM:-target/release/gsim}
 BENCH=${BENCH:-target/release/serve_bench}
-OUT=${OUT:-BENCH_serve.json}
 # Deterministic, moderate chaos: enough injected delay/disconnect/panic
 # to exercise every recovery path, not so much that nothing completes.
 FAULT_PLAN="seed=42,http_delay_p=0.05,http_delay_ms=20,http_disconnect_p=0.02,job_panic_p=0.05,store_read_delay_p=0.1,store_read_delay_ms=5"
@@ -54,7 +54,7 @@ echo "server at $ADDR under plan: $FAULT_PLAN"
 # serve_bench exits non-zero on a missing Retry-After, so the contract
 # check runs even before the validator below.
 "$BENCH" --addr "$ADDR" --duration-secs "${DURATION:-10}" \
-    --concurrency 16 --seed 42 --deadline-ms 30000 -o "$OUT"
+    --concurrency 16 --seed 42 --deadline-ms 30000 -o "$WORK/summary.json"
 
 # Shutdown under whatever load is left must drain within the grace.
 START=$(date +%s)
@@ -65,10 +65,13 @@ ELAPSED=$(( $(date +%s) - START ))
 [ "$ELAPSED" -le 7 ] || { echo "drain took ${ELAPSED}s (> grace + slack)"; exit 1; }
 echo "drained in ${ELAPSED}s"
 
-python3 - "$OUT" <<'EOF'
+python3 - "$WORK/summary.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["schema"] == "gsim-serve-bench-v1", doc["schema"]
+for key in ("requests", "answered", "rps", "p50_us", "p99_us", "shed", "shed_rate",
+            "by_status", "transport_errors", "retry_after_missing", "seed", "concurrency"):
+    assert key in doc, f"missing {key}"
 assert doc["requests"] > 0 and doc["answered"] > 0, doc
 by_status = {int(k): v for k, v in doc["by_status"].items()}
 allowed = {200, 400, 404, 429, 503, 504}

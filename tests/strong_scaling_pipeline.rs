@@ -4,7 +4,7 @@
 //! baselines where the paper says it does.
 //!
 //! A coarser 1/32 memory miniature keeps these tests fast; the full 1/8
-//! runs live in the `repro` harness.
+//! runs live in `gsim repro`.
 
 use gpu_scale_model::core::experiment::StrongScalingExperiment;
 use gpu_scale_model::trace::suite::{strong_benchmark, ScalingClass};
