@@ -14,6 +14,7 @@
 //! `GpuConfig::dram_banks_per_mc` to enable this one); the `dram_banks`
 //! ablation bench quantifies the difference.
 
+use crate::geometry::ceil_u64;
 use crate::slice::slice_for_line;
 
 /// Statistics of a [`BankedDramModel`].
@@ -147,7 +148,7 @@ impl BankedDramModel {
 
     /// Issues a read; returns the completion cycle.
     pub fn read(&mut self, now: u64, line_addr: u64, bytes: u32) -> u64 {
-        self.request(now as f64, line_addr, bytes).ceil() as u64
+        ceil_u64(self.request(now as f64, line_addr, bytes))
     }
 
     /// Issues a write-back (fire-and-forget bandwidth/bank occupancy).

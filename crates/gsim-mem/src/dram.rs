@@ -9,6 +9,7 @@
 //! aggregate-bandwidth ceiling, the first-order behaviour that matters for
 //! scaling studies.
 
+use crate::geometry::ceil_u64;
 use crate::slice::slice_for_line;
 
 /// Aggregate DRAM statistics.
@@ -98,7 +99,7 @@ impl DramModel {
     /// Issues a read of `bytes` for `line_addr` at time `now` (cycles);
     /// returns the completion time, including queueing and fixed latency.
     pub fn read(&mut self, now: u64, line_addr: u64, bytes: u32) -> u64 {
-        self.request(now as f64, line_addr, bytes).ceil() as u64
+        ceil_u64(self.request(now as f64, line_addr, bytes))
     }
 
     /// Issues a write-back of `bytes`; write-backs consume bandwidth but the

@@ -122,6 +122,20 @@ pub(crate) fn rem(x: u64, n: u32) -> u64 {
     }
 }
 
+/// `x.ceil() as u64` for every `f64` (NaN and negatives give 0, values
+/// past `u64::MAX` saturate), without the call: `f64::ceil` is a libm
+/// routine on the baseline x86-64 this builds for, and every memory
+/// completion time passes through here.
+#[inline]
+pub fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if (t as f64) < x {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 impl fmt::Display for CacheGeometry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let cap = self.capacity_bytes();
@@ -196,6 +210,47 @@ mod tests {
             counts[g.set_index(i) as usize] += 1;
         }
         assert!(counts.iter().all(|&c| c == 100), "modulo indexing is exact");
+    }
+
+    #[test]
+    fn ceil_u64_equals_ceil_cast() {
+        let edges = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            0.5,
+            -0.5,
+            1.0,
+            1.5,
+            -1.0,
+            2f64.powi(52) + 0.5,
+            2f64.powi(53) - 1.0,
+            2f64.powi(53),
+            2f64.powi(53) + 2.0,
+            2f64.powi(63),
+            2f64.powi(64) - 2048.0,
+            2f64.powi(64),
+            2f64.powi(65),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for x in edges {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "{x:e}");
+        }
+        let mut rng = gsim_rng::Rng64::seed_from_u64(0xce11);
+        for _ in 0..1_000_000 {
+            let bits = rng.next_u64();
+            // Any bit pattern, and a value of every magnitude below 2^61
+            // with a fractional part (random patterns are mostly huge or tiny).
+            for x in [f64::from_bits(bits), (bits >> (bits % 64)) as f64 / 8.0] {
+                assert_eq!(ceil_u64(x), x.ceil() as u64, "{x:e} ({:#x})", x.to_bits());
+            }
+        }
     }
 
     #[test]

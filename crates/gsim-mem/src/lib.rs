@@ -51,7 +51,7 @@ pub mod mrc;
 pub use banked::{BankedDramModel, BankedDramStats, DramTiming};
 pub use cache::{AccessResult, Cache, EvictedLine, ReplacementPolicy};
 pub use dram::{DramModel, DramStats};
-pub use geometry::CacheGeometry;
+pub use geometry::{ceil_u64, CacheGeometry};
 pub use mshr::{Mshr, MshrOutcome};
 pub use pending::FillTracker;
 pub use slice::{slice_for_line, SlicedLlc};

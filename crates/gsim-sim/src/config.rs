@@ -22,7 +22,8 @@ pub struct GpuConfig {
     pub n_sms: u32,
     /// SM clock in GHz (Table III: 1.0; Table V: 1.7).
     pub sm_clock_ghz: f64,
-    /// Resident warps per SM (Table III: 48).
+    /// Resident warps per SM (Table III: 48); at most 64, the width of an
+    /// SM's ready set.
     pub warps_per_sm: u32,
     /// Resident threads per SM (Table III: 1,536).
     pub max_threads_per_sm: u32,

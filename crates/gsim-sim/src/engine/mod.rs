@@ -29,7 +29,7 @@ mod sm;
 use std::collections::HashMap;
 use std::time::Instant;
 
-use gsim_mem::MshrOutcome;
+use gsim_mem::{ceil_u64, MshrOutcome};
 use gsim_noc::ChipletInterconnect;
 use gsim_trace::{Workload, WorkloadModel};
 
@@ -37,7 +37,7 @@ use crate::chiplet::ChipletConfig;
 use crate::config::GpuConfig;
 use crate::stats::SimStats;
 use memsys::{build_shards, ApplyParams, MemShard, ReqKind, ShardMap};
-use sm::{LaneParams, LineKind, LineReq, MemIssue, Sm, WarpCtx};
+use sm::{LaneParams, LineKind, LineReq, MemIssue, Sm};
 
 /// The flush's verdict on how the simulation proceeds.
 enum CycleOutcome {
@@ -109,7 +109,7 @@ fn run_window<S: gsim_trace::WarpStream>(
         let lane = sm.phase_a(now, params, &mut out.reqs);
         if lane.issued {
             issued += 1;
-        } else if sm.live_warps > 0 {
+        } else if sm.live_warps() > 0 {
             stalled += 1;
         } else {
             idle += 1;
@@ -154,7 +154,6 @@ struct EngineCore<'wl, W: WorkloadModel> {
     kernel_idx: usize,
     next_cta: u32,
     ctas_in_flight: u32,
-    dispatch_age: u64,
     /// Instruction milestones bounding the sustained-IPC window.
     milestone_10: u64,
     milestone_90: u64,
@@ -192,7 +191,6 @@ impl<'wl, W: WorkloadModel> Simulator<'wl, W> {
                 kernel_idx: 0,
                 next_cta: 0,
                 ctas_in_flight: 0,
-                dispatch_age: 0,
                 milestone_10: wl.approx_warp_instrs() / 10,
                 milestone_90: wl.approx_warp_instrs() * 9 / 10,
                 kernel_start_cycle: 0,
@@ -234,7 +232,6 @@ impl<'wl, W: WorkloadModel> Simulator<'wl, W> {
                 kernel_idx: 0,
                 next_cta: 0,
                 ctas_in_flight: 0,
-                dispatch_age: 0,
                 milestone_10: wl.approx_warp_instrs() / 10,
                 milestone_90: wl.approx_warp_instrs() * 9 / 10,
                 kernel_start_cycle: 0,
@@ -324,13 +321,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         self.next_cta += 1;
         self.ctas_in_flight += 1;
         for w in 0..warps_per_cta {
-            let stream = self.wl.warp_stream(kernel_idx, cta, w);
-            self.dispatch_age += 1;
-            let age = self.dispatch_age;
-            let slot = sm.free_slots.pop().expect("checked free slots");
-            sm.warps[slot as usize] = Some(WarpCtx { stream, cta, age });
-            sm.live_warps += 1;
-            sm.insert_ready(slot);
+            sm.admit(self.wl.warp_stream(kernel_idx, cta, w), cta);
         }
         sm.cta_remaining.insert(cta, warps_per_cta);
         true
@@ -405,7 +396,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
             let icn = self.icn.as_mut().expect("remote access implies MCM");
             done = done.max(icn.traverse(r.data_at_llc, owner, sm_chiplet, r.payload));
         }
-        (done.ceil() as u64).max(t0 + 1)
+        ceil_u64(done).max(t0 + 1)
     }
 
     /// The flush of cycle `now`: one walk over the cycle's records in
@@ -513,7 +504,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         let dt = target - end;
         if dt > 0 {
             for sm in sms.iter() {
-                if sm.live_warps > 0 {
+                if sm.live_warps() > 0 {
                     self.stats.mem_stall_sm_cycles += dt;
                 } else {
                     self.stats.idle_sm_cycles += dt;
