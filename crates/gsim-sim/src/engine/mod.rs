@@ -7,22 +7,27 @@
 //! and first-touch page placement.
 //!
 //! The engine is single-threaded and advances one cycle at a time
-//! (DESIGN.md §10). Within a cycle:
+//! (DESIGN.md §10). Every pending wake-up of a parked warp and every end
+//! of a compute batch sits in one [`Calendar`]. Within a cycle:
 //!
-//! * **Phase A**: each SM in turn drains its wake heap, picks a warp and
-//!   issues, buffering an event record ([`WinRec`]) if it staged
-//!   shared-memory work or completed a CTA. Phase A of one SM touches
-//!   only that SM.
+//! * **Phase A**: the cycle's calendar events are delivered; then each
+//!   *due* SM — one with a warp to issue and not inside a compute batch —
+//!   in ascending order picks a warp and issues, buffering an event record
+//!   ([`WinRec`]) if it staged shared-memory work or completed a CTA.
+//!   Phase A of one SM touches only that SM. Every other SM would issue
+//!   nothing new, so it is not visited.
 //! * **Flush**: one walk over the records in ascending SM order. Per
 //!   record: CTA completions (dispatch, kernel sequencing), then per line
 //!   request first-touch page placement, the owner partition's LLC /
 //!   DRAM / crossbar share, the inter-chiplet legs and the issuing SM's
 //!   MSHR file; then the warp's wake-up. The walk ends with the
-//!   control-flow decision (advance, jump, finish).
+//!   control-flow decision: the next cycle, a jump to the next calendar
+//!   event when no SM is due, or the end.
 //!
 //! Parallelism lives one level up: independent simulations run side by
 //! side on `gsim-runner`.
 
+mod calendar;
 mod memsys;
 mod sm;
 
@@ -36,8 +41,19 @@ use gsim_trace::{Workload, WorkloadModel};
 use crate::chiplet::ChipletConfig;
 use crate::config::GpuConfig;
 use crate::stats::SimStats;
+use calendar::Calendar;
 use memsys::{build_shards, ApplyParams, MemShard, ReqKind, ShardMap};
 use sm::{LaneParams, LineKind, LineReq, MemIssue, Sm};
+
+/// Low bits of a calendar id that hold a wake-up's warp slot: the id of
+/// warp `w` of SM `s` is `s << SLOT_BITS | w` (an SM holds at most 64
+/// warps), and the end of SM `s`'s compute batch is `(n_sms << SLOT_BITS)
+/// + s`.
+const SLOT_BITS: u32 = 6;
+
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
 
 /// The flush's verdict on how the simulation proceeds.
 enum CycleOutcome {
@@ -49,8 +65,7 @@ enum CycleOutcome {
 
 /// One SM's buffered phase-A output for a cycle that produced events (a
 /// staged memory instruction and/or completed CTAs). Pure-compute and
-/// idle cycles leave no record — their statistics live in the counters
-/// of [`WindowOut`].
+/// idle cycles leave no record.
 struct WinRec {
     sm: u32,
     completed: u32,
@@ -69,73 +84,14 @@ struct WindowOut {
     /// The cycle's request arena: every record's line requests, in
     /// record order, addressed by range.
     reqs: Vec<LineReq>,
-    /// SMs that issued / stalled on memory / sat idle this cycle. The
-    /// issue count doubles as the warp-instruction count (at most one
-    /// instruction issues per SM per cycle).
+    /// SMs that issued this cycle.
     issued: u32,
-    stalled: u32,
-    idle: u32,
-    l1_accesses: u64,
-    l1_misses: u64,
 }
 
 impl WindowOut {
     fn reqs_of(&self, rec: &WinRec) -> &[LineReq] {
         &self.reqs[rec.req_start as usize..rec.req_end as usize]
     }
-}
-
-/// Runs phase A of cycle `now` over every SM, buffering events and
-/// counters into `out`.
-///
-/// An SM inside a compute batch is not stepped: it issues, whatever else
-/// happens, so the cycle is accounted without touching its queues.
-fn run_window<S: gsim_trace::WarpStream>(
-    sms: &mut [Sm<S>],
-    now: u64,
-    params: &LaneParams,
-    out: &mut WindowOut,
-) {
-    out.l1_accesses = 0;
-    out.l1_misses = 0;
-    debug_assert!(out.recs.is_empty(), "flush must drain records");
-    let (mut issued, mut stalled, mut idle) = (0u32, 0u32, 0u32);
-    for (i, sm) in sms.iter_mut().enumerate() {
-        if now < sm.busy_until {
-            issued += 1;
-            continue;
-        }
-        let req_start = out.reqs.len() as u32;
-        let lane = sm.phase_a(now, params, &mut out.reqs);
-        if lane.issued {
-            issued += 1;
-        } else if sm.live_warps() > 0 {
-            stalled += 1;
-        } else {
-            idle += 1;
-        }
-        if lane.mem.is_none() && lane.completed_ctas == 0 {
-            continue;
-        }
-        out.l1_accesses += u64::from(lane.l1_accesses);
-        out.l1_misses += u64::from(lane.l1_misses);
-        if let Some(mi) = lane.mem {
-            // Non-blocking issuers (stores) continue immediately.
-            if !mi.blocks {
-                sm.insert_ready(mi.warp);
-            }
-        }
-        out.recs.push(WinRec {
-            sm: i as u32,
-            completed: lane.completed_ctas,
-            mem: lane.mem,
-            req_start,
-            req_end: out.reqs.len() as u32,
-        });
-    }
-    out.issued = issued;
-    out.stalled = stalled;
-    out.idle = idle;
 }
 
 /// Everything the engine owns *besides* the per-SM lanes and the memory
@@ -160,6 +116,16 @@ struct EngineCore<'wl, W: WorkloadModel> {
     /// Cycle at which the current kernel started (for per-kernel cycles).
     kernel_start_cycle: u64,
     stats: SimStats,
+    // the calendar and the due set
+    cal: Calendar,
+    /// Bit `i % 64` of word `i / 64`: SM `i` is due — it has a warp to
+    /// issue and is not inside a compute batch.
+    due: Vec<u64>,
+    /// SMs inside a compute batch: each issues every cycle, unstepped,
+    /// until its batch-end event.
+    n_busy: u32,
+    /// SMs with a resident warp.
+    n_live: u32,
 }
 
 /// The GPU timing simulator.
@@ -182,22 +148,7 @@ impl<'wl, W: WorkloadModel> Simulator<'wl, W> {
         let map = ShardMap::new(&cfg);
         let mem = build_shards(&cfg, map, 1);
         Self {
-            core: EngineCore {
-                map,
-                n_chiplets: 1,
-                icn: None,
-                page_owner: HashMap::new(),
-                page_shift: 5,
-                kernel_idx: 0,
-                next_cta: 0,
-                ctas_in_flight: 0,
-                milestone_10: wl.approx_warp_instrs() / 10,
-                milestone_90: wl.approx_warp_instrs() * 9 / 10,
-                kernel_start_cycle: 0,
-                stats: SimStats::default(),
-                cfg,
-                wl,
-            },
+            core: EngineCore::new(cfg, wl, map, 1),
             sms,
             mem,
         }
@@ -217,31 +168,15 @@ impl<'wl, W: WorkloadModel> Simulator<'wl, W> {
         let mem = build_shards(per, map, n_chiplets);
         let mut cfg = per.clone();
         cfg.n_sms = total_sms;
-        Self {
-            core: EngineCore {
-                map,
-                n_chiplets,
-                icn: Some(ChipletInterconnect::from_gbs(
-                    n_chiplets,
-                    mcm.interchiplet_gbs_per_chiplet,
-                    per.sm_clock_ghz,
-                    mcm.interchiplet_latency,
-                )),
-                page_owner: HashMap::new(),
-                page_shift: mcm.page_lines.trailing_zeros(),
-                kernel_idx: 0,
-                next_cta: 0,
-                ctas_in_flight: 0,
-                milestone_10: wl.approx_warp_instrs() / 10,
-                milestone_90: wl.approx_warp_instrs() * 9 / 10,
-                kernel_start_cycle: 0,
-                stats: SimStats::default(),
-                cfg,
-                wl,
-            },
-            sms,
-            mem,
-        }
+        let mut core = EngineCore::new(cfg, wl, map, n_chiplets);
+        core.icn = Some(ChipletInterconnect::from_gbs(
+            n_chiplets,
+            mcm.interchiplet_gbs_per_chiplet,
+            per.sm_clock_ghz,
+            mcm.interchiplet_latency,
+        ));
+        core.page_shift = mcm.page_lines.trailing_zeros();
+        Self { core, sms, mem }
     }
 
     /// The effective configuration (for MCM runs, the per-chiplet config
@@ -261,10 +196,10 @@ impl<'wl, W: WorkloadModel> Simulator<'wl, W> {
         let params = LaneParams::from_cfg(&core.cfg);
         let ap = core.apply_params();
         let mut out = WindowOut::default();
-        core.dispatch_round_robin(&mut sms);
+        core.dispatch_round_robin(&mut sms, 0);
         let mut now = 0u64;
         loop {
-            run_window(&mut sms, now, &params, &mut out);
+            core.step(&mut sms, now, &params, &mut out);
             match core.flush(&mut sms, &mut out, &mut mem, &ap, now) {
                 CycleOutcome::Advance(t) => now = t,
                 CycleOutcome::Done(t) => {
@@ -279,19 +214,46 @@ impl<'wl, W: WorkloadModel> Simulator<'wl, W> {
     }
 }
 
-impl<W: WorkloadModel> EngineCore<'_, W> {
+impl<'wl, W: WorkloadModel> EngineCore<'wl, W> {
+    /// A machine of `cfg.n_sms` SMs before its first dispatch, without an
+    /// inter-chiplet network.
+    fn new(cfg: GpuConfig, wl: &'wl W, map: ShardMap, n_chiplets: u32) -> Self {
+        let n_sms = cfg.n_sms as usize;
+        Self {
+            map,
+            n_chiplets,
+            icn: None,
+            page_owner: HashMap::new(),
+            page_shift: 5,
+            kernel_idx: 0,
+            next_cta: 0,
+            ctas_in_flight: 0,
+            milestone_10: wl.approx_warp_instrs() / 10,
+            milestone_90: wl.approx_warp_instrs() * 9 / 10,
+            kernel_start_cycle: 0,
+            stats: SimStats::default(),
+            cal: Calendar::new((n_sms << SLOT_BITS) + n_sms),
+            due: vec![0; n_sms.div_ceil(64)],
+            n_busy: 0,
+            n_live: 0,
+            cfg,
+            wl,
+        }
+    }
+
     /// `(n_ctas, threads_per_cta)` of the kernel currently dispatching.
     fn cur_grid(&self) -> (u32, u32) {
         self.wl.grid(self.kernel_idx)
     }
 
     /// Dispatches CTAs of the current kernel round-robin across all SMs
-    /// (Table III: round-robin CTA scheduling), used at kernel launch.
-    fn dispatch_round_robin(&mut self, sms: &mut [Sm<W::Stream>]) {
+    /// (Table III: round-robin CTA scheduling), used at kernel launch; the
+    /// warps can issue from cycle `from`.
+    fn dispatch_round_robin(&mut self, sms: &mut [Sm<W::Stream>], from: u64) {
         loop {
             let mut progress = false;
-            for sm in sms.iter_mut() {
-                if self.try_dispatch_one(sm) {
+            for (i, sm) in sms.iter_mut().enumerate() {
+                if self.try_dispatch_one(sm, i, from) {
                     progress = true;
                 }
             }
@@ -301,9 +263,10 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         }
     }
 
-    /// Dispatches at most one CTA of the current kernel onto `sm`;
-    /// returns whether one was placed.
-    fn try_dispatch_one(&mut self, sm: &mut Sm<W::Stream>) -> bool {
+    /// Dispatches at most one CTA of the current kernel onto `sm`, SM
+    /// `i`, whose warps can issue from cycle `from`; returns whether one
+    /// was placed.
+    fn try_dispatch_one(&mut self, sm: &mut Sm<W::Stream>, i: usize, from: u64) -> bool {
         let kernel_idx = self.kernel_idx;
         if kernel_idx >= self.wl.n_kernels() {
             return false;
@@ -320,10 +283,15 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         let cta = self.next_cta;
         self.next_cta += 1;
         self.ctas_in_flight += 1;
+        self.n_live += u32::from(sm.live_warps() == 0);
         for w in 0..warps_per_cta {
             sm.admit(self.wl.warp_stream(kernel_idx, cta, w), cta);
         }
         sm.cta_remaining.insert(cta, warps_per_cta);
+        // An SM inside a compute batch becomes due at its batch end.
+        if sm.busy_until <= from {
+            set_bit(&mut self.due, i);
+        }
         true
     }
 
@@ -333,7 +301,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
     fn on_cta_completed(&mut self, sms: &mut [Sm<W::Stream>], sm_idx: usize, now: u64) {
         self.ctas_in_flight -= 1;
         self.stats.ctas_executed += 1;
-        self.try_dispatch_one(&mut sms[sm_idx]);
+        self.try_dispatch_one(&mut sms[sm_idx], sm_idx, now + 1);
         if self.ctas_in_flight == 0 && self.next_cta >= self.cur_grid().0 {
             // Kernel barrier reached: move to the next kernel.
             self.stats.kernels_executed += 1;
@@ -342,7 +310,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
             self.kernel_idx += 1;
             self.next_cta = 0;
             if self.kernel_idx < self.wl.n_kernels() {
-                self.dispatch_round_robin(sms);
+                self.dispatch_round_robin(sms, now + 1);
             }
         }
     }
@@ -399,6 +367,84 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         ceil_u64(done).max(t0 + 1)
     }
 
+    /// Phase A of cycle `now`: delivers the cycle's calendar events, steps
+    /// every due SM in ascending order — buffering its events into `out`
+    /// and keeping the due set, the calendar and the busy and live counts
+    /// current — and accounts the cycle.
+    ///
+    /// An SM that is not due is not stepped, as it would issue nothing
+    /// new: inside a compute batch it issues the batch's next instruction
+    /// whatever wakes meanwhile, and otherwise it has no warp to issue.
+    fn step(
+        &mut self,
+        sms: &mut [Sm<W::Stream>],
+        now: u64,
+        params: &LaneParams,
+        out: &mut WindowOut,
+    ) {
+        debug_assert!(out.recs.is_empty(), "flush must drain records");
+        let batch_ids = (sms.len() as u32) << SLOT_BITS;
+        let (due, n_busy) = (&mut self.due, &mut self.n_busy);
+        self.cal.drain(now, |id| {
+            // Ready bits commute, so a wake-up may land inside a batch.
+            let i = if id < batch_ids {
+                let sm = &mut sms[(id >> SLOT_BITS) as usize];
+                sm.insert_ready(id & ((1 << SLOT_BITS) - 1));
+                if now < sm.busy_until {
+                    return;
+                }
+                id >> SLOT_BITS
+            } else {
+                *n_busy -= 1;
+                id - batch_ids
+            };
+            set_bit(due, i as usize);
+        });
+        let mut issued = self.n_busy;
+        let mut started = 0;
+        for word in 0..self.due.len() {
+            let mut bits = self.due[word];
+            while bits != 0 {
+                let i = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let sm = &mut sms[i];
+                let req_start = out.reqs.len() as u32;
+                let lane = sm.phase_a(now, params, &mut out.reqs);
+                issued += u32::from(lane.issued);
+                self.n_live -= u32::from(sm.live_warps() == 0);
+                if let Some(mi) = lane.mem {
+                    // Non-blocking issuers (stores) continue immediately.
+                    if !mi.blocks {
+                        sm.insert_ready(mi.warp);
+                    }
+                }
+                let in_batch = sm.busy_until > now + 1;
+                if in_batch {
+                    started += 1;
+                    self.cal.push(batch_ids + i as u32, sm.busy_until);
+                }
+                if in_batch || !sm.has_ready() {
+                    self.due[word] &= !(1 << (i % 64));
+                }
+                if lane.mem.is_none() && lane.completed_ctas == 0 {
+                    continue;
+                }
+                self.stats.l1_accesses += u64::from(lane.l1_accesses);
+                self.stats.l1_misses += u64::from(lane.l1_misses);
+                out.recs.push(WinRec {
+                    sm: i as u32,
+                    completed: lane.completed_ctas,
+                    mem: lane.mem,
+                    req_start,
+                    req_end: out.reqs.len() as u32,
+                });
+            }
+        }
+        self.n_busy += started;
+        out.issued = issued;
+        self.account(now, 1, issued);
+    }
+
     /// The flush of cycle `now`: one walk over the cycle's records in
     /// ascending SM order. Per record, CTA completions drive dispatch and
     /// kernel sequencing; then each line request of the staged memory
@@ -451,67 +497,63 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
                 }
             }
             if mi.blocks {
-                sm.park(mi.warp, wake);
+                self.cal.push((rec.sm << SLOT_BITS) | mi.warp, wake);
             }
         }
         out.recs.clear();
         out.reqs.clear();
-
-        self.stats.warp_instrs += u64::from(out.issued);
-        self.stats.mem_stall_sm_cycles += u64::from(out.stalled);
-        self.stats.idle_sm_cycles += u64::from(out.idle);
-        self.stats.l1_accesses += out.l1_accesses;
-        self.stats.l1_misses += out.l1_misses;
-        if self.stats.cycle_at_10pct == 0 && self.stats.warp_instrs >= self.milestone_10 {
-            self.stats.cycle_at_10pct = now + 1;
-        }
-        if self.stats.cycle_at_90pct == 0 && self.stats.warp_instrs >= self.milestone_90 {
-            self.stats.cycle_at_90pct = now + 1;
-            self.stats.warp_instrs_window = self.stats.warp_instrs - self.milestone_10;
-        }
 
         // Control flow.
         let end = now + 1;
         if self.kernel_idx >= self.wl.n_kernels() {
             return CycleOutcome::Done(end);
         }
-        if out.issued > 0 {
+        if self.due.iter().any(|&w| w != 0) {
             return CycleOutcome::Advance(end);
         }
-        // Nothing issued this cycle: jump to the next wake-up unless a
-        // flush-time dispatch made warps ready.
-        let mut next_wake: Option<u64> = None;
-        let mut any_ready = false;
-        for sm in sms.iter() {
-            if let Some(t) = sm.next_wake() {
-                next_wake = Some(next_wake.map_or(t, |m| m.min(t)));
-            }
-            if sm.has_ready() {
-                any_ready = true;
-            }
-        }
-        if any_ready {
-            // A kernel boundary in this cycle made warps ready on
-            // SMs that had already issued their attempt; give them the
-            // next cycle.
-            return CycleOutcome::Advance(end);
-        }
-        let Some(next_wake) = next_wake else {
-            // No ready warps, no blocked warps, nothing issued: completion.
-            return CycleOutcome::Done(now);
+        // No SM can issue anything new before the next event: jump to it.
+        let Some(next) = self.cal.next() else {
+            // Nothing due, nothing pending: the machine has drained. The
+            // last cycle that issued is followed by one that does not.
+            return if out.issued > 0 {
+                CycleOutcome::Advance(end)
+            } else {
+                CycleOutcome::Done(now)
+            };
         };
-        let target = next_wake.max(end);
-        let dt = target - end;
-        if dt > 0 {
-            for sm in sms.iter() {
-                if sm.live_warps() > 0 {
-                    self.stats.mem_stall_sm_cycles += dt;
-                } else {
-                    self.stats.idle_sm_cycles += dt;
-                }
-            }
+        if next > end {
+            self.account(end, next - end, self.n_busy);
         }
-        CycleOutcome::Advance(target)
+        CycleOutcome::Advance(next)
+    }
+
+    /// Accounts `dt` cycles from `from` in each of which `issued` SMs
+    /// issue one warp instruction, the other resident SMs stall and the
+    /// rest sit idle, and places a sustained-IPC milestone crossed on the
+    /// way at the cycle that crosses it. Once per stepped cycle, and once
+    /// per jump over quiet cycles, where only busy SMs issue.
+    fn account(&mut self, from: u64, dt: u64, issued: u32) {
+        let s = &mut self.stats;
+        let before = s.warp_instrs;
+        s.warp_instrs += dt * u64::from(issued);
+        s.mem_stall_sm_cycles += dt * u64::from(self.n_live - issued);
+        s.idle_sm_cycles += dt * u64::from(self.cfg.n_sms - self.n_live);
+        // The end of the first cycle whose issue reaches `m`.
+        let reached = |m: u64| {
+            from + if before >= m {
+                1
+            } else {
+                (m - before).div_ceil(u64::from(issued))
+            }
+        };
+        if s.cycle_at_10pct == 0 && s.warp_instrs >= self.milestone_10 {
+            s.cycle_at_10pct = reached(self.milestone_10);
+        }
+        if s.cycle_at_90pct == 0 && s.warp_instrs >= self.milestone_90 {
+            s.cycle_at_90pct = reached(self.milestone_90);
+            s.warp_instrs_window =
+                before + (s.cycle_at_90pct - from) * u64::from(issued) - self.milestone_10;
+        }
     }
 
     /// Seals the statistics once the last cycle has run, harvesting the
@@ -542,6 +584,74 @@ mod tests {
         let spec = PatternSpec::new(PatternKind::GlobalSweep { passes }, footprint_lines)
             .compute_per_mem(1.5);
         Workload::new("t", 9, vec![Kernel::new("k", ctas, 256, spec)])
+    }
+
+    /// The jump's bulk accounting of quiet cycles against the flush's
+    /// accounting one cycle at a time, on random states: `issued` SMs
+    /// (busy ones; possibly none) issue each cycle, the other resident SMs
+    /// stall, the rest idle, and a milestone — random, or crossed at the
+    /// first or the last quiet cycle — is placed at its crossing.
+    #[test]
+    fn quiet_cycles_account_as_one_cycle_at_a_time() {
+        use gsim_rng::Rng64;
+        let wl = sweep_workload(1_000, 1, 8);
+        let mut core = Simulator::new(small_cfg(64), &wl).core;
+        let mut rng = Rng64::seed_from_u64(0x9e7);
+        let (mut at_first, mut at_last) = (0u32, 0u32);
+        for case in 0..20_000 {
+            core.n_live = rng.gen_range(0, 65) as u32;
+            let issued = rng.gen_range(0, u64::from(core.n_live) + 1) as u32;
+            let dt = if rng.gen_bool(0.2) {
+                1
+            } else {
+                rng.gen_range(2, 400)
+            };
+            let from = rng.gen_range(1, 1 << 30);
+            let before = rng.gen_range(0, 20_000);
+            let milestone = |rng: &mut Rng64| match rng.gen_range(0, 4) {
+                0 => before + u64::from(issued),
+                1 => before + (dt - 1) * u64::from(issued) + 1,
+                _ => rng.gen_range(0, 40_000),
+            };
+            core.milestone_10 = milestone(&mut rng);
+            core.milestone_90 = core.milestone_10.max(milestone(&mut rng));
+            // A milestone already passed was placed when it was crossed.
+            let placed = |m: u64| if before >= m { from } else { 0 };
+            core.stats = SimStats {
+                warp_instrs: before,
+                cycle_at_10pct: placed(core.milestone_10),
+                cycle_at_90pct: placed(core.milestone_90),
+                ..SimStats::default()
+            };
+            let mut want = core.stats.clone();
+            for c in from..from + dt {
+                want.warp_instrs += u64::from(issued);
+                want.mem_stall_sm_cycles += u64::from(core.n_live - issued);
+                want.idle_sm_cycles += u64::from(64 - core.n_live);
+                for (m, at) in [
+                    (core.milestone_10, &mut want.cycle_at_10pct),
+                    (core.milestone_90, &mut want.cycle_at_90pct),
+                ] {
+                    if *at == 0 && want.warp_instrs >= m {
+                        *at = c + 1;
+                        at_first += u32::from(c == from && dt > 1);
+                        at_last += u32::from(c == from + dt - 1 && dt > 1);
+                    }
+                }
+                if want.cycle_at_90pct == c + 1 {
+                    want.warp_instrs_window = want.warp_instrs - core.milestone_10;
+                }
+            }
+            core.account(from, dt, issued);
+            assert_eq!(
+                core.stats, want,
+                "case {case}: {dt} cycles from {from}, {issued} issuing"
+            );
+        }
+        assert!(
+            at_first > 100 && at_last > 100,
+            "{at_first} first, {at_last} last"
+        );
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! phase A reads and writes only its own [`Sm`], and stages everything
 //! that needs the *shared* memory system for the flush (DESIGN.md §10).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use gsim_mem::{Cache, CacheGeometry, Mshr};
 use gsim_trace::{MemSpace, Op, WarpStream};
@@ -79,9 +78,6 @@ pub(super) struct LaneOut {
     pub mem: Option<MemIssue>,
 }
 
-/// Bits of a wake-heap key that hold the warp slot.
-const WARP_BITS: u32 = 16;
-
 /// Warp slots per SM the ready set (one bit per slot) can hold.
 const MAX_WARPS: u32 = u64::BITS;
 
@@ -103,9 +99,6 @@ pub(super) struct Sm<S> {
     /// ready warp is the lowest set bit. The last-issued warp is never
     /// kept here — see `greedy_stashed`.
     ready: u64,
-    /// Parked warps, earliest wake-up first, as `wake << WARP_BITS | warp`:
-    /// ordered as the pair is, in half the bytes to sift.
-    blocked: BinaryHeap<Reverse<u64>>,
     pub last_issued: Option<u32>,
     /// True when `last_issued` is ready to issue again; it is parked
     /// outside `ready`. GTO re-picks it first regardless of age, so keeping
@@ -115,9 +108,10 @@ pub(super) struct Sm<S> {
     /// The greedy warp is issuing a batch of compute instructions, one
     /// per cycle, in every cycle before this one. GTO keeps picking it
     /// whatever wakes up or is dispatched meanwhile, so those cycles are
-    /// fully determined: the window counts them as issued without
-    /// stepping the SM (wake-ups due meanwhile join the ready set at the
-    /// first cycle that is stepped again).
+    /// fully determined: the engine counts them as issued without
+    /// stepping the SM. Warps that wake meanwhile join the ready set at
+    /// their wake cycle, which leaves the same state at the next step as
+    /// joining it then would.
     pub busy_until: u64,
     pub free_slots: Vec<u32>,
     /// CTA id -> warps still running, for resident CTAs.
@@ -140,7 +134,6 @@ impl<S> Sm<S> {
             order: Vec::with_capacity(n as usize),
             rank: vec![0; n as usize],
             ready: 0,
-            blocked: BinaryHeap::with_capacity(n as usize),
             last_issued: None,
             greedy_stashed: false,
             busy_until: 0,
@@ -171,17 +164,6 @@ impl<S> Sm<S> {
             return;
         }
         self.ready |= 1 << self.rank[warp as usize];
-    }
-
-    /// Parks `warp` until cycle `wake`.
-    pub(super) fn park(&mut self, warp: u32, wake: u64) {
-        self.blocked
-            .push(Reverse(wake << WARP_BITS | u64::from(warp)));
-    }
-
-    /// The earliest wake-up among the parked warps.
-    pub(super) fn next_wake(&self) -> Option<u64> {
-        self.blocked.peek().map(|&Reverse(key)| key >> WARP_BITS)
     }
 
     /// Whether any warp could issue next cycle without a wake-up.
@@ -240,27 +222,18 @@ impl<S> Sm<S> {
 }
 
 impl<S: WarpStream> Sm<S> {
-    /// One SM's share of a cycle: drain due wake-ups, then try to issue
-    /// one instruction. Touches only this SM; line requests of a staged
-    /// memory instruction are appended to `reqs`.
+    /// One SM's share of a cycle: try to issue one instruction. Touches
+    /// only this SM; line requests of a staged memory instruction are
+    /// appended to `reqs`.
     ///
-    /// Forced into `run_window`, its one caller, together with
+    /// Forced into `EngineCore::step`, its one caller, together with
     /// `stage_mem`: this is the engine's innermost loop, and whether the
     /// compiler inlines it on its own depends on codegen-unit placement.
-    /// As a call, every stalled SM's `LaneOut` goes through memory, which
+    /// As a call, every step's `LaneOut` goes through memory, which
     /// cost the simulator workloads of `benchmark/` 2–7 % of their wall.
     #[inline(always)]
     pub(super) fn phase_a(&mut self, now: u64, p: &LaneParams, reqs: &mut Vec<LineReq>) -> LaneOut {
         let mut out = LaneOut::default();
-        // Wake phase.
-        while let Some(&Reverse(key)) = self.blocked.peek() {
-            if key >> WARP_BITS > now {
-                break;
-            }
-            self.blocked.pop();
-            self.insert_ready(key as u32 & ((1 << WARP_BITS) - 1));
-        }
-        // Issue phase.
         while let Some(warp) = self.pick() {
             let ctx = self.warps[warp as usize]
                 .as_mut()
@@ -354,9 +327,12 @@ impl<S: WarpStream> Sm<S> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::calendar::Calendar;
     use super::*;
     use gsim_rng::Rng64;
     use gsim_trace::{MemAccess, MemScale};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     /// A warp of random ops over a small footprint — compute batches,
     /// loads, stores, atomics — then retirement.
@@ -460,15 +436,19 @@ mod tests {
         }
     }
 
-    /// Drives an `Sm` the way `run_window` and the flush do, with random
-    /// dispatch, memory latencies and time jumps, beside the sorted-queue
-    /// reference; every cycle must issue the same warp.
+    /// Drives an `Sm` the way the engine does — wake-ups delivered by a
+    /// calendar at their cycle, phase A outside compute batches — with
+    /// random dispatch, memory latencies and time jumps, beside the
+    /// sorted-queue reference, which drains a wake heap of its own when it
+    /// steps; every step must issue the same warp.
     fn assert_matches_sorted_gto(seed: u64) {
         const STEPS: u32 = 12_000;
         let mut cfg = GpuConfig::paper_target(8, MemScale::default());
         cfg.warps_per_sm = MAX_WARPS;
         let p = LaneParams::from_cfg(&cfg);
         let mut sm = Sm::new(&cfg, 0);
+        let mut cal = Calendar::new(MAX_WARPS as usize);
+        let mut undrained = 0u64;
         let mut gto = SortedGto::new(MAX_WARPS);
         let mut rng = Rng64::seed_from_u64(seed);
         let (mut now, mut age, mut cta) = (0u64, 0u64, 0u32);
@@ -503,6 +483,12 @@ mod tests {
                 admitted += warps;
             }
             most_live = most_live.max(sm.live_warps());
+            // Every cycle up to now, as the engine drains every cycle
+            // that holds an event.
+            while undrained <= now {
+                cal.drain(undrained, |warp| sm.insert_ready(warp));
+                undrained += 1;
+            }
             if now >= sm.busy_until {
                 reqs.clear();
                 let out = sm.phase_a(now, &p, &mut reqs);
@@ -519,7 +505,7 @@ mod tests {
                         if mi.blocks {
                             // The flush's part: a random memory latency.
                             let wake = mi.base_wake.max(now + rng.gen_range(1, 300));
-                            sm.park(warp, wake);
+                            cal.push(warp, wake);
                             gto.blocked.push(Reverse((wake, warp)));
                         } else {
                             sm.insert_ready(warp);
@@ -528,14 +514,14 @@ mod tests {
                     }
                     _ => assert!(out.mem.is_none()),
                 }
+                assert_eq!(cal.next(), gto.blocked.peek().map(|r| r.0 .0));
             }
             assert_eq!(sm.has_ready(), gto.greedy_stashed || !gto.ready.is_empty());
-            assert_eq!(sm.next_wake(), gto.blocked.peek().map(|r| r.0 .0));
             // The next cycle, or — as the flush does when nothing can
             // issue — the next wake-up; now and then further still.
             now += 1;
             if !sm.has_ready() && now >= sm.busy_until {
-                now = now.max(sm.next_wake().unwrap_or(now));
+                now = now.max(cal.next().unwrap_or(now));
             }
             if rng.gen_bool(0.02) {
                 now += rng.gen_range(1, 100);
