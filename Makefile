@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: build test lint trace-smoke chaos-smoke multigpu-smoke
+.PHONY: build test lint trace-smoke chaos-smoke
 
 build:
 	cargo build --release
@@ -27,14 +27,3 @@ trace-smoke:
 chaos-smoke:
 	cargo build --release -p gsim-bench --bin gsim --bin serve_bench
 	bash scripts/chaos_smoke.sh
-
-# Multi-GPU system-model smoke (DESIGN.md §16): a placement-policy sweep
-# and the scale-model validation experiment in smoke mode. Used by CI.
-multigpu-smoke:
-	cargo build --release -p gsim-bench --bin gsim
-	for p in first-touch interleave replicate; do \
-		target/release/gsim multigpu --gpus 4 --sms 8 --scale 64 \
-			--placement $$p | grep "fabric bytes" || exit 1; \
-	done
-	target/release/gsim multigpu --validate --smoke --sms 8 --scale 64 \
-		| grep "scale-model"

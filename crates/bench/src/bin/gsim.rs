@@ -20,10 +20,6 @@
 //!            [--runner-threads N] [--default-deadline-ms N]
 //!            [--max-inflight-predicts N] [--max-inflight-cheap N]
 //!            [--drain-grace-ms N] [--fault-plan SPEC]
-//! gsim multigpu [--gpus N] [--sms N] [--scale D] [--topology ring|full]
-//!               [--placement first-touch|interleave|replicate] [--link-gbs X]
-//!               [--link-latency C] [--tenants N] [--dag-kernels N] [--seed S]
-//!               [--sharing K] [--page-lines L] [--validate [--smoke]]
 //! ```
 //!
 //! Every subcommand is parsed by one flag table; a flag a subcommand does
@@ -70,18 +66,6 @@
 //! the HTTP worker pool, under `predict` the runner pool); one simulation
 //! always runs on one thread (DESIGN.md §10).
 //!
-//! `multigpu` runs the multi-GPU system model (DESIGN.md §16): `--gpus`
-//! GPUs of `--sms` SMs each, connected by a `--topology` fabric of
-//! `--link-gbs` GB/s links with `--link-latency` cycles per hop, running
-//! `--tenants` concurrent tenants whose workloads are deterministic
-//! kernel-dependency DAGs of `--dag-kernels` kernels seeded by `--seed`.
-//! `--placement` picks the page-placement policy, `--sharing K` splits
-//! each GPU into K MIG-style kernel slots, and `--page-lines` sets the
-//! page granularity. `--validate` runs the
-//! scale-model validation experiment instead: the five predictors are
-//! fitted on 1- and 2-GPU system runs and forecast 4/8/16 GPUs (just
-//! 4 with `--smoke`), each checked against an actual run.
-//!
 //! `serve`'s overload knobs (DESIGN.md §13): `--default-deadline-ms`
 //! bounds every predict unless the request's `X-Gsim-Deadline-Ms` header
 //! overrides it; `--max-inflight-predicts` / `--max-inflight-cheap` are
@@ -123,11 +107,7 @@ fn usage() -> ! {
          gsim repro [SECTION...] [--scale D] [--threads N] [--metrics FILE] [-o DIR]\n  \
          gsim serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR] \
          [--runner-threads N] [--default-deadline-ms N] [--max-inflight-predicts N] \
-         [--max-inflight-cheap N] [--drain-grace-ms N] [--fault-plan SPEC]\n  \
-         gsim multigpu [--gpus N] [--sms N] [--scale D] [--topology ring|full] \
-         [--placement first-touch|interleave|replicate] [--link-gbs X] [--link-latency C] \
-         [--tenants N] [--dag-kernels N] [--seed S] [--sharing K] [--page-lines L] \
-         [--validate [--smoke]]"
+         [--max-inflight-cheap N] [--drain-grace-ms N] [--fault-plan SPEC]"
     );
     exit(2)
 }
@@ -212,19 +192,6 @@ struct Flags {
     f_mem: Option<f64>,
     // gsim repro
     metrics: Option<String>,
-    // gsim multigpu
-    gpus: u32,
-    topology: String,
-    placement: String,
-    link_gbs: f64,
-    link_latency: u32,
-    tenants: u32,
-    dag_kernels: u32,
-    seed: u64,
-    sharing: u32,
-    page_lines: u64,
-    validate: bool,
-    smoke: bool,
     positional: Vec<String>,
 }
 
@@ -252,18 +219,6 @@ fn parse(args: &[String]) -> Flags {
         size: 8,
         f_mem: None,
         metrics: None,
-        gpus: 2,
-        topology: "ring".to_string(),
-        placement: "interleave".to_string(),
-        link_gbs: 300.0,
-        link_latency: 400,
-        tenants: 2,
-        dag_kernels: 4,
-        seed: 42,
-        sharing: 1,
-        page_lines: 16,
-        validate: false,
-        smoke: false,
         positional: Vec::new(),
     };
     let mut it = args.iter();
@@ -319,28 +274,6 @@ fn parse(args: &[String]) -> Flags {
                 }))
             }
             "--metrics" => f.metrics = Some(flag_str(&mut it, "--metrics", "a file path")),
-            "--gpus" => f.gpus = flag_u32_min(&mut it, "--gpus", 1),
-            "--topology" => f.topology = flag_choice(&mut it, "--topology", &["ring", "full"]),
-            "--placement" => {
-                f.placement = flag_choice(
-                    &mut it,
-                    "--placement",
-                    &["first-touch", "interleave", "replicate"],
-                )
-            }
-            "--link-gbs" => {
-                f.link_gbs = flag_f64(&mut it, "--link-gbs", "a positive number", |g| {
-                    g > 0.0 && g.is_finite()
-                })
-            }
-            "--link-latency" => f.link_latency = flag_u32(&mut it, "--link-latency"),
-            "--tenants" => f.tenants = flag_u32_min(&mut it, "--tenants", 1),
-            "--dag-kernels" => f.dag_kernels = flag_u32_min(&mut it, "--dag-kernels", 1),
-            "--seed" => f.seed = u64::from(flag_u32(&mut it, "--seed")),
-            "--sharing" => f.sharing = flag_u32_min(&mut it, "--sharing", 1),
-            "--page-lines" => f.page_lines = u64::from(flag_u32_min(&mut it, "--page-lines", 1)),
-            "--validate" => f.validate = true,
-            "--smoke" => f.smoke = true,
             other if other.starts_with('-') => {
                 eprintln!("unknown flag {other}");
                 usage()
@@ -405,101 +338,6 @@ fn print_stats(label: &str, st: &SimStats) {
     );
     println!("  simulated in      {:>12.2} s", st.sim_wall_seconds);
     println!("  sim cycles/sec    {:>14.0}", st.sim_cycles_per_second());
-}
-
-/// `gsim multigpu`: runs the multi-GPU system model, or the scale-model
-/// validation experiment with `--validate` (DESIGN.md §16).
-fn cmd_multigpu(f: &Flags) {
-    use gsim_multigpu::{validate_scaling, Placement, SystemConfig, SystemSim, Tenant, Topology};
-    use gsim_trace::DagParams;
-
-    let mut gpu = GpuConfig::paper_target(f.sms, f.scale);
-    gpu.dram_banks_per_mc = f.banked_dram;
-    let cfg = SystemConfig {
-        n_gpus: f.gpus,
-        gpu,
-        topology: Topology::parse(&f.topology).expect("validated by --topology"),
-        link_gbs: f.link_gbs,
-        link_latency: f.link_latency,
-        placement: Placement::parse(&f.placement).expect("validated by --placement"),
-        page_lines: f.page_lines,
-        sharing: f.sharing,
-    };
-    if let Err(e) = cfg.validate() {
-        eprintln!("{e}");
-        exit(2)
-    }
-    let params = DagParams {
-        n_kernels: f.dag_kernels,
-        ..DagParams::default()
-    };
-    let tenants: Vec<Tenant> = (0..f.tenants)
-        .map(|i| {
-            Tenant::generate(
-                format!("tenant{i}"),
-                f.seed.wrapping_add(u64::from(i)),
-                &params,
-            )
-        })
-        .collect();
-
-    if f.validate {
-        let targets: &[u32] = if f.smoke { &[4] } else { &[4, 8, 16] };
-        let report = validate_scaling(&cfg, &tenants, (1, 2), targets).unwrap_or_else(|e| {
-            eprintln!("validation failed: {e}");
-            exit(1)
-        });
-        let (small, large) = &report.observations;
-        println!(
-            "multi-GPU scale-model validation ({}, {}, {}-SM GPUs, {} tenants x {} kernels):",
-            cfg.topology.as_str(),
-            cfg.placement.as_str(),
-            f.sms,
-            f.tenants,
-            f.dag_kernels
-        );
-        println!(
-            "  fit: {} GPU IPC {:.1} (f_mem {:.2}); {} GPUs IPC {:.1} (f_mem {:.2})",
-            small.size, small.ipc, small.f_mem, large.size, large.ipc, large.f_mem
-        );
-        for t in &report.targets {
-            println!(
-                "  {} GPUs, actual sustained IPC {:.1}:",
-                t.n_gpus, t.actual_ipc
-            );
-            for m in &t.methods {
-                println!(
-                    "    {:<14} {:>10.1}  {:>+7.1}%",
-                    m.method, m.predicted_ipc, m.pct_error
-                );
-            }
-        }
-        return;
-    }
-
-    let report = SystemSim::new(cfg.clone(), &tenants).run();
-    print_stats(
-        &format!(
-            "{} GPUs x {} SMs ({}, {}, {} tenants, {})",
-            f.gpus,
-            f.sms,
-            cfg.topology.as_str(),
-            cfg.placement.as_str(),
-            f.tenants,
-            f.scale
-        ),
-        &report.stats,
-    );
-    println!("  fabric transfers  {:>14}", report.fabric.transfers);
-    println!("  fabric bytes      {:>14}", report.fabric.link_bytes);
-    println!("  fabric queue cyc  {:>14.0}", report.fabric.queue_cycles);
-    let slots = u64::from(cfg.sharing);
-    for (g, &busy) in report.gpu_busy_cycles.iter().enumerate() {
-        println!(
-            "  gpu{g} busy         {:>13.1}%",
-            busy as f64 / (report.stats.cycles.max(1) * slots) as f64 * 100.0
-        );
-    }
 }
 
 /// Exit code for a trace decode failure. Each failure class gets its own
@@ -930,7 +768,6 @@ fn main() {
             let st = Simulator::new(cfg, &wl).run();
             print_stats(&format!("{name} on {} SMs ({})", f.sms, f.scale), &st);
         }
-        "multigpu" => cmd_multigpu(&f),
         "sweep" => {
             let name = first_arg(&f);
             // One simulation job per system size, run on the worker pool.

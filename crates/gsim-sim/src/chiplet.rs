@@ -1,8 +1,10 @@
-//! Multi-chip-module (MCM) GPU configuration (paper Table V).
+//! Multi-chip-module (MCM) GPU configuration (paper Table V) and its
+//! inter-chiplet interconnect.
 
 use gsim_trace::MemScale;
 
 use crate::config::GpuConfig;
+use crate::link::{BandwidthLink, LinkStats};
 
 /// Configuration of a multi-chiplet GPU: `n_chiplets` identical chiplets,
 /// each described by a per-chiplet [`GpuConfig`], connected by a fly
@@ -79,9 +81,155 @@ impl ChipletConfig {
     }
 }
 
+/// The inter-chiplet network of the paper's MCM case study (Table V): a
+/// "fly" topology giving each chiplet a dedicated ingress/egress channel of
+/// 900 GB/s, plus a fixed chiplet-crossing latency.
+///
+/// A remote access from chiplet `src` to data homed on chiplet `dst`
+/// occupies the egress channel of `src` and the ingress channel of `dst`
+/// (modelled as one shared per-chiplet channel each way, which is what
+/// bounds throughput in a fly/point-to-multipoint topology).
+///
+/// # Example
+///
+/// ```
+/// use gsim_sim::noc::ChipletInterconnect;
+///
+/// let mut icn = ChipletInterconnect::from_gbs(4, 900.0, 1.7, 60);
+/// let arrive = icn.traverse(0.0, 0, 2, 128);
+/// assert!(arrive >= 60.0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct ChipletInterconnect {
+    egress: Vec<BandwidthLink>,
+    ingress: Vec<BandwidthLink>,
+    crossing_latency: u32,
+}
+
+impl ChipletInterconnect {
+    /// Creates an interconnect for `n_chiplets` chiplets with
+    /// `bytes_per_cycle` per-chiplet channel bandwidth and a fixed
+    /// `crossing_latency` in cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_chiplets` is zero.
+    pub fn new(n_chiplets: u32, bytes_per_cycle: f64, crossing_latency: u32) -> Self {
+        assert!(n_chiplets > 0, "need at least one chiplet");
+        Self {
+            egress: (0..n_chiplets)
+                .map(|_| BandwidthLink::new(bytes_per_cycle))
+                .collect(),
+            ingress: (0..n_chiplets)
+                .map(|_| BandwidthLink::new(bytes_per_cycle))
+                .collect(),
+            crossing_latency,
+        }
+    }
+
+    /// Creates an interconnect from per-chiplet bandwidth in GB/s at
+    /// `clock_ghz`.
+    pub fn from_gbs(
+        n_chiplets: u32,
+        gbs_per_chiplet: f64,
+        clock_ghz: f64,
+        crossing_latency: u32,
+    ) -> Self {
+        Self::new(n_chiplets, gbs_per_chiplet / clock_ghz, crossing_latency)
+    }
+
+    /// Number of chiplets.
+    pub fn n_chiplets(&self) -> u32 {
+        self.egress.len() as u32
+    }
+
+    /// Fixed crossing latency in cycles.
+    pub fn crossing_latency(&self) -> u32 {
+        self.crossing_latency
+    }
+
+    /// Moves `bytes` from chiplet `src` to chiplet `dst` starting at `now`;
+    /// returns the arrival time. A local transfer (`src == dst`) is free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `dst` is out of range.
+    pub fn traverse(&mut self, now: f64, src: u32, dst: u32, bytes: u32) -> f64 {
+        if src == dst {
+            return now;
+        }
+        let sent = self.egress[src as usize].transfer(now, bytes);
+        let received = self.ingress[dst as usize].transfer(sent, bytes);
+        received + f64::from(self.crossing_latency)
+    }
+
+    /// Per-chiplet egress statistics.
+    pub fn egress_stats(&self) -> Vec<LinkStats> {
+        self.egress.iter().map(BandwidthLink::stats).collect()
+    }
+
+    /// Total bytes crossed between chiplets (counted once, at egress).
+    pub fn total_bytes(&self) -> u64 {
+        self.egress.iter().map(|l| l.stats().bytes).sum()
+    }
+
+    /// Resets all channels.
+    pub fn reset(&mut self) {
+        for l in self.egress.iter_mut().chain(self.ingress.iter_mut()) {
+            l.reset();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn local_transfer_is_free() {
+        let mut icn = ChipletInterconnect::new(4, 128.0, 60);
+        assert_eq!(icn.traverse(5.0, 2, 2, 4096), 5.0);
+        assert_eq!(icn.total_bytes(), 0);
+    }
+
+    #[test]
+    fn remote_transfer_pays_latency_and_serialisation() {
+        let mut icn = ChipletInterconnect::new(4, 128.0, 60);
+        let t = icn.traverse(0.0, 0, 1, 128);
+        assert_eq!(t, 62.0); // 1 cycle egress + 1 cycle ingress + 60
+        assert_eq!(icn.total_bytes(), 128);
+    }
+
+    #[test]
+    fn hot_home_chiplet_saturates_its_ingress() {
+        let mut icn = ChipletInterconnect::new(4, 128.0, 0);
+        let mut last = 0.0f64;
+        // Chiplets 1..3 all push to chiplet 0.
+        for i in 0..300u32 {
+            let src = 1 + (i % 3);
+            last = last.max(icn.traverse(0.0, src, 0, 128));
+        }
+        // 300 lines through one 1-line/cycle ingress ≈ 300 cycles.
+        assert!(
+            last >= 299.0,
+            "ingress of the home chiplet is the bottleneck"
+        );
+    }
+
+    #[test]
+    fn disjoint_pairs_proceed_in_parallel() {
+        let mut icn = ChipletInterconnect::new(4, 128.0, 0);
+        let a = icn.traverse(0.0, 0, 1, 128);
+        let b = icn.traverse(0.0, 2, 3, 128);
+        assert_eq!(a, 2.0);
+        assert_eq!(b, 2.0, "independent chiplet pairs do not contend");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one chiplet")]
+    fn rejects_zero_chiplets() {
+        let _ = ChipletInterconnect::new(0, 128.0, 0);
+    }
 
     #[test]
     fn table_5_values() {

@@ -13,8 +13,8 @@
 //! (SM, request) order; each goes to its owner partition's
 //! [`MemShard::apply_one`], which touches only that partition's state.
 
+use crate::noc::Crossbar;
 use gsim_mem::{slice_for_line, BankedDramModel, DramModel, DramTiming, FillTracker, SlicedLlc};
-use gsim_noc::Crossbar;
 
 use crate::config::GpuConfig;
 

@@ -34,8 +34,8 @@ mod sm;
 use std::collections::HashMap;
 use std::time::Instant;
 
+use crate::noc::ChipletInterconnect;
 use gsim_mem::{ceil_u64, MshrOutcome};
-use gsim_noc::ChipletInterconnect;
 use gsim_trace::{Workload, WorkloadModel};
 
 use crate::chiplet::ChipletConfig;

@@ -9,7 +9,7 @@
 //!   warps under Greedy-Then-Oldest (GTO) scheduling, with round-robin CTA
 //!   dispatch (Table III);
 //! * per-SM L1 caches with MSHR merge, write-through/no-write-allocate;
-//! * a crossbar NoC charged at its bisection bandwidth;
+//! * a crossbar NoC charged at its bisection bandwidth ([`noc`]);
 //! * a shared, sliced LLC with per-slice ports (hot shared lines camp on
 //!   their slice, the paper's sub-linear congestion mechanism);
 //! * a multi-controller DRAM bandwidth model;
@@ -38,8 +38,11 @@
 
 mod chiplet;
 mod config;
+mod crossbar;
 mod engine;
 mod functional;
+mod link;
+pub mod noc;
 mod stats;
 
 pub use chiplet::ChipletConfig;

@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dag;
 mod kernel;
 mod model;
 mod op;
@@ -54,7 +53,6 @@ pub mod suite;
 pub mod tracefile;
 pub mod weak;
 
-pub use dag::{DagParams, DagWorkload};
 pub use kernel::{Kernel, Workload};
 pub use model::WorkloadModel;
 pub use op::{MemAccess, MemSpace, Op};

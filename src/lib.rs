@@ -7,7 +7,8 @@
 //!   benchmarks as deterministic trace generators).
 //! * [`mem`] — cache hierarchy, DRAM bandwidth model, and miss-rate-curve
 //!   collection engines.
-//! * [`noc`] — on-chip crossbar and inter-chiplet network models.
+//! * [`noc`] — on-chip crossbar and inter-chiplet network models (the
+//!   simulator's `gsim_sim::noc`).
 //! * [`sim`] — the cycle-level GPU timing simulator (Accel-Sim substitute)
 //!   with proportional scale-model configuration derivation.
 //! * [`core`] — the paper's contribution: the scale-model prediction
@@ -26,7 +27,7 @@
 
 pub use gsim_core as core;
 pub use gsim_mem as mem;
-pub use gsim_noc as noc;
 pub use gsim_runner as runner;
 pub use gsim_sim as sim;
+pub use gsim_sim::noc;
 pub use gsim_trace as trace;
