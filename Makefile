@@ -11,10 +11,11 @@ test:
 lint:
 	cargo fmt --all --check
 	cargo clippy --workspace --all-targets -- -D warnings
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # End-to-end trace smoke (DESIGN.md §12): record → ingest → info → serve,
 # then predict-from-trace must match the synthetic prediction bit for bit
-# without new timing simulations. Used by CI.
+# from exactly its own two timing simulations. Used by CI.
 trace-smoke:
 	cargo build --release -p gsim-bench --bin gsim
 	bash scripts/trace_smoke.sh

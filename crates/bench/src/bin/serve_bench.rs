@@ -108,8 +108,8 @@ struct Tally {
 /// The deterministic request mix: `(method, path, body)` drawn from the
 /// worker's seeded RNG. Roughly 70% valid predicts over a small body
 /// pool (duplicates on purpose: they exercise the cache and
-/// single-flight), 10% invalid predicts (negative-cache food), 10%
-/// metrics reads, 10% catalog reads.
+/// single-flight), 10% invalid predicts (400s), 10% metrics reads,
+/// 10% catalog reads.
 fn pick_request<'a>(
     rng: &mut SplitMix64,
     bodies: &'a [String],

@@ -64,7 +64,6 @@ pub use parallel::{SuiteRun, SweepFailure};
 pub use plan::{
     collect_replay, collect_sampled, collect_sampled_inline, synthesize_observation, CollectEngine,
     CollectFailure, CollectStats, Collected, Fit, PlanWorkload, SampledCollectConfig,
-    StageIdentity,
 };
 pub use predictor::{
     LinearRegression, LogRegression, PowerLawRegression, Proportional, ScalingPredictor,

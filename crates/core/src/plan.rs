@@ -29,17 +29,6 @@
 //! simulation at all. Compute-sensitive workloads escalate to the real
 //! 8/16-SM simulations.
 //!
-//! A [`PlanWorkload`] has **two identities**, and which one a cache keys
-//! by is a cost decision. [`PlanWorkload::semantic_hash`] names the
-//! *content*: it is shared between a synthetic workload and a trace of
-//! it, but for a synthetic workload it drains every op of every warp
-//! (1–25 ms on the Table II suite). [`PlanWorkload::stage_identity`]
-//! names a synthetic workload by its *recipe* in O(kernels) and a trace
-//! by the content hash its reader already computed. Results that cost
-//! seconds to rebuild (timing observations) are worth the content hash;
-//! a millisecond sampled collection is not — keying it by content would
-//! cost more than recomputing it.
-//!
 //! [`oneshot`]: crate::oneshot
 
 use std::sync::Arc;
@@ -49,8 +38,8 @@ use gsim_mem::mrc::{DistanceEngine, LineRouter, StackDistanceHistogram, TreeStac
 use gsim_runner::{RunOverrides, Runner};
 use gsim_sim::{FunctionalReplay, GpuConfig, SimStats, Simulator};
 use gsim_trace::{
-    semantic_hash_of, Op, SpecStream, TraceStream, TracedWorkload, WarpStream, Workload,
-    WorkloadModel, THREADS_PER_WARP,
+    Op, SpecStream, TraceStream, TracedWorkload, WarpStream, Workload, WorkloadModel,
+    THREADS_PER_WARP,
 };
 
 use crate::cliff::SizedMrc;
@@ -63,9 +52,9 @@ use crate::scale_model::{ScaleModelInputs, ScaleModelPredictor};
 
 /// A fixed workload a staged plan runs: synthetic (generated streams) or
 /// trace-driven (replayed streams). Both sides implement
-/// [`WorkloadModel`], so the simulator, the collectors, and the semantic
-/// hash treat them uniformly; this enum exists because `WorkloadModel`
-/// has an associated stream type and is not object-safe.
+/// [`WorkloadModel`], so the simulator and the collectors treat them
+/// uniformly; this enum exists because `WorkloadModel` has an associated
+/// stream type and is not object-safe.
 #[derive(Debug, Clone)]
 pub enum PlanWorkload {
     /// A generated workload (benchmark suite entry or synthetic pattern).
@@ -138,49 +127,7 @@ impl WorkloadModel for PlanWorkload {
     }
 }
 
-/// The cheap identity of a [`PlanWorkload`] (see
-/// [`PlanWorkload::stage_identity`]). The two variants are separate hash
-/// domains and never compare equal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StageIdentity {
-    /// [`Workload::recipe_hash`] of a synthetic workload.
-    Recipe(u64),
-    /// Content hash of a recorded trace.
-    Content(u64),
-}
-
-impl std::fmt::Display for StageIdentity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Recipe(h) => write!(f, "recipe:{h:016x}"),
-            Self::Content(h) => write!(f, "content:{h:016x}"),
-        }
-    }
-}
-
 impl PlanWorkload {
-    /// Content identity shared between a synthetic workload and its
-    /// trace. Generates and hashes every op of a synthetic workload —
-    /// milliseconds to tens of milliseconds; free for a trace.
-    pub fn semantic_hash(&self) -> u64 {
-        match self {
-            Self::Synthetic(wl) => semantic_hash_of(wl),
-            Self::Traced(wl) => wl.semantic_hash(),
-        }
-    }
-
-    /// Identity without a drain, for caching results that are cheaper to
-    /// recompute than the content hash is to take: equal identities
-    /// imply equal instruction streams. A synthetic workload and a trace
-    /// of it get *different* identities, so they do not share entries
-    /// keyed by this.
-    pub fn stage_identity(&self) -> StageIdentity {
-        match self {
-            Self::Synthetic(wl) => StageIdentity::Recipe(wl.recipe_hash()),
-            Self::Traced(wl) => StageIdentity::Content(wl.semantic_hash()),
-        }
-    }
-
     /// Runs one timing simulation.
     pub fn simulate(&self, cfg: GpuConfig) -> SimStats {
         match self {
@@ -458,8 +405,8 @@ const DEADLINE_CHECK_OPS: u32 = 1 << 10;
 /// # Errors
 ///
 /// Returns [`CollectFailure::TimedOut`] — and no partial result — once
-/// `deadline` has passed: checked before the first op and every
-/// [`DEADLINE_CHECK_OPS`] ops after it.
+/// `deadline` has passed: checked before the first op and every 1 Ki
+/// ops after it.
 ///
 /// # Panics
 ///
@@ -1019,15 +966,10 @@ mod tests {
         let traced = gsim_trace::TracedWorkload::read(&bytes[..]).expect("read");
         let synth = PlanWorkload::Synthetic(wl);
         let traced = PlanWorkload::Traced(Arc::new(traced));
-        assert_eq!(synth.semantic_hash(), traced.semantic_hash());
-        // The cheap identities are separate domains: a trace is named by
-        // its content, a synthetic workload by its recipe.
         assert_eq!(
-            traced.stage_identity(),
-            StageIdentity::Content(traced.semantic_hash())
+            gsim_trace::semantic_hash_of(&synth),
+            gsim_trace::semantic_hash_of(&traced)
         );
-        assert!(matches!(synth.stage_identity(), StageIdentity::Recipe(_)));
-        assert_ne!(synth.stage_identity(), traced.stage_identity());
         let cfgs = ladder(&[8, 16, 32], MemScale::default());
         let scfg = SampledCollectConfig::default();
         let a = collect_sampled(&synth, &cfgs, &scfg, None).unwrap();

@@ -1,6 +1,6 @@
 //! Plain-text table rendering for experiment reports.
 //!
-//! The repro binaries print each of the paper's tables and figures as a
+//! `gsim repro` prints each of the paper's tables and figures as a
 //! fixed-width text table built with [`TextTable`].
 
 use std::fmt::Write as _;

@@ -28,7 +28,7 @@
 //! # Determinism
 //!
 //! Each site keeps an atomic sequence counter; decision `n` at site `s`
-//! hashes `(seed, s, n)` through [`SplitMix64`](gsim_rng::SplitMix64).
+//! hashes `(seed, s, n)` through [`SplitMix64`].
 //! Within one site the fault sequence is therefore fixed; across sites
 //! it is independent. (Which *request* hits fault `n` still depends on
 //! scheduling — the guarantee is a fixed fault density and pattern per

@@ -45,10 +45,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// carries the tick of a logical clock from its last `get` or `insert`,
 /// and an insert into a full map scans for the smallest. The scan is
 /// O(capacity); capacities here are a few hundred entries and an insert
-/// follows work that costs far more. Every in-memory cache of the
-/// service — results, 400 verdicts, the four stage maps — is one of
-/// these behind a mutex.
-pub(crate) struct Lru<K, V> {
+/// follows work that costs far more.
+struct Lru<K, V> {
     map: HashMap<K, (u64, V)>,
     capacity: usize,
     clock: u64,
@@ -56,7 +54,7 @@ pub(crate) struct Lru<K, V> {
 
 impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     /// An empty map of at most `capacity` entries (clamped to at least 1).
-    pub(crate) fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
             map: HashMap::new(),
             capacity: capacity.max(1),
@@ -65,7 +63,7 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     }
 
     /// The value under `key`, marking it most-recently used.
-    pub(crate) fn get(&mut self, key: &K) -> Option<&V> {
+    fn get(&mut self, key: &K) -> Option<&V> {
         self.clock += 1;
         let (last_used, value) = self.map.get_mut(key)?;
         *last_used = self.clock;
@@ -75,7 +73,7 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     /// Inserts (or replaces) `value` under `key` as most-recently used,
     /// evicting the least-recently-used entry if the key is new and the
     /// map is full. Returns whether the key was new.
-    pub(crate) fn insert(&mut self, key: K, value: V) -> bool {
+    fn insert(&mut self, key: K, value: V) -> bool {
         self.clock += 1;
         if self.is_full() && !self.map.contains_key(&key) {
             let victim = self
@@ -90,15 +88,15 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         self.map.insert(key, (self.clock, value)).is_none()
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.map.len()
     }
 
-    pub(crate) fn is_full(&self) -> bool {
+    fn is_full(&self) -> bool {
         self.map.len() >= self.capacity
     }
 
-    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+    fn values(&self) -> impl Iterator<Item = &V> {
         self.map.values().map(|(_, value)| value)
     }
 }
@@ -209,52 +207,6 @@ impl ResultCache {
     }
 }
 
-/// A bounded LRU of request bodies the service has already rejected
-/// with a `400` parse/validation verdict, keyed by `fnv1a` of the raw
-/// body bytes. Re-submitting a byte-identical bad request skips the
-/// parser entirely and replays the stored message.
-///
-/// Only *deterministic* rejections belong here: a 400 verdict depends on
-/// nothing but the bytes. A `404` (trace not found) must never be
-/// negative-cached — the trace may be uploaded a second later. Memory
-/// only; verdicts are cheap to re-derive after a restart.
-pub struct NegativeCache {
-    inner: Mutex<Lru<u64, Arc<String>>>,
-}
-
-impl NegativeCache {
-    /// A cache of at most `capacity` verdicts (clamped to at least 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(Lru::new(capacity)),
-        }
-    }
-
-    /// The stored 400 message for a body hashing to `key`, if any.
-    pub fn get(&self, key: u64) -> Option<Arc<String>> {
-        self.lock().get(&key).cloned()
-    }
-
-    /// Records that a body hashing to `key` was rejected with `message`.
-    pub fn put(&self, key: u64, message: &str) {
-        self.lock().insert(key, Arc::new(message.to_string()));
-    }
-
-    /// Number of verdicts currently held.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether no verdicts are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<u64, Arc<String>>> {
-        self.inner.lock().expect("negative cache lock poisoned")
-    }
-}
-
 fn line_json(canonical: &str, body: &str) -> Json {
     obj([
         ("schema", Json::from(LINE_SCHEMA)),
@@ -359,27 +311,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get(fnv1a(b"req-ok")).unwrap().as_str(), "BODY");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn negative_cache_remembers_and_evicts() {
-        let neg = NegativeCache::new(2);
-        let key = |s: &str| fnv1a(s.as_bytes());
-        assert!(neg.get(key("bad-a")).is_none());
-        neg.put(key("bad-a"), "unknown field: wat");
-        neg.put(key("bad-b"), "size must double");
-        assert_eq!(
-            neg.get(key("bad-a")).unwrap().as_str(),
-            "unknown field: wat"
-        );
-        neg.put(key("bad-c"), "targets empty"); // evicts bad-b (LRU)
-        assert!(neg.get(key("bad-b")).is_none());
-        assert_eq!(
-            neg.get(key("bad-a")).unwrap().as_str(),
-            "unknown field: wat"
-        );
-        assert_eq!(neg.get(key("bad-c")).unwrap().as_str(), "targets empty");
-        assert_eq!(neg.len(), 2);
     }
 
     #[test]

@@ -7,22 +7,28 @@
 //! `POST /v1/predict` names a workload (a Table II / Table IV benchmark
 //! or a synthetic [`PatternSpec`](gsim_trace::PatternSpec) description),
 //! the target size, and optionally the scale-model sizes and memory
-//! miniature; the service simulates only the two small scale models on a
-//! [`gsim_runner`] pool, collects the functional miss-rate curve, runs
-//! the [`gsim_core::plan::Fit`] predictors, and returns a JSON report.
+//! miniature. A memory-bound workload is answered from one sampled
+//! functional collection on the request's own thread (the fast path, no
+//! timing simulation); any other simulates only the two small scale
+//! models on a [`gsim_runner`] pool and replays the functional
+//! miss-rate curve. Either way the [`gsim_core::plan::Fit`] predictors
+//! turn that into a JSON report.
 //!
-//! Three layers keep repeated questions cheap:
+//! Repeated questions are cheap, and a miss always does its own work:
 //!
-//! * **Content-addressed caching** ([`cache`]): the response is keyed by
-//!   a hash of everything it depends on — normalized request *and* every
-//!   field of the derived GPU configs — held in an in-memory LRU with
-//!   optional on-disk JSONL persistence that survives restarts.
+//! * **Content-addressed caching** ([`cache`]), the service's only
+//!   cache: the response is keyed by a hash of everything it depends
+//!   on — normalized request *and* every field of the derived GPU
+//!   configs — held in an in-memory LRU with optional on-disk JSONL
+//!   persistence that survives restarts. Nothing a miss computes on the
+//!   way to its body is kept.
 //! * **Single-flight deduplication** ([`singleflight`]): N concurrent
-//!   identical requests cost one simulation; followers block on the
+//!   identical requests cost one computation; followers block on the
 //!   leader's [`gsim_runner::JobHandle`] and receive the identical body.
-//! * **A dependency-free HTTP server** ([`http`]): `std::net` accept
-//!   loop, bounded workers, strict limits, keep-alive, cooperative
-//!   shutdown. The whole workspace builds offline; so does its service.
+//!
+//! A dependency-free HTTP server ([`http`]) carries it: `std::net`
+//! accept loop, bounded workers, strict limits, keep-alive, cooperative
+//! shutdown. The whole workspace builds offline; so does its service.
 //!
 //! Under load the service has one story ([`overload`], DESIGN.md §13):
 //! per-class admission budgets shed excess requests with `429` +
@@ -48,7 +54,7 @@ pub mod overload;
 pub mod service;
 pub mod singleflight;
 
-pub use cache::{fnv1a, NegativeCache, ResultCache};
+pub use cache::{fnv1a, ResultCache};
 pub use http::{Handler, Request, Response, Server, ServerConfig, ShutdownFlag};
 pub use metrics::{Histogram, Metrics, RunnerJobCounter};
 pub use overload::{retry_after_secs, AdmissionGate, EndpointClass, Permit};

@@ -20,14 +20,9 @@
 //! *semantic hash* — a content address over the decoded instruction
 //! streams, identical for any encoding of the same workload. A predict
 //! request may then name `trace_ref` instead of a workload or pattern.
-//!
-//! Because full-path predicts key their expensive intermediate results
-//! (the two scale-model observations and the exact miss-rate curve) by
-//! the same semantic hash in an in-memory *stage cache*, a full-path
-//! trace predict whose content matches an already-predicted synthetic
-//! workload reuses both stages and schedules **zero** timing
-//! simulations; a cold trace predict runs exactly the two scale models
-//! plus the functional MRC replay.
+//! A full-path trace predict runs exactly the two scale models plus the
+//! functional MRC replay, and its prediction equals its synthetic twin's
+//! bit for bit.
 //!
 //! # The staged fast path
 //!
@@ -46,29 +41,12 @@
 //! `full`). Either path ends in the same tail: two scale-model points
 //! and a curve in, one `Fit`, one forecast, one rendered body out.
 //!
-//! # Two identities, one per price class
+//! # One cache
 //!
-//! Every stage result that costs more than its key is cached under the
-//! workload's identity plus the sizes and memory miniature that select
-//! the GPU configs (within one process `GpuConfig::paper_target` is a
-//! pure function of them), so repeat requests over the same workload
-//! (different targets) skip the expensive stages. The fits and the
-//! forecast are not cached: a microsecond each, less than hashing a key.
-//! *Which* identity depends on what the entry saves:
-//!
-//! * The fast-path entry (`collects`) is keyed by
-//!   [`PlanWorkload::stage_identity`]: a synthetic workload's *recipe*
-//!   hash, O(kernels), or a trace's stored content hash. The semantic
-//!   hash of a synthetic workload generates and hashes every op —
-//!   1–25 ms to index a value that takes 0.1–2.5 ms to recompute — so the
-//!   fast path never takes it (`predict.content_hashes` in `/metrics`
-//!   counts the drains; a fast-path predict leaves it untouched). The
-//!   price: a fast-path trace predict and its synthetic twin collect
-//!   separately (same bytes out, no timing simulation either way).
-//! * Full-path entries (`observations`, `mrcs`) keep the semantic hash:
-//!   there it buys back two timing simulations, 10–100× its cost.
-//!
-//! All three maps are LRU-bounded at the result cache's capacity.
+//! The result cache is the only cache: a miss always does its own work —
+//! a collection, or two timing simulations plus the replay — and nothing
+//! it computes on the way is kept. A repeat workload with other targets
+//! is a different request and computes again.
 //!
 //! # Determinism contract
 //!
@@ -80,16 +58,15 @@
 //! `X-Gsim-Cache` response header (`hit` / `miss` / `coalesced`), not
 //! the body.
 
-use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gsim_core::oneshot::Observation;
 use gsim_core::plan::{
     collect_replay, collect_sampled_inline, observation_of, synthesize_observation, CollectFailure,
-    Collected, Fit, PlanWorkload, SampledCollectConfig, StageIdentity,
+    Fit, PlanWorkload, SampledCollectConfig,
 };
 use gsim_json::{obj, Json};
 use gsim_runner::{Job, JobStatus, RunOverrides, Runner, RunnerConfig};
@@ -99,7 +76,7 @@ use gsim_trace::weak::{weak_benchmark, weak_suite, WEAK_SM_SIZES};
 use gsim_trace::{Kernel, MemScale, PatternKind, PatternSpec, Workload};
 use gsim_tracestore::{StoreConfig, StoreError, StoreStats, TraceMeta, TraceStore};
 
-use crate::cache::{fnv1a, Lru, NegativeCache, ResultCache};
+use crate::cache::{fnv1a, ResultCache};
 use crate::http::{Request, Response, ShutdownFlag};
 use crate::metrics::{Metrics, RunnerJobCounter};
 use crate::overload::{retry_after_secs, AdmissionGate, EndpointClass};
@@ -112,8 +89,6 @@ const PREDICT_FAST_SCHEMA: &str = "gsim-serve-predict-fast-v1";
 /// Per-request deadline header (milliseconds; overrides the configured
 /// default; `0` disables the deadline for this request).
 const DEADLINE_HEADER: &str = "x-gsim-deadline-ms";
-/// Capacity of the negative (400-verdict) cache.
-const NEGATIVE_CACHE_CAPACITY: usize = 256;
 /// Largest accepted request body for `/v1/predict`.
 const MAX_PREDICT_BYTES: usize = 64 * 1024;
 /// Largest accepted target system size.
@@ -202,9 +177,6 @@ struct Plan {
     /// The whole doubling ladder from `small` through the largest
     /// target — the MRC probe sizes.
     ladder: Vec<u32>,
-    /// The workload's semantic hash, when already known at parse time
-    /// (trace-driven plans: the trace reference *is* the hash).
-    semantic: Option<u64>,
     /// Which prediction path the request asked for.
     path: PathMode,
 }
@@ -245,84 +217,6 @@ enum PlanKind {
         small_wl: PlanWorkload,
         large_wl: PlanWorkload,
     },
-}
-
-/// Deterministic intermediate results, each map LRU-bounded. Every stage
-/// is a pure function of the workload's instruction streams and the GPU
-/// configs, and within one process the configs are a pure function of
-/// the sizes and the memory miniature — so the keys are typed tuples,
-/// not config encodings. The full-path maps are keyed by *content*, so a
-/// synthetic workload and a trace of it share entries — which is what
-/// lets a trace-driven predict skip the timing simulator entirely when
-/// the synthetic path already ran (and vice versa). The fast-path map is
-/// keyed by the cheap [`StageIdentity`] (see the module docs).
-struct StageCache {
-    /// `(content hash, small, large, mem_scale)` → the two scale-model
-    /// observations.
-    observations: Stage<ContentKey, (SimPoint, SimPoint)>,
-    /// `(content hash, small, max target, mem_scale)` → `(size, mpki)`
-    /// miss-rate-curve points over the doubling ladder between the two.
-    mrcs: Stage<ContentKey, Vec<(u32, f64)>>,
-    /// `(identity, small, mem_scale)` → the sampled Stage-1 collection
-    /// over [`collect_ladder`].
-    collects: Stage<(StageIdentity, u32, u32), Collected>,
-}
-
-impl StageCache {
-    fn new(capacity: usize) -> Self {
-        Self {
-            observations: Stage::new(capacity),
-            mrcs: Stage::new(capacity),
-            collects: Stage::new(capacity),
-        }
-    }
-}
-
-/// Full-path stage key: the workload's semantic hash, two sizes and the
-/// memory-miniature divisor.
-type ContentKey = (u64, u32, u32, u32);
-
-/// One stage's shared map. Values are deterministic in the key, so
-/// concurrent writers of one key store the same thing.
-struct Stage<K, V>(Mutex<Lru<K, V>>);
-
-impl<K: Hash + Eq + Clone, V: Clone> Stage<K, V> {
-    fn new(capacity: usize) -> Self {
-        Self(Mutex::new(Lru::new(capacity)))
-    }
-
-    /// The staged value, counted in `hits` when present.
-    fn get(&self, key: &K, hits: &AtomicU64) -> Option<V> {
-        let found = self.lock().get(key).cloned();
-        if found.is_some() {
-            hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    fn put(&self, key: K, value: V) {
-        self.lock().insert(key, value);
-    }
-
-    /// [`Stage::get`], or `compute` and stage its result. Nothing is
-    /// staged when `compute` fails.
-    fn get_or_compute(
-        &self,
-        key: K,
-        hits: &AtomicU64,
-        compute: impl FnOnce() -> Result<V, ApiError>,
-    ) -> Result<V, ApiError> {
-        if let Some(v) = self.get(&key, hits) {
-            return Ok(v);
-        }
-        let value = compute()?;
-        self.put(key, value.clone());
-        Ok(value)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<K, V>> {
-        self.0.lock().expect("stage cache poisoned")
-    }
 }
 
 /// One scale model: the observation the predictors fit, plus what only
@@ -373,11 +267,9 @@ enum SimOut {
 pub struct PredictService {
     runner: Runner,
     cache: ResultCache,
-    negative: NegativeCache,
     flights: SingleFlight<Outcome>,
     metrics: Arc<Metrics>,
     store: TraceStore,
-    stages: StageCache,
     shutdown: ShutdownFlag,
     gate: AdmissionGate,
     default_deadline_ms: u64,
@@ -432,11 +324,9 @@ impl PredictService {
         Ok(Arc::new(Self {
             runner,
             cache: ResultCache::new(capacity, cfg.cache_dir)?,
-            negative: NegativeCache::new(NEGATIVE_CACHE_CAPACITY),
             flights: SingleFlight::new(),
             metrics: Arc::clone(&metrics),
             store,
-            stages: StageCache::new(capacity),
             shutdown,
             gate: AdmissionGate::new(
                 or_default(cfg.max_inflight_cheap, 64),
@@ -631,21 +521,9 @@ impl PredictService {
                 "predict budget exhausted; service is at capacity",
             );
         };
-        // Byte-identical bodies we already rejected with 400 skip the
-        // parser. Keyed on raw bytes: only deterministic verdicts
-        // (never 404 trace-not-found) are stored below.
-        let nkey = fnv1a(&req.body);
-        if let Some(message) = self.negative.get(nkey) {
-            self.metrics.negative_hits.fetch_add(1, Ordering::Relaxed);
-            fail();
-            return ApiError::bad(message.as_str()).response();
-        }
         let plan = match parse_request(&req.body, Some(&self.store)) {
             Ok(plan) => plan,
             Err(e) => {
-                if e.status == 400 {
-                    self.negative.put(nkey, &e.message);
-                }
                 fail();
                 return e.response();
             }
@@ -743,17 +621,16 @@ impl PredictService {
     }
 
     /// The fast path: MRC-capable plans not forced onto the full path
-    /// run the sampled Stage-1 collection (stage-cached under the
-    /// workload's cheap identity — the workload is never drained for a
-    /// key here) and consult the compute-intensity gate. Memory-bound
-    /// workloads are answered from roofline observations synthesized
-    /// from the collection, in about a millisecond; compute-sensitive
-    /// ones (and everything this path does not apply to) return `None`
-    /// and escalate to [`Self::stage_full`].
+    /// run the sampled Stage-1 collection and consult the
+    /// compute-intensity gate. Memory-bound workloads are answered from
+    /// roofline observations synthesized from the collection, in about
+    /// a millisecond; compute-sensitive ones (and everything this path
+    /// does not apply to) return `None` and escalate to
+    /// [`Self::stage_full`].
     ///
-    /// A collection miss is one streaming pass on this request's
-    /// thread, checked against `deadline` every thousand ops — it never
-    /// touches the runner pool.
+    /// The collection is one streaming pass on this request's thread,
+    /// checked against `deadline` every thousand ops — it never touches
+    /// the runner pool.
     fn stage_fast(
         &self,
         plan: &Plan,
@@ -766,28 +643,17 @@ impl PredictService {
             return Ok(None);
         }
         let cfg_of = |sms: u32| GpuConfig::paper_target(sms, plan.scale);
-        let collected = self.stages.collects.get_or_compute(
-            (wl.stage_identity(), plan.small, plan.scale.divisor()),
-            &self.metrics.stage_collect_hits,
-            || {
-                let configs: Vec<GpuConfig> =
-                    collect_ladder(plan).into_iter().map(cfg_of).collect();
-                self.metrics
-                    .collects_started
-                    .fetch_add(1, Ordering::Relaxed);
-                let started = Instant::now();
-                let scfg = SampledCollectConfig::default();
-                let collected =
-                    collect_sampled_inline(wl, &configs, &scfg, deadline).map_err(|e| {
-                        // No jobs, so nothing to crash: the pass fails
-                        // only by running out of time.
-                        debug_assert_eq!(e, CollectFailure::TimedOut);
-                        self.deadline_exceeded()
-                    })?;
-                Metrics::observe_stage(&self.metrics.stage_collect, started.elapsed());
-                Ok(collected)
-            },
-        )?;
+        let configs: Vec<GpuConfig> = collect_ladder(plan).into_iter().map(cfg_of).collect();
+        self.metrics
+            .collects_started
+            .fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
+        let scfg = SampledCollectConfig::default();
+        // No jobs, so nothing to crash: the pass fails only by running
+        // out of time.
+        let collected = collect_sampled_inline(wl, &configs, &scfg, deadline)
+            .map_err(|CollectFailure::TimedOut| self.deadline_exceeded())?;
+        Metrics::observe_stage(&self.metrics.stage_collect, started.elapsed());
         let large = cfg_of(plan.large);
         let pressure = collected.memory_pressure(&large);
         let fast = plan.path == PathMode::Fast || collected.takes_fast_path(&large);
@@ -817,14 +683,9 @@ impl PredictService {
     }
 
     /// The full path: the scale-model simulations (and, for MRC plans,
-    /// the functional replay) as jobs on the runner pool.
-    ///
-    /// Strong-scaling plans first consult the [`StageCache`]: when both
-    /// the observations and the miss-rate curve are cached under the
-    /// workload's semantic hash, no jobs are scheduled at all — the
-    /// path that makes a trace predict of an already-seen workload
-    /// simulation-free. The `deadline` bounds the runner jobs; a run cut
-    /// short — or one that finished, but late — maps to 504.
+    /// the functional replay) as jobs on the runner pool. The `deadline`
+    /// bounds the runner jobs; a run cut short — or one that finished,
+    /// but late — maps to 504.
     fn stage_full(
         &self,
         plan: &Plan,
@@ -847,98 +708,65 @@ impl PredictService {
                 })
             })
         };
-        let (small_wl, large_wl, keys) = match &plan.kind {
-            // One workload at every size, and a miss-rate curve.
-            PlanKind::WithMrc(wl) => {
-                // The content hash: known for a trace, a full drain of a
-                // synthetic workload. Worth it here — it is what lets a
-                // trace and its synthetic twin share the timing sims.
-                let sem = plan.semantic.unwrap_or_else(|| {
-                    self.metrics.content_hashes.fetch_add(1, Ordering::Relaxed);
-                    wl.semantic_hash()
-                });
-                let max_target = *plan.ladder.last().expect("ladder holds the scale models");
-                let scale = plan.scale.divisor();
-                let obs_key: ContentKey = (sem, plan.small, plan.large, scale);
-                let mrc_key: ContentKey = (sem, plan.small, max_target, scale);
-                (wl, wl, Some((obs_key, mrc_key)))
-            }
-            PlanKind::PerSize { small_wl, large_wl } => (small_wl, large_wl, None),
+        let (small_wl, large_wl) = match &plan.kind {
+            PlanKind::WithMrc(wl) => (wl, wl),
+            PlanKind::PerSize { small_wl, large_wl } => (small_wl, large_wl),
         };
-        let mut points = keys.and_then(|(obs_key, _)| {
-            self.stages
-                .observations
-                .get(&obs_key, &self.metrics.stage_obs_hits)
-        });
-        let mut mrc = keys
-            .and_then(|(_, mrc_key)| self.stages.mrcs.get(&mrc_key, &self.metrics.stage_mrc_hits));
-        let mut jobs = Vec::new();
-        if points.is_none() {
-            jobs.push(sim_job(plan.small, small_wl.clone()));
-            jobs.push(sim_job(plan.large, large_wl.clone()));
-        }
-        if keys.is_some() && mrc.is_none() {
-            // The exact functional replay over the request's ladder.
+        let mut jobs = vec![
+            sim_job(plan.small, small_wl.clone()),
+            sim_job(plan.large, large_wl.clone()),
+        ];
+        if let PlanKind::WithMrc(wl) = &plan.kind {
+            // One workload at every size: the exact functional replay
+            // over the request's ladder gives its miss-rate curve.
             let configs: Vec<GpuConfig> = plan.ladder.iter().copied().map(cfg_of).collect();
-            let wl = small_wl.clone();
+            let wl = wl.clone();
             jobs.push(Job::new("mrc", move || {
                 SimOut::Mrc(collect_replay(&wl, &configs).points)
             }));
         }
-        if !jobs.is_empty() {
-            let overrides = match deadline {
-                Some(d) => {
-                    let left = d.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(self.deadline_exceeded());
-                    }
-                    // A deadline-bound run must not retry: a retry would
-                    // double the worst-case wall time past the promise.
-                    RunOverrides::deadline(left)
+        let overrides = match deadline {
+            Some(d) => {
+                let left = d.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(self.deadline_exceeded());
                 }
-                None => RunOverrides::default(),
-            };
-            let reports = self
-                .runner
-                .run_with(&format!("predict-{key:016x}"), jobs, overrides);
-            let mut sims = Vec::new();
-            for report in reports {
-                let name = report.name.clone();
-                let timed_out = matches!(report.status, JobStatus::TimedOut);
-                match report.into_ok() {
-                    Some(SimOut::Point(p)) => sims.push(p),
-                    Some(SimOut::Mrc(m)) => mrc = Some(m),
-                    None if timed_out => return Err(self.deadline_exceeded()),
-                    None => {
-                        // Crashed even after the runner's retry: the
-                        // failure is transient (a panic, an injected
-                        // fault), not a verdict on the request.
-                        return Err(ApiError {
-                            status: 503,
-                            message: format!("job {name} failed; retry later"),
-                        });
-                    }
+                // A deadline-bound run must not retry: a retry would
+                // double the worst-case wall time past the promise.
+                RunOverrides::deadline(left)
+            }
+            None => RunOverrides::default(),
+        };
+        let reports = self
+            .runner
+            .run_with(&format!("predict-{key:016x}"), jobs, overrides);
+        let (mut sims, mut mrc) = (Vec::new(), None);
+        for report in reports {
+            let name = report.name.clone();
+            let timed_out = matches!(report.status, JobStatus::TimedOut);
+            match report.into_ok() {
+                Some(SimOut::Point(p)) => sims.push(p),
+                Some(SimOut::Mrc(m)) => mrc = Some(m),
+                None if timed_out => return Err(self.deadline_exceeded()),
+                None => {
+                    // Crashed even after the runner's retry: the failure
+                    // is transient (a panic, an injected fault), not a
+                    // verdict on the request.
+                    return Err(ApiError {
+                        status: 503,
+                        message: format!("job {name} failed; retry later"),
+                    });
                 }
-            }
-            // Reports come back in submission order: small, then large.
-            if let Ok([small, large]) = <[SimPoint; 2]>::try_from(sims) {
-                points = Some((small, large));
-            }
-            if let (Some((obs_key, mrc_key)), Some(observed)) = (keys, &points) {
-                self.stages.observations.put(obs_key, observed.clone());
-                if let Some(pts) = &mrc {
-                    self.stages.mrcs.put(mrc_key, pts.clone());
-                }
-            }
-            // The runner's timeout runs per job from the job's start, so
-            // a job that queued behind a sibling can finish after the
-            // request's deadline: what it computed is staged, the answer
-            // is still a 504.
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(self.deadline_exceeded());
             }
         }
-        let Some((small, large)) = points else {
+        // The runner's timeout runs per job from the job's start, so a
+        // job that queued behind a sibling can finish after the request's
+        // deadline: the answer is still a 504.
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(self.deadline_exceeded());
+        }
+        // Reports come back in submission order: small, then large.
+        let Ok([small, large]) = <[SimPoint; 2]>::try_from(sims) else {
             return Err(ApiError::internal("scale-model simulations missing"));
         };
         Ok(Staged {
@@ -1051,10 +879,9 @@ fn path_of_body(body: &str) -> &'static str {
 
 /// The doubling ladder the sampled collect stage covers: all of it,
 /// from the smaller scale model to [`MAX_TARGET_SMS`], regardless of
-/// the request's targets. The replay pass dominates the collection
-/// cost and the per-capacity readout is a histogram query, so one
-/// collection serves every target set for the same content — a repeat
-/// request with different targets must never re-collect.
+/// the request's targets — a fast body lists every one of its points.
+/// The replay pass dominates the collection cost and the per-capacity
+/// readout is a histogram query, so the extra points are nearly free.
 fn collect_ladder(plan: &Plan) -> Vec<u32> {
     let mut ladder = vec![plan.small];
     let mut size = plan.small;
@@ -1299,7 +1126,6 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
     let suite_field = fields.get("suite").cloned();
     let pattern_field = fields.get("pattern").cloned();
     let trace_field = fields.get("trace_ref").cloned();
-    let mut semantic: Option<u64> = None;
     let (kind, workload_json, suite_name) = match (workload_field, pattern_field, trace_field) {
         (Some(wl), None, None) => {
             let abbr = wl
@@ -1359,12 +1185,11 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
                 .as_str()
                 .ok_or_else(|| ApiError::bad("trace_ref must be a string"))?
                 .to_ascii_lowercase();
-            let hash = (trace_ref.len() == 16)
-                .then(|| u64::from_str_radix(&trace_ref, 16).ok())
-                .flatten()
-                .ok_or_else(|| {
-                    ApiError::bad("trace_ref must be 16 hex digits (see POST /v1/traces)")
-                })?;
+            if trace_ref.len() != 16 || u64::from_str_radix(&trace_ref, 16).is_err() {
+                return Err(ApiError::bad(
+                    "trace_ref must be 16 hex digits (see POST /v1/traces)",
+                ));
+            }
             let Some(store) = store else {
                 return Err(ApiError::internal("no trace store configured"));
             };
@@ -1382,7 +1207,6 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
                     return Err(ApiError::internal(format!("trace load failed: {e}")));
                 }
             };
-            semantic = Some(hash);
             let json = Json::from(trace_ref.as_str());
             (
                 PlanKind::WithMrc(PlanWorkload::Traced(Arc::new(wl))),
@@ -1456,7 +1280,6 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
         targets,
         scale,
         ladder,
-        semantic,
         path,
     })
 }
@@ -1814,8 +1637,8 @@ mod tests {
                 .contains("not both")
         );
 
-        // A real store resolves the reference; the normalized form and the
-        // plan's semantic hash are the content address itself.
+        // A real store resolves the reference to the uploaded content; the
+        // normalized form names it by its content address.
         let dir = std::env::temp_dir().join(format!(
             "gsim-serve-parse-trace-{}-{}",
             std::process::id(),
@@ -1834,8 +1657,10 @@ mod tests {
             meta.trace_ref
         );
         let p = parse_request(body.as_bytes(), Some(&store)).expect("trace plan");
-        assert!(matches!(p.kind, PlanKind::WithMrc(PlanWorkload::Traced(_))));
-        assert_eq!(p.semantic, Some(semantic_hash_of(&wl)));
+        let PlanKind::WithMrc(PlanWorkload::Traced(traced)) = &p.kind else {
+            panic!("a trace_ref names a traced workload");
+        };
+        assert_eq!(semantic_hash_of(&**traced), semantic_hash_of(&wl));
         let rendered = p.normalized.render();
         assert!(rendered.contains(&format!("\"trace_ref\":\"{}\"", meta.trace_ref)));
         assert!(rendered.contains("\"suite\":\"trace\""), "{rendered}");
@@ -1848,47 +1673,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(miss.status, 404);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stage_caches_are_bounded_and_evict_least_recently_used() {
-        const CAPACITY: usize = 4;
-        let svc = PredictService::new(
-            ServeConfig {
-                cache_capacity: CAPACITY,
-                ..ServeConfig::default()
-            },
-            ShutdownFlag::new(),
-        )
-        .expect("service starts");
-        let predict = |footprint_mb: usize, target: u32| {
-            let body = format!(
-                r#"{{"pattern": {{"kind": "streaming", "footprint_mb": {footprint_mb}.0}}, "target_sms": {target}, "path": "fast"}}"#
-            );
-            let resp = svc.handle(&Request {
-                method: "POST".into(),
-                path: "/v1/predict".into(),
-                headers: Vec::new(),
-                body: body.into_bytes(),
-            });
-            assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-        };
-        let collects = || svc.metrics.collects_started.load(Ordering::Relaxed);
-        let extra = 3;
-        for footprint_mb in 1..=CAPACITY + extra {
-            predict(footprint_mb, 64);
-        }
-        assert_eq!(collects(), (CAPACITY + extra) as u64);
-        assert_eq!(svc.stages.collects.lock().len(), CAPACITY);
-
-        // The newest workload is still staged: other targets, no collect.
-        predict(CAPACITY + extra, 128);
-        assert_eq!(collects(), (CAPACITY + extra) as u64);
-        // The oldest was evicted: it collects again, within the bound.
-        predict(1, 128);
-        assert_eq!(collects(), (CAPACITY + extra) as u64 + 1);
-        assert_eq!(svc.stages.collects.lock().len(), CAPACITY);
-        assert_eq!(svc.metrics.content_hashes.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! End-to-end tests of the staged functional-first fast path over real
 //! HTTP sockets: memory-bound `auto` predicts answer from replayed-MRC
-//! fits without scheduling a single timing simulation, repeat requests
-//! for the same content reuse the per-stage caches (zero redundant
-//! collections), compute-sensitive workloads escalate to a body that is
-//! byte-identical to a forced-full computation, and every response
-//! names the path it took in `X-Gsim-Path`. The fast path names a
-//! synthetic workload by its recipe — it never drains the workload for
-//! a content hash (`predict.content_hashes` stays 0) — collects on the
-//! request's own thread, and honours the request deadline while it does.
+//! fits without scheduling a single timing simulation, every result-cache
+//! miss collects once on the request's own thread, compute-sensitive
+//! workloads escalate to a body that is byte-identical to a forced-full
+//! computation, every response names the path it took in `X-Gsim-Path`,
+//! and the collection honours the request deadline.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -181,31 +178,21 @@ fn memory_bound_auto_predicts_answer_from_the_fast_path_without_timing_sims() {
     assert_eq!(header(&headers, "x-gsim-path"), Some("fast"));
     assert_eq!(first, again, "cached fast bodies replay byte-identically");
 
-    // Same content, different targets: Stage 1 replays from the stage
-    // cache — no new collection, still zero timing sims.
+    // Same content, different targets: a result-cache miss, so it
+    // collects again — still zero timing sims.
     let other = r#"{"workload": "bfs", "targets": [128]}"#;
     let (status, headers, _) = request(addr, "POST", "/v1/predict", other);
     assert_eq!(status, 200);
     assert_eq!(header(&headers, "x-gsim-cache"), Some("miss"));
     assert_eq!(header(&headers, "x-gsim-path"), Some("fast"));
     let m = metrics(addr);
-    assert_eq!(
-        metric_at(&m, &["collects_started"]),
-        1,
-        "a stage-cache hit must not re-collect: {}",
-        m.render()
-    );
-    assert!(
-        metric_at(&m, &["predict", "stage_collect_hits"]) >= 1,
-        "{}",
-        m.render()
-    );
+    assert_eq!(metric_at(&m, &["collects_started"]), 2, "{}", m.render());
     assert_eq!(metric_at(&m, &["timing_sims_started"]), 0, "{}", m.render());
 
-    // Stage latencies were observed: one collection, a fit and a
-    // forecast per computed prediction.
+    // Stage latencies were observed: a collection, a fit and a forecast
+    // per computed prediction.
     assert!(
-        metric_at(&m, &["stage_collect_us", "count"]) >= 1,
+        metric_at(&m, &["stage_collect_us", "count"]) >= 2,
         "{}",
         m.render()
     );
@@ -223,7 +210,7 @@ fn memory_bound_auto_predicts_answer_from_the_fast_path_without_timing_sims() {
 }
 
 #[test]
-fn forced_fast_reuses_the_collection_staged_by_an_auto_predict() {
+fn forced_fast_after_auto_is_its_own_entry_and_collects_again() {
     let server = RunningServer::start(ServeConfig::default());
     let addr = server.addr;
 
@@ -234,12 +221,10 @@ fn forced_fast_reuses_the_collection_staged_by_an_auto_predict() {
         r#"{"workload": "dct", "targets": [32]}"#,
     );
     assert_eq!(status, 200);
-    let before = metrics(addr);
-    let collect_hits = metric_at(&before, &["predict", "stage_collect_hits"]);
 
     // Forcing the fast path on the same content addresses a different
-    // result-cache entry (the body records `forced`), but Stage 1 is
-    // shared: the collection staged by the auto predict is reused as-is.
+    // result-cache entry (the body records `forced`): a miss that runs
+    // its own collection.
     let (status, headers, body) = request(
         addr,
         "POST",
@@ -253,12 +238,7 @@ fn forced_fast_reuses_the_collection_staged_by_an_auto_predict() {
     assert!(text.contains("\"forced\":true"), "{text}");
 
     let m = metrics(addr);
-    assert_eq!(metric_at(&m, &["collects_started"]), 1, "{}", m.render());
-    assert!(
-        metric_at(&m, &["predict", "stage_collect_hits"]) > collect_hits,
-        "the forced-fast predict must reuse the staged collection: {}",
-        m.render()
-    );
+    assert_eq!(metric_at(&m, &["collects_started"]), 2, "{}", m.render());
     assert_eq!(metric_at(&m, &["timing_sims_started"]), 0, "{}", m.render());
     server.stop();
 }
@@ -330,12 +310,12 @@ fn compute_bound_auto_escalates_to_bytes_identical_to_forced_full() {
 }
 
 #[test]
-fn a_pattern_is_named_by_its_recipe_and_collected_once() {
+fn a_fast_path_collection_runs_on_the_request_thread() {
     let server = RunningServer::start(ServeConfig::default());
     let addr = server.addr;
 
     // One memory-bound pattern, two target sets: two result-cache
-    // misses, one collection — and no full-drain content hash anywhere.
+    // misses, two collections, no runner job.
     let body = |targets: &str| {
         format!(
             r#"{{"pattern": {{"kind": "global_sweep", "footprint_mb": 48.0, "passes": 2,
@@ -349,18 +329,7 @@ fn a_pattern_is_named_by_its_recipe_and_collected_once() {
         assert_eq!(header(&headers, "x-gsim-path"), Some("fast"));
     }
     let m = metrics(addr);
-    assert_eq!(metric_at(&m, &["collects_started"]), 1, "{}", m.render());
-    assert!(
-        metric_at(&m, &["predict", "stage_collect_hits"]) >= 1,
-        "{}",
-        m.render()
-    );
-    assert_eq!(
-        metric_at(&m, &["predict", "content_hashes"]),
-        0,
-        "the fast path must not drain the workload for a key: {}",
-        m.render()
-    );
+    assert_eq!(metric_at(&m, &["collects_started"]), 2, "{}", m.render());
     assert_eq!(
         metric_at(&m, &["runner_jobs_started"]),
         0,
@@ -420,18 +389,10 @@ fn a_fast_path_trace_predict_matches_its_synthetic_twin() {
     };
     assert_eq!(fields(&first), fields(&second));
 
-    // The two are named apart on the fast path — a recipe and a content
-    // identity — so each collected once; neither cost a timing sim or a
-    // drain of the synthetic workload.
+    // Each collected once; neither cost a timing sim.
     let m = metrics(addr);
     assert_eq!(metric_at(&m, &["collects_started"]), 2, "{}", m.render());
     assert_eq!(metric_at(&m, &["timing_sims_started"]), 0, "{}", m.render());
-    assert_eq!(
-        metric_at(&m, &["predict", "content_hashes"]),
-        0,
-        "{}",
-        m.render()
-    );
     server.stop();
 }
 
@@ -462,12 +423,11 @@ fn a_deadline_that_expires_during_the_collect_is_a_504() {
             started.elapsed()
         );
         // The deadline expired inside the collection, and nothing
-        // partial was staged: the retry collects again.
+        // partial was kept: the retry collects again.
         let m = metrics(addr);
         for (path, want) in [
             (&["overload", "deadline_timeouts"][..], attempt),
             (&["collects_started"][..], attempt),
-            (&["predict", "stage_collect_hits"][..], 0),
             (&["predict", "fast_path"][..], 0),
         ] {
             assert_eq!(metric_at(&m, path), want, "{path:?}: {}", m.render());

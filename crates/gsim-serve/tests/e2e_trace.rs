@@ -4,10 +4,8 @@
 //! real HTTP sockets: a trace uploaded to `POST /v1/traces` deduplicates
 //! by content, and a `POST /v1/predict` naming its `trace_ref` returns
 //! the *same prediction, byte for byte,* as the equivalent synthetic
-//! request — without scheduling a single additional timing simulation,
-//! because both paths share the semantic-hash stage cache. A cold trace
-//! predict (content the server has never simulated) runs exactly the
-//! two scale models.
+//! request. Every trace predict runs exactly its own two scale models,
+//! whether or not the server has simulated the same content before.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -131,8 +129,7 @@ fn fresh_cache_dir(tag: &str) -> PathBuf {
 /// build distinct trace contents on demand.
 fn pattern_request(seed: u64) -> String {
     // Pinned to the full path: this file's assertions are about the
-    // timing-simulation stage cache, which the functional-first fast
-    // path would bypass entirely.
+    // timing simulations, which the functional-first fast path skips.
     format!(
         r#"{{"pattern": {{"kind": "working_set_mix", "footprint_mb": 4.0,
             "levels": [[1.0, 0.5]], "ctas": 128, "seed": {seed}}},
@@ -192,7 +189,7 @@ fn prediction_fields(doc: &gsim_json::Json) -> String {
 }
 
 #[test]
-fn trace_predict_matches_synthetic_bit_for_bit_without_new_sims() {
+fn trace_predict_matches_synthetic_bit_for_bit_with_its_own_two_sims() {
     let cache_dir = fresh_cache_dir("predict");
     let server = RunningServer::start(&cache_dir);
     let addr = server.addr;
@@ -231,8 +228,8 @@ fn trace_predict_matches_synthetic_bit_for_bit_without_new_sims() {
         "identical upload must deduplicate"
     );
 
-    // --- Predict from the trace: prediction is byte-identical and no
-    // new timing simulation runs (both stages hit the semantic cache).
+    // --- Predict from the trace: prediction is byte-identical, from its
+    // own two timing simulations.
     let trace_body =
         format!(r#"{{"trace_ref": "{trace_ref}", "targets": [32, 64], "path": "full"}}"#);
     let (status, body) = request(addr, "POST", "/v1/predict", &trace_body);
@@ -246,13 +243,11 @@ fn trace_predict_matches_synthetic_bit_for_bit_without_new_sims() {
     let m = metrics(addr);
     assert_eq!(
         top_metric(&m, "timing_sims_started"),
-        2,
-        "stage-cache hits must schedule zero timing sims: {}",
+        4,
+        "a trace predict runs exactly the two scale models: {}",
         m.render()
     );
     assert_eq!(metric(&m, "predict", "from_trace"), 1, "{}", m.render());
-    assert_eq!(metric(&m, "predict", "stage_obs_hits"), 1, "{}", m.render());
-    assert_eq!(metric(&m, "predict", "stage_mrc_hits"), 1, "{}", m.render());
     assert_eq!(metric(&m, "trace_store", "ingests"), 1, "{}", m.render());
     assert_eq!(metric(&m, "trace_store", "dedup_hits"), 1, "{}", m.render());
     assert_eq!(metric(&m, "trace_store", "entries"), 1, "{}", m.render());
@@ -278,7 +273,7 @@ fn trace_predict_matches_synthetic_bit_for_bit_without_new_sims() {
     let m = metrics(addr);
     assert_eq!(
         top_metric(&m, "timing_sims_started"),
-        4,
+        6,
         "a cold trace predict runs exactly the two scale models: {}",
         m.render()
     );

@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use crate::pattern::{PatternSpec, SpecStream, StreamCtx, StreamShared};
-use crate::tracefile::{FnvSink, Sink};
 use crate::THREADS_PER_WARP;
 
 /// One GPU kernel launch: a grid of CTAs, each a fixed number of threads,
@@ -204,47 +203,6 @@ impl Workload {
     /// Dynamic instructions in paper units (millions).
     pub fn paper_minsns(&self) -> f64 {
         self.paper_minsns
-    }
-
-    /// Identity of the *recipe*: FNV-1a 64 over the seed and, per kernel,
-    /// the grid and every field of its [`PatternSpec`] — everything the
-    /// stream generator reads, nothing it does not (names and the
-    /// paper-units metadata are excluded, as in
-    /// [`semantic_hash_of`](crate::semantic_hash_of)). Costs O(kernels);
-    /// no op is generated.
-    ///
-    /// Equal recipe hashes imply equal instruction streams, so this is a
-    /// sound cache key for anything derived from the streams. The
-    /// converse does not hold — two recipes that happen to generate the
-    /// same streams hash apart — and the value shares no domain with
-    /// `semantic_hash_of`: never compare the two.
-    pub fn recipe_hash(&self) -> u64 {
-        // Exhaustive destructuring, here and in `PatternSpec::fold_recipe`:
-        // a new field breaks the build until it is classified.
-        let Workload {
-            name: _,
-            seed,
-            kernels,
-            footprint_mb_paper: _,
-            paper_minsns: _,
-        } = self;
-        let mut sink = FnvSink::new();
-        let mut put = |word: u64| sink.put_slice(&word.to_le_bytes());
-        put(*seed);
-        put(kernels.len() as u64);
-        for kernel in kernels {
-            let Kernel {
-                name: _,
-                n_ctas,
-                threads_per_cta,
-                // The spec plus state derived from it and the grid.
-                shared: _,
-            } = kernel;
-            put(u64::from(*n_ctas));
-            put(u64::from(*threads_per_cta));
-            kernel.spec().fold_recipe(&mut put);
-        }
-        sink.0
     }
 
     /// Largest model-units footprint over the kernels, in lines.

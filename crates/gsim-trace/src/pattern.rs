@@ -192,60 +192,6 @@ impl PatternSpec {
         self.shared_hot
     }
 
-    /// Feeds every field the generator reads to `put`, one word at a
-    /// time, for [`Workload::recipe_hash`](crate::Workload::recipe_hash).
-    /// Variant tags and the level count keep the word sequence
-    /// unambiguous.
-    pub(crate) fn fold_recipe(&self, put: &mut impl FnMut(u64)) {
-        // Exhaustive destructuring: a new generator field breaks this
-        // build until the recipe identity accounts for it.
-        let PatternSpec {
-            kind,
-            footprint_lines,
-            mem_ops_per_warp,
-            compute_per_mem,
-            write_frac,
-            divergence,
-            shared_hot,
-            tail_compute,
-        } = self;
-        match kind {
-            PatternKind::GlobalSweep { passes } => {
-                put(0);
-                put(u64::from(*passes));
-            }
-            PatternKind::Streaming => put(1),
-            PatternKind::WorkingSetMix { levels } => {
-                put(2);
-                put(levels.len() as u64);
-                for &(weight, fraction) in levels {
-                    put(weight.to_bits());
-                    put(fraction.to_bits());
-                }
-            }
-            PatternKind::Tiled { tile_lines, reuses } => {
-                put(3);
-                put(*tile_lines);
-                put(u64::from(*reuses));
-            }
-            PatternKind::PointerChase => put(4),
-        }
-        put(*footprint_lines);
-        put(u64::from(*mem_ops_per_warp));
-        put(compute_per_mem.to_bits());
-        put(write_frac.to_bits());
-        put(u64::from(*divergence));
-        match shared_hot {
-            None => put(0),
-            Some(SharedHotSpec { prob, hot_lines }) => {
-                put(1);
-                put(prob.to_bits());
-                put(*hot_lines);
-            }
-        }
-        put(u64::from(*tail_compute));
-    }
-
     /// `(lines of the footprint per warp, memory ops per warp)` in a grid
     /// of `total_warps` warps.
     fn per_warp(&self, total_warps: u64) -> (u64, u64) {

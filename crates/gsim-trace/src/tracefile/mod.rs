@@ -56,9 +56,8 @@
 //! `threads_per_cta`, and every warp's canonical op encoding. Names and
 //! framing are excluded, so the same instruction streams hash identically
 //! whether generated synthetically, read from a v1 file, or read from a
-//! v2 file — this is the content address the trace store and the serve
-//! stage cache key on. [`TraceReader`] computes it incrementally while
-//! streaming.
+//! v2 file — this is the content address the trace store keys on.
+//! [`TraceReader`] computes it incrementally while streaming.
 
 mod reader;
 mod wire;
@@ -67,14 +66,12 @@ mod writer;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read};
-use std::sync::OnceLock;
 
 use crate::model::WorkloadModel;
 use crate::op::Op;
 use crate::pattern::WarpStream;
 
 pub use reader::TraceReader;
-pub(crate) use wire::{FnvSink, Sink};
 pub use writer::{write_trace, write_trace_v1};
 
 /// Frame kind: the header frame (first, exactly once).
@@ -279,9 +276,6 @@ pub struct TracedWorkload {
     name: String,
     kernels: Vec<TracedKernel>,
     total_warp_instrs: u64,
-    /// [`semantic_hash_of`] this workload: set by the decode pass, taken
-    /// on first use for a workload derived in memory.
-    semantic_hash: OnceLock<u64>,
 }
 
 impl TracedWorkload {
@@ -332,15 +326,7 @@ impl TracedWorkload {
             name: reader.name().to_string(),
             kernels,
             total_warp_instrs: stats.total_warp_instrs,
-            semantic_hash: OnceLock::from(stats.semantic_hash),
         })
-    }
-
-    /// The workload's content identity — equal to
-    /// [`semantic_hash_of`]`(self)`, but free for a workload that was
-    /// read: the reader hashed the streams while decoding them.
-    pub fn semantic_hash(&self) -> u64 {
-        *self.semantic_hash.get_or_init(|| semantic_hash_of(self))
     }
 
     /// Name of kernel `kernel`.
@@ -399,7 +385,6 @@ impl TracedWorkload {
                 name: format!("{}@{:.3}", self.name, fraction),
                 kernels,
                 total_warp_instrs: total,
-                semantic_hash: OnceLock::new(),
             },
             factors,
         )
@@ -515,7 +500,7 @@ mod tests {
         assert_eq!(traced.kernel_name(1), "chase");
         assert_replays_identically(&wl, &traced);
         assert_eq!(traced.total_warp_instrs(), wl.approx_warp_instrs());
-        assert_eq!(traced.semantic_hash(), semantic_hash_of(&wl));
+        assert_eq!(semantic_hash_of(&traced), semantic_hash_of(&wl));
     }
 
     #[test]
@@ -701,7 +686,6 @@ mod tests {
             }
         }
         assert!(half.total_warp_instrs() < traced.total_warp_instrs());
-        assert_eq!(half.semantic_hash(), semantic_hash_of(&half));
-        assert_ne!(half.semantic_hash(), traced.semantic_hash());
+        assert_ne!(semantic_hash_of(&half), semantic_hash_of(&traced));
     }
 }
