@@ -2,19 +2,24 @@
 //! JSONL persistence.
 //!
 //! The *content address* of a prediction is the FNV-1a 64-bit hash of a
-//! canonical string spelling out everything the answer depends on: every
-//! field of the derived [`GpuConfig`](gsim_sim::GpuConfig)s (so changing
-//! a simulator default silently invalidates old entries), the normalized
-//! workload/pattern spec, the scale-model sizes, the targets and the
-//! memory miniature. The canonical string itself is persisted next to
-//! the body, which makes the on-disk file self-validating: keys are
+//! canonical string naming everything the answer depends on: the
+//! normalized workload/pattern spec, the scale-model sizes, the targets
+//! and the memory miniature, then `|configs=<16 hex>` — one FNV-1a
+//! digest over every field of every derived
+//! [`GpuConfig`](gsim_sim::GpuConfig) on the simulation ladder, so
+//! changing a simulator default silently invalidates old entries — and
+//! `|path=<mode>`. The canonical string itself is persisted next to the
+//! body, which makes the on-disk file self-validating: keys are
 //! re-derived on load, never trusted.
 //!
 //! Persistence is an append-only `predictions.jsonl` under the cache
 //! directory — one `{"schema", "canonical", "body"}` object per line,
 //! rewritten compacted only when eviction would otherwise let the file
 //! grow without bound. Unparseable lines are skipped, not fatal: a
-//! truncated tail (crash mid-append) must not brick the server.
+//! truncated tail (crash mid-append) must not brick the server. Lines of
+//! another schema are skipped too: `v1` lines spelt the configs out as
+//! text, so no `v2` request can address them, and loading them would
+//! fill the LRU with unreachable entries.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -26,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use gsim_json::{obj, Json};
 
 /// Schema tag of one persisted cache line.
-const LINE_SCHEMA: &str = "gsim-serve-cache-v1";
+const LINE_SCHEMA: &str = "gsim-serve-cache-v2";
 /// File name inside the cache directory.
 const FILE_NAME: &str = "predictions.jsonl";
 
@@ -310,6 +315,30 @@ mod tests {
         let cache = ResultCache::new(8, Some(dir.clone())).unwrap();
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get(fnv1a(b"req-ok")).unwrap().as_str(), "BODY");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lines_of_the_old_schema_do_not_crowd_out_current_ones() {
+        // A full cache's worth of v1 lines — unreachable under the
+        // digest key — ahead of one current line.
+        let dir = tmpdir("schema");
+        std::fs::create_dir_all(&dir).unwrap();
+        let old = |i: usize| {
+            obj([
+                ("schema", Json::from("gsim-serve-cache-v1")),
+                ("canonical", Json::from(format!("old-{i}").as_str())),
+                ("body", Json::from("OLD")),
+            ])
+            .render()
+        };
+        let mut file: String = (0..4).map(|i| old(i) + "\n").collect();
+        file += &line_json("req-new", "NEW").render();
+        std::fs::write(dir.join(FILE_NAME), file).unwrap();
+        let cache = ResultCache::new(4, Some(dir.clone())).unwrap();
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.get(fnv1a(b"req-new")).unwrap().as_str(), "NEW");
+        assert!(cache.get(fnv1a(b"old-0")).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

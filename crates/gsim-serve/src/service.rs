@@ -69,6 +69,7 @@ use gsim_core::plan::{
     Fit, PlanWorkload, SampledCollectConfig,
 };
 use gsim_json::{obj, Json};
+use gsim_mem::ReplacementPolicy;
 use gsim_runner::{Job, JobStatus, RunOverrides, Runner, RunnerConfig};
 use gsim_sim::GpuConfig;
 use gsim_trace::suite::{strong_benchmark, strong_suite};
@@ -163,8 +164,9 @@ type Outcome = Result<Arc<String>, ApiError>;
 /// The fully validated, normalized form of one predict request.
 #[derive(Debug)]
 struct Plan {
-    /// Canonical content-address string (normalized request + full
-    /// derived config encodings).
+    /// Canonical content-address string: the normalized request, the
+    /// digest of the ladder's derived configs and the requested path —
+    /// `<normalized>|configs=<16 hex>|path=<mode>`.
     canonical: String,
     /// Normalized request document, echoed in the response.
     normalized: Json,
@@ -217,6 +219,10 @@ enum PlanKind {
         small_wl: PlanWorkload,
         large_wl: PlanWorkload,
     },
+    /// A stored trace, by reference: the catalog vouched for it when the
+    /// request was parsed, and only a flight leader reads and decodes
+    /// its blob ([`PredictService::compute`]) — a cache hit never does.
+    Stored(String),
 }
 
 /// One scale model: the observation the predictors fit, plus what only
@@ -521,14 +527,14 @@ impl PredictService {
                 "predict budget exhausted; service is at capacity",
             );
         };
-        let plan = match parse_request(&req.body, Some(&self.store)) {
+        let mut plan = match parse_request(&req.body, Some(&self.store)) {
             Ok(plan) => plan,
             Err(e) => {
                 fail();
                 return e.response();
             }
         };
-        if matches!(plan.kind, PlanKind::WithMrc(PlanWorkload::Traced(_))) {
+        if matches!(plan.kind, PlanKind::Stored(_)) {
             self.metrics
                 .predict_from_trace
                 .fetch_add(1, Ordering::Relaxed);
@@ -543,7 +549,7 @@ impl PredictService {
                 self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
                 self.metrics.computations.fetch_add(1, Ordering::Relaxed);
                 let started = Instant::now();
-                let outcome: Outcome = self.compute(&plan, key, deadline).map(Arc::new);
+                let outcome: Outcome = self.compute(&mut plan, key, deadline).map(Arc::new);
                 if let Ok(body) = &outcome {
                     self.cache.put(key, &plan.canonical, Arc::clone(body));
                 }
@@ -606,13 +612,21 @@ impl PredictService {
 
     /// Computes one prediction: the staged functional-first fast path
     /// when it applies, the timing-simulation path otherwise, and one
-    /// shared fit → forecast → render tail behind both.
+    /// shared fit → forecast → render tail behind both. A stored trace's
+    /// blob is read and decoded here first, by the flight leader only.
     fn compute(
         &self,
-        plan: &Plan,
+        plan: &mut Plan,
         key: u64,
         deadline: Option<Instant>,
     ) -> Result<String, ApiError> {
+        if let PlanKind::Stored(trace_ref) = &plan.kind {
+            let wl = self.store.load(trace_ref).map_err(|e| match e {
+                StoreError::NotFound(_) => trace_not_found(trace_ref),
+                e => ApiError::internal(format!("trace load failed: {e}")),
+            })?;
+            plan.kind = PlanKind::WithMrc(PlanWorkload::Traced(Arc::new(wl)));
+        }
         let staged = match self.stage_fast(plan, deadline)? {
             Some(staged) => staged,
             None => self.stage_full(plan, key, deadline)?,
@@ -711,6 +725,7 @@ impl PredictService {
         let (small_wl, large_wl) = match &plan.kind {
             PlanKind::WithMrc(wl) => (wl, wl),
             PlanKind::PerSize { small_wl, large_wl } => (small_wl, large_wl),
+            PlanKind::Stored(_) => unreachable!("compute loads a stored trace before staging"),
         };
         let mut jobs = vec![
             sim_job(plan.small, small_wl.clone()),
@@ -1193,26 +1208,13 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
             let Some(store) = store else {
                 return Err(ApiError::internal("no trace store configured"));
             };
-            let wl = match store.load(&trace_ref) {
-                Ok(wl) => wl,
-                Err(StoreError::NotFound(_)) => {
-                    return Err(ApiError {
-                        status: 404,
-                        message: format!(
-                            "no trace {trace_ref} in store; upload it via POST /v1/traces"
-                        ),
-                    });
-                }
-                Err(e) => {
-                    return Err(ApiError::internal(format!("trace load failed: {e}")));
-                }
-            };
+            // The catalog check only: the blob is read by a flight
+            // leader, never by a cache hit.
+            if store.get(&trace_ref).is_none() {
+                return Err(trace_not_found(&trace_ref));
+            }
             let json = Json::from(trace_ref.as_str());
-            (
-                PlanKind::WithMrc(PlanWorkload::Traced(Arc::new(wl))),
-                json,
-                "trace".to_string(),
-            )
+            (PlanKind::Stored(trace_ref), json, "trace".to_string())
         }
         (None, None, None) => {
             return Err(ApiError::bad(
@@ -1257,19 +1259,19 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
         ("mem_scale", Json::from(scale.divisor())),
     ]);
 
-    // Content address: the normalized request plus every field of every
-    // derived config on the ladder — a change to the simulator's
-    // defaults must invalidate old cache entries.
-    let mut canonical = normalized.render();
-    for &s in &ladder {
-        canonical.push('|');
-        canonical.push_str(&encode_config(&GpuConfig::paper_target(s, scale)));
-    }
-    // The requested path changes what is computed (fast vs full bodies),
-    // so it is part of the address — for every mode, including the
-    // default, so the mode set can grow without aliasing old entries.
-    canonical.push_str("|path=");
-    canonical.push_str(path.as_str());
+    // Content address: the normalized request plus one digest of every
+    // field of every derived config on the ladder — a change to the
+    // simulator's defaults must invalidate old cache entries. The
+    // requested path changes what is computed (fast vs full bodies), so
+    // it is part of the address — for every mode, including the default,
+    // so the mode set can grow without aliasing old entries.
+    let configs = ladder.iter().map(|&s| GpuConfig::paper_target(s, scale));
+    let canonical = format!(
+        "{}|configs={:016x}|path={}",
+        normalized.render(),
+        configs_digest(configs),
+        path.as_str()
+    );
 
     Ok(Plan {
         canonical,
@@ -1282,6 +1284,14 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
         ladder,
         path,
     })
+}
+
+/// The 404 for a trace reference the store does not hold.
+fn trace_not_found(trace_ref: &str) -> ApiError {
+    ApiError {
+        status: 404,
+        message: format!("no trace {trace_ref} in store; upload it via POST /v1/traces"),
+    }
 }
 
 /// Parses a synthetic-pattern spec into a one-kernel workload, returning
@@ -1462,44 +1472,79 @@ fn parse_pattern(pattern: &Json, scale: MemScale) -> Result<(Workload, Json), Ap
     Ok((workload, obj(normalized)))
 }
 
-/// Spells out every field of a derived [`GpuConfig`] — an explicit
-/// encoder, not `Debug`, so the canonical form is a deliberate contract:
-/// adding a config field without extending this is a compile error.
-fn encode_config(c: &GpuConfig) -> String {
-    // Exhaustive destructuring: a new field breaks this build until the
-    // encoding (and thereby cache invalidation) accounts for it.
-    let GpuConfig {
-        n_sms,
-        sm_clock_ghz,
-        warps_per_sm,
-        max_threads_per_sm,
-        l1_bytes,
-        l1_ways,
-        l1_mshrs,
-        l1_latency,
-        line_bytes,
-        llc_bytes_total,
-        llc_slices,
-        llc_ways,
-        llc_latency,
-        noc_gbs,
-        noc_hop_latency,
-        dram_gbs_per_mc,
-        n_mcs,
-        dram_latency,
-        llc_policy,
-        dram_banks_per_mc,
-        sim_threads: _, // inert field (GpuConfig docs): never part of the key
-        mem_scale,
-    } = c;
-    format!(
-        "n_sms={n_sms};clock={sm_clock_ghz};warps={warps_per_sm};threads={max_threads_per_sm};\
-         l1={l1_bytes}/{l1_ways}w/{l1_mshrs}m/{l1_latency}c;line={line_bytes};\
-         llc={llc_bytes_total}/{llc_slices}s/{llc_ways}w/{llc_latency}c;\
-         noc={noc_gbs}/{noc_hop_latency}c;dram={dram_gbs_per_mc}x{n_mcs}/{dram_latency}c;\
-         policy={llc_policy:?};banks={dram_banks_per_mc};scale={}",
-        mem_scale.divisor()
-    )
+/// One FNV-1a digest over every field of every derived [`GpuConfig`] —
+/// the config term of the content address. Each field enters as its
+/// little-endian bytes (floats through `f64::to_bits`, the replacement
+/// policy as an explicit code), so the digest is stable across platforms
+/// and releases and a changed simulator default changes it. Exhaustive
+/// destructuring: adding a config field without folding it in here is a
+/// compile error.
+fn configs_digest(configs: impl IntoIterator<Item = GpuConfig>) -> u64 {
+    /// Bytes one config contributes: 16 `u32` words and 5 `u64` words.
+    const CONFIG_BYTES: usize = 16 * 4 + 5 * 8;
+    let configs = configs.into_iter();
+    let mut bytes = Vec::with_capacity(configs.size_hint().0 * CONFIG_BYTES);
+    for c in configs {
+        let GpuConfig {
+            n_sms,
+            sm_clock_ghz,
+            warps_per_sm,
+            max_threads_per_sm,
+            l1_bytes,
+            l1_ways,
+            l1_mshrs,
+            l1_latency,
+            line_bytes,
+            llc_bytes_total,
+            llc_slices,
+            llc_ways,
+            llc_latency,
+            noc_gbs,
+            noc_hop_latency,
+            dram_gbs_per_mc,
+            n_mcs,
+            dram_latency,
+            llc_policy,
+            dram_banks_per_mc,
+            sim_threads: _, // inert field (GpuConfig docs): never part of the key
+            mem_scale,
+        } = c;
+        let policy: u32 = match llc_policy {
+            ReplacementPolicy::Lru => 0,
+            ReplacementPolicy::Fifo => 1,
+            ReplacementPolicy::Random => 2,
+        };
+        for word in [
+            n_sms,
+            warps_per_sm,
+            max_threads_per_sm,
+            l1_ways,
+            l1_mshrs,
+            l1_latency,
+            line_bytes,
+            llc_slices,
+            llc_ways,
+            llc_latency,
+            noc_hop_latency,
+            n_mcs,
+            dram_latency,
+            policy,
+            dram_banks_per_mc,
+            mem_scale.divisor(),
+        ] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        for word in [
+            l1_bytes,
+            llc_bytes_total,
+            sm_clock_ghz.to_bits(),
+            noc_gbs.to_bits(),
+            dram_gbs_per_mc.to_bits(),
+        ] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+    fnv1a(&bytes)
 }
 
 #[cfg(test)]
@@ -1657,10 +1702,11 @@ mod tests {
             meta.trace_ref
         );
         let p = parse_request(body.as_bytes(), Some(&store)).expect("trace plan");
-        let PlanKind::WithMrc(PlanWorkload::Traced(traced)) = &p.kind else {
-            panic!("a trace_ref names a traced workload");
+        let PlanKind::Stored(trace_ref) = &p.kind else {
+            panic!("a trace_ref names a stored trace");
         };
-        assert_eq!(semantic_hash_of(&**traced), semantic_hash_of(&wl));
+        let traced = store.load(trace_ref).expect("the catalog's trace loads");
+        assert_eq!(semantic_hash_of(&traced), semantic_hash_of(&wl));
         let rendered = p.normalized.render();
         assert!(rendered.contains(&format!("\"trace_ref\":\"{}\"", meta.trace_ref)));
         assert!(rendered.contains("\"suite\":\"trace\""), "{rendered}");
@@ -1716,15 +1762,98 @@ mod tests {
     }
 
     #[test]
-    fn config_encoding_is_exhaustive_and_scale_sensitive() {
-        let a = encode_config(&GpuConfig::paper_target(8, MemScale::default()));
-        let b = encode_config(&GpuConfig::paper_target(8, MemScale::new(16)));
-        assert_ne!(a, b);
-        assert!(a.contains("n_sms=8"));
+    fn config_digest_sees_every_field_and_the_scale() {
+        let base = GpuConfig::paper_target(8, MemScale::default());
+        let digest = |cfg: &GpuConfig| configs_digest([cfg.clone()]);
+        let a = digest(&base);
+        // Every field of the simulated machine moves the digest.
+        type Perturb = fn(&mut GpuConfig);
+        let perturbations: [(&str, Perturb); 21] = [
+            ("n_sms", |c| c.n_sms += 1),
+            ("sm_clock_ghz", |c| c.sm_clock_ghz *= 1.5),
+            ("warps_per_sm", |c| c.warps_per_sm += 1),
+            ("max_threads_per_sm", |c| c.max_threads_per_sm += 1),
+            ("l1_bytes", |c| c.l1_bytes += 1),
+            ("l1_ways", |c| c.l1_ways += 1),
+            ("l1_mshrs", |c| c.l1_mshrs += 1),
+            ("l1_latency", |c| c.l1_latency += 1),
+            ("line_bytes", |c| c.line_bytes += 1),
+            ("llc_bytes_total", |c| c.llc_bytes_total += 1),
+            ("llc_slices", |c| c.llc_slices += 1),
+            ("llc_ways", |c| c.llc_ways += 1),
+            ("llc_latency", |c| c.llc_latency += 1),
+            ("noc_gbs", |c| c.noc_gbs *= 1.5),
+            ("noc_hop_latency", |c| c.noc_hop_latency += 1),
+            ("dram_gbs_per_mc", |c| c.dram_gbs_per_mc *= 1.5),
+            ("n_mcs", |c| c.n_mcs += 1),
+            ("dram_latency", |c| c.dram_latency += 1),
+            ("llc_policy", |c| c.llc_policy = ReplacementPolicy::Fifo),
+            ("dram_banks_per_mc", |c| c.dram_banks_per_mc += 1),
+            ("mem_scale", |c| c.mem_scale = MemScale::new(16)),
+        ];
+        for (field, perturb) in perturbations {
+            let mut cfg = base.clone();
+            perturb(&mut cfg);
+            assert_ne!(a, digest(&cfg), "{field} does not reach the digest");
+        }
+        // A different miniature derives a different machine.
+        assert_ne!(a, digest(&GpuConfig::paper_target(8, MemScale::new(16))));
+        // Every rung counts, in ladder order.
+        let b = GpuConfig::paper_target(16, MemScale::default());
+        assert_ne!(configs_digest([base.clone(), b.clone()]), a);
+        assert_ne!(
+            configs_digest([base.clone(), b.clone()]),
+            configs_digest([b, base.clone()])
+        );
         // The inert thread-count field must NOT affect the address.
-        let mut cfg = GpuConfig::paper_target(8, MemScale::default());
+        let mut cfg = base.clone();
         cfg.sim_threads = 7;
-        assert_eq!(a, encode_config(&cfg));
+        assert_eq!(a, digest(&cfg));
+
+        // The canonical string ends in the digest and the path.
+        let p = plan(r#"{"workload": "bfs", "targets": [32], "path": "fast"}"#).unwrap();
+        let ladder = [8, 16, 32].map(|s| GpuConfig::paper_target(s, MemScale::default()));
+        let suffix = format!("|configs={:016x}|path=fast", configs_digest(ladder));
+        assert!(p.canonical.ends_with(&suffix), "{}", p.canonical);
+        assert_eq!(p.canonical.matches('|').count(), 2, "{}", p.canonical);
+    }
+
+    #[test]
+    fn a_trace_predict_hit_does_not_read_the_blob() {
+        let svc = PredictService::new(ServeConfig::default(), ShutdownFlag::new()).unwrap();
+        let plan = gsim_faults::FaultPlan::parse("store_read_delay_p=1,store_read_delay_ms=0")
+            .expect("plan");
+        let faults: &'static gsim_faults::Injector =
+            Box::leak(Box::new(gsim_faults::Injector::new(plan)));
+        svc.trace_store().set_faults(Some(faults));
+        let post = |path: &str, body: Vec<u8>| {
+            svc.handle(&Request {
+                method: "POST".into(),
+                path: path.into(),
+                headers: Vec::new(),
+                body,
+            })
+        };
+        let spec = PatternSpec::new(PatternKind::Streaming, 512);
+        let wl = Workload::new("t", 9, vec![Kernel::new("k", 8, 128, spec)]);
+        let mut bytes = Vec::new();
+        gsim_trace::write_trace(&wl, &mut bytes).expect("write trace");
+        let (meta, _) = svc.trace_store().ingest_bytes(&bytes).expect("ingest");
+
+        let body = format!(
+            r#"{{"trace_ref": "{}", "target_sms": 32, "path": "fast"}}"#,
+            meta.trace_ref
+        );
+        let first = post("/v1/predict", body.clone().into_bytes());
+        let second = post("/v1/predict", body.into_bytes());
+        assert_eq!((first.status, second.status), (200, 200));
+        assert_eq!(first.body, second.body);
+        let cache = |r: &Response| r.headers.iter().find(|(k, _)| k == "X-Gsim-Cache").cloned();
+        assert_eq!(cache(&second), Some(("X-Gsim-Cache".into(), "hit".into())));
+        // One read, by the miss's flight leader; the hit only consulted
+        // the catalog. Both requests count as trace predicts.
+        assert_eq!(faults.injected(), vec![("store.read_delay", 1)]);
+        assert_eq!(svc.metrics().predict_from_trace.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -118,35 +118,44 @@ fn k(name: &str, ctas: u32, spec: PatternSpec) -> Kernel {
 /// assert!(suite.iter().any(|b| b.abbr == "dct"));
 /// ```
 pub fn strong_suite(scale: MemScale) -> Vec<StrongBenchmark> {
-    vec![
-        dct(scale),
-        fwt(scale),
-        bp(scale),
-        va(scale),
-        r#as(scale),
-        lu(scale),
-        st(scale),
-        bfs(scale),
-        unet(scale),
-        sr(scale),
-        gr(scale),
-        btree(scale),
-        pf(scale),
-        res50(scale),
-        res34(scale),
-        ht(scale),
-        at(scale),
-        gemm(scale),
-        mm2(scale),
-        lbm(scale),
-        bs(scale),
-    ]
+    STRONG_SUITE.iter().map(|(_, build)| build(scale)).collect()
 }
 
-/// Looks a benchmark up by abbreviation.
+/// Looks a benchmark up by abbreviation, building only that one.
 pub fn strong_benchmark(abbr: &str, scale: MemScale) -> Option<StrongBenchmark> {
-    strong_suite(scale).into_iter().find(|b| b.abbr == abbr)
+    STRONG_SUITE
+        .iter()
+        .find(|(a, _)| *a == abbr)
+        .map(|(_, build)| build(scale))
 }
+
+/// Builds one Table II benchmark at a memory miniature.
+type Builder = fn(MemScale) -> StrongBenchmark;
+
+/// Table II in order: each benchmark's abbreviation and its builder.
+const STRONG_SUITE: [(&str, Builder); 21] = [
+    ("dct", dct),
+    ("fwt", fwt),
+    ("bp", bp),
+    ("va", va),
+    ("as", r#as),
+    ("lu", lu),
+    ("st", st),
+    ("bfs", bfs),
+    ("unet", unet),
+    ("sr", sr),
+    ("gr", gr),
+    ("btree", btree),
+    ("pf", pf),
+    ("res50", res50),
+    ("res34", res34),
+    ("ht", ht),
+    ("at", at),
+    ("gemm", gemm),
+    ("2mm", mm2),
+    ("lbm", lbm),
+    ("bs", bs),
+];
 
 // --- super-linear: reused working sets that fit the target LLC ---------
 
@@ -671,6 +680,24 @@ mod tests {
         let b = strong_benchmark("dct", MemScale::default()).expect("dct exists");
         assert_eq!(b.workload.footprint_mb_paper(), 33.0);
         assert!(strong_benchmark("nope", MemScale::default()).is_none());
+    }
+
+    #[test]
+    fn lookup_builds_the_suites_entry() {
+        let scale = MemScale::new(32);
+        let meta = |b: &StrongBenchmark| (b.abbr, b.full_name, b.origin, b.cta_sizes_paper);
+        for want in strong_suite(scale) {
+            let got = strong_benchmark(want.abbr, scale).expect("every suite entry looks up");
+            assert_eq!(meta(&got), meta(&want));
+            assert_eq!(got.expected, want.expected, "{}", want.abbr);
+            assert_eq!(
+                crate::semantic_hash_of(&got.workload),
+                crate::semantic_hash_of(&want.workload),
+                "{}",
+                want.abbr
+            );
+            assert_eq!(got.workload, want.workload, "{}", want.abbr);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 # and the CI trace-smoke job: record → ingest → info → serve, then a
 # predict-from-trace must return the same prediction as the synthetic
 # generator path bit for bit, from exactly its own two timing
-# simulations.
+# simulations, and its repeat must be a byte-identical cache hit.
 set -euo pipefail
 
 GSIM=${GSIM:-target/release/gsim}
@@ -78,6 +78,23 @@ assert m["timing_sims_started"] == sims_before + 2, m
 assert m["predict"]["from_trace"] == 1, m["predict"]
 assert m["trace_store"]["ingests"] == 1, m["trace_store"]
 print("prediction bit-identical to the synthetic path, from its own 2 timing sims")
+EOF
+
+# The same trace predict again is a cache hit: the same bytes, no new
+# timing simulation, and still counted as a trace predict.
+curl -sf -D "$WORK/again.headers" -X POST "http://$ADDR/v1/predict" \
+    -d "{\"trace_ref\": \"$REF\", \"targets\": [32, 64], \"path\": \"full\"}" -o "$WORK/again.json"
+grep -qi '^X-Gsim-Cache: hit' "$WORK/again.headers" ||
+    { echo "repeat trace predict was not a cache hit"; cat "$WORK/again.headers"; exit 1; }
+cmp "$WORK/traced.json" "$WORK/again.json"
+curl -sf "http://$ADDR/metrics" -o "$WORK/metrics-again.json"
+python3 - "$WORK/metrics.json" "$WORK/metrics-again.json" <<'EOF'
+import json, sys
+before = json.load(open(sys.argv[1]))
+after = json.load(open(sys.argv[2]))
+assert after["timing_sims_started"] == before["timing_sims_started"], after
+assert after["predict"]["from_trace"] == 2, after["predict"]
+print("repeat trace predict: cache hit, byte-identical, no new timing sims")
 EOF
 
 curl -sf -X POST "http://$ADDR/v1/shutdown" > /dev/null
