@@ -36,8 +36,9 @@
 //! `./tracestore`, override with `--store`): `record` captures a suite
 //! benchmark to a v2 `.gstr` file, `ingest` validates and stores a trace
 //! under its content hash, `info` streams a file (or a stored `ref`)
-//! printing its metadata — with `--mrc`, also a stack-distance miss-rate
-//! curve collected without the timing simulator — and `ls` lists the
+//! printing its metadata — with `--mrc`, also the exact 8–128-SM
+//! miss-rate curve a full-path predict to 128 SMs embeds, replayed
+//! without the timing simulator — and `ls` lists the
 //! store. Trace decode failures map to distinct exit codes: 3 = not a
 //! trace, 4 = unsupported version, 5 = corrupt, 6 = over the size limit
 //! (`--max-trace-mb`), 1 = I/O.
@@ -79,7 +80,7 @@ use std::fs::File;
 use std::io::Write as _;
 use std::process::exit;
 
-use gsim_core::{detect_cliff, mrc_from_trace, Fit, Observation, SizedMrc};
+use gsim_core::{collect_replay, detect_cliff, Fit, Observation, SizedMrc};
 use gsim_runner::{ProgressReporter, Runner, RunnerConfig};
 use gsim_sim::{collect_mrc, ChipletConfig, GpuConfig, SimStats, Simulator};
 use gsim_trace::suite::{strong_benchmark, strong_suite, StrongBenchmark};
@@ -492,10 +493,10 @@ fn cmd_trace(f: &Flags) {
                     eprintln!("cannot reopen {}: {e}", path.display());
                     exit(1)
                 });
-                let out = mrc_from_trace(file, trace_limits(f), &configs)
+                let traced = TracedWorkload::read_with_limits(file, trace_limits(f))
                     .unwrap_or_else(|e| trace_exit(&format!("bad trace {}", path.display()), &e));
-                println!("  miss-rate curve (stack-distance, no timing sim):");
-                for (size, mpki) in out.mrc.points() {
+                println!("  miss-rate curve (functional replay, no timing sim):");
+                for (size, mpki) in collect_replay(&traced, &configs).points {
                     println!("    {size:>3} SMs  MPKI {mpki:>7.2}");
                 }
             }

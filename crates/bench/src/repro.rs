@@ -12,43 +12,22 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use gsim_core::ablation::{
-    ablate_f_mem_source, ablate_scale_model_style, cliff_threshold_sweep, ScaleModelStyle,
-};
 use gsim_core::experiment::{
     aggregate_error, reanalyze, BenchmarkOutcome, McmExperiment, StrongScalingExperiment,
     WeakOutcome, WeakScalingExperiment, METHODS,
 };
 use gsim_core::parallel::{collect, SweepFailure};
 use gsim_core::report::{ipc, pct, ratio, TextTable};
-use gsim_core::sampling::compare_sampling;
-use gsim_core::{MultiCliffPredictor, ScaleModelInputs, ScaleModelPredictor, SizedMrc};
-use gsim_mem::ReplacementPolicy;
 use gsim_runner::Runner;
-use gsim_sim::{collect_mrc, ChipletConfig, GpuConfig, Simulator};
-use gsim_trace::suite::{strong_benchmark, strong_suite};
+use gsim_sim::{ChipletConfig, GpuConfig};
+use gsim_trace::suite::strong_suite;
 use gsim_trace::weak::weak_suite;
-use gsim_trace::{Kernel, MemScale, PatternKind, PatternSpec, Workload};
+use gsim_trace::MemScale;
 
 /// Every section `gsim repro` regenerates; no sections means all.
-pub const SECTIONS: [&str; 17] = [
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "fig1",
-    "fig2",
-    "fig4a",
-    "fig4b",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "appendix",
-    "ablations",
-    "multicliff",
-    "sampling",
+pub const SECTIONS: [&str; 14] = [
+    "table1", "table2", "table3", "table4", "table5", "fig1", "fig2", "fig4a", "fig4b", "fig5",
+    "fig6", "fig7", "fig8", "appendix",
 ];
 
 /// Formats bytes as MB with the paper's precision.
@@ -177,18 +156,6 @@ pub fn run(
         }
     }
 
-    if want("ablations") {
-        eprintln!("[repro] running ablations ({scale}) ...");
-        emit("ablations", &ablations(scale))?;
-    }
-    if want("multicliff") {
-        eprintln!("[repro] running multi-cliff extension study ({scale}) ...");
-        emit("multicliff", &multicliff(scale, runner))?;
-    }
-    if want("sampling") {
-        eprintln!("[repro] running kernel-sampling comparison ({scale}) ...");
-        emit("sampling", &sampling(scale, runner))?;
-    }
     if want("fig8") {
         eprintln!(
             "[repro] running multi-chiplet case study ({scale}) on {} thread(s) ...",
@@ -667,253 +634,6 @@ fn appendix(outcomes: &[BenchmarkOutcome]) -> String {
         }
         let _ = writeln!(out, "[{target}-SM target]\n{}", t.render());
     }
-    out
-}
-
-fn ablations(scale: MemScale) -> String {
-    let mut out = String::from(
-        "Ablations: why the methodology is built the way it is\n\n         (A1) Proportional vs non-proportional scale models (Section II's\n         design rule). Scale models built once for the 128-SM system are\n         reused to predict the 64-SM target:\n\n",
-    );
-    let mut t = TextTable::new(vec![
-        "bench",
-        "style",
-        "IPC(8)",
-        "IPC(16)",
-        "predicted",
-        "real",
-        "error (%)",
-    ]);
-    for abbr in ["dct", "pf"] {
-        let bench = strong_benchmark(abbr, scale).expect("benchmark");
-        for style in [
-            ScaleModelStyle::Proportional,
-            ScaleModelStyle::FullSizeLlc,
-            ScaleModelStyle::FullBandwidth,
-        ] {
-            let r = ablate_scale_model_style(&bench, scale, 64, style).expect("ablation");
-            t.row(vec![
-                abbr.into(),
-                style.label().into(),
-                ipc(r.ipc_models.0),
-                ipc(r.ipc_models.1),
-                ipc(r.predicted),
-                ipc(r.real),
-                pct(r.error_pct),
-            ]);
-        }
-    }
-    let _ = writeln!(out, "{}", t.render());
-
-    let _ = writeln!(
-        out,
-        "(A2) Cliff-detection threshold sensitivity (paper: >2x per\n         capacity doubling), on each benchmark's measured miss-rate curve:\n"
-    );
-    let exp = StrongScalingExperiment::new(scale);
-    let mut t = TextTable::new(vec!["bench", "1.5x", "2.0x (paper)", "3.0x", "4.0x"]);
-    for abbr in ["dct", "lu", "bfs", "pf"] {
-        let bench = strong_benchmark(abbr, scale).expect("benchmark");
-        let outcome = exp.run_benchmark(&bench).expect("pipeline");
-        let mrc = outcome.mrc.expect("strong outcomes carry an MRC");
-        let mut row = vec![abbr.to_string()];
-        for (_, hit) in cliff_threshold_sweep(&mrc, &[1.5, 2.0, 3.0, 4.0]) {
-            row.push(match hit {
-                Some(sz) => format!("cliff@{sz}"),
-                None => "-".into(),
-            });
-        }
-        t.row(row);
-    }
-    let _ = writeln!(out, "{}", t.render());
-
-    let _ = writeln!(
-        out,
-        "(A4) Replacement policy: miss-rate-curve cliffs are an LRU\n         artefact (Talus [11]); random LLC replacement smooths dct's cliff\n         and with it the super-linear jump:\n"
-    );
-    let mut t = TextTable::new(vec![
-        "policy",
-        "IPC(64)",
-        "IPC(128)",
-        "64->128 step",
-        "MPKI(128)",
-    ]);
-    let dct = strong_benchmark("dct", scale).expect("dct exists");
-    for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Random] {
-        let run = |sms: u32| {
-            let mut cfg = GpuConfig::paper_target(sms, scale);
-            cfg.llc_policy = policy;
-            Simulator::new(cfg, &dct.workload).run()
-        };
-        let (s64, s128) = (run(64), run(128));
-        t.row(vec![
-            format!("{policy:?}"),
-            ipc(s64.sustained_ipc()),
-            ipc(s128.sustained_ipc()),
-            ratio(s128.sustained_ipc() / s64.sustained_ipc()),
-            format!("{:.2}", s128.mpki()),
-        ]);
-    }
-    let _ = writeln!(out, "{}", t.render());
-
-    let _ = writeln!(
-        out,
-        "(A3) Source of the Eq. (3) memory-stall fraction: largest scale\n         model (paper) vs smallest, predicting the cliff benchmarks:\n"
-    );
-    let mut t = TextTable::new(vec![
-        "bench",
-        "target",
-        "f_mem(16) err (%)",
-        "f_mem(8) err (%)",
-    ]);
-    for (abbr, target) in [("dct", 128u32), ("lu", 64), ("bp", 128)] {
-        let bench = strong_benchmark(abbr, scale).expect("benchmark");
-        let r = ablate_f_mem_source(&bench, scale, target).expect("ablation");
-        t.row(vec![
-            abbr.into(),
-            target.to_string(),
-            pct(r.error_large_pct),
-            pct(r.error_small_pct),
-        ]);
-    }
-    let _ = writeln!(out, "{}", t.render());
-    out
-}
-
-fn multicliff(scale: MemScale, runner: &Runner) -> String {
-    // A synthetic workload with two nested reused working sets: the inner
-    // one fits from 32 SMs on, the outer only at 128 SMs — two cliffs,
-    // the multi-level-cache scenario the paper leaves as future work
-    // (Section V.D).
-    let inner = PatternSpec::new(
-        PatternKind::GlobalSweep { passes: 1 },
-        scale.mb_to_model_lines(6.0),
-    )
-    .compute_per_mem(3.0);
-    let outer = PatternSpec::new(
-        PatternKind::GlobalSweep { passes: 1 },
-        scale.mb_to_model_lines(23.4),
-    )
-    .compute_per_mem(3.0);
-    // Five inner passes per outer pass: the inner set carries most of
-    // the pre-fit misses, so *both* fits register as >2x cliffs.
-    let mut kernels = Vec::new();
-    for _ in 0..4 {
-        for _ in 0..5 {
-            kernels.push(Kernel::new("inner", 768, 256, inner.clone()));
-        }
-        kernels.push(Kernel::new("outer", 768, 256, outer.clone()));
-    }
-    let wl = Workload::new("twocliff", 4242, kernels).with_footprint_mb(29.4);
-
-    let sizes = [8u32, 16, 32, 64, 128];
-    let configs: Vec<GpuConfig> = sizes
-        .iter()
-        .map(|&z| GpuConfig::paper_target(z, scale))
-        .collect();
-    // One job per system size; the reports come back size-ordered.
-    let sim_wl = wl.clone();
-    let stats: Vec<_> = runner
-        .map(
-            "multicliff",
-            configs
-                .iter()
-                .map(|c| (format!("{}sm", c.n_sms), c.clone()))
-                .collect(),
-            move |cfg: &GpuConfig| Simulator::new(cfg.clone(), &sim_wl).run(),
-        )
-        .into_iter()
-        .filter_map(|r| r.into_ok())
-        .collect();
-    if stats.len() != sizes.len() {
-        return "multicliff: a simulation job failed; section skipped\n".into();
-    }
-    let curve = collect_mrc(&wl, &configs);
-    let mrc = SizedMrc::new(sizes.iter().zip(curve.points()).map(|(&z, p)| (z, p.mpki)));
-
-    let mut out = String::from(
-        "Multi-cliff extension (paper Section V.D future work): a workload\n         with two nested working sets (6 MB and 23.4 MB) produces two\n         miss-rate-curve cliffs; the generalised predictor applies one\n         partial Eq. (3) boost per cliff.\n\n",
-    );
-    let mut t = TextTable::new(vec!["#SMs", "MPKI", "real IPC"]);
-    for (i, &z) in sizes.iter().enumerate() {
-        t.row(vec![
-            z.to_string(),
-            format!("{:.2}", mrc.points()[i].1),
-            ipc(stats[i].sustained_ipc()),
-        ]);
-    }
-    let _ = writeln!(out, "{}", t.render());
-
-    let inputs = ScaleModelInputs::new(8, stats[0].sustained_ipc(), 16, stats[1].sustained_ipc())
-        .with_sized_mrc(mrc.clone())
-        .with_f_mem(stats[1].f_mem());
-    let single = ScaleModelPredictor::new(inputs.clone()).expect("single-cliff model");
-    let multi = MultiCliffPredictor::new(&inputs).expect("multi-cliff model");
-    let _ = writeln!(
-        out,
-        "detected cliffs: single-cliff model at {:?}; multi-cliff model at {:?}\n",
-        single.cliff_at(),
-        multi.cliff_sizes()
-    );
-    let mut t = TextTable::new(vec![
-        "target",
-        "real",
-        "single-cliff",
-        "err (%)",
-        "multi-cliff",
-        "err (%)",
-    ]);
-    for (i, &z) in sizes.iter().enumerate().skip(2) {
-        let real = stats[i].sustained_ipc();
-        let ps = single.predict_checked(z).expect("covered");
-        let pm = multi.predict_checked(z).expect("covered");
-        t.row(vec![
-            z.to_string(),
-            ipc(real),
-            ipc(ps),
-            pct(gsim_core::percent_error(ps, real)),
-            ipc(pm),
-            pct(gsim_core::percent_error(pm, real)),
-        ]);
-    }
-    let _ = writeln!(out, "{}", t.render());
-    out
-}
-
-fn sampling(scale: MemScale, runner: &Runner) -> String {
-    let mut out = String::from(
-        "Kernel-sampling baseline (related work [8, 32]): simulate 1/8 of\n         each kernel's CTAs on the TARGET system and extrapolate. Unlike\n         scale-model simulation this requires a target-capable simulator,\n         and truncating the grid shrinks the working set, so capacity-\n         sensitive (pre-cliff) workloads are overpredicted.\n\n",
-    );
-    let mut t = TextTable::new(vec![
-        "bench",
-        "target",
-        "real IPC",
-        "sampled est.",
-        "error (%)",
-        "sampled sim (s)",
-        "full sim (s)",
-    ]);
-    let items: Vec<(String, (String, u32))> =
-        [("dct", 64u32), ("lu", 32), ("pf", 64), ("gemm", 64)]
-            .iter()
-            .map(|&(abbr, target)| (format!("{abbr}@{target}"), (abbr.to_string(), target)))
-            .collect();
-    let rows = runner.map("sampling", items, move |(abbr, target): &(String, u32)| {
-        let bench = strong_benchmark(abbr, scale).expect("benchmark");
-        let cfg = GpuConfig::paper_target(*target, scale);
-        let c = compare_sampling(&bench.workload, &cfg, 0.125);
-        vec![
-            abbr.clone(),
-            target.to_string(),
-            ipc(c.real_ipc),
-            ipc(c.estimate.ipc_estimate),
-            pct(c.error_pct),
-            format!("{:.2}", c.estimate.sim_seconds),
-            format!("{:.2}", c.full_sim_seconds),
-        ]
-    });
-    for row in rows.into_iter().filter_map(|r| r.into_ok()) {
-        t.row(row);
-    }
-    let _ = writeln!(out, "{}", t.render());
     out
 }
 

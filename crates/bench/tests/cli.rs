@@ -79,6 +79,35 @@ fn gsim_trace_record_ingest_info_roundtrip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The MPKI column of a miss-rate-curve listing, one value per size.
+fn mpki_column(out: &Output) -> Vec<String> {
+    stdout_of(out)
+        .lines()
+        .filter_map(|l| l.split("MPKI").nth(1))
+        .map(|rest| rest.split_whitespace().next().unwrap_or("").to_string())
+        .collect()
+}
+
+#[test]
+fn gsim_trace_info_mrc_is_the_replayed_curve() {
+    // A recorded trace replays to the curve of the workload it records
+    // over the 8..128-SM ladder: the curve a full-path predict of the
+    // trace to 128 SMs embeds.
+    let dir = fresh_dir("trace-mrc");
+    let file = dir.join("gemm.gstr");
+    let path = file.to_str().unwrap();
+    let rec = gsim(&["trace", "record", "gemm", "-o", path, "--scale", "32"]);
+    assert!(rec.status.success(), "record failed: {rec:?}");
+    let info = gsim(&["trace", "info", path, "--mrc", "--scale", "32"]);
+    assert!(info.status.success(), "info failed: {info:?}");
+    let mrc = gsim(&["mrc", "gemm", "--scale", "32"]);
+    assert!(mrc.status.success(), "mrc failed: {mrc:?}");
+    let column = mpki_column(&info);
+    assert_eq!(column.len(), 5, "{}", stdout_of(&info));
+    assert_eq!(column, mpki_column(&mrc));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn gsim_trace_failures_map_to_distinct_exit_codes() {
     let dir = fresh_dir("trace-exits");
@@ -196,6 +225,15 @@ fn removed_surfaces_exit_2() {
     ] {
         let out = gsim(args);
         assert_eq!(out.status.code(), Some(2), "gsim {args:?}: {out:?}");
+    }
+    // The beyond-paper studies are no longer repro sections.
+    for section in ["ablations", "multicliff", "sampling"] {
+        let out = gsim(&["repro", section]);
+        assert_eq!(out.status.code(), Some(2), "gsim repro {section}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).starts_with(&format!("unknown section {section}")),
+            "{out:?}"
+        );
     }
 }
 

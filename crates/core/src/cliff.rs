@@ -149,17 +149,10 @@ pub enum Region {
 /// assert_eq!(detect_cliff(&mrc), Some(3)); // cliff between 64 and 128
 /// ```
 pub fn detect_cliff(mrc: &SizedMrc) -> Option<usize> {
-    detect_cliff_with(mrc, CLIFF_DROP_FACTOR)
-}
-
-/// [`detect_cliff`] with an explicit drop threshold, for sensitivity
-/// studies (the ablation harness sweeps 1.5×–4×).
-pub fn detect_cliff_with(mrc: &SizedMrc, drop_factor: f64) -> Option<usize> {
-    assert!(drop_factor > 1.0, "a cliff must at least be a drop");
     mrc.points.windows(2).position(|w| {
         let (_, before) = w[0];
         let (_, after) = w[1];
-        before > MPKI_NOISE_FLOOR && after < before / drop_factor
+        before > MPKI_NOISE_FLOOR && after < before / CLIFF_DROP_FACTOR
     })
 }
 
@@ -201,14 +194,6 @@ mod tests {
         assert_eq!(regions[4].1, Region::PostCliff);
         assert!(mrc.cliff_between(32, 64));
         assert!(!mrc.cliff_between(64, 128));
-    }
-
-    #[test]
-    fn custom_threshold_changes_sensitivity() {
-        let mrc = SizedMrc::new([(8, 8.0), (16, 4.5)]);
-        assert_eq!(detect_cliff(&mrc), None); // 1.78x < 2x
-        assert_eq!(detect_cliff_with(&mrc, 1.5), Some(0));
-        assert_eq!(detect_cliff_with(&mrc, 3.0), None);
     }
 
     #[test]

@@ -40,26 +40,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablation;
 pub mod classify;
 pub mod cliff;
 pub mod experiment;
-pub mod multi_cliff;
 pub mod oneshot;
 pub mod parallel;
 pub mod plan;
 pub mod predictor;
 pub mod report;
-pub mod sampling;
 mod scale_model;
 
 mod error;
 
 pub use classify::classify_scaling;
-pub use cliff::{detect_cliff, detect_cliff_with, Region, SizedMrc};
+pub use cliff::{detect_cliff, Region, SizedMrc};
 pub use error::ModelError;
-pub use multi_cliff::{detect_cliffs, MultiCliffPredictor};
-pub use oneshot::{mrc_from_trace, Forecast, Observation, TargetForecast, TraceMrc};
+pub use oneshot::{Forecast, Observation, TargetForecast};
 pub use parallel::{SuiteRun, SweepFailure};
 pub use plan::{
     collect_replay, collect_sampled, collect_sampled_inline, synthesize_observation, CollectEngine,

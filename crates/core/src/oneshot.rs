@@ -1,5 +1,5 @@
 //! One-shot prediction: the input and output types of a prediction made
-//! without ground truth, plus the streamed-trace miss-rate curve.
+//! without ground truth.
 //!
 //! The [`experiment`](crate::experiment) pipelines are built for the
 //! paper's evaluation: they simulate the *target* systems too, because
@@ -12,13 +12,6 @@
 //! it for a [`Forecast`]; the experiment pipelines build their
 //! predictors through the same `Fit`, so the two cannot drift apart.
 
-use std::io::Read;
-
-use gsim_mem::mrc::{DistanceEngine, TreeStack};
-use gsim_sim::GpuConfig;
-use gsim_trace::{Op, TraceLimits, TraceReadError, TraceReader};
-
-use crate::cliff::SizedMrc;
 use crate::predictor::ScalingPredictor;
 
 /// One simulated scale-model observation, as a prediction input.
@@ -78,101 +71,12 @@ pub struct Forecast {
     pub targets: Vec<TargetForecast>,
 }
 
-/// The output of [`mrc_from_trace`]: a per-size miss-rate curve plus the
-/// streaming totals it was derived from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceMrc {
-    /// MPKI at each configuration's LLC capacity, keyed by SM count.
-    pub mrc: SizedMrc,
-    /// Warp instructions in the trace.
-    pub total_warp_instrs: u64,
-    /// Line-level memory accesses recorded into the engine.
-    pub line_accesses: u64,
-    /// Content identity of the trace (see
-    /// [`gsim_trace::semantic_hash_of`]).
-    pub semantic_hash: u64,
-    /// Peak decoder buffer occupancy — bounded by the trace chunk size.
-    pub peak_buffer_bytes: usize,
-}
-
-/// Collects a miss-rate curve **directly from a streamed trace** via the
-/// single-pass stack-distance engine — no timing simulation, no
-/// materialised workload, memory bounded by the trace chunk size.
-///
-/// This is the millisecond fast path for memory-bound workloads
-/// (ROADMAP's staged hot path): one pass over the file yields the MPKI at
-/// *every* candidate LLC capacity at once, because the stack-distance
-/// histogram is capacity-oblivious. Predictors that need timing fits (the
-/// IPC observations of Eq. 1) still escalate to the 8/16-SM scale-model
-/// simulations — but capacity screening, cliff detection, and
-/// `gsim trace info --mrc` need only this.
-///
-/// Compared to the functional replay
-/// ([`gsim_sim::collect_mrc`]), the stream is consumed in file order
-/// (warp-major) without L1 filtering or the round-robin resident-warp
-/// interleave, so the curve is an approximation of the replayed one —
-/// cliff positions agree, absolute MPKI can differ. Byte-exact prediction
-/// paths use the functional replay; this path is for screening and
-/// interactive inspection.
-///
-/// # Errors
-///
-/// Returns any [`TraceReadError`] from the streaming decoder.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty.
-pub fn mrc_from_trace<R: Read>(
-    input: R,
-    limits: TraceLimits,
-    configs: &[GpuConfig],
-) -> Result<TraceMrc, TraceReadError> {
-    assert!(!configs.is_empty(), "need at least one configuration");
-    let mut reader = TraceReader::with_limits(input, limits)?;
-    let mut engine = TreeStack::new();
-    let mut line_accesses = 0u64;
-    while let Some(warp) = reader.next_warp()? {
-        for op in &warp.ops {
-            let Some(access) = op.mem() else { continue };
-            // Stores are write-through no-write-allocate: they consume
-            // bandwidth but do not create reuse, matching the functional
-            // replay's LLC write handling as closely as a single pass can.
-            if matches!(op, Op::Store(_)) {
-                continue;
-            }
-            for line in access.lines() {
-                engine.record(line);
-                line_accesses += 1;
-            }
-        }
-    }
-    let stats = *reader.stats().expect("fully streamed");
-    let hist = engine.finish();
-    let kinsns = (stats.total_warp_instrs * u64::from(gsim_trace::THREADS_PER_WARP)) as f64 / 1e3;
-    let points = configs.iter().map(|cfg| {
-        let capacity_lines = cfg.llc_bytes_total / u64::from(cfg.line_bytes);
-        let mpki = if kinsns > 0.0 {
-            hist.misses_at(capacity_lines) / kinsns
-        } else {
-            0.0
-        };
-        (cfg.n_sms, mpki)
-    });
-    Ok(TraceMrc {
-        mrc: SizedMrc::new(points),
-        total_warp_instrs: stats.total_warp_instrs,
-        line_accesses,
-        semantic_hash: stats.semantic_hash,
-        peak_buffer_bytes: stats.peak_buffer_bytes,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cliff::SizedMrc;
     use crate::error::ModelError;
     use crate::plan::Fit;
-    use gsim_trace::{write_trace, Kernel, MemScale, PatternKind, PatternSpec, Workload};
 
     fn obs(size: u32, ipc: f64, f_mem: f64) -> Observation {
         Observation { size, ipc, f_mem }
@@ -239,40 +143,5 @@ mod tests {
     fn degenerate_observations_are_rejected() {
         assert!(forecast(obs(16, 100.0, 0.2), obs(8, 190.0, 0.2), None, &[32]).is_err());
         assert!(forecast(obs(8, 0.0, 0.2), obs(16, 190.0, 0.2), None, &[32]).is_err());
-    }
-
-    #[test]
-    fn trace_mrc_streams_without_timing_simulation() {
-        // A re-swept working set that fits the larger LLCs: the streamed
-        // stack-distance curve must fall with capacity and show the cliff.
-        let spec =
-            PatternSpec::new(PatternKind::GlobalSweep { passes: 1 }, 6_000).compute_per_mem(1.0);
-        let kernel = Kernel::new("k", 64, 256, spec);
-        let wl = Workload::new("cliff", 2, vec![kernel; 4]);
-        let mut bytes = Vec::new();
-        write_trace(&wl, &mut bytes).expect("write");
-        let configs: Vec<GpuConfig> = [8u32, 16, 32, 64]
-            .iter()
-            .map(|&s| GpuConfig::paper_target(s, MemScale::default()))
-            .collect();
-        let out =
-            mrc_from_trace(&bytes[..], TraceLimits::default(), &configs).expect("streamed mrc");
-        assert_eq!(out.total_warp_instrs, wl.approx_warp_instrs());
-        assert_eq!(out.semantic_hash, gsim_trace::semantic_hash_of(&wl));
-        assert!(out.line_accesses > 0);
-        let pts = out.mrc.points();
-        assert_eq!(pts.len(), 4);
-        assert_eq!(pts[0].0, 8);
-        // 6000 lines thrash the 8-SM LLC but fit the 32-SM one.
-        assert!(
-            pts[0].1 > 2.0 * pts[2].1.max(0.01),
-            "expected a capacity cliff, got {pts:?}"
-        );
-        // Memory stays bounded by the chunk size, not the trace size.
-        assert!(
-            out.peak_buffer_bytes < 4 * 1024 * 1024,
-            "peak buffer {} too large",
-            out.peak_buffer_bytes
-        );
     }
 }

@@ -121,16 +121,6 @@ impl WeakScalingExperiment {
             })
             .collect()
     }
-
-    /// Runs the whole weak suite on `runner`, outcomes in suite order.
-    pub fn run_suite_on(
-        &self,
-        suite: &[WeakBenchmark],
-        label: &str,
-        runner: &Runner,
-    ) -> SuiteRun<WeakOutcome> {
-        collect(runner.run(label, self.jobs(suite)))
-    }
 }
 
 impl McmExperiment {
@@ -148,16 +138,6 @@ impl McmExperiment {
                 Job::new(bench.abbr, move || exp.run_benchmark(&bench))
             })
             .collect()
-    }
-
-    /// Runs the MCM study on `runner`, outcomes in suite order.
-    pub fn run_suite_on(
-        &self,
-        suite: &[WeakBenchmark],
-        label: &str,
-        runner: &Runner,
-    ) -> SuiteRun<WeakOutcome> {
-        collect(runner.run(label, self.jobs(suite)))
     }
 }
 
@@ -208,7 +188,7 @@ mod tests {
             .collect();
         assert_eq!(suite.len(), 1);
         let exp = McmExperiment::new(scale);
-        let run = exp.run_suite_on(&suite, "test-mcm", &runner(2));
+        let run = collect(runner(2).run("test-mcm", exp.jobs(&suite)));
         assert!(run.is_complete(), "failures: {:?}", run.failures);
         assert!(run.outcomes.is_empty());
     }

@@ -52,36 +52,6 @@ impl ScaleModelInputs {
         self.f_mem_large = Some(f_mem);
         self
     }
-
-    /// Size of the smaller scale model.
-    pub fn small_size(&self) -> u32 {
-        self.small_size
-    }
-
-    /// Size of the larger scale model.
-    pub fn large_size(&self) -> u32 {
-        self.large_size
-    }
-
-    /// Measured IPC of the smaller scale model.
-    pub fn small_ipc(&self) -> f64 {
-        self.small_ipc
-    }
-
-    /// Measured IPC of the larger scale model.
-    pub fn large_ipc(&self) -> f64 {
-        self.large_ipc
-    }
-
-    /// The attached miss-rate curve, if any.
-    pub fn mrc(&self) -> Option<&SizedMrc> {
-        self.mrc.as_ref()
-    }
-
-    /// The attached memory-stall fraction, if any.
-    pub fn f_mem(&self) -> Option<f64> {
-        self.f_mem_large
-    }
 }
 
 /// The paper's per-workload scale-model predictor.

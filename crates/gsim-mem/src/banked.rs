@@ -11,8 +11,8 @@
 //! random traffic degrades — the usual ~2–3× gap.
 //!
 //! The timing simulator uses the flat model by default (set
-//! `GpuConfig::dram_banks_per_mc` to enable this one); the `dram_banks`
-//! ablation bench quantifies the difference.
+//! `GpuConfig::dram_banks_per_mc`, or `gsim run --banked-dram BANKS`, to
+//! enable this one).
 
 use crate::geometry::ceil_u64;
 use crate::slice::slice_for_line;

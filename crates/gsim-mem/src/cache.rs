@@ -1,28 +1,8 @@
-//! Set-associative, write-back tag-store cache model with selectable
-//! replacement policy.
+//! Set-associative, write-back, true-LRU tag-store cache model.
 
 use std::ops::Range;
 
 use crate::geometry::CacheGeometry;
-
-/// Replacement policy of a [`Cache`].
-///
-/// The paper's configurations use true LRU (Table III); the alternatives
-/// exist for ablations — in particular, miss-rate-curve *cliffs* are an
-/// LRU artefact (a cyclically re-swept working set one line larger than
-/// the cache misses every access), and [`ReplacementPolicy::Random`]
-/// smooths them away, the observation behind Talus \[11\].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReplacementPolicy {
-    /// True least-recently-used (the default, and the paper's setting).
-    #[default]
-    Lru,
-    /// First-in-first-out: eviction order is fill order; hits do not
-    /// promote.
-    Fifo,
-    /// Uniformly random victim, from a deterministic xorshift stream.
-    Random,
-}
 
 /// A line evicted by a cache fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,14 +103,13 @@ pub(crate) fn find(tags: &[u64], fingerprints: &[u8], line_addr: u64) -> Option<
     None
 }
 
-/// A set's recency (LRU) or fill (FIFO) order: a circular doubly linked
-/// list threaded through the ways, newest first, closed by a sentinel
-/// numbered `ways` so that no link is ever absent. `links` holds `next`
-/// and `prev` of every way, then of the sentinel, whose `next` is the
-/// newest way and whose `prev` the oldest. Empty ways sit at the old end.
+/// A set's recency order: a circular doubly linked list threaded through
+/// the ways, newest first, closed by a sentinel numbered `ways` so that no
+/// link is ever absent. `links` holds `next` and `prev` of every way, then
+/// of the sentinel, whose `next` is the newest way and whose `prev` the
+/// oldest. Empty ways sit at the old end.
 struct Order<'a> {
     links: &'a mut [u8],
-    ways: usize,
 }
 
 impl Order<'_> {
@@ -147,11 +126,6 @@ impl Order<'_> {
         self.links[2 * to + 1] = from as u8;
     }
 
-    /// The way `rank` places from the newest.
-    fn at(&self, rank: usize) -> usize {
-        (0..rank).fold(self.next(self.ways), |way, _| self.next(way))
-    }
-
     /// Relinks `way` behind `after`: behind the sentinel it is the newest,
     /// behind the oldest way (the sentinel's `prev`) the oldest.
     #[inline]
@@ -166,16 +140,16 @@ impl Order<'_> {
     }
 }
 
-/// A set-associative cache with selectable replacement (true LRU by
-/// default) and write-back, write-allocate semantics, modelled as a tag
-/// store (no data payloads).
+/// A set-associative cache with true LRU replacement (Table III) and
+/// write-back, write-allocate semantics, modelled as a tag store (no data
+/// payloads).
 ///
 /// Used for the per-SM 48 KB 6-way L1 caches and, one instance per slice,
 /// for the 64-way LLC slices of the paper's configurations.
 ///
 /// A way is eleven bytes: its tag word, a fingerprint byte of the line it
-/// holds, and its two links in the set's recency (LRU) or fill (FIFO)
-/// order, a doubly linked list with the newest way first and the empty
+/// holds, and its two links in the set's recency order, a doubly linked
+/// list with the newest way first and the empty
 /// ways last. A lookup tests the fingerprints eight at a time and
 /// compares tags only where they match; a hit or a replacement relinks
 /// one way, whatever the associativity, and the victim is the list's
@@ -193,7 +167,6 @@ impl Order<'_> {
 #[derive(Debug, Clone)]
 pub struct Cache {
     geom: CacheGeometry,
-    policy: ReplacementPolicy,
     /// `sets * ways` tag words, set-major.
     tags: Vec<u64>,
     /// Per set, `set_meta` bytes: the fingerprints, padded to
@@ -206,8 +179,6 @@ pub struct Cache {
     misses: u64,
     evictions: u64,
     dirty_evictions: u64,
-    /// Xorshift state for the random policy (deterministic).
-    rng_state: u64,
 }
 
 impl Cache {
@@ -217,15 +188,6 @@ impl Cache {
     ///
     /// Panics if the geometry has more than 255 ways.
     pub fn new(geom: CacheGeometry) -> Self {
-        Self::with_policy(geom, ReplacementPolicy::Lru)
-    }
-
-    /// Creates an empty cache with an explicit replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry has more than 255 ways.
-    pub fn with_policy(geom: CacheGeometry, policy: ReplacementPolicy) -> Self {
         assert!(
             geom.ways() <= MAX_WAYS,
             "{} ways exceed the tag store's {MAX_WAYS}",
@@ -236,7 +198,6 @@ impl Cache {
         let set_meta = (padded_ways + 2 * (ways + 1)).next_multiple_of(8);
         let mut cache = Self {
             geom,
-            policy,
             tags: vec![INVALID; sets * ways],
             meta: vec![0; sets * set_meta],
             padded_ways,
@@ -245,25 +206,9 @@ impl Cache {
             misses: 0,
             evictions: 0,
             dirty_evictions: 0,
-            rng_state: 0x9E37_79B9_7F4A_7C15,
         };
         cache.reset();
         cache
-    }
-
-    /// The replacement policy in force.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
-    #[inline]
-    fn next_random(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng_state = x;
-        x
     }
 
     /// The geometry this cache was built with.
@@ -283,9 +228,8 @@ impl Cache {
     #[inline]
     fn set_mut(&mut self, line_addr: u64) -> (&mut [u64], &mut [u8], Order<'_>) {
         let (tags, meta) = self.set_ranges(line_addr);
-        let ways = tags.len();
         let (fingerprints, links) = self.meta[meta].split_at_mut(self.padded_ways);
-        (&mut self.tags[tags], fingerprints, Order { links, ways })
+        (&mut self.tags[tags], fingerprints, Order { links })
     }
 
     /// Accesses `line_addr` (a line address, not a byte address), filling on
@@ -299,27 +243,18 @@ impl Cache {
             panic!("line address {line_addr:#x} exceeds the tag store's 62 bits")
         });
         let dirty = if is_write { DIRTY } else { 0 };
-        let policy = self.policy;
         let (tags, fingerprints, mut order) = self.set_mut(line_addr);
         let ways = tags.len();
         if let Some(way) = find(tags, fingerprints, line_addr) {
             tags[way] |= dirty;
-            if policy == ReplacementPolicy::Lru {
-                // FIFO/Random leave the order alone on a hit.
-                order.move_after(way, ways);
-            }
+            order.move_after(way, ways);
             self.hits += 1;
             return AccessResult::Hit;
         }
 
-        // Miss: pick a victim per policy. Empty ways come last, so the
-        // oldest way is empty until the set is full.
-        let mut victim = order.prev(ways);
-        if tags[victim] != INVALID && policy == ReplacementPolicy::Random {
-            let rank = (self.next_random() % ways as u64) as usize;
-            victim = self.set_mut(line_addr).2.at(rank);
-        }
-        let (tags, fingerprints, mut order) = self.set_mut(line_addr);
+        // Miss: the victim is the oldest way. Empty ways come last, so it
+        // is empty until the set is full.
+        let victim = order.prev(ways);
         let old = std::mem::replace(&mut tags[victim], key | dirty);
         fingerprints[victim] = fingerprint(line_addr);
         order.move_after(victim, ways);
@@ -557,48 +492,5 @@ mod tests {
         c.access(1, false);
         c.access(1, false);
         assert!((c.miss_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fifo_does_not_promote_on_hit() {
-        let mut c =
-            Cache::with_policy(CacheGeometry::from_sets(1, 2, 128), ReplacementPolicy::Fifo);
-        c.access(1, false);
-        c.access(2, false);
-        c.access(1, false); // hit, but 1 stays oldest under FIFO
-        let r = c.access(3, false);
-        assert_eq!(r.evicted().expect("eviction").line_addr, 1);
-    }
-
-    #[test]
-    fn random_policy_is_deterministic_and_in_bounds() {
-        let geom = CacheGeometry::from_sets(4, 8, 128);
-        let run = || {
-            let mut c = Cache::with_policy(geom, ReplacementPolicy::Random);
-            for l in 0..10_000u64 {
-                c.access(l % 97, false);
-            }
-            (c.hits(), c.misses())
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn random_replacement_smooths_the_lru_thrash_pathology() {
-        // Cyclic sweep of N+1 lines over an N-line cache: LRU misses every
-        // access; random replacement retains a healthy hit rate. This is
-        // the mechanism behind miss-rate-curve cliffs (Talus [11]).
-        let geom = CacheGeometry::from_sets(1, 64, 128);
-        let sweep = |policy| {
-            let mut c = Cache::with_policy(geom, policy);
-            for _ in 0..20 {
-                for l in 0..65u64 {
-                    c.access(l, false);
-                }
-            }
-            c.hits() as f64 / c.accesses() as f64
-        };
-        assert_eq!(sweep(ReplacementPolicy::Lru), 0.0);
-        assert!(sweep(ReplacementPolicy::Random) > 0.5);
     }
 }

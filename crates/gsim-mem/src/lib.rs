@@ -49,7 +49,7 @@ mod slice;
 pub mod mrc;
 
 pub use banked::{BankedDramModel, BankedDramStats, DramTiming};
-pub use cache::{AccessResult, Cache, EvictedLine, ReplacementPolicy};
+pub use cache::{AccessResult, Cache, EvictedLine};
 pub use dram::{DramModel, DramStats};
 pub use geometry::{ceil_u64, CacheGeometry};
 pub use mshr::{Mshr, MshrOutcome};

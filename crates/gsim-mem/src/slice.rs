@@ -6,7 +6,7 @@
 //! different SMs touching the same shared data "camp" in front of the slice
 //! that owns it — one of the two mechanisms behind sub-linear scaling.
 
-use crate::cache::{AccessResult, Cache, ReplacementPolicy};
+use crate::cache::{AccessResult, Cache};
 use crate::geometry::{rem, CacheGeometry};
 
 /// Maps a line address to its owning slice.
@@ -52,32 +52,11 @@ impl SlicedLlc {
     ///
     /// Panics if `n_slices` is zero or a slice would be smaller than one line.
     pub fn new(total_bytes: u64, n_slices: u32, ways: u32, line_bytes: u32) -> Self {
-        Self::with_policy(
-            total_bytes,
-            n_slices,
-            ways,
-            line_bytes,
-            ReplacementPolicy::Lru,
-        )
-    }
-
-    /// [`SlicedLlc::new`] with an explicit slice replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_slices` is zero or a slice would be smaller than one line.
-    pub fn with_policy(
-        total_bytes: u64,
-        n_slices: u32,
-        ways: u32,
-        line_bytes: u32,
-        policy: ReplacementPolicy,
-    ) -> Self {
         assert!(n_slices > 0, "LLC needs at least one slice");
         let per_slice = total_bytes / u64::from(n_slices);
         let geom = CacheGeometry::new(per_slice, ways, line_bytes);
         Self {
-            slices: vec![Cache::with_policy(geom, policy); n_slices as usize],
+            slices: vec![Cache::new(geom); n_slices as usize],
         }
     }
 
@@ -90,17 +69,11 @@ impl SlicedLlc {
     /// # Panics
     ///
     /// Panics if `n_slices` is zero or a slice is smaller than one line.
-    pub fn partition(
-        slice_bytes: u64,
-        n_slices: u32,
-        ways: u32,
-        line_bytes: u32,
-        policy: ReplacementPolicy,
-    ) -> Self {
+    pub fn partition(slice_bytes: u64, n_slices: u32, ways: u32, line_bytes: u32) -> Self {
         assert!(n_slices > 0, "LLC partition needs at least one slice");
         let geom = CacheGeometry::new(slice_bytes, ways, line_bytes);
         Self {
-            slices: vec![Cache::with_policy(geom, policy); n_slices as usize],
+            slices: vec![Cache::new(geom); n_slices as usize],
         }
     }
 

@@ -33,7 +33,9 @@
 //! default) and, failing again, recorded as [`JobStatus::Panicked`] or
 //! [`JobStatus::TimedOut`] in its report — the sweep itself always runs
 //! to completion; one pathological configuration cannot kill a night of
-//! results.
+//! results. A run may also carry an absolute deadline
+//! ([`RunOverrides::deadline`]): no attempt waits past it, and a job
+//! still queued when it passes is reported timed out without starting.
 //!
 //! # Determinism
 //!

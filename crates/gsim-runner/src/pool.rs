@@ -63,21 +63,22 @@ impl RunnerConfig {
 /// for this run only.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOverrides {
-    /// Replaces the per-job timeout: `Some(None)` disables it,
-    /// `Some(Some(d))` sets it to `d`.
-    pub timeout: Option<Option<Duration>>,
+    /// An absolute deadline for the whole run, on top of the pool's
+    /// per-job timeout: no attempt waits past it, and a job dequeued after
+    /// it is reported [`JobStatus::TimedOut`] without being started.
+    pub deadline: Option<Instant>,
     /// Replaces the retry-once policy.
     pub retry_once: Option<bool>,
 }
 
 impl RunOverrides {
-    /// Overrides with a per-job timeout and retries disabled — the shape
-    /// a deadline-bound caller wants: a retry would double the worst-case
-    /// wall time, and a job that timed out against the deadline once will
-    /// again.
-    pub fn deadline(timeout: Duration) -> Self {
+    /// Overrides with the absolute deadline `at` and retries disabled —
+    /// the shape a deadline-bound caller wants: a retry would double the
+    /// worst-case wall time, and a job that timed out against the deadline
+    /// once will again.
+    pub fn deadline(at: Instant) -> Self {
         Self {
-            timeout: Some(Some(timeout)),
+            deadline: Some(at),
             retry_once: Some(false),
         }
     }
@@ -107,6 +108,7 @@ struct Shared<T> {
     sinks: Vec<Arc<dyn EventSink>>,
     label: String,
     timeout: Option<Duration>,
+    deadline: Option<Instant>,
     retry_once: bool,
 }
 
@@ -182,7 +184,8 @@ impl Runner {
             deques,
             sinks: self.sinks.clone(),
             label: label.to_string(),
-            timeout: overrides.timeout.unwrap_or(self.cfg.timeout),
+            timeout: self.cfg.timeout,
+            deadline: overrides.deadline,
             retry_once: overrides.retry_once.unwrap_or(self.cfg.retry_once),
         });
 
@@ -293,11 +296,21 @@ fn worker_loop<T: Send + 'static>(
 }
 
 /// Runs job `idx` under the failure policy: catch panics, enforce the
-/// timeout, retry once.
+/// timeout and the deadline, retry once. An attempt that would start at
+/// or past the deadline is not started.
 fn execute<T: Send + 'static>(idx: usize, shared: &Arc<Shared<T>>) -> JobReport<T> {
     let max_attempts = if shared.retry_once { 2 } else { 1 };
     let mut attempt = 1;
     loop {
+        if shared.deadline.is_some_and(|d| Instant::now() >= d) {
+            return JobReport {
+                index: idx,
+                name: shared.jobs[idx].name().to_string(),
+                attempts: attempt - 1,
+                duration: Duration::ZERO,
+                status: JobStatus::TimedOut,
+            };
+        }
         shared.emit(&Event::JobStarted {
             label: &shared.label,
             index: idx,
@@ -329,9 +342,10 @@ fn execute<T: Send + 'static>(idx: usize, shared: &Arc<Shared<T>>) -> JobReport<
 }
 
 fn run_attempt<T: Send + 'static>(idx: usize, shared: &Arc<Shared<T>>) -> JobStatus<T> {
-    match shared.timeout {
+    let per_job = shared.timeout.map(|t| Instant::now() + t);
+    match per_job.into_iter().chain(shared.deadline).min() {
         None => wrap_panic(catch_unwind(AssertUnwindSafe(|| shared.jobs[idx].run()))),
-        Some(timeout) => {
+        Some(until) => {
             // A sacrificial thread makes the attempt abandonable: on
             // timeout the zombie keeps running detached (it holds its own
             // Arc on the shared state) while the worker moves on.
@@ -345,7 +359,7 @@ fn run_attempt<T: Send + 'static>(idx: usize, shared: &Arc<Shared<T>>) -> JobSta
                 });
             match spawned {
                 Err(e) => JobStatus::Panicked(format!("could not spawn job thread: {e}")),
-                Ok(_) => match rx.recv_timeout(timeout) {
+                Ok(_) => match rx.recv_timeout(until.saturating_duration_since(Instant::now())) {
                     Ok(result) => wrap_panic(result),
                     Err(mpsc::RecvTimeoutError::Timeout) => JobStatus::TimedOut,
                     Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -434,7 +448,7 @@ mod tests {
         let reports = runner.run_with(
             "deadline",
             slow,
-            RunOverrides::deadline(Duration::from_millis(20)),
+            RunOverrides::deadline(Instant::now() + Duration::from_millis(20)),
         );
         assert!(matches!(reports[0].status, JobStatus::TimedOut));
         assert_eq!(reports[0].attempts, 1, "deadline run must not retry");
@@ -452,6 +466,36 @@ mod tests {
         let reports = runner.run("after", flaky);
         assert_eq!(reports[0].ok(), Some(&7));
         assert_eq!(reports[0].attempts, 2, "config retry_once still applies");
+    }
+
+    #[test]
+    fn a_job_dequeued_after_the_deadline_never_starts() {
+        // One worker: job 2 queues behind job 1, which returns only once
+        // the deadline has passed. The deadline is absolute, so job 2 gets
+        // no budget of its own and is never started.
+        let runner = Runner::new(RunnerConfig {
+            threads: 1,
+            ..RunnerConfig::default()
+        });
+        let deadline = Instant::now() + Duration::from_millis(20);
+        let started = Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let counter = Arc::clone(&started);
+        let jobs = vec![
+            Job::new("past-the-deadline", move || {
+                while Instant::now() <= deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                1u32
+            }),
+            Job::new("queued", move || {
+                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                2u32
+            }),
+        ];
+        let reports = runner.run_with("absolute", jobs, RunOverrides::deadline(deadline));
+        assert!(matches!(reports[1].status, JobStatus::TimedOut));
+        assert_eq!(reports[1].attempts, 0);
+        assert_eq!(started.load(std::sync::atomic::Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -69,7 +69,6 @@ use gsim_core::plan::{
     Fit, PlanWorkload, SampledCollectConfig,
 };
 use gsim_json::{obj, Json};
-use gsim_mem::ReplacementPolicy;
 use gsim_runner::{Job, JobStatus, RunOverrides, Runner, RunnerConfig};
 use gsim_sim::GpuConfig;
 use gsim_trace::suite::{strong_benchmark, strong_suite};
@@ -740,18 +739,10 @@ impl PredictService {
                 SimOut::Mrc(collect_replay(&wl, &configs).points)
             }));
         }
-        let overrides = match deadline {
-            Some(d) => {
-                let left = d.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return Err(self.deadline_exceeded());
-                }
-                // A deadline-bound run must not retry: a retry would
-                // double the worst-case wall time past the promise.
-                RunOverrides::deadline(left)
-            }
-            None => RunOverrides::default(),
-        };
+        // A deadline-bound run does not retry: a retry would double the
+        // worst-case wall time past the promise. A job dequeued after the
+        // deadline is reported timed out and never started.
+        let overrides = deadline.map_or_else(RunOverrides::default, RunOverrides::deadline);
         let reports = self
             .runner
             .run_with(&format!("predict-{key:016x}"), jobs, overrides);
@@ -774,9 +765,9 @@ impl PredictService {
                 }
             }
         }
-        // The runner's timeout runs per job from the job's start, so a
-        // job that queued behind a sibling can finish after the request's
-        // deadline: the answer is still a 504.
+        // The runner abandons every attempt at the deadline, but a job
+        // can still deliver its result a moment past it: that answer is
+        // still a 504, never a late 200.
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(self.deadline_exceeded());
         }
@@ -1474,14 +1465,13 @@ fn parse_pattern(pattern: &Json, scale: MemScale) -> Result<(Workload, Json), Ap
 
 /// One FNV-1a digest over every field of every derived [`GpuConfig`] —
 /// the config term of the content address. Each field enters as its
-/// little-endian bytes (floats through `f64::to_bits`, the replacement
-/// policy as an explicit code), so the digest is stable across platforms
-/// and releases and a changed simulator default changes it. Exhaustive
-/// destructuring: adding a config field without folding it in here is a
-/// compile error.
+/// little-endian bytes (floats through `f64::to_bits`), so the digest is
+/// stable across platforms and releases and a changed simulator default
+/// changes it. Exhaustive destructuring: adding a config field without
+/// folding it in here is a compile error.
 fn configs_digest(configs: impl IntoIterator<Item = GpuConfig>) -> u64 {
-    /// Bytes one config contributes: 16 `u32` words and 5 `u64` words.
-    const CONFIG_BYTES: usize = 16 * 4 + 5 * 8;
+    /// Bytes one config contributes: 15 `u32` words and 5 `u64` words.
+    const CONFIG_BYTES: usize = 15 * 4 + 5 * 8;
     let configs = configs.into_iter();
     let mut bytes = Vec::with_capacity(configs.size_hint().0 * CONFIG_BYTES);
     for c in configs {
@@ -1504,16 +1494,10 @@ fn configs_digest(configs: impl IntoIterator<Item = GpuConfig>) -> u64 {
             dram_gbs_per_mc,
             n_mcs,
             dram_latency,
-            llc_policy,
             dram_banks_per_mc,
             sim_threads: _, // inert field (GpuConfig docs): never part of the key
             mem_scale,
         } = c;
-        let policy: u32 = match llc_policy {
-            ReplacementPolicy::Lru => 0,
-            ReplacementPolicy::Fifo => 1,
-            ReplacementPolicy::Random => 2,
-        };
         for word in [
             n_sms,
             warps_per_sm,
@@ -1528,7 +1512,6 @@ fn configs_digest(configs: impl IntoIterator<Item = GpuConfig>) -> u64 {
             noc_hop_latency,
             n_mcs,
             dram_latency,
-            policy,
             dram_banks_per_mc,
             mem_scale.divisor(),
         ] {
@@ -1768,7 +1751,7 @@ mod tests {
         let a = digest(&base);
         // Every field of the simulated machine moves the digest.
         type Perturb = fn(&mut GpuConfig);
-        let perturbations: [(&str, Perturb); 21] = [
+        let perturbations: [(&str, Perturb); 20] = [
             ("n_sms", |c| c.n_sms += 1),
             ("sm_clock_ghz", |c| c.sm_clock_ghz *= 1.5),
             ("warps_per_sm", |c| c.warps_per_sm += 1),
@@ -1787,7 +1770,6 @@ mod tests {
             ("dram_gbs_per_mc", |c| c.dram_gbs_per_mc *= 1.5),
             ("n_mcs", |c| c.n_mcs += 1),
             ("dram_latency", |c| c.dram_latency += 1),
-            ("llc_policy", |c| c.llc_policy = ReplacementPolicy::Fifo),
             ("dram_banks_per_mc", |c| c.dram_banks_per_mc += 1),
             ("mem_scale", |c| c.mem_scale = MemScale::new(16)),
         ];

@@ -1,6 +1,5 @@
 //! GPU system configurations and proportional scale-model derivation.
 
-use gsim_mem::ReplacementPolicy;
 use gsim_trace::MemScale;
 
 /// The system sizes used as scale models throughout the paper (Table I).
@@ -55,9 +54,6 @@ pub struct GpuConfig {
     pub n_mcs: u32,
     /// DRAM access latency in cycles (beyond queueing).
     pub dram_latency: u32,
-    /// LLC slice replacement policy (true LRU per Table III; alternatives
-    /// for ablations).
-    pub llc_policy: ReplacementPolicy,
     /// Banks per memory controller for the row-buffer-aware DRAM model;
     /// 0 (the default) selects the flat bandwidth model the paper-level
     /// studies use.
@@ -96,7 +92,6 @@ impl GpuConfig {
             dram_gbs_per_mc: 145.0,
             n_mcs: 16,
             dram_latency: 150,
-            llc_policy: ReplacementPolicy::Lru,
             dram_banks_per_mc: 0,
             sim_threads: 1,
             mem_scale: scale,

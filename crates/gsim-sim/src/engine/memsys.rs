@@ -161,13 +161,7 @@ impl MemShard {
         // unsharded LLC, local index g / K.
         let n_slices = (map.llc_slices - k).div_ceil(kk);
         let slice_bytes = cfg.llc_bytes_total / u64::from(cfg.llc_slices);
-        let llc = SlicedLlc::partition(
-            slice_bytes,
-            n_slices,
-            cfg.llc_ways,
-            cfg.line_bytes,
-            cfg.llc_policy,
-        );
+        let llc = SlicedLlc::partition(slice_bytes, n_slices, cfg.llc_ways, cfg.line_bytes);
         // Memory controllers interleaved round-robin across partitions;
         // within the partition, lines re-hash over the owned controllers
         // (the partition is the unit that pairs slices with channels).

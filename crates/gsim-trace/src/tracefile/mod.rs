@@ -342,53 +342,6 @@ impl TracedWorkload {
     pub fn total_warp_instrs(&self) -> u64 {
         self.total_warp_instrs
     }
-
-    /// Keeps only the first `ceil(n_ctas * fraction)` CTAs of each kernel
-    /// — the kernel-sampling acceleration of prior work (Baddouh et al.'s
-    /// principal kernel analysis family \[8\]): the sampled CTAs' streams
-    /// are bit-identical to the full run's, only the grid shrinks. The
-    /// per-kernel scale factors `n_full / n_sampled` are returned for
-    /// extrapolation.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < fraction <= 1`.
-    pub fn with_cta_fraction(&self, fraction: f64) -> (TracedWorkload, Vec<f64>) {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1], got {fraction}"
-        );
-        let mut factors = Vec::with_capacity(self.kernels.len());
-        let mut total = 0u64;
-        let kernels = self
-            .kernels
-            .iter()
-            .map(|k| {
-                let keep = ((f64::from(k.n_ctas) * fraction).ceil() as u32).clamp(1, k.n_ctas);
-                factors.push(f64::from(k.n_ctas) / f64::from(keep));
-                let wpc = k.threads_per_cta.div_ceil(32) as usize;
-                let warps: Vec<Vec<Op>> = k.warps[..keep as usize * wpc].to_vec();
-                total += warps
-                    .iter()
-                    .flat_map(|ops| ops.iter().map(Op::warp_instrs))
-                    .sum::<u64>();
-                TracedKernel {
-                    name: k.name.clone(),
-                    n_ctas: keep,
-                    threads_per_cta: k.threads_per_cta,
-                    warps,
-                }
-            })
-            .collect();
-        (
-            TracedWorkload {
-                name: format!("{}@{:.3}", self.name, fraction),
-                kernels,
-                total_warp_instrs: total,
-            },
-            factors,
-        )
-    }
 }
 
 /// Replay stream over a recorded warp (an owned op cursor).
@@ -666,26 +619,5 @@ mod tests {
         let tight = TraceLimits::default().with_max_file_bytes(16);
         let err = TracedWorkload::read_with_limits(&trace[..], tight).expect_err("file too big");
         assert!(matches!(err, TraceReadError::TooLarge(_)), "got {err}");
-    }
-
-    #[test]
-    fn cta_sampling_keeps_prefix_streams_identical() {
-        let wl = demo();
-        let traced = roundtrip(&wl);
-        let (half, factors) = traced.with_cta_fraction(0.5);
-        assert_eq!(half.grid(0).0, 6); // 12 CTAs -> 6
-        assert_eq!(half.grid(1).0, 3);
-        assert_eq!(factors, vec![2.0, 2.0]);
-        let mut a = traced.warp_stream(0, 2, 1);
-        let mut b = half.warp_stream(0, 2, 1);
-        loop {
-            let (x, y) = (a.next_op(), b.next_op());
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
-        assert!(half.total_warp_instrs() < traced.total_warp_instrs());
-        assert_ne!(semantic_hash_of(&half), semantic_hash_of(&traced));
     }
 }

@@ -10,7 +10,7 @@ use gpu_scale_model::core::{
 use gpu_scale_model::mem::mrc::{CapacityReplay, DistanceEngine, NaiveStack, TreeStack};
 use gpu_scale_model::mem::{
     slice_for_line, AccessResult, BankedDramModel, Cache, CacheGeometry, DramModel, DramTiming,
-    EvictedLine, FillTracker, Mshr, MshrOutcome, ReplacementPolicy, SlicedLlc,
+    EvictedLine, FillTracker, Mshr, MshrOutcome, SlicedLlc,
 };
 use gpu_scale_model::sim::{GpuConfig, Simulator};
 use gpu_scale_model::trace::{Kernel, MemScale, PatternKind, PatternSpec, Workload};
@@ -169,14 +169,11 @@ fn cliff_detection_matches_definition() {
 }
 
 /// The obvious model of [`Cache`]: per set, a `Vec` of `(line, dirty)`
-/// kept newest-first. The packed tag store must be indistinguishable
-/// from it.
+/// kept most-recently-used first. The packed tag store must be
+/// indistinguishable from it.
 struct NaiveCache {
     ways: usize,
-    policy: ReplacementPolicy,
     sets: Vec<Vec<(u64, bool)>>,
-    /// Same xorshift stream as the real cache (never reset).
-    rng_state: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -184,12 +181,10 @@ struct NaiveCache {
 }
 
 impl NaiveCache {
-    fn new(sets: u32, ways: u32, policy: ReplacementPolicy) -> Self {
+    fn new(sets: u32, ways: u32) -> Self {
         Self {
             ways: ways as usize,
-            policy,
             sets: vec![Vec::new(); sets as usize],
-            rng_state: 0x9E37_79B9_7F4A_7C15,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -203,31 +198,18 @@ impl NaiveCache {
     }
 
     fn access(&mut self, line: u64, is_write: bool) -> AccessResult {
-        let (ways, policy) = (self.ways, self.policy);
-        if let Some(pos) = self.set_mut(line).iter().position(|e| e.0 == line) {
-            let set = self.set_mut(line);
-            set[pos].1 |= is_write;
-            if policy == ReplacementPolicy::Lru {
-                let e = set.remove(pos);
-                set.insert(0, e);
-            }
+        let ways = self.ways;
+        let set = self.set_mut(line);
+        if let Some(pos) = set.iter().position(|e| e.0 == line) {
+            let (line, dirty) = set.remove(pos);
+            set.insert(0, (line, dirty || is_write));
             self.hits += 1;
             return AccessResult::Hit;
         }
         self.misses += 1;
         let mut evicted = None;
         if self.set_mut(line).len() == ways {
-            let victim = if policy == ReplacementPolicy::Random {
-                let mut x = self.rng_state;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                self.rng_state = x;
-                (x % ways as u64) as usize
-            } else {
-                ways - 1
-            };
-            let (line_addr, dirty) = self.set_mut(line).remove(victim);
+            let (line_addr, dirty) = self.set_mut(line).remove(ways - 1);
             self.evictions += 1;
             self.dirty_evictions += u64::from(dirty);
             evicted = Some(EvictedLine { line_addr, dirty });
@@ -250,71 +232,65 @@ impl NaiveCache {
 
 /// Drives a [`Cache`] and the naive model with one random stream of
 /// accesses, invalidations, probes and resets: same hit/miss, same
-/// evicted line, same counters, same residency — for every policy at the
-/// associativities the configurations use and at one way, over a few
-/// sets and at the two real geometries (the paper's L1 and LLC slice).
+/// evicted line, same counters, same residency — at the associativities
+/// the configurations use and at one way, over a few sets and at the two
+/// real geometries (the paper's L1 and LLC slice).
 fn cache_matches_naive_model(seed: u64, ops: usize) {
     let mut rng = Rng64::seed_from_u64(seed);
-    for policy in [
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::Fifo,
-        ReplacementPolicy::Random,
-    ] {
-        for (sets, ways) in [(0u32, 1u32), (0, 6), (0, 64), (64, 6), (64, 64)] {
-            let few = [1u32, 3, 8][rng.gen_range(0, 3) as usize];
-            let sets = if sets == 0 { few } else { sets };
-            // Long enough to fill every set and evict from it.
-            let ops = ops.max(3 * (sets * ways) as usize);
-            let mut real = Cache::with_policy(CacheGeometry::from_sets(sets, ways, 128), policy);
-            let mut naive = NaiveCache::new(sets, ways, policy);
-            // Enough distinct lines to overflow the sets, few enough to
-            // re-hit; drawn from a wide range so tags and fingerprints vary.
-            let universe: Vec<u64> = (0..sets * ways * 2 + 3)
-                .map(|_| rng.gen_range(0, 1 << 40))
-                .collect();
-            let pick = |rng: &mut Rng64| universe[rng.gen_range(0, universe.len() as u64) as usize];
-            for _ in 0..ops {
-                let line = pick(&mut rng);
-                match rng.gen_range(0, 1000) {
-                    0..=1 => {
-                        real.reset();
-                        naive.reset();
-                    }
-                    2..=80 => assert_eq!(real.invalidate(line), naive.invalidate(line)),
-                    _ => {
-                        let is_write = rng.gen_range(0, 4) == 0;
-                        assert_eq!(
-                            real.access(line, is_write),
-                            naive.access(line, is_write),
-                            "{policy:?} {sets}x{ways} line {line}"
-                        );
-                    }
+    for (sets, ways) in [(0u32, 1u32), (0, 6), (0, 64), (64, 6), (64, 64)] {
+        let few = [1u32, 3, 8][rng.gen_range(0, 3) as usize];
+        let sets = if sets == 0 { few } else { sets };
+        // Long enough to fill every set and evict from it.
+        let ops = ops.max(3 * (sets * ways) as usize);
+        let mut real = Cache::new(CacheGeometry::from_sets(sets, ways, 128));
+        let mut naive = NaiveCache::new(sets, ways);
+        // Enough distinct lines to overflow the sets, few enough to
+        // re-hit; drawn from a wide range so tags and fingerprints vary.
+        let universe: Vec<u64> = (0..sets * ways * 2 + 3)
+            .map(|_| rng.gen_range(0, 1 << 40))
+            .collect();
+        let pick = |rng: &mut Rng64| universe[rng.gen_range(0, universe.len() as u64) as usize];
+        for _ in 0..ops {
+            let line = pick(&mut rng);
+            match rng.gen_range(0, 1000) {
+                0..=1 => {
+                    real.reset();
+                    naive.reset();
                 }
-                let probe = pick(&mut rng);
-                assert_eq!(
-                    real.contains(probe),
-                    naive.sets[(probe % u64::from(sets)) as usize]
-                        .iter()
-                        .any(|e| e.0 == probe)
-                );
-                assert_eq!(
-                    (
-                        real.hits(),
-                        real.misses(),
-                        real.evictions(),
-                        real.dirty_evictions()
-                    ),
-                    (
-                        naive.hits,
-                        naive.misses,
-                        naive.evictions,
-                        naive.dirty_evictions
-                    )
-                );
+                2..=80 => assert_eq!(real.invalidate(line), naive.invalidate(line)),
+                _ => {
+                    let is_write = rng.gen_range(0, 4) == 0;
+                    assert_eq!(
+                        real.access(line, is_write),
+                        naive.access(line, is_write),
+                        "{sets}x{ways} line {line}"
+                    );
+                }
             }
-            let resident: usize = naive.sets.iter().map(Vec::len).sum();
-            assert_eq!(real.resident_lines(), resident as u64);
+            let probe = pick(&mut rng);
+            assert_eq!(
+                real.contains(probe),
+                naive.sets[(probe % u64::from(sets)) as usize]
+                    .iter()
+                    .any(|e| e.0 == probe)
+            );
+            assert_eq!(
+                (
+                    real.hits(),
+                    real.misses(),
+                    real.evictions(),
+                    real.dirty_evictions()
+                ),
+                (
+                    naive.hits,
+                    naive.misses,
+                    naive.evictions,
+                    naive.dirty_evictions
+                )
+            );
         }
+        let resident: usize = naive.sets.iter().map(Vec::len).sum();
+        assert_eq!(real.resident_lines(), resident as u64);
     }
 }
 
@@ -322,43 +298,6 @@ fn cache_matches_naive_model(seed: u64, ops: usize) {
 fn cache_is_indistinguishable_from_the_naive_model() {
     for seed in 0..8 {
         cache_matches_naive_model(0x5eed_000c + seed, 2_000);
-    }
-}
-
-/// Random replacement picks a *rank*, and the tag store finds the way at
-/// that rank by walking its recency list: after invalidations and refills
-/// have permuted the list, the walk must still land where the naive
-/// model's index does. Both real geometries, sets full throughout.
-#[test]
-fn random_victims_follow_the_list_after_invalidate_and_refill() {
-    let mut rng = Rng64::seed_from_u64(0x5eed_000f);
-    for ways in [6u32, 64] {
-        let policy = ReplacementPolicy::Random;
-        let mut real = Cache::with_policy(CacheGeometry::from_sets(64, ways, 128), policy);
-        let mut naive = NaiveCache::new(64, ways, policy);
-        let mut resident: Vec<u64> = (0..u64::from(64 * ways)).collect();
-        for &line in &resident {
-            assert_eq!(real.access(line, false), naive.access(line, false));
-        }
-        let mut fresh = resident.len() as u64;
-        for _ in 0..cases(4_000) {
-            // Free a way, refill it (no eviction), then evict by rank.
-            let gone = resident.swap_remove(rng.gen_range(0, resident.len() as u64) as usize);
-            assert_eq!(real.invalidate(gone), naive.invalidate(gone));
-            for _ in 0..2 {
-                let line = fresh + rng.gen_range(0, 64);
-                fresh = line + 1;
-                let is_write = rng.gen_bool(0.3);
-                let result = real.access(line, is_write);
-                assert_eq!(result, naive.access(line, is_write));
-                if let Some(victim) = result.evicted() {
-                    resident.retain(|&l| l != victim.line_addr);
-                }
-                resident.push(line);
-            }
-        }
-        assert_eq!(real.resident_lines(), resident.len() as u64);
-        assert!(resident.iter().all(|&l| real.contains(l)));
     }
 }
 
