@@ -80,6 +80,7 @@ use std::fs::File;
 use std::io::Write as _;
 use std::process::exit;
 
+use gsim_core::experiment::METHODS;
 use gsim_core::{collect_replay, detect_cliff, Fit, Observation, SizedMrc};
 use gsim_runner::{ProgressReporter, Runner, RunnerConfig};
 use gsim_sim::{collect_mrc, ChipletConfig, GpuConfig, SimStats, Simulator};
@@ -633,19 +634,21 @@ fn cmd_fit(f: &Flags) {
         eprintln!("invalid inputs: {e}");
         exit(2)
     });
-    // The artifact's method order: scale-model first, logarithmic last.
-    let mut models = fit.predictors();
-    models.swap(0, 4);
     let targets: Vec<u32> = sizes.iter().copied().filter(|&z| z > l).collect();
+    let forecast = fit.forecast(&targets).unwrap_or_else(|e| {
+        eprintln!("invalid inputs: {e}");
+        exit(2)
+    });
+    // The artifact's method order: scale-model first, logarithmic last.
+    let mut order: Vec<usize> = (0..METHODS.len()).collect();
+    order.swap(0, 4);
     // (name, predictions at each target, values for the text graph:
     // scale-model sizes show the measurements, targets the prediction)
-    let methods: Vec<(&str, Vec<f64>, Vec<f64>)> = models
-        .iter()
-        .map(|(name, model)| {
-            let target_preds = targets
-                .iter()
-                .map(|&t| model.predict(f64::from(t)))
-                .collect();
+    let methods: Vec<(&str, Vec<f64>, Vec<f64>)> = order
+        .into_iter()
+        .map(|i| {
+            let at = |t: usize| forecast.targets[t].by_method[i].predicted_ipc;
+            let target_preds = (0..targets.len()).map(at).collect();
             let graph = sizes
                 .iter()
                 .map(|&z| {
@@ -654,11 +657,11 @@ fn cmd_fit(f: &Flags) {
                     } else if z <= l {
                         ipc_l
                     } else {
-                        model.predict(f64::from(z))
+                        at(targets.iter().position(|&t| t == z).expect("a target"))
                     }
                 })
                 .collect();
-            (*name, target_preds, graph)
+            (METHODS[i], target_preds, graph)
         })
         .collect();
 
@@ -947,7 +950,6 @@ fn main() {
             let service = PredictService::new(
                 ServeConfig {
                     runner_threads: f.runner_threads,
-                    cache_capacity: 0,
                     cache_dir: f.cache_dir.clone().map(Into::into),
                     trace_store_dir: f.store.clone().map(Into::into),
                     default_deadline_ms: f.default_deadline_ms,

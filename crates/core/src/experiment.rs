@@ -18,7 +18,7 @@ use gsim_trace::MemScale;
 use crate::classify::classify_scaling;
 use crate::cliff::SizedMrc;
 use crate::error::ModelError;
-use crate::oneshot::{NamedPredictor, Observation};
+use crate::oneshot::Observation;
 use crate::percent_error;
 use crate::plan::Fit;
 
@@ -131,17 +131,25 @@ fn observation(m: &MeasuredPoint) -> Observation {
     }
 }
 
-fn predict_all(methods: Vec<NamedPredictor>, targets: &[(u32, f64)]) -> Vec<MethodOutcome> {
-    methods
-        .into_iter()
-        .map(|(name, model)| MethodOutcome {
-            method: name,
-            by_target: targets
+/// Evaluates the five methods of `fit` at each `(target, real IPC)`, in
+/// [`METHODS`] order, through [`Fit::forecast`] — the path the service
+/// takes too.
+fn method_outcomes(fit: &Fit, targets: &[(u32, f64)]) -> Result<Vec<MethodOutcome>, ModelError> {
+    let sizes: Vec<u32> = targets.iter().map(|&(t, _)| t).collect();
+    let forecast = fit.forecast(&sizes)?;
+    Ok(METHODS
+        .iter()
+        .enumerate()
+        .map(|(i, &method)| MethodOutcome {
+            method,
+            by_target: forecast
+                .targets
                 .iter()
-                .map(|&(t, real)| {
-                    let predicted = model.predict(f64::from(t));
+                .zip(targets)
+                .map(|(at, &(target, real))| {
+                    let predicted = at.by_method[i].predicted_ipc;
                     TargetPrediction {
-                        target: t,
+                        target,
                         predicted,
                         real,
                         error_pct: percent_error(predicted, real),
@@ -149,7 +157,7 @@ fn predict_all(methods: Vec<NamedPredictor>, targets: &[(u32, f64)]) -> Vec<Meth
                 })
                 .collect(),
         })
-        .collect()
+        .collect())
 }
 
 /// The strong-scaling pipeline (Sections VII.A/VII.B): fixed workload,
@@ -227,7 +235,6 @@ impl StrongScalingExperiment {
         // Stage 2: the shared fit (also the source of cliff detection).
         let fit = Fit::new(observation(obs(s)), observation(obs(l)), Some(&mrc))?;
         let cliff_at = fit.scale_model().cliff_at();
-        let methods = fit.predictors();
         let targets: Vec<(u32, f64)> = measured
             .iter()
             .filter(|m| m.size > l)
@@ -241,7 +248,7 @@ impl StrongScalingExperiment {
             measured,
             mrc: Some(mrc),
             cliff_at,
-            methods: predict_all(methods, &targets),
+            methods: method_outcomes(&fit, &targets)?,
         })
     }
 
@@ -299,8 +306,7 @@ impl WeakScalingExperiment {
             })
             .collect();
         let l = measured[1].size;
-        let methods =
-            Fit::new(observation(&measured[0]), observation(&measured[1]), None)?.predictors();
+        let fit = Fit::new(observation(&measured[0]), observation(&measured[1]), None)?;
         let targets: Vec<(u32, f64)> = measured
             .iter()
             .filter(|m| m.size > l)
@@ -321,7 +327,7 @@ impl WeakScalingExperiment {
                 measured,
                 mrc: None,
                 cliff_at: None,
-                methods: predict_all(methods, &targets),
+                methods: method_outcomes(&fit, &targets)?,
             },
             speedups,
         })
@@ -364,8 +370,7 @@ impl McmExperiment {
                 measure(&Simulator::new_mcm(&mcm, &wl).run(), c)
             })
             .collect();
-        let methods =
-            Fit::new(observation(&measured[0]), observation(&measured[1]), None)?.predictors();
+        let fit = Fit::new(observation(&measured[0]), observation(&measured[1]), None)?;
         let target = self.chiplet_counts[2];
         let real = measured[2].ipc;
         let model_cost = measured[0].sim_seconds + measured[1].sim_seconds;
@@ -379,7 +384,7 @@ impl McmExperiment {
                 measured,
                 mrc: None,
                 cliff_at: None,
-                methods: predict_all(methods, &[(target, real)]),
+                methods: method_outcomes(&fit, &[(target, real)])?,
             },
             speedups,
         }))
@@ -405,12 +410,11 @@ pub fn reanalyze(
             .measured_at(size)
             .ok_or(ModelError::InvalidScaleModels { small, large })
     };
-    let methods = Fit::new(
+    let fit = Fit::new(
         observation(obs(small)?),
         observation(obs(large)?),
         outcome.mrc.as_ref(),
-    )?
-    .predictors();
+    )?;
     let targets: Vec<(u32, f64)> = outcome
         .measured
         .iter()
@@ -418,7 +422,7 @@ pub fn reanalyze(
         .map(|m| (m.size, m.ipc))
         .collect();
     Ok(BenchmarkOutcome {
-        methods: predict_all(methods, &targets),
+        methods: method_outcomes(&fit, &targets)?,
         ..outcome.clone()
     })
 }

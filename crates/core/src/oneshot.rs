@@ -9,10 +9,9 @@
 //! has only the scale-model [`Observation`]s and must not be forced
 //! through a pipeline that simulates what it is trying to avoid
 //! simulating. It builds a [`Fit`](crate::plan::Fit) from them and asks
-//! it for a [`Forecast`]; the experiment pipelines build their
-//! predictors through the same `Fit`, so the two cannot drift apart.
-
-use crate::predictor::ScalingPredictor;
+//! it for a [`Forecast`]; the experiment pipelines evaluate theirs
+//! through the same [`Fit::forecast`](crate::plan::Fit::forecast), so
+//! the two cannot drift apart.
 
 /// One simulated scale-model observation, as a prediction input.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,10 +24,6 @@ pub struct Observation {
     /// scale model's value is consulted, and only across a cliff.
     pub f_mem: f64,
 }
-
-/// A named, boxed predictor, as the experiment pipelines carry them
-/// (see [`Fit::predictors`](crate::plan::Fit::predictors)).
-pub type NamedPredictor = (&'static str, Box<dyn ScalingPredictor>);
 
 /// One method's prediction at one target size.
 #[derive(Debug, Clone, PartialEq)]

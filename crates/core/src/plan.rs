@@ -44,7 +44,7 @@ use gsim_trace::{
 
 use crate::cliff::SizedMrc;
 use crate::error::ModelError;
-use crate::oneshot::{Forecast, MethodPrediction, NamedPredictor, Observation, TargetForecast};
+use crate::oneshot::{Forecast, MethodPrediction, Observation, TargetForecast};
 use crate::predictor::{
     LinearRegression, LogRegression, PowerLawRegression, Proportional, ScalingPredictor,
 };
@@ -601,22 +601,6 @@ impl Fit {
     /// factor, checked prediction).
     pub fn scale_model(&self) -> &ScaleModelPredictor {
         &self.scale_model
-    }
-
-    /// The method roster as named boxed predictors, in the fixed order
-    /// (`logarithmic`, `proportional`, `linear`, `power-law`,
-    /// `scale-model`) the experiment pipelines carry them.
-    pub fn predictors(&self) -> Vec<NamedPredictor> {
-        vec![
-            (
-                "logarithmic",
-                Box::new(self.logarithmic.clone()) as Box<dyn ScalingPredictor>,
-            ),
-            ("proportional", Box::new(self.proportional.clone())),
-            ("linear", Box::new(self.linear.clone())),
-            ("power-law", Box::new(self.power_law.clone())),
-            ("scale-model", Box::new(self.scale_model.clone())),
-        ]
     }
 
     /// Stage 3: evaluates every method at each of `targets`.

@@ -63,9 +63,3 @@ pub const LINE_BYTES: u64 = 128;
 /// Log2 of [`LINE_BYTES`]; byte addresses are converted to line addresses by
 /// shifting right by this amount.
 pub const LINE_SHIFT: u32 = 7;
-
-/// Converts a byte address to its cache-line address.
-#[inline]
-pub fn line_of(byte_addr: u64) -> u64 {
-    byte_addr >> LINE_SHIFT
-}

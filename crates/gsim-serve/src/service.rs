@@ -93,21 +93,19 @@ const DEADLINE_HEADER: &str = "x-gsim-deadline-ms";
 const MAX_PREDICT_BYTES: usize = 64 * 1024;
 /// Largest accepted target system size.
 const MAX_TARGET_SMS: u32 = 1 << 20;
-/// Largest accepted `pattern.passes`, `pattern.mem_ops_per_warp` and
-/// `pattern.ctas`: the fields that multiply a kernel's work without
-/// growing anything a request is otherwise billed for. Every workload of
-/// Tables II/IV stays below a tenth of each.
-const MAX_PATTERN_PASSES: u32 = 64;
-const MAX_PATTERN_MEM_OPS_PER_WARP: u32 = 4096;
-const MAX_PATTERN_CTAS: u32 = 65_536;
+/// Largest accepted pattern workload in warp instructions — the product
+/// the per-field caps leave unbounded (a 2^20 MB sweep). The largest
+/// catalog input, Table IV `bs` at `mem_scale` 1, is 6.3·10^7; the
+/// deadline tests' 64 Ki-CTA pointer chase is 6.4·10^9.
+const MAX_PATTERN_WARP_INSTRS: u64 = 1 << 33;
+/// Result-cache capacity in entries.
+const CACHE_CAPACITY: usize = 256;
 
 /// Service construction knobs.
 #[derive(Debug, Clone, Default)]
 pub struct ServeConfig {
     /// Worker threads of the simulation runner pool (0 = auto).
     pub runner_threads: usize,
-    /// In-memory cache capacity in entries (0 = default 256).
-    pub cache_capacity: usize,
     /// Persistence directory for the result cache (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
     /// Root of the content-addressed trace store. `None` derives
@@ -309,7 +307,6 @@ impl PredictService {
         .with_sink(RunnerJobCounter(Arc::clone(&metrics)));
         // A zero knob means its default.
         let or_default = |knob: usize, default: usize| if knob == 0 { default } else { knob };
-        let capacity = or_default(cfg.cache_capacity, 256);
         // One directory per service, so dropping one never pulls the
         // store from under another in the same process.
         static SCRATCH_STORES: AtomicU64 = AtomicU64::new(0);
@@ -328,7 +325,7 @@ impl PredictService {
         let store = TraceStore::open(store_root, StoreConfig::default())?;
         Ok(Arc::new(Self {
             runner,
-            cache: ResultCache::new(capacity, cfg.cache_dir)?,
+            cache: ResultCache::new(CACHE_CAPACITY, cfg.cache_dir)?,
             flights: SingleFlight::new(),
             metrics: Arc::clone(&metrics),
             store,
@@ -656,7 +653,13 @@ impl PredictService {
             return Ok(None);
         }
         let cfg_of = |sms: u32| GpuConfig::paper_target(sms, plan.scale);
-        let configs: Vec<GpuConfig> = collect_ladder(plan).into_iter().map(cfg_of).collect();
+        // The whole ladder up to `MAX_TARGET_SMS`, whatever the targets:
+        // a fast body lists every point, and with the replay pass
+        // dominating the cost the extra readouts are nearly free.
+        let configs: Vec<GpuConfig> = ladder(plan.small, MAX_TARGET_SMS)
+            .into_iter()
+            .map(cfg_of)
+            .collect();
         self.metrics
             .collects_started
             .fetch_add(1, Ordering::Relaxed);
@@ -883,21 +886,6 @@ fn path_of_body(body: &str) -> &'static str {
     }
 }
 
-/// The doubling ladder the sampled collect stage covers: all of it,
-/// from the smaller scale model to [`MAX_TARGET_SMS`], regardless of
-/// the request's targets — a fast body lists every one of its points.
-/// The replay pass dominates the collection cost and the per-capacity
-/// readout is a histogram query, so the extra points are nearly free.
-fn collect_ladder(plan: &Plan) -> Vec<u32> {
-    let mut ladder = vec![plan.small];
-    let mut size = plan.small;
-    while size < MAX_TARGET_SMS {
-        size = size.saturating_mul(2);
-        ladder.push(size);
-    }
-    ladder
-}
-
 /// The `GET /v1/workloads` catalog.
 fn workloads_json() -> Json {
     let scale = MemScale::default();
@@ -963,66 +951,326 @@ fn store_stats_json(s: &StoreStats) -> Json {
     ])
 }
 
-// --- request parsing and normalization ---------------------------------
+// --- the request schema ------------------------------------------------
 
-/// A strict field reader over one JSON object: every access is recorded
-/// so unknown (misspelled) fields can be rejected — a typo must fail
-/// loudly, not silently select a default and poison the cache key space.
-struct Fields<'a> {
-    obj: &'a [(String, Json)],
-    known: Vec<&'static str>,
-    context: &'static str,
+/// One field of a request object, declared once: the walk reads, checks,
+/// defaults and echoes it from here, and README's request table is
+/// rendered from it (`readme_table_is_the_schema`).
+struct Field {
+    name: &'static str,
+    ty: Ty,
+    absent: Absent,
+    /// For a field only one pattern kind takes: that kind.
+    only: Option<&'static str>,
+    /// Rank in the normalized echo (table order within a rank); `None`
+    /// never shows.
+    echo: Option<u8>,
 }
 
-impl<'a> Fields<'a> {
-    fn new(json: &'a Json, context: &'static str) -> Result<Self, ApiError> {
-        let Json::Obj(obj) = json else {
-            return Err(ApiError::bad(format!("{context} must be a JSON object")));
+/// How a field's JSON value is read and normalized.
+#[derive(Clone, Copy)]
+enum Ty {
+    /// A non-negative integer, bounded to `lo..=hi`.
+    Int(u32, u32, Bound),
+    /// A finite number, bounded to `lo..=hi` (`(lo, hi]` when rejected).
+    Num(f64, f64, Bound),
+    /// A string; the text says what it must be.
+    Str(&'static str),
+    OneOf(&'static [&'static str]),
+    /// The pattern kind: one of these, deciding which `only` fields exist.
+    Kind(&'static [&'static str]),
+    /// Two integers.
+    Pair,
+    /// A non-empty array of integers.
+    Ints,
+    /// A non-empty array of positive `[weight, fraction]` pairs.
+    Levels,
+    /// An object read by its own table.
+    Obj(&'static [Field]),
+    /// An object the cross-field rules walk once they know it applies (a
+    /// `pattern`, after exactly one workload source): the walk of the
+    /// enclosing object leaves it unread.
+    Later(&'static [Field]),
+}
+
+/// What a value outside its bound does: read as the nearer bound
+/// (`Clamp`), read as `lo` below and fail above (`Cap`), or fail.
+#[derive(Clone, Copy, PartialEq)]
+enum Bound {
+    Clamp,
+    Cap,
+    Reject,
+}
+
+/// What an absent field reads as: a 400 with this message, this JSON
+/// text, or nothing (the cross-field rules decide).
+#[derive(Clone, Copy)]
+enum Absent {
+    Required(&'static str),
+    Is(&'static str),
+    Optional,
+}
+
+use Absent::{Is, Optional, Required};
+use Bound::{Cap, Clamp, Reject};
+use Ty::{Int, Num};
+
+#[rustfmt::skip]
+const fn f(name: &'static str, ty: Ty, absent: Absent) -> Field {
+    Field { name, ty, absent, only: None, echo: Some(0) }
+}
+
+#[rustfmt::skip]
+impl Field {
+    const fn only(self, kind: &'static str) -> Self { Self { only: Some(kind), ..self } }
+    const fn echo(self, rank: Option<u8>) -> Self { Self { echo: rank, ..self } }
+}
+
+const U32: Ty = Int(0, u32::MAX, Clamp);
+const AT_LEAST_1: Ty = Int(1, u32::MAX, Clamp);
+#[rustfmt::skip]
+const KINDS: &[&str] = &["global_sweep", "streaming", "working_set_mix", "tiled", "pointer_chase"];
+const NEEDS_LEVELS: &str = "working_set_mix requires levels: [[weight, fraction], ...]";
+
+/// A predict body, in read order: the order the unknown-field message
+/// lists. Echo order: the workload's key, `suite`, `scale_models`,
+/// `targets`, `mem_scale`.
+#[rustfmt::skip]
+const REQUEST: &[Field] = &[
+    f("mem_scale", Int(1, GpuConfig::max_mem_scale(), Reject), Is("8")).echo(Some(4)),
+    f("scale_models", Ty::Pair, Is("[8, 16]")).echo(Some(2)),
+    f("target_sms", U32, Optional).echo(None),
+    f("targets", Ty::Ints, Optional).echo(Some(3)),
+    f("path", Ty::OneOf(&["auto", "fast", "full"]), Is("\"auto\"")).echo(None),
+    f("workload", Ty::Str("a benchmark abbreviation"), Optional),
+    f("suite", Ty::OneOf(&["strong", "weak"]), Optional).echo(Some(1)),
+    f("pattern", Ty::Later(PATTERN), Optional),
+    f("trace_ref", Ty::Str("a string"), Optional),
+];
+
+/// An inline synthetic pattern (`PatternSpec`). The defaults are pinned
+/// here, not inherited from `PatternSpec`'s builder, so the request
+/// semantics cannot drift under it. `passes`, `mem_ops_per_warp` and
+/// `ctas` multiply a kernel's work without growing anything else a
+/// request is billed for; every Table II/IV workload stays below a tenth
+/// of each cap. A stream emits at most `u16::MAX` compute instructions
+/// per memory op, so a larger `compute_per_mem` would name the same
+/// stream under another address.
+#[rustfmt::skip]
+const PATTERN: &[Field] = &[
+    f("kind", Ty::Kind(KINDS), Required("pattern.kind must be a string")),
+    f("footprint_mb", Num(0.0, 1_048_576.0, Reject), Required("pattern.footprint_mb is required")),
+    f("passes", Int(1, 64, Cap), Is("1")).only("global_sweep"),
+    f("tile_lines", AT_LEAST_1, Required("tiled pattern requires tile_lines")).only("tiled"),
+    f("reuses", AT_LEAST_1, Required("tiled pattern requires reuses")).only("tiled"),
+    f("levels", Ty::Levels, Required(NEEDS_LEVELS)).only("working_set_mix"),
+    f("mem_ops_per_warp", Int(1, 4096, Cap), Is("64")),
+    f("compute_per_mem", Num(0.0, u16::MAX as f64, Cap), Is("2")),
+    f("write_frac", Num(0.0, 1.0, Clamp), Is("0")),
+    f("divergence", Int(1, 32, Clamp), Is("1")),
+    f("tail_compute", U32, Is("0")),
+    f("ctas", Int(1, 65_536, Cap), Is("1024")),
+    f("threads_per_cta", Int(1, 1024, Reject), Is("256")),
+    f("seed", U32, Is("42")),
+    f("shared_hot", Ty::Obj(SHARED_HOT), Optional),
+];
+
+/// `pattern.shared_hot`: a hot set every warp hits with probability `prob`.
+#[rustfmt::skip]
+const SHARED_HOT: &[Field] = &[
+    f("prob", Num(0.0, 1.0, Clamp), Required("shared_hot requires prob")),
+    f("hot_lines", AT_LEAST_1, Required("shared_hot requires hot_lines")),
+];
+
+/// A field as messages name it: `mem_scale`, `pattern.ctas`,
+/// `shared_hot.prob` — (object, field).
+#[derive(Clone, Copy)]
+struct At(&'static str, &'static str);
+
+impl std::fmt::Display for At {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            "request" => f.write_str(self.1),
+            object => write!(f, "{object}.{}", self.1),
+        }
+    }
+}
+
+/// One object after the walk: each field that applies, in table order,
+/// with its normalized value when present or defaulted.
+struct Walked(Vec<(&'static Field, Option<Json>)>);
+
+impl Walked {
+    fn get(&self, name: &str) -> Option<&Json> {
+        self.0.iter().find(|(f, _)| f.name == name)?.1.as_ref()
+    }
+
+    fn set(&mut self, name: &str, value: Json) {
+        if let Some((_, v)) = self.0.iter_mut().find(|(f, _)| f.name == name) {
+            *v = Some(value);
+        }
+    }
+
+    /// The normalized echo: every echoed field with a value, by rank.
+    fn echo(mut self) -> Json {
+        self.0.retain(|(f, v)| f.echo.is_some() && v.is_some());
+        self.0.sort_by_key(|(f, _)| f.echo);
+        let shown = self.0.into_iter().filter_map(|(f, v)| Some((f.name, v?)));
+        obj(shown)
+    }
+}
+
+/// Reads `json` against `table`: each field that applies is checked and
+/// normalized, or defaulted when absent, in table order; then a field the
+/// table does not know is a 400 — a typo must fail loudly, not select a
+/// default and poison the cache key space.
+fn walk(json: &Json, object: &'static str, table: &'static [Field]) -> Result<Walked, ApiError> {
+    let Json::Obj(members) = json else {
+        return Err(ApiError::bad(format!("{object} must be a JSON object")));
+    };
+    let mut walked = Vec::with_capacity(table.len());
+    let mut kind = None;
+    for f in table {
+        if f.only.is_some() && f.only != kind {
+            continue;
+        }
+        let at = At(object, f.name);
+        let value = match (members.iter().find(|(k, _)| k == f.name), f.absent) {
+            (Some(_), _) if matches!(f.ty, Ty::Later(_)) => None,
+            (Some((_, v)), _) => Some(read(v, f.ty, at)?),
+            (None, Is(text)) => {
+                let v = gsim_json::parse(text).expect("a schema default is JSON");
+                Some(read(&v, f.ty, at)?)
+            }
+            (None, Required(message)) => return Err(ApiError::bad(message)),
+            (None, Optional) => None,
         };
-        Ok(Self {
-            obj,
-            known: Vec::new(),
-            context,
-        })
+        if let (Ty::Kind(kinds), Some(v)) = (f.ty, &value) {
+            kind = kinds.iter().copied().find(|k| v.as_str() == Some(k));
+        }
+        walked.push((f, value));
     }
-
-    fn get(&mut self, name: &'static str) -> Option<&'a Json> {
-        self.known.push(name);
-        self.obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    if let Some((k, _)) = members
+        .iter()
+        .find(|(k, _)| walked.iter().all(|(f, _)| f.name != k))
+    {
+        let known: Vec<&str> = walked.iter().map(|(f, _)| f.name).collect();
+        return Err(ApiError::bad(format!(
+            "unknown field {k:?} in {object}; known fields: {}",
+            known.join(", ")
+        )));
     }
+    Ok(Walked(walked))
+}
 
-    fn finish(self) -> Result<(), ApiError> {
-        for (k, _) in self.obj {
-            if !self.known.contains(&k.as_str()) {
+/// Reads one field's value as `ty`, normalized: bounds applied, a nested
+/// object walked and echoed.
+fn read(v: &Json, ty: Ty, at: At) -> Result<Json, ApiError> {
+    let must_be = |what: &str| ApiError::bad(format!("{at} must be {what}"));
+    let int = |v: &Json, at: &dyn std::fmt::Display| {
+        let n = v.as_u64().and_then(|n| u32::try_from(n).ok());
+        n.ok_or_else(|| ApiError::bad(format!("{at} must be a non-negative integer")))
+    };
+    let num = |v: &Json, at: &dyn std::fmt::Display| {
+        let x = v.as_f64().filter(|x| x.is_finite());
+        x.ok_or_else(|| ApiError::bad(format!("{at} must be a finite number")))
+    };
+    let (x, lo, hi, bound) = match ty {
+        Int(lo, hi, bound) => (f64::from(int(v, &at)?), f64::from(lo), f64::from(hi), bound),
+        Num(lo, hi, bound) => (num(v, &at)?, lo, hi, bound),
+        Ty::Str(what) => return Ok(Json::from(v.as_str().ok_or_else(|| must_be(what))?)),
+        Ty::OneOf(options) => match v.as_str() {
+            Some(s) if options.contains(&s) => return Ok(Json::from(s)),
+            _ => return Err(must_be(&one_of(options))),
+        },
+        Ty::Kind(kinds) => match v.as_str() {
+            Some(s) if kinds.contains(&s) => return Ok(Json::from(s)),
+            Some(s) => {
+                let kinds = kinds.join(", ");
                 return Err(ApiError::bad(format!(
-                    "unknown field {k:?} in {}; known fields: {}",
-                    self.context,
-                    self.known.join(", ")
+                    "unknown {} kind {s:?}; one of {kinds}",
+                    at.0
                 )));
             }
+            None => return Err(must_be("a string")),
+        },
+        Ty::Pair => match v.as_arr() {
+            Some([a, b]) => {
+                let pair = [
+                    int(a, &format_args!("{at}[0]"))?,
+                    int(b, &format_args!("{at}[1]"))?,
+                ];
+                return Ok(Json::from(pair.to_vec()));
+            }
+            _ => return Err(must_be("a two-element array, e.g. [8, 16]")),
+        },
+        Ty::Ints => match v.as_arr() {
+            Some(items) if !items.is_empty() => {
+                let ints = items.iter().map(|x| int(x, &format_args!("{at}[]")));
+                return Ok(Json::from(ints.collect::<Result<Vec<u32>, _>>()?));
+            }
+            _ => return Err(must_be("a non-empty array")),
+        },
+        Ty::Levels => {
+            let level = |l: &Json| match l.as_arr() {
+                Some([w, frac]) => {
+                    match (num(w, &"level weight")?, num(frac, &"level fraction")?) {
+                        (w, frac) if w > 0.0 && frac > 0.0 => Ok(Json::from(vec![w, frac])),
+                        _ => Err(ApiError::bad(
+                            "level weights and fractions must be positive",
+                        )),
+                    }
+                }
+                _ => Err(ApiError::bad("each level must be [weight, fraction]")),
+            };
+            let levels = v.as_arr().ok_or_else(|| ApiError::bad(NEEDS_LEVELS))?;
+            if levels.is_empty() {
+                return Err(ApiError::bad("levels must be non-empty"));
+            }
+            return Ok(Json::Arr(
+                levels.iter().map(level).collect::<Result<_, _>>()?,
+            ));
         }
-        Ok(())
+        Ty::Obj(table) | Ty::Later(table) => return Ok(walk(v, at.1, table)?.echo()),
+    };
+    // `int` picks the range notation: `lo..=hi`, or `(lo, hi]` for a number.
+    let int = matches!(ty, Int(..));
+    match bound {
+        Clamp => Ok(Json::from(x.clamp(lo, hi))),
+        Cap if x <= hi => Ok(Json::from(x.max(lo))),
+        Reject if x <= hi && (x > lo || int && x == lo) => Ok(Json::from(x)),
+        Cap => Err(must_be(&format!("at most {}", show(hi)))),
+        Reject if int => Err(must_be(&format!("in {}..={}", show(lo), show(hi)))),
+        Reject => Err(must_be(&format!("in ({}, {}]", show(lo), show(hi)))),
     }
 }
 
-fn as_u32(json: &Json, what: &str) -> Result<u32, ApiError> {
-    json.as_u64()
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or_else(|| ApiError::bad(format!("{what} must be a non-negative integer")))
-}
-
-/// [`as_u32`], at least 1 (0 counts as 1) and at most `max`.
-fn as_count(json: &Json, what: &str, max: u32) -> Result<u32, ApiError> {
-    match as_u32(json, what)?.max(1) {
-        n if n <= max => Ok(n),
-        _ => Err(ApiError::bad(format!("{what} must be at most {max}"))),
+/// A bound as messages print it: `2^20` rather than `1048576`.
+fn show(x: f64) -> String {
+    match x.log2() {
+        e if x >= 1_048_576.0 && e.fract() == 0.0 => format!("2^{e}"),
+        _ => x.to_string(),
     }
 }
 
-fn as_f64(json: &Json, what: &str) -> Result<f64, ApiError> {
-    json.as_f64()
-        .filter(|v| v.is_finite())
-        .ok_or_else(|| ApiError::bad(format!("{what} must be a finite number")))
+/// `"a" or "b"`; `"a", "b", or "c"`.
+fn one_of(options: &[&str]) -> String {
+    let quoted: Vec<String> = options.iter().map(|o| format!("{o:?}")).collect();
+    match quoted.split_last() {
+        Some((last, [one])) => format!("{one} or {last}"),
+        Some((last, init)) => format!("{}, or {last}", init.join(", ")),
+        None => String::new(),
+    }
+}
+
+/// The doubling ladder from `small` up to the first rung at or past `top`.
+fn ladder(small: u32, top: u32) -> Vec<u32> {
+    std::iter::successors(Some(small), |&s| (s < top).then(|| s.saturating_mul(2))).collect()
+}
+
+/// A 400 as a `Result`, for the cross-field rules.
+fn bad<T>(message: impl Into<String>) -> Result<T, ApiError> {
+    Err(ApiError::bad(message))
 }
 
 fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiError> {
@@ -1030,171 +1278,99 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
         std::str::from_utf8(body).map_err(|_| ApiError::bad("request body must be UTF-8 JSON"))?;
     let doc = gsim_json::parse_with_limits(text, gsim_json::DEFAULT_MAX_DEPTH, MAX_PREDICT_BYTES)
         .map_err(|e| ApiError::bad(format!("request body is not valid JSON: {e}")))?;
-    let mut fields = Fields::new(&doc, "request")?;
+    let mut req = walk(&doc, "request", REQUEST)?;
+    // Walked integers are in range.
+    let int = |v: &Json| v.as_u64().map_or(0, |n| n as u32);
+    let ints = |v: &Json| -> Vec<u32> { v.as_arr().unwrap_or_default().iter().map(int).collect() };
 
-    // Memory miniature.
-    let scale_divisor = match fields.get("mem_scale") {
-        Some(v) => {
-            let d = as_u32(v, "mem_scale")?;
-            let max = GpuConfig::max_mem_scale();
-            if !(1..=max).contains(&d) {
-                return Err(ApiError::bad(format!("mem_scale must be in 1..={max}")));
-            }
-            d
-        }
-        None => MemScale::default().divisor(),
-    };
-    let scale = MemScale::new(scale_divisor);
-
-    // Scale-model sizes.
-    let (small, large) = match fields.get("scale_models") {
-        Some(Json::Arr(arr)) if arr.len() == 2 => (
-            as_u32(&arr[0], "scale_models[0]")?,
-            as_u32(&arr[1], "scale_models[1]")?,
-        ),
-        Some(_) => {
-            return Err(ApiError::bad(
-                "scale_models must be a two-element array, e.g. [8, 16]",
-            ))
-        }
-        None => (8, 16),
+    let scale = MemScale::new(req.get("mem_scale").map_or(0, int));
+    let [small, large] = req.get("scale_models").map(ints).unwrap_or_default()[..] else {
+        unreachable!("scale_models defaults to a pair")
     };
     if small == 0 || small >= large {
-        return Err(ApiError::bad("scale_models must satisfy 0 < small < large"));
+        return bad("scale_models must satisfy 0 < small < large");
     }
-
-    // Targets: one `target_sms` or an array `targets`; sorted + deduped
-    // so equivalent requests share one cache entry.
-    let mut targets: Vec<u32> = match (fields.get("target_sms"), fields.get("targets")) {
-        (Some(v), None) => vec![as_u32(v, "target_sms")?],
-        (None, Some(Json::Arr(arr))) if !arr.is_empty() => arr
-            .iter()
-            .map(|v| as_u32(v, "targets[]"))
-            .collect::<Result<_, _>>()?,
-        (None, Some(_)) => {
-            return Err(ApiError::bad("targets must be a non-empty array"));
-        }
-        (Some(_), Some(_)) => {
-            return Err(ApiError::bad("give either target_sms or targets, not both"));
-        }
-        (None, None) => {
-            return Err(ApiError::bad("missing target_sms (or targets) field"));
-        }
+    // One `target_sms` or an array `targets`; sorted + deduped so
+    // equivalent requests share one cache entry.
+    let mut targets = match (req.get("target_sms"), req.get("targets")) {
+        (Some(_), Some(_)) => return bad("give either target_sms or targets, not both"),
+        (None, None) => return bad("missing target_sms (or targets) field"),
+        (Some(t), None) => vec![int(t)],
+        (None, Some(ts)) => ints(ts),
     };
     targets.sort_unstable();
     targets.dedup();
-
-    // Prediction path: gate automatically (default), or force one side.
-    let path = match fields.get("path") {
-        None => PathMode::Auto,
-        Some(v) => match v.as_str() {
-            Some("auto") => PathMode::Auto,
-            Some("fast") => PathMode::Fast,
-            Some("full") => PathMode::Full,
-            _ => {
-                return Err(ApiError::bad(
-                    "path must be \"auto\", \"fast\", or \"full\"",
-                ));
-            }
-        },
-    };
-    for &t in &targets {
-        if t <= large || t > MAX_TARGET_SMS {
-            return Err(ApiError::bad(format!(
-                "target {t} must exceed the larger scale model ({large}) \
-                 and be at most {MAX_TARGET_SMS}"
-            )));
-        }
+    if let Some(t) = targets.iter().find(|&&t| t <= large || t > MAX_TARGET_SMS) {
+        return bad(format!(
+            "target {t} must exceed the larger scale model ({large}) and be at most {MAX_TARGET_SMS}"
+        ));
     }
-
-    // The doubling ladder smalls→max target; every named size must sit
+    // The doubling ladder small → max target; every named size must sit
     // on it (the predictor extrapolates per doubling).
-    let max_target = *targets.last().expect("targets verified non-empty");
-    let mut ladder = vec![small];
-    let mut size = small;
-    while size < max_target {
-        size = size.saturating_mul(2);
-        ladder.push(size);
-    }
-    for (what, value) in
-        std::iter::once(("larger scale model", large)).chain(targets.iter().map(|&t| ("target", t)))
+    let ladder = ladder(small, *targets.last().expect("targets are non-empty"));
+    let named = std::iter::once(("larger scale model", large));
+    if let Some((what, value)) = named
+        .chain(targets.iter().map(|&t| ("target", t)))
+        .find(|(_, value)| !ladder.contains(value))
     {
-        if !ladder.contains(&value) {
-            return Err(ApiError::bad(format!(
-                "{what} {value} is not a power-of-two multiple of the \
-                 smaller scale model ({small})"
-            )));
-        }
+        return bad(format!(
+            "{what} {value} is not a power-of-two multiple of the smaller scale model ({small})"
+        ));
     }
 
     // Workload: a suite benchmark, a synthetic pattern, or a stored trace.
-    let workload_field = fields.get("workload").cloned();
-    let suite_field = fields.get("suite").cloned();
-    let pattern_field = fields.get("pattern").cloned();
-    let trace_field = fields.get("trace_ref").cloned();
-    let (kind, workload_json, suite_name) = match (workload_field, pattern_field, trace_field) {
-        (Some(wl), None, None) => {
-            let abbr = wl
-                .as_str()
-                .ok_or_else(|| ApiError::bad("workload must be a benchmark abbreviation"))?;
-            let suite = match &suite_field {
-                None => "strong",
-                Some(s) => match s.as_str() {
-                    Some(s @ ("strong" | "weak")) => s,
-                    _ => {
-                        return Err(ApiError::bad("suite must be \"strong\" or \"weak\""));
-                    }
-                },
+    let suite = req.get("suite").and_then(Json::as_str);
+    let mut pattern = None;
+    let sources = (
+        req.get("workload"),
+        doc.get("pattern"),
+        req.get("trace_ref"),
+    );
+    let (kind, suite) = match sources {
+        (Some(abbr), None, None) if suite == Some("weak") => {
+            let abbr = abbr.as_str().unwrap_or_default();
+            let Some(bench) = weak_benchmark(abbr, scale) else {
+                return bad(format!(
+                    "unknown weak benchmark {abbr:?}; see GET /v1/workloads"
+                ));
             };
-            let kind = if suite == "weak" {
-                let bench = weak_benchmark(abbr, scale).ok_or_else(|| {
-                    ApiError::bad(format!(
-                        "unknown weak benchmark {abbr:?}; see GET /v1/workloads"
-                    ))
-                })?;
-                let input = |sms| {
-                    let wl = bench.workload_for_sms(sms).ok_or_else(|| {
-                        ApiError::bad(format!(
-                            "Table IV has weak-scaling inputs for {WEAK_SM_SIZES:?} SMs, not {sms}"
-                        ))
-                    })?;
-                    Ok(PlanWorkload::Synthetic(wl))
-                };
-                PlanKind::PerSize {
-                    small_wl: input(small)?,
-                    large_wl: input(large)?,
-                }
-            } else {
-                let bench = strong_benchmark(abbr, scale).ok_or_else(|| {
-                    ApiError::bad(format!("unknown benchmark {abbr:?}; see GET /v1/workloads"))
-                })?;
-                PlanKind::WithMrc(PlanWorkload::Synthetic(bench.workload))
+            let input = |sms| match bench.workload_for_sms(sms) {
+                Some(wl) => Ok(PlanWorkload::Synthetic(wl)),
+                None => bad(format!(
+                    "Table IV has weak-scaling inputs for {WEAK_SM_SIZES:?} SMs, not {sms}"
+                )),
             };
-            (kind, Json::from(abbr), suite.to_string())
+            let (small_wl, large_wl) = (input(small)?, input(large)?);
+            (PlanKind::PerSize { small_wl, large_wl }, "weak")
         }
-        (None, Some(pattern), None) => {
-            if suite_field.is_some() {
-                return Err(ApiError::bad("suite does not apply to pattern requests"));
-            }
-            let (workload, normalized) = parse_pattern(&pattern, scale)?;
+        (Some(abbr), None, None) => {
+            let abbr = abbr.as_str().unwrap_or_default();
+            let Some(bench) = strong_benchmark(abbr, scale) else {
+                return bad(format!("unknown benchmark {abbr:?}; see GET /v1/workloads"));
+            };
             (
-                PlanKind::WithMrc(PlanWorkload::Synthetic(workload)),
-                normalized,
-                "pattern".to_string(),
+                PlanKind::WithMrc(PlanWorkload::Synthetic(bench.workload)),
+                "strong",
             )
         }
+        (None, Some(_), None) | (None, None, Some(_)) if suite.is_some() => {
+            let what = if sources.1.is_some() {
+                "pattern"
+            } else {
+                "trace"
+            };
+            return bad(format!("suite does not apply to {what} requests"));
+        }
+        (None, Some(json), None) => {
+            let walked = walk(json, "pattern", PATTERN)?.echo();
+            let wl = pattern_workload(&walked, scale)?;
+            pattern = Some(walked);
+            (PlanKind::WithMrc(PlanWorkload::Synthetic(wl)), "pattern")
+        }
         (None, None, Some(t)) => {
-            if suite_field.is_some() {
-                return Err(ApiError::bad("suite does not apply to trace requests"));
-            }
-            let trace_ref = t
-                .as_str()
-                .ok_or_else(|| ApiError::bad("trace_ref must be a string"))?
-                .to_ascii_lowercase();
+            let trace_ref = t.as_str().unwrap_or_default().to_ascii_lowercase();
             if trace_ref.len() != 16 || u64::from_str_radix(&trace_ref, 16).is_err() {
-                return Err(ApiError::bad(
-                    "trace_ref must be 16 hex digits (see POST /v1/traces)",
-                ));
+                return bad("trace_ref must be 16 hex digits (see POST /v1/traces)");
             }
             let Some(store) = store else {
                 return Err(ApiError::internal("no trace store configured"));
@@ -1204,51 +1380,35 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
             if store.get(&trace_ref).is_none() {
                 return Err(trace_not_found(&trace_ref));
             }
-            let json = Json::from(trace_ref.as_str());
-            (PlanKind::Stored(trace_ref), json, "trace".to_string())
+            (PlanKind::Stored(trace_ref), "trace")
         }
-        (None, None, None) => {
-            return Err(ApiError::bad(
-                "missing workload (or pattern, or trace_ref) field",
-            ));
-        }
-        _ => {
-            return Err(ApiError::bad(
-                "give exactly one of workload, pattern, or trace_ref — not both",
-            ));
-        }
+        (None, None, None) => return bad("missing workload (or pattern, or trace_ref) field"),
+        _ => return bad("give exactly one of workload, pattern, or trace_ref — not both"),
     };
-    fields.finish()?;
-
     // The fast path fits predictors to a miss-rate curve; a per-size
     // (weak-scaling) plan has none, so forcing it is a contradiction.
+    let path = match req.get("path").and_then(Json::as_str) {
+        Some("fast") => PathMode::Fast,
+        Some("full") => PathMode::Full,
+        _ => PathMode::Auto,
+    };
     if path == PathMode::Fast && matches!(kind, PlanKind::PerSize { .. }) {
-        return Err(ApiError::bad(
-            "path \"fast\" needs a miss-rate curve; weak-scaling plans \
-             must use \"auto\" or \"full\"",
-        ));
+        return bad(
+            "path \"fast\" needs a miss-rate curve; weak-scaling plans must use \"auto\" or \"full\"",
+        );
     }
 
-    // The normalized request: fixed field order, every default filled
-    // in, so semantically identical requests render identically.
-    let workload_key = match suite_name.as_str() {
-        "pattern" => "pattern",
-        "trace" => "trace_ref",
-        _ => "workload",
-    };
-    let normalized = obj([
-        (workload_key, workload_json),
-        ("suite", Json::from(suite_name.as_str())),
-        (
-            "scale_models",
-            Json::Arr(vec![Json::from(small), Json::from(large)]),
-        ),
-        (
-            "targets",
-            Json::Arr(targets.iter().map(|&t| Json::from(t)).collect()),
-        ),
-        ("mem_scale", Json::from(scale.divisor())),
-    ]);
+    // The normalized request: every default filled in, so semantically
+    // identical requests render identically.
+    req.set("suite", Json::from(suite));
+    req.set("targets", Json::from(targets.clone()));
+    if let Some(pattern) = pattern {
+        req.set("pattern", pattern);
+    }
+    if let PlanKind::Stored(trace_ref) = &kind {
+        req.set("trace_ref", Json::from(trace_ref.as_str()));
+    }
+    let normalized = req.echo();
 
     // Content address: the normalized request plus one digest of every
     // field of every derived config on the ladder — a change to the
@@ -1263,7 +1423,6 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
         configs_digest(configs),
         path.as_str()
     );
-
     Ok(Plan {
         canonical,
         normalized,
@@ -1285,182 +1444,56 @@ fn trace_not_found(trace_ref: &str) -> ApiError {
     }
 }
 
-/// Parses a synthetic-pattern spec into a one-kernel workload, returning
-/// it with its fully-defaulted normalized JSON. The defaults are pinned
-/// *here* (not inherited from `PatternSpec`'s builder) so the service's
-/// request semantics cannot drift under it.
-fn parse_pattern(pattern: &Json, scale: MemScale) -> Result<(Workload, Json), ApiError> {
-    let mut f = Fields::new(pattern, "pattern")?;
-    let kind_name = f
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ApiError::bad("pattern.kind must be a string"))?
-        .to_string();
-    let footprint_mb = match f.get("footprint_mb") {
-        Some(v) => as_f64(v, "pattern.footprint_mb")?,
-        None => return Err(ApiError::bad("pattern.footprint_mb is required")),
-    };
-    if footprint_mb <= 0.0 || footprint_mb > 1024.0 * 1024.0 {
-        return Err(ApiError::bad("pattern.footprint_mb must be in (0, 2^20]"));
-    }
-
-    let mut extra: Vec<(&'static str, Json)> = Vec::new();
-    let kind = match kind_name.as_str() {
-        "global_sweep" => {
-            let passes = match f.get("passes") {
-                Some(v) => as_count(v, "pattern.passes", MAX_PATTERN_PASSES)?,
-                None => 1,
+/// The one-kernel workload a walked `pattern` names; a 400 when its work
+/// exceeds [`MAX_PATTERN_WARP_INSTRS`].
+fn pattern_workload(p: &Json, scale: MemScale) -> Result<Workload, ApiError> {
+    let num = |name: &str| p.get(name).and_then(Json::as_f64).unwrap_or_default();
+    let int = |name: &str| num(name) as u32;
+    let kind = match p.get("kind").and_then(Json::as_str) {
+        Some("global_sweep") => PatternKind::GlobalSweep {
+            passes: int("passes"),
+        },
+        Some("streaming") => PatternKind::Streaming,
+        Some("tiled") => PatternKind::Tiled {
+            tile_lines: u64::from(int("tile_lines")),
+            reuses: int("reuses"),
+        },
+        Some("working_set_mix") => {
+            let pair = |l: &Json| {
+                Some((
+                    l.as_arr()?.first()?.as_f64()?,
+                    l.as_arr()?.get(1)?.as_f64()?,
+                ))
             };
-            extra.push(("passes", Json::from(passes)));
-            PatternKind::GlobalSweep { passes }
-        }
-        "streaming" => PatternKind::Streaming,
-        "pointer_chase" => PatternKind::PointerChase,
-        "tiled" => {
-            let tile_lines = match f.get("tile_lines") {
-                Some(v) => u64::from(as_u32(v, "pattern.tile_lines")?.max(1)),
-                None => return Err(ApiError::bad("tiled pattern requires tile_lines")),
-            };
-            let reuses = match f.get("reuses") {
-                Some(v) => as_u32(v, "pattern.reuses")?.max(1),
-                None => return Err(ApiError::bad("tiled pattern requires reuses")),
-            };
-            extra.push(("tile_lines", Json::from(tile_lines)));
-            extra.push(("reuses", Json::from(reuses)));
-            PatternKind::Tiled { tile_lines, reuses }
-        }
-        "working_set_mix" => {
-            let Some(Json::Arr(levels)) = f.get("levels") else {
-                return Err(ApiError::bad(
-                    "working_set_mix requires levels: [[weight, fraction], ...]",
-                ));
-            };
-            let mut parsed = Vec::new();
-            for level in levels {
-                let Json::Arr(pair) = level else {
-                    return Err(ApiError::bad("each level must be [weight, fraction]"));
-                };
-                let [w, frac] = pair.as_slice() else {
-                    return Err(ApiError::bad("each level must be [weight, fraction]"));
-                };
-                let (w, frac) = (as_f64(w, "level weight")?, as_f64(frac, "level fraction")?);
-                if w <= 0.0 || frac <= 0.0 {
-                    return Err(ApiError::bad(
-                        "level weights and fractions must be positive",
-                    ));
-                }
-                parsed.push((w, frac));
+            let levels = p.get("levels").and_then(Json::as_arr).unwrap_or_default();
+            PatternKind::WorkingSetMix {
+                levels: levels.iter().filter_map(pair).collect(),
             }
-            if parsed.is_empty() {
-                return Err(ApiError::bad("levels must be non-empty"));
-            }
-            extra.push((
-                "levels",
-                Json::Arr(
-                    parsed
-                        .iter()
-                        .map(|&(w, frac)| Json::Arr(vec![Json::from(w), Json::from(frac)]))
-                        .collect(),
-                ),
-            ));
-            PatternKind::WorkingSetMix { levels: parsed }
         }
-        other => {
-            return Err(ApiError::bad(format!(
-                "unknown pattern kind {other:?}; one of global_sweep, streaming, \
-                 working_set_mix, tiled, pointer_chase"
-            )));
-        }
+        // "pointer_chase": the walk admits no other kind.
+        _ => PatternKind::PointerChase,
     };
-
-    let num = |f: &mut Fields<'_>, name: &'static str, default: u32| -> Result<u32, ApiError> {
-        match f.get(name) {
-            Some(v) => as_u32(v, name),
-            None => Ok(default),
-        }
-    };
-    let mem_ops_per_warp = match f.get("mem_ops_per_warp") {
-        Some(v) => as_count(v, "pattern.mem_ops_per_warp", MAX_PATTERN_MEM_OPS_PER_WARP)?,
-        None => 64,
-    };
-    let compute_per_mem = match f.get("compute_per_mem") {
-        Some(v) => as_f64(v, "pattern.compute_per_mem")?.max(0.0),
-        None => 2.0,
-    };
-    let write_frac = match f.get("write_frac") {
-        Some(v) => as_f64(v, "pattern.write_frac")?.clamp(0.0, 1.0),
-        None => 0.0,
-    };
-    let divergence = num(&mut f, "divergence", 1)?.clamp(1, 32) as u8;
-    let tail_compute = num(&mut f, "tail_compute", 0)?;
-    let ctas = match f.get("ctas") {
-        Some(v) => as_count(v, "pattern.ctas", MAX_PATTERN_CTAS)?,
-        None => 1024,
-    };
-    let threads_per_cta = num(&mut f, "threads_per_cta", 256)?;
-    if !(1..=1024).contains(&threads_per_cta) {
-        return Err(ApiError::bad("threads_per_cta must be in 1..=1024"));
-    }
-    let seed = u64::from(num(&mut f, "seed", 42)?);
-    let shared_hot = match f.get("shared_hot") {
-        Some(spec) => {
-            let mut hf = Fields::new(spec, "shared_hot")?;
-            let prob = match hf.get("prob") {
-                Some(v) => as_f64(v, "shared_hot.prob")?.clamp(0.0, 1.0),
-                None => return Err(ApiError::bad("shared_hot requires prob")),
-            };
-            let hot_lines = match hf.get("hot_lines") {
-                Some(v) => u64::from(as_u32(v, "shared_hot.hot_lines")?.max(1)),
-                None => return Err(ApiError::bad("shared_hot requires hot_lines")),
-            };
-            hf.finish()?;
-            Some((prob, hot_lines))
-        }
-        None => None,
-    };
-    f.finish()?;
-
+    let footprint_mb = num("footprint_mb");
     let mut spec = PatternSpec::new(kind, scale.mb_to_model_lines(footprint_mb))
-        .mem_ops_per_warp(mem_ops_per_warp)
-        .compute_per_mem(compute_per_mem)
-        .write_frac(write_frac)
-        .divergence(divergence)
-        .tail_compute(tail_compute);
-    if let Some((prob, hot_lines)) = shared_hot {
-        spec = spec.shared_hot(prob, hot_lines);
+        .mem_ops_per_warp(int("mem_ops_per_warp"))
+        .compute_per_mem(num("compute_per_mem"))
+        .write_frac(num("write_frac"))
+        .divergence(int("divergence") as u8)
+        .tail_compute(int("tail_compute"));
+    if let Some(hot) = p.get("shared_hot") {
+        let of = |name| hot.get(name).and_then(Json::as_f64).unwrap_or_default();
+        spec = spec.shared_hot(of("prob"), of("hot_lines") as u64);
     }
-    let workload = Workload::new(
-        "pattern",
-        seed,
-        vec![Kernel::new("pattern", ctas, threads_per_cta, spec)],
-    )
-    .with_footprint_mb(footprint_mb);
-
-    let mut normalized: Vec<(&'static str, Json)> = vec![
-        ("kind", Json::from(kind_name.as_str())),
-        ("footprint_mb", Json::from(footprint_mb)),
-    ];
-    normalized.extend(extra);
-    normalized.extend([
-        ("mem_ops_per_warp", Json::from(mem_ops_per_warp)),
-        ("compute_per_mem", Json::from(compute_per_mem)),
-        ("write_frac", Json::from(write_frac)),
-        ("divergence", Json::from(u32::from(divergence))),
-        ("tail_compute", Json::from(tail_compute)),
-        ("ctas", Json::from(ctas)),
-        ("threads_per_cta", Json::from(threads_per_cta)),
-        ("seed", Json::from(seed)),
-    ]);
-    if let Some((prob, hot_lines)) = shared_hot {
-        normalized.push((
-            "shared_hot",
-            obj([
-                ("prob", Json::from(prob)),
-                ("hot_lines", Json::from(hot_lines)),
-            ]),
-        ));
+    let kernel = Kernel::new("pattern", int("ctas"), int("threads_per_cta"), spec);
+    let workload = Workload::new("pattern", u64::from(int("seed")), vec![kernel])
+        .with_footprint_mb(footprint_mb);
+    match workload.approx_warp_instrs() {
+        work if work > MAX_PATTERN_WARP_INSTRS => bad(format!(
+            "pattern asks for {work} warp instructions; at most {} are accepted",
+            show(MAX_PATTERN_WARP_INSTRS as f64)
+        )),
+        _ => Ok(workload),
     }
-    Ok((workload, obj(normalized)))
 }
 
 /// One FNV-1a digest over every field of every derived [`GpuConfig`] —
@@ -1877,5 +1910,595 @@ mod tests {
         assert!(root.join("store").is_dir());
         assert!(root.join("cache").join("tracestore").is_dir());
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    // --- the request schema: README, satellites, fuzz slice -------------
+
+    /// README's request table, rendered from the schema.
+    fn readme_table() -> String {
+        fn value(ty: Ty) -> String {
+            let list = |o: &[&str], q: bool| {
+                let fmt = |x: &&str| {
+                    if q {
+                        format!("`{x:?}`")
+                    } else {
+                        format!("`{x}`")
+                    }
+                };
+                o.iter().map(fmt).collect::<Vec<_>>().join(", ")
+            };
+            let (lo_hi, what) = match ty {
+                Ty::Int(lo, hi, b) => ((f64::from(lo), f64::from(hi), b), "integer"),
+                Ty::Num(lo, hi, b) => ((lo, hi, b), "number"),
+                Ty::Str(what) => return what.to_string(),
+                Ty::OneOf(o) => return list(o, true),
+                Ty::Kind(o) => return list(o, false),
+                Ty::Pair => return "two integers".into(),
+                Ty::Ints => return "non-empty array of integers".into(),
+                Ty::Levels => return "non-empty array of positive `[weight, fraction]`".into(),
+                Ty::Obj(_) | Ty::Later(_) => return "object".into(),
+            };
+            let (lo, hi, bound) = lo_hi;
+            let int = what == "integer";
+            let (l, h) = (show(lo), show(hi));
+            match bound {
+                Bound::Clamp if int && hi == f64::from(u32::MAX) && lo == 0.0 => what.into(),
+                Bound::Clamp if int && hi == f64::from(u32::MAX) => {
+                    format!("{what}, below {l} reads as {l}")
+                }
+                Bound::Clamp if int => format!("{what}, clamped to {l}..={h}"),
+                Bound::Clamp => format!("{what}, clamped to [{l}, {h}]"),
+                Bound::Cap => format!("{what} ≤ {h}, below {l} reads as {l}"),
+                Bound::Reject if int => format!("{what} in {l}..={h}"),
+                Bound::Reject => format!("{what} in ({l}, {h}]"),
+            }
+        }
+        fn rows(out: &mut String, prefix: &str, table: &[Field]) {
+            for f in table {
+                let name = format!("{prefix}{}", f.name);
+                let only = f.only.map(|k| format!(" (`{k}`)")).unwrap_or_default();
+                let absent = match f.absent {
+                    Absent::Required(_) => "required".to_string(),
+                    Absent::Is(text) => format!("`{text}`"),
+                    Absent::Optional => "—".to_string(),
+                };
+                let echo = if f.echo.is_some() { "yes" } else { "no" };
+                out.push_str(&format!(
+                    "| `{name}`{only} | {} | {absent} | {echo} |\n",
+                    value(f.ty)
+                ));
+                if let Ty::Obj(sub) | Ty::Later(sub) = f.ty {
+                    rows(out, &format!("{name}."), sub);
+                }
+            }
+        }
+        let mut out = String::from("| field | value | when absent | echoed |\n|---|---|---|---|\n");
+        rows(&mut out, "", REQUEST);
+        out
+    }
+
+    #[test]
+    fn readme_table_is_the_schema() {
+        let readme =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+                .expect("README.md");
+        let table = readme_table();
+        assert!(
+            readme.contains(&table),
+            "README's request table drifted from the schema; it reads:\n{table}"
+        );
+    }
+
+    #[test]
+    fn pattern_work_is_bounded() {
+        // Each field in range, the product 1.6·10^12 warp instructions.
+        let hostile = r#"{"pattern": {"kind": "global_sweep", "footprint_mb": 1048576, "passes": 64}, "target_sms": 32, "mem_scale": 1}"#;
+        let err = plan(hostile).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(
+            err.message.contains("pattern") && err.message.contains("2^33"),
+            "{}",
+            err.message
+        );
+        // Past u16::MAX compute instructions per memory op the stream no
+        // longer changes, so the address must not either.
+        let cpm = |c: &str| {
+            plan(&format!(
+                r#"{{"pattern": {{"kind": "streaming", "footprint_mb": 1, "ctas": 1, "compute_per_mem": {c}}}, "target_sms": 32}}"#
+            ))
+        };
+        assert!(cpm("65535").is_ok());
+        let err = cpm("1e300").unwrap_err();
+        assert!(
+            err.message
+                .contains("pattern.compute_per_mem must be at most 65535"),
+            "{}",
+            err.message
+        );
+    }
+
+    use gsim_rng::Rng64;
+
+    /// An object's members, in the order a body spells them.
+    type Members = Vec<(String, Json)>;
+
+    fn pick<T: Copy>(rng: &mut Rng64, items: &[T]) -> T {
+        items[rng.gen_range(0, items.len() as u64) as usize]
+    }
+
+    /// A value of `ty` inside its bound, small enough to build in
+    /// microseconds.
+    fn draw(rng: &mut Rng64, ty: Ty) -> Json {
+        let quarter = |rng: &mut Rng64, lo: f64, hi: f64| {
+            let steps = ((hi - lo).min(8.0) / 0.25) as u64;
+            lo + 0.25 * rng.gen_range_inclusive(1, steps) as f64
+        };
+        match ty {
+            Ty::Int(lo, hi, _) => {
+                Json::from(lo + rng.gen_range_inclusive(0, u64::from((hi - lo).min(64))) as u32)
+            }
+            Ty::Num(lo, hi, _) => Json::from(quarter(rng, lo, hi)),
+            Ty::OneOf(o) | Ty::Kind(o) => Json::from(pick(rng, o)),
+            Ty::Levels => Json::Arr(
+                (0..rng.gen_range_inclusive(1, 3))
+                    .map(|_| Json::from(vec![quarter(rng, 0.0, 4.0), quarter(rng, 0.0, 1.0)]))
+                    .collect(),
+            ),
+            Ty::Obj(t) | Ty::Later(t) => Json::Obj(draw_object(rng, t)),
+            Ty::Str(_) | Ty::Pair | Ty::Ints => unreachable!("drawn by the cross-field rules"),
+        }
+    }
+
+    /// An object drawn from `table`: every required field, the rest at
+    /// even odds.
+    fn draw_object(rng: &mut Rng64, table: &[Field]) -> Members {
+        let mut kind = None;
+        let mut out = Members::new();
+        for f in table {
+            if f.only.is_some() && f.only != kind {
+                continue;
+            }
+            if matches!(f.absent, Absent::Required(_)) || rng.gen_bool(0.5) {
+                let v = draw(rng, f.ty);
+                if let Ty::Kind(kinds) = f.ty {
+                    kind = kinds.iter().copied().find(|k| Some(*k) == v.as_str());
+                }
+                out.push((f.name.to_string(), v));
+            }
+        }
+        out
+    }
+
+    /// A valid body: the cross-field rules by hand, every field value
+    /// from the tables.
+    fn valid_body(rng: &mut Rng64, trace_ref: &str, strong: &[&str], weak: &[&str]) -> Members {
+        let mut m = Members::new();
+        let mut put = |k: &str, v: Json| m.push((k.to_string(), v));
+        let source = rng.gen_range(0, 4);
+        let (small, large) = if source == 1 {
+            pick(rng, &[(8, 16), (8, 32), (16, 32), (16, 64), (32, 128)])
+        } else {
+            pick(rng, &[(8, 16), (1, 2), (4, 16), (16, 32), (2, 8)])
+        };
+        if (small, large) != (8, 16) || rng.gen_bool(0.3) {
+            put("scale_models", Json::from(vec![small, large]));
+        }
+        let mut targets: Vec<u32> = (1..=3)
+            .map(|k| large << k)
+            .filter(|_| rng.gen_bool(0.6))
+            .collect();
+        if targets.is_empty() {
+            targets.push(large * 2);
+        }
+        if targets.len() == 1 && rng.gen_bool(0.5) {
+            put("target_sms", Json::from(targets[0]));
+        } else {
+            put("targets", Json::from(targets));
+        }
+        if rng.gen_bool(0.4) {
+            put("mem_scale", Json::from(rng.gen_range_inclusive(1, 384)));
+        }
+        if rng.gen_bool(0.5) {
+            let paths: &[&str] = if source == 1 {
+                &["auto", "full"]
+            } else {
+                &["auto", "fast", "full"]
+            };
+            put("path", Json::from(pick(rng, paths)));
+        }
+        match source {
+            0 => {
+                put("workload", Json::from(pick(rng, strong)));
+                if rng.gen_bool(0.3) {
+                    put("suite", Json::from("strong"));
+                }
+            }
+            1 => {
+                put("workload", Json::from(pick(rng, weak)));
+                put("suite", Json::from("weak"));
+            }
+            2 => put("pattern", Json::Obj(draw_object(rng, PATTERN))),
+            _ => put("trace_ref", Json::from(trace_ref)),
+        }
+        m
+    }
+
+    /// `m` with the member at `at` (a path through nested objects) set to
+    /// `v`, appended when absent, or removed for `None`.
+    fn edit(m: &Members, at: &[&str], v: Option<Json>) -> Members {
+        let mut m = m.clone();
+        let i = m.iter().position(|(k, _)| k == at[0]);
+        match (at, i, v) {
+            ([_], Some(i), Some(v)) => m[i].1 = v,
+            ([_], Some(i), None) => drop(m.remove(i)),
+            ([k], None, Some(v)) => m.push((k.to_string(), v)),
+            ([_, rest @ ..], Some(i), v) if !rest.is_empty() => {
+                if let Json::Obj(inner) = &m[i].1 {
+                    m[i].1 = Json::Obj(edit(inner, rest, v));
+                }
+            }
+            _ => {}
+        }
+        m
+    }
+
+    /// Every declared field of `m`, as (path, declaration).
+    fn fields_of(m: &Members) -> Vec<(Vec<&'static str>, &'static Field)> {
+        fn walk_into(
+            m: &Members,
+            t: &'static [Field],
+            p: &[&'static str],
+            out: &mut Vec<(Vec<&'static str>, &'static Field)>,
+        ) {
+            for (k, v) in m {
+                let Some(f) = t.iter().find(|f| f.name == k) else {
+                    continue;
+                };
+                let path = [p, &[f.name]].concat();
+                if let (Ty::Obj(sub) | Ty::Later(sub), Json::Obj(inner)) = (f.ty, v) {
+                    walk_into(inner, sub, &path, out);
+                }
+                out.push((path, f));
+            }
+        }
+        let mut out = Vec::new();
+        walk_into(m, REQUEST, &[], &mut out);
+        out
+    }
+
+    fn render(m: &Members) -> Vec<u8> {
+        Json::Obj(m.clone()).render().into_bytes()
+    }
+
+    /// What a generated body must give.
+    #[derive(Debug)]
+    enum Expect {
+        /// Success, with the canonical string of every other body of
+        /// this class.
+        Same(usize),
+        /// Success, with another canonical string than this class's.
+        Differs(usize),
+        /// This status, with a message naming this text.
+        Fails(u16, String),
+    }
+
+    /// The schema-driven corpus: `n` valid bodies, each with its
+    /// equivalent rewrites, its clamped twins, one distinct in-range
+    /// variant and its one-field mutations.
+    fn schema_cases(seed: u64, n: usize, trace_ref: &str) -> Vec<(Vec<u8>, Expect)> {
+        let strong: Vec<&str> = strong_suite(MemScale::default())
+            .iter()
+            .map(|b| b.abbr)
+            .collect();
+        let weak: Vec<&str> = weak_suite(MemScale::default())
+            .iter()
+            .map(|b| b.abbr)
+            .collect();
+        let mut rng = Rng64::seed_from_u64(seed);
+        let mut cases = Vec::new();
+        let mut class = 0;
+        let fails = |body: Members, status: u16, names: &str| {
+            (render(&body), Expect::Fails(status, names.to_string()))
+        };
+        for _ in 0..n {
+            let m = valid_body(&mut rng, trace_ref, &strong, &weak);
+            let has = |k: &str| m.iter().any(|(n, _)| n == k);
+            let pattern = m
+                .iter()
+                .find(|(k, _)| k == "pattern")
+                .map(|(_, p)| p.clone());
+            let kind = pattern
+                .as_ref()
+                .and_then(|p| p.get("kind")?.as_str().map(str::to_string));
+
+            // Equivalent rewrites. Reordered fields, top level and pattern:
+            let mut same = vec![m.clone()];
+            let mut shuffled = m.clone();
+            shuffle(&mut rng, &mut shuffled);
+            if let Some((_, Json::Obj(inner))) = shuffled.iter_mut().find(|(k, _)| k == "pattern") {
+                shuffle(&mut rng, inner);
+            }
+            same.push(shuffled);
+            // every default spelt out, from the tables:
+            let mut explicit = m.clone();
+            for f in REQUEST {
+                if let (Absent::Is(text), false) = (f.absent, has(f.name)) {
+                    explicit = edit(&explicit, &[f.name], gsim_json::parse(text).ok());
+                }
+            }
+            for f in PATTERN
+                .iter()
+                .filter(|f| f.only.is_none() || f.only == kind.as_deref())
+            {
+                if let (Absent::Is(text), Some(p)) = (f.absent, &pattern) {
+                    if p.get(f.name).is_none() {
+                        explicit =
+                            edit(&explicit, &["pattern", f.name], gsim_json::parse(text).ok());
+                    }
+                }
+            }
+            same.push(explicit);
+            // targets duplicated and reordered, or spelt the other way:
+            match m.iter().find(|(k, _)| k.starts_with("target")) {
+                Some((k, t)) if k == "target_sms" => {
+                    let both = Json::Arr(vec![t.clone(), t.clone()]);
+                    same.push(edit(
+                        &edit(&m, &["target_sms"], None),
+                        &["targets"],
+                        Some(both),
+                    ));
+                }
+                Some((_, Json::Arr(ts))) => {
+                    let mut ts = ts.clone();
+                    ts.reverse();
+                    ts.push(ts[0].clone());
+                    same.push(edit(&m, &["targets"], Some(Json::Arr(ts))));
+                }
+                _ => {}
+            }
+            // a trace ref in either case:
+            if has("trace_ref") {
+                let upper = Json::from(trace_ref.to_ascii_uppercase());
+                same.push(edit(&m, &["trace_ref"], Some(upper)));
+            }
+            let base = class;
+            cases.extend(same.iter().map(|body| (render(body), Expect::Same(base))));
+            class += 1;
+
+            // Values past a clamping bound read as the bound.
+            for (path, f) in fields_of(&m) {
+                let (lo, hi, bound, int) = match f.ty {
+                    Ty::Int(lo, hi, b) => (f64::from(lo), f64::from(hi), b, true),
+                    Ty::Num(lo, hi, b) => (lo, hi, b, false),
+                    _ => continue,
+                };
+                let mut twins = Vec::new();
+                if bound != Bound::Reject && (!int || lo >= 1.0) {
+                    twins.push((lo, if int { 0.0 } else { lo - 0.5 }));
+                }
+                if bound == Bound::Clamp && hi < f64::from(u32::MAX) {
+                    twins.push((hi, hi + if int { 8.0 } else { 0.5 }));
+                }
+                for (edge, past) in twins {
+                    for v in [edge, past] {
+                        cases.push((
+                            render(&edit(&m, &path, Some(Json::from(v)))),
+                            Expect::Same(class),
+                        ));
+                    }
+                    class += 1;
+                }
+            }
+
+            // A distinct in-range value is a distinct address.
+            let numeric: Vec<_> = fields_of(&m)
+                .into_iter()
+                .filter(|(_, f)| {
+                    matches!(f.ty, Ty::Int(..) | Ty::Num(..)) && f.name != "target_sms"
+                })
+                .collect();
+            if !numeric.is_empty() {
+                let (path, f) = &numeric[rng.gen_range(0, numeric.len() as u64) as usize];
+                let at = At("request", f.name);
+                let current = path[1..].iter().fold(
+                    m.iter().find(|(k, _)| k == path[0]).map(|(_, v)| v),
+                    |v, k| v?.get(k),
+                );
+                let current = current.map(|v| read(v, f.ty, at).ok());
+                for _ in 0..8 {
+                    let v = draw(&mut rng, f.ty);
+                    if current != Some(read(&v, f.ty, at).ok()) {
+                        cases.push((render(&edit(&m, path, Some(v))), Expect::Differs(base)));
+                        break;
+                    }
+                }
+            }
+
+            // One-field mutations: a wrong type, a value past a
+            // rejecting bound, a missing required field.
+            for (path, f) in fields_of(&m) {
+                let wrong = match f.ty {
+                    Ty::Str(_) | Ty::OneOf(_) | Ty::Kind(_) => Json::from(7.0),
+                    _ => Json::from("x"),
+                };
+                cases.push(fails(edit(&m, &path, Some(wrong)), 400, f.name));
+                let past: Vec<Json> = match f.ty {
+                    Ty::Int(lo, hi, b) => [
+                        (b != Bound::Clamp).then(|| Json::from(f64::from(hi) + 1.0)),
+                        (b == Bound::Reject && lo > 0).then(|| Json::from(0.0)),
+                    ]
+                    .into_iter()
+                    .flatten()
+                    .collect(),
+                    Ty::Num(lo, hi, b) if b != Bound::Clamp => {
+                        let below = (b == Bound::Reject).then(|| Json::from(lo));
+                        [Some(Json::from(hi * 2.0)), below]
+                            .into_iter()
+                            .flatten()
+                            .collect()
+                    }
+                    Ty::OneOf(_) | Ty::Kind(_) => vec![Json::from("bogus")],
+                    _ => Vec::new(),
+                };
+                for v in past {
+                    cases.push(fails(edit(&m, &path, Some(v)), 400, f.name));
+                }
+                if let Absent::Required(_) = f.absent {
+                    cases.push(fails(edit(&m, &path, None), 400, f.name));
+                }
+            }
+            // An unknown field in each object, and a field of another
+            // pattern kind.
+            let one = Some(Json::from(1.0));
+            cases.push(fails(edit(&m, &["tyop"], one.clone()), 400, "tyop"));
+            if let Some(p) = &pattern {
+                cases.push(fails(
+                    edit(&m, &["pattern", "tyop"], one.clone()),
+                    400,
+                    "tyop",
+                ));
+                if p.get("shared_hot").is_some() {
+                    let at = ["pattern", "shared_hot", "tyop"];
+                    cases.push(fails(edit(&m, &at, one.clone()), 400, "tyop"));
+                }
+                if kind.as_deref() != Some("global_sweep") {
+                    cases.push(fails(
+                        edit(&m, &["pattern", "passes"], one.clone()),
+                        400,
+                        "passes",
+                    ));
+                }
+            }
+            // Exclusive pairs: neither, or both.
+            let source = ["workload", "pattern", "trace_ref"]
+                .into_iter()
+                .find(|k| has(k))
+                .expect("a valid body names its workload");
+            cases.push(fails(edit(&m, &[source], None), 400, "workload"));
+            let (other, v) = match source {
+                "workload" => ("trace_ref", Json::from(trace_ref)),
+                _ => ("workload", Json::from("bfs")),
+            };
+            cases.push(fails(edit(&m, &[other], Some(v)), 400, "workload"));
+            if source != "workload" {
+                cases.push(fails(
+                    edit(&m, &["suite"], Some(Json::from("strong"))),
+                    400,
+                    "suite",
+                ));
+            }
+            let (given, other, v) = match has("targets") {
+                true => ("targets", "target_sms", Json::from(1024.0)),
+                false => ("target_sms", "targets", Json::from(vec![1024u32])),
+            };
+            cases.push(fails(edit(&m, &[given], None), 400, "target_sms"));
+            cases.push(fails(edit(&m, &[other], Some(v)), 400, "target_sms"));
+            // A well-formed reference the store does not hold.
+            if source == "trace_ref" {
+                let absent = "00000000000000aa";
+                cases.push(fails(
+                    edit(&m, &["trace_ref"], Some(Json::from(absent))),
+                    404,
+                    absent,
+                ));
+            }
+        }
+        cases
+    }
+
+    fn shuffle(rng: &mut Rng64, members: &mut Members) {
+        for i in (1..members.len()).rev() {
+            members.swap(i, rng.gen_range_inclusive(0, i as u64) as usize);
+        }
+    }
+
+    /// A store holding one trace, and its ref.
+    fn one_trace_store(tag: &str) -> (TraceStore, String, std::path::PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("gsim-serve-fuzz-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = TraceStore::open(&dir, StoreConfig::default()).expect("open store");
+        let spec = PatternSpec::new(PatternKind::Streaming, 512);
+        let wl = Workload::new("t", 9, vec![Kernel::new("k", 8, 128, spec)]);
+        let mut bytes = Vec::new();
+        gsim_trace::write_trace(&wl, &mut bytes).expect("write trace");
+        let (meta, _) = store.ingest_bytes(&bytes).expect("ingest");
+        (store, meta.trace_ref, dir)
+    }
+
+    #[test]
+    fn fuzz_schema_bodies_keep_their_address_and_mutations_name_their_field() {
+        let (store, trace_ref, dir) = one_trace_store("schema");
+        let cases = schema_cases(0x5eed_0001, 300, &trace_ref);
+        let mut canonical: Vec<String> = Vec::new();
+        for (body, expect) in &cases {
+            let text = String::from_utf8_lossy(body);
+            let got = parse_request(body, Some(&store));
+            match (expect, got) {
+                (Expect::Same(class), Ok(plan)) => match canonical.get(*class) {
+                    Some(c) => assert_eq!(c, &plan.canonical, "{text}"),
+                    None => canonical.push(plan.canonical),
+                },
+                (Expect::Differs(class), Ok(plan)) => {
+                    assert_ne!(canonical[*class], plan.canonical, "{text}");
+                }
+                (Expect::Fails(status, names), Err(e)) => {
+                    assert_eq!(e.status, *status, "{text}: {}", e.message);
+                    assert!(
+                        e.message.contains(names.as_str()),
+                        "{text}: {} names no {names}",
+                        e.message
+                    );
+                }
+                (expect, got) => panic!(
+                    "{text}: expected {expect:?}, got {:?}",
+                    got.map(|p| p.canonical)
+                ),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fuzz_hostile_bytes_are_400s() {
+        let (store, trace_ref, dir) = one_trace_store("hostile");
+        let mut rng = Rng64::seed_from_u64(0x5eed_0002);
+        let mut bodies: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..200 {
+            let body = render(&valid_body(&mut rng, &trace_ref, &["bfs"], &["bfs"]));
+            // A proper prefix of an object is never one.
+            bodies.push(body[..rng.gen_range(0, body.len() as u64) as usize].to_vec());
+            // A byte that is not UTF-8.
+            let mut bad = body.clone();
+            bad.insert(rng.gen_range(0, body.len() as u64) as usize, 0xff);
+            bodies.push(bad);
+            // Garbage.
+            bodies.push(
+                (0..rng.gen_range(0, 96))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect(),
+            );
+        }
+        for depth in [64, 65, 1_000, 60_000] {
+            bodies.push(format!("{}{}", "[".repeat(depth), "]".repeat(depth)).into_bytes());
+            bodies.push(
+                format!(
+                    r#"{{"workload": {}"bfs"{}, "target_sms": 32}}"#,
+                    "[".repeat(depth),
+                    "]".repeat(depth)
+                )
+                .into_bytes(),
+            );
+        }
+        let pad = "a".repeat(MAX_PREDICT_BYTES);
+        bodies
+            .push(format!(r#"{{"workload": "bfs", "target_sms": 32, "x": "{pad}"}}"#).into_bytes());
+        for body in &bodies {
+            let err = parse_request(body, Some(&store))
+                .err()
+                .unwrap_or_else(|| panic!("{} parsed", String::from_utf8_lossy(body)));
+            assert_eq!(err.status, 400, "{}", err.message);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -28,7 +28,6 @@ impl RunningServer {
         let service = PredictService::new(
             ServeConfig {
                 runner_threads: 2,
-                cache_capacity: 0,
                 cache_dir: Some(cache_dir.to_path_buf()),
                 ..ServeConfig::default()
             },

@@ -4,7 +4,7 @@
 use gsim_trace::MemScale;
 
 use crate::config::GpuConfig;
-use crate::link::{BandwidthLink, LinkStats};
+use crate::link::BandwidthLink;
 
 /// Configuration of a multi-chiplet GPU: `n_chiplets` identical chiplets,
 /// each described by a per-chiplet [`GpuConfig`], connected by a fly
@@ -161,11 +161,6 @@ impl ChipletInterconnect {
         let sent = self.egress[src as usize].transfer(now, bytes);
         let received = self.ingress[dst as usize].transfer(sent, bytes);
         received + f64::from(self.crossing_latency)
-    }
-
-    /// Per-chiplet egress statistics.
-    pub fn egress_stats(&self) -> Vec<LinkStats> {
-        self.egress.iter().map(BandwidthLink::stats).collect()
     }
 
     /// Total bytes crossed between chiplets (counted once, at egress).

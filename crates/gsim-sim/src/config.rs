@@ -72,7 +72,7 @@ impl GpuConfig {
     /// The paper's 128-SM baseline target system (Table III / Table I top
     /// row): 34 MB LLC over 64 slices, 2.7 TB/s crossbar bisection,
     /// 2.32 TB/s DRAM over 16 MCs of 145 GB/s.
-    pub fn baseline_128sm(scale: MemScale) -> Self {
+    pub const fn baseline_128sm(scale: MemScale) -> Self {
         Self {
             n_sms: 128,
             sm_clock_ghz: 1.0,
@@ -139,9 +139,9 @@ impl GpuConfig {
 
     /// The largest [`MemScale`] divisor that still builds a machine: the
     /// full-size L1 in lines. Past it the L1 holds less than one line.
-    pub fn max_mem_scale() -> u32 {
+    pub const fn max_mem_scale() -> u32 {
         let full = Self::baseline_128sm(MemScale::full());
-        (full.l1_bytes / u64::from(full.line_bytes)) as u32
+        (full.l1_bytes / full.line_bytes as u64) as u32
     }
 
     /// LLC capacity in *paper-unit* bytes (for reporting).

@@ -126,7 +126,9 @@ impl Kernel {
         // All warps of a kernel execute the same op count for a given grid,
         // so sample warp 0.
         let ctx = self.stream_ctx(workload, kernel_idx, 0, 0);
-        self.spec().warp_instrs_for(&ctx) * self.total_warps()
+        self.spec()
+            .warp_instrs_for(&ctx)
+            .saturating_mul(self.total_warps())
     }
 }
 
@@ -205,27 +207,19 @@ impl Workload {
         self.paper_minsns
     }
 
-    /// Largest model-units footprint over the kernels, in lines.
-    pub fn max_footprint_lines(&self) -> u64 {
-        self.kernels
-            .iter()
-            .map(|k| k.spec().footprint_lines())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Total CTAs across all kernels.
     pub fn total_ctas(&self) -> u64 {
         self.kernels.iter().map(|k| u64::from(k.n_ctas())).sum()
     }
 
-    /// Approximate total warp instructions over all kernels.
+    /// Approximate total warp instructions over all kernels, saturating
+    /// at `u64::MAX`.
     pub fn approx_warp_instrs(&self) -> u64 {
         self.kernels
             .iter()
             .enumerate()
             .map(|(i, k)| k.approx_warp_instrs(self, i))
-            .sum()
+            .fold(0, u64::saturating_add)
     }
 
     /// Approximate total thread instructions (warp instructions × 32).

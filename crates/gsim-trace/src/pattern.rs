@@ -177,16 +177,6 @@ impl PatternSpec {
         self.footprint_lines
     }
 
-    /// Compute instructions per memory op.
-    pub fn compute_ratio(&self) -> f64 {
-        self.compute_per_mem
-    }
-
-    /// Fraction of memory ops that are stores.
-    pub fn write_fraction(&self) -> f64 {
-        self.write_frac
-    }
-
     /// The shared hot set, if configured.
     pub fn hot(&self) -> Option<SharedHotSpec> {
         self.shared_hot
@@ -210,10 +200,12 @@ impl PatternSpec {
     }
 
     /// Approximate warp instructions a warp with context `ctx` executes
-    /// (memory ops + interleaved compute + epilogue).
+    /// (memory ops + interleaved compute + epilogue), saturating at
+    /// `u64::MAX` for an absurd compute ratio.
     pub fn warp_instrs_for(&self, ctx: &StreamCtx) -> u64 {
         let m = self.mem_ops_for(ctx);
-        m + (m as f64 * self.compute_per_mem) as u64 + u64::from(self.tail_compute)
+        m.saturating_add((m as f64 * self.compute_per_mem) as u64)
+            .saturating_add(u64::from(self.tail_compute))
     }
 }
 

@@ -52,7 +52,7 @@ impl MemScale {
     }
 
     /// Full-size (divisor 1) scale, for small unit-test workloads.
-    pub fn full() -> Self {
+    pub const fn full() -> Self {
         Self { divisor: 1 }
     }
 
@@ -62,8 +62,13 @@ impl MemScale {
     }
 
     /// Converts a paper-units byte capacity to model-units bytes.
-    pub fn to_model_bytes(&self, paper_bytes: u64) -> u64 {
-        (paper_bytes / u64::from(self.divisor)).max(1)
+    pub const fn to_model_bytes(&self, paper_bytes: u64) -> u64 {
+        let bytes = paper_bytes / self.divisor as u64;
+        if bytes == 0 {
+            1
+        } else {
+            bytes
+        }
     }
 
     /// Converts a model-units byte capacity back to paper-units bytes.
