@@ -1,89 +1,46 @@
 //! `gsim` — the command-line front end to the GPU timing simulator and
-//! the scale-model method.
+//! the scale-model method. Run it with no arguments for the synopsis,
+//! rendered from `VERBS`: every verb, its arguments and the flags it
+//! reads. Any other flag or number of arguments exits 2.
 //!
-//! ```text
-//! gsim list
-//! gsim run <benchmark> [--sms N] [--scale D] [--banked-dram BANKS] [--weak]
-//! gsim sweep <benchmark> [--scale D] [--threads N] [--weak]
-//! gsim mcm <benchmark> [--chiplets C] [--scale D]
-//! gsim mrc <benchmark> [--scale D]
-//! gsim trace record <benchmark> [-o FILE] [--scale D] [--weak --sms N]
-//! gsim trace ingest <file> [--store DIR] [--max-trace-mb N]
-//! gsim trace info <file|ref> [--store DIR] [--mrc] [--max-trace-mb N]
-//! gsim trace ls [--store DIR]
-//! gsim trace-run <file> [--sms N] [--scale D]
-//! gsim predict <benchmark> [targets...] [--scale D] [--threads N]
-//!              [--path auto|fast|full]
-//! gsim fit [--size N] [--f-mem F] <ipc_small> <ipc_large> <mpki...>
-//! gsim repro [SECTION...] [--scale D] [--threads N] [--metrics FILE] [-o DIR]
-//! gsim serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR]
-//!            [--runner-threads N] [--default-deadline-ms N]
-//!            [--max-inflight-predicts N] [--max-inflight-cheap N]
-//!            [--drain-grace-ms N] [--fault-plan SPEC]
-//! ```
+//! `run` simulates one input on one machine (the `--sms`-SM paper target
+//! or the `--chiplets`-chiplet MCM): a recorded trace, named by file or
+//! by the 16-hex ref of a stored one, or a benchmark — its Table IV
+//! chiplet input under `--chiplets`, its Table IV input at `--sms` under
+//! `--weak`, else its Table II input. `mrc` replays the same inputs over
+//! the 8–128-SM ladder without the timing simulator: the exact curve a
+//! full-path predict embeds, with regions and cliff. `sweep` simulates a
+//! benchmark on the whole ladder on a worker pool; `--threads`
+//! parallelises across jobs, one simulation always runs on one thread.
 //!
-//! Every subcommand is parsed by one flag table; a flag a subcommand does
-//! not use is accepted and ignored, an unknown one exits 2.
+//! `trace` manages the content-addressed trace store (`--store`, default
+//! `./tracestore`). Decode failures exit 3 (not a trace), 4 (unsupported
+//! version), 5 (corrupt), 6 (over `--max-trace-mb`) or 1 (I/O).
 //!
-//! `run` simulates a Table II benchmark (or, with `--weak`, the Table IV
-//! input matched to `--sms`); `sweep` simulates the whole 8–128-SM size
-//! ladder on a gsim-runner worker pool; `trace-run` replays a recorded
-//! trace; `mrc` prints the functional miss-rate curve with region labels;
-//! `serve` runs the gsim-serve HTTP prediction service until
-//! `POST /v1/shutdown` arrives or stdin reaches EOF.
-//!
-//! `trace` manages the content-addressed trace store (default
-//! `./tracestore`, override with `--store`): `record` captures a suite
-//! benchmark to a v2 `.gstr` file, `ingest` validates and stores a trace
-//! under its content hash, `info` streams a file (or a stored `ref`)
-//! printing its metadata — with `--mrc`, also the exact 8–128-SM
-//! miss-rate curve a full-path predict to 128 SMs embeds, replayed
-//! without the timing simulator — and `ls` lists the
-//! store. Trace decode failures map to distinct exit codes: 3 = not a
-//! trace, 4 = unsupported version, 5 = corrupt, 6 = over the size limit
-//! (`--max-trace-mb`), 1 = I/O.
-//!
-//! `predict` asks an in-process prediction service the `/v1/predict`
-//! question `{"workload", "targets", "mem_scale": --scale, "path"}` and
-//! prints the response body exactly as `gsim serve` would send it
-//! (DESIGN.md §14): the same gate, ladder, fit and bytes. A `400` verdict
-//! exits 2, any other failure 1.
+//! `predict` prints the body an in-process `gsim serve` answers to
+//! `POST /v1/predict` with `{"workload", "targets", "mem_scale": --scale,
+//! "path"}` (DESIGN.md §14); a `400` exits 2. `serve` runs that service
+//! until `POST /v1/shutdown` or stdin EOF; its knobs and `--fault-plan`
+//! are DESIGN.md §13's.
 //!
 //! `fit` is the artifact appendix's prediction tool (`scaleModel.py`):
-//! from the two scale models' IPCs (the larger twice the size of the
-//! smaller, `--size`, default 8) and a miss-rate curve — one MPKI per
-//! doubling from the smaller model on, so five values predict 32, 64 and
-//! 128 — it prints the measurements, every method's prediction per
-//! target, and a text graph of performance versus size. `--f-mem` (the
-//! larger model's memory-stall fraction) is needed only when the curve
-//! has a cliff past the scale models.
-//!
-//! `repro` regenerates the paper's tables and figures (no sections = all)
-//! on stdout; with `-o DIR` each section is also written to
-//! `DIR/<section>.txt`. `--metrics FILE` appends one JSON line per sweep
-//! job event.
-//!
-//! `--threads` parallelises *across* sweep jobs (under `serve` it sizes
-//! the HTTP worker pool, under `predict` the runner pool); one simulation
-//! always runs on one thread (DESIGN.md §10).
-//!
-//! `serve`'s overload knobs (DESIGN.md §13): `--default-deadline-ms`
-//! bounds every predict unless the request's `X-Gsim-Deadline-Ms` header
-//! overrides it; `--max-inflight-predicts` / `--max-inflight-cheap` are
-//! the per-class admission budgets (shed with 429 + `Retry-After`
-//! beyond them); `--drain-grace-ms` bounds the shutdown
-//! drain. `--fault-plan SPEC` (or the `GSIM_FAULTS` env var; the flag
-//! wins) installs a deterministic fault-injection plan, e.g.
-//! `seed=42,http_delay_p=0.05,job_panic_p=0.02` — see `gsim-faults`.
+//! from the IPCs of two scale models (`--size` SMs, default 8, and twice
+//! that) and one MPKI per doubling from the smaller on, it prints every
+//! method's prediction and a text graph of performance versus size.
+//! `--f-mem`, the larger model's memory-stall fraction, is needed only
+//! for a cliff past the scale models. `repro` prints the paper's tables
+//! and figures (`-o DIR` also writes `DIR/<section>.txt`).
 
 use std::fs::File;
 use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::sync::Arc;
 
 use gsim_core::experiment::METHODS;
-use gsim_core::{collect_replay, detect_cliff, Fit, Observation, SizedMrc};
+use gsim_core::{collect_replay, detect_cliff, Fit, Observation, PlanWorkload, SizedMrc};
 use gsim_runner::{ProgressReporter, Runner, RunnerConfig};
-use gsim_sim::{collect_mrc, ChipletConfig, GpuConfig, SimStats, Simulator};
+use gsim_sim::{ChipletConfig, GpuConfig, SimStats, Simulator};
 use gsim_trace::suite::{strong_benchmark, strong_suite, StrongBenchmark};
 use gsim_trace::weak::{weak_benchmark, weak_suite, WeakBenchmark, WEAK_SM_SIZES};
 use gsim_trace::{
@@ -91,87 +48,131 @@ use gsim_trace::{
 };
 use gsim_tracestore::{StoreConfig, StoreError, TraceStore};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  gsim list\n  gsim run <benchmark> [--sms N] [--scale D] \
-         [--banked-dram BANKS] [--weak]\n  gsim sweep <benchmark> [--scale D] \
-         [--threads N] [--weak]\n  \
-         gsim mcm <benchmark> [--chiplets C] [--scale D]\n  \
-         gsim mrc <benchmark> [--scale D]\n  \
-         gsim trace record <benchmark> [-o FILE] [--scale D] [--weak --sms N]\n  \
-         gsim trace ingest <file> [--store DIR] [--max-trace-mb N]\n  \
-         gsim trace info <file|ref> [--store DIR] [--mrc] [--max-trace-mb N]\n  \
-         gsim trace ls [--store DIR]\n  \
-         gsim trace-run <file> [--sms N] [--scale D]\n  \
-         gsim predict <benchmark> [targets...] [--scale D] [--threads N] \
-         [--path auto|fast|full]\n  \
-         gsim fit [--size N] [--f-mem F] <ipc_small> <ipc_large> <mpki...>\n  \
-         gsim repro [SECTION...] [--scale D] [--threads N] [--metrics FILE] [-o DIR]\n  \
-         gsim serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR] \
+/// One leaf verb's synopsis: its words after `gsim`, its positional
+/// arguments (`<required>`, `[repeated...]`) and, bracketed, each flag it
+/// reads (`[--flag VALUE]`, or a bare switch). `usage` prints these rows
+/// and `parse` accepts exactly the flags and argument counts they show.
+struct Verb(&'static str);
+
+const VERBS: &[Verb] = &[
+    Verb("list"),
+    Verb(
+        "run <benchmark|FILE|REF> [--sms N] [--chiplets C] [--scale D] [--banked-dram BANKS] \
+         [--weak] [--store DIR] [--max-trace-mb N]",
+    ),
+    Verb("sweep <benchmark> [--scale D] [--threads N] [--weak]"),
+    Verb("mrc <benchmark|FILE|REF> [--scale D] [--store DIR] [--max-trace-mb N]"),
+    Verb("trace record <benchmark> [-o FILE] [--scale D] [--weak] [--sms N]"),
+    Verb("trace ingest <FILE> [--store DIR] [--max-trace-mb N]"),
+    Verb("trace info <FILE|REF> [--store DIR] [--max-trace-mb N]"),
+    Verb("trace ls [--store DIR]"),
+    Verb("predict <benchmark> [targets...] [--scale D] [--threads N] [--path auto|fast|full]"),
+    Verb("fit <ipc_small> <ipc_large> <mpki...> [--size N] [--f-mem F]"),
+    Verb("repro [SECTION...] [--scale D] [--threads N] [--metrics FILE] [-o DIR]"),
+    Verb(
+        "serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR] \
          [--runner-threads N] [--default-deadline-ms N] [--max-inflight-predicts N] \
-         [--max-inflight-cheap N] [--drain-grace-ms N] [--fault-plan SPEC]"
-    );
+         [--max-inflight-cheap N] [--drain-grace-ms N] [--fault-plan SPEC]",
+    ),
+];
+
+impl Verb {
+    /// The verb's words: its synopsis up to the first argument or flag.
+    fn words(&self) -> impl Iterator<Item = &'static str> {
+        self.0.split(' ').take_while(|w| !w.starts_with(['<', '[']))
+    }
+
+    fn name(&self) -> String {
+        self.words().collect::<Vec<_>>().join(" ")
+    }
+
+    fn reads(&self, flag: &str) -> bool {
+        let names = self.0.split(' ').filter_map(|w| w.strip_prefix('['));
+        names.map(|w| w.trim_end_matches(']')).any(|w| w == flag)
+    }
+
+    /// Whether `n` positional arguments fit: one per `<...>`, more only
+    /// where a `...` repeats.
+    fn takes(&self, n: usize) -> bool {
+        let args = self.0.split(" [-").next().unwrap_or_default();
+        let required = args.matches('<').count();
+        n == required || (n > required && args.contains("..."))
+    }
+}
+
+fn usage() -> ! {
+    eprintln!("usage:");
+    for verb in VERBS {
+        eprintln!("  gsim {}", verb.0);
+    }
     exit(2)
 }
 
-// ---------------------------------------------------------------------
-// Shared usage-style flag validation. Every helper consumes the flag's
-// value from the argument iterator and, on garbage, prints a one-line
-// message and exits 2 — so subcommands never copy-paste the pattern.
+/// Prints `why` and `verb`'s synopsis, then exits 2.
+fn misuse(verb: &Verb, why: &str) -> ! {
+    eprintln!("{why}\nusage: gsim {}", verb.0);
+    exit(2)
+}
+
+/// The largest machine `run` simulates, in SMs. Memory grows with it: a
+/// `run pf` peaks near 0.7 GB at 2^16 SMs and 11 GB at 2^20.
+const MAX_SMS: u32 = 1 << 16;
+/// The largest worker-thread or DRAM-bank count a flag takes.
+const MAX_COUNT: u32 = 1024;
+/// `run`'s machine when neither `--sms` nor `--chiplets` is given.
+const DEFAULT_SMS: u32 = 32;
+/// The size ladder `sweep` and `mrc` cover.
+const LADDER: [u32; 5] = [8, 16, 32, 64, 128];
+
+// Flag values: each helper consumes one from the argument iterator and,
+// on garbage, prints a one-line message and exits 2.
 
 type ArgIter<'a> = std::slice::Iter<'a, String>;
 
-/// The flag's value as a string; `what` names the expected shape.
+/// The flag's value, parsed and accepted by `ok`; `what` names its shape.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut ArgIter<'_>,
+    name: &str,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+) -> T {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .filter(ok)
+        .unwrap_or_else(|| {
+            eprintln!("{name} takes {what}");
+            exit(2)
+        })
+}
+
+/// A string value; `what` names the expected shape.
 fn flag_str(it: &mut ArgIter<'_>, name: &str, what: &str) -> String {
-    it.next().cloned().unwrap_or_else(|| {
-        eprintln!("{name} takes {what}");
-        exit(2)
-    })
+    flag_value(it, name, what, |_| true)
 }
 
 /// A non-negative integer (rejects garbage and negatives via u32 parse).
 fn flag_u32(it: &mut ArgIter<'_>, name: &str) -> u32 {
-    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-        eprintln!("{name} takes an integer");
-        exit(2)
-    })
+    flag_value(it, name, "an integer", |_| true)
 }
 
-/// An integer with a lower bound.
-fn flag_u32_min(it: &mut ArgIter<'_>, name: &str, min: u32) -> u32 {
+/// An integer in `min..=max`; `why` explains the upper bound.
+fn flag_u32_in(it: &mut ArgIter<'_>, name: &str, min: u32, max: u32, why: &str) -> u32 {
     let v = flag_u32(it, name);
     if v < min {
         eprintln!("{name} must be >= {min}");
         exit(2)
     }
+    if v > max {
+        eprintln!("{name} must be <= {max}{why}");
+        exit(2)
+    }
     v
 }
 
-/// A float accepted by `ok`; `hint` names the expected shape.
-fn flag_f64(it: &mut ArgIter<'_>, name: &str, hint: &str, ok: impl Fn(f64) -> bool) -> f64 {
-    it.next()
-        .and_then(|v| v.parse().ok())
-        .filter(|g: &f64| ok(*g))
-        .unwrap_or_else(|| {
-            eprintln!("{name} takes {hint}");
-            exit(2)
-        })
-}
-
-/// One of a fixed set of spellings.
-fn flag_choice(it: &mut ArgIter<'_>, name: &str, options: &[&str]) -> String {
-    match it.next().map(String::as_str) {
-        Some(v) if options.contains(&v) => v.to_string(),
-        _ => {
-            eprintln!("{name} takes one of: {}", options.join(", "));
-            exit(2)
-        }
-    }
-}
-
+#[derive(Default)]
 struct Flags {
-    sms: u32,
-    chiplets: u32,
+    sms: Option<u32>,
+    chiplets: Option<u32>,
     scale: MemScale,
     banked_dram: u32,
     threads: Option<usize>,
@@ -181,7 +182,6 @@ struct Flags {
     cache_dir: Option<String>,
     store: Option<String>,
     max_trace_mb: u64,
-    mrc: bool,
     output: Option<String>,
     default_deadline_ms: u64,
     max_inflight_predicts: usize,
@@ -197,98 +197,78 @@ struct Flags {
     positional: Vec<String>,
 }
 
-fn parse(args: &[String]) -> Flags {
+/// Parses `verb`'s arguments: exits 2 on a flag `verb` does not read, a
+/// bad flag value, or a positional count its synopsis rules out.
+fn parse(verb: &Verb, args: &[String]) -> Flags {
     let mut f = Flags {
-        sms: 32,
-        chiplets: 4,
-        scale: MemScale::default(),
-        banked_dram: 0,
-        threads: None,
-        runner_threads: 0,
-        weak: false,
         addr: "127.0.0.1:8191".to_string(),
-        cache_dir: None,
-        store: None,
-        max_trace_mb: 0,
-        mrc: false,
-        output: None,
-        default_deadline_ms: 0,
-        max_inflight_predicts: 0,
-        max_inflight_cheap: 0,
         drain_grace_ms: 5000,
         path: "auto".to_string(),
-        fault_plan: None,
         size: 8,
-        f_mem: None,
-        metrics: None,
-        positional: Vec::new(),
+        ..Flags::default()
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--sms" => f.sms = flag_u32_min(&mut it, "--sms", 1),
-            "--chiplets" => f.chiplets = flag_u32_min(&mut it, "--chiplets", 1),
+        if !a.starts_with('-') {
+            f.positional.push(a.clone());
+            continue;
+        }
+        let flag = if a == "--output" { "-o" } else { a.as_str() };
+        if !verb.reads(flag) {
+            misuse(verb, &format!("unknown flag {a} for gsim {}", verb.name()))
+        }
+        let it = &mut it;
+        match flag {
+            "--sms" => f.sms = Some(flag_u32_in(it, flag, 1, MAX_SMS, "")),
+            "--chiplets" => {
+                let per = ChipletConfig::paper_mcm(1, MemScale::default()).total_sms();
+                let why = format!(": {per} SMs each, at most {MAX_SMS} SMs");
+                f.chiplets = Some(flag_u32_in(it, flag, 1, MAX_SMS / per, &why))
+            }
             "--scale" => {
-                let d = flag_u32_min(&mut it, "--scale", 1);
                 let max = GpuConfig::max_mem_scale();
-                if d > max {
-                    eprintln!("--scale must be <= {max}: the L1 must hold a line");
-                    exit(2)
-                }
+                let d = flag_u32_in(it, flag, 1, max, ": the L1 must hold a line");
                 f.scale = MemScale::new(d)
             }
-            "--banked-dram" => f.banked_dram = flag_u32(&mut it, "--banked-dram"),
-            "--threads" => f.threads = Some(flag_u32(&mut it, "--threads") as usize),
-            "--runner-threads" => f.runner_threads = flag_u32(&mut it, "--runner-threads") as usize,
+            "--banked-dram" => f.banked_dram = flag_u32_in(it, flag, 0, MAX_COUNT, ""),
+            "--threads" => f.threads = Some(flag_u32_in(it, flag, 0, MAX_COUNT, "") as usize),
+            "--runner-threads" => {
+                f.runner_threads = flag_u32_in(it, flag, 0, MAX_COUNT, "") as usize
+            }
             "--weak" => f.weak = true,
-            "--addr" => f.addr = flag_str(&mut it, "--addr", "HOST:PORT"),
-            "--cache-dir" => f.cache_dir = Some(flag_str(&mut it, "--cache-dir", "a directory")),
-            "--store" => f.store = Some(flag_str(&mut it, "--store", "a directory")),
-            "--max-trace-mb" => {
-                f.max_trace_mb = u64::from(flag_u32_min(&mut it, "--max-trace-mb", 1))
+            "--addr" => f.addr = flag_str(it, flag, "HOST:PORT"),
+            "--cache-dir" => f.cache_dir = Some(flag_str(it, flag, "a directory")),
+            "--store" => f.store = Some(flag_str(it, flag, "a directory")),
+            "--max-trace-mb" => f.max_trace_mb = u64::from(flag_u32_in(it, flag, 1, u32::MAX, "")),
+            "-o" => f.output = Some(flag_str(it, a, "a path")),
+            "--default-deadline-ms" => f.default_deadline_ms = u64::from(flag_u32(it, flag)),
+            "--max-inflight-predicts" => f.max_inflight_predicts = flag_u32(it, flag) as usize,
+            "--max-inflight-cheap" => f.max_inflight_cheap = flag_u32(it, flag) as usize,
+            "--drain-grace-ms" => f.drain_grace_ms = u64::from(flag_u32(it, flag)),
+            "--path" => {
+                let paths = ["auto", "fast", "full"];
+                let what = format!("one of: {}", paths.join(", "));
+                f.path = flag_value(it, flag, &what, |p: &String| paths.contains(&p.as_str()))
             }
-            "--mrc" => f.mrc = true,
-            "-o" | "--output" => f.output = it.next().cloned(),
-            "--default-deadline-ms" => {
-                f.default_deadline_ms = u64::from(flag_u32(&mut it, "--default-deadline-ms"))
-            }
-            "--max-inflight-predicts" => {
-                f.max_inflight_predicts = flag_u32(&mut it, "--max-inflight-predicts") as usize;
-            }
-            "--max-inflight-cheap" => {
-                f.max_inflight_cheap = flag_u32(&mut it, "--max-inflight-cheap") as usize
-            }
-            "--drain-grace-ms" => {
-                f.drain_grace_ms = u64::from(flag_u32(&mut it, "--drain-grace-ms"))
-            }
-            "--path" => f.path = flag_choice(&mut it, "--path", &["auto", "fast", "full"]),
             "--fault-plan" => {
-                f.fault_plan = Some(flag_str(
-                    &mut it,
-                    "--fault-plan",
-                    "a spec, e.g. seed=42,http_delay_p=0.05",
-                ))
+                f.fault_plan = Some(flag_str(it, flag, "a spec, e.g. seed=42,http_delay_p=0.05"))
             }
-            "--size" => f.size = flag_u32_min(&mut it, "--size", 1),
+            "--size" => f.size = flag_u32_in(it, flag, 1, u32::MAX, ""),
             "--f-mem" => {
-                f.f_mem = Some(flag_f64(&mut it, "--f-mem", "a fraction in [0,1)", |g| {
-                    (0.0..1.0).contains(&g)
-                }))
+                let fraction = |g: &f64| (0.0..1.0).contains(g);
+                f.f_mem = Some(flag_value(it, flag, "a fraction in [0,1)", fraction))
             }
-            "--metrics" => f.metrics = Some(flag_str(&mut it, "--metrics", "a file path")),
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
-            other => f.positional.push(other.to_string()),
+            "--metrics" => f.metrics = Some(flag_str(it, flag, "a file path")),
+            _ => unreachable!("{flag} is in VERBS but has no parser"),
         }
     }
+    if !verb.takes(f.positional.len()) {
+        misuse(
+            verb,
+            &format!("wrong number of arguments to gsim {}", verb.name()),
+        )
+    }
     f
-}
-
-/// The first positional argument: a benchmark or a file (usage if none).
-fn first_arg(f: &Flags) -> &str {
-    f.positional.first().unwrap_or_else(|| usage())
 }
 
 /// The Table II benchmark `name`, or exit 2.
@@ -307,12 +287,15 @@ fn weak(name: &str, scale: MemScale) -> WeakBenchmark {
     })
 }
 
-/// The workload `run` and `trace record` take: benchmark `name` of
-/// Table II, or with `--weak` its Table IV input matched to `--sms`.
+/// Benchmark `name` as `run` and `trace record` read it: its Table IV
+/// input for `--chiplets` chiplets, or under `--weak` for `--sms` SMs;
+/// else its Table II input.
 fn workload(f: &Flags, name: &str) -> Workload {
-    if f.weak {
+    if let Some(chiplets) = f.chiplets {
+        weak(name, f.scale).workload_for_chiplets(chiplets)
+    } else if f.weak {
         weak(name, f.scale)
-            .workload_for_sms(f.sms)
+            .workload_for_sms(f.sms.unwrap_or(DEFAULT_SMS))
             .unwrap_or_else(|| {
                 eprintln!("--weak takes --sms in {WEAK_SM_SIZES:?} (the Table IV inputs)");
                 exit(2)
@@ -320,6 +303,43 @@ fn workload(f: &Flags, name: &str) -> Workload {
     } else {
         strong(name, f.scale).workload
     }
+}
+
+/// The trace file `target` names — a file, or a 16-hex-digit ref that
+/// resolves through the store — or `None` for anything else.
+fn trace_file(f: &Flags, target: &str) -> Option<PathBuf> {
+    if Path::new(target).exists() {
+        return Some(target.into());
+    }
+    if target.len() != 16 || !target.chars().all(|c| c.is_ascii_hexdigit()) {
+        return None;
+    }
+    let path = open_store(f).blob_path(&target.to_ascii_lowercase());
+    Some(path.unwrap_or_else(|| {
+        eprintln!("no trace {target} in store");
+        exit(1)
+    }))
+}
+
+/// The input `run` and `mrc` take, with the label they print: a recorded
+/// trace (see [`trace_file`]), else a benchmark (see [`workload`]).
+fn input(f: &Flags) -> (String, PlanWorkload) {
+    let target = &f.positional[0];
+    let Some(path) = trace_file(f, target) else {
+        return (target.clone(), PlanWorkload::Synthetic(workload(f, target)));
+    };
+    if f.weak {
+        eprintln!("--weak takes a benchmark, not a trace");
+        exit(2)
+    }
+    let file = File::open(&path).unwrap_or_else(|e| {
+        eprintln!("cannot open {}: {e}", path.display());
+        exit(1)
+    });
+    let traced = TracedWorkload::read_with_limits(file, trace_limits(f))
+        .unwrap_or_else(|e| trace_exit(&format!("bad trace {}", path.display()), &e));
+    let label = format!("trace {}", traced.name());
+    (label, PlanWorkload::Traced(Arc::new(traced)))
 }
 
 fn print_stats(label: &str, st: &SimStats) {
@@ -340,6 +360,60 @@ fn print_stats(label: &str, st: &SimStats) {
     );
     println!("  simulated in      {:>12.2} s", st.sim_wall_seconds);
     println!("  sim cycles/sec    {:>14.0}", st.sim_cycles_per_second());
+}
+
+/// `gsim run`: one simulation of [`input`] on the `--sms` paper target or
+/// the `--chiplets` MCM.
+fn cmd_run(f: &Flags) {
+    if f.chiplets.is_some() && (f.sms.is_some() || f.weak) {
+        eprintln!("--chiplets takes neither --sms nor --weak");
+        exit(2)
+    }
+    let (label, wl) = input(f);
+    let (machine, st) = match f.chiplets {
+        Some(chiplets) => {
+            let mut mcm = ChipletConfig::paper_mcm(chiplets, f.scale);
+            mcm.chiplet.dram_banks_per_mc = f.banked_dram;
+            let machine = format!("{chiplets} chiplets = {} SMs", mcm.total_sms());
+            (machine, Simulator::new_mcm(&mcm, &wl).run())
+        }
+        None => {
+            let sms = f.sms.unwrap_or(DEFAULT_SMS);
+            let mut cfg = GpuConfig::paper_target(sms, f.scale);
+            cfg.dram_banks_per_mc = f.banked_dram;
+            (format!("{sms} SMs"), Simulator::new(cfg, &wl).run())
+        }
+    };
+    print_stats(&format!("{label} on {machine} ({})", f.scale), &st);
+}
+
+/// `gsim mrc`: the exact replayed miss-rate curve of [`input`] over the
+/// ladder, with region labels and the cliff.
+fn cmd_mrc(f: &Flags) {
+    let (label, wl) = input(f);
+    let configs: Vec<GpuConfig> = LADDER
+        .iter()
+        .map(|&z| GpuConfig::paper_target(z, f.scale))
+        .collect();
+    let mrc = SizedMrc::new(collect_replay(&wl, &configs).points);
+    println!("{label} miss-rate curve:");
+    for ((size, region), cfg) in mrc.regions().iter().zip(&configs) {
+        println!(
+            "  {:>3} SMs  {:>7.3} MB  MPKI {:>7.2}   {:?}",
+            size,
+            cfg.llc_paper_bytes() as f64 / (1024.0 * 1024.0),
+            mrc.mpki_at(*size).expect("sampled"),
+            region
+        );
+    }
+    match detect_cliff(&mrc) {
+        Some(i) => println!(
+            "cliff between {} and {} SMs",
+            mrc.points()[i].0,
+            mrc.points()[i + 1].0
+        ),
+        None => println!("no cliff detected"),
+    }
 }
 
 /// Exit code for a trace decode failure. Each failure class gets its own
@@ -383,142 +457,98 @@ fn open_store(f: &Flags) -> TraceStore {
     })
 }
 
-/// `gsim trace <record|ingest|info|ls>`.
-fn cmd_trace(f: &Flags) {
-    let sub = f.positional.first().map(String::as_str);
-    match sub {
-        Some("record") => {
-            let Some(name) = f.positional.get(1) else {
-                eprintln!("trace record takes a benchmark name");
-                exit(2)
-            };
-            let wl = workload(f, name);
-            let out = f.output.clone().unwrap_or_else(|| format!("{name}.gstr"));
-            let file = File::create(&out).unwrap_or_else(|e| {
-                eprintln!("cannot create {out}: {e}");
-                exit(1)
-            });
-            let bytes = gsim_trace::write_trace(&wl, file).unwrap_or_else(|e| {
-                eprintln!("trace write failed: {e}");
-                exit(1)
-            });
-            println!(
-                "wrote {out}: v2 format, {bytes} bytes, ref {:016x}",
-                gsim_trace::semantic_hash_of(&wl)
-            );
+/// `gsim trace record`: a suite benchmark to a v2 trace file.
+fn cmd_trace_record(f: &Flags) {
+    let name = &f.positional[0];
+    let wl = workload(f, name);
+    let out = f.output.clone().unwrap_or_else(|| format!("{name}.gstr"));
+    let file = File::create(&out).unwrap_or_else(|e| {
+        eprintln!("cannot create {out}: {e}");
+        exit(1)
+    });
+    let bytes = gsim_trace::write_trace(&wl, file).unwrap_or_else(|e| {
+        eprintln!("trace write failed: {e}");
+        exit(1)
+    });
+    println!(
+        "wrote {out}: v2 format, {bytes} bytes, ref {:016x}",
+        gsim_trace::semantic_hash_of(&wl)
+    );
+}
+
+/// `gsim trace ingest`: validate a trace file and store it.
+fn cmd_trace_ingest(f: &Flags) {
+    let path = &f.positional[0];
+    match open_store(f).ingest_file(Path::new(path)) {
+        Ok((meta, dedup)) => println!(
+            "{} {} ({} warps, {} warp instrs, {} bytes){}",
+            meta.trace_ref,
+            meta.name,
+            meta.total_warps,
+            meta.total_warp_instrs,
+            meta.bytes,
+            if dedup { "  [already stored]" } else { "" }
+        ),
+        Err(StoreError::Invalid(e)) => trace_exit(&format!("cannot ingest {path}"), &e),
+        Err(e) => {
+            eprintln!("cannot ingest {path}: {e}");
+            exit(1)
         }
-        Some("ingest") => {
-            let Some(path) = f.positional.get(1) else {
-                eprintln!("trace ingest takes a trace file");
-                exit(2)
-            };
-            let store = open_store(f);
-            match store.ingest_file(std::path::Path::new(path)) {
-                Ok((meta, dedup)) => println!(
-                    "{} {} ({} warps, {} warp instrs, {} bytes){}",
-                    meta.trace_ref,
-                    meta.name,
-                    meta.total_warps,
-                    meta.total_warp_instrs,
-                    meta.bytes,
-                    if dedup { "  [already stored]" } else { "" }
-                ),
-                Err(StoreError::Invalid(e)) => trace_exit(&format!("cannot ingest {path}"), &e),
-                Err(e) => {
-                    eprintln!("cannot ingest {path}: {e}");
-                    exit(1)
-                }
-            }
+    }
+}
+
+/// `gsim trace info`: stream a trace file (or a stored ref) and print
+/// its metadata.
+fn cmd_trace_info(f: &Flags) {
+    let target = &f.positional[0];
+    let path = trace_file(f, target).unwrap_or_else(|| target.into());
+    let file = File::open(&path).unwrap_or_else(|e| {
+        eprintln!("cannot open {}: {e}", path.display());
+        exit(1)
+    });
+    let mut reader = TraceReader::with_limits(file, trace_limits(f))
+        .unwrap_or_else(|e| trace_exit(&format!("bad trace {}", path.display()), &e));
+    let version = reader.version();
+    let name = reader.name().to_string();
+    let kernels = reader.kernels().to_vec();
+    // Stream the whole file for totals and the content hash; the
+    // decoder holds one chunk at a time.
+    loop {
+        match reader.next_warp() {
+            Ok(Some(_)) => {}
+            Ok(None) => break,
+            Err(e) => trace_exit(&format!("bad trace {}", path.display()), &e),
         }
-        Some("info") => {
-            let Some(target) = f.positional.get(1) else {
-                eprintln!("trace info takes a trace file or a stored ref");
-                exit(2)
-            };
-            // A bare 16-hex-digit name that is not a file resolves
-            // through the store.
-            let path = if !std::path::Path::new(target).exists()
-                && target.len() == 16
-                && target.chars().all(|c| c.is_ascii_hexdigit())
-            {
-                open_store(f)
-                    .blob_path(&target.to_ascii_lowercase())
-                    .unwrap_or_else(|| {
-                        eprintln!("no trace {target} in store");
-                        exit(1)
-                    })
-            } else {
-                std::path::PathBuf::from(target)
-            };
-            let file = File::open(&path).unwrap_or_else(|e| {
-                eprintln!("cannot open {}: {e}", path.display());
-                exit(1)
-            });
-            let mut reader = TraceReader::with_limits(file, trace_limits(f))
-                .unwrap_or_else(|e| trace_exit(&format!("bad trace {}", path.display()), &e));
-            let version = reader.version();
-            let name = reader.name().to_string();
-            let kernels = reader.kernels().to_vec();
-            // Stream the whole file for totals and the content hash; the
-            // decoder holds one chunk at a time.
-            loop {
-                match reader.next_warp() {
-                    Ok(Some(_)) => {}
-                    Ok(None) => break,
-                    Err(e) => trace_exit(&format!("bad trace {}", path.display()), &e),
-                }
-            }
-            let st = reader.stats().expect("stats after full pass");
-            println!("trace {} (v{version} format)", path.display());
-            println!("  name              {name}");
-            println!("  ref               {:016x}", st.semantic_hash);
-            println!("  kernels           {}", kernels.len());
-            for k in &kernels {
-                println!(
-                    "    {:<20} {:>6} CTAs x {:>4} threads",
-                    k.name, k.n_ctas, k.threads_per_cta
-                );
-            }
-            println!("  warps             {}", st.total_warps);
-            println!("  ops               {}", st.total_ops);
-            println!("  warp instrs       {}", st.total_warp_instrs);
-            println!("  bytes             {}", st.bytes_read);
-            println!("  peak decode buf   {}", st.peak_buffer_bytes);
-            if f.mrc {
-                let sizes = [8u32, 16, 32, 64, 128];
-                let configs: Vec<GpuConfig> = sizes
-                    .iter()
-                    .map(|&z| GpuConfig::paper_target(z, f.scale))
-                    .collect();
-                let file = File::open(&path).unwrap_or_else(|e| {
-                    eprintln!("cannot reopen {}: {e}", path.display());
-                    exit(1)
-                });
-                let traced = TracedWorkload::read_with_limits(file, trace_limits(f))
-                    .unwrap_or_else(|e| trace_exit(&format!("bad trace {}", path.display()), &e));
-                println!("  miss-rate curve (functional replay, no timing sim):");
-                for (size, mpki) in collect_replay(&traced, &configs).points {
-                    println!("    {size:>3} SMs  MPKI {mpki:>7.2}");
-                }
-            }
-        }
-        Some("ls") => {
-            let store = open_store(f);
-            let traces = store.list();
-            if traces.is_empty() {
-                println!("trace store is empty");
-            }
-            for m in traces {
-                println!(
-                    "{} {:<16} {:>3} kernels {:>9} warps {:>12} warp instrs {:>10} bytes",
-                    m.trace_ref, m.name, m.n_kernels, m.total_warps, m.total_warp_instrs, m.bytes
-                );
-            }
-        }
-        _ => {
-            eprintln!("trace takes a subcommand: record, ingest, info, ls");
-            exit(2)
-        }
+    }
+    let st = reader.stats().expect("stats after full pass");
+    println!("trace {} (v{version} format)", path.display());
+    println!("  name              {name}");
+    println!("  ref               {:016x}", st.semantic_hash);
+    println!("  kernels           {}", kernels.len());
+    for k in &kernels {
+        println!(
+            "    {:<20} {:>6} CTAs x {:>4} threads",
+            k.name, k.n_ctas, k.threads_per_cta
+        );
+    }
+    println!("  warps             {}", st.total_warps);
+    println!("  ops               {}", st.total_ops);
+    println!("  warp instrs       {}", st.total_warp_instrs);
+    println!("  bytes             {}", st.bytes_read);
+    println!("  peak decode buf   {}", st.peak_buffer_bytes);
+}
+
+/// `gsim trace ls`: the stored traces.
+fn cmd_trace_ls(f: &Flags) {
+    let traces = open_store(f).list();
+    if traces.is_empty() {
+        println!("trace store is empty");
+    }
+    for m in traces {
+        println!(
+            "{} {:<16} {:>3} kernels {:>9} warps {:>12} warp instrs {:>10} bytes",
+            m.trace_ref, m.name, m.n_kernels, m.total_warps, m.total_warp_instrs, m.bytes
+        );
     }
 }
 
@@ -528,7 +558,7 @@ fn cmd_predict(f: &Flags) {
     use gsim_json::{obj, Json};
     use gsim_serve::{PredictService, Request, ServeConfig, ShutdownFlag};
 
-    let name = first_arg(f);
+    let name = &f.positional[0];
     let mut targets: Vec<Json> = f.positional[1..]
         .iter()
         .map(|t| {
@@ -542,7 +572,7 @@ fn cmd_predict(f: &Flags) {
         targets = [32u32, 64, 128].map(Json::from).to_vec();
     }
     let body = obj([
-        ("workload", Json::from(name)),
+        ("workload", Json::from(name.as_str())),
         ("targets", Json::Arr(targets)),
         ("mem_scale", Json::from(f.scale.divisor())),
         ("path", Json::from(f.path.as_str())),
@@ -585,26 +615,30 @@ fn cmd_predict(f: &Flags) {
 /// (2) every method's predicted IPC per target, (3) a text graph of
 /// performance versus system size.
 fn cmd_fit(f: &Flags) {
+    let finite = |v: &String| v.parse().ok().filter(|x: &f64| x.is_finite());
     let values: Vec<f64> = f
         .positional
         .iter()
         .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("not a number: {v}");
+            finite(v).unwrap_or_else(|| {
+                eprintln!("not a finite number: {v}");
                 exit(2)
             })
         })
         .collect();
-    let (ipc_s, ipc_l, mpki) = match values[..] {
-        [s, l, ref mpki @ ..] if !mpki.is_empty() => (s, l, mpki),
-        _ => {
-            eprintln!("need <ipc_small> <ipc_large> and at least one MPKI value");
-            exit(2)
-        }
-    };
-    let s = f.size;
-    let l = s * 2;
-    let sizes: Vec<u32> = (0..mpki.len() as u32).map(|i| s << i).collect();
+    let (ipc_s, ipc_l, mpki) = (values[0], values[1], &values[2..]);
+    // One size per MPKI value, doubling from --size; the larger scale
+    // model is the second size even when there is one value.
+    let n = mpki.len().max(2);
+    let mut sizes: Vec<u32> = std::iter::successors(Some(f.size), |z| z.checked_mul(2))
+        .take(n)
+        .collect();
+    if sizes.len() < n {
+        eprintln!("--size {}: its doublings pass {}", f.size, u32::MAX);
+        exit(2)
+    }
+    let (s, l) = (sizes[0], sizes[1]);
+    sizes.truncate(mpki.len());
     let mrc = SizedMrc::new(sizes.iter().copied().zip(mpki.iter().copied()));
 
     println!("(1) measured scale models:");
@@ -700,10 +734,73 @@ fn cmd_fit(f: &Flags) {
     println!();
 }
 
+/// The sweep worker pool, `--threads` wide, reporting progress on stderr.
+fn runner(f: &Flags) -> Runner {
+    Runner::new(RunnerConfig {
+        threads: f.threads.unwrap_or(0),
+        ..RunnerConfig::default()
+    })
+    .with_sink(ProgressReporter::new())
+}
+
+/// `gsim sweep`: one simulation job per ladder size, on the worker pool.
+fn cmd_sweep(f: &Flags) {
+    let name = &f.positional[0];
+    let jobs = LADDER
+        .iter()
+        .map(|&sms| {
+            let wl = if f.weak {
+                weak(name, f.scale)
+                    .workload_for_sms(sms)
+                    .expect("a Table IV size")
+            } else {
+                strong(name, f.scale).workload
+            };
+            (format!("{name}@{sms}sm"), (sms, wl))
+        })
+        .collect();
+    let scale = f.scale;
+    let reports = runner(f).map(&format!("sweep-{name}"), jobs, move |(sms, wl)| {
+        Simulator::new(GpuConfig::paper_target(*sms, scale), wl).run()
+    });
+    let kind = if f.weak {
+        "weak-scaling"
+    } else {
+        "strong-scaling"
+    };
+    println!("{name} {kind} sweep over the size ladder ({}):", f.scale);
+    println!(
+        "  {:>5}  {:>12}  {:>10}  {:>7}  {:>7}",
+        "#SMs", "cycles", "IPC", "MPKI", "f_mem"
+    );
+    let mut failed = false;
+    for (report, &sms) in reports.iter().zip(&LADDER) {
+        match report.ok() {
+            Some(st) => println!(
+                "  {:>5}  {:>12}  {:>10.1}  {:>7.2}  {:>7.2}",
+                sms,
+                st.cycles,
+                st.sustained_ipc(),
+                st.mpki(),
+                st.f_mem()
+            ),
+            None => {
+                failed = true;
+                println!(
+                    "  {:>5}  {}",
+                    sms,
+                    report.failure().unwrap_or_else(|| "failed".into())
+                );
+            }
+        }
+    }
+    if failed {
+        exit(1);
+    }
+}
+
 /// `gsim repro`: the paper's tables and figures.
 fn cmd_repro(f: &Flags) {
-    use std::sync::Arc;
-
     use gsim_bench::repro::{self, SECTIONS};
     use gsim_runner::{EventSink, JsonlSink};
 
@@ -720,11 +817,7 @@ fn cmd_repro(f: &Flags) {
     } else {
         f.positional.clone()
     };
-    let mut runner = Runner::new(RunnerConfig {
-        threads: f.threads.unwrap_or(0),
-        ..RunnerConfig::default()
-    })
-    .with_sink(ProgressReporter::new());
+    let mut runner = runner(f);
     if let Some(path) = &f.metrics {
         let sink = JsonlSink::create(path).unwrap_or_else(|e| {
             eprintln!("cannot create metrics file {path}: {e}");
@@ -732,7 +825,7 @@ fn cmd_repro(f: &Flags) {
         });
         runner.add_sink(Arc::new(sink) as Arc<dyn EventSink>);
     }
-    let out = f.output.as_deref().map(std::path::Path::new);
+    let out = f.output.as_deref().map(Path::new);
     match repro::run(f.scale, &runner, &sections, out) {
         Ok(true) => {}
         Ok(false) => exit(1),
@@ -745,12 +838,16 @@ fn cmd_repro(f: &Flags) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-    let f = parse(&args[1..]);
-    match cmd.as_str() {
+    let verb = VERBS
+        .iter()
+        .find(|v| args.iter().take(v.words().count()).eq(v.words()))
+        .unwrap_or_else(|| usage());
+    let f = parse(verb, &args[verb.words().count()..]);
+    match verb.name().as_str() {
         "list" => {
+            let scale = MemScale::default();
             println!("strong-scaling benchmarks (Table II):");
-            for b in strong_suite(f.scale) {
+            for b in strong_suite(scale) {
                 println!(
                     "  {:>6}  {:<38} {:>8.1} MB  {}",
                     b.abbr,
@@ -760,151 +857,22 @@ fn main() {
                 );
             }
             println!("\nweak-scaling benchmarks (Table IV):");
-            for b in weak_suite(f.scale) {
+            for b in weak_suite(scale) {
                 println!("  {:>6}  {}", b.abbr, b.expected);
             }
         }
-        "run" => {
-            let name = first_arg(&f);
-            let wl = workload(&f, name);
-            let mut cfg = GpuConfig::paper_target(f.sms, f.scale);
-            cfg.dram_banks_per_mc = f.banked_dram;
-            let st = Simulator::new(cfg, &wl).run();
-            print_stats(&format!("{name} on {} SMs ({})", f.sms, f.scale), &st);
-        }
-        "sweep" => {
-            let name = first_arg(&f);
-            // One simulation job per system size, run on the worker pool.
-            let workload_for: Box<dyn Fn(u32) -> Workload + Send + Sync> = if f.weak {
-                let bench = weak(name, f.scale);
-                Box::new(move |sms| bench.workload_for_sms(sms).expect("a Table IV size"))
-            } else {
-                let bench = strong(name, f.scale);
-                Box::new(move |_| bench.workload.clone())
-            };
-            let scale = f.scale;
-            let sizes = [8u32, 16, 32, 64, 128];
-            let runner = Runner::new(RunnerConfig {
-                threads: f.threads.unwrap_or(0),
-                ..RunnerConfig::default()
-            })
-            .with_sink(ProgressReporter::new());
-            let reports = runner.map(
-                &format!("sweep-{name}"),
-                sizes
-                    .iter()
-                    .map(|&z| (format!("{name}@{z}sm"), z))
-                    .collect(),
-                move |&sms: &u32| {
-                    let cfg = GpuConfig::paper_target(sms, scale);
-                    Simulator::new(cfg, &workload_for(sms)).run()
-                },
-            );
-            println!(
-                "{name} {} sweep over the size ladder ({}):",
-                if f.weak {
-                    "weak-scaling"
-                } else {
-                    "strong-scaling"
-                },
-                f.scale
-            );
-            println!(
-                "  {:>5}  {:>12}  {:>10}  {:>7}  {:>7}",
-                "#SMs", "cycles", "IPC", "MPKI", "f_mem"
-            );
-            let mut failed = false;
-            for (report, &sms) in reports.iter().zip(&sizes) {
-                match report.ok() {
-                    Some(st) => println!(
-                        "  {:>5}  {:>12}  {:>10.1}  {:>7.2}  {:>7.2}",
-                        sms,
-                        st.cycles,
-                        st.sustained_ipc(),
-                        st.mpki(),
-                        st.f_mem()
-                    ),
-                    None => {
-                        failed = true;
-                        println!(
-                            "  {:>5}  {}",
-                            sms,
-                            report.failure().unwrap_or_else(|| "failed".into())
-                        );
-                    }
-                }
-            }
-            if failed {
-                exit(1);
-            }
-        }
-        "mcm" => {
-            let name = first_arg(&f);
-            let wl = weak(name, f.scale).workload_for_chiplets(f.chiplets);
-            let mcm = ChipletConfig::paper_mcm(f.chiplets, f.scale);
-            let st = Simulator::new_mcm(&mcm, &wl).run();
-            print_stats(
-                &format!(
-                    "{name} on {} chiplets = {} SMs ({})",
-                    f.chiplets,
-                    mcm.total_sms(),
-                    f.scale
-                ),
-                &st,
-            );
-        }
-        "mrc" => {
-            let name = first_arg(&f);
-            let bench = strong(name, f.scale);
-            let sizes = [8u32, 16, 32, 64, 128];
-            let configs: Vec<GpuConfig> = sizes
-                .iter()
-                .map(|&z| GpuConfig::paper_target(z, f.scale))
-                .collect();
-            let curve = collect_mrc(&bench.workload, &configs);
-            let mrc = SizedMrc::new(sizes.iter().zip(curve.points()).map(|(&z, p)| (z, p.mpki)));
-            println!("{name} miss-rate curve:");
-            for ((size, region), cfg) in mrc.regions().iter().zip(&configs) {
-                println!(
-                    "  {:>3} SMs  {:>7.3} MB  MPKI {:>7.2}   {:?}",
-                    size,
-                    cfg.llc_paper_bytes() as f64 / (1024.0 * 1024.0),
-                    mrc.mpki_at(*size).expect("sampled"),
-                    region
-                );
-            }
-            match detect_cliff(&mrc) {
-                Some(i) => println!(
-                    "cliff between {} and {} SMs",
-                    mrc.points()[i].0,
-                    mrc.points()[i + 1].0
-                ),
-                None => println!("no cliff detected"),
-            }
-        }
-        "trace" => cmd_trace(&f),
-        "trace-run" => {
-            let path = first_arg(&f);
-            let file = File::open(path).unwrap_or_else(|e| {
-                eprintln!("cannot open {path}: {e}");
-                exit(1)
-            });
-            let traced = TracedWorkload::read_with_limits(file, trace_limits(&f))
-                .unwrap_or_else(|e| trace_exit(&format!("bad trace {path}"), &e));
-            let mut cfg = GpuConfig::paper_target(f.sms, f.scale);
-            cfg.dram_banks_per_mc = f.banked_dram;
-            let st = Simulator::new(cfg, &traced).run();
-            print_stats(
-                &format!("trace {} on {} SMs ({})", traced.name(), f.sms, f.scale),
-                &st,
-            );
-        }
+        "run" => cmd_run(&f),
+        "sweep" => cmd_sweep(&f),
+        "mrc" => cmd_mrc(&f),
+        "trace record" => cmd_trace_record(&f),
+        "trace ingest" => cmd_trace_ingest(&f),
+        "trace info" => cmd_trace_info(&f),
+        "trace ls" => cmd_trace_ls(&f),
         "predict" => cmd_predict(&f),
         "fit" => cmd_fit(&f),
         "repro" => cmd_repro(&f),
         "serve" => {
             use std::net::ToSocketAddrs;
-            use std::sync::Arc;
 
             use gsim_serve::{PredictService, ServeConfig, Server, ServerConfig, ShutdownFlag};
 
@@ -925,23 +893,13 @@ fn main() {
                 exit(2)
             }
             // Install the fault-injection plan before the service opens
-            // any store: the flag wins over the GSIM_FAULTS env var.
-            match &f.fault_plan {
-                Some(spec) => match gsim_faults::FaultPlan::parse(spec) {
-                    Ok(plan) => {
-                        gsim_faults::install(plan);
-                    }
-                    Err(e) => {
-                        eprintln!("--fault-plan: {e}");
-                        exit(2)
-                    }
-                },
-                None => {
-                    if let Err(e) = gsim_faults::install_from_env() {
-                        eprintln!("{}: {e}", gsim_faults::ENV_VAR);
-                        exit(2)
-                    }
-                }
+            // any store.
+            if let Some(spec) = &f.fault_plan {
+                let plan = gsim_faults::FaultPlan::parse(spec).unwrap_or_else(|e| {
+                    eprintln!("--fault-plan: {e}");
+                    exit(2)
+                });
+                gsim_faults::install(plan);
             }
             if let Some(inj) = gsim_faults::active() {
                 eprintln!("gsim-serve: fault injection ACTIVE: {:?}", inj.plan());
@@ -995,6 +953,6 @@ fn main() {
             }
             println!("gsim-serve shut down cleanly");
         }
-        _ => usage(),
+        _ => unreachable!("every verb in VERBS has an arm"),
     }
 }

@@ -1,8 +1,11 @@
 //! End-to-end checks of the `gsim` front end: `run`, removed flags and
-//! surfaces, the `trace` store workflow, `fit`, `repro` and `predict`.
+//! surfaces, the `trace` store workflow, `fit`, `repro` and `predict`,
+//! and a fuzz slice over every verb's flags.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn gsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_gsim"))
@@ -79,32 +82,26 @@ fn gsim_trace_record_ingest_info_roundtrip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The MPKI column of a miss-rate-curve listing, one value per size.
-fn mpki_column(out: &Output) -> Vec<String> {
-    stdout_of(out)
-        .lines()
-        .filter_map(|l| l.split("MPKI").nth(1))
-        .map(|rest| rest.split_whitespace().next().unwrap_or("").to_string())
-        .collect()
-}
-
 #[test]
-fn gsim_trace_info_mrc_is_the_replayed_curve() {
+fn gsim_mrc_and_run_of_a_trace_match_its_benchmark() {
     // A recorded trace replays to the curve of the workload it records
-    // over the 8..128-SM ladder: the curve a full-path predict of the
-    // trace to 128 SMs embeds.
-    let dir = fresh_dir("trace-mrc");
+    // (the curve a full-path predict of the trace embeds) and simulates
+    // to the same cycle count.
+    let dir = fresh_dir("trace-as-benchmark");
     let file = dir.join("gemm.gstr");
     let path = file.to_str().unwrap();
-    let rec = gsim(&["trace", "record", "gemm", "-o", path, "--scale", "32"]);
+    let rec = gsim(&["trace", "record", "gemm", "-o", path, "--scale", "64"]);
     assert!(rec.status.success(), "record failed: {rec:?}");
-    let info = gsim(&["trace", "info", path, "--mrc", "--scale", "32"]);
-    assert!(info.status.success(), "info failed: {info:?}");
-    let mrc = gsim(&["mrc", "gemm", "--scale", "32"]);
-    assert!(mrc.status.success(), "mrc failed: {mrc:?}");
-    let column = mpki_column(&info);
-    assert_eq!(column.len(), 5, "{}", stdout_of(&info));
-    assert_eq!(column, mpki_column(&mrc));
+    let from_trace = gsim(&["mrc", path, "--scale", "64"]);
+    assert!(from_trace.status.success(), "mrc failed: {from_trace:?}");
+    let from_bench = gsim(&["mrc", "gemm", "--scale", "64"]);
+    assert!(from_bench.status.success(), "mrc failed: {from_bench:?}");
+    let body = |out: &Output| stdout_of(out).split_once('\n').unwrap().1.to_string();
+    assert_eq!(stdout_of(&from_trace).lines().count(), 7);
+    assert_eq!(body(&from_trace), body(&from_bench));
+
+    let run = |input: &str| gsim(&["run", input, "--sms", "16", "--scale", "64"]);
+    assert_eq!(cycles_line(&run(path)), cycles_line(&run("gemm")));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -200,8 +197,8 @@ fn removed_intra_simulation_thread_flags_are_unknown() {
     let gsim_cases: [(&[&str], &[&str]); 6] = [
         (&["run", "pf"], &[threads, assert_det]),
         (&["sweep", "pf"], &[threads]),
-        (&["mcm", "va"], &[threads, assert_det]),
-        (&["trace-run", trace], &[threads, assert_det]),
+        (&["run", "va", "--chiplets", "4"], &[threads, assert_det]),
+        (&["run", trace], &[threads, assert_det]),
         (&["repro", "table1"], &[threads]),
         (&["fit", "10.0", "20.0", "5.0", "5.0"], &[threads]),
     ];
@@ -222,6 +219,10 @@ fn removed_surfaces_exit_2() {
         &["repro", concat!("--inject", "-panic"), "bfs", "table1"][..],
         &["trace", "record", "gemm", concat!("--for", "mat"), "1"],
         &[concat!("trace", "-dump"), "gemm", "-o", "unused.gstr"],
+        // `run` and `mrc` took over these three.
+        &[concat!("m", "cm"), "va", "--chiplets", "4"],
+        &[concat!("trace", "-run"), "no-such-file.gstr"],
+        &["trace", "info", "no-such-file.gstr", concat!("--m", "rc")],
     ] {
         let out = gsim(args);
         assert_eq!(out.status.code(), Some(2), "gsim {args:?}: {out:?}");
@@ -243,13 +244,35 @@ fn out_of_range_sizes_exit_2() {
         &["run", "pf", "--scale", "0"][..],
         &["sweep", "pf", "--scale", "0"],
         &["run", "pf", "--sms", "0"],
-        &["mcm", "va", "--chiplets", "0"],
+        &["run", "va", "--chiplets", "0"],
         &["predict", "bfs", "0"],
         &["run", "va", "--weak", "--sms", "3"],
         &["run", "pf", "--sms", "1", "--scale", "385"],
+        &["trace", "record", "gemm", "-o"],
+        &["repro", "table1", "--output"],
     ] {
         let out = gsim(args);
         assert_eq!(out.status.code(), Some(2), "gsim {args:?}: {out:?}");
+    }
+    // Sizes past what the machine or a u32 holds name their limit.
+    for (args, limit) in [
+        (&["run", "pf", "--sms", "4000000000"][..], "65536"),
+        (&["run", "va", "--chiplets", "4000000000"], "1024"),
+        (
+            &["fit", "--size", "4000000000", "10", "20", "5", "5"],
+            "4294967295",
+        ),
+        (
+            &["fit", "--size", "2147483648", "10", "20", "5", "5"],
+            "4294967295",
+        ),
+    ] {
+        let out = gsim(args);
+        assert_eq!(out.status.code(), Some(2), "gsim {args:?}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(limit),
+            "{out:?}"
+        );
     }
     // The coarsest miniature whose L1 still holds a line.
     let out = gsim(&["run", "pf", "--sms", "1", "--scale", "384"]);
@@ -296,6 +319,112 @@ fn removed_serve_knobs_are_unknown() {
         assert_eq!(out.status.code(), Some(2), "gsim {args:?}: {out:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
     }
+}
+
+/// One row of the synopsis `gsim` prints: the verb's words, fillers for
+/// its arguments, and each flag it reads with whether it takes a value.
+struct Verb {
+    words: Vec<String>,
+    args: Vec<String>,
+    flags: Vec<(String, bool)>,
+}
+
+/// The verb table, read from `gsim`'s own usage text.
+fn verbs() -> Vec<Verb> {
+    let out = gsim(&[]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let usage = String::from_utf8_lossy(&out.stderr).to_string();
+    let rows = usage.lines().filter_map(|l| l.trim().strip_prefix("gsim "));
+    rows.map(|row| {
+        let tokens: Vec<&str> = row.split(' ').collect();
+        let words = tokens.iter().take_while(|t| !t.starts_with(['<', '[']));
+        let flags = tokens.iter().filter_map(|t| t.strip_prefix("[-"));
+        // A filler for every required argument, or one stray argument
+        // where none is required: either way gsim stops before it
+        // simulates, serves or writes anything.
+        let required = tokens.iter().filter(|t| t.starts_with('<')).count();
+        Verb {
+            words: words.map(|w| w.to_string()).collect(),
+            args: vec!["no-such-input".to_string(); required.max(1)],
+            flags: flags
+                .map(|f| (format!("-{}", f.trim_end_matches(']')), !f.ends_with(']')))
+                .collect(),
+        }
+    })
+    .collect()
+}
+
+/// Runs gsim from `cwd` with `args` and no stdin; fails the test if it
+/// outlives a fixed bound.
+fn gsim_bounded(args: &[String], cwd: &Path) -> Output {
+    const BOUND: Duration = Duration::from_secs(20);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gsim"))
+        .args(args)
+        .current_dir(cwd)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn gsim");
+    let start = Instant::now();
+    while child.try_wait().expect("poll gsim").is_none() {
+        if start.elapsed() > BOUND {
+            let _ = child.kill();
+            panic!("gsim {args:?} ran past {BOUND:?}");
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    child.wait_with_output().expect("gsim output")
+}
+
+#[test]
+fn every_verb_rejects_the_flags_it_does_not_read() {
+    let verbs = verbs();
+    assert_eq!(verbs.len(), 12);
+    let flags: BTreeSet<&str> = verbs
+        .iter()
+        .flat_map(|v| v.flags.iter().map(|(f, _)| f.as_str()))
+        .collect();
+    assert_eq!(flags.len(), 21, "{flags:?}");
+    let pairs: usize = verbs.iter().map(|v| v.flags.len()).sum();
+    assert!(pairs <= 42, "{pairs} (verb, flag) pairs");
+    let cwd = fresh_dir("unread-flags");
+    for verb in &verbs {
+        let name = verb.words.join(" ");
+        for flag in flags
+            .iter()
+            .filter(|f| !verb.flags.iter().any(|(g, _)| g == *f))
+        {
+            let args = [&verb.words[..], &verb.args, &[flag.to_string(), "1".into()]].concat();
+            let out = gsim_bounded(&args, &cwd);
+            assert_eq!(out.status.code(), Some(2), "gsim {args:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.starts_with(&format!("unknown flag {flag} for gsim {name}\n")),
+                "{stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn flag_values_never_panic_or_hang() {
+    let cwd = fresh_dir("flag-values");
+    for verb in verbs() {
+        for (flag, _) in verb.flags.iter().filter(|(_, takes_value)| *takes_value) {
+            for value in [None, Some("abc"), Some("-1"), Some("18446744073709551616")] {
+                let mut args = [&verb.words[..], &verb.args].concat();
+                args.extend([flag.clone()].into_iter().chain(value.map(String::from)));
+                let out = gsim_bounded(&args, &cwd);
+                assert!(
+                    matches!(out.status.code(), Some(0..=2)),
+                    "gsim {args:?}: {out:?}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&cwd);
 }
 
 /// The artifact tool's report, byte for byte, with and without a cliff

@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] is a seeded description of *which faults to inject
 //! where*: delayed socket reads and mid-body disconnects in the HTTP
 //! layer, panics in runner jobs, delayed reads and short writes in the
-//! trace store. The plan is installed once per process (from the
-//! `GSIM_FAULTS` environment variable or a CLI flag) and queried at
+//! trace store. The plan is installed once per process (from `gsim
+//! serve --fault-plan`) and queried at
 //! each injection *site* by name; every query is a pure function of
 //! `(seed, site, per-site sequence number)`, so a given plan replays the
 //! same fault sequence at every site on every run — which is what lets
@@ -44,9 +44,6 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 use gsim_rng::SplitMix64;
-
-/// Environment variable the serve binaries read a plan spec from.
-pub const ENV_VAR: &str = "GSIM_FAULTS";
 
 /// A seeded fault-injection plan. All probabilities default to zero: a
 /// default plan injects nothing.
@@ -276,21 +273,6 @@ static GLOBAL: OnceLock<Injector> = OnceLock::new();
 /// later calls are ignored (and return `false`).
 pub fn install(plan: FaultPlan) -> bool {
     GLOBAL.set(Injector::new(plan)).is_ok()
-}
-
-/// Installs a plan parsed from the `GSIM_FAULTS` environment variable,
-/// if set. Returns the spec error instead of installing a partial plan.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] when the variable is set but malformed.
-pub fn install_from_env() -> Result<(), ParseError> {
-    if let Ok(spec) = std::env::var(ENV_VAR) {
-        if !spec.trim().is_empty() {
-            install(FaultPlan::parse(&spec)?);
-        }
-    }
-    Ok(())
 }
 
 /// The process-wide injector, when a plan with any active fault is

@@ -12,8 +12,7 @@ use crate::job::{Job, JobReport, JobStatus};
 /// Pool configuration.
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
-    /// Worker threads. `0` resolves to the `GSIM_RUNNER_THREADS`
-    /// environment variable if set, else the machine's available
+    /// Worker threads. `0` resolves to the machine's available
     /// parallelism.
     pub threads: usize,
     /// Per-job wall-clock timeout. When set, each job attempt runs on a
@@ -41,13 +40,6 @@ impl RunnerConfig {
     pub fn resolved_threads(&self) -> usize {
         if self.threads > 0 {
             return self.threads;
-        }
-        if let Some(n) = std::env::var("GSIM_RUNNER_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            return n;
         }
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)

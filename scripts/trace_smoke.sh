@@ -4,7 +4,7 @@
 # predict-from-trace must return the same prediction as the synthetic
 # generator path bit for bit, from exactly its own two timing
 # simulations, and its repeat must be a byte-identical cache hit.
-# `trace info --mrc` must print the curve a full-path predict embeds.
+# `gsim mrc` of the trace must print the curve a full-path predict embeds.
 set -euo pipefail
 
 GSIM=${GSIM:-target/release/gsim}
@@ -19,23 +19,26 @@ trap cleanup EXIT
 # --- 1. The CLI store workflow.
 "$GSIM" trace record gemm -o "$WORK/gemm.gstr"
 "$GSIM" trace ingest "$WORK/gemm.gstr" --store "$WORK/store"
-"$GSIM" trace info "$WORK/gemm.gstr" --mrc | tee "$WORK/info.txt"
+"$GSIM" trace info "$WORK/gemm.gstr"
 "$GSIM" trace ls --store "$WORK/store"
 REF=$("$GSIM" trace ls --store "$WORK/store" | awk '{print $1}')
 [ "${#REF}" -eq 16 ] || { echo "bad trace ref: $REF"; exit 1; }
 
-# `trace info --mrc` replays the trace over the 8..128-SM ladder: the
-# curve a full-path predict to 128 SMs (the default targets) embeds.
+# `gsim mrc` replays the trace, named by file or by its stored ref, over
+# the 8..128-SM ladder: the curve a full-path predict to 128 SMs (the
+# default targets) embeds.
+"$GSIM" mrc "$WORK/gemm.gstr" | tee "$WORK/mrc.txt"
+"$GSIM" mrc "$REF" --store "$WORK/store" | cmp - "$WORK/mrc.txt"
 "$GSIM" predict gemm --path full > "$WORK/predict.json"
-python3 - "$WORK/info.txt" "$WORK/predict.json" <<'EOF'
+python3 - "$WORK/mrc.txt" "$WORK/predict.json" <<'EOF'
 import json, sys
-# The curve lines read "  <size> SMs  MPKI <mpki>".
-info = {int(l.split()[0]): l.split()[-1] for l in open(sys.argv[1]) if "SMs  MPKI" in l}
+# The curve lines read "  <size> SMs  <llc> MB  MPKI <mpki>   <region>".
+curve = {int(l.split()[0]): l.split("MPKI")[1].split()[0] for l in open(sys.argv[1]) if "MPKI" in l}
 embedded = json.load(open(sys.argv[2]))["mrc"]
-assert sorted(info) == [size for size, _ in embedded], (info, embedded)
+assert sorted(curve) == [size for size, _ in embedded], (curve, embedded)
 for size, mpki in embedded:
-    assert info[size] == f"{mpki:.2f}", (size, info[size], mpki)
-print("trace info --mrc prints the curve a full-path predict embeds")
+    assert curve[size] == f"{mpki:.2f}", (size, curve[size], mpki)
+print("gsim mrc of the trace prints the curve a full-path predict embeds")
 EOF
 
 # Broken inputs exit with their distinct codes.
