@@ -71,8 +71,7 @@ const VERBS: &[Verb] = &[
     Verb("repro [SECTION...] [--scale D] [--threads N] [--metrics FILE] [-o DIR]"),
     Verb(
         "serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR] \
-         [--runner-threads N] [--default-deadline-ms N] [--max-inflight-predicts N] \
-         [--max-inflight-cheap N] [--drain-grace-ms N] [--fault-plan SPEC]",
+         [--runner-threads N] [--max-inflight-predicts N] [--fault-plan SPEC]",
     ),
 ];
 
@@ -183,10 +182,7 @@ struct Flags {
     store: Option<String>,
     max_trace_mb: u64,
     output: Option<String>,
-    default_deadline_ms: u64,
     max_inflight_predicts: usize,
-    max_inflight_cheap: usize,
-    drain_grace_ms: u64,
     path: String,
     fault_plan: Option<String>,
     // gsim fit
@@ -202,7 +198,6 @@ struct Flags {
 fn parse(verb: &Verb, args: &[String]) -> Flags {
     let mut f = Flags {
         addr: "127.0.0.1:8191".to_string(),
-        drain_grace_ms: 5000,
         path: "auto".to_string(),
         size: 8,
         ..Flags::default()
@@ -241,10 +236,7 @@ fn parse(verb: &Verb, args: &[String]) -> Flags {
             "--store" => f.store = Some(flag_str(it, flag, "a directory")),
             "--max-trace-mb" => f.max_trace_mb = u64::from(flag_u32_in(it, flag, 1, u32::MAX, "")),
             "-o" => f.output = Some(flag_str(it, a, "a path")),
-            "--default-deadline-ms" => f.default_deadline_ms = u64::from(flag_u32(it, flag)),
             "--max-inflight-predicts" => f.max_inflight_predicts = flag_u32(it, flag) as usize,
-            "--max-inflight-cheap" => f.max_inflight_cheap = flag_u32(it, flag) as usize,
-            "--drain-grace-ms" => f.drain_grace_ms = u64::from(flag_u32(it, flag)),
             "--path" => {
                 let paths = ["auto", "fast", "full"];
                 let what = format!("one of: {}", paths.join(", "));
@@ -606,7 +598,9 @@ fn cmd_predict(f: &Flags) {
         exit(if resp.status == 400 { 2 } else { 1 })
     }
     if let Err(e) = std::io::stdout().write_all(&resp.body) {
-        eprintln!("cannot write the prediction: {e}");
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("cannot write the prediction: {e}");
+        }
         exit(1)
     }
 }
@@ -837,6 +831,14 @@ fn cmd_repro(f: &Flags) {
 }
 
 fn main() {
+    // A stdout closed early (`gsim list | head -1`) ends any verb with
+    // exit 1 and nothing on stderr: `print!` panics on the broken pipe,
+    // and this hook exits before the panic is reported.
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| match info.payload_as_str() {
+        Some(m) if m.starts_with("failed printing to stdout: Broken pipe") => exit(1),
+        _ => report(info),
+    }));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let verb = VERBS
         .iter()
@@ -910,9 +912,7 @@ fn main() {
                     runner_threads: f.runner_threads,
                     cache_dir: f.cache_dir.clone().map(Into::into),
                     trace_store_dir: f.store.clone().map(Into::into),
-                    default_deadline_ms: f.default_deadline_ms,
                     max_inflight_predicts: f.max_inflight_predicts,
-                    max_inflight_cheap: f.max_inflight_cheap,
                 },
                 shutdown.clone(),
             )
@@ -924,7 +924,6 @@ fn main() {
                 &f.addr,
                 ServerConfig {
                     threads,
-                    drain_grace: std::time::Duration::from_millis(f.drain_grace_ms),
                     ..ServerConfig::default()
                 },
                 shutdown.clone(),

@@ -223,6 +223,11 @@ fn removed_surfaces_exit_2() {
         &[concat!("m", "cm"), "va", "--chiplets", "4"],
         &[concat!("trace", "-run"), "no-such-file.gstr"],
         &["trace", "info", "no-such-file.gstr", concat!("--m", "rc")],
+        // Serve settings nothing turned: one admission budget, deadlines
+        // from the request header only, a fixed drain grace.
+        &["serve", concat!("--max-inflight", "-cheap"), "1"],
+        &["serve", concat!("--default", "-deadline-ms"), "1"],
+        &["serve", concat!("--drain", "-grace-ms"), "1"],
     ] {
         let out = gsim(args);
         assert_eq!(out.status.code(), Some(2), "gsim {args:?}: {out:?}");
@@ -385,7 +390,7 @@ fn every_verb_rejects_the_flags_it_does_not_read() {
         .iter()
         .flat_map(|v| v.flags.iter().map(|(f, _)| f.as_str()))
         .collect();
-    assert_eq!(flags.len(), 21, "{flags:?}");
+    assert_eq!(flags.len(), 18, "{flags:?}");
     let pairs: usize = verbs.iter().map(|v| v.flags.len()).sum();
     assert!(pairs <= 42, "{pairs} (verb, flag) pairs");
     let cwd = fresh_dir("unread-flags");
@@ -425,6 +430,25 @@ fn flag_values_never_panic_or_hang() {
         }
     }
     let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    // The read end is closed before gsim starts, so its first write
+    // fails with a broken pipe every time.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_gsim"))
+        .arg("list")
+        .stdout(writer)
+        .output()
+        .expect("spawn gsim");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 /// The artifact tool's report, byte for byte, with and without a cliff

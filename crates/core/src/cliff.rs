@@ -71,11 +71,6 @@ impl SizedMrc {
             .map(|&(_, m)| m)
     }
 
-    /// Largest sampled size.
-    pub fn max_size(&self) -> Option<u32> {
-        self.points.last().map(|&(s, _)| s)
-    }
-
     /// Whether a cliff (per [`detect_cliff`]) lies strictly between
     /// `from` and `to`.
     pub fn cliff_between(&self, from: u32, to: u32) -> bool {
@@ -214,7 +209,6 @@ mod tests {
         let mrc = SizedMrc::new([(16, 5.0), (8, 6.0)]);
         assert_eq!(mrc.mpki_at(8), Some(6.0));
         assert_eq!(mrc.mpki_at(64), None);
-        assert_eq!(mrc.max_size(), Some(16));
         assert!(mrc.ensure_covers(16).is_ok());
         assert!(mrc.ensure_covers(64).is_err());
     }

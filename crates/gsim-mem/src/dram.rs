@@ -83,11 +83,6 @@ impl DramModel {
         self.next_free.len() as u32
     }
 
-    /// Aggregate bandwidth in bytes per cycle.
-    pub fn total_bytes_per_cycle(&self) -> f64 {
-        self.bytes_per_cycle * self.next_free.len() as f64
-    }
-
     /// The controller owning `line_addr`.
     #[inline]
     pub fn mc_of(&self, line_addr: u64) -> u32 {
@@ -117,11 +112,6 @@ impl DramModel {
         self.stats.bytes += u64::from(bytes);
         self.stats.queue_cycles += start - now;
         start + service + f64::from(self.latency)
-    }
-
-    /// Earliest time any controller is free (useful for back-pressure).
-    pub fn earliest_free(&self) -> f64 {
-        self.next_free.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
     /// Statistics so far.
@@ -199,11 +189,11 @@ mod tests {
     #[test]
     fn clock_scales_service_time() {
         // 145 GB/s at 1 GHz = 145 B/cycle; at 2 GHz cycles are shorter so
-        // bytes-per-cycle halves.
-        let d1 = DramModel::new(1, 145.0, 1.0, 0);
-        let d2 = DramModel::new(1, 145.0, 2.0, 0);
-        assert!((d1.total_bytes_per_cycle() - 145.0).abs() < 1e-9);
-        assert!((d2.total_bytes_per_cycle() - 72.5).abs() < 1e-9);
+        // bytes-per-cycle halves and the same read takes twice the cycles.
+        let mut d1 = DramModel::new(1, 145.0, 1.0, 0);
+        let mut d2 = DramModel::new(1, 145.0, 2.0, 0);
+        assert_eq!(d1.read(0, 0, 1450), 10);
+        assert_eq!(d2.read(0, 0, 1450), 20);
     }
 
     #[test]
@@ -212,6 +202,8 @@ mod tests {
         d.read(0, 0, 128);
         d.reset();
         assert_eq!(d.stats(), DramStats::default());
-        assert_eq!(d.earliest_free(), 0.0);
+        // No queueing left over: the same read completes as on a new model.
+        let fresh = DramModel::new(2, 100.0, 1.0, 10).read(0, 0, 128);
+        assert_eq!(d.read(0, 0, 128), fresh);
     }
 }

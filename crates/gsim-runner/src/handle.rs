@@ -157,14 +157,6 @@ impl<T> JobHandle<T> {
         }
     }
 
-    /// The published result, if any, without blocking.
-    pub fn try_get(&self) -> Option<Arc<T>> {
-        match &*self.slot.state.lock().expect("handle lock") {
-            SlotState::Done(v) => Some(Arc::clone(v)),
-            _ => None,
-        }
-    }
-
     /// Whether the producer vanished without publishing. A registry
     /// holding handles (single-flight) uses this to detect stale entries
     /// without blocking.
@@ -225,12 +217,10 @@ mod tests {
     }
 
     #[test]
-    fn try_get_and_timeout() {
+    fn wait_timeout_before_and_after_set() {
         let (promise, handle) = job_handle::<u32>();
-        assert!(handle.try_get().is_none());
         assert_eq!(handle.wait_timeout(Duration::from_millis(5)), Ok(None));
         promise.set(7);
-        assert_eq!(*handle.try_get().unwrap(), 7);
         assert_eq!(
             handle.wait_timeout(Duration::from_millis(5)).unwrap(),
             Some(Arc::new(7))

@@ -34,8 +34,9 @@
 //! [`JobStatus::TimedOut`] in its report — the sweep itself always runs
 //! to completion; one pathological configuration cannot kill a night of
 //! results. A run may also carry an absolute deadline
-//! ([`RunOverrides::deadline`]): no attempt waits past it, and a job
-//! still queued when it passes is reported timed out without starting.
+//! ([`RunOverrides::deadline`]): no attempt waits past it, a job still
+//! queued when it passes is reported timed out without starting, and no
+//! job of that run is retried.
 //!
 //! # Determinism
 //!

@@ -48,31 +48,23 @@ impl RunnerConfig {
 }
 
 /// Per-run overrides of the pool's failure policy, for callers whose
-/// budget varies per sweep (a request deadline, a no-retry fast path)
-/// while the pool itself is long-lived and shared.
-///
-/// `None` fields keep the [`RunnerConfig`] setting; `Some` replaces it
-/// for this run only.
+/// budget varies per sweep (a request deadline) while the pool itself is
+/// long-lived and shared.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOverrides {
     /// An absolute deadline for the whole run, on top of the pool's
     /// per-job timeout: no attempt waits past it, and a job dequeued after
-    /// it is reported [`JobStatus::TimedOut`] without being started.
+    /// it is reported [`JobStatus::TimedOut`] without being started. A run
+    /// with a deadline never retries, whatever [`RunnerConfig::retry_once`]
+    /// says: a retry would double the worst-case wall time, and a job that
+    /// timed out against the deadline once will again.
     pub deadline: Option<Instant>,
-    /// Replaces the retry-once policy.
-    pub retry_once: Option<bool>,
 }
 
 impl RunOverrides {
-    /// Overrides with the absolute deadline `at` and retries disabled —
-    /// the shape a deadline-bound caller wants: a retry would double the
-    /// worst-case wall time, and a job that timed out against the deadline
-    /// once will again.
+    /// Overrides with the absolute deadline `at`.
     pub fn deadline(at: Instant) -> Self {
-        Self {
-            deadline: Some(at),
-            retry_once: Some(false),
-        }
+        Self { deadline: Some(at) }
     }
 }
 
@@ -178,7 +170,7 @@ impl Runner {
             label: label.to_string(),
             timeout: self.cfg.timeout,
             deadline: overrides.deadline,
-            retry_once: overrides.retry_once.unwrap_or(self.cfg.retry_once),
+            retry_once: self.cfg.retry_once && overrides.deadline.is_none(),
         });
 
         shared.emit(&Event::SweepStarted {

@@ -24,6 +24,15 @@ use std::time::{Duration, Instant};
 
 /// How often the accept loop re-checks the shutdown flag when idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// Maximum bytes of request line + headers.
+const MAX_HEADER_BYTES: usize = 8 * 1024;
+/// Maximum request body size. Sized for `POST /v1/traces`: a v2 trace of
+/// a suite-scale workload is a few MiB; predict bodies are tiny
+/// regardless.
+const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+/// How long shutdown waits for in-flight connections before detaching
+/// any stragglers and returning anyway.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// A cooperative shutdown signal shared by the server, its handler, and
 /// whoever supervises them (clone freely; all clones observe the same
@@ -124,30 +133,18 @@ fn reason(status: u16) -> &'static str {
 pub struct ServerConfig {
     /// Worker threads handling connections (the bound on concurrency).
     pub threads: usize,
-    /// Maximum bytes of request line + headers.
-    pub max_header_bytes: usize,
-    /// Maximum request body size.
-    pub max_body_bytes: usize,
     /// Per-read socket timeout; a stalled client cannot pin a worker.
     pub read_timeout: Duration,
     /// Requests served on one keep-alive connection before closing.
     pub max_requests_per_conn: u32,
-    /// How long shutdown waits for in-flight connections before
-    /// detaching any stragglers and returning anyway.
-    pub drain_grace: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             threads: 4,
-            max_header_bytes: 8 * 1024,
-            // Sized for `POST /v1/traces`: a v2 trace of a suite-scale
-            // workload is a few MiB; predict bodies are tiny regardless.
-            max_body_bytes: 16 * 1024 * 1024,
             read_timeout: Duration::from_secs(10),
             max_requests_per_conn: 1000,
-            drain_grace: Duration::from_secs(5),
         }
     }
 }
@@ -189,10 +186,10 @@ impl Server {
 
     /// Runs the accept loop until the shutdown flag triggers, then
     /// drains: stops accepting, lets in-flight connections finish, and
-    /// joins the workers. If the drain takes longer than
-    /// [`ServerConfig::drain_grace`] the stragglers are detached (their
-    /// threads keep running until their current request completes, but
-    /// `serve` returns so the process can exit on schedule).
+    /// joins the workers. If the drain takes longer than five seconds
+    /// the stragglers are detached (their threads keep running until
+    /// their current request completes, but `serve` returns so the
+    /// process can exit on schedule).
     ///
     /// # Errors
     ///
@@ -243,7 +240,7 @@ impl Server {
             }
         }
         drop(tx); // workers exit once the queue drains
-        let deadline = Instant::now() + self.cfg.drain_grace;
+        let deadline = Instant::now() + DRAIN_GRACE;
         while live.load(Ordering::SeqCst) > 0 {
             if Instant::now() >= deadline {
                 // Grace exhausted: detach the stragglers. Keep-alive
@@ -285,7 +282,7 @@ fn handle_connection(
         if let Some(delay) = faults.and_then(|f| f.http_read_delay()) {
             std::thread::sleep(delay);
         }
-        let req = match read_request(&mut stream, &mut buf, cfg, served == 0) {
+        let req = match read_request(&mut stream, &mut buf, served == 0) {
             Ok(Some(req)) => req,
             Ok(None) => return, // clean EOF between requests
             Err(status) => {
@@ -339,7 +336,6 @@ fn wants_close(req: &Request) -> bool {
 fn read_request(
     stream: &mut TcpStream,
     buf: &mut Vec<u8>,
-    cfg: &ServerConfig,
     first: bool,
 ) -> Result<Option<Request>, u16> {
     // Accumulate until the blank line ending the header block.
@@ -347,7 +343,7 @@ fn read_request(
         if let Some(pos) = find_header_end(buf) {
             break pos;
         }
-        if buf.len() > cfg.max_header_bytes {
+        if buf.len() > MAX_HEADER_BYTES {
             return Err(413);
         }
         let mut chunk = [0u8; 4096];
@@ -406,7 +402,7 @@ fn read_request(
         Some(v) => v.parse().map_err(|_| 400u16)?,
         None => 0,
     };
-    if content_length > cfg.max_body_bytes {
+    if content_length > MAX_BODY_BYTES {
         return Err(413);
     }
 

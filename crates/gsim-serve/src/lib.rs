@@ -31,12 +31,11 @@
 //! shutdown. The whole workspace builds offline; so does its service.
 //!
 //! Under load the service has one story ([`overload`], DESIGN.md §13):
-//! per-class admission budgets shed excess requests with `429` +
-//! `Retry-After`, deadlines (`X-Gsim-Deadline-Ms` or
-//! `--default-deadline-ms`) propagate into the runner and cut
-//! over-budget predicts off with `504` — never a late `200` — and
-//! shutdown drains within a bounded grace period. There is no third
-//! answer shape: a `200` always carries `predictions`.
+//! one predict admission budget sheds excess predicts with `429` +
+//! `Retry-After`, a request's `X-Gsim-Deadline-Ms` propagates into the
+//! runner and cuts an over-budget predict off with `504` — never a late
+//! `200` — and shutdown drains within a fixed five-second grace. There
+//! is no third answer shape: a `200` always carries `predictions`.
 //! A deterministic fault-injection plan ([`gsim_faults`])
 //! exercises all of it in the chaos harness (`scripts/chaos_smoke.sh`).
 //!
@@ -57,6 +56,6 @@ pub mod singleflight;
 pub use cache::{fnv1a, ResultCache};
 pub use http::{Handler, Request, Response, Server, ServerConfig, ShutdownFlag};
 pub use metrics::{Histogram, Metrics, RunnerJobCounter};
-pub use overload::{retry_after_secs, AdmissionGate, EndpointClass, Permit};
+pub use overload::{retry_after_secs, AdmissionGate, Permit};
 pub use service::{ApiError, PredictService, ServeConfig};
 pub use singleflight::{Role, SingleFlight};

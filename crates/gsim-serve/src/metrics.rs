@@ -106,9 +106,7 @@ pub struct Metrics {
     pub timing_sims_started: AtomicU64,
     /// Jobs started on the simulation runner pool (every attempt).
     pub runner_jobs_started: AtomicU64,
-    /// Cheap-class requests shed with 429 by the admission gate.
-    pub shed_cheap: AtomicU64,
-    /// Heavy-class (predict) requests shed with 429.
+    /// Predict requests shed with 429 by the admission gate.
     pub shed_heavy: AtomicU64,
     /// Predict requests that hit their deadline and were answered 504.
     pub deadline_timeouts: AtomicU64,
@@ -204,7 +202,6 @@ impl Metrics {
             (
                 "overload",
                 obj([
-                    ("shed_cheap", Json::from(get(&self.shed_cheap))),
                     ("shed_heavy", Json::from(get(&self.shed_heavy))),
                     (
                         "deadline_timeouts",
@@ -322,7 +319,6 @@ mod tests {
         assert_eq!(doc.get("cache_entries").unwrap().as_u64(), Some(7));
         let overload = doc.get("overload").unwrap();
         assert_eq!(overload.get("shed_heavy").unwrap().as_u64(), Some(4));
-        assert_eq!(overload.get("shed_cheap").unwrap().as_u64(), Some(0));
         let cache = doc.get("cache").unwrap();
         assert_eq!(cache.get("entries").unwrap().as_u64(), Some(7));
         let lat = doc.get("latency_us").unwrap();
@@ -392,7 +388,7 @@ mod tests {
         );
         assert_eq!(
             keys(overload),
-            ["shed_cheap", "shed_heavy", "deadline_timeouts", "admission"]
+            ["shed_heavy", "deadline_timeouts", "admission"]
         );
         assert_eq!(keys(cache), ["entries"]);
         // Round-trips through the parser.

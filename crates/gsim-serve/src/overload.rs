@@ -1,60 +1,31 @@
 //! Admission control and load-shed policy.
 //!
-//! The HTTP worker pool bounds *connections*; this module bounds what
-//! those connections may cost. Requests are split into two endpoint
-//! classes — [`EndpointClass::Cheap`] reads that finish in microseconds
-//! and [`EndpointClass::Heavy`] timing-sim predicts — each with its own
-//! in-flight budget in an [`AdmissionGate`]. A request that does not fit
-//! its budget is *shed* with `429 Too Many Requests` and a `Retry-After`
-//! computed from the observed p50 service time of the heavy class
-//! ([`retry_after_secs`]), instead of queueing unboundedly behind work
-//! that cannot finish any sooner.
+//! The HTTP worker pool bounds *connections*; this module bounds how many
+//! of them may be inside `POST /v1/predict`, the one endpoint that can
+//! schedule timing simulations. An [`AdmissionGate`] holds that in-flight
+//! budget. A predict that does not fit is *shed* with
+//! `429 Too Many Requests` and a `Retry-After` computed from the observed
+//! p50 predict service time ([`retry_after_secs`]), instead of queueing
+//! unboundedly behind work that cannot finish any sooner.
 //!
-//! Splitting the budgets is what keeps the service observable while it
-//! is saturated: heavy predicts can exhaust their own budget without
-//! consuming the workers that `/metrics` and the trace catalog need.
-//! `/healthz` and `/v1/shutdown` bypass admission entirely — liveness
-//! probes and the drain path must work *especially* when overloaded.
+//! Every other endpoint is answered directly. The worker count already
+//! bounds how many of them run at once, so `/metrics` stays reachable
+//! under saturation only while the predict budget is below the worker
+//! count: a worker is left over for it.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 
-/// Which in-flight budget a request draws from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EndpointClass {
-    /// Catalog reads, metrics, trace uploads: no timing simulation.
-    Cheap,
-    /// `POST /v1/predict`: may schedule timing simulations.
-    Heavy,
-}
-
-struct ClassGate {
+/// The predict in-flight budget with RAII accounting.
+pub struct AdmissionGate {
     limit: i64,
     inflight: AtomicI64,
-}
-
-impl ClassGate {
-    fn try_acquire(&self) -> bool {
-        // Optimistic increment: cheaper than a CAS loop and the
-        // overshoot window is bounded by the caller count.
-        if self.inflight.fetch_add(1, Ordering::AcqRel) >= self.limit {
-            self.inflight.fetch_sub(1, Ordering::AcqRel);
-            return false;
-        }
-        true
-    }
-}
-
-/// Per-class in-flight budgets with RAII accounting.
-pub struct AdmissionGate {
-    cheap: ClassGate,
-    heavy: ClassGate,
 }
 
 /// Proof of admission; dropping it releases the slot. Hold it for the
 /// request's whole lifetime — including time spent blocked as a
 /// single-flight follower, which still pins an HTTP worker.
 pub struct Permit<'a> {
-    gate: &'a ClassGate,
+    gate: &'a AdmissionGate,
 }
 
 impl Drop for Permit<'_> {
@@ -64,51 +35,43 @@ impl Drop for Permit<'_> {
 }
 
 impl AdmissionGate {
-    /// A gate admitting at most `max_cheap` / `max_heavy` concurrent
-    /// requests per class (each clamped to at least 1).
-    pub fn new(max_cheap: usize, max_heavy: usize) -> Self {
-        let class = |max: usize| ClassGate {
-            limit: i64::try_from(max.max(1)).unwrap_or(i64::MAX),
-            inflight: AtomicI64::new(0),
-        };
+    /// A gate admitting at most `limit` concurrent requests (clamped to
+    /// at least 1).
+    pub fn new(limit: usize) -> Self {
         Self {
-            cheap: class(max_cheap),
-            heavy: class(max_heavy),
+            limit: i64::try_from(limit.max(1)).unwrap_or(i64::MAX),
+            inflight: AtomicI64::new(0),
         }
     }
 
-    fn class(&self, class: EndpointClass) -> &ClassGate {
-        match class {
-            EndpointClass::Cheap => &self.cheap,
-            EndpointClass::Heavy => &self.heavy,
-        }
-    }
-
-    /// Admits the request if its class has budget, returning the permit
+    /// Admits the request if the budget has room, returning the permit
     /// to hold for the request's duration; `None` means shed it.
-    pub fn try_admit(&self, class: EndpointClass) -> Option<Permit<'_>> {
-        let gate = self.class(class);
-        // `then`, not `then_some`: an eagerly-built Permit would run its
-        // decrementing Drop even when admission failed.
-        gate.try_acquire().then(|| Permit { gate })
+    pub fn try_admit(&self) -> Option<Permit<'_>> {
+        // Optimistic increment: cheaper than a CAS loop and the
+        // overshoot window is bounded by the caller count.
+        if self.inflight.fetch_add(1, Ordering::AcqRel) >= self.limit {
+            self.inflight.fetch_sub(1, Ordering::AcqRel);
+            return None;
+        }
+        Some(Permit { gate: self })
     }
 
-    /// Currently admitted requests of `class`.
-    pub fn inflight(&self, class: EndpointClass) -> i64 {
-        self.class(class).inflight.load(Ordering::Acquire)
+    /// Currently admitted requests.
+    pub fn inflight(&self) -> i64 {
+        self.inflight.load(Ordering::Acquire)
     }
 
-    /// The class's budget.
-    pub fn limit(&self, class: EndpointClass) -> i64 {
-        self.class(class).limit
+    /// The budget.
+    pub fn limit(&self) -> i64 {
+        self.limit
     }
 }
 
 /// `Retry-After` seconds for a shed request: roughly how long until a
-/// heavy slot frees up, estimated as the observed p50 service time times
-/// the queue position a retry would face. Clamped to `[1, 60]` so a cold
-/// histogram still backs clients off and a pathological p50 cannot tell
-/// them to go away for an hour.
+/// predict slot frees up, estimated as the observed p50 service time
+/// times the queue position a retry would face. Clamped to `[1, 60]` so
+/// a cold histogram still backs clients off and a pathological p50
+/// cannot tell them to go away for an hour.
 pub fn retry_after_secs(p50_us: Option<u64>, inflight: i64) -> u64 {
     let p50_us = p50_us.unwrap_or(0);
     let queued = inflight.max(0) as u64 + 1;
@@ -122,32 +85,25 @@ mod tests {
 
     #[test]
     fn gate_admits_to_the_limit_and_releases_on_drop() {
-        let gate = AdmissionGate::new(1, 2);
-        let a = gate.try_admit(EndpointClass::Heavy).expect("first");
-        let b = gate.try_admit(EndpointClass::Heavy).expect("second");
-        assert!(
-            gate.try_admit(EndpointClass::Heavy).is_none(),
-            "over budget"
-        );
-        assert_eq!(gate.inflight(EndpointClass::Heavy), 2);
-        // Classes are independent budgets.
-        let c = gate.try_admit(EndpointClass::Cheap).expect("cheap ok");
-        assert!(gate.try_admit(EndpointClass::Cheap).is_none());
+        let gate = AdmissionGate::new(2);
+        let a = gate.try_admit().expect("first");
+        let b = gate.try_admit().expect("second");
+        assert!(gate.try_admit().is_none(), "over budget");
+        assert_eq!(gate.inflight(), 2);
         drop(b);
-        assert_eq!(gate.inflight(EndpointClass::Heavy), 1);
+        assert_eq!(gate.inflight(), 1);
         // A freed slot is immediately admittable again (the permit here
         // is a temporary, released as soon as the assert finishes).
-        assert!(gate.try_admit(EndpointClass::Heavy).is_some());
-        drop((a, c));
-        assert_eq!(gate.inflight(EndpointClass::Heavy), 0);
-        assert_eq!(gate.inflight(EndpointClass::Cheap), 0);
+        assert!(gate.try_admit().is_some());
+        drop(a);
+        assert_eq!(gate.inflight(), 0);
     }
 
     #[test]
     fn zero_limits_clamp_to_one() {
-        let gate = AdmissionGate::new(0, 0);
-        assert_eq!(gate.limit(EndpointClass::Cheap), 1);
-        assert!(gate.try_admit(EndpointClass::Heavy).is_some());
+        let gate = AdmissionGate::new(0);
+        assert_eq!(gate.limit(), 1);
+        assert!(gate.try_admit().is_some());
     }
 
     #[test]

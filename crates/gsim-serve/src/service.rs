@@ -79,15 +79,15 @@ use gsim_tracestore::{StoreConfig, StoreError, StoreStats, TraceMeta, TraceStore
 use crate::cache::{fnv1a, ResultCache};
 use crate::http::{Request, Response, ShutdownFlag};
 use crate::metrics::{Metrics, RunnerJobCounter};
-use crate::overload::{retry_after_secs, AdmissionGate, EndpointClass};
+use crate::overload::{retry_after_secs, AdmissionGate};
 use crate::singleflight::{Role, SingleFlight};
 
 /// Response-body schema tag.
 const PREDICT_SCHEMA: &str = "gsim-serve-predict-v1";
 /// Schema tag of the functional-first fast-path predict body.
 const PREDICT_FAST_SCHEMA: &str = "gsim-serve-predict-fast-v1";
-/// Per-request deadline header (milliseconds; overrides the configured
-/// default; `0` disables the deadline for this request).
+/// Per-request deadline header (milliseconds; absent or `0` means no
+/// deadline).
 const DEADLINE_HEADER: &str = "x-gsim-deadline-ms";
 /// Largest accepted request body for `/v1/predict`.
 const MAX_PREDICT_BYTES: usize = 64 * 1024;
@@ -113,15 +113,9 @@ pub struct ServeConfig {
     /// when there is no cache dir either (uploads then live as long as
     /// the service; the directory is removed when it is dropped).
     pub trace_store_dir: Option<PathBuf>,
-    /// Default predict deadline in milliseconds; `0` means none. A
-    /// request's `X-Gsim-Deadline-Ms` header overrides it either way.
-    pub default_deadline_ms: u64,
     /// Concurrent `POST /v1/predict` requests admitted before shedding
     /// with 429 (0 = default 8).
     pub max_inflight_predicts: usize,
-    /// Concurrent cheap requests (catalogs, uploads, metrics) admitted
-    /// before shedding (0 = default 64).
-    pub max_inflight_cheap: usize,
 }
 
 /// A client-visible error: HTTP status plus message. Cloneable so
@@ -275,7 +269,6 @@ pub struct PredictService {
     store: TraceStore,
     shutdown: ShutdownFlag,
     gate: AdmissionGate,
-    default_deadline_ms: u64,
     /// The temp trace-store directory [`PredictService::new`] derived
     /// because the caller configured none; removed on drop.
     scratch_store: Option<PathBuf>,
@@ -305,8 +298,6 @@ impl PredictService {
             retry_once: true,
         })
         .with_sink(RunnerJobCounter(Arc::clone(&metrics)));
-        // A zero knob means its default.
-        let or_default = |knob: usize, default: usize| if knob == 0 { default } else { knob };
         // One directory per service, so dropping one never pulls the
         // store from under another in the same process.
         static SCRATCH_STORES: AtomicU64 = AtomicU64::new(0);
@@ -330,11 +321,10 @@ impl PredictService {
             metrics: Arc::clone(&metrics),
             store,
             shutdown,
-            gate: AdmissionGate::new(
-                or_default(cfg.max_inflight_cheap, 64),
-                or_default(cfg.max_inflight_predicts, 8),
-            ),
-            default_deadline_ms: cfg.default_deadline_ms,
+            gate: AdmissionGate::new(match cfg.max_inflight_predicts {
+                0 => 8,
+                n => n,
+            }),
             scratch_store,
         }))
     }
@@ -368,7 +358,7 @@ impl PredictService {
             }
             ("GET", "/v1/workloads") => {
                 bump(&self.metrics.workloads);
-                self.cheap(|| Response::json(200, workloads_json().render()))
+                Response::json(200, workloads_json().render())
             }
             ("POST", "/v1/predict") => {
                 bump(&self.metrics.predict);
@@ -376,21 +366,19 @@ impl PredictService {
             }
             ("POST", "/v1/traces") => {
                 bump(&self.metrics.traces);
-                self.cheap(|| self.trace_upload(&req.body))
+                self.trace_upload(&req.body)
             }
             ("GET", "/v1/traces") => {
                 bump(&self.metrics.traces);
-                self.cheap(|| self.trace_list())
+                self.trace_list()
             }
             ("GET", "/metrics") => {
                 bump(&self.metrics.metrics);
-                self.cheap(|| {
-                    let store = store_stats_json(&self.store.stats());
-                    let doc = self
-                        .metrics
-                        .to_json(self.cache.len(), store, self.admission_json());
-                    Response::json(200, doc.render())
-                })
+                let store = store_stats_json(&self.store.stats());
+                let doc = self
+                    .metrics
+                    .to_json(self.cache.len(), store, self.admission_json());
+                Response::json(200, doc.render())
             }
             ("POST", "/v1/shutdown") => {
                 bump(&self.metrics.shutdown);
@@ -454,50 +442,24 @@ impl PredictService {
         Response::json(200, body.render())
     }
 
-    /// Runs a cheap-class request under its admission budget, shedding
-    /// with a one-second `Retry-After` when it is exhausted (cheap work
-    /// clears in microseconds; one second is already generous).
-    fn cheap(&self, f: impl FnOnce() -> Response) -> Response {
-        match self.gate.try_admit(EndpointClass::Cheap) {
-            Some(_permit) => f(),
-            None => {
-                self.metrics.shed_cheap.fetch_add(1, Ordering::Relaxed);
-                shed_response(1, "request budget exhausted; retry shortly")
-            }
-        }
-    }
-
-    /// The `overload.admission` group of the `/metrics` document.
+    /// The `overload.admission` group of the `/metrics` document. The
+    /// `_heavy` names predate the single budget; readers key on them.
     fn admission_json(&self) -> Json {
         obj([
-            (
-                "limit_cheap",
-                Json::from(self.gate.limit(EndpointClass::Cheap)),
-            ),
-            (
-                "limit_heavy",
-                Json::from(self.gate.limit(EndpointClass::Heavy)),
-            ),
-            (
-                "inflight_cheap",
-                Json::from(self.gate.inflight(EndpointClass::Cheap)),
-            ),
-            (
-                "inflight_heavy",
-                Json::from(self.gate.inflight(EndpointClass::Heavy)),
-            ),
+            ("limit_heavy", Json::from(self.gate.limit())),
+            ("inflight_heavy", Json::from(self.gate.inflight())),
         ])
     }
 
-    /// The request's deadline instant: the `X-Gsim-Deadline-Ms` header
-    /// when present, else the configured default; `None` when disabled.
-    fn deadline_of(&self, req: &Request) -> Result<Option<Instant>, ApiError> {
-        let ms = match req.header(DEADLINE_HEADER) {
-            Some(v) => v.trim().parse::<u64>().map_err(|_| {
-                ApiError::bad("X-Gsim-Deadline-Ms must be an integer number of milliseconds")
-            })?,
-            None => self.default_deadline_ms,
+    /// The request's deadline instant from the `X-Gsim-Deadline-Ms`
+    /// header; `None` when it is absent or `0`.
+    fn deadline_of(req: &Request) -> Result<Option<Instant>, ApiError> {
+        let Some(v) = req.header(DEADLINE_HEADER) else {
+            return Ok(None);
         };
+        let ms = v.trim().parse::<u64>().map_err(|_| {
+            ApiError::bad("X-Gsim-Deadline-Ms must be an integer number of milliseconds")
+        })?;
         Ok((ms > 0).then(|| Instant::now() + Duration::from_millis(ms)))
     }
 
@@ -508,20 +470,22 @@ impl PredictService {
         let fail = || {
             self.metrics.predict_errors.fetch_add(1, Ordering::Relaxed);
         };
-        let deadline = match self.deadline_of(req) {
+        let deadline = match Self::deadline_of(req) {
             Ok(d) => d,
             Err(e) => {
                 fail();
                 return e.response();
             }
         };
-        let Some(_permit) = self.gate.try_admit(EndpointClass::Heavy) else {
+        let Some(_permit) = self.gate.try_admit() else {
             self.metrics.shed_heavy.fetch_add(1, Ordering::Relaxed);
             fail();
-            return shed_response(
-                self.retry_after(),
-                "predict budget exhausted; service is at capacity",
-            );
+            return ApiError {
+                status: 429,
+                message: "predict budget exhausted; service is at capacity".into(),
+            }
+            .response()
+            .with_header("Retry-After", self.retry_after().to_string());
         };
         let mut plan = match parse_request(&req.body, Some(&self.store)) {
             Ok(plan) => plan,
@@ -600,10 +564,7 @@ impl PredictService {
 
     /// Seconds a shed or failed predict should wait before retrying.
     fn retry_after(&self) -> u64 {
-        retry_after_secs(
-            self.metrics.heavy_p50_us(),
-            self.gate.inflight(EndpointClass::Heavy),
-        )
+        retry_after_secs(self.metrics.heavy_p50_us(), self.gate.inflight())
     }
 
     /// Computes one prediction: the staged functional-first fast path
@@ -863,16 +824,6 @@ fn predictions_json(forecast: &gsim_core::Forecast) -> Vec<Json> {
             ])
         })
         .collect()
-}
-
-/// A `429` with the computed `Retry-After`.
-fn shed_response(retry_after_secs: u64, message: &str) -> Response {
-    ApiError {
-        status: 429,
-        message: message.into(),
-    }
-    .response()
-    .with_header("Retry-After", retry_after_secs.to_string())
 }
 
 /// The `X-Gsim-Path` value of a response body, derived from its leading

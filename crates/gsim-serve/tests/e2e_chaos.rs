@@ -5,7 +5,7 @@
 //! With `job_panic_p=1.0` every simulation job attempt panics. The
 //! contract under that worst case: the client sees a `503` with a
 //! `Retry-After` header (never a hang, never a raw `500` from a worker
-//! panic), cheap endpoints keep answering, and `/metrics` reports the
+//! panic), the other endpoints keep answering, and `/metrics` reports the
 //! injected faults so a chaos run is auditable.
 
 use std::io::{Read, Write};

@@ -4,15 +4,19 @@
 //! miss collects once on the request's own thread, compute-sensitive
 //! workloads escalate to a body that is byte-identical to a forced-full
 //! computation, every response names the path it took in `X-Gsim-Path`,
-//! and the collection honours the request deadline.
+//! and the collection honours the request deadline. One in-process test
+//! pins which Table II forecasts the fast path puts above the issue peak.
 
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use gsim_serve::{PredictService, ServeConfig, Server, ServerConfig, ShutdownFlag};
+use gsim_serve::{PredictService, Request, ServeConfig, Server, ServerConfig, ShutdownFlag};
+use gsim_trace::suite::strong_suite;
+use gsim_trace::MemScale;
 
 struct RunningServer {
     addr: SocketAddr,
@@ -434,4 +438,63 @@ fn a_deadline_that_expires_during_the_collect_is_a_504() {
         }
     }
     server.stop();
+}
+
+#[test]
+fn fast_path_forecasts_above_the_issue_peak_may_only_shrink() {
+    // An SM issues at most 32 thread instructions per cycle, so a
+    // forecast above `target × 32` IPC is impossible on the target. These
+    // are the Table II pairs whose forced-fast scale-model forecast
+    // exceeds it; a model fix may remove pairs, nothing may add one.
+    let known: BTreeSet<(String, u64)> = [
+        ("bfs", 64),
+        ("bfs", 128),
+        ("sr", 64),
+        ("sr", 128),
+        ("btree", 64),
+        ("btree", 128),
+        ("unet", 128),
+    ]
+    .into_iter()
+    .map(|(w, t)| (w.to_string(), t))
+    .collect();
+    let svc =
+        PredictService::new(ServeConfig::default(), ShutdownFlag::new()).expect("service starts");
+    let mut above = BTreeSet::new();
+    for bench in strong_suite(MemScale::default()) {
+        let body = format!(
+            r#"{{"workload": "{}", "targets": [32, 64, 128], "path": "fast"}}"#,
+            bench.abbr
+        );
+        let resp = svc.handle(&Request {
+            method: "POST".into(),
+            path: "/v1/predict".into(),
+            headers: Vec::new(),
+            body: body.into_bytes(),
+        });
+        let text = String::from_utf8_lossy(&resp.body);
+        assert_eq!(resp.status, 200, "{}: {text}", bench.abbr);
+        let doc = gsim_json::parse(&text).expect("predict json");
+        for p in doc
+            .get("predictions")
+            .and_then(|p| p.as_arr())
+            .expect("predictions")
+        {
+            let target = p.get("target").and_then(|t| t.as_u64()).expect("target");
+            let ipc = p
+                .get("ipc_by_method")
+                .and_then(|m| m.get("scale-model"))
+                .and_then(|v| v.as_f64())
+                .expect("scale-model forecast");
+            if ipc > target as f64 * 32.0 {
+                above.insert((bench.abbr.to_string(), target));
+            }
+        }
+    }
+    assert_eq!(
+        above, known,
+        "fast-path forecasts above the issue peak (workload, target SMs): \
+         this set may only shrink; drop a pair from `known` once a fix \
+         brings it under the peak"
+    );
 }

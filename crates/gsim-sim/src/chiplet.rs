@@ -65,16 +65,6 @@ impl ChipletConfig {
         self.n_chiplets * self.chiplet.n_sms
     }
 
-    /// Derives the configuration with a different chiplet count — the MCM
-    /// analogue of proportional scaling (the chiplet itself is unchanged).
-    pub fn scaled_to_chiplets(&self, n_chiplets: u32) -> Self {
-        assert!(n_chiplets > 0, "need at least one chiplet");
-        Self {
-            n_chiplets,
-            ..self.clone()
-        }
-    }
-
     /// Aggregate LLC capacity over all chiplets, model-unit bytes.
     pub fn llc_bytes_total(&self) -> u64 {
         self.chiplet.llc_bytes_total * u64::from(self.n_chiplets)
@@ -240,7 +230,7 @@ mod tests {
     #[test]
     fn chiplet_scaling_keeps_chiplet_fixed() {
         let c16 = ChipletConfig::paper_mcm(16, MemScale::default());
-        let c4 = c16.scaled_to_chiplets(4);
+        let c4 = ChipletConfig::paper_mcm(4, MemScale::default());
         assert_eq!(c4.chiplet, c16.chiplet);
         assert_eq!(c4.total_sms(), 256);
         assert_eq!(c4.llc_bytes_total() * 4, c16.llc_bytes_total());

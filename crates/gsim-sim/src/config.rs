@@ -162,12 +162,6 @@ impl GpuConfig {
         let by_warps = self.warps_per_sm / warps_per_cta.max(1);
         by_threads.min(by_warps).max(1)
     }
-
-    /// The scale factor of this config relative to `other`, i.e.
-    /// `self.n_sms / other.n_sms` as used in Equations (1)–(4).
-    pub fn relative_scale(&self, other: &GpuConfig) -> f64 {
-        f64::from(self.n_sms) / f64::from(other.n_sms)
-    }
 }
 
 #[cfg(test)]
@@ -247,15 +241,6 @@ mod tests {
         assert_eq!(cfg.ctas_per_sm(256), 6); // 1536/256
         assert_eq!(cfg.ctas_per_sm(1024), 1);
         assert_eq!(cfg.ctas_per_sm(32), 48); // bounded by 48 warps
-    }
-
-    #[test]
-    fn relative_scale_matches_equation_inputs() {
-        let scale = MemScale::default();
-        let s8 = GpuConfig::paper_target(8, scale);
-        let s16 = GpuConfig::paper_target(16, scale);
-        assert_eq!(s16.relative_scale(&s8), 2.0);
-        assert_eq!(s8.relative_scale(&s16), 0.5);
     }
 
     #[test]

@@ -109,15 +109,6 @@ impl SimStats {
         }
     }
 
-    /// LLC miss rate over LLC accesses; 0 if none.
-    pub fn llc_miss_rate(&self) -> f64 {
-        if self.llc_accesses == 0 {
-            0.0
-        } else {
-            self.llc_misses as f64 / self.llc_accesses as f64
-        }
-    }
-
     /// Simulated cycles per wall-clock second — the simulator's own speed,
     /// for perf tracking; 0 if wall-clock time was not recorded.
     pub fn sim_cycles_per_second(&self) -> f64 {
@@ -215,7 +206,6 @@ mod tests {
         assert_eq!(s.f_mem(), 0.375);
         assert_eq!(s.f_idle(), 0.125);
         assert_eq!(s.l1_miss_rate(), 0.5);
-        assert_eq!(s.llc_miss_rate(), 0.4);
     }
 
     #[test]
@@ -226,6 +216,5 @@ mod tests {
         assert_eq!(s.f_mem(), 0.0);
         assert_eq!(s.f_idle(), 0.0);
         assert_eq!(s.l1_miss_rate(), 0.0);
-        assert_eq!(s.llc_miss_rate(), 0.0);
     }
 }
