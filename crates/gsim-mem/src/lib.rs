@@ -52,6 +52,7 @@ pub use banked::{BankedDramModel, BankedDramStats, DramTiming};
 pub use cache::{AccessResult, Cache, EvictedLine};
 pub use dram::{DramModel, DramStats};
 pub use geometry::{ceil_u64, CacheGeometry};
+pub use linehash::{LineHasher, LineMap};
 pub use mshr::{Mshr, MshrOutcome};
 pub use pending::FillTracker;
 pub use slice::{slice_for_line, SlicedLlc};

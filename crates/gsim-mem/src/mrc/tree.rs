@@ -8,10 +8,15 @@
 //! between. The time axis is compacted whenever it fills up, so the engine
 //! handles arbitrarily long traces in O(u) memory for u unique lines.
 
-use std::collections::HashMap;
-
 use super::histogram::StackDistanceHistogram;
 use super::DistanceEngine;
+use crate::LineMap;
+
+/// Time axis of [`TreeStack::new`].
+const DEFAULT_SLOTS: usize = 1 << 16;
+
+/// Longest time axis: slots are stored as `u32`.
+const MAX_AXIS: u64 = 1 << 32;
 
 #[derive(Debug, Clone)]
 struct Fenwick {
@@ -50,6 +55,23 @@ impl Fenwick {
     }
 }
 
+/// The time axis after a compaction that keeps `marks` marks: at least
+/// twice the marks, so half of it is free, rounded up to a power of two,
+/// and never shorter than `current`.
+///
+/// # Panics
+///
+/// Panics when the axis would outgrow `u32` slots: past 2^31 unique
+/// lines, a 16 GiB Fenwick tree.
+fn grown_axis(current: usize, marks: usize) -> usize {
+    let axis = current.max((marks * 2).max(16).next_power_of_two());
+    assert!(
+        axis as u64 <= MAX_AXIS,
+        "{marks} unique lines outgrow u32 time slots"
+    );
+    axis
+}
+
 /// Exact reuse-distance engine with a Fenwick tree over logical time.
 ///
 /// # Example
@@ -66,8 +88,10 @@ impl Fenwick {
 #[derive(Debug, Clone)]
 pub struct TreeStack {
     fenwick: Fenwick,
-    /// line address -> time slot of its most recent access.
-    last_slot: HashMap<u64, usize>,
+    /// line address -> time slot of its most recent access. Every line
+    /// seen holds exactly one mark, so the map's length is the marks'
+    /// total, and it never holds more entries than the axis has slots.
+    last_slot: LineMap<u32>,
     /// Next free time slot.
     next_slot: usize,
     hist: StackDistanceHistogram,
@@ -83,16 +107,26 @@ impl TreeStack {
     /// Creates an engine with a small initial time axis (it grows/compacts
     /// automatically).
     pub fn new() -> Self {
-        Self::with_capacity(1 << 16)
+        Self::with_capacity(DEFAULT_SLOTS)
     }
 
     /// Creates an engine with a pre-sized time axis; useful when the trace
-    /// length is known to avoid early compactions.
+    /// length is known to avoid early compactions. The line map starts
+    /// with room for half the axis, the most marks a compaction keeps, up
+    /// to half of [`TreeStack::new`]'s: an axis sized to a trace's length
+    /// would otherwise size the map to the trace instead of its lines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` exceeds 2^32.
     pub fn with_capacity(slots: usize) -> Self {
-        let slots = slots.max(16);
+        let slots = grown_axis(slots, 0);
         Self {
             fenwick: Fenwick::new(slots),
-            last_slot: HashMap::new(),
+            last_slot: LineMap::with_capacity_and_hasher(
+                slots.min(DEFAULT_SLOTS) / 2,
+                Default::default(),
+            ),
             next_slot: 0,
             hist: StackDistanceHistogram::new(),
         }
@@ -104,22 +138,22 @@ impl TreeStack {
     }
 
     /// Rebuilds the time axis, renumbering the surviving marks (one per
-    /// unique line) densely in their original order. Amortised cost is
-    /// O(log n) per access because a compaction only happens after at least
-    /// `capacity - unique` fresh accesses.
+    /// unique line) densely in their slot order: a mark's new slot is its
+    /// rank on the old axis, so no hash order reaches a result. Amortised
+    /// cost is O(log n) per access because a compaction only happens after
+    /// at least `capacity - unique` fresh accesses. Slots stay `u32`: see
+    /// [`grown_axis`].
     fn compact(&mut self) {
-        let mut entries: Vec<(u64, usize)> = self.last_slot.iter().map(|(&a, &s)| (a, s)).collect();
-        entries.sort_unstable_by_key(|&(_, s)| s);
-        // Grow so that at least half the axis is free after compaction.
-        let needed = (entries.len() * 2).max(16);
-        let cap = self.fenwick.len().max(needed).next_power_of_two();
-        self.fenwick = Fenwick::new(cap);
-        self.last_slot.clear();
-        for (i, (addr, _)) in entries.iter().enumerate() {
-            self.fenwick.add(i, 1);
-            self.last_slot.insert(*addr, i);
+        let marks = self.last_slot.len();
+        for slot in self.last_slot.values_mut() {
+            *slot = (self.fenwick.prefix(*slot as usize) - 1) as u32;
         }
-        self.next_slot = entries.len();
+        let axis = grown_axis(self.fenwick.len(), marks);
+        self.fenwick = Fenwick::new(axis);
+        for i in 0..marks {
+            self.fenwick.add(i, 1);
+        }
+        self.next_slot = marks;
     }
 }
 
@@ -130,15 +164,14 @@ impl DistanceEngine for TreeStack {
         }
         let now = self.next_slot;
         self.next_slot += 1;
-        match self.last_slot.insert(line_addr, now) {
+        match self.last_slot.insert(line_addr, now as u32) {
             Some(prev) => {
-                // Marks strictly after `prev`: total marks minus prefix(prev).
-                let total = self.fenwick.prefix(self.fenwick.len() - 1);
-                let upto_prev = self.fenwick.prefix(prev);
-                // `prev` itself is marked, so distinct lines in between:
-                let distance = total - upto_prev;
+                // Marks strictly after `prev`, which is itself marked: the
+                // distinct lines touched in between. `now` is not marked
+                // yet, so the map's length is the total.
+                let distance = self.last_slot.len() as u64 - self.fenwick.prefix(prev as usize);
                 self.hist.add(distance, 1.0);
-                self.fenwick.add(prev, -1);
+                self.fenwick.add(prev as usize, -1);
             }
             None => self.hist.add_cold(1.0),
         }
@@ -207,6 +240,51 @@ mod tests {
         // Fits exactly at `footprint` lines; thrashes at one less.
         assert_eq!(h.misses_at(footprint), footprint as f64);
         assert_eq!(h.misses_at(footprint - 1), 4.0 * footprint as f64);
+    }
+
+    /// The whole histogram, not a few capacities, on two reuse-heavy
+    /// streams long enough for many compactions: a hot set plus a wide
+    /// tail, and sweeps whose footprint grows and shrinks. Recorded one
+    /// access at a time so the compactions can be counted.
+    #[test]
+    fn histogram_equals_naive_across_many_compactions() {
+        let mut rng = Rng64::seed_from_u64(7);
+        let skewed: Vec<u64> = (0..100_000)
+            .map(|_| match rng.gen_range(0, 4) {
+                0 => rng.gen_range(0, 1500),
+                _ => rng.gen_range(0, 48),
+            })
+            .collect();
+        let sweeps: Vec<u64> = (0..)
+            .flat_map(|k: u64| 0..100 + k * 37 % 400)
+            .take(100_000)
+            .collect();
+        for trace in [skewed, sweeps] {
+            let mut t = TreeStack::with_capacity(16);
+            let mut n = NaiveStack::new();
+            let mut compactions = 0;
+            for &line in &trace {
+                let before = t.next_slot;
+                t.record(line);
+                n.record(line);
+                compactions += usize::from(t.next_slot <= before);
+            }
+            assert!(compactions >= 20, "only {compactions} compactions");
+            assert_eq!(t.finish(), n.finish());
+        }
+    }
+
+    #[test]
+    fn axis_reaches_the_u32_slot_bound_at_2_pow_31_lines() {
+        assert_eq!(grown_axis(16, 1 << 31), 1 << 32);
+        assert_eq!(grown_axis(1 << 20, 100), 1 << 20);
+        assert_eq!(grown_axis(16, 1000), 2048);
+    }
+
+    #[test]
+    #[should_panic(expected = "outgrow u32 time slots")]
+    fn axis_past_the_u32_slot_bound_panics() {
+        grown_axis(16, (1 << 31) + 1);
     }
 
     #[test]

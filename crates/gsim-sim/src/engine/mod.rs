@@ -31,11 +31,10 @@ mod calendar;
 mod memsys;
 mod sm;
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::noc::ChipletInterconnect;
-use gsim_mem::{ceil_u64, MshrOutcome};
+use gsim_mem::{ceil_u64, LineMap, MshrOutcome};
 use gsim_trace::{Workload, WorkloadModel};
 
 use crate::chiplet::ChipletConfig;
@@ -104,7 +103,7 @@ struct EngineCore<'wl, W: WorkloadModel> {
     map: ShardMap,
     n_chiplets: u32,
     icn: Option<ChipletInterconnect>,
-    page_owner: HashMap<u64, u32>,
+    page_owner: LineMap<u32>,
     page_shift: u32,
     // kernel sequencing
     kernel_idx: usize,
@@ -223,7 +222,7 @@ impl<'wl, W: WorkloadModel> EngineCore<'wl, W> {
             map,
             n_chiplets,
             icn: None,
-            page_owner: HashMap::new(),
+            page_owner: LineMap::default(),
             page_shift: 5,
             kernel_idx: 0,
             next_cta: 0,
@@ -574,7 +573,7 @@ impl<'wl, W: WorkloadModel> EngineCore<'wl, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsim_trace::{Kernel, MemScale, PatternKind, PatternSpec};
+    use gsim_trace::{Kernel, MemScale, Op, PatternKind, PatternSpec, WarpStream};
 
     fn small_cfg(n_sms: u32) -> GpuConfig {
         GpuConfig::paper_target(n_sms, MemScale::default())
@@ -876,5 +875,67 @@ mod tests {
         let stats = Simulator::new(small_cfg(8), &wl).run();
         assert_eq!(stats.kernels_executed, 2);
         assert_eq!(stats.ctas_executed, 96);
+    }
+
+    /// One warp of one CTA running a fixed list of ops.
+    struct OneWarp(Vec<Op>);
+
+    struct Ops(std::vec::IntoIter<Op>);
+
+    impl WarpStream for Ops {
+        fn next_op(&mut self) -> Option<Op> {
+            self.0.next()
+        }
+    }
+
+    impl WorkloadModel for OneWarp {
+        type Stream = Ops;
+        fn name(&self) -> &str {
+            "one-warp"
+        }
+        fn n_kernels(&self) -> usize {
+            1
+        }
+        fn grid(&self, _: usize) -> (u32, u32) {
+            (1, 32)
+        }
+        fn warp_stream(&self, _: usize, _: u32, _: u32) -> Self::Stream {
+            Ops(self.0.clone().into_iter())
+        }
+        fn approx_warp_instrs(&self) -> u64 {
+            self.0.len() as u64
+        }
+    }
+
+    /// Pins a known defect, the stale MSHR merge (DESIGN.md §10, "A stale
+    /// MSHR entry answers a re-load"): entries are released only when the
+    /// file is full, so a load that misses the L1 after its line's fill
+    /// landed merges into the completed entry and waits for nothing, though
+    /// its request was charged to the LLC. Here one warp loads line `x`,
+    /// evicts it from its L1 set with `ways` more loads, and loads `x`
+    /// again: the re-load costs one cycle where an LLC hit costs at least
+    /// `llc_latency`. The fix moves digests; it flips this test on purpose.
+    #[test]
+    fn reload_after_l1_eviction_merges_into_the_completed_fill() {
+        use gsim_mem::CacheGeometry;
+        use gsim_trace::MemAccess;
+        let cfg = small_cfg(1);
+        let l1 = CacheGeometry::new(cfg.l1_bytes, cfg.l1_ways, cfg.line_bytes);
+        let x = 1_000;
+        let load = |line| Op::Load(MemAccess::coalesced(line));
+        let evict: Vec<Op> = (1..=u64::from(l1.ways()))
+            .map(|k| load(x + k * u64::from(l1.sets())))
+            .collect();
+        let without = OneWarp([vec![load(x)], evict.clone()].concat());
+        let with = OneWarp([vec![load(x)], evict, vec![load(x)]].concat());
+        let base = Simulator::new(cfg.clone(), &without).run();
+        let stats = Simulator::new(cfg.clone(), &with).run();
+        // The re-load missed the L1 and reached the LLC, where `x` hit ...
+        assert_eq!(stats.l1_misses, base.l1_misses + 1);
+        assert_eq!(stats.llc_accesses, base.llc_accesses + 1);
+        assert_eq!(stats.llc_misses, base.llc_misses);
+        // ... yet the warp did not wait for it, while every cold load did.
+        assert!(base.cycles >= base.l1_misses * u64::from(cfg.llc_latency));
+        assert_eq!(stats.cycles, base.cycles + 1, "the stale merge is gone");
     }
 }

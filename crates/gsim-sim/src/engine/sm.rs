@@ -5,9 +5,7 @@
 //! phase A reads and writes only its own [`Sm`], and stages everything
 //! that needs the *shared* memory system for the flush (DESIGN.md §10).
 
-use std::collections::HashMap;
-
-use gsim_mem::{Cache, CacheGeometry, Mshr};
+use gsim_mem::{Cache, CacheGeometry, LineMap, Mshr};
 use gsim_trace::{MemSpace, Op, WarpStream};
 
 use super::memsys::ReqKind;
@@ -115,7 +113,7 @@ pub(super) struct Sm<S> {
     pub busy_until: u64,
     pub free_slots: Vec<u32>,
     /// CTA id -> warps still running, for resident CTAs.
-    pub cta_remaining: HashMap<u32, u32>,
+    pub cta_remaining: LineMap<u32, u32>,
     pub chiplet: u32,
 }
 
@@ -138,7 +136,7 @@ impl<S> Sm<S> {
             greedy_stashed: false,
             busy_until: 0,
             free_slots: (0..n).rev().collect(),
-            cta_remaining: HashMap::new(),
+            cta_remaining: LineMap::default(),
             chiplet,
         }
     }
