@@ -42,9 +42,10 @@ use gsim_core::{collect_replay, detect_cliff, Fit, Observation, PlanWorkload, Si
 use gsim_runner::{ProgressReporter, Runner, RunnerConfig};
 use gsim_sim::{ChipletConfig, GpuConfig, SimStats, Simulator};
 use gsim_trace::suite::{strong_benchmark, strong_suite, StrongBenchmark};
-use gsim_trace::weak::{weak_benchmark, weak_suite, WeakBenchmark, WEAK_SM_SIZES};
+use gsim_trace::weak::{weak_benchmark, weak_suite, WeakBenchmark};
 use gsim_trace::{
     MemScale, TraceLimits, TraceReadError, TraceReader, TracedWorkload, Workload, WorkloadModel,
+    SM_LADDER,
 };
 use gsim_tracestore::{StoreConfig, StoreError, TraceStore};
 
@@ -120,8 +121,6 @@ const MAX_SMS: u32 = 1 << 16;
 const MAX_COUNT: u32 = 1024;
 /// `run`'s machine when neither `--sms` nor `--chiplets` is given.
 const DEFAULT_SMS: u32 = 32;
-/// The size ladder `sweep` and `mrc` cover.
-const LADDER: [u32; 5] = [8, 16, 32, 64, 128];
 
 // Flag values: each helper consumes one from the argument iterator and,
 // on garbage, prints a one-line message and exits 2.
@@ -289,7 +288,7 @@ fn workload(f: &Flags, name: &str) -> Workload {
         weak(name, f.scale)
             .workload_for_sms(f.sms.unwrap_or(DEFAULT_SMS))
             .unwrap_or_else(|| {
-                eprintln!("--weak takes --sms in {WEAK_SM_SIZES:?} (the Table IV inputs)");
+                eprintln!("--weak takes --sms in {SM_LADDER:?} (the Table IV inputs)");
                 exit(2)
             })
     } else {
@@ -383,7 +382,7 @@ fn cmd_run(f: &Flags) {
 /// ladder, with region labels and the cliff.
 fn cmd_mrc(f: &Flags) {
     let (label, wl) = input(f);
-    let configs: Vec<GpuConfig> = LADDER
+    let configs: Vec<GpuConfig> = SM_LADDER
         .iter()
         .map(|&z| GpuConfig::paper_target(z, f.scale))
         .collect();
@@ -740,7 +739,7 @@ fn runner(f: &Flags) -> Runner {
 /// `gsim sweep`: one simulation job per ladder size, on the worker pool.
 fn cmd_sweep(f: &Flags) {
     let name = &f.positional[0];
-    let jobs = LADDER
+    let jobs = SM_LADDER
         .iter()
         .map(|&sms| {
             let wl = if f.weak {
@@ -768,7 +767,7 @@ fn cmd_sweep(f: &Flags) {
         "#SMs", "cycles", "IPC", "MPKI", "f_mem"
     );
     let mut failed = false;
-    for (report, &sms) in reports.iter().zip(&LADDER) {
+    for (report, &sms) in reports.iter().zip(&SM_LADDER) {
         match report.ok() {
             Some(st) => println!(
                 "  {:>5}  {:>12}  {:>10.1}  {:>7.2}  {:>7.2}",

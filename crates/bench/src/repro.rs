@@ -13,8 +13,8 @@ use std::io;
 use std::path::Path;
 
 use gsim_core::experiment::{
-    aggregate_error, reanalyze, BenchmarkOutcome, McmExperiment, StrongScalingExperiment,
-    WeakOutcome, WeakScalingExperiment, METHODS,
+    aggregate_error, reanalyze, speedups, BenchmarkOutcome, McmExperiment, StrongScalingExperiment,
+    WeakScalingExperiment, METHODS,
 };
 use gsim_core::parallel::{collect, SweepFailure};
 use gsim_core::report::{ipc, pct, ratio, TextTable};
@@ -144,7 +144,7 @@ pub fn run(
         let run = collect(runner.run("weak", exp.jobs(&suite)));
         failures.extend(run.failures.iter().cloned());
         let outcomes = run.outcomes;
-        report_sim_rate("weak-scaling suite", outcomes.iter().map(|o| &o.outcome));
+        report_sim_rate("weak-scaling suite", outcomes.iter());
         if want("table4") {
             emit("table4", &table4(scale))?;
         }
@@ -165,7 +165,7 @@ pub fn run(
         let exp = McmExperiment::new(scale);
         let run = collect(runner.run("mcm", exp.jobs(&suite)));
         failures.extend(run.failures.iter().cloned());
-        report_sim_rate("mcm suite", run.outcomes.iter().map(|o| &o.outcome));
+        report_sim_rate("mcm suite", run.outcomes.iter());
         emit("fig8", &fig8(&run.outcomes))?;
     }
 
@@ -177,6 +177,35 @@ pub fn run(
         eprintln!("[repro] affected rows are missing from the emitted tables");
     }
     Ok(failures.is_empty())
+}
+
+/// A per-benchmark error table's header: the `lead` columns, one column
+/// per method in [`METHODS`] order, then the `tail` columns.
+fn error_table(lead: &[&str], tail: &[&str]) -> TextTable {
+    TextTable::new([lead, &METHODS[..], tail].concat())
+}
+
+/// `o`'s error at `target` for each method, in [`METHODS`] order (blank
+/// where the method predicts nothing there).
+fn error_cells(o: &BenchmarkOutcome, target: u32) -> impl Iterator<Item = String> + '_ {
+    METHODS.into_iter().map(move |m| {
+        o.method(m)
+            .and_then(|mo| mo.at(target))
+            .map(|p| pct(p.error_pct))
+            .unwrap_or_default()
+    })
+}
+
+/// The avg/max error table of every method over `outcomes` at `targets`
+/// (errors summed target by target).
+fn error_summary(outcomes: &[BenchmarkOutcome], targets: &[u32]) -> TextTable {
+    let mut t = TextTable::new(vec!["method", "avg error (%)", "max error (%)"]);
+    for m in METHODS {
+        if let Some((avg, max)) = aggregate_error(outcomes, m, targets) {
+            t.row(vec![m.into(), pct(avg), pct(max)]);
+        }
+    }
+    t
 }
 
 fn table1(scale: MemScale) -> String {
@@ -424,38 +453,17 @@ fn fig2(scale: MemScale, outcomes: &[BenchmarkOutcome]) -> String {
 }
 
 fn fig4(outcomes: &[BenchmarkOutcome], target: u32, title: &str) -> String {
-    let mut t = TextTable::new(vec![
-        "bench",
-        "class",
-        "logarithmic",
-        "proportional",
-        "linear",
-        "power-law",
-        "scale-model",
-    ]);
+    let mut t = error_table(&["bench", "class"], &[]);
     for o in outcomes {
         let mut row = vec![o.abbr.clone(), o.expected.to_string()];
-        for m in METHODS {
-            let e = o
-                .method(m)
-                .and_then(|mo| mo.at(target))
-                .map(|p| pct(p.error_pct))
-                .unwrap_or_default();
-            row.push(e);
-        }
+        row.extend(error_cells(o, target));
         t.row(row);
-    }
-    let mut summary = TextTable::new(vec!["method", "avg error (%)", "max error (%)"]);
-    for m in METHODS {
-        if let Some((avg, max)) = aggregate_error(outcomes, m, target) {
-            summary.row(vec![m.into(), pct(avg), pct(max)]);
-        }
     }
     format!(
         "{title}: IPC prediction error (%) under strong scaling, {target}-SM target\n\
          (8-SM and 16-SM scale models)\n\n{}\n{}",
         t.render(),
-        summary.render()
+        error_summary(outcomes, &[target]).render()
     )
 }
 
@@ -498,61 +506,30 @@ fn fig5(outcomes: &[BenchmarkOutcome]) -> String {
     out
 }
 
-fn fig6(outcomes: &[WeakOutcome]) -> String {
-    let mut t = TextTable::new(vec![
-        "bench",
-        "target",
-        "logarithmic",
-        "proportional",
-        "linear",
-        "power-law",
-        "scale-model",
-    ]);
-    let inner: Vec<BenchmarkOutcome> = outcomes.iter().map(|o| o.outcome.clone()).collect();
-    for o in &inner {
-        for &target in &[32u32, 64, 128] {
+fn fig6(outcomes: &[BenchmarkOutcome]) -> String {
+    let mut t = error_table(&["bench", "target"], &[]);
+    let targets = [32u32, 64, 128];
+    for o in outcomes {
+        for target in targets {
             let mut row = vec![o.abbr.clone(), target.to_string()];
-            for m in METHODS {
-                row.push(
-                    o.method(m)
-                        .and_then(|mo| mo.at(target))
-                        .map(|p| pct(p.error_pct))
-                        .unwrap_or_default(),
-                );
-            }
+            row.extend(error_cells(o, target));
             t.row(row);
-        }
-    }
-    let mut summary = TextTable::new(vec!["method", "avg error (%)", "max error (%)"]);
-    for m in METHODS {
-        let mut errs = Vec::new();
-        for target in [32u32, 64, 128] {
-            for o in &inner {
-                if let Some(p) = o.method(m).and_then(|mo| mo.at(target)) {
-                    errs.push(p.error_pct);
-                }
-            }
-        }
-        if !errs.is_empty() {
-            let avg = errs.iter().sum::<f64>() / errs.len() as f64;
-            let max = errs.iter().copied().fold(0.0, f64::max);
-            summary.row(vec![m.into(), pct(avg), pct(max)]);
         }
     }
     format!(
         "Figure 6: IPC prediction error (%) under weak scaling for the 32-, 64-\n\
          and 128-SM targets (8/16-SM scale models with scaled inputs)\n\n{}\n{}",
         t.render(),
-        summary.render()
+        error_summary(outcomes, &targets).render()
     )
 }
 
-fn fig7(outcomes: &[WeakOutcome]) -> String {
+fn fig7(outcomes: &[BenchmarkOutcome]) -> String {
     let mut t = TextTable::new(vec!["bench", "32 SMs", "64 SMs", "128 SMs"]);
     let mut sums = [0.0f64; 3];
     for o in outcomes {
-        let mut row = vec![o.outcome.abbr.clone()];
-        for (i, &(_, s)) in o.speedups.iter().enumerate() {
+        let mut row = vec![o.abbr.clone()];
+        for (i, (_, s)) in speedups(o).into_iter().enumerate() {
             row.push(ratio(s));
             sums[i] += s;
         }
@@ -572,46 +549,24 @@ fn fig7(outcomes: &[WeakOutcome]) -> String {
     )
 }
 
-fn fig8(outcomes: &[WeakOutcome]) -> String {
-    let mut t = TextTable::new(vec![
-        "bench",
-        "logarithmic",
-        "proportional",
-        "linear",
-        "power-law",
-        "scale-model",
-        "sim speedup",
-    ]);
-    let inner: Vec<BenchmarkOutcome> = outcomes.iter().map(|o| o.outcome.clone()).collect();
-    for (o, w) in inner.iter().zip(outcomes) {
+fn fig8(outcomes: &[BenchmarkOutcome]) -> String {
+    let mut t = error_table(&["bench"], &["sim speedup"]);
+    for o in outcomes {
         let mut row = vec![o.abbr.clone()];
-        for m in METHODS {
-            row.push(
-                o.method(m)
-                    .and_then(|mo| mo.at(16))
-                    .map(|p| pct(p.error_pct))
-                    .unwrap_or_default(),
-            );
-        }
+        row.extend(error_cells(o, 16));
         row.push(
-            w.speedups
+            speedups(o)
                 .first()
                 .map(|&(_, s)| ratio(s))
                 .unwrap_or_default(),
         );
         t.row(row);
     }
-    let mut summary = TextTable::new(vec!["method", "avg error (%)", "max error (%)"]);
-    for m in METHODS {
-        if let Some((avg, max)) = aggregate_error(&inner, m, 16) {
-            summary.row(vec![m.into(), pct(avg), pct(max)]);
-        }
-    }
     format!(
         "Figure 8: multi-chiplet IPC prediction error (%) for the 16-chiplet\n\
          target (4- and 8-chiplet scale models, 64 SMs per chiplet)\n\n{}\n{}",
         t.render(),
-        summary.render()
+        error_summary(outcomes, &[16]).render()
     )
 }
 
@@ -626,13 +581,8 @@ fn appendix(outcomes: &[BenchmarkOutcome]) -> String {
          the paper reports during artifact evaluation)\n\n",
     );
     for target in [64u32, 128] {
-        let mut t = TextTable::new(vec!["method", "avg error (%)", "max error (%)"]);
-        for m in METHODS {
-            if let Some((avg, max)) = aggregate_error(&redone, m, target) {
-                t.row(vec![m.into(), pct(avg), pct(max)]);
-            }
-        }
-        let _ = writeln!(out, "[{target}-SM target]\n{}", t.render());
+        let t = error_summary(&redone, &[target]).render();
+        let _ = writeln!(out, "[{target}-SM target]\n{t}");
     }
     out
 }

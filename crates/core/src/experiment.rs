@@ -1,19 +1,26 @@
-//! End-to-end experiment pipelines reproducing the paper's evaluation.
+//! The end-to-end pipeline reproducing the paper's evaluation.
 //!
-//! Each pipeline follows the Figure 3 workflow: simulate the scale models
-//! with the detailed timing simulator, collect the miss-rate curve with
-//! the (much faster) functional collector, build the per-workload
-//! predictors, and compare their target-system predictions against
-//! ground-truth simulations of the targets:
+//! The Figure 3 workflow is one method, applied by three studies to
+//! three size ladders. Each study only simulates its ladder with the
+//! detailed timing simulator; one routine then fits the five methods to
+//! the two scale models (and the functional miss-rate curve, when the
+//! study has one), forecasts every larger rung, classifies the measured
+//! curve and compares each prediction with the simulated target. Every
+//! study returns the same [`BenchmarkOutcome`]:
 //!
-//! * [`StrongScalingExperiment`] — Figures 1, 2, 4, 5 and Table II.
-//! * [`WeakScalingExperiment`] — Figures 6 and 7.
-//! * [`McmExperiment`] — Figure 8 (multi-chiplet GPUs, Table V).
+//! * [`StrongScalingExperiment`] — 8–128 SMs, one workload, with the
+//!   miss-rate curve: Figures 1, 2, 4, 5 and Table II.
+//! * [`WeakScalingExperiment`] — 8–128 SMs, the Table IV inputs:
+//!   Figure 6, and Figure 7 through [`speedups`].
+//! * [`McmExperiment`] — 4, 8 and 16 chiplets: Figure 8 (Table V).
+//!
+//! [`reanalyze`] runs the same routine on an outcome with other scale
+//! models (the artifact appendix), without simulating again.
 
 use gsim_sim::{ChipletConfig, GpuConfig, Simulator};
 use gsim_trace::suite::{ScalingClass, StrongBenchmark};
 use gsim_trace::weak::WeakBenchmark;
-use gsim_trace::MemScale;
+use gsim_trace::{MemScale, SM_LADDER};
 
 use crate::classify::classify_scaling;
 use crate::cliff::SizedMrc;
@@ -122,13 +129,45 @@ fn measure(stats: &gsim_sim::SimStats, size: u32) -> MeasuredPoint {
     }
 }
 
-/// A measured scale model as a [`Fit`] input.
-fn observation(m: &MeasuredPoint) -> Observation {
-    Observation {
-        size: m.size,
-        ipc: m.ipc,
-        f_mem: m.f_mem,
-    }
+/// Evaluates the Figure 3 method on one benchmark's simulated ladder:
+/// fits [`Fit`] to the scale models at `small` and `large` (and the
+/// miss-rate curve, if there is one), forecasts every larger rung,
+/// classifies the measured curve, and compares each prediction with the
+/// simulated IPC. Every study and [`reanalyze`] end here.
+fn evaluate(
+    abbr: &str,
+    expected: ScalingClass,
+    measured: Vec<MeasuredPoint>,
+    mrc: Option<SizedMrc>,
+    (small, large): (u32, u32),
+) -> Result<BenchmarkOutcome, ModelError> {
+    let obs = |size: u32| {
+        let m = measured
+            .iter()
+            .find(|m| m.size == size)
+            .ok_or(ModelError::InvalidScaleModels { small, large })?;
+        Ok::<_, ModelError>(Observation {
+            size,
+            ipc: m.ipc,
+            f_mem: m.f_mem,
+        })
+    };
+    let fit = Fit::new(obs(small)?, obs(large)?, mrc.as_ref())?;
+    let targets: Vec<(u32, f64)> = measured
+        .iter()
+        .filter(|m| m.size > large)
+        .map(|m| (m.size, m.ipc))
+        .collect();
+    let points: Vec<(u32, f64)> = measured.iter().map(|m| (m.size, m.ipc)).collect();
+    Ok(BenchmarkOutcome {
+        abbr: abbr.to_string(),
+        expected,
+        measured_class: classify_scaling(&points),
+        cliff_at: fit.scale_model().cliff_at(),
+        methods: method_outcomes(&fit, &targets)?,
+        measured,
+        mrc,
+    })
 }
 
 /// Evaluates the five methods of `fit` at each `(target, real IPC)`, in
@@ -160,43 +199,36 @@ fn method_outcomes(fit: &Fit, targets: &[(u32, f64)]) -> Result<Vec<MethodOutcom
         .collect())
 }
 
+/// Figure 7's simulation-time speedups: for each target rung, the
+/// wall-clock seconds of simulating it over those of simulating both
+/// scale models (the first two rungs), as `(target size, speedup)`.
+pub fn speedups(outcome: &BenchmarkOutcome) -> Vec<(u32, f64)> {
+    let [small, large, targets @ ..] = outcome.measured.as_slice() else {
+        return Vec::new();
+    };
+    let model_cost = (small.sim_seconds + large.sim_seconds).max(1e-9);
+    targets
+        .iter()
+        .map(|m| (m.size, m.sim_seconds / model_cost))
+        .collect()
+}
+
 /// The strong-scaling pipeline (Sections VII.A/VII.B): fixed workload,
 /// scale models of 8 and 16 SMs, targets of 32/64/128 SMs.
 #[derive(Debug, Clone)]
 pub struct StrongScalingExperiment {
     scale: MemScale,
-    sizes: Vec<u32>,
-    model_sizes: (u32, u32),
 }
 
 impl StrongScalingExperiment {
     /// The paper's setup: sizes 8–128, scale models 8 and 16.
     pub fn new(scale: MemScale) -> Self {
-        Self {
-            scale,
-            sizes: vec![8, 16, 32, 64, 128],
-            model_sizes: (8, 16),
-        }
-    }
-
-    /// Uses different scale-model sizes (the artifact appendix evaluates
-    /// 16 + 32 predicting 64/128).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sizes are not both in the simulated ladder.
-    pub fn with_scale_models(mut self, small: u32, large: u32) -> Self {
-        assert!(
-            self.sizes.contains(&small) && self.sizes.contains(&large) && small < large,
-            "scale models must be simulated sizes with small < large"
-        );
-        self.model_sizes = (small, large);
-        self
+        Self { scale }
     }
 
     /// The simulated size ladder.
     pub fn sizes(&self) -> &[u32] {
-        &self.sizes
+        &SM_LADDER
     }
 
     /// Runs the full pipeline for one benchmark.
@@ -206,14 +238,13 @@ impl StrongScalingExperiment {
     /// Returns an error if a predictor cannot be built (degenerate
     /// observations).
     pub fn run_benchmark(&self, bench: &StrongBenchmark) -> Result<BenchmarkOutcome, ModelError> {
-        let configs: Vec<GpuConfig> = self
-            .sizes
+        let configs: Vec<GpuConfig> = SM_LADDER
             .iter()
             .map(|&s| GpuConfig::paper_target(s, self.scale))
             .collect();
         // Detailed simulation of every size (targets are the ground truth;
         // scale models are the predictor inputs).
-        let measured: Vec<MeasuredPoint> = configs
+        let measured = configs
             .iter()
             .map(|cfg| {
                 measure(
@@ -225,55 +256,8 @@ impl StrongScalingExperiment {
         // Stage 1: functional miss-rate curve over the same capacities,
         // via the shared staged-plan collector.
         let mrc = crate::plan::collect_replay(&bench.workload, &configs).sized_mrc();
-        let (s, l) = self.model_sizes;
-        let obs = |size: u32| {
-            measured
-                .iter()
-                .find(|m| m.size == size)
-                .expect("scale model size is simulated")
-        };
-        // Stage 2: the shared fit (also the source of cliff detection).
-        let fit = Fit::new(observation(obs(s)), observation(obs(l)), Some(&mrc))?;
-        let cliff_at = fit.scale_model().cliff_at();
-        let targets: Vec<(u32, f64)> = measured
-            .iter()
-            .filter(|m| m.size > l)
-            .map(|m| (m.size, m.ipc))
-            .collect();
-        let points: Vec<(u32, f64)> = measured.iter().map(|m| (m.size, m.ipc)).collect();
-        Ok(BenchmarkOutcome {
-            abbr: bench.abbr.to_string(),
-            expected: bench.expected,
-            measured_class: classify_scaling(&points),
-            measured,
-            mrc: Some(mrc),
-            cliff_at,
-            methods: method_outcomes(&fit, &targets)?,
-        })
+        evaluate(bench.abbr, bench.expected, measured, Some(mrc), (8, 16))
     }
-
-    /// Runs the pipeline for every benchmark in `suite`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first benchmark failure.
-    pub fn run_suite(
-        &self,
-        suite: &[StrongBenchmark],
-    ) -> Result<Vec<BenchmarkOutcome>, ModelError> {
-        suite.iter().map(|b| self.run_benchmark(b)).collect()
-    }
-}
-
-/// Weak-scaling outcome: includes the simulation-time speedups of
-/// Figure 7.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeakOutcome {
-    /// The per-benchmark predictions and measurements.
-    pub outcome: BenchmarkOutcome,
-    /// `(target size, speedup)`: time to simulate the target input on the
-    /// target system divided by the time to simulate both scale models.
-    pub speedups: Vec<(u32, f64)>,
 }
 
 /// The weak-scaling pipeline (Section VII.C): the workload input grows
@@ -294,9 +278,8 @@ impl WeakScalingExperiment {
     /// # Errors
     ///
     /// Returns an error if a predictor cannot be built.
-    pub fn run_benchmark(&self, bench: &WeakBenchmark) -> Result<WeakOutcome, ModelError> {
-        let sizes = gsim_trace::weak::WEAK_SM_SIZES;
-        let measured: Vec<MeasuredPoint> = sizes
+    pub fn run_benchmark(&self, bench: &WeakBenchmark) -> Result<BenchmarkOutcome, ModelError> {
+        let measured = SM_LADDER
             .iter()
             .enumerate()
             .map(|(row, &s)| {
@@ -305,96 +288,46 @@ impl WeakScalingExperiment {
                 measure(&Simulator::new(cfg, &wl).run(), s)
             })
             .collect();
-        let l = measured[1].size;
-        let fit = Fit::new(observation(&measured[0]), observation(&measured[1]), None)?;
-        let targets: Vec<(u32, f64)> = measured
-            .iter()
-            .filter(|m| m.size > l)
-            .map(|m| (m.size, m.ipc))
-            .collect();
-        let model_cost = measured[0].sim_seconds + measured[1].sim_seconds;
-        let speedups = measured
-            .iter()
-            .filter(|m| m.size > l)
-            .map(|m| (m.size, m.sim_seconds / model_cost.max(1e-9)))
-            .collect();
-        let points: Vec<(u32, f64)> = measured.iter().map(|m| (m.size, m.ipc)).collect();
-        Ok(WeakOutcome {
-            outcome: BenchmarkOutcome {
-                abbr: bench.abbr.to_string(),
-                expected: bench.expected,
-                measured_class: classify_scaling(&points),
-                measured,
-                mrc: None,
-                cliff_at: None,
-                methods: method_outcomes(&fit, &targets)?,
-            },
-            speedups,
-        })
+        evaluate(bench.abbr, bench.expected, measured, None, (8, 16))
     }
 }
 
 /// The multi-chiplet pipeline (Section VII.D): 4- and 8-chiplet scale
 /// models predicting the 16-chiplet target, weak-scaling workloads.
+/// btree sits out, as in the paper: [`McmExperiment::jobs`] leaves it out.
 #[derive(Debug, Clone)]
 pub struct McmExperiment {
     scale: MemScale,
-    chiplet_counts: [u32; 3],
 }
 
 impl McmExperiment {
     /// The paper's setup: 4 and 8 chiplets predicting 16.
     pub fn new(scale: MemScale) -> Self {
-        Self {
-            scale,
-            chiplet_counts: [4, 8, 16],
-        }
+        Self { scale }
     }
 
-    /// Runs the pipeline for one benchmark; returns `None` if the
-    /// benchmark is excluded from the MCM study (btree).
+    /// Runs the pipeline for one benchmark.
     ///
     /// # Errors
     ///
     /// Returns an error if a predictor cannot be built.
-    pub fn run_benchmark(&self, bench: &WeakBenchmark) -> Result<Option<WeakOutcome>, ModelError> {
-        if bench.mcm_rows().is_none() {
-            return Ok(None);
-        }
-        let measured: Vec<MeasuredPoint> = self
-            .chiplet_counts
-            .iter()
-            .map(|&c| {
+    pub fn run_benchmark(&self, bench: &WeakBenchmark) -> Result<BenchmarkOutcome, ModelError> {
+        let measured = [4, 8, 16]
+            .into_iter()
+            .map(|c| {
                 let wl = bench.workload_for_chiplets(c);
                 let mcm = ChipletConfig::paper_mcm(c, self.scale);
                 measure(&Simulator::new_mcm(&mcm, &wl).run(), c)
             })
             .collect();
-        let fit = Fit::new(observation(&measured[0]), observation(&measured[1]), None)?;
-        let target = self.chiplet_counts[2];
-        let real = measured[2].ipc;
-        let model_cost = measured[0].sim_seconds + measured[1].sim_seconds;
-        let speedups = vec![(target, measured[2].sim_seconds / model_cost.max(1e-9))];
-        let points: Vec<(u32, f64)> = measured.iter().map(|m| (m.size, m.ipc)).collect();
-        Ok(Some(WeakOutcome {
-            outcome: BenchmarkOutcome {
-                abbr: bench.abbr.to_string(),
-                expected: bench.expected,
-                measured_class: classify_scaling(&points),
-                measured,
-                mrc: None,
-                cliff_at: None,
-                methods: method_outcomes(&fit, &[(target, real)])?,
-            },
-            speedups,
-        }))
+        evaluate(bench.abbr, bench.expected, measured, None, (4, 8))
     }
 }
 
-/// Re-derives all predictions of a strong-scaling outcome using different
-/// scale-model sizes, without re-simulating anything — the measured points
-/// and the miss-rate curve already contain every input. This is how the
-/// artifact appendix evaluates 16+32-SM scale models predicting 64/128.
+/// Re-derives all predictions of an outcome using different scale-model
+/// sizes, without re-simulating anything — the measured points and the
+/// miss-rate curve already contain every input. This is how the artifact
+/// appendix evaluates 16+32-SM scale models predicting 64/128.
 ///
 /// # Errors
 ///
@@ -405,37 +338,29 @@ pub fn reanalyze(
     small: u32,
     large: u32,
 ) -> Result<BenchmarkOutcome, ModelError> {
-    let obs = |size: u32| {
-        outcome
-            .measured_at(size)
-            .ok_or(ModelError::InvalidScaleModels { small, large })
-    };
-    let fit = Fit::new(
-        observation(obs(small)?),
-        observation(obs(large)?),
-        outcome.mrc.as_ref(),
-    )?;
-    let targets: Vec<(u32, f64)> = outcome
-        .measured
-        .iter()
-        .filter(|m| m.size > large)
-        .map(|m| (m.size, m.ipc))
-        .collect();
-    Ok(BenchmarkOutcome {
-        methods: method_outcomes(&fit, &targets)?,
-        ..outcome.clone()
-    })
+    evaluate(
+        &outcome.abbr,
+        outcome.expected,
+        outcome.measured.clone(),
+        outcome.mrc.clone(),
+        (small, large),
+    )
 }
 
-/// Average and maximum error of `method` over `outcomes` at `target`.
+/// Average and maximum error of `method` over `outcomes` at `targets`,
+/// summed target by target in the order given.
 pub fn aggregate_error(
     outcomes: &[BenchmarkOutcome],
     method: &str,
-    target: u32,
+    targets: &[u32],
 ) -> Option<(f64, f64)> {
-    let errors: Vec<f64> = outcomes
+    let errors: Vec<f64> = targets
         .iter()
-        .filter_map(|o| o.method(method)?.at(target).map(|p| p.error_pct))
+        .flat_map(|&target| {
+            outcomes
+                .iter()
+                .filter_map(move |o| o.method(method)?.at(target).map(|p| p.error_pct))
+        })
         .collect();
     if errors.is_empty() {
         return None;
@@ -483,12 +408,13 @@ mod tests {
         let bench = weak_benchmark("va", fast_scale()).expect("va exists");
         let exp = WeakScalingExperiment::new(fast_scale());
         let out = exp.run_benchmark(&bench).expect("pipeline runs");
-        assert_eq!(out.outcome.measured.len(), 5);
-        assert_eq!(out.speedups.len(), 3);
+        assert_eq!(out.measured.len(), 5);
+        let speedups = speedups(&out);
+        assert_eq!(speedups.len(), 3);
         // Bigger targets must yield bigger simulation-time speedups.
-        let s: Vec<f64> = out.speedups.iter().map(|&(_, v)| v).collect();
+        let s: Vec<f64> = speedups.iter().map(|&(_, v)| v).collect();
         assert!(s[2] > s[0], "speedup should grow with target size: {s:?}");
-        let sm = out.outcome.method("scale-model").unwrap().at(128).unwrap();
+        let sm = out.method("scale-model").unwrap().at(128).unwrap();
         assert!(
             sm.error_pct < 25.0,
             "weak va scale-model error {}",
@@ -497,10 +423,19 @@ mod tests {
     }
 
     #[test]
-    fn mcm_pipeline_skips_btree() {
-        let exp = McmExperiment::new(fast_scale());
-        let btree = weak_benchmark("btree", fast_scale()).unwrap();
-        assert!(exp.run_benchmark(&btree).unwrap().is_none());
+    fn reanalyze_with_the_same_scale_models_reproduces_the_outcome() {
+        let bench = strong_benchmark("pf", fast_scale()).unwrap();
+        let out = StrongScalingExperiment::new(fast_scale())
+            .run_benchmark(&bench)
+            .unwrap();
+        assert_eq!(reanalyze(&out, 8, 16).unwrap(), out);
+        assert!(matches!(
+            reanalyze(&out, 8, 24),
+            Err(ModelError::InvalidScaleModels {
+                small: 8,
+                large: 24
+            })
+        ));
     }
 
     #[test]
@@ -508,8 +443,8 @@ mod tests {
         let bench = strong_benchmark("gemm", fast_scale()).unwrap();
         let exp = StrongScalingExperiment::new(fast_scale());
         let outcomes = vec![exp.run_benchmark(&bench).unwrap()];
-        let (avg, max) = aggregate_error(&outcomes, "scale-model", 64).unwrap();
+        let (avg, max) = aggregate_error(&outcomes, "scale-model", &[64]).unwrap();
         assert!(avg <= max);
-        assert!(aggregate_error(&outcomes, "nope", 64).is_none());
+        assert!(aggregate_error(&outcomes, "nope", &[64]).is_none());
     }
 }

@@ -17,7 +17,10 @@
 //!   logarithmic regression, all behind the [`ScalingPredictor`] trait.
 //! * [`experiment`] — the end-to-end pipeline driving the `gsim-sim`
 //!   timing simulator and functional MRC collector to regenerate the
-//!   paper's evaluation (Figures 4–8).
+//!   paper's evaluation: the strong, weak and multi-chiplet studies each
+//!   simulate their size ladder and share one fit-and-compare routine and
+//!   one outcome type (Figures 4–8); [`parallel`] runs them on a worker
+//!   pool.
 //! * [`classify`] — measured scaling-class detection (linear /
 //!   sub-linear / super-linear), used to reproduce Table II's rightmost
 //!   column.

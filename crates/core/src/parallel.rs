@@ -3,10 +3,10 @@
 //! Each benchmark's pipeline (simulate every size, collect the MRC, fit
 //! the predictors) is independent of every other benchmark's, so a suite
 //! is embarrassingly parallel at benchmark granularity. The helpers here
-//! turn a suite into [`Job`]s and fold the pool's ordered reports back
-//! into the exact vectors the serial `run_suite` loops used to produce —
-//! plus an explicit record of anything that failed instead of a panic
-//! tearing down the whole sweep.
+//! turn a suite into [`Job`]s — one builder behind the three studies'
+//! `jobs` methods — and fold the pool's ordered reports back into
+//! outcomes in suite order, plus an explicit record of anything that
+//! failed instead of a panic tearing down the whole sweep.
 
 use gsim_runner::{Job, JobReport, Runner};
 use gsim_trace::suite::StrongBenchmark;
@@ -14,7 +14,7 @@ use gsim_trace::weak::WeakBenchmark;
 
 use crate::error::ModelError;
 use crate::experiment::{
-    BenchmarkOutcome, McmExperiment, StrongScalingExperiment, WeakOutcome, WeakScalingExperiment,
+    BenchmarkOutcome, McmExperiment, StrongScalingExperiment, WeakScalingExperiment,
 };
 
 /// One benchmark that did not produce an outcome.
@@ -49,11 +49,13 @@ impl<T> SuiteRun<T> {
     }
 }
 
-/// Folds ordered job reports into a [`SuiteRun`]. `Ok(None)` results
-/// (benchmarks excluded from a study) are skipped silently. Public so
-/// callers that run the job vector on their own runner (`gsim repro`) can
-/// still aggregate the standard way.
-pub fn collect<T>(reports: Vec<JobReport<Result<Option<T>, ModelError>>>) -> SuiteRun<T> {
+/// A sweep job: one benchmark through its study's pipeline.
+pub type OutcomeJob = Job<Result<BenchmarkOutcome, ModelError>>;
+
+/// Folds ordered job reports into a [`SuiteRun`]. Public so callers that
+/// run the job vector on their own runner (`gsim repro`) can still
+/// aggregate the standard way.
+pub fn collect<T>(reports: Vec<JobReport<Result<T, ModelError>>>) -> SuiteRun<T> {
     let mut run = SuiteRun {
         outcomes: Vec::with_capacity(reports.len()),
         failures: Vec::new(),
@@ -61,8 +63,7 @@ pub fn collect<T>(reports: Vec<JobReport<Result<Option<T>, ModelError>>>) -> Sui
     for report in reports {
         let failure = report.failure();
         match report.status {
-            gsim_runner::JobStatus::Done(Ok(Some(outcome))) => run.outcomes.push(outcome),
-            gsim_runner::JobStatus::Done(Ok(None)) => {}
+            gsim_runner::JobStatus::Done(Ok(outcome)) => run.outcomes.push(outcome),
             gsim_runner::JobStatus::Done(Err(e)) => run.failures.push(SweepFailure {
                 abbr: report.name,
                 reason: e.to_string(),
@@ -76,26 +77,37 @@ pub fn collect<T>(reports: Vec<JobReport<Result<Option<T>, ModelError>>>) -> Sui
     run
 }
 
+/// One job per `(abbr, benchmark)`, named by the abbreviation, each
+/// running `run` on its own copy of `exp`.
+fn jobs<E, B>(
+    exp: &E,
+    suite: impl Iterator<Item = (&'static str, B)>,
+    run: fn(&E, &B) -> Result<BenchmarkOutcome, ModelError>,
+) -> Vec<OutcomeJob>
+where
+    E: Clone + Send + Sync + 'static,
+    B: Send + Sync + 'static,
+{
+    suite
+        .map(|(abbr, bench)| {
+            let exp = exp.clone();
+            Job::new(abbr, move || run(&exp, &bench))
+        })
+        .collect()
+}
+
 impl StrongScalingExperiment {
     /// One job per benchmark, each running the full strong pipeline.
-    pub fn jobs(
-        &self,
-        suite: &[StrongBenchmark],
-    ) -> Vec<Job<Result<Option<BenchmarkOutcome>, ModelError>>> {
-        suite
-            .iter()
-            .map(|bench| {
-                let exp = self.clone();
-                let bench = bench.clone();
-                Job::new(bench.abbr, move || exp.run_benchmark(&bench).map(Some))
-            })
-            .collect()
+    pub fn jobs(&self, suite: &[StrongBenchmark]) -> Vec<OutcomeJob> {
+        jobs(
+            self,
+            suite.iter().map(|b| (b.abbr, b.clone())),
+            Self::run_benchmark,
+        )
     }
 
     /// Runs the whole suite on `runner`. Outcomes come back in suite
-    /// order, identical to what the serial [`run_suite`] loop produces.
-    ///
-    /// [`run_suite`]: StrongScalingExperiment::run_suite
+    /// order whatever the thread count.
     pub fn run_suite_on(
         &self,
         suite: &[StrongBenchmark],
@@ -108,36 +120,27 @@ impl StrongScalingExperiment {
 
 impl WeakScalingExperiment {
     /// One job per benchmark, each running the full weak pipeline.
-    pub fn jobs(
-        &self,
-        suite: &[WeakBenchmark],
-    ) -> Vec<Job<Result<Option<WeakOutcome>, ModelError>>> {
-        suite
-            .iter()
-            .map(|bench| {
-                let exp = self.clone();
-                let bench = bench.clone();
-                Job::new(bench.abbr, move || exp.run_benchmark(&bench).map(Some))
-            })
-            .collect()
+    pub fn jobs(&self, suite: &[WeakBenchmark]) -> Vec<OutcomeJob> {
+        jobs(
+            self,
+            suite.iter().map(|b| (b.abbr, b.clone())),
+            Self::run_benchmark,
+        )
     }
 }
 
 impl McmExperiment {
-    /// One job per benchmark; benchmarks excluded from the MCM study
-    /// yield no outcome (and no failure).
-    pub fn jobs(
-        &self,
-        suite: &[WeakBenchmark],
-    ) -> Vec<Job<Result<Option<WeakOutcome>, ModelError>>> {
-        suite
-            .iter()
-            .map(|bench| {
-                let exp = self.clone();
-                let bench = bench.clone();
-                Job::new(bench.abbr, move || exp.run_benchmark(&bench))
-            })
-            .collect()
+    /// One job per benchmark of the MCM study: benchmarks without MCM
+    /// rows (btree) get no job.
+    pub fn jobs(&self, suite: &[WeakBenchmark]) -> Vec<OutcomeJob> {
+        jobs(
+            self,
+            suite
+                .iter()
+                .filter(|b| b.mcm_rows().is_some())
+                .map(|b| (b.abbr, b.clone())),
+            Self::run_benchmark,
+        )
     }
 }
 
@@ -145,7 +148,6 @@ impl McmExperiment {
 mod tests {
     use super::*;
     use gsim_runner::RunnerConfig;
-    use gsim_trace::suite::strong_suite;
     use gsim_trace::weak::weak_suite;
     use gsim_trace::MemScale;
 
@@ -157,31 +159,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_strong_suite_matches_serial() {
-        // The coarse divisor keeps this test fast; the fine-grained run
-        // lives in `gsim repro`.
-        let scale = MemScale::new(32);
-        let suite: Vec<StrongBenchmark> = strong_suite(scale).into_iter().take(2).collect();
-        let exp = StrongScalingExperiment::new(scale);
-        let serial = exp.run_suite(&suite).expect("serial suite runs");
-        let mut run = exp.run_suite_on(&suite, "test-strong", &runner(4));
-        assert!(run.is_complete(), "failures: {:?}", run.failures);
-        assert_eq!(run.outcomes.len(), serial.len());
-        for (p, s) in run.outcomes.iter_mut().zip(serial) {
-            // Wall-clock differs between any two runs; everything else is
-            // bit-identical.
-            for (mp, ms) in p.measured.iter_mut().zip(&s.measured) {
-                mp.sim_seconds = ms.sim_seconds;
-            }
-            assert_eq!(*p, s);
-        }
-    }
-
-    #[test]
     fn mcm_exclusions_are_not_failures() {
         let scale = MemScale::new(32);
-        // btree is excluded from the MCM study, so its job returns
-        // Ok(None) immediately: no outcome, but no failure either.
+        // btree is excluded from the MCM study, so it gets no job: no
+        // outcome, but no failure either.
         let suite: Vec<WeakBenchmark> = weak_suite(scale)
             .into_iter()
             .filter(|b| b.abbr == "btree")
@@ -195,9 +176,8 @@ mod tests {
 
     #[test]
     fn collect_separates_outcomes_errors_and_panics() {
-        let jobs: Vec<Job<Result<Option<u32>, ModelError>>> = vec![
-            Job::new("good", || Ok(Some(1))),
-            Job::new("excluded", || Ok(None)),
+        let jobs: Vec<Job<Result<u32, ModelError>>> = vec![
+            Job::new("good", || Ok(1)),
             Job::new("model-error", || {
                 Err(ModelError::InvalidScaleModels { small: 8, large: 8 })
             }),

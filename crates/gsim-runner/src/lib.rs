@@ -3,9 +3,10 @@
 //! Every figure and table of the paper is a *sweep*: many independent
 //! simulation/prediction units of work (21 benchmarks × five system sizes
 //! × miss-rate-curve probes). This crate runs such sweeps on a
-//! work-stealing `std::thread` pool while preserving the one property the
-//! repro pipeline depends on: **parallel output is indistinguishable from
-//! serial output**. It has no dependencies outside `std`.
+//! `std::thread` pool with one shared run queue while preserving the one
+//! property the repro pipeline depends on: **parallel output is
+//! indistinguishable from serial output**. It has no dependencies outside
+//! `std`.
 //!
 //! # The model
 //!

@@ -1,9 +1,9 @@
-//! The work-stealing worker pool.
+//! The worker pool: one shared run queue.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::events::{Event, EventSink};
@@ -86,9 +86,9 @@ impl std::fmt::Debug for Runner {
 /// Everything a worker thread shares with its peers.
 struct Shared<T> {
     jobs: Vec<Job<T>>,
-    /// One deque per worker; a worker pops its own from the front and
-    /// steals from peers' backs.
-    deques: Vec<Mutex<VecDeque<usize>>>,
+    /// The run queue: the index of the next job to hand out. A free
+    /// worker takes it; past the last job the sweep is drained.
+    next: AtomicUsize,
     sinks: Vec<Arc<dyn EventSink>>,
     label: String,
     timeout: Option<Duration>,
@@ -133,10 +133,9 @@ impl Runner {
     /// Executes `jobs` and returns one report per job, **sorted by
     /// submission index** regardless of completion order.
     ///
-    /// Jobs are dealt round-robin onto per-worker deques; idle workers
-    /// steal from the back of their peers', so an unlucky deal behind a
-    /// slow job cannot serialise the sweep. The calling thread only
-    /// aggregates.
+    /// Workers take jobs from one shared queue in submission order, each
+    /// free worker the next one, so a slow job holds up only its own
+    /// worker. The calling thread only aggregates.
     pub fn run<T: Send + 'static>(&self, label: &str, jobs: Vec<Job<T>>) -> Vec<JobReport<T>> {
         self.run_with(label, jobs, RunOverrides::default())
     }
@@ -153,19 +152,9 @@ impl Runner {
         let threads = self.cfg.resolved_threads().min(n.max(1));
         let start = Instant::now();
 
-        let mut deques: Vec<Mutex<VecDeque<usize>>> = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            deques.push(Mutex::new(VecDeque::new()));
-        }
-        for idx in 0..n {
-            deques[idx % threads]
-                .lock()
-                .expect("fresh deque lock")
-                .push_back(idx);
-        }
         let shared = Arc::new(Shared {
             jobs,
-            deques,
+            next: AtomicUsize::new(0),
             sinks: self.sinks.clone(),
             label: label.to_string(),
             timeout: self.cfg.timeout,
@@ -186,7 +175,7 @@ impl Runner {
             let tx = tx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("gsim-runner-{worker}"))
-                .spawn(move || worker_loop(worker, &shared, &tx))
+                .spawn(move || worker_loop(&shared, &tx))
                 .expect("spawn worker thread");
             handles.push(handle);
         }
@@ -245,33 +234,17 @@ impl Runner {
     }
 }
 
-/// Takes the next job index: own deque front first, then steal from the
-/// back of each peer. Returns `None` only when every deque is empty —
-/// jobs are never re-enqueued, so that means the sweep is drained.
-fn next_index<T>(worker: usize, shared: &Shared<T>) -> Option<usize> {
-    if let Some(idx) = shared.deques[worker]
-        .lock()
-        .expect("deque lock")
-        .pop_front()
-    {
-        return Some(idx);
-    }
-    let n = shared.deques.len();
-    for off in 1..n {
-        let victim = (worker + off) % n;
-        if let Some(idx) = shared.deques[victim].lock().expect("deque lock").pop_back() {
-            return Some(idx);
-        }
-    }
-    None
+/// Takes the next job index off the run queue; `None` once every job has
+/// been handed out.
+fn next_index<T>(shared: &Shared<T>) -> Option<usize> {
+    // Relaxed: the cursor publishes no data (the jobs were shared before
+    // any worker started), and `fetch_add` alone hands out each index once.
+    let idx = shared.next.fetch_add(1, Ordering::Relaxed);
+    (idx < shared.jobs.len()).then_some(idx)
 }
 
-fn worker_loop<T: Send + 'static>(
-    worker: usize,
-    shared: &Arc<Shared<T>>,
-    tx: &mpsc::Sender<JobReport<T>>,
-) {
-    while let Some(idx) = next_index(worker, shared) {
+fn worker_loop<T: Send + 'static>(shared: &Arc<Shared<T>>, tx: &mpsc::Sender<JobReport<T>>) {
+    while let Some(idx) = next_index(shared) {
         let report = execute(idx, shared);
         if tx.send(report).is_err() {
             return; // aggregator is gone; nothing useful left to do

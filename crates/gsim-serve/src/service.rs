@@ -72,8 +72,8 @@ use gsim_json::{obj, Json};
 use gsim_runner::{Job, JobStatus, RunOverrides, Runner, RunnerConfig};
 use gsim_sim::GpuConfig;
 use gsim_trace::suite::{strong_benchmark, strong_suite};
-use gsim_trace::weak::{weak_benchmark, weak_suite, WEAK_SM_SIZES};
-use gsim_trace::{Kernel, MemScale, PatternKind, PatternSpec, Workload};
+use gsim_trace::weak::{weak_benchmark, weak_suite};
+use gsim_trace::{Kernel, MemScale, PatternKind, PatternSpec, Workload, SM_LADDER};
 use gsim_tracestore::{StoreConfig, StoreError, StoreStats, TraceMeta, TraceStore};
 
 use crate::cache::{fnv1a, ResultCache};
@@ -1288,7 +1288,7 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
             let input = |sms| match bench.workload_for_sms(sms) {
                 Some(wl) => Ok(PlanWorkload::Synthetic(wl)),
                 None => bad(format!(
-                    "Table IV has weak-scaling inputs for {WEAK_SM_SIZES:?} SMs, not {sms}"
+                    "Table IV has weak-scaling inputs for {SM_LADDER:?} SMs, not {sms}"
                 )),
             };
             let (small_wl, large_wl) = (input(small)?, input(large)?);

@@ -2,12 +2,6 @@
 
 use gsim_trace::MemScale;
 
-/// The system sizes used as scale models throughout the paper (Table I).
-pub const SCALE_MODEL_SMS: [u32; 2] = [8, 16];
-
-/// The target system sizes studied in the paper (Table I).
-pub const TARGET_SMS: [u32; 3] = [32, 64, 128];
-
 /// A complete (monolithic or per-chiplet) GPU configuration.
 ///
 /// Capacities (`l1_bytes`, `llc_bytes_total`) are stored in *model units* —
@@ -259,11 +253,5 @@ mod tests {
             crate::Simulator::new(cfg, &wl).run()
         };
         run(1).assert_deterministic_eq(&run(7));
-    }
-
-    #[test]
-    fn scale_model_and_target_constants() {
-        assert_eq!(SCALE_MODEL_SMS, [8, 16]);
-        assert_eq!(TARGET_SMS, [32, 64, 128]);
     }
 }

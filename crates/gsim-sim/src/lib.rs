@@ -46,7 +46,7 @@ pub mod noc;
 mod stats;
 
 pub use chiplet::ChipletConfig;
-pub use config::{GpuConfig, SCALE_MODEL_SMS, TARGET_SMS};
+pub use config::GpuConfig;
 pub use engine::Simulator;
 pub use functional::{collect_mrc, FunctionalReplay};
 pub use stats::SimStats;

@@ -63,5 +63,10 @@ pub use tracefile::{
     TraceReader, TraceStats, TraceStream, TracedWarp, TracedWorkload,
 };
 
+/// The paper's system-size ladder in SMs (Table I): the 8- and 16-SM
+/// scale models, then the 32-, 64- and 128-SM targets. Table IV's five
+/// weak-scaling inputs match these sizes row by row.
+pub const SM_LADDER: [u32; 5] = [8, 16, 32, 64, 128];
+
 /// Threads per warp, fixed at 32 throughout the paper (Table III).
 pub const THREADS_PER_WARP: u32 = 32;

@@ -17,6 +17,7 @@ use crate::kernel::{Kernel, Workload};
 use crate::pattern::{PatternKind, PatternSpec};
 use crate::scale::MemScale;
 use crate::suite::{ScalingClass, CTA_THREADS};
+use crate::SM_LADDER;
 
 /// One row of Table IV: an input size matched to one system size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,9 +56,6 @@ pub struct WeakBenchmark {
     scale: MemScale,
 }
 
-/// The system sizes the five rows correspond to.
-pub const WEAK_SM_SIZES: [u32; 5] = [8, 16, 32, 64, 128];
-
 impl WeakBenchmark {
     /// The workload for row `row` (0 = the 8-SM input).
     ///
@@ -72,9 +70,9 @@ impl WeakBenchmark {
     }
 
     /// The workload matched to an `n_sms`-SM system, or `None` unless
-    /// `n_sms` is one of [`WEAK_SM_SIZES`].
+    /// `n_sms` is on [`SM_LADDER`].
     pub fn workload_for_sms(&self, n_sms: u32) -> Option<Workload> {
-        let row = WEAK_SM_SIZES.iter().position(|&s| s == n_sms)?;
+        let row = SM_LADDER.iter().position(|&s| s == n_sms)?;
         Some(self.workload_for_row(row))
     }
 

@@ -13,9 +13,9 @@
 //!   with proportional scale-model configuration derivation.
 //! * [`core`] — the paper's contribution: the scale-model prediction
 //!   methodology, baseline predictors, and the experiment pipeline.
-//! * [`runner`] — dependency-free parallel sweep execution: a work-stealing
-//!   worker pool with per-job panic isolation, timeouts, deterministic
-//!   result ordering, and pluggable metrics/progress sinks.
+//! * [`runner`] — dependency-free parallel sweep execution: a worker pool
+//!   with one shared run queue, per-job panic isolation, timeouts,
+//!   deterministic result ordering, and pluggable metrics/progress sinks.
 //!
 //! # Quickstart
 //!

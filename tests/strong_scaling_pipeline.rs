@@ -6,7 +6,7 @@
 //! A coarser 1/32 memory miniature keeps these tests fast; the full 1/8
 //! runs live in `gsim repro`.
 
-use gpu_scale_model::core::experiment::StrongScalingExperiment;
+use gpu_scale_model::core::experiment::{reanalyze, StrongScalingExperiment};
 use gpu_scale_model::trace::suite::{strong_benchmark, ScalingClass};
 use gpu_scale_model::trace::MemScale;
 
@@ -119,8 +119,10 @@ fn mrc_is_monotone_and_covers_all_sizes() {
 fn alternative_scale_models_still_rank_methods_correctly() {
     // The artifact-appendix variant: 16+32-SM models predicting 128.
     let bench = strong_benchmark("lu", scale()).expect("lu exists");
-    let exp = StrongScalingExperiment::new(scale()).with_scale_models(16, 32);
-    let out = exp.run_benchmark(&bench).expect("pipeline runs");
+    let base = StrongScalingExperiment::new(scale())
+        .run_benchmark(&bench)
+        .expect("pipeline runs");
+    let out = reanalyze(&base, 16, 32).expect("16 and 32 SMs were simulated");
     let err = |m: &str| out.method(m).unwrap().at(128).unwrap().error_pct;
     assert!(
         err("scale-model") < err("logarithmic"),

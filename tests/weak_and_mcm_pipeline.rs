@@ -1,6 +1,6 @@
 //! End-to-end weak-scaling and multi-chiplet pipeline tests.
 
-use gpu_scale_model::core::experiment::{McmExperiment, WeakScalingExperiment};
+use gpu_scale_model::core::experiment::{speedups, McmExperiment, WeakScalingExperiment};
 use gpu_scale_model::trace::weak::{weak_benchmark, weak_suite};
 use gpu_scale_model::trace::MemScale;
 
@@ -14,8 +14,8 @@ fn weak_linear_benchmark_predicts_tightly_without_an_mrc() {
     let out = WeakScalingExperiment::new(scale())
         .run_benchmark(&bench)
         .expect("pipeline runs");
-    assert!(out.outcome.mrc.is_none(), "weak scaling needs no MRC");
-    let sm = out.outcome.method("scale-model").unwrap().at(128).unwrap();
+    assert!(out.mrc.is_none(), "weak scaling needs no MRC");
+    let sm = out.method("scale-model").unwrap().at(128).unwrap();
     assert!(
         sm.error_pct < 12.0,
         "weak va scale-model error {}",
@@ -29,7 +29,7 @@ fn weak_sub_linear_benchmark_beats_proportional() {
     let out = WeakScalingExperiment::new(scale())
         .run_benchmark(&bench)
         .expect("pipeline runs");
-    let err = |m: &str| out.outcome.method(m).unwrap().at(128).unwrap().error_pct;
+    let err = |m: &str| out.method(m).unwrap().at(128).unwrap().error_pct;
     assert!(
         err("scale-model") < err("proportional"),
         "scale-model {:.1}% vs proportional {:.1}%",
@@ -44,8 +44,8 @@ fn weak_scaling_speedup_grows_with_target_size() {
     let out = WeakScalingExperiment::new(scale())
         .run_benchmark(&bench)
         .expect("pipeline runs");
-    let s: Vec<f64> = out.speedups.iter().map(|&(_, v)| v).collect();
-    assert_eq!(out.speedups.len(), 3);
+    let s: Vec<f64> = speedups(&out).iter().map(|&(_, v)| v).collect();
+    assert_eq!(s.len(), 3);
     assert!(
         s[0] < s[1] && s[1] < s[2],
         "speedup must grow with target size: {s:?}"
@@ -58,39 +58,26 @@ fn mcm_pipeline_predicts_16_chiplets_from_4_and_8() {
     let bench = weak_benchmark("va", scale()).expect("va exists");
     let out = McmExperiment::new(scale())
         .run_benchmark(&bench)
-        .expect("pipeline runs")
-        .expect("va participates in the MCM study");
-    assert_eq!(out.outcome.measured.len(), 3);
+        .expect("pipeline runs");
+    assert_eq!(out.measured.len(), 3);
     assert_eq!(
-        out.outcome
-            .measured
-            .iter()
-            .map(|m| m.size)
-            .collect::<Vec<_>>(),
+        out.measured.iter().map(|m| m.size).collect::<Vec<_>>(),
         vec![4, 8, 16]
     );
-    let sm = out.outcome.method("scale-model").unwrap().at(16).unwrap();
+    let sm = out.method("scale-model").unwrap().at(16).unwrap();
     assert!(
         sm.error_pct < 15.0,
         "MCM scale-model error {} out of band",
         sm.error_pct
     );
     // Bigger chiplet counts must be faster in absolute terms.
-    let ipc: Vec<f64> = out.outcome.measured.iter().map(|m| m.ipc).collect();
+    let ipc: Vec<f64> = out.measured.iter().map(|m| m.ipc).collect();
     assert!(ipc[0] < ipc[1] && ipc[1] < ipc[2], "IPC must grow: {ipc:?}");
 }
 
 #[test]
 fn mcm_study_covers_exactly_the_papers_five_benchmarks() {
-    let exp = McmExperiment::new(scale());
-    let mut included = Vec::new();
-    for b in weak_suite(scale()) {
-        if b.mcm_rows().is_some() {
-            included.push(b.abbr);
-        } else {
-            assert_eq!(b.abbr, "btree", "only btree is excluded");
-            assert!(exp.run_benchmark(&b).unwrap().is_none());
-        }
-    }
-    assert_eq!(included, vec!["bfs", "bs", "as", "bp", "va"]);
+    let jobs = McmExperiment::new(scale()).jobs(&weak_suite(scale()));
+    let names: Vec<&str> = jobs.iter().map(|j| j.name()).collect();
+    assert_eq!(names, vec!["bfs", "bs", "as", "bp", "va"]);
 }
