@@ -13,8 +13,8 @@ use std::io;
 use std::path::Path;
 
 use gsim_core::experiment::{
-    aggregate_error, reanalyze, speedups, BenchmarkOutcome, McmExperiment, StrongScalingExperiment,
-    WeakScalingExperiment, METHODS,
+    aggregate_error, reanalyze, speedups, speedups_in, BenchmarkOutcome, McmExperiment,
+    StrongScalingExperiment, WeakScalingExperiment, METHODS,
 };
 use gsim_core::parallel::{collect, SweepFailure};
 use gsim_core::report::{ipc, pct, ratio, TextTable};
@@ -37,14 +37,14 @@ fn mb(bytes: u64) -> String {
 
 /// Prints a suite's aggregate simulation throughput (simulated cycles per
 /// wall-clock second; wall time is summed over jobs, so the rate is
-/// per-worker rather than end-to-end).
-fn report_sim_rate<'a>(label: &str, outcomes: impl Iterator<Item = &'a BenchmarkOutcome>) {
+/// per-worker rather than end-to-end) and its mean wall-clock speed-ups
+/// over both scale models, which only `--threads 1` keeps free of
+/// contention between jobs.
+fn report_sim_rate(label: &str, outcomes: &[BenchmarkOutcome]) {
     let (mut cycles, mut secs) = (0u64, 0.0f64);
-    for o in outcomes {
-        for m in &o.measured {
-            cycles += m.cycles;
-            secs += m.sim_seconds;
-        }
+    for m in outcomes.iter().flat_map(|o| &o.measured) {
+        cycles += m.cycles;
+        secs += m.sim_seconds;
     }
     if secs > 0.0 {
         eprintln!(
@@ -52,7 +52,25 @@ fn report_sim_rate<'a>(label: &str, outcomes: impl Iterator<Item = &'a Benchmark
              ({:.0} cycles/sec)",
             cycles as f64 / secs
         );
+        let wall = mean_speedups(outcomes, |o| speedups_in(o, |m| m.sim_seconds));
+        let wall: Vec<String> = wall
+            .iter()
+            .map(|(n, s)| format!("{s:.2}x at {n}"))
+            .collect();
+        eprintln!("[repro] {label}: wall-clock speed-up {}", wall.join(", "));
     }
+}
+
+/// Each target rung's mean over `outcomes` of `speedups` ([`speedups`]
+/// or a [`speedups_in`]).
+fn mean_speedups(
+    outcomes: &[BenchmarkOutcome],
+    speedups: impl Fn(&BenchmarkOutcome) -> Vec<(u32, f64)>,
+) -> Vec<(u32, f64)> {
+    let all: Vec<Vec<(u32, f64)>> = outcomes.iter().map(speedups).collect();
+    let n = all.len() as f64;
+    let rung = |i: usize| (all[0][i].0, all.iter().map(|s| s[i].1).sum::<f64>() / n);
+    (0..all.first().map_or(0, Vec::len)).map(rung).collect()
 }
 
 /// Regenerates `sections` (names from [`SECTIONS`]) at memory miniature
@@ -75,24 +93,23 @@ pub fn run(
     if let Some(dir) = out {
         fs::create_dir_all(dir)?;
     }
-    let emit = |name: &str, content: &str| -> io::Result<()> {
+    // Prints section `name` and writes it under `out`, if it was asked for.
+    let emit = |name: &str, content: &dyn Fn() -> String| -> io::Result<()> {
+        if !want(name) {
+            return Ok(());
+        }
+        let content = content();
         println!("{content}");
         match out {
-            Some(dir) => fs::write(dir.join(format!("{name}.txt")), content),
+            Some(dir) => fs::write(dir.join(format!("{name}.txt")), &content),
             None => Ok(()),
         }
     };
     let mut failures: Vec<SweepFailure> = Vec::new();
 
-    if want("table1") {
-        emit("table1", &table1(scale))?;
-    }
-    if want("table3") {
-        emit("table3", &table3(scale))?;
-    }
-    if want("table5") {
-        emit("table5", &table5(scale))?;
-    }
+    emit("table1", &|| table1(scale))?;
+    emit("table3", &|| table3(scale))?;
+    emit("table5", &|| table5(scale))?;
 
     let strong_needed = [
         "table2", "fig1", "fig2", "fig4a", "fig4b", "fig5", "appendix",
@@ -109,28 +126,14 @@ pub fn run(
         let run = collect(runner.run("strong", exp.jobs(&suite)));
         failures.extend(run.failures.iter().cloned());
         let outcomes = run.outcomes;
-        report_sim_rate("strong-scaling suite", outcomes.iter());
-        if want("table2") {
-            emit("table2", &table2(scale, &outcomes))?;
-        }
-        if want("fig1") {
-            emit("fig1", &fig1(&outcomes))?;
-        }
-        if want("fig2") {
-            emit("fig2", &fig2(scale, &outcomes))?;
-        }
-        if want("fig4a") {
-            emit("fig4a", &fig4(&outcomes, 128, "Figure 4a"))?;
-        }
-        if want("fig4b") {
-            emit("fig4b", &fig4(&outcomes, 64, "Figure 4b"))?;
-        }
-        if want("fig5") {
-            emit("fig5", &fig5(&outcomes))?;
-        }
-        if want("appendix") {
-            emit("appendix", &appendix(&outcomes))?;
-        }
+        report_sim_rate("strong-scaling suite", &outcomes);
+        emit("table2", &|| table2(scale, &outcomes))?;
+        emit("fig1", &|| fig1(&outcomes))?;
+        emit("fig2", &|| fig2(scale, &outcomes))?;
+        emit("fig4a", &|| fig4(&outcomes, 128, "Figure 4a"))?;
+        emit("fig4b", &|| fig4(&outcomes, 64, "Figure 4b"))?;
+        emit("fig5", &|| fig5(&outcomes))?;
+        emit("appendix", &|| appendix(&outcomes))?;
     }
 
     let weak_needed = ["table4", "fig6", "fig7"].iter().any(|s| want(s));
@@ -144,16 +147,10 @@ pub fn run(
         let run = collect(runner.run("weak", exp.jobs(&suite)));
         failures.extend(run.failures.iter().cloned());
         let outcomes = run.outcomes;
-        report_sim_rate("weak-scaling suite", outcomes.iter());
-        if want("table4") {
-            emit("table4", &table4(scale))?;
-        }
-        if want("fig6") {
-            emit("fig6", &fig6(&outcomes))?;
-        }
-        if want("fig7") {
-            emit("fig7", &fig7(&outcomes))?;
-        }
+        report_sim_rate("weak-scaling suite", &outcomes);
+        emit("table4", &|| table4(scale))?;
+        emit("fig6", &|| fig6(&outcomes))?;
+        emit("fig7", &|| fig7(&outcomes))?;
     }
 
     if want("fig8") {
@@ -165,8 +162,8 @@ pub fn run(
         let exp = McmExperiment::new(scale);
         let run = collect(runner.run("mcm", exp.jobs(&suite)));
         failures.extend(run.failures.iter().cloned());
-        report_sim_rate("mcm suite", run.outcomes.iter());
-        emit("fig8", &fig8(&run.outcomes))?;
+        report_sim_rate("mcm suite", &run.outcomes);
+        emit("fig8", &|| fig8(&run.outcomes))?;
     }
 
     if !failures.is_empty() {
@@ -526,25 +523,13 @@ fn fig6(outcomes: &[BenchmarkOutcome]) -> String {
 
 fn fig7(outcomes: &[BenchmarkOutcome]) -> String {
     let mut t = TextTable::new(vec!["bench", "32 SMs", "64 SMs", "128 SMs"]);
-    let mut sums = [0.0f64; 3];
-    for o in outcomes {
-        let mut row = vec![o.abbr.clone()];
-        for (i, (_, s)) in speedups(o).into_iter().enumerate() {
-            row.push(ratio(s));
-            sums[i] += s;
-        }
-        t.row(row);
+    let rows = outcomes.iter().map(|o| (o.abbr.clone(), speedups(o)));
+    for (label, s) in rows.chain([("avg".into(), mean_speedups(outcomes, speedups))]) {
+        t.row([vec![label], s.iter().map(|&(_, s)| ratio(s)).collect()].concat());
     }
-    let n = outcomes.len() as f64;
-    t.row(vec![
-        "avg".into(),
-        ratio(sums[0] / n),
-        ratio(sums[1] / n),
-        ratio(sums[2] / n),
-    ]);
     format!(
         "Figure 7: simulation-time speedup of scale-model simulation under weak\n\
-         scaling (target simulation time / time for both 8- and 16-SM models)\n\n{}",
+         scaling (simulated SM-cycles of the target / of both 8- and 16-SM models)\n\n{}",
         t.render()
     )
 }

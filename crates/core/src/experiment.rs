@@ -200,16 +200,23 @@ fn method_outcomes(fit: &Fit, targets: &[(u32, f64)]) -> Result<Vec<MethodOutcom
 }
 
 /// Figure 7's simulation-time speedups: for each target rung, the
-/// wall-clock seconds of simulating it over those of simulating both
-/// scale models (the first two rungs), as `(target size, speedup)`.
+/// simulated SM-cycles (`cycles × size`; for MCM the 64 SMs per chiplet
+/// cancel) of the target over those of both scale models (the first two
+/// rungs), as `(target size, speedup)`. Unlike wall-clock seconds, they
+/// depend only on the code and the inputs (DESIGN.md §15).
 pub fn speedups(outcome: &BenchmarkOutcome) -> Vec<(u32, f64)> {
-    let [small, large, targets @ ..] = outcome.measured.as_slice() else {
+    speedups_in(outcome, |m| m.cycles as f64 * f64::from(m.size))
+}
+
+/// [`speedups`] in another `cost` per simulation, e.g. `sim_seconds`.
+pub fn speedups_in(o: &BenchmarkOutcome, cost: impl Fn(&MeasuredPoint) -> f64) -> Vec<(u32, f64)> {
+    let [small, large, targets @ ..] = o.measured.as_slice() else {
         return Vec::new();
     };
-    let model_cost = (small.sim_seconds + large.sim_seconds).max(1e-9);
+    let model_cost = (cost(small) + cost(large)).max(1e-9);
     targets
         .iter()
-        .map(|m| (m.size, m.sim_seconds / model_cost))
+        .map(|m| (m.size, cost(m) / model_cost))
         .collect()
 }
 

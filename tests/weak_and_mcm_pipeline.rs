@@ -41,9 +41,14 @@ fn weak_sub_linear_benchmark_beats_proportional() {
 #[test]
 fn weak_scaling_speedup_grows_with_target_size() {
     let bench = weak_benchmark("bp", scale()).expect("bp exists");
-    let out = WeakScalingExperiment::new(scale())
-        .run_benchmark(&bench)
-        .expect("pipeline runs");
+    let run = || {
+        WeakScalingExperiment::new(scale())
+            .run_benchmark(&bench)
+            .expect("pipeline runs")
+    };
+    let out = run();
+    // Simulated SM-cycles, not wall-clock: a second run agrees exactly.
+    assert_eq!(speedups(&out), speedups(&run()));
     let s: Vec<f64> = speedups(&out).iter().map(|&(_, v)| v).collect();
     assert_eq!(s.len(), 3);
     assert!(
