@@ -20,7 +20,21 @@
 //! another schema are skipped too: `v1` lines spelt the configs out as
 //! text, so no `v2` request can address them, and loading them would
 //! fill the LRU with unreachable entries.
+//!
+//! # Two ways in
+//!
+//! Deriving the content address parses, normalizes and renders the
+//! request, which is most of what a hit costs. So the cache also keeps
+//! an in-memory index from the exact request body bytes to the content
+//! key (`get_by_body`, `index_body`): a byte-identical repeat finds its
+//! entry without being parsed. The index is keyed by the bytes
+//! themselves, not a hash of them, so it can only answer bytes that once
+//! normalized to that key. It is bounded by the same capacity as the
+//! entries, evicts least-recently-used bodies, and is never persisted:
+//! after a restart the first repeat of a body is a hit through the
+//! content key, which indexes it again.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::hash::Hash;
@@ -50,7 +64,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// carries the tick of a logical clock from its last `get` or `insert`,
 /// and an insert into a full map scans for the smallest. The scan is
 /// O(capacity); capacities here are a few hundred entries and an insert
-/// follows work that costs far more.
+/// follows work that costs far more (a computation, or a parse and a
+/// key derivation).
 struct Lru<K, V> {
     map: HashMap<K, (u64, V)>,
     capacity: usize,
@@ -68,7 +83,11 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     }
 
     /// The value under `key`, marking it most-recently used.
-    fn get(&mut self, key: &K) -> Option<&V> {
+    fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.clock += 1;
         let (last_used, value) = self.map.get_mut(key)?;
         *last_used = self.clock;
@@ -113,6 +132,12 @@ struct Entry {
 
 struct Results {
     lru: Lru<u64, Entry>,
+    /// Exact request bodies to the content key they normalized to. An
+    /// entry whose key was evicted from `lru` is left in place: the key
+    /// is a function of the bytes, so it is right again once the key is
+    /// cached again. The map's hasher is std's keyed one, because these
+    /// keys are whatever a client sends.
+    bodies: Lru<Vec<u8>, u64>,
     /// Lines appended to disk since the last compaction.
     appended: usize,
 }
@@ -143,7 +168,11 @@ impl ResultCache {
             }
         }
         Ok(Self {
-            inner: Mutex::new(Results { lru, appended: 0 }),
+            inner: Mutex::new(Results {
+                lru,
+                bodies: Lru::new(capacity),
+                appended: 0,
+            }),
             dir,
         })
     }
@@ -151,6 +180,28 @@ impl ResultCache {
     /// The body cached under `key`, marking it most-recently used.
     pub fn get(&self, key: u64) -> Option<Arc<String>> {
         self.lock().lru.get(&key).map(|e| Arc::clone(&e.body))
+    }
+
+    /// The body cached for the request bytes `raw`, when those exact
+    /// bytes were indexed and their key is still cached; marks both
+    /// most-recently used.
+    pub(crate) fn get_by_body(&self, raw: &[u8]) -> Option<Arc<String>> {
+        let results = &mut *self.lock();
+        let key = *results.bodies.get(raw)?;
+        results.lru.get(&key).map(|e| Arc::clone(&e.body))
+    }
+
+    /// Indexes `raw`, a request body that normalized to `key`, so that
+    /// [`Self::get_by_body`] finds `key`'s entry from the same bytes.
+    /// Evicts the least-recently-used body when the index is full.
+    pub(crate) fn index_body(&self, raw: &[u8], key: u64) {
+        self.lock().bodies.insert(raw.to_vec(), key);
+    }
+
+    /// Number of request bodies currently indexed.
+    #[cfg(test)]
+    pub(crate) fn indexed_bodies(&self) -> usize {
+        self.lock().bodies.len()
     }
 
     /// Inserts `body` under `key` (which the caller derived as
@@ -287,6 +338,38 @@ mod tests {
         assert_eq!(cache.get(key("a")).unwrap().as_str(), "A");
         assert_eq!(cache.get(key("c")).unwrap().as_str(), "C");
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn the_bytes_index_answers_only_its_own_bytes_while_the_key_is_cached() {
+        let cache = ResultCache::new(2, None).unwrap();
+        let key = |s: &str| fnv1a(s.as_bytes());
+        cache.put(key("a"), "a", Arc::new("A".into()));
+        cache.index_body(b"{\"a\": 1}", key("a"));
+        assert_eq!(cache.get_by_body(b"{\"a\": 1}").unwrap().as_str(), "A");
+        assert!(cache.get_by_body(b"{\"a\": 1} ").is_none());
+        assert!(cache.get_by_body(b"{\"a\": 1").is_none());
+        // Its key evicted, the body misses; cached again, it hits again.
+        cache.put(key("b"), "b", Arc::new("B".into()));
+        cache.put(key("c"), "c", Arc::new("C".into()));
+        assert!(cache.get_by_body(b"{\"a\": 1}").is_none());
+        cache.put(key("a"), "a", Arc::new("A".into()));
+        assert_eq!(cache.get_by_body(b"{\"a\": 1}").unwrap().as_str(), "A");
+    }
+
+    #[test]
+    fn the_bytes_index_evicts_its_least_recently_used_body() {
+        let cache = ResultCache::new(2, None).unwrap();
+        let key = fnv1a(b"a");
+        cache.put(key, "a", Arc::new("A".into()));
+        cache.index_body(b"1", key);
+        cache.index_body(b"2", key);
+        assert!(cache.get_by_body(b"1").is_some()); // refresh 1
+        cache.index_body(b"3", key); // evicts 2
+        assert_eq!(cache.indexed_bodies(), 2);
+        assert!(cache.get_by_body(b"2").is_none());
+        assert!(cache.get_by_body(b"1").is_some());
+        assert!(cache.get_by_body(b"3").is_some());
     }
 
     #[test]

@@ -26,6 +26,8 @@ use std::time::{Duration, Instant};
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 /// Maximum bytes of request line + headers.
 const MAX_HEADER_BYTES: usize = 8 * 1024;
+/// Most bytes one read of a request asks for.
+const READ_CHUNK: usize = 4096;
 /// Maximum request body size. Sized for `POST /v1/traces`: a v2 trace of
 /// a suite-scale workload is a few MiB; predict bodies are tiny
 /// regardless.
@@ -330,24 +332,32 @@ fn wants_close(req: &Request) -> bool {
         .is_some_and(|v| v.eq_ignore_ascii_case("close"))
 }
 
-/// Reads one request. `Ok(None)` means the peer closed before sending
+/// Reads one request from `stream`, keeping any bytes past it in `buf`
+/// for the next call. `Ok(None)` means the peer closed before sending
 /// anything (normal keep-alive termination, only reported when the
 /// buffer is empty). `Err(status)` is the HTTP status to fail with.
-fn read_request(
-    stream: &mut TcpStream,
+///
+/// `buf` never holds more than `MAX_HEADER_BYTES + MAX_BODY_BYTES`: the
+/// header block must end within the first `MAX_HEADER_BYTES`, reads stop
+/// there until it does, and the body is read up to its declared length
+/// and no further.
+fn read_request<R: Read>(
+    stream: &mut R,
     buf: &mut Vec<u8>,
     first: bool,
 ) -> Result<Option<Request>, u16> {
-    // Accumulate until the blank line ending the header block.
+    // Accumulate until the blank line ending the header block, scanning
+    // each byte once.
+    let mut scanned = 0;
     let header_end = loop {
-        if let Some(pos) = find_header_end(buf) {
-            break pos;
+        if let Some(pos) = find_header_end(&buf[scanned..]) {
+            break scanned + pos;
         }
-        if buf.len() > MAX_HEADER_BYTES {
+        scanned = buf.len().saturating_sub(3);
+        if buf.len() >= MAX_HEADER_BYTES {
             return Err(413);
         }
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
+        match fill(stream, buf, MAX_HEADER_BYTES) {
             Ok(0) => {
                 return if buf.is_empty() {
                     Ok(None)
@@ -355,7 +365,8 @@ fn read_request(
                     Err(400) // truncated mid-request
                 };
             }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) if is_timeout(&e) => {
                 return if buf.is_empty() && !first {
                     Ok(None) // idle keep-alive connection: just close
@@ -398,26 +409,24 @@ fn read_request(
     if header_of("transfer-encoding").is_some() {
         return Err(501); // chunked and friends are out of scope
     }
-    let content_length: usize = match header_of("content-length") {
-        Some(v) => v.parse().map_err(|_| 400u16)?,
-        None => 0,
-    };
+    let content_length = content_length(&headers)?;
     if content_length > MAX_BODY_BYTES {
         return Err(413);
     }
 
     // Read the body: part may already sit in the buffer past the headers.
     let body_start = header_end + 4;
-    while buf.len() < body_start + content_length {
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
+    let body_end = body_start + content_length;
+    while buf.len() < body_end {
+        match fill(stream, buf, body_end) {
             Ok(0) => return Err(400),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) if is_timeout(&e) => return Err(408),
             Err(_) => return Err(400),
         }
     }
-    let body = buf[body_start..body_start + content_length].to_vec();
+    let body = buf[body_start..body_end].to_vec();
     let request = Request {
         method,
         path,
@@ -425,8 +434,36 @@ fn read_request(
         body,
     };
     // Keep any pipelined bytes for the next request on this connection.
-    buf.drain(..body_start + content_length);
+    buf.drain(..body_end);
     Ok(Some(request))
+}
+
+/// The declared body length: `0` without a `Content-Length`, else its
+/// decimal digits. Repeated headers must agree; anything else is `400`.
+fn content_length(headers: &[(String, String)]) -> Result<usize, u16> {
+    let mut values = headers
+        .iter()
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v.as_str());
+    let Some(value) = values.next() else {
+        return Ok(0);
+    };
+    if values.any(|v| v != value) || value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit())
+    {
+        return Err(400);
+    }
+    // Digits only: an overflow is a length past any limit.
+    Ok(value.parse().unwrap_or(usize::MAX))
+}
+
+/// One read from `stream` appended to `buf`, at most `READ_CHUNK` bytes
+/// and never past `limit` bytes in all.
+fn fill<R: Read>(stream: &mut R, buf: &mut Vec<u8>, limit: usize) -> io::Result<usize> {
+    let start = buf.len();
+    buf.resize(start + (limit - start).min(READ_CHUNK), 0);
+    let got = stream.read(&mut buf[start..]);
+    buf.truncate(start + got.as_ref().map_or(0, |&n| n));
+    got
 }
 
 fn find_header_end(buf: &[u8]) -> Option<usize> {
@@ -563,6 +600,226 @@ mod tests {
         drop(s);
         shutdown.trigger();
         join.join().unwrap();
+    }
+
+    // --- fuzz slice: the request reader on hostile byte streams ---------
+
+    use gsim_rng::Rng64;
+
+    /// A byte stream handed out in reads of at most `chunk` bytes, then
+    /// EOF; with `stalls`, an interruption or a timeout now and then.
+    struct Hostile<'a> {
+        bytes: &'a [u8],
+        at: usize,
+        chunk: u64,
+        stalls: bool,
+        rng: Rng64,
+    }
+
+    impl<'a> Hostile<'a> {
+        fn new(bytes: &'a [u8], chunk: u64, stalls: bool, seed: u64) -> Self {
+            Self {
+                bytes,
+                at: 0,
+                chunk,
+                stalls,
+                rng: Rng64::seed_from_u64(seed),
+            }
+        }
+    }
+
+    impl Read for Hostile<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if self.stalls {
+                match self.rng.gen_range(0, 64) {
+                    0 => return Err(ErrorKind::Interrupted.into()),
+                    1 => return Err(ErrorKind::WouldBlock.into()),
+                    _ => {}
+                }
+            }
+            let n = (self.bytes.len() - self.at)
+                .min(out.len())
+                .min(self.rng.gen_range_inclusive(1, self.chunk) as usize);
+            out[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// A well-formed request with a body of `len` random bytes.
+    fn request_bytes(rng: &mut Rng64, len: usize) -> Vec<u8> {
+        let method = ["GET", "POST", "PUT"][rng.gen_range(0, 3) as usize];
+        let mut out = format!("{method} /v1/predict HTTP/1.1\r\nHost: x\r\n");
+        for i in 0..rng.gen_range(0, 4) as usize {
+            out += &format!("X-Pad-{i}: {}\r\n", "p".repeat(i * 9));
+        }
+        out += &format!("Content-Length: {len}\r\n\r\n");
+        let mut out = out.into_bytes();
+        out.extend((0..len).map(|_| rng.next_u64() as u8));
+        out
+    }
+
+    /// Inserts `line` after the request line of the first request.
+    fn insert_header(s: &mut Vec<u8>, line: &[u8]) {
+        let i = s.windows(2).position(|w| w == b"\r\n").map_or(0, |i| i + 2);
+        s.splice(i..i, line.iter().copied());
+    }
+
+    /// One hostile stream: one to three pipelined requests, then one
+    /// mutation.
+    fn hostile_stream(rng: &mut Rng64) -> Vec<u8> {
+        let mut s = Vec::new();
+        for _ in 0..rng.gen_range(1, 4) {
+            let len = rng.gen_range(0, 300) as usize;
+            s.extend(request_bytes(rng, len));
+        }
+        let at = |rng: &mut Rng64, s: &[u8]| rng.gen_range(0, s.len() as u64) as usize;
+        let lengths = [
+            "",
+            "-1",
+            "+5",
+            " 5",
+            "5 5",
+            "0x10",
+            "1e3",
+            "18446744073709551616",
+            "16777217",
+        ];
+        match rng.gen_range(0, 9) {
+            0 => {} // as generated
+            1 => s.truncate(at(rng, &s)),
+            2 => {
+                let i = at(rng, &s);
+                s[i] = rng.next_u64() as u8;
+            }
+            3 => {
+                let i = at(rng, &s);
+                let junk: Vec<u8> = (0..rng.gen_range(1, 64))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect();
+                s.splice(i..i, junk);
+            }
+            4 => {
+                let v = lengths[rng.gen_range(0, lengths.len() as u64) as usize];
+                let text = String::from_utf8_lossy(&s).replacen(
+                    "Content-Length: ",
+                    &format!("Content-Length: {v}"),
+                    1,
+                );
+                s = text.into_bytes();
+            }
+            5 => {
+                let lines: [&[u8]; 4] = [
+                    b"Transfer-Encoding: chunked\r\n",
+                    b"Content-Length: 7\r\n",
+                    b"no colon here\r\n",
+                    b"X-Bin: \xff\xfe\r\n",
+                ];
+                insert_header(&mut s, lines[rng.gen_range(0, 4) as usize]);
+            }
+            6 => {
+                s = String::from_utf8_lossy(&s)
+                    .replace("\r\n", "\n")
+                    .into_bytes()
+            }
+            7 => {
+                // A header block within a line's length of the limit.
+                let pad = MAX_HEADER_BYTES - 128 + rng.gen_range(0, 256) as usize;
+                insert_header(
+                    &mut s,
+                    format!("X-Long: {}\r\n", "l".repeat(pad)).as_bytes(),
+                );
+            }
+            _ => {
+                s = (0..rng.gen_range(0, 512))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect();
+            }
+        }
+        s
+    }
+
+    /// Reads `stream` the way a connection does, checking every outcome;
+    /// returns how many requests it read.
+    fn read_all(stream: &mut Hostile<'_>) -> usize {
+        let mut buf = Vec::new();
+        let mut served = 0;
+        loop {
+            let (before, delivered) = (buf.len(), stream.at);
+            let got = read_request(stream, &mut buf, served == 0);
+            let peak = before + stream.at - delivered;
+            assert!(
+                peak <= MAX_HEADER_BYTES + MAX_BODY_BYTES,
+                "buffered {peak} B"
+            );
+            match got {
+                Ok(Some(req)) => {
+                    let declared = req
+                        .header("content-length")
+                        .map_or(0, |v| v.parse().unwrap());
+                    assert_eq!(req.body.len(), declared);
+                    // The request was the stream's next bytes: its body
+                    // ends right where what stays buffered begins.
+                    let consumed = stream.at - buf.len();
+                    assert!(stream.bytes[..consumed].ends_with(&req.body));
+                    served += 1;
+                }
+                Ok(None) => {
+                    assert!(buf.is_empty());
+                    return served;
+                }
+                Err(status) => {
+                    assert!([400, 408, 413, 501].contains(&status), "status {status}");
+                    return served;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fuzz_hostile_streams_never_panic_or_overbuffer() {
+        let mut rng = Rng64::seed_from_u64(0x5eed_0007);
+        let mut served = 0;
+        for case in 0..600 {
+            let bytes = hostile_stream(&mut rng);
+            let chunk = [1, 3, 64, 4096][case % 4];
+            let stalls = case % 3 == 0;
+            served += read_all(&mut Hostile::new(&bytes, chunk, stalls, case as u64));
+        }
+        // Not all garbage: a good share of the streams was read.
+        assert!(served > 300, "{served} requests read");
+    }
+
+    #[test]
+    fn the_reader_holds_at_most_its_limits() {
+        // The largest body behind the largest header block is read
+        // whole; one more header byte is refused.
+        let head = |pad: usize, len: usize| {
+            let pad = "h".repeat(pad);
+            format!("POST /v1/traces HTTP/1.1\r\nX: {pad}\r\nContent-Length: {len}\r\n\r\n")
+        };
+        let pad = MAX_HEADER_BYTES - head(0, MAX_BODY_BYTES).len();
+        for (pad, read) in [(pad, 1), (pad + 1, 0)] {
+            let mut s = head(pad, MAX_BODY_BYTES).into_bytes();
+            s.resize(s.len() + MAX_BODY_BYTES, b'b');
+            assert_eq!(read_all(&mut Hostile::new(&s, 4096, false, 1)), read);
+        }
+        // A longer body is refused before it is read.
+        let s = head(0, MAX_BODY_BYTES + 1);
+        let mut stream = Hostile::new(s.as_bytes(), 4096, false, 2);
+        assert_eq!(
+            read_request(&mut stream, &mut Vec::new(), true).unwrap_err(),
+            413
+        );
+        // A header block without its end is refused at the limit, however
+        // the bytes arrive.
+        let endless = vec![b'a'; 4 * MAX_HEADER_BYTES];
+        for chunk in [1, 4096] {
+            let mut stream = Hostile::new(&endless, chunk, false, 3);
+            let mut buf = Vec::new();
+            assert_eq!(read_request(&mut stream, &mut buf, true).unwrap_err(), 413);
+            assert_eq!(buf.len(), MAX_HEADER_BYTES);
+        }
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //!   cache: the response is keyed by a hash of everything it depends
 //!   on — normalized request *and* every field of the derived GPU
 //!   configs — held in an in-memory LRU with optional on-disk JSONL
-//!   persistence that survives restarts. Nothing a miss computes on the
-//!   way to its body is kept.
+//!   persistence that survives restarts. A second, in-memory-only index
+//!   from the exact request body bytes to that key answers a
+//!   byte-identical repeat without parsing it. Nothing a miss computes
+//!   on the way to its body is kept.
 //! * **Single-flight deduplication** ([`singleflight`]): N concurrent
 //!   identical requests cost one computation; followers block on the
 //!   leader's [`gsim_runner::JobHandle`] and receive the identical body.

@@ -43,10 +43,15 @@
 //!
 //! # One cache
 //!
-//! The result cache is the only cache: a miss always does its own work —
-//! a collection, or two timing simulations plus the replay — and nothing
-//! it computes on the way is kept. A repeat workload with other targets
-//! is a different request and computes again.
+//! The result cache is the only cache, with two ways in, both bounded by
+//! the same capacity: by content key — the hash of the normalized
+//! request — and by the exact body bytes of a request answered before,
+//! which skips the parse, the normalization and the key. The bytes index
+//! is never persisted, and it never holds a `trace_ref` body, whose
+//! catalog check runs on every request. A miss always does its own work
+//! — a collection, or two timing simulations plus the replay — and
+//! nothing it computes on the way is kept. A repeat workload with other
+//! targets is a different request and computes again.
 //!
 //! # Determinism contract
 //!
@@ -463,9 +468,10 @@ impl PredictService {
         Ok((ms > 0).then(|| Instant::now() + Duration::from_millis(ms)))
     }
 
-    /// `POST /v1/predict`: admit (or shed), normalize, address, then hit
-    /// the cache, join an identical in-flight computation, or lead a new
-    /// one — abandoning work past its deadline.
+    /// `POST /v1/predict`: admit (or shed); answer a body seen before
+    /// from its bytes; else normalize, address, then hit the cache, join
+    /// an identical in-flight computation, or lead a new one —
+    /// abandoning work past its deadline.
     fn predict(&self, req: &Request) -> Response {
         let fail = || {
             self.metrics.predict_errors.fetch_add(1, Ordering::Relaxed);
@@ -487,6 +493,10 @@ impl PredictService {
             .response()
             .with_header("Retry-After", self.retry_after().to_string());
         };
+        if let Some(cached) = self.cache.get_by_body(&req.body) {
+            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return self.respond(Ok(cached), "hit");
+        }
         let mut plan = match parse_request(&req.body, Some(&self.store)) {
             Ok(plan) => plan,
             Err(e) => {
@@ -494,13 +504,22 @@ impl PredictService {
                 return e.response();
             }
         };
-        if matches!(plan.kind, PlanKind::Stored(_)) {
+        // A `trace_ref` body is never indexed by its bytes: its catalog
+        // check and its trace count run on every request.
+        let stored = matches!(plan.kind, PlanKind::Stored(_));
+        if stored {
             self.metrics
                 .predict_from_trace
                 .fetch_add(1, Ordering::Relaxed);
         }
         let key = fnv1a(plan.canonical.as_bytes());
+        let index = || {
+            if !stored {
+                self.cache.index_body(&req.body, key);
+            }
+        };
         if let Some(cached) = self.cache.get(key) {
+            index();
             self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
             return self.respond(Ok(cached), "hit");
         }
@@ -512,6 +531,7 @@ impl PredictService {
                 let outcome: Outcome = self.compute(&mut plan, key, deadline).map(Arc::new);
                 if let Ok(body) = &outcome {
                     self.cache.put(key, &plan.canonical, Arc::clone(body));
+                    index();
                 }
                 self.metrics.observe_heavy(started.elapsed());
                 self.flights.publish(key, promise, outcome.clone());
@@ -1811,15 +1831,156 @@ mod tests {
             meta.trace_ref
         );
         let first = post("/v1/predict", body.clone().into_bytes());
-        let second = post("/v1/predict", body.into_bytes());
-        assert_eq!((first.status, second.status), (200, 200));
+        let second = post("/v1/predict", body.clone().into_bytes());
+        let third = post("/v1/predict", body.into_bytes());
+        assert_eq!((first.status, second.status, third.status), (200, 200, 200));
         assert_eq!(first.body, second.body);
-        let cache = |r: &Response| r.headers.iter().find(|(k, _)| k == "X-Gsim-Cache").cloned();
-        assert_eq!(cache(&second), Some(("X-Gsim-Cache".into(), "hit".into())));
-        // One read, by the miss's flight leader; the hit only consulted
-        // the catalog. Both requests count as trace predicts.
+        assert_eq!(first.body, third.body);
+        assert_eq!(header(&second, "X-Gsim-Cache"), Some("hit"));
+        assert_eq!(header(&third, "X-Gsim-Cache"), Some("hit"));
+        // One read, by the miss's flight leader; the hits only consulted
+        // the catalog, never the bytes index. Every request counts as a
+        // trace predict.
         assert_eq!(faults.injected(), vec![("store.read_delay", 1)]);
-        assert_eq!(svc.metrics().predict_from_trace.load(Ordering::Relaxed), 2);
+        assert_eq!(svc.metrics().predict_from_trace.load(Ordering::Relaxed), 3);
+        assert_eq!(svc.cache.indexed_bodies(), 0);
+    }
+
+    // --- the bytes index -------------------------------------------------
+
+    /// A memory-bound pattern the fast path answers in one small
+    /// collection.
+    const CHEAP: &str = r#"{"pattern": {"kind": "streaming", "footprint_mb": 1.0, "ctas": 8},
+        "targets": [32], "path": "fast"}"#;
+
+    fn predict(svc: &PredictService, body: &str) -> Response {
+        svc.handle(&Request {
+            method: "POST".into(),
+            path: "/v1/predict".into(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+        })
+    }
+
+    fn header<'r>(resp: &'r Response, name: &str) -> Option<&'r str> {
+        resp.headers
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The response's headers but `X-Gsim-Cache`.
+    fn headers_but_cache(resp: &Response) -> Vec<&(String, String)> {
+        resp.headers
+            .iter()
+            .filter(|(k, _)| k != "X-Gsim-Cache")
+            .collect()
+    }
+
+    fn count(c: &AtomicU64) -> u64 {
+        c.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_repeat_is_answered_by_its_bytes_and_a_rewrite_by_its_key() {
+        let svc = PredictService::new(ServeConfig::default(), ShutdownFlag::new()).unwrap();
+        let rewritten = r#"{"targets":[32],"path":"fast",
+            "pattern":{"ctas":8,"footprint_mb":1,"kind":"streaming"}}"#;
+        let first = predict(&svc, CHEAP);
+        assert_eq!(
+            first.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&first.body)
+        );
+        assert_eq!(svc.cache.indexed_bodies(), 1, "the miss indexes its bytes");
+        assert!(svc.cache.get_by_body(CHEAP.as_bytes()).is_some());
+        // The same bytes: found by the index, which does not grow.
+        let repeat = predict(&svc, CHEAP);
+        assert_eq!(svc.cache.indexed_bodies(), 1);
+        // Other bytes, same content: found by the content key, and then
+        // indexed; their own repeat goes through the index.
+        let rewrite = predict(&svc, rewritten);
+        assert_eq!(svc.cache.indexed_bodies(), 2);
+        let rewrite_repeat = predict(&svc, rewritten);
+        assert_eq!(svc.cache.indexed_bodies(), 2);
+        for hit in [&repeat, &rewrite, &rewrite_repeat] {
+            assert_eq!(hit.status, 200);
+            assert_eq!(hit.body, first.body);
+            assert_eq!(header(hit, "X-Gsim-Cache"), Some("hit"));
+            assert_eq!(headers_but_cache(hit), headers_but_cache(&first));
+        }
+        let m = svc.metrics();
+        assert_eq!(count(&m.computations), 1);
+        assert_eq!(count(&m.cache_misses), 1);
+        assert_eq!(count(&m.cache_hits), 3);
+    }
+
+    #[test]
+    fn an_invalid_body_is_a_400_every_time() {
+        let svc = PredictService::new(ServeConfig::default(), ShutdownFlag::new()).unwrap();
+        assert_eq!(predict(&svc, CHEAP).status, 200);
+        // A valid body with a tail, and a misspelt field: neither is
+        // ever indexed, however often it comes.
+        for bad in [format!("{CHEAP} x"), CHEAP.replace("ctas", "ctaz")] {
+            let once = predict(&svc, &bad);
+            let twice = predict(&svc, &bad);
+            assert_eq!((once.status, twice.status), (400, 400), "{bad}");
+            assert_eq!(once.body, twice.body);
+        }
+        assert_eq!(svc.cache.indexed_bodies(), 1);
+        assert_eq!(count(&svc.metrics().predict_errors), 4);
+        assert_eq!(count(&svc.metrics().cache_hits), 0);
+    }
+
+    #[test]
+    fn the_bytes_index_holds_at_most_the_cache_capacity() {
+        let svc = PredictService::new(ServeConfig::default(), ShutdownFlag::new()).unwrap();
+        // Distinct bytes, one content: leading spaces.
+        let body = |i: usize| format!("{}{CHEAP}", " ".repeat(i));
+        let first = predict(&svc, &body(0));
+        for i in 1..CACHE_CAPACITY + 10 {
+            let hit = predict(&svc, &body(i));
+            assert_eq!(hit.body, first.body);
+        }
+        assert_eq!(svc.cache.indexed_bodies(), CACHE_CAPACITY);
+        // The least recently used bodies went; the newest stayed.
+        assert!(svc.cache.get_by_body(body(0).as_bytes()).is_none());
+        assert!(svc
+            .cache
+            .get_by_body(body(CACHE_CAPACITY + 9).as_bytes())
+            .is_some());
+        assert_eq!(count(&svc.metrics().computations), 1);
+    }
+
+    #[test]
+    fn after_a_restart_a_repeat_is_a_hit_through_the_content_key() {
+        let dir =
+            std::env::temp_dir().join(format!("gsim-serve-bytes-index-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServeConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let first = {
+            let svc = PredictService::new(cfg.clone(), ShutdownFlag::new()).unwrap();
+            predict(&svc, CHEAP)
+        };
+        assert_eq!(header(&first, "X-Gsim-Cache"), Some("miss"));
+        let svc = PredictService::new(cfg, ShutdownFlag::new()).unwrap();
+        assert_eq!(
+            svc.cache.indexed_bodies(),
+            0,
+            "the index is never persisted"
+        );
+        let again = predict(&svc, CHEAP);
+        assert_eq!(header(&again, "X-Gsim-Cache"), Some("hit"));
+        assert_eq!(again.body, first.body);
+        assert_eq!(headers_but_cache(&again), headers_but_cache(&first));
+        assert_eq!(svc.cache.indexed_bodies(), 1);
+        assert_eq!(count(&svc.metrics().computations), 0);
+        drop(svc);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
