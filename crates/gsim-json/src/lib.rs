@@ -502,9 +502,12 @@ impl Parser<'_> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let digits = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(digits, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // Four hex digits and nothing else (`from_str_radix` would also
+        // take a sign: `\u+123`).
+        let v = self.bytes[self.pos..self.pos + 4]
+            .iter()
+            .try_fold(0, |v, &b| char::from(b).to_digit(16).map(|d| v * 16 + d))
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
@@ -534,9 +537,43 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
+        if !json_number(text.as_bytes()) {
+            return Err(self.err(format!("invalid number {text:?}")));
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(format!("invalid number {text:?}")))
+    }
+}
+
+/// Whether `text`, as [`Parser::number`] scanned it, follows JSON's number
+/// grammar, which `f64`'s parser does not enforce: it also takes `01`,
+/// `1.`, `-.5` and `1e`. A number past `f64`'s range is still a number
+/// (it parses to an infinity, which renders as `null`).
+fn json_number(text: &[u8]) -> bool {
+    let digits = |s: &[u8]| s.iter().take_while(|c| c.is_ascii_digit()).count();
+    let s = text.strip_prefix(b"-").unwrap_or(text);
+    let int = digits(s);
+    if int == 0 || (int > 1 && s[0] == b'0') {
+        return false;
+    }
+    let mut s = &s[int..];
+    if let Some(frac) = s.strip_prefix(b".") {
+        let n = digits(frac);
+        if n == 0 {
+            return false;
+        }
+        s = &frac[n..];
+    }
+    match s.split_first() {
+        None => true,
+        Some((_, exp)) => {
+            let exp = exp
+                .strip_prefix(b"+")
+                .or(exp.strip_prefix(b"-"))
+                .unwrap_or(exp);
+            !exp.is_empty() && digits(exp) == exp.len()
+        }
     }
 }
 

@@ -104,9 +104,11 @@ impl LineRouter {
         let keep = self.keep_rate();
         let distance_scale = f64::from(self.n_shards) / keep;
         let weight_scale = 1.0 / keep;
-        let mut merged = StackDistanceHistogram::new();
+        // Sized once, zeroed by the allocator: every shard folds into it.
+        let len = shards.iter().map(|h| h.rescaled_len(distance_scale)).max();
+        let mut merged = StackDistanceHistogram::with_len(len.unwrap_or(0));
         for hist in shards {
-            merged.merge(&hist.rescaled(distance_scale, weight_scale));
+            merged.merge_rescaled(hist, distance_scale, weight_scale);
         }
         merged
     }

@@ -42,6 +42,7 @@ impl SplitMix64 {
     }
 
     /// Produces the next value in the stream.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -68,6 +69,7 @@ impl Rng64 {
     }
 
     /// Produces the next 64 uniformly random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -81,11 +83,13 @@ impl Rng64 {
     }
 
     /// Uniform `f64` in `[0, 1)` with the full 53 bits of precision.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
@@ -95,6 +99,7 @@ impl Rng64 {
     /// # Panics
     ///
     /// Panics if the range is empty.
+    #[inline]
     pub fn gen_range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range {lo}..{hi}");
         let span = hi - lo;
@@ -118,6 +123,7 @@ impl Rng64 {
     /// # Panics
     ///
     /// Panics if `lo > hi`.
+    #[inline]
     pub fn gen_range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi, "empty range {lo}..={hi}");
         if lo == 0 && hi == u64::MAX {

@@ -365,6 +365,7 @@ impl SpecStream {
     /// The line the kind's address sequence gives this op. The kinds
     /// indexed by op number count every op, also the hot ones that go
     /// elsewhere; the random kinds draw only when asked (`hot` unset).
+    #[inline]
     fn base_line(&mut self, hot: bool) -> u64 {
         let sh = &*self.shared;
         let fp = sh.spec.footprint_lines;
@@ -397,6 +398,7 @@ impl SpecStream {
         here
     }
 
+    #[inline]
     fn mem_op(&mut self) -> Op {
         let spec = &self.shared.spec;
         if let Some(hot) = spec.shared_hot {
@@ -450,6 +452,10 @@ impl SpecStream {
 }
 
 impl WarpStream for SpecStream {
+    // Called once per op from the engine and the fast path, both in other
+    // crates: without `#[inline]` each op is a real call whose
+    // `Option<Op>` comes back through memory (DESIGN.md §10).
+    #[inline]
     fn next_op(&mut self) -> Option<Op> {
         loop {
             match self.phase {

@@ -106,6 +106,14 @@ impl WeakBenchmark {
         marked.try_into().ok()
     }
 
+    /// This benchmark at memory miniature `scale`.
+    fn at(&self, scale: MemScale) -> Self {
+        Self {
+            scale,
+            ..self.clone()
+        }
+    }
+
     /// Builds the synthetic workload for an arbitrary scale `factor`
     /// (1 = the 8-SM base input) and footprint.
     fn build(&self, factor: u64, footprint_mb: f64) -> Workload {
@@ -234,15 +242,6 @@ impl WeakBenchmark {
     }
 }
 
-fn rows(data: [(u32, f64, f64, bool); 5]) -> [WeakRow; 5] {
-    data.map(|(ctas_paper, footprint_mb, minsns, mcm)| WeakRow {
-        ctas_paper,
-        footprint_mb,
-        minsns,
-        mcm,
-    })
-}
-
 /// Builds the six-benchmark weak-scaling suite of Table IV.
 ///
 /// # Example
@@ -259,95 +258,111 @@ fn rows(data: [(u32, f64, f64, bool); 5]) -> [WeakRow; 5] {
 /// assert!(bfs.workload_for_sms(48).is_none());
 /// ```
 pub fn weak_suite(scale: MemScale) -> Vec<WeakBenchmark> {
-    vec![
-        WeakBenchmark {
-            abbr: "bfs",
-            expected: ScalingClass::SubLinear,
-            // Table IV (first-row footprint follows the ×2 progression).
-            rows: rows([
-                (128, 2.55, 30.0, false),
-                (256, 5.1, 61.0, false),
-                (512, 10.2, 128.0, true),
-                (1024, 20.4, 257.0, true),
-                (2046, 40.9, 549.0, true),
-            ]),
-            kind: WeakKind::Bfs,
-            scale,
-        },
-        WeakBenchmark {
-            abbr: "bs",
-            expected: ScalingClass::SubLinear,
-            rows: rows([
-                (15_625, 40.0, 431.0, true),
-                (31_250, 80.0, 862.0, true),
-                (62_500, 160.0, 1_724.0, true),
-                (125_000, 320.0, 3_448.0, false),
-                (250_000, 640.0, 6_898.0, false),
-            ]),
-            kind: WeakKind::Bs,
-            scale,
-        },
-        WeakBenchmark {
-            abbr: "btree",
-            expected: ScalingClass::Linear,
-            rows: rows([
-                (2_500, 4.3, 167.0, false),
-                (5_000, 8.7, 335.0, false),
-                (10_000, 17.4, 670.0, false),
-                (20_000, 34.7, 1_341.0, false),
-                (40_000, 69.4, 2_682.0, false),
-            ]),
-            kind: WeakKind::Btree,
-            scale,
-        },
-        WeakBenchmark {
-            abbr: "as",
-            expected: ScalingClass::Linear,
-            rows: rows([
-                (2_048, 4.2, 13.5, false),
-                (4_096, 8.7, 27.0, false),
-                (8_192, 16.78, 54.0, true),
-                (16_384, 33.6, 109.0, true),
-                (32_768, 67.1, 218.0, true),
-            ]),
-            kind: WeakKind::As,
-            scale,
-        },
-        WeakBenchmark {
-            abbr: "bp",
-            expected: ScalingClass::Linear,
-            // First-row footprint follows the ×2 progression of the
-            // published larger rows.
-            rows: rows([
-                (4_096, 9.4, 212.0, false),
-                (8_192, 18.9, 424.0, true),
-                (16_384, 37.7, 848.0, true),
-                (32_768, 75.5, 1_696.0, true),
-                (65_536, 151.0, 3_392.0, false),
-            ]),
-            kind: WeakKind::Bp,
-            scale,
-        },
-        WeakBenchmark {
-            abbr: "va",
-            expected: ScalingClass::Linear,
-            rows: rows([
-                (1_024, 3.1, 5.8, false),
-                (2_048, 6.3, 11.5, false),
-                (4_096, 12.6, 23.0, true),
-                (8_196, 25.2, 46.0, true),
-                (16_384, 50.3, 92.0, true),
-            ]),
-            kind: WeakKind::Va,
-            scale,
-        },
-    ]
+    WEAK_SUITE.iter().map(|b| b.at(scale)).collect()
 }
 
-/// Looks a weak benchmark up by abbreviation.
+/// Looks a weak benchmark up by abbreviation, building only that one.
 pub fn weak_benchmark(abbr: &str, scale: MemScale) -> Option<WeakBenchmark> {
-    weak_suite(scale).into_iter().find(|b| b.abbr == abbr)
+    WEAK_SUITE
+        .iter()
+        .find(|b| b.abbr == abbr)
+        .map(|b| b.at(scale))
 }
+
+const fn row(ctas_paper: u32, footprint_mb: f64, minsns: f64, mcm: bool) -> WeakRow {
+    WeakRow {
+        ctas_paper,
+        footprint_mb,
+        minsns,
+        mcm,
+    }
+}
+
+/// Table IV in order, at full size: [`weak_suite`] and [`weak_benchmark`]
+/// copy entries out at the memory miniature asked for.
+const WEAK_SUITE: [WeakBenchmark; 6] = [
+    WeakBenchmark {
+        abbr: "bfs",
+        expected: ScalingClass::SubLinear,
+        // Table IV (first-row footprint follows the ×2 progression).
+        rows: [
+            row(128, 2.55, 30.0, false),
+            row(256, 5.1, 61.0, false),
+            row(512, 10.2, 128.0, true),
+            row(1024, 20.4, 257.0, true),
+            row(2046, 40.9, 549.0, true),
+        ],
+        kind: WeakKind::Bfs,
+        scale: MemScale::full(),
+    },
+    WeakBenchmark {
+        abbr: "bs",
+        expected: ScalingClass::SubLinear,
+        rows: [
+            row(15_625, 40.0, 431.0, true),
+            row(31_250, 80.0, 862.0, true),
+            row(62_500, 160.0, 1_724.0, true),
+            row(125_000, 320.0, 3_448.0, false),
+            row(250_000, 640.0, 6_898.0, false),
+        ],
+        kind: WeakKind::Bs,
+        scale: MemScale::full(),
+    },
+    WeakBenchmark {
+        abbr: "btree",
+        expected: ScalingClass::Linear,
+        rows: [
+            row(2_500, 4.3, 167.0, false),
+            row(5_000, 8.7, 335.0, false),
+            row(10_000, 17.4, 670.0, false),
+            row(20_000, 34.7, 1_341.0, false),
+            row(40_000, 69.4, 2_682.0, false),
+        ],
+        kind: WeakKind::Btree,
+        scale: MemScale::full(),
+    },
+    WeakBenchmark {
+        abbr: "as",
+        expected: ScalingClass::Linear,
+        rows: [
+            row(2_048, 4.2, 13.5, false),
+            row(4_096, 8.7, 27.0, false),
+            row(8_192, 16.78, 54.0, true),
+            row(16_384, 33.6, 109.0, true),
+            row(32_768, 67.1, 218.0, true),
+        ],
+        kind: WeakKind::As,
+        scale: MemScale::full(),
+    },
+    WeakBenchmark {
+        abbr: "bp",
+        expected: ScalingClass::Linear,
+        // First-row footprint follows the ×2 progression of the
+        // published larger rows.
+        rows: [
+            row(4_096, 9.4, 212.0, false),
+            row(8_192, 18.9, 424.0, true),
+            row(16_384, 37.7, 848.0, true),
+            row(32_768, 75.5, 1_696.0, true),
+            row(65_536, 151.0, 3_392.0, false),
+        ],
+        kind: WeakKind::Bp,
+        scale: MemScale::full(),
+    },
+    WeakBenchmark {
+        abbr: "va",
+        expected: ScalingClass::Linear,
+        rows: [
+            row(1_024, 3.1, 5.8, false),
+            row(2_048, 6.3, 11.5, false),
+            row(4_096, 12.6, 23.0, true),
+            row(8_196, 25.2, 46.0, true),
+            row(16_384, 50.3, 92.0, true),
+        ],
+        kind: WeakKind::Va,
+        scale: MemScale::full(),
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -426,6 +441,37 @@ mod tests {
                 .hot_lines
         };
         assert_eq!(hot(4), 16 * hot(0));
+    }
+
+    #[test]
+    fn lookup_builds_the_suites_entry() {
+        use crate::tracefile::semantic_hash_of;
+        // The coarsest miniature keeps the hashed op streams short.
+        let scale = MemScale::new(384);
+        for want in weak_suite(scale) {
+            let got = weak_benchmark(want.abbr, scale).unwrap();
+            assert_eq!(got.abbr, want.abbr);
+            assert_eq!(got.expected, want.expected, "{}", want.abbr);
+            assert_eq!(got.rows, want.rows, "{}", want.abbr);
+            for row in 0..5 {
+                assert_eq!(
+                    semantic_hash_of(&got.workload_for_row(row)),
+                    semantic_hash_of(&want.workload_for_row(row)),
+                    "{} row {row}",
+                    want.abbr
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_of_an_unknown_abbreviation_is_none() {
+        for abbr in ["", "dct", "BFS", "bfs ", "va-weak"] {
+            assert!(
+                weak_benchmark(abbr, MemScale::default()).is_none(),
+                "{abbr:?}"
+            );
+        }
     }
 
     #[test]
