@@ -341,20 +341,19 @@ fn finish_sampled(
     } else {
         sampled_ctas as f64 / total_ctas as f64
     };
-    let hist = router.merge(hists);
-    let kinsns = counts.thread_instrs as f64 / 1e3;
-    let points = configs
+    let capacities: Vec<u64> = configs
         .iter()
         .map(|c| {
             let capacity_lines = c.llc_bytes_total / u64::from(c.line_bytes);
-            let effective = ((capacity_lines as f64 * cta_rate).round() as u64).max(1);
-            let mpki = if kinsns > 0.0 {
-                hist.misses_at(effective) / kinsns
-            } else {
-                0.0
-            };
-            (c.n_sms, mpki)
+            ((capacity_lines as f64 * cta_rate).round() as u64).max(1)
         })
+        .collect();
+    let misses = router.merge(hists).misses_at_each(&capacities);
+    let kinsns = counts.thread_instrs as f64 / 1e3;
+    let points = configs
+        .iter()
+        .zip(misses)
+        .map(|(c, m)| (c.n_sms, if kinsns > 0.0 { m / kinsns } else { 0.0 }))
         .collect();
     Collected {
         engine: CollectEngine::Sampled,

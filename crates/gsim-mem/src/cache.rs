@@ -224,12 +224,18 @@ impl Cache {
         (set * ways..(set + 1) * ways, set * meta..(set + 1) * meta)
     }
 
-    /// The set `line_addr` maps to: its tags, fingerprints and order.
+    /// The set `line_addr` maps to: the index of its first way, its tags,
+    /// fingerprints and order.
     #[inline]
-    fn set_mut(&mut self, line_addr: u64) -> (&mut [u64], &mut [u8], Order<'_>) {
+    fn set_mut(&mut self, line_addr: u64) -> (usize, &mut [u64], &mut [u8], Order<'_>) {
         let (tags, meta) = self.set_ranges(line_addr);
         let (fingerprints, links) = self.meta[meta].split_at_mut(self.padded_ways);
-        (&mut self.tags[tags], fingerprints, Order { links })
+        (
+            tags.start,
+            &mut self.tags[tags],
+            fingerprints,
+            Order { links },
+        )
     }
 
     /// Accesses `line_addr` (a line address, not a byte address), filling on
@@ -239,17 +245,29 @@ impl Cache {
     ///
     /// Panics if `line_addr` needs more than 62 bits.
     pub fn access(&mut self, line_addr: u64, is_write: bool) -> AccessResult {
+        self.access_way(line_addr, is_write).0
+    }
+
+    /// [`Cache::access`], also reporting the way it used: the line's index
+    /// in `0..geometry().lines()`, which stays its index for as long as it
+    /// is resident. A caller can keep per-line state beside the tags with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line_addr` needs more than 62 bits.
+    #[inline]
+    pub fn access_way(&mut self, line_addr: u64, is_write: bool) -> (AccessResult, usize) {
         let key = key_of(line_addr).unwrap_or_else(|| {
             panic!("line address {line_addr:#x} exceeds the tag store's 62 bits")
         });
         let dirty = if is_write { DIRTY } else { 0 };
-        let (tags, fingerprints, mut order) = self.set_mut(line_addr);
+        let (first, tags, fingerprints, mut order) = self.set_mut(line_addr);
         let ways = tags.len();
         if let Some(way) = find(tags, fingerprints, line_addr) {
             tags[way] |= dirty;
             order.move_after(way, ways);
             self.hits += 1;
-            return AccessResult::Hit;
+            return (AccessResult::Hit, first + way);
         }
 
         // Miss: the victim is the oldest way. Empty ways come last, so it
@@ -267,7 +285,7 @@ impl Cache {
             self.evictions += 1;
             self.dirty_evictions += u64::from(e.dirty);
         }
-        AccessResult::Miss(evicted)
+        (AccessResult::Miss(evicted), first + victim)
     }
 
     /// Probes for `line_addr` without updating LRU state or statistics.
@@ -279,7 +297,7 @@ impl Cache {
 
     /// Invalidates `line_addr` if present; returns whether it was dirty.
     pub fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
-        let (tags, fingerprints, mut order) = self.set_mut(line_addr);
+        let (_, tags, fingerprints, mut order) = self.set_mut(line_addr);
         let way = find(tags, fingerprints, line_addr)?;
         let was_dirty = tags[way] & DIRTY != 0;
         tags[way] = INVALID;
@@ -420,6 +438,24 @@ mod tests {
         assert_eq!(c.access(1, false).evicted(), None);
         assert_eq!(c.access(2, false).evicted(), None);
         assert!(c.access(3, false).evicted().is_some());
+    }
+
+    #[test]
+    fn access_way_keeps_a_lines_way_while_resident() {
+        // 2 sets of 2 ways: even lines in set 0 (ways 0-1), odd in set 1.
+        let mut c = Cache::new(CacheGeometry::from_sets(2, 2, 128));
+        let (r, a) = c.access_way(0, false);
+        assert!(r.is_miss() && a < 2);
+        let (_, b) = c.access_way(2, false);
+        assert_eq!(a + b, 1);
+        let (_, odd) = c.access_way(1, false);
+        assert!((2..4).contains(&odd));
+        assert_eq!(c.access_way(0, true), (AccessResult::Hit, a));
+        // 2 is the oldest of set 0: line 4 takes its way.
+        let (r, way) = c.access_way(4, false);
+        assert_eq!(r.evicted().map(|e| e.line_addr), Some(2));
+        assert_eq!(way, b);
+        assert_eq!(c.access_way(0, false), (AccessResult::Hit, a));
     }
 
     #[test]

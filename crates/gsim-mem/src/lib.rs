@@ -43,7 +43,6 @@ mod dram;
 mod geometry;
 mod linehash;
 mod mshr;
-mod pending;
 mod slice;
 
 pub mod mrc;
@@ -54,7 +53,6 @@ pub use dram::{DramModel, DramStats};
 pub use geometry::{ceil_u64, CacheGeometry};
 pub use linehash::{LineHasher, LineMap};
 pub use mshr::{Mshr, MshrOutcome};
-pub use pending::FillTracker;
 pub use slice::{slice_for_line, SlicedLlc};
 
 /// Number of bytes in a cache line used throughout the paper's configuration

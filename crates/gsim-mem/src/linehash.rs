@@ -5,8 +5,6 @@
 //! access; with the standard SipHash the hash alone costs more than the
 //! rest of the probe, so these maps hash with one multiply. The users:
 //!
-//! * [`FillTracker`](crate::FillTracker) — in-flight fills of an LLC
-//!   partition, probed on every LLC hit;
 //! * [`Mshr`](crate::Mshr) — an SM's outstanding misses, probed on every
 //!   L1 miss;
 //! * [`TreeStack`](crate::mrc::TreeStack) — each line's last time slot,

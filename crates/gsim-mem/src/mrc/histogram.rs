@@ -66,6 +66,30 @@ impl StackDistanceHistogram {
         self.cold + reuse_misses
     }
 
+    /// [`misses_at`](Self::misses_at) at each of `capacities` (in any
+    /// order), from one pass over the distances: capacities are read from
+    /// the largest down, each extending the tail sum of the one before.
+    /// The tail is summed from its far end, so with fractional weights a
+    /// reading may differ from `misses_at`'s in the last bit; whole-number
+    /// weights, such as the fast path's (sampled accesses times the
+    /// inverse keep rate 4), sum exactly in either order.
+    pub fn misses_at_each(&self, capacities: &[u64]) -> Vec<f64> {
+        let mut order: Vec<usize> = (0..capacities.len()).collect();
+        order.sort_unstable_by_key(|&i| std::cmp::Reverse(capacities[i]));
+        let mut misses = vec![0.0; capacities.len()];
+        let (mut tail, mut end) = (0.0, self.counts.len());
+        for i in order {
+            let start = usize::try_from(capacities[i]).map_or(end, |c| c.min(end));
+            tail = self.counts[start..end]
+                .iter()
+                .rev()
+                .fold(tail, |t, &w| t + w);
+            end = start;
+            misses[i] = self.cold + tail;
+        }
+        misses
+    }
+
     /// Miss *rate* (fraction of accesses missing) at `capacity_lines`;
     /// 0 if the histogram is empty.
     pub fn miss_rate_at(&self, capacity_lines: u64) -> f64 {
@@ -277,6 +301,44 @@ mod tests {
             let case = format!("factors {df}, {wf}");
             assert_bit_identical(&merged, &copy_then_add(&shards, df, wf), &case);
         }
+    }
+
+    #[test]
+    fn misses_at_each_is_bit_identical_to_misses_at() {
+        let mut rng = Rng64::seed_from_u64(0x5EED_0040);
+        for case in 0..40 {
+            // The fast path's merge: 8 shards of whole accesses at rate 1/4.
+            let router = LineRouter::new(8, 0.25);
+            let shards: Vec<_> = (0..8)
+                .map(|_| {
+                    let mut h = StackDistanceHistogram::new();
+                    for _ in 0..rng.gen_range(0, 2_000) {
+                        h.add(rng.gen_range(0, 5_000), 1.0);
+                    }
+                    h.add_cold(rng.gen_range(0, 500) as f64);
+                    h
+                })
+                .collect();
+            let hist = router.merge(&shards);
+            // Ladder-like capacities in any order, with repeats, zero and
+            // capacities past the last distance, up to u64::MAX.
+            let mut caps: Vec<u64> = (0..rng.gen_range(0, 8))
+                .map(|_| rng.gen_range(0, 200_000))
+                .collect();
+            caps.extend([0, 1 << 17, u64::MAX, 4_096, 4_096]);
+            for i in (1..caps.len()).rev() {
+                caps.swap(i, rng.gen_range(0, i as u64 + 1) as usize);
+            }
+            let each = hist.misses_at_each(&caps);
+            for (&c, &m) in caps.iter().zip(&each) {
+                assert_eq!(
+                    m.to_bits(),
+                    hist.misses_at(c).to_bits(),
+                    "case {case}: {c} lines"
+                );
+            }
+        }
+        assert!(StackDistanceHistogram::new().misses_at_each(&[]).is_empty());
     }
 
     #[test]

@@ -26,7 +26,9 @@ pub fn slice_for_line(line_addr: u64, n_slices: u32) -> u32 {
 ///
 /// Per-slice access counts are tracked so the timing simulator can model
 /// slice-port contention (camping) and so tests can verify the hash spreads
-/// load.
+/// load. Every way also carries a *fill word*, the cycle at which the fill
+/// that brought its line in completes, for the timing simulator's
+/// in-flight fills ([`SlicedLlc::access_in_slice`]).
 ///
 /// # Example
 ///
@@ -42,6 +44,10 @@ pub fn slice_for_line(line_addr: u64, n_slices: u32) -> u32 {
 #[derive(Debug, Clone)]
 pub struct SlicedLlc {
     slices: Vec<Cache>,
+    /// The fill word of every way, slice-major.
+    fills: Vec<u64>,
+    /// Ways per slice: a slice's stride in `fills`.
+    slice_lines: usize,
 }
 
 impl SlicedLlc {
@@ -54,10 +60,7 @@ impl SlicedLlc {
     pub fn new(total_bytes: u64, n_slices: u32, ways: u32, line_bytes: u32) -> Self {
         assert!(n_slices > 0, "LLC needs at least one slice");
         let per_slice = total_bytes / u64::from(n_slices);
-        let geom = CacheGeometry::new(per_slice, ways, line_bytes);
-        Self {
-            slices: vec![Cache::new(geom); n_slices as usize],
-        }
+        Self::of_slices(CacheGeometry::new(per_slice, ways, line_bytes), n_slices)
     }
 
     /// Builds one memory partition's share of a larger LLC: `n_slices`
@@ -71,9 +74,15 @@ impl SlicedLlc {
     /// Panics if `n_slices` is zero or a slice is smaller than one line.
     pub fn partition(slice_bytes: u64, n_slices: u32, ways: u32, line_bytes: u32) -> Self {
         assert!(n_slices > 0, "LLC partition needs at least one slice");
-        let geom = CacheGeometry::new(slice_bytes, ways, line_bytes);
+        Self::of_slices(CacheGeometry::new(slice_bytes, ways, line_bytes), n_slices)
+    }
+
+    fn of_slices(geom: CacheGeometry, n_slices: u32) -> Self {
+        let slice_lines = geom.lines() as usize;
         Self {
             slices: vec![Cache::new(geom); n_slices as usize],
+            fills: vec![0; slice_lines * n_slices as usize],
+            slice_lines,
         }
     }
 
@@ -106,11 +115,39 @@ impl SlicedLlc {
     /// an *external* hash (a [`SlicedLlc::partition`] of a larger LLC);
     /// no consistency with the built-in hash is assumed.
     ///
+    /// Also returns the fill word of the way the line now occupies. On a
+    /// miss the caller writes the cycle at which the line's fill
+    /// completes; on a hit it reads it back, since that is the fill that
+    /// brought the line in (a line's way and word are its own while it is
+    /// resident). A request entering before that cycle waits for the fill.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use gsim_mem::SlicedLlc;
+    ///
+    /// let mut llc = SlicedLlc::partition(64 * 1024, 2, 16, 128);
+    /// let (result, fill_at) = llc.access_in_slice(1, 7, false);
+    /// assert!(result.is_miss());
+    /// *fill_at = 300; // the fill lands at cycle 300
+    /// let (result, fill_at) = llc.access_in_slice(1, 7, false);
+    /// assert!(result.is_hit());
+    /// assert_eq!(*fill_at, 300); // a hit entering before 300 waits for it
+    /// ```
+    ///
     /// # Panics
     ///
     /// Panics if `slice` is out of range.
-    pub fn access_in_slice(&mut self, slice: u32, line_addr: u64, is_write: bool) -> AccessResult {
-        self.slices[slice as usize].access(line_addr, is_write)
+    #[inline]
+    pub fn access_in_slice(
+        &mut self,
+        slice: u32,
+        line_addr: u64,
+        is_write: bool,
+    ) -> (AccessResult, &mut u64) {
+        let s = slice as usize;
+        let (result, way) = self.slices[s].access_way(line_addr, is_write);
+        (result, &mut self.fills[s * self.slice_lines + way])
     }
 
     /// Probes without updating LRU state.
@@ -187,6 +224,32 @@ mod tests {
         assert!(llc.access(42, false).is_hit());
         assert_eq!(llc.hits(), 1);
         assert_eq!(llc.misses(), 1);
+    }
+
+    #[test]
+    fn fill_word_is_the_lines_latest_fill() {
+        // One set of two ways per slice: a third line evicts the oldest.
+        let mut llc = SlicedLlc::partition(256, 2, 2, 128);
+        for (line, fill) in [(1, 100), (2, 200)] {
+            let (r, word) = llc.access_in_slice(0, line, false);
+            assert!(r.is_miss());
+            *word = fill;
+        }
+        // The same line in the other slice has its own word.
+        *llc.access_in_slice(1, 1, false).1 = 900;
+        assert_eq!(*llc.access_in_slice(0, 1, true).1, 100);
+        assert_eq!(*llc.access_in_slice(0, 2, false).1, 200);
+        // Line 1 is now the oldest: 3 takes its way, and 1 comes back as
+        // a miss whose caller writes a new word.
+        let (r, word) = llc.access_in_slice(0, 3, false);
+        assert_eq!(r.evicted().map(|e| (e.line_addr, e.dirty)), Some((1, true)));
+        *word = 300;
+        let (r, word) = llc.access_in_slice(0, 1, false);
+        assert!(r.is_miss());
+        *word = 400;
+        assert_eq!(*llc.access_in_slice(0, 1, false).1, 400);
+        assert_eq!(*llc.access_in_slice(0, 3, false).1, 300);
+        assert_eq!(*llc.access_in_slice(1, 1, false).1, 900);
     }
 
     #[test]

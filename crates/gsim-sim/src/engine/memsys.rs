@@ -4,17 +4,17 @@
 //! The shared memory system of every chip(let) is divided into
 //! `min(8, llc_slices, n_mcs)` fixed *partitions* ([`MemShard`]),
 //! each owning a slice group (global slice `g` belongs to partition
-//! `g % K`), the memory controllers interleaved onto it, its own in-flight
-//! fill tracker and a proportional share of the crossbar bisection — the
-//! memory-partition structure of real GPUs (DESIGN.md §10). The split is
-//! part of the simulated machine, not of how the host runs it.
+//! `g % K`), the memory controllers interleaved onto it and a proportional
+//! share of the crossbar bisection — the memory-partition structure of
+//! real GPUs (DESIGN.md §10). The split is part of the simulated machine,
+//! not of how the host runs it.
 //!
 //! The engine's flush resolves a cycle's requests one at a time in global
 //! (SM, request) order; each goes to its owner partition's
 //! [`MemShard::apply_one`], which touches only that partition's state.
 
 use crate::noc::Crossbar;
-use gsim_mem::{slice_for_line, BankedDramModel, DramModel, DramTiming, FillTracker, SlicedLlc};
+use gsim_mem::{slice_for_line, BankedDramModel, DramModel, DramTiming, SlicedLlc};
 
 use crate::config::GpuConfig;
 
@@ -137,15 +137,12 @@ pub(super) struct ApplyParams {
 }
 
 /// One memory partition: a slice group of the LLC, the memory controllers
-/// interleaved onto it, a proportional share of the crossbar bisection,
-/// and its own in-flight fill tracker.
+/// interleaved onto it and a proportional share of the crossbar bisection.
 pub(super) struct MemShard {
     pub noc: Crossbar,
     pub llc: SlicedLlc,
     pub slice_free: Vec<f64>,
     pub dram: Dram,
-    /// In-flight LLC fills (line -> completion cycle), for miss merging.
-    pub pending: FillTracker,
     // Order-free statistic deltas, harvested once at the end of the run.
     pub llc_accesses: u64,
     pub llc_misses: u64,
@@ -191,7 +188,6 @@ impl MemShard {
             slice_free: vec![0.0; n_slices as usize],
             llc,
             dram,
-            pending: FillTracker::new(),
             llc_accesses: 0,
             llc_misses: 0,
             dram_bytes: 0,
@@ -226,14 +222,17 @@ impl MemShard {
         self.slice_free[local_slice as usize] = start + occupancy;
         let tag_done = start + p.llc_latency;
 
-        // Tag lookup; eager fill with an in-flight merge map for timing.
+        // Tag lookup with an eager fill. The way's fill word times the
+        // line: a hit entering before the fill that brought it in waits
+        // for that fill.
         let is_write = kind == ReqKind::Store;
-        let result = self.llc.access_in_slice(local_slice, line, is_write);
+        let (result, fill_at) = self.llc.access_in_slice(local_slice, line, is_write);
         self.llc_accesses += 1;
         let data_at_llc = if result.is_hit() {
-            match self.pending.fill_after(line, t0) {
-                Some(fill) => fill as f64,
-                None => tag_done,
+            if *fill_at > t0 {
+                *fill_at as f64
+            } else {
+                tag_done
             }
         } else {
             self.llc_misses += 1;
@@ -246,7 +245,7 @@ impl MemShard {
             }
             let fill = self.dram.read(tag_done as u64, line, p.line_bytes);
             self.dram_bytes += u64::from(p.line_bytes);
-            self.pending.insert(line, fill, t0);
+            *fill_at = fill;
             fill as f64
         };
 
@@ -292,6 +291,44 @@ mod tests {
         };
         assert_eq!(few_slices.mem_partitions(), 3);
         assert_eq!(ShardMap::new(&few_slices).per_chiplet, 3);
+    }
+
+    /// A hit waits for the fill that brought its line in whenever it
+    /// enters before that fill lands, whatever entered in between. Here a
+    /// load enters past every fill, then an atomic, which bypasses the L1
+    /// and so enters up to an L1 latency earlier than loads issued in the
+    /// same cycle, enters one cycle before the first line's fill: it must
+    /// get that fill, not the tag latency. (A tracker that forgot every
+    /// fill once a request entered past the latest one answered the tag
+    /// latency here.)
+    #[test]
+    fn hit_waits_for_its_ways_fill_whatever_entered_between() {
+        let cfg = GpuConfig::paper_target(8, MemScale::default());
+        let map = ShardMap::new(&cfg);
+        assert_eq!(map.per_chiplet, 1);
+        let mut shard = MemShard::new(&cfg, map, 0);
+        let p = ApplyParams {
+            llc_latency: f64::from(cfg.llc_latency),
+            line_bytes: cfg.line_bytes,
+            crossing_latency: 0.0,
+        };
+        let mut apply = |line: u64, t0: u64, kind: ReqKind| {
+            let (_, slice) = map.route(line);
+            shard.apply_one(&p, t0, line, slice, kind, false)
+        };
+        let fill_a = apply(10, 0, ReqKind::Load).data_at_llc;
+        let fill_b = apply(11, 0, ReqKind::Load).data_at_llc;
+        let latest = fill_a.max(fill_b) as u64;
+        assert!(fill_a > 1.0);
+
+        let past = apply(11, latest, ReqKind::Load);
+        assert!(
+            past.data_at_llc > latest as f64,
+            "a landed fill is not waited for"
+        );
+        let early = apply(10, fill_a as u64 - 1, ReqKind::Atomic);
+        assert_eq!(early.data_at_llc, fill_a);
+        assert_eq!((shard.llc_accesses, shard.llc_misses), (4, 2));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use gpu_scale_model::core::{
 use gpu_scale_model::mem::mrc::{CapacityReplay, DistanceEngine, NaiveStack, TreeStack};
 use gpu_scale_model::mem::{
     slice_for_line, AccessResult, BankedDramModel, Cache, CacheGeometry, DramModel, DramTiming,
-    EvictedLine, FillTracker, Mshr, MshrOutcome, SlicedLlc,
+    EvictedLine, Mshr, MshrOutcome, SlicedLlc,
 };
 use gpu_scale_model::sim::{GpuConfig, Simulator};
 use gpu_scale_model::trace::{Kernel, MemScale, PatternKind, PatternSpec, Workload};
@@ -448,47 +448,51 @@ fn capacity_replay_is_exact() {
     }
 }
 
-/// [`FillTracker`] is observably a `HashMap<line, done>` with the
-/// documented purge points: before an insert once the map holds
-/// `max(8192, 2 x survivors of the last purge)` entries, and on any probe
-/// at or past the latest completion time. The stream crosses the purge
-/// threshold several times, lets time step backwards (requests enter the
-/// memory system out of order by up to an L1 latency) and jumps past the
-/// horizon now and then.
+/// The fill words of an LLC partition time its hits exactly as a
+/// `HashMap<line, latest fill>` that never forgets would: a hit entering
+/// before the fill that brought its line in waits for that fill, and the
+/// word holds that fill whatever came between. Requests enter the way the
+/// timing engine sends them: loads and stores an L1 latency after their
+/// issue cycle, atomics (which bypass the L1) at it, so entry times step
+/// back by up to an L1 latency; now and then the clock jumps past every
+/// fill. The partition is small, so lines are evicted and refilled.
 #[test]
-fn fill_tracker_matches_hash_map_model() {
+fn llc_fill_words_match_latest_fill_map() {
+    const L1_LATENCY: u64 = 25;
     let mut rng = Rng64::seed_from_u64(0x5eed_000d);
-    let mut real = FillTracker::new();
-    let mut model: HashMap<u64, u64> = HashMap::new();
-    let (mut max_done, mut purge_at) = (0u64, 8192usize);
-    let mut clock = 0u64;
+    let mut llc = SlicedLlc::partition(16 * 1024, 3, 8, 128);
+    let mut latest: HashMap<u64, u64> = HashMap::new();
+    let (mut clock, mut hits, mut waits) = (0u64, 0u64, 0u64);
     for step in 0..cases(60_000) {
         clock += rng.gen_range(0, 3);
         if step % 20_000 == 19_999 {
             clock += 5_000; // every fill has landed
         }
-        let now = clock.saturating_sub(rng.gen_range(0, 30));
-        let line = rng.gen_range(0, 30_000);
-        if rng.gen_range(0, 4) > 0 {
-            let done = now + rng.gen_range(1, 2_000);
-            if model.len() >= purge_at {
-                model.retain(|_, d| *d > now);
-                purge_at = (model.len() * 2).max(8192);
-            }
-            max_done = max_done.max(done);
-            model.insert(line, done);
-            real.insert(line, done, now);
+        let line = rng.gen_range(0, 1_500);
+        let (t0, is_write) = match rng.gen_range(0, 3) {
+            0 => (clock + L1_LATENCY, false), // load
+            1 => (clock + L1_LATENCY, true),  // store
+            _ => (clock, false),              // atomic
+        };
+        let (result, fill_at) = llc.access_in_slice((line % 3) as u32, line, is_write);
+        if result.is_hit() {
+            let expected = latest[&line];
+            assert_eq!(*fill_at, expected, "step {step}");
+            let wait = (*fill_at > t0).then_some(*fill_at);
+            assert_eq!(wait, (expected > t0).then_some(expected), "step {step}");
+            hits += 1;
+            waits += u64::from(wait.is_some());
         } else {
-            let expected = if now >= max_done {
-                model.clear();
-                None
-            } else {
-                model.get(&line).copied().filter(|&d| d > now)
-            };
-            assert_eq!(real.fill_after(line, now), expected, "step {step}");
+            let fill = t0 + rng.gen_range(1, 2_000);
+            *fill_at = fill;
+            latest.insert(line, fill);
         }
-        assert_eq!(real.len(), model.len(), "step {step}");
     }
+    // Both answers of a hit occur often.
+    assert!(
+        hits > waits && waits > hits / 10,
+        "{waits} waits of {hits} hits"
+    );
 }
 
 /// [`Mshr`] is observably a capacity-bounded `HashMap<line, fill_done>`:
