@@ -499,7 +499,6 @@ fn cmd_trace_info(f: &Flags) {
     });
     let mut reader = TraceReader::with_limits(file, trace_limits(f))
         .unwrap_or_else(|e| trace_exit(&format!("bad trace {}", path.display()), &e));
-    let version = reader.version();
     let name = reader.name().to_string();
     let kernels = reader.kernels().to_vec();
     // Stream the whole file for totals and the content hash; the
@@ -512,7 +511,7 @@ fn cmd_trace_info(f: &Flags) {
         }
     }
     let st = reader.stats().expect("stats after full pass");
-    println!("trace {} (v{version} format)", path.display());
+    println!("trace {} (v2 format)", path.display());
     println!("  name              {name}");
     println!("  ref               {:016x}", st.semantic_hash);
     println!("  kernels           {}", kernels.len());

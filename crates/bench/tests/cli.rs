@@ -41,10 +41,9 @@ fn gsim_trace_record_ingest_info_roundtrip() {
     let store = dir.join("store");
     let s = |p: &PathBuf| p.to_str().unwrap().to_string();
 
-    // That a v1 encoding shares the v2 file's ref and dedupes on ingest
-    // is pinned by the libraries: gsim-tracestore's
-    // `ingest_dedupes_across_format_versions` and gsim-trace's
-    // `every_suite_workload_roundtrips_across_both_formats`.
+    // `record` writes the one trace format; a file in any other version
+    // (the unframed version 1 included) is refused with exit 4, see
+    // `gsim_trace_failures_map_to_distinct_exit_codes`.
     let rec = gsim(&["trace", "record", "gemm", "-o", &s(&v2), "--scale", "64"]);
     assert!(rec.status.success(), "record failed: {rec:?}");
     let trace_ref = stdout_of(&rec)
@@ -125,6 +124,13 @@ fn gsim_trace_failures_map_to_distinct_exit_codes() {
     let rec = gsim(&["trace", "record", "gemm", "-o", &s(&good), "--scale", "64"]);
     assert!(rec.status.success(), "record failed: {rec:?}");
     let bytes = std::fs::read(&good).unwrap();
+    // The same trace relabelled as version 1, the unframed format earlier
+    // builds wrote, is refused as an unknown version.
+    let v1 = dir.join("v1.gstr");
+    let mut relabelled = bytes.clone();
+    relabelled[4] = 1;
+    std::fs::write(&v1, &relabelled).unwrap();
+    assert_eq!(gsim(&["trace", "info", &s(&v1)]).status.code(), Some(4));
     let trunc = dir.join("trunc.gstr");
     std::fs::write(&trunc, &bytes[..bytes.len() / 2]).unwrap();
     assert_eq!(gsim(&["trace", "info", &s(&trunc)]).status.code(), Some(5));
@@ -149,6 +155,12 @@ fn gsim_trace_failures_map_to_distinct_exit_codes() {
             .status
             .code(),
         Some(3)
+    );
+    assert_eq!(
+        gsim(&["trace", "ingest", &s(&v1), "--store", &s(&store)])
+            .status
+            .code(),
+        Some(4)
     );
 
     // Usage errors stay on the usual exit 2.

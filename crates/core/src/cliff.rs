@@ -71,19 +71,6 @@ impl SizedMrc {
             .map(|&(_, m)| m)
     }
 
-    /// Whether a cliff (per [`detect_cliff`]) lies strictly between
-    /// `from` and `to`.
-    pub fn cliff_between(&self, from: u32, to: u32) -> bool {
-        match detect_cliff(self) {
-            Some(i) => {
-                let (lo, _) = self.points[i];
-                let (hi, _) = self.points[i + 1];
-                lo >= from && hi <= to
-            }
-            None => false,
-        }
-    }
-
     /// The region each sampled size falls in. Before the cliff step:
     /// [`Region::PreCliff`]; the first size after the drop:
     /// [`Region::Cliff`] (the crossing); later sizes:
@@ -187,8 +174,8 @@ mod tests {
         assert_eq!(regions[2].1, Region::PreCliff);
         assert_eq!(regions[3].1, Region::Cliff);
         assert_eq!(regions[4].1, Region::PostCliff);
-        assert!(mrc.cliff_between(32, 64));
-        assert!(!mrc.cliff_between(64, 128));
+        // The cliff step is from 32 to 64 SMs.
+        assert_eq!((regions[2].0, regions[3].0), (32, 64));
     }
 
     #[test]

@@ -94,16 +94,6 @@ impl LinearRegression {
         let b = ipc_s - a * xs;
         Ok(Self { a, b })
     }
-
-    /// Slope of the fitted line.
-    pub fn slope(&self) -> f64 {
-        self.a
-    }
-
-    /// Intercept of the fitted line.
-    pub fn intercept(&self) -> f64 {
-        self.b
-    }
 }
 
 impl ScalingPredictor for LinearRegression {
@@ -135,11 +125,6 @@ impl PowerLawRegression {
         let b = (ipc_l / ipc_s).ln() / (f64::from(l) / f64::from(s)).ln();
         let a = ipc_s / f64::from(s).powf(b);
         Ok(Self { a, b })
-    }
-
-    /// The fitted exponent (1.0 = perfectly linear scaling).
-    pub fn exponent(&self) -> f64 {
-        self.b
     }
 }
 
@@ -179,11 +164,6 @@ impl LogRegression {
             a: (ipc_s * xs + ipc_l * xl) / denom,
         })
     }
-
-    /// The fitted coefficient.
-    pub fn coefficient(&self) -> f64 {
-        self.a
-    }
 }
 
 impl ScalingPredictor for LogRegression {
@@ -217,8 +197,9 @@ mod tests {
         assert!((p.predict(16.0) - 180.0).abs() < 1e-9);
         // Sub-linear observations extrapolate below proportional.
         assert!(p.predict(128.0) < 1600.0);
-        assert!((p.slope() - 10.0).abs() < 1e-9);
-        assert!((p.intercept() - 20.0).abs() < 1e-9);
+        // Slope 10, intercept 20.
+        assert!((p.predict(1.0) - p.predict(0.0) - 10.0).abs() < 1e-9);
+        assert!((p.predict(0.0) - 20.0).abs() < 1e-9);
     }
 
     #[test]
@@ -226,13 +207,14 @@ mod tests {
         let p = PowerLawRegression::fit(S, 100.0, L, 180.0).unwrap();
         assert!((p.predict(8.0) - 100.0).abs() < 1e-6);
         assert!((p.predict(16.0) - 180.0).abs() < 1e-6);
-        assert!((p.exponent() - (1.8f64).log2()).abs() < 1e-9);
+        // Exponent log2(1.8): every doubling multiplies IPC by 1.8.
+        assert!((p.predict(256.0) / p.predict(128.0) - 1.8).abs() < 1e-9);
     }
 
     #[test]
     fn power_law_with_exact_doubling_is_proportional() {
         let p = PowerLawRegression::fit(S, 100.0, L, 200.0).unwrap();
-        assert!((p.exponent() - 1.0).abs() < 1e-12);
+        assert!((p.predict(3.0) / p.predict(1.0) - 3.0).abs() < 1e-12);
         assert!((p.predict(128.0) - 1600.0).abs() < 1e-6);
     }
 
@@ -252,7 +234,8 @@ mod tests {
     fn log_regression_least_squares() {
         // With xs=3, xl=4: a = (3*y1 + 4*y2) / 25.
         let p = LogRegression::fit(S, 100.0, L, 200.0).unwrap();
-        assert!((p.coefficient() - (300.0 + 800.0) / 25.0).abs() < 1e-9);
+        // log2(2) = 1, so predicting at 2 reads the coefficient.
+        assert!((p.predict(2.0) - (300.0 + 800.0) / 25.0).abs() < 1e-9);
     }
 
     #[test]

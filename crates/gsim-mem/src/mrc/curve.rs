@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use super::histogram::StackDistanceHistogram;
-
 /// One sample of a miss-rate curve: the LLC capacity and the misses per
 /// thousand (thread) instructions measured or predicted at that capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,23 +53,6 @@ impl MissRateCurve {
         Self { points }
     }
 
-    /// Derives a curve from a stack-distance histogram, sampling it at the
-    /// given capacities (bytes), for a trace of `total_instructions` thread
-    /// instructions and `line_bytes` cache lines.
-    pub fn from_histogram(
-        hist: &StackDistanceHistogram,
-        capacities_bytes: &[u64],
-        total_instructions: u64,
-        line_bytes: u32,
-    ) -> Self {
-        let k = total_instructions as f64 / 1000.0;
-        Self::from_pairs(capacities_bytes.iter().map(|&cap| {
-            let lines = cap / u64::from(line_bytes);
-            let misses = hist.misses_at(lines);
-            (cap, if k > 0.0 { misses / k } else { 0.0 })
-        }))
-    }
-
     /// Adds a point, keeping the curve sorted; replaces an existing point at
     /// the same capacity.
     pub fn insert(&mut self, capacity_bytes: u64, mpki: f64) {
@@ -111,35 +92,6 @@ impl MissRateCurve {
             .binary_search_by_key(&capacity_bytes, |p| p.capacity_bytes)
             .ok()
             .map(|i| self.points[i].mpki)
-    }
-
-    /// MPKI at `capacity_bytes` with log-linear interpolation between
-    /// samples (clamped at the ends). Returns `None` on an empty curve.
-    pub fn mpki_interpolated(&self, capacity_bytes: u64) -> Option<f64> {
-        let pts = self.points.as_slice();
-        match pts {
-            [] => None,
-            [only] => Some(only.mpki),
-            _ => {
-                if capacity_bytes <= pts[0].capacity_bytes {
-                    return Some(pts[0].mpki);
-                }
-                if capacity_bytes >= pts[pts.len() - 1].capacity_bytes {
-                    return Some(pts[pts.len() - 1].mpki);
-                }
-                let i = pts
-                    .partition_point(|p| p.capacity_bytes <= capacity_bytes)
-                    .min(pts.len() - 1);
-                let (a, b) = (pts[i - 1], pts[i]);
-                let x = (capacity_bytes as f64).ln();
-                let (xa, xb) = (
-                    (a.capacity_bytes as f64).ln(),
-                    (b.capacity_bytes as f64).ln(),
-                );
-                let t = (x - xa) / (xb - xa);
-                Some(a.mpki + t * (b.mpki - a.mpki))
-            }
-        }
     }
 
     /// Iterates over the points.
@@ -190,27 +142,6 @@ mod tests {
         mrc.insert(100, 3.0);
         assert_eq!(mrc.len(), 1);
         assert_eq!(mrc.mpki_at(100), Some(3.0));
-    }
-
-    #[test]
-    fn interpolation_clamps_and_blends() {
-        let mrc = MissRateCurve::from_pairs([(100, 10.0), (400, 2.0)]);
-        assert_eq!(mrc.mpki_interpolated(50), Some(10.0));
-        assert_eq!(mrc.mpki_interpolated(1000), Some(2.0));
-        // Log midpoint of 100 and 400 is 200.
-        let mid = mrc.mpki_interpolated(200).unwrap();
-        assert!((mid - 6.0).abs() < 1e-9, "log-linear midpoint, got {mid}");
-        assert_eq!(MissRateCurve::new().mpki_interpolated(100), None);
-    }
-
-    #[test]
-    fn from_histogram_converts_capacities_to_lines() {
-        let mut h = StackDistanceHistogram::new();
-        h.add_cold(100.0);
-        h.add(10, 900.0); // misses for caches smaller than 11 lines
-        let mrc = MissRateCurve::from_histogram(&h, &[10 * 128, 11 * 128], 1_000_000, 128);
-        assert_eq!(mrc.mpki_at(10 * 128), Some(1.0)); // 1000 misses / 1000 KI
-        assert_eq!(mrc.mpki_at(11 * 128), Some(0.1)); // only cold misses
     }
 
     #[test]

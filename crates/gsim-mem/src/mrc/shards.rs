@@ -34,8 +34,6 @@ const SAMPLE_MOD: u64 = 1 << 24;
 pub struct ShardsStack {
     inner: TreeStack,
     threshold: u64,
-    sampled: u64,
-    seen: u64,
 }
 
 impl ShardsStack {
@@ -49,8 +47,6 @@ impl ShardsStack {
         Self {
             inner: TreeStack::new(),
             threshold: ((rate * SAMPLE_MOD as f64).round() as u64).max(1),
-            sampled: 0,
-            seen: 0,
         }
     }
 
@@ -58,15 +54,6 @@ impl ShardsStack {
     /// threshold.
     pub fn effective_rate(&self) -> f64 {
         self.threshold as f64 / SAMPLE_MOD as f64
-    }
-
-    /// Fraction of accesses that were sampled so far.
-    pub fn observed_rate(&self) -> f64 {
-        if self.seen == 0 {
-            0.0
-        } else {
-            self.sampled as f64 / self.seen as f64
-        }
     }
 
     #[inline]
@@ -84,9 +71,7 @@ impl ShardsStack {
 
 impl DistanceEngine for ShardsStack {
     fn record(&mut self, line_addr: u64) {
-        self.seen += 1;
         if self.is_sampled(line_addr) {
-            self.sampled += 1;
             self.inner.record(line_addr);
         }
     }
@@ -164,7 +149,9 @@ mod tests {
         for l in 0..100_000u64 {
             s.record(l % 10_000);
         }
-        let observed = s.observed_rate();
+        // The sampled stream's accesses, undone from the 1/R weighting.
+        let r = s.effective_rate();
+        let observed = s.finish().total_accesses() * r / 100_000.0;
         assert!(
             (0.01..0.12).contains(&observed),
             "observed sampling rate {observed}"

@@ -132,11 +132,6 @@ impl TreeStack {
         }
     }
 
-    /// Number of distinct lines seen so far.
-    pub fn unique_lines(&self) -> usize {
-        self.last_slot.len()
-    }
-
     /// Rebuilds the time axis, renumbering the surviving marks (one per
     /// unique line) densely in their slot order: a mark's new slot is its
     /// rank on the old axis, so no hash order reaches a result. Amortised
@@ -223,7 +218,6 @@ mod tests {
         for i in 0..1000u64 {
             t.record(i % 37);
         }
-        assert_eq!(t.unique_lines(), 37);
         let h = t.finish();
         assert_eq!(h.cold_accesses(), 37.0);
         assert_eq!(h.total_accesses(), 1000.0);

@@ -21,25 +21,26 @@ pub fn slice_for_line(line_addr: u64, n_slices: u32) -> u32 {
     rem(h >> 32, n_slices) as u32
 }
 
-/// A shared LLC organised as `n_slices` address-hashed slices, each an
-/// independent set-associative [`Cache`].
+/// One memory partition's share of a shared LLC: `n_slices` slices, each
+/// an independent set-associative [`Cache`], addressed by a slice index
+/// the caller derives from the global [`slice_for_line`] hash.
 ///
-/// Per-slice access counts are tracked so the timing simulator can model
-/// slice-port contention (camping) and so tests can verify the hash spreads
-/// load. Every way also carries a *fill word*, the cycle at which the fill
-/// that brought its line in completes, for the timing simulator's
-/// in-flight fills ([`SlicedLlc::access_in_slice`]).
+/// Every way also carries a *fill word*, the cycle at which the fill that
+/// brought its line in completes, for the timing simulator's in-flight
+/// fills ([`SlicedLlc::access_in_slice`]).
 ///
 /// # Example
 ///
 /// ```
-/// use gsim_mem::{CacheGeometry, SlicedLlc};
+/// use gsim_mem::{slice_for_line, SlicedLlc};
 ///
-/// // The paper's 8-SM scale model: 2.125 MB over 2 slices (Table I).
-/// let llc = SlicedLlc::new(2_228_224, 2, 64, 128);
-/// assert_eq!(llc.n_slices(), 2);
-/// assert!(llc.capacity_bytes() <= 2_228_224);
-/// # let _ = CacheGeometry::new(1024, 2, 128);
+/// // The paper's 8-SM scale model: 2.125 MB over 2 slices (Table I),
+/// // all in one partition.
+/// let mut llc = SlicedLlc::partition(2_228_224 / 2, 2, 64, 128);
+/// let line = 42;
+/// let slice = slice_for_line(line, 2);
+/// assert!(llc.access_in_slice(slice, line, false).0.is_miss());
+/// assert!(llc.access_in_slice(slice, line, false).0.is_hit());
 /// ```
 #[derive(Debug, Clone)]
 pub struct SlicedLlc {
@@ -51,33 +52,17 @@ pub struct SlicedLlc {
 }
 
 impl SlicedLlc {
-    /// Builds an LLC of `total_bytes` split evenly over `n_slices` slices,
-    /// each `ways`-way associative with `line_bytes` lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_slices` is zero or a slice would be smaller than one line.
-    pub fn new(total_bytes: u64, n_slices: u32, ways: u32, line_bytes: u32) -> Self {
-        assert!(n_slices > 0, "LLC needs at least one slice");
-        let per_slice = total_bytes / u64::from(n_slices);
-        Self::of_slices(CacheGeometry::new(per_slice, ways, line_bytes), n_slices)
-    }
-
     /// Builds one memory partition's share of a larger LLC: `n_slices`
-    /// slices of exactly `slice_bytes` each. Unlike [`SlicedLlc::new`],
-    /// the caller owns the address-to-slice mapping (typically the global
-    /// hash of the full LLC restricted to the slices this partition
-    /// owns), so lookups must go through [`SlicedLlc::access_in_slice`].
+    /// slices of exactly `slice_bytes` each. The caller owns the
+    /// address-to-slice mapping (typically the global hash of the full LLC
+    /// restricted to the slices this partition owns).
     ///
     /// # Panics
     ///
     /// Panics if `n_slices` is zero or a slice is smaller than one line.
     pub fn partition(slice_bytes: u64, n_slices: u32, ways: u32, line_bytes: u32) -> Self {
         assert!(n_slices > 0, "LLC partition needs at least one slice");
-        Self::of_slices(CacheGeometry::new(slice_bytes, ways, line_bytes), n_slices)
-    }
-
-    fn of_slices(geom: CacheGeometry, n_slices: u32) -> Self {
+        let geom = CacheGeometry::new(slice_bytes, ways, line_bytes);
         let slice_lines = geom.lines() as usize;
         Self {
             slices: vec![Cache::new(geom); n_slices as usize],
@@ -86,34 +71,8 @@ impl SlicedLlc {
         }
     }
 
-    /// Number of slices.
-    pub fn n_slices(&self) -> u32 {
-        self.slices.len() as u32
-    }
-
-    /// Realised total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.slices
-            .iter()
-            .map(|s| s.geometry().capacity_bytes())
-            .sum()
-    }
-
-    /// Slice index owning `line_addr`.
-    #[inline]
-    pub fn slice_of(&self, line_addr: u64) -> u32 {
-        slice_for_line(line_addr, self.n_slices())
-    }
-
-    /// Accesses `line_addr` in its owning slice.
-    pub fn access(&mut self, line_addr: u64, is_write: bool) -> AccessResult {
-        let s = self.slice_of(line_addr) as usize;
-        self.slices[s].access(line_addr, is_write)
-    }
-
     /// Accesses `line_addr` in `slice`, where the slice index comes from
-    /// an *external* hash (a [`SlicedLlc::partition`] of a larger LLC);
-    /// no consistency with the built-in hash is assumed.
+    /// an external hash ([`slice_for_line`] of the full LLC).
     ///
     /// Also returns the fill word of the way the line now occupies. On a
     /// miss the caller writes the cycle at which the line's fill
@@ -149,65 +108,31 @@ impl SlicedLlc {
         let (result, way) = self.slices[s].access_way(line_addr, is_write);
         (result, &mut self.fills[s * self.slice_lines + way])
     }
-
-    /// Probes without updating LRU state.
-    pub fn contains(&self, line_addr: u64) -> bool {
-        let s = self.slice_of(line_addr) as usize;
-        self.slices[s].contains(line_addr)
-    }
-
-    /// Total hits across slices.
-    pub fn hits(&self) -> u64 {
-        self.slices.iter().map(Cache::hits).sum()
-    }
-
-    /// Total misses across slices.
-    pub fn misses(&self) -> u64 {
-        self.slices.iter().map(Cache::misses).sum()
-    }
-
-    /// Total accesses across slices.
-    pub fn accesses(&self) -> u64 {
-        self.slices.iter().map(Cache::accesses).sum()
-    }
-
-    /// Total dirty evictions across slices (write-back DRAM traffic).
-    pub fn dirty_evictions(&self) -> u64 {
-        self.slices.iter().map(Cache::dirty_evictions).sum()
-    }
-
-    /// Per-slice access counts (for load-balance diagnostics).
-    pub fn per_slice_accesses(&self) -> Vec<u64> {
-        self.slices.iter().map(Cache::accesses).collect()
-    }
-
-    /// Empties all slices and resets statistics.
-    pub fn reset(&mut self) {
-        for s in &mut self.slices {
-            s.reset();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Accesses `line` in the slice the global hash of an `n`-slice LLC
+    /// gives it.
+    fn access(llc: &mut SlicedLlc, n: u32, line: u64) -> AccessResult {
+        llc.access_in_slice(slice_for_line(line, n), line, false).0
+    }
+
     #[test]
     fn line_maps_to_stable_slice() {
-        let llc = SlicedLlc::new(1024 * 1024, 8, 16, 128);
         for l in 0..100u64 {
-            assert_eq!(llc.slice_of(l), llc.slice_of(l));
-            assert!(llc.slice_of(l) < 8);
+            assert_eq!(slice_for_line(l, 8), slice_for_line(l, 8));
+            assert!(slice_for_line(l, 8) < 8);
         }
     }
 
     #[test]
     fn hash_spreads_sequential_lines() {
-        let llc = SlicedLlc::new(1024 * 1024, 8, 16, 128);
         let mut counts = [0u64; 8];
         for l in 0..8000u64 {
-            counts[llc.slice_of(l) as usize] += 1;
+            counts[slice_for_line(l, 8) as usize] += 1;
         }
         for (i, &c) in counts.iter().enumerate() {
             assert!(
@@ -219,11 +144,9 @@ mod tests {
 
     #[test]
     fn access_hits_after_fill() {
-        let mut llc = SlicedLlc::new(256 * 1024, 4, 16, 128);
-        assert!(llc.access(42, false).is_miss());
-        assert!(llc.access(42, false).is_hit());
-        assert_eq!(llc.hits(), 1);
-        assert_eq!(llc.misses(), 1);
+        let mut llc = SlicedLlc::partition(64 * 1024, 4, 16, 128);
+        assert!(access(&mut llc, 4, 42).is_miss());
+        assert!(access(&mut llc, 4, 42).is_hit());
     }
 
     #[test]
@@ -254,30 +177,34 @@ mod tests {
 
     #[test]
     fn capacity_split_over_slices() {
-        // Paper 128-SM LLC: 34 MB over 32 slices.
-        let total = 34 * 1024 * 1024;
-        let llc = SlicedLlc::new(total, 32, 64, 128);
-        assert_eq!(llc.capacity_bytes(), total); // divides exactly
-        assert_eq!(llc.n_slices(), 32);
+        // Paper 128-SM LLC: 34 MB over 32 slices, 1.0625 MB (8704 lines)
+        // each. Every slice holds exactly its share: lines 0..8704 fill
+        // each of its sets to its 64 ways and all stay resident, and line
+        // 8704 evicts.
+        let slice_bytes = 34 * 1024 * 1024 / 32;
+        let lines = slice_bytes / 128;
+        let mut llc = SlicedLlc::partition(slice_bytes, 32, 64, 128);
+        for slice in [0, 31] {
+            for round in 0..2 {
+                for l in 0..lines {
+                    let r = llc.access_in_slice(slice, l, false).0;
+                    assert_eq!(r.is_hit(), round == 1, "slice {slice} line {l}");
+                }
+            }
+            let (r, _) = llc.access_in_slice(slice, lines, false);
+            assert!(r.evicted().is_some(), "slice {slice} over capacity");
+        }
     }
 
     #[test]
     fn hot_line_camps_on_one_slice() {
-        let mut llc = SlicedLlc::new(256 * 1024, 4, 16, 128);
+        let mut llc = SlicedLlc::partition(64 * 1024, 4, 16, 128);
+        let mut per_slice = [0u64; 4];
         for _ in 0..1000 {
-            llc.access(7, false);
+            per_slice[slice_for_line(7, 4) as usize] += 1;
+            access(&mut llc, 4, 7);
         }
-        let per = llc.per_slice_accesses();
-        assert_eq!(per.iter().sum::<u64>(), 1000);
-        assert_eq!(per.iter().filter(|&&c| c > 0).count(), 1);
-    }
-
-    #[test]
-    fn reset_clears_slices() {
-        let mut llc = SlicedLlc::new(256 * 1024, 4, 16, 128);
-        llc.access(1, true);
-        llc.reset();
-        assert_eq!(llc.accesses(), 0);
-        assert!(llc.access(1, false).is_miss());
+        assert_eq!(per_slice.iter().sum::<u64>(), 1000);
+        assert_eq!(per_slice.iter().filter(|&&c| c > 0).count(), 1);
     }
 }

@@ -15,10 +15,11 @@
 //!
 //! # Trace-driven prediction
 //!
-//! `POST /v1/traces` ingests a GSTR trace (format v1 or v2) into a
+//! `POST /v1/traces` ingests a GSTR trace into a
 //! [`gsim_tracestore::TraceStore`]; the returned `ref` is the trace's
 //! *semantic hash* — a content address over the decoded instruction
-//! streams, identical for any encoding of the same workload. A predict
+//! streams, identical whatever the file's names or chunking. A file in
+//! any other format version (such as the unframed version 1) is a 400. A predict
 //! request may then name `trace_ref` instead of a workload or pattern.
 //! A full-path trace predict runs exactly the two scale models plus the
 //! functional MRC replay, and its prediction equals its synthetic twin's
@@ -414,7 +415,8 @@ impl PredictService {
     }
 
     /// `POST /v1/traces`: validate and ingest a trace upload (raw GSTR
-    /// bytes, v1 or v2) into the content-addressed store.
+    /// bytes) into the content-addressed store, which keeps the bytes as
+    /// sent.
     fn trace_upload(&self, body: &[u8]) -> Response {
         if body.is_empty() {
             return ApiError::bad("empty trace upload; send the raw .gstr bytes").response();

@@ -352,6 +352,18 @@ fn trace_api_lists_rejects_and_reports() {
     );
     assert_eq!(metric(&m, "requests", "traces"), 4, "{}", m.render());
 
+    // The same trace relabelled as version 1, the unframed format earlier
+    // builds wrote, is refused like any unknown version and stores nothing.
+    let mut v1 = trace_of(&wl);
+    v1[4] = 1;
+    let (status, body) = request_bytes(addr, "POST", "/v1/traces", &v1);
+    assert_eq!(status, 400);
+    let text = String::from_utf8_lossy(&body);
+    assert!(text.contains("unsupported trace version 1"), "{text}");
+    let m = metrics(addr);
+    assert_eq!(metric(&m, "trace_store", "validation_failures"), 2);
+    assert_eq!(metric(&m, "trace_store", "entries"), 1);
+
     server.stop();
     let _ = std::fs::remove_dir_all(&cache_dir);
 }

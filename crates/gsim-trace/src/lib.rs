@@ -59,8 +59,8 @@ pub use op::{MemAccess, MemSpace, Op};
 pub use pattern::{PatternKind, PatternSpec, SharedHotSpec, SpecStream, StreamCtx, WarpStream};
 pub use scale::MemScale;
 pub use tracefile::{
-    semantic_hash_of, write_trace, write_trace_v1, KernelMeta, TraceLimits, TraceReadError,
-    TraceReader, TraceStats, TraceStream, TracedWarp, TracedWorkload,
+    semantic_hash_of, write_trace, KernelMeta, TraceLimits, TraceReadError, TraceReader,
+    TraceStats, TraceStream, TracedWarp, TracedWorkload,
 };
 
 /// The paper's system-size ladder in SMs (Table I): the 8- and 16-SM

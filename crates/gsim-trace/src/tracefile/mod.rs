@@ -11,10 +11,11 @@
 //! Traces are deterministic and self-contained, so they can be shared
 //! without the generator.
 //!
-//! # Format version 2 (current)
+//! # Format
 //!
-//! All integers are LEB128 varints unless noted. After a 5-byte preamble
-//! (magic `"GSTR"`, version byte `2`) the file is a sequence of frames:
+//! There is one format. All integers are LEB128 varints unless noted.
+//! After a 5-byte preamble (magic `"GSTR"`, version byte `2`) the file is
+//! a sequence of frames:
 //!
 //! ```text
 //! kind          u8 (1 = header, 2 = warp chunk, 3 = end)
@@ -33,13 +34,11 @@
 //! * **End** (last frame, exactly once): total warps, total ops, total
 //!   warp instructions — cross-checked against the decoded body.
 //!
-//! # Format version 1 (legacy, still readable)
+//! Any other version byte — including `1`, an unframed format that
+//! earlier builds wrote — is refused with
+//! [`TraceReadError::UnsupportedVersion`].
 //!
-//! The same preamble with version byte `1`, then an unframed body: name,
-//! `n_kernels`, and per kernel its name, `n_ctas`, `threads_per_cta`,
-//! and every warp's ops back to back (CTA-major).
-//!
-//! # Op encoding (identical in both versions)
+//! # Op encoding
 //!
 //! Each warp starts with a varint op-count. Ops are tagged with one byte:
 //! bits 1..0 = kind (0 compute, 1 load, 2 store, 3 atomic); bit 2 = L1
@@ -55,8 +54,9 @@
 //! FNV-1a over `n_kernels`, then per kernel `n_ctas`,
 //! `threads_per_cta`, and every warp's canonical op encoding. Names and
 //! framing are excluded, so the same instruction streams hash identically
-//! whether generated synthetically, read from a v1 file, or read from a
-//! v2 file — this is the content address the trace store keys on.
+//! whether generated synthetically or read from a file, however its
+//! warps are chunked — this is the content address the trace store keys
+//! on.
 //! [`TraceReader`] computes it incrementally while streaming.
 
 mod reader;
@@ -72,7 +72,7 @@ use crate::op::Op;
 use crate::pattern::WarpStream;
 
 pub use reader::TraceReader;
-pub use writer::{write_trace, write_trace_v1};
+pub use writer::write_trace;
 
 /// Frame kind: the header frame (first, exactly once).
 const FRAME_HEADER: u8 = 1;
@@ -88,7 +88,7 @@ const FRAME_END: u8 = 3;
 pub struct TraceLimits {
     /// Maximum total file size consumed, in bytes.
     pub max_file_bytes: u64,
-    /// Maximum v2 frame payload size, in bytes.
+    /// Maximum frame payload size, in bytes.
     pub max_chunk_bytes: u64,
     /// Maximum number of kernels a trace may declare.
     pub max_kernels: u64,
@@ -216,8 +216,9 @@ pub struct TraceStats {
     pub semantic_hash: u64,
     /// Bytes consumed from the input.
     pub bytes_read: u64,
-    /// Peak bytes buffered while decoding (input buffer + current chunk);
-    /// bounded by the chunk size, not the trace size.
+    /// Peak bytes buffered while decoding: the 64 KiB input buffer plus
+    /// the largest frame payload. Bounded by the chunk size, not the trace
+    /// size.
     pub peak_buffer_bytes: usize,
 }
 
@@ -279,8 +280,7 @@ pub struct TracedWorkload {
 }
 
 impl TracedWorkload {
-    /// Reads and fully materialises a trace (either format version) with
-    /// default [`TraceLimits`].
+    /// Reads and fully materialises a trace with default [`TraceLimits`].
     ///
     /// # Errors
     ///
@@ -457,30 +457,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_roundtrip_preserves_every_op() {
-        let wl = demo();
-        let mut bytes = Vec::new();
-        write_trace_v1(&wl, &mut bytes).expect("write v1");
-        assert_eq!(bytes[4], 1, "v1 writer emits version byte 1");
-        let traced = TracedWorkload::read(&bytes[..]).expect("read v1");
-        assert_replays_identically(&wl, &traced);
-        assert_eq!(traced.total_warp_instrs(), wl.approx_warp_instrs());
-    }
-
-    #[test]
     fn semantic_hash_is_version_and_name_independent() {
         let wl = demo();
         let direct = semantic_hash_of(&wl);
 
-        let mut v2 = Vec::new();
-        write_trace(&wl, &mut v2).expect("write v2");
-        let mut v1 = Vec::new();
-        write_trace_v1(&wl, &mut v1).expect("write v1");
-        for bytes in [&v2, &v1] {
-            let mut reader = TraceReader::new(&bytes[..]).expect("open");
-            while reader.next_warp().expect("stream").is_some() {}
-            assert_eq!(reader.stats().expect("done").semantic_hash, direct);
-        }
+        // The streaming reader's hash of the file is the generator's.
+        let mut bytes = Vec::new();
+        write_trace(&wl, &mut bytes).expect("write");
+        let mut reader = TraceReader::new(&bytes[..]).expect("open");
+        while reader.next_warp().expect("stream").is_some() {}
+        assert_eq!(reader.stats().expect("done").semantic_hash, direct);
 
         // Renaming workload/kernels does not change the identity…
         let renamed = Workload::new("other-name", 77, {
@@ -538,12 +524,17 @@ mod tests {
         write_trace(&wl, &mut bytes).expect("write");
         let cut = &bytes[..bytes.len() / 2];
         assert!(TracedWorkload::read(cut).is_err());
-        let mut wrong_version = bytes.clone();
-        wrong_version[4] = 99;
-        assert!(matches!(
-            TracedWorkload::read(&wrong_version[..]),
-            Err(TraceReadError::UnsupportedVersion(99))
-        ));
+        // Version 1, the unframed format earlier builds wrote, is refused
+        // like any other version this reader does not know.
+        for version in [0u8, 1, 3, 99] {
+            let mut wrong_version = bytes.clone();
+            wrong_version[4] = version;
+            let err = TracedWorkload::read(&wrong_version[..]).expect_err("refused");
+            assert!(
+                matches!(err, TraceReadError::UnsupportedVersion(v) if v == version),
+                "version {version}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -571,10 +562,9 @@ mod tests {
         let mut bytes = Vec::new();
         write_trace(&wl, &mut bytes).expect("write");
         let mut reader = TraceReader::new(&bytes[..]).expect("open");
-        assert_eq!(reader.version(), 2);
         assert_eq!(reader.name(), "demo");
         assert_eq!(reader.n_kernels(), 2);
-        assert_eq!(reader.kernels().len(), 2, "v2 metadata is known up front");
+        assert_eq!(reader.kernels().len(), 2, "metadata is known up front");
         assert!(reader.stats().is_none(), "no stats before the end");
         let mut warps = 0u64;
         while let Some(w) = reader.next_warp().expect("clean stream") {
@@ -588,28 +578,32 @@ mod tests {
         assert_eq!(stats.bytes_read, bytes.len() as u64);
     }
 
+    /// A trace that is only a preamble and one checksummed header frame
+    /// holding `payload`.
+    fn header_only(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = b"GSTR".to_vec();
+        bytes.push(wire::VERSION);
+        bytes.push(FRAME_HEADER);
+        wire::put_varint(&mut bytes, payload.len() as u64);
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&wire::fnv1a(payload).to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn hostile_counts_fail_cleanly_without_huge_allocation() {
-        // A tiny v1 file declaring a huge kernel count must not
-        // preallocate; it must fail with a clean error.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"GSTR");
-        bytes.push(1);
-        bytes.push(0); // empty name
-        bytes.extend_from_slice(&[0xff; 9]); // varint ≈ u64::MAX kernels
-        bytes.push(0x01);
-        assert!(TracedWorkload::read(&bytes[..]).is_err());
+        // A tiny, well-checksummed header declaring a huge kernel count
+        // must not preallocate; it must fail with a clean error.
+        let mut payload = vec![0]; // empty name
+        wire::put_varint(&mut payload, u64::MAX - 1); // kernels
+        let err = TracedWorkload::read(&header_only(&payload)[..]).expect_err("kernel budget");
+        assert!(matches!(err, TraceReadError::TooLarge(_)), "got {err}");
 
-        // A v1 file declaring a huge CTA grid (huge warp count) likewise.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"GSTR");
-        bytes.push(1);
-        bytes.push(0); // empty workload name
-        bytes.push(1); // one kernel
-        bytes.push(0); // empty kernel name
-        bytes.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x0f]); // n_ctas = u32::MAX
-        bytes.push(32); // threads_per_cta = 32
-        let err = TracedWorkload::read(&bytes[..]).expect_err("warp budget");
+        // A header declaring a huge CTA grid (huge warp count) likewise.
+        let mut payload = vec![0, 1, 0]; // empty names, one kernel
+        wire::put_varint(&mut payload, u64::from(u32::MAX)); // n_ctas
+        wire::put_varint(&mut payload, 32); // threads_per_cta
+        let err = TracedWorkload::read(&header_only(&payload)[..]).expect_err("warp budget");
         assert!(matches!(err, TraceReadError::TooLarge(_)), "got {err}");
 
         // And a max-size file limit is enforceable.

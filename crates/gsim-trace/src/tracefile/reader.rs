@@ -1,97 +1,83 @@
 //! Streaming, bounded-memory trace decoding.
 //!
 //! [`TraceReader`] iterates a trace file warp by warp without ever holding
-//! the whole file in memory: the v1 body is decoded incrementally off a
-//! small rolling buffer, and v2 files are decoded one checksummed chunk at
-//! a time. Peak buffer memory is therefore bounded by the chunk size (plus
-//! one refill block), not the trace size — the property the multi-MB
+//! the whole file in memory: frames are pulled off a small rolling buffer,
+//! and each payload is checksummed before a single field of it is decoded.
+//! Peak buffer memory is therefore bounded by the chunk size (plus one
+//! refill block), not the trace size — the property the multi-MB
 //! bounded-memory test asserts via [`TraceStats::peak_buffer_bytes`].
 
 use std::io::Read;
 
 use crate::op::Op;
 
-use super::wire::{self, ByteGet, FnvSink, SliceReader, MAGIC, VERSION_1, VERSION_2};
+use super::wire::{self, ByteGet, FnvSink, SliceReader, MAGIC, VERSION};
 use super::{
     KernelMeta, TraceLimits, TraceReadError, TraceStats, TracedWarp, FRAME_CHUNK, FRAME_END,
     FRAME_HEADER,
 };
 
-/// Refill granularity of the rolling input buffer.
+/// Size of the rolling input buffer: the most one refill reads.
 const FILL_BLOCK: usize = 64 * 1024;
 
 /// A rolling-buffer byte source over any [`Read`], enforcing a total-size
-/// limit and tracking peak buffer occupancy.
+/// limit. The buffer is allocated once; unread bytes are compacted to its
+/// front before a refill, so a source that returns a few bytes per read
+/// costs a few bytes of copying, never a fresh block.
 struct ByteSource<R: Read> {
     inner: R,
     buf: Vec<u8>,
+    /// Unread bytes are `buf[pos..end]`.
     pos: usize,
+    end: usize,
     /// Total bytes fetched from `inner`.
     fetched: u64,
     max_bytes: u64,
     eof: bool,
-    peak: usize,
 }
 
 impl<R: Read> ByteSource<R> {
     fn new(inner: R, max_bytes: u64) -> Self {
         Self {
             inner,
-            buf: Vec::new(),
+            buf: vec![0; FILL_BLOCK],
             pos: 0,
+            end: 0,
             fetched: 0,
             max_bytes,
             eof: false,
-            peak: 0,
         }
     }
 
     fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
-    fn fetch_block(&mut self) -> Result<usize, TraceReadError> {
-        if self.eof {
-            return Ok(0);
-        }
-        let start = self.buf.len();
-        self.buf.resize(start + FILL_BLOCK, 0);
-        let n = loop {
-            match self.inner.read(&mut self.buf[start..]) {
-                Ok(n) => break n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.buf.truncate(start);
-                    return Err(TraceReadError::Io(e));
-                }
-            }
-        };
-        self.buf.truncate(start + n);
-        self.peak = self.peak.max(self.buf.len());
-        if n == 0 {
-            self.eof = true;
-        }
-        self.fetched += n as u64;
-        if self.fetched > self.max_bytes {
-            return Err(TraceReadError::TooLarge(format!(
-                "trace exceeds max_file_bytes = {}",
-                self.max_bytes
-            )));
-        }
-        Ok(n)
-    }
-
-    /// Ensures at least `need` unread bytes are buffered, or EOF was hit.
+    /// Ensures at least `need` (at most [`FILL_BLOCK`]) unread bytes are
+    /// buffered, or EOF was hit.
     fn fill(&mut self, need: usize) -> Result<(), TraceReadError> {
+        debug_assert!(need <= FILL_BLOCK);
         if self.remaining() >= need {
             return Ok(());
         }
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        while self.remaining() < need && !self.eof {
-            self.fetch_block()?;
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        while self.end < need && !self.eof {
+            let n = match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(TraceReadError::Io(e)),
+            };
+            self.end += n;
+            self.eof = n == 0;
+            self.fetched += n as u64;
+            if self.fetched > self.max_bytes {
+                return Err(TraceReadError::TooLarge(format!(
+                    "trace exceeds max_file_bytes = {}",
+                    self.max_bytes
+                )));
+            }
         }
         Ok(())
     }
@@ -101,20 +87,8 @@ impl<R: Read> ByteSource<R> {
         self.fill(1)?;
         Ok(self.remaining() == 0)
     }
-}
 
-impl<R: Read> ByteGet for ByteSource<R> {
-    fn get_u8(&mut self) -> Result<u8, TraceReadError> {
-        self.fill(1)?;
-        let b = self
-            .buf
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| TraceReadError::corrupt("unexpected end of trace"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
+    /// Reads exactly `len` bytes into `out` (cleared first).
     fn take_into(&mut self, len: usize, out: &mut Vec<u8>) -> Result<(), TraceReadError> {
         out.clear();
         // Incremental copy: never preallocate `len` up front, so a hostile
@@ -134,30 +108,36 @@ impl<R: Read> ByteGet for ByteSource<R> {
     }
 }
 
+impl<R: Read> ByteGet for ByteSource<R> {
+    fn get_u8(&mut self) -> Result<u8, TraceReadError> {
+        self.fill(1)?;
+        if self.remaining() == 0 {
+            return Err(TraceReadError::corrupt("unexpected end of trace"));
+        }
+        self.pos += 1;
+        Ok(self.buf[self.pos - 1])
+    }
+}
+
 /// Iterates a trace file warp by warp, in CTA-major kernel order, with
-/// bounded memory. Handles both format versions.
+/// bounded memory.
 ///
-/// After the final [`TraceReader::next_warp`] returns `Ok(None)`,
+/// The header frame is read on open, so [`TraceReader::name`] and
+/// [`TraceReader::kernels`] are known before the first warp. After the
+/// final [`TraceReader::next_warp`] returns `Ok(None)`,
 /// [`TraceReader::stats`] reports totals, the content-addressed
-/// [semantic hash](super::semantic_hash_of), and peak buffer occupancy;
-/// [`TraceReader::kernels`] is then complete for either version (v1
-/// interleaves kernel headers with warp data, so metadata arrives as the
-/// stream progresses; v2 declares it all up front).
+/// [semantic hash](super::semantic_hash_of), and peak buffer occupancy.
 pub struct TraceReader<R: Read> {
     src: ByteSource<R>,
     limits: TraceLimits,
-    version: u8,
     name: String,
-    n_kernels: usize,
     kernels: Vec<KernelMeta>,
     /// Next warp to yield: kernel index and CTA-major warp index within it.
     cursor_kernel: usize,
     cursor_warp: u64,
-    /// Total warps of the kernel under the cursor (valid once its meta is
-    /// known).
+    /// Total warps of the kernel under the cursor.
     kernel_warps: u64,
-    declared_warps: u64,
-    // v2 frame state: current chunk payload and decode position.
+    // Frame state: current chunk payload and decode position.
     chunk: Vec<u8>,
     chunk_pos: usize,
     chunk_warps_left: u64,
@@ -205,20 +185,17 @@ impl<R: Read> TraceReader<R> {
             return Err(TraceReadError::NotATrace);
         }
         let version = src.get_u8().map_err(eof_means_not_a_trace)?;
-        if version != VERSION_1 && version != VERSION_2 {
+        if version != VERSION {
             return Err(TraceReadError::UnsupportedVersion(version));
         }
         let mut rd = Self {
             src,
             limits,
-            version,
             name: String::new(),
-            n_kernels: 0,
             kernels: Vec::new(),
             cursor_kernel: 0,
             cursor_warp: 0,
             kernel_warps: 0,
-            declared_warps: 0,
             chunk: Vec::new(),
             chunk_pos: 0,
             chunk_warps_left: 0,
@@ -229,47 +206,9 @@ impl<R: Read> TraceReader<R> {
             total_warp_instrs: 0,
             stats: None,
         };
-        match version {
-            VERSION_1 => {
-                rd.name = wire::get_string(&mut rd.src, &rd.limits)?;
-                let n = wire::get_varint(&mut rd.src)?;
-                rd.n_kernels = rd.check_n_kernels(n)?;
-            }
-            _ => rd.read_v2_header()?,
-        }
-        wire::put_varint(&mut rd.hash, rd.n_kernels as u64);
+        rd.read_header()?;
+        wire::put_varint(&mut rd.hash, rd.kernels.len() as u64);
         Ok(rd)
-    }
-
-    fn check_n_kernels(&self, n: u64) -> Result<usize, TraceReadError> {
-        if n > self.limits.max_kernels {
-            return Err(TraceReadError::TooLarge(format!(
-                "trace declares {n} kernels, limit is {}",
-                self.limits.max_kernels
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    fn validate_meta(&mut self, meta: &KernelMeta) -> Result<u64, TraceReadError> {
-        if meta.n_ctas == 0 {
-            return Err(TraceReadError::corrupt("kernel declares zero CTAs"));
-        }
-        if meta.threads_per_cta == 0 || meta.threads_per_cta > 1024 {
-            return Err(TraceReadError::corrupt(format!(
-                "kernel declares {} threads per CTA (must be 1..=1024)",
-                meta.threads_per_cta
-            )));
-        }
-        let warps = u64::from(meta.n_ctas) * u64::from(meta.warps_per_cta());
-        self.declared_warps += warps;
-        if self.declared_warps > self.limits.max_warps {
-            return Err(TraceReadError::TooLarge(format!(
-                "trace declares more than {} warps",
-                self.limits.max_warps
-            )));
-        }
-        Ok(warps)
     }
 
     /// Reads one frame into `self.chunk`, verifying length and checksum.
@@ -298,7 +237,9 @@ impl<R: Read> TraceReader<R> {
         Ok(kind)
     }
 
-    fn read_v2_header(&mut self) -> Result<(), TraceReadError> {
+    /// Reads the header frame: the workload name and every kernel's
+    /// grid, each validated against the limits before the next is read.
+    fn read_header(&mut self) -> Result<(), TraceReadError> {
         if self.read_frame()? != FRAME_HEADER {
             return Err(TraceReadError::corrupt("first frame is not a header"));
         }
@@ -306,42 +247,45 @@ impl<R: Read> TraceReader<R> {
         let mut r = SliceReader::new(&chunk);
         self.name = wire::get_string(&mut r, &self.limits)?;
         let n = wire::get_varint(&mut r)?;
-        self.n_kernels = self.check_n_kernels(n)?;
-        for _ in 0..self.n_kernels {
+        if n > self.limits.max_kernels {
+            return Err(TraceReadError::TooLarge(format!(
+                "trace declares {n} kernels, limit is {}",
+                self.limits.max_kernels
+            )));
+        }
+        let mut declared_warps = 0u64;
+        for _ in 0..n {
             let name = wire::get_string(&mut r, &self.limits)?;
             let n_ctas = u32::try_from(wire::get_varint(&mut r)?)
                 .map_err(|_| TraceReadError::corrupt("CTA count exceeds u32"))?;
             let threads_per_cta = u32::try_from(wire::get_varint(&mut r)?)
                 .map_err(|_| TraceReadError::corrupt("thread count exceeds u32"))?;
+            if n_ctas == 0 {
+                return Err(TraceReadError::corrupt("kernel declares zero CTAs"));
+            }
+            if threads_per_cta == 0 || threads_per_cta > 1024 {
+                return Err(TraceReadError::corrupt(format!(
+                    "kernel declares {threads_per_cta} threads per CTA (must be 1..=1024)"
+                )));
+            }
             let meta = KernelMeta {
                 name,
                 n_ctas,
                 threads_per_cta,
             };
-            self.validate_meta(&meta)?;
+            declared_warps += u64::from(n_ctas) * u64::from(meta.warps_per_cta());
+            if declared_warps > self.limits.max_warps {
+                return Err(TraceReadError::TooLarge(format!(
+                    "trace declares more than {} warps",
+                    self.limits.max_warps
+                )));
+            }
             self.kernels.push(meta);
         }
         if r.remaining() != 0 {
             return Err(TraceReadError::corrupt("trailing bytes in header frame"));
         }
         self.chunk = chunk;
-        Ok(())
-    }
-
-    /// Reads the v1 inline kernel header under the cursor.
-    fn read_v1_kernel_meta(&mut self) -> Result<(), TraceReadError> {
-        let name = wire::get_string(&mut self.src, &self.limits)?;
-        let n_ctas = u32::try_from(wire::get_varint(&mut self.src)?)
-            .map_err(|_| TraceReadError::corrupt("CTA count exceeds u32"))?;
-        let threads_per_cta = u32::try_from(wire::get_varint(&mut self.src)?)
-            .map_err(|_| TraceReadError::corrupt("thread count exceeds u32"))?;
-        let meta = KernelMeta {
-            name,
-            n_ctas,
-            threads_per_cta,
-        };
-        self.validate_meta(&meta)?;
-        self.kernels.push(meta);
         Ok(())
     }
 
@@ -379,8 +323,8 @@ impl<R: Read> TraceReader<R> {
         Ok(())
     }
 
-    /// Verifies the v2 end-of-trace frame against the accumulated totals.
-    fn read_v2_end(&mut self) -> Result<(), TraceReadError> {
+    /// Verifies the end-of-trace frame against the accumulated totals.
+    fn read_end(&mut self) -> Result<(), TraceReadError> {
         if self.read_frame()? != FRAME_END {
             return Err(TraceReadError::corrupt("expected the end-of-trace frame"));
         }
@@ -403,9 +347,7 @@ impl<R: Read> TraceReader<R> {
     }
 
     fn finish(&mut self) -> Result<(), TraceReadError> {
-        if self.version == VERSION_2 {
-            self.read_v2_end()?;
-        }
+        self.read_end()?;
         if !self.src.at_eof()? {
             return Err(TraceReadError::corrupt("trailing bytes after trace"));
         }
@@ -415,7 +357,7 @@ impl<R: Read> TraceReader<R> {
             total_warp_instrs: self.total_warp_instrs,
             semantic_hash: self.hash.0,
             bytes_read: self.src.fetched,
-            peak_buffer_bytes: self.src.peak + self.peak_chunk,
+            peak_buffer_bytes: self.src.buf.len() + self.peak_chunk,
         });
         Ok(())
     }
@@ -433,17 +375,12 @@ impl<R: Read> TraceReader<R> {
         }
         // Skip past (hypothetical) zero-warp kernels and detect the end.
         loop {
-            if self.cursor_kernel == self.n_kernels {
+            if self.cursor_kernel == self.kernels.len() {
                 self.finish()?;
                 return Ok(None);
             }
             if self.cursor_warp == 0 {
-                // Entering a kernel: materialise (v1) or look up (v2) its
-                // meta, fold it into the semantic hash.
-                if self.kernels.len() == self.cursor_kernel {
-                    debug_assert_eq!(self.version, VERSION_1);
-                    self.read_v1_kernel_meta()?;
-                }
+                // Entering a kernel: fold its grid into the semantic hash.
                 let meta = &self.kernels[self.cursor_kernel];
                 self.kernel_warps = u64::from(meta.n_ctas) * u64::from(meta.warps_per_cta());
                 let (ctas, threads) = (meta.n_ctas, meta.threads_per_cta);
@@ -456,28 +393,19 @@ impl<R: Read> TraceReader<R> {
             self.cursor_kernel += 1;
             self.cursor_warp = 0;
         }
-        let ops = match self.version {
-            VERSION_1 => wire::decode_ops(&mut self.src, &self.limits)?,
-            _ => {
-                if self.chunk_warps_left == 0 {
-                    self.load_chunk()?;
-                }
-                let chunk = std::mem::take(&mut self.chunk);
-                let mut r = SliceReader {
-                    buf: &chunk,
-                    pos: self.chunk_pos,
-                };
-                let decoded = wire::decode_ops(&mut r, &self.limits);
-                self.chunk_pos = r.pos;
-                self.chunk = chunk;
-                let decoded = decoded?;
-                self.chunk_warps_left -= 1;
-                if self.chunk_warps_left == 0 && self.chunk_pos != self.chunk.len() {
-                    return Err(TraceReadError::corrupt("trailing bytes in warp chunk"));
-                }
-                decoded
-            }
+        if self.chunk_warps_left == 0 {
+            self.load_chunk()?;
+        }
+        let mut r = SliceReader {
+            buf: &self.chunk,
+            pos: self.chunk_pos,
         };
+        let ops = wire::decode_ops(&mut r, &self.limits)?;
+        self.chunk_pos = r.pos;
+        self.chunk_warps_left -= 1;
+        if self.chunk_warps_left == 0 && self.chunk_pos != self.chunk.len() {
+            return Err(TraceReadError::corrupt("trailing bytes in warp chunk"));
+        }
         wire::encode_ops(&mut self.hash, &ops);
         self.total_warps += 1;
         self.total_ops += ops.len() as u64;
@@ -498,11 +426,6 @@ impl<R: Read> TraceReader<R> {
         Ok(Some(warp))
     }
 
-    /// Trace format version (1 or 2).
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
     /// Workload name recorded in the trace.
     pub fn name(&self) -> &str {
         &self.name
@@ -510,12 +433,10 @@ impl<R: Read> TraceReader<R> {
 
     /// Number of kernels the trace declares.
     pub fn n_kernels(&self) -> usize {
-        self.n_kernels
+        self.kernels.len()
     }
 
-    /// Kernel metadata known so far. Complete up front for v2; for v1 it
-    /// grows as the stream reaches each kernel, and is complete once
-    /// [`TraceReader::next_warp`] has returned `Ok(None)`.
+    /// Every kernel's metadata, as declared by the header frame.
     pub fn kernels(&self) -> &[KernelMeta] {
         &self.kernels
     }

@@ -1,28 +1,25 @@
-//! Shared wire-format primitives for trace files.
+//! Shared wire-format primitives for trace files: varints, zigzag
+//! deltas, names, and the one op encoder and decoder.
 //!
-//! Both trace format versions encode ops identically (tag byte + varint
-//! fields, zigzag address deltas reset per warp); they differ only in
-//! framing. This module holds the primitives both sides share, written
-//! against two small abstractions:
+//! Two small abstractions keep each primitive single:
 //!
 //! * [`Sink`] — a byte destination. Implemented by `Vec<u8>` (file
 //!   writing) and [`FnvSink`] (semantic hashing), so the exact bytes a
 //!   warp serialises to are also the bytes it hashes to.
-//! * [`ByteGet`] — a byte source. Implemented by [`SliceReader`]
-//!   (decoding a v2 chunk payload held in memory) and the streaming
-//!   `ByteSource` in the reader module (decoding a v1 body straight off
-//!   an `io::Read`), so there is exactly one op decoder.
+//! * [`ByteGet`] — a byte source for [`get_varint`]. Implemented by
+//!   [`SliceReader`] (the fields of a checksummed frame payload held in
+//!   memory) and the streaming `ByteSource` in the reader module (a
+//!   frame's length prefix, read off the `io::Read` before its payload
+//!   can be).
 
 use crate::op::{MemAccess, MemSpace, Op};
 
 use super::{TraceLimits, TraceReadError};
 
-/// File magic, shared by every version.
+/// File magic.
 pub(super) const MAGIC: &[u8; 4] = b"GSTR";
-/// Original whole-buffer format.
-pub(super) const VERSION_1: u8 = 1;
-/// Chunked/framed streaming format.
-pub(super) const VERSION_2: u8 = 2;
+/// The one format version read and written: checksummed frames.
+pub(super) const VERSION: u8 = 2;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -36,7 +33,7 @@ pub(super) fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// One-shot FNV-1a 64 (used for v2 frame checksums).
+/// One-shot FNV-1a 64 (used for frame checksums).
 pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(FNV_OFFSET, bytes)
 }
@@ -77,16 +74,13 @@ impl Sink for FnvSink {
     }
 }
 
-/// A byte source for the decoders.
+/// A byte source for [`get_varint`].
 pub(super) trait ByteGet {
     /// Reads one byte; clean error (never a panic) on exhaustion.
     fn get_u8(&mut self) -> Result<u8, TraceReadError>;
-    /// Reads exactly `len` bytes into `out` (cleared first). Must not
-    /// preallocate proportionally to a hostile `len`.
-    fn take_into(&mut self, len: usize, out: &mut Vec<u8>) -> Result<(), TraceReadError>;
 }
 
-/// [`ByteGet`] over an in-memory slice (v2 chunk payloads).
+/// [`ByteGet`] over an in-memory slice (a frame payload).
 pub(super) struct SliceReader<'a> {
     pub(super) buf: &'a [u8],
     pub(super) pos: usize,
@@ -100,6 +94,16 @@ impl<'a> SliceReader<'a> {
     pub(super) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
+
+    /// The next `len` bytes, borrowed from the payload.
+    fn take(&mut self, len: u64) -> Result<&'a [u8], TraceReadError> {
+        if (self.remaining() as u64) < len {
+            return Err(TraceReadError::corrupt("truncated payload"));
+        }
+        let out = &self.buf[self.pos..self.pos + len as usize];
+        self.pos += len as usize;
+        Ok(out)
+    }
 }
 
 impl ByteGet for SliceReader<'_> {
@@ -111,16 +115,6 @@ impl ByteGet for SliceReader<'_> {
             .ok_or_else(|| TraceReadError::corrupt("truncated payload"))?;
         self.pos += 1;
         Ok(b)
-    }
-
-    fn take_into(&mut self, len: usize, out: &mut Vec<u8>) -> Result<(), TraceReadError> {
-        out.clear();
-        if self.remaining() < len {
-            return Err(TraceReadError::corrupt("truncated payload"));
-        }
-        out.extend_from_slice(&self.buf[self.pos..self.pos + len]);
-        self.pos += len;
-        Ok(())
     }
 }
 
@@ -165,8 +159,8 @@ pub(super) fn put_string<S: Sink>(out: &mut S, s: &str) {
     out.put_slice(s.as_bytes());
 }
 
-pub(super) fn get_string<G: ByteGet>(
-    src: &mut G,
+pub(super) fn get_string(
+    src: &mut SliceReader<'_>,
     limits: &TraceLimits,
 ) -> Result<String, TraceReadError> {
     let len = get_varint(src)?;
@@ -176,15 +170,14 @@ pub(super) fn get_string<G: ByteGet>(
             limits.max_name_bytes
         )));
     }
-    let mut bytes = Vec::new();
-    src.take_into(len as usize, &mut bytes)?;
-    String::from_utf8(bytes).map_err(|_| TraceReadError::corrupt("name is not UTF-8"))
+    String::from_utf8(src.take(len)?.to_vec())
+        .map_err(|_| TraceReadError::corrupt("name is not UTF-8"))
 }
 
 /// Serialises one warp's ops: varint op-count, then tagged ops. The
 /// address-delta baseline resets to zero at the start of every warp, so a
-/// warp's encoding is independent of its neighbours (what lets v2 chunk
-/// and hash warps individually).
+/// warp's encoding is independent of its neighbours (what lets a writer
+/// chunk and a reader hash warps individually).
 pub(super) fn encode_ops<S: Sink>(out: &mut S, ops: &[Op]) {
     put_varint(out, ops.len() as u64);
     let mut last_addr: i64 = 0;
@@ -220,8 +213,8 @@ const MAX_LINE_ADDR: i64 = (1 << 57) - 1;
 /// op-count is capped by `limits.max_ops_per_warp` and the preallocation
 /// is capped independently, so a hostile count cannot trigger a huge
 /// allocation.
-pub(super) fn decode_ops<G: ByteGet>(
-    src: &mut G,
+pub(super) fn decode_ops(
+    src: &mut SliceReader<'_>,
     limits: &TraceLimits,
 ) -> Result<Vec<Op>, TraceReadError> {
     let n = get_varint(src)?;

@@ -1,10 +1,9 @@
-//! Trace serialisation for both format versions.
+//! Trace serialisation.
 //!
-//! Writers are generic over [`WorkloadModel`], so both synthetic
-//! workloads and already-decoded [`TracedWorkload`](super::TracedWorkload)s
-//! can be recorded — the latter is how the trace store transcodes v1
-//! uploads to v2 at ingest. Output is streamed: the v2 writer holds at
-//! most one chunk in memory, the v1 writer at most one warp.
+//! The writer is generic over [`WorkloadModel`], so synthetic workloads
+//! and already-decoded [`TracedWorkload`](super::TracedWorkload)s record
+//! alike. Output is streamed: the writer holds at most one chunk in
+//! memory.
 
 use std::io::{self, Write};
 
@@ -12,10 +11,10 @@ use crate::model::WorkloadModel;
 use crate::op::Op;
 use crate::pattern::WarpStream;
 
-use super::wire::{self, MAGIC, VERSION_1, VERSION_2};
+use super::wire::{self, MAGIC, VERSION};
 use super::{FRAME_CHUNK, FRAME_END, FRAME_HEADER};
 
-/// Soft chunk-payload size the v2 writer flushes at. A chunk can exceed
+/// Soft chunk-payload size the writer flushes at. A chunk can exceed
 /// this by at most one warp's encoding, and readers default to a 16 MiB
 /// hard cap, so anything this writer produces round-trips.
 pub(super) const CHUNK_TARGET_BYTES: usize = 64 * 1024;
@@ -57,7 +56,7 @@ fn collect_warp<M: WorkloadModel>(wl: &M, kernel: usize, cta: u32, warp: u32, op
     }
 }
 
-/// Serialises every warp stream of `wl` in the current (version 2) format.
+/// Serialises every warp stream of `wl` as a framed trace file.
 ///
 /// Returns the number of bytes written.
 ///
@@ -69,7 +68,7 @@ fn collect_warp<M: WorkloadModel>(wl: &M, kernel: usize, cta: u32, warp: u32, op
 pub fn write_trace<M: WorkloadModel, W: Write>(wl: &M, mut out: W) -> io::Result<u64> {
     let mut bytes = 5u64;
     out.write_all(MAGIC)?;
-    out.write_all(&[VERSION_2])?;
+    out.write_all(&[VERSION])?;
 
     let mut header = Vec::new();
     wire::put_string(&mut header, wl.name());
@@ -117,42 +116,5 @@ pub fn write_trace<M: WorkloadModel, W: Write>(wl: &M, mut out: W) -> io::Result
     wire::put_varint(&mut end, total_ops);
     wire::put_varint(&mut end, total_instrs);
     bytes += write_frame(&mut out, FRAME_END, &end)?;
-    Ok(bytes)
-}
-
-/// Serialises `wl` in the legacy version-1 format (unframed, no
-/// checksums). Kept for compatibility testing and for producing fixtures
-/// older tools can read.
-///
-/// # Errors
-///
-/// Returns any I/O error from `out`.
-pub fn write_trace_v1<M: WorkloadModel, W: Write>(wl: &M, mut out: W) -> io::Result<u64> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.push(VERSION_1);
-    wire::put_string(&mut buf, wl.name());
-    wire::put_varint(&mut buf, wl.n_kernels() as u64);
-    let mut bytes = 0u64;
-    let mut ops = Vec::new();
-    for k in 0..wl.n_kernels() {
-        let (n_ctas, threads_per_cta) = wl.grid(k);
-        wire::put_string(&mut buf, &wl.kernel_name(k));
-        wire::put_varint(&mut buf, u64::from(n_ctas));
-        wire::put_varint(&mut buf, u64::from(threads_per_cta));
-        for cta in 0..n_ctas {
-            for warp in 0..wl.warps_per_cta(k) {
-                collect_warp(wl, k, cta, warp, &mut ops);
-                wire::encode_ops(&mut buf, &ops);
-                // Flush per warp so memory stays bounded by one warp, not
-                // the whole trace.
-                bytes += buf.len() as u64;
-                out.write_all(&buf)?;
-                buf.clear();
-            }
-        }
-    }
-    bytes += buf.len() as u64;
-    out.write_all(&buf)?;
     Ok(bytes)
 }

@@ -1,9 +1,9 @@
-//! Cross-version codec round-trips over the whole synthetic suite.
+//! Codec round-trips over the whole synthetic suite.
 //!
-//! Every strong- and weak-scaling workload is encoded in both trace
-//! formats and decoded back; the decoded streams must match the
-//! generator op for op, and the content identity (semantic hash) must be
-//! independent of the encoding version. Randomized workloads across all
+//! Every strong- and weak-scaling workload is encoded as a trace file and
+//! decoded back; the decoded streams must match the generator op for op,
+//! and the content identity (semantic hash) of the decode must equal the
+//! generator's. Randomized workloads across all
 //! pattern kinds widen the input space beyond the curated suite, and the
 //! streaming decoder is checked against the buffered one — including
 //! under pathological one-byte reads — plus a multi-megabyte trace whose
@@ -15,12 +15,12 @@ use gsim_rng::Rng64;
 use gsim_trace::suite::strong_suite;
 use gsim_trace::weak::weak_suite;
 use gsim_trace::{
-    semantic_hash_of, write_trace, write_trace_v1, Kernel, MemScale, PatternKind, PatternSpec,
-    TraceReader, TracedWorkload, WarpStream, Workload, WorkloadModel,
+    semantic_hash_of, write_trace, Kernel, MemScale, PatternKind, PatternSpec, TraceReader,
+    TracedWorkload, WarpStream, Workload, WorkloadModel,
 };
 
-/// Caps every kernel's grid so encoding all ~30 suite workloads twice
-/// stays fast. The patterns, per-warp streams, and kernel sequences are
+/// Caps every kernel's grid so encoding all ~30 suite workloads stays
+/// fast. The patterns, per-warp streams, and kernel sequences are
 /// preserved; only the grid shrinks.
 fn shrunk(wl: &Workload) -> Workload {
     let kernels = wl
@@ -60,31 +60,19 @@ fn assert_same_streams<A: WorkloadModel, B: WorkloadModel>(a: &A, b: &B, label: 
     }
 }
 
-/// Round-trips one workload through both formats and checks op-level
-/// equality plus version-independent content identity.
+/// Round-trips one workload through a trace file and checks op-level
+/// equality plus content identity.
 fn check_roundtrip(wl: &Workload, label: &str) {
-    let mut v2 = Vec::new();
-    write_trace(wl, &mut v2).expect("write v2");
-    let mut v1 = Vec::new();
-    write_trace_v1(wl, &mut v1).expect("write v1");
-    assert_eq!(v2[4], 2, "{label}: v2 version byte");
-    assert_eq!(v1[4], 1, "{label}: v1 version byte");
+    let mut bytes = Vec::new();
+    write_trace(wl, &mut bytes).expect("write");
+    assert_eq!(bytes[4], 2, "{label}: version byte");
 
-    let from_v2 = TracedWorkload::read(&v2[..]).unwrap_or_else(|e| panic!("{label} v2: {e}"));
-    let from_v1 = TracedWorkload::read(&v1[..]).unwrap_or_else(|e| panic!("{label} v1: {e}"));
-    assert_same_streams(wl, &from_v2, &format!("{label} via v2"));
-    assert_same_streams(&from_v2, &from_v1, &format!("{label} v2 vs v1"));
-
-    let direct = semantic_hash_of(wl);
-    assert_eq!(semantic_hash_of(&from_v2), direct, "{label}: v2 identity");
-    assert_eq!(semantic_hash_of(&from_v1), direct, "{label}: v1 identity");
-    // Decoded traces count exact instructions; the synthetic generator's
-    // `approx_warp_instrs` is only an estimate, so compare the two
-    // decodes against each other.
+    let decoded = TracedWorkload::read(&bytes[..]).unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_same_streams(wl, &decoded, label);
     assert_eq!(
-        from_v2.total_warp_instrs(),
-        from_v1.total_warp_instrs(),
-        "{label}: totals"
+        semantic_hash_of(&decoded),
+        semantic_hash_of(wl),
+        "{label}: identity"
     );
 }
 
@@ -170,50 +158,38 @@ fn streaming_decoder_matches_buffered_even_under_tiny_reads() {
         .divergence(2);
     let wl = Workload::new("streamed", 9, vec![Kernel::new("k", 24, 192, spec)]);
 
-    for (version, bytes) in [
-        (2u8, {
-            let mut b = Vec::new();
-            write_trace(&wl, &mut b).expect("write v2");
-            b
-        }),
-        (1u8, {
-            let mut b = Vec::new();
-            write_trace_v1(&wl, &mut b).expect("write v1");
-            b
-        }),
-    ] {
-        let buffered = TracedWorkload::read(&bytes[..]).expect("buffered read");
-        let mut reader = TraceReader::new(SmallReads {
-            inner: &bytes[..],
-            chunk: 7,
-        })
-        .expect("streaming open");
-        assert_eq!(reader.version(), version);
-        let mut streamed_warps = 0u64;
-        // Cross-check each streamed warp against the buffered replay.
-        while let Some(warp) = reader.next_warp().expect("stream") {
-            let mut replay = buffered.warp_stream(warp.kernel, warp.cta, warp.warp);
-            for op in &warp.ops {
-                assert_eq!(Some(*op), replay.next_op(), "v{version}");
-            }
-            assert_eq!(replay.next_op(), None, "v{version}: stream tail");
-            streamed_warps += 1;
+    let mut bytes = Vec::new();
+    write_trace(&wl, &mut bytes).expect("write");
+    let buffered = TracedWorkload::read(&bytes[..]).expect("buffered read");
+    let mut reader = TraceReader::new(SmallReads {
+        inner: &bytes[..],
+        chunk: 7,
+    })
+    .expect("streaming open");
+    let mut streamed_warps = 0u64;
+    // Cross-check each streamed warp against the buffered replay.
+    while let Some(warp) = reader.next_warp().expect("stream") {
+        let mut replay = buffered.warp_stream(warp.kernel, warp.cta, warp.warp);
+        for op in &warp.ops {
+            assert_eq!(Some(*op), replay.next_op());
         }
-        let stats = reader.stats().expect("stats");
-        assert_eq!(stats.total_warps, streamed_warps);
-        assert_eq!(stats.semantic_hash, semantic_hash_of(&wl), "v{version}");
-        assert_eq!(stats.bytes_read, bytes.len() as u64, "v{version}");
+        assert_eq!(replay.next_op(), None, "stream tail");
+        streamed_warps += 1;
     }
+    let stats = reader.stats().expect("stats");
+    assert_eq!(stats.total_warps, streamed_warps);
+    assert_eq!(stats.semantic_hash, semantic_hash_of(&wl));
+    assert_eq!(stats.bytes_read, bytes.len() as u64);
 }
 
 #[test]
 fn multi_megabyte_trace_streams_with_bounded_memory() {
     // ~1.5M ops across 16K warps: a trace far larger than any single
-    // chunk. The v2 decoder must hold one chunk at a time.
+    // chunk. The decoder must hold one chunk at a time.
     let spec = PatternSpec::new(PatternKind::PointerChase, 1 << 20).mem_ops_per_warp(48);
     let wl = Workload::new("big", 3, vec![Kernel::new("k", 2048, 256, spec)]);
     let mut bytes = Vec::new();
-    write_trace(&wl, &mut bytes).expect("write v2");
+    write_trace(&wl, &mut bytes).expect("write");
     assert!(
         bytes.len() > 3 * 1024 * 1024,
         "want a multi-MB trace, got {} bytes",

@@ -9,7 +9,7 @@
 //! [`gsim_trace::semantic_hash_of`]), so:
 //!
 //! * identical instruction streams deduplicate to one blob no matter how
-//!   many times — or in which format version — they are uploaded;
+//!   many times — or under which names or chunking — they are uploaded;
 //! * a trace reference (`16` lowercase hex digits) is stable across
 //!   machines and sessions, making it a safe cache key for downstream
 //!   prediction services.
@@ -20,12 +20,13 @@
 //! <root>/
 //!   traces.jsonl          index: one JSON object per entry, append-only,
 //!                         rewritten atomically on eviction/compaction
-//!   traces/<ref>.gstr     blobs, always stored transcoded to format v2
+//!   traces/<ref>.gstr     blobs: each upload's bytes exactly as validated
 //! ```
 //!
-//! Ingest fully *validates* the upload by decoding it (both format
-//! versions accepted, resource limits enforced), transcodes it to v2,
-//! writes the blob to a temp file, `fsync`s it, `rename`s it into place
+//! Ingest *validates* the upload in one streaming [`TraceReader`] pass
+//! (resource limits enforced), which also yields the index entry: totals,
+//! name, kernel count and the semantic hash. It then writes the very
+//! bytes it validated to a temp file, `fsync`s it, `rename`s it into place
 //! (atomic on POSIX) and `fsync`s the containing directory so the rename
 //! itself survives power loss, then appends (and `fsync`s) the index
 //! entry. A crash can therefore leave only a temp file or an unindexed
@@ -50,7 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use gsim_json::{obj, Json};
-use gsim_trace::{write_trace, TraceLimits, TraceReadError, TraceReader, TracedWorkload};
+use gsim_trace::{TraceLimits, TraceReadError, TraceReader, TracedWorkload};
 
 /// Store configuration.
 #[derive(Debug, Clone, Copy)]
@@ -88,7 +89,7 @@ pub struct TraceMeta {
     pub total_ops: u64,
     /// Total warp instructions.
     pub total_warp_instrs: u64,
-    /// Stored blob size in bytes (v2 encoding).
+    /// Stored blob size in bytes.
     pub bytes: u64,
     /// Monotonic ingest sequence number (eviction order).
     pub seq: u64,
@@ -179,30 +180,31 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
     }
 }
 
+/// Streams a whole trace once, validating it under `limits`, and returns
+/// its index entry with sequence number `seq`.
+fn scan<R: Read>(input: R, limits: TraceLimits, seq: u64) -> Result<TraceMeta, TraceReadError> {
+    let mut reader = TraceReader::with_limits(input, limits)?;
+    while reader.next_warp()?.is_some() {}
+    let stats = *reader.stats().expect("fully streamed");
+    Ok(TraceMeta {
+        trace_ref: format!("{:016x}", stats.semantic_hash),
+        name: reader.name().to_string(),
+        n_kernels: reader.n_kernels() as u64,
+        total_warps: stats.total_warps,
+        total_ops: stats.total_ops,
+        total_warp_instrs: stats.total_warp_instrs,
+        bytes: stats.bytes_read,
+        seq,
+    })
+}
+
 /// Fully streams an orphaned blob and, if it decodes cleanly and its
 /// semantic hash matches its file name, returns a fresh index entry
 /// for it.
 fn validate_blob(path: &Path, trace_ref: &str, limits: TraceLimits, seq: u64) -> Option<TraceMeta> {
-    let bytes = fs::metadata(path).ok()?.len();
     let f = File::open(path).ok()?;
-    let mut reader = TraceReader::with_limits(io::BufReader::new(f), limits).ok()?;
-    while reader.next_warp().ok()?.is_some() {}
-    let name = reader.name().to_string();
-    let n_kernels = reader.n_kernels() as u64;
-    let stats = *reader.stats()?;
-    if format!("{:016x}", stats.semantic_hash) != trace_ref {
-        return None;
-    }
-    Some(TraceMeta {
-        trace_ref: trace_ref.to_string(),
-        name,
-        n_kernels,
-        total_warps: stats.total_warps,
-        total_ops: stats.total_ops,
-        total_warp_instrs: stats.total_warp_instrs,
-        bytes,
-        seq,
-    })
+    let meta = scan(io::BufReader::new(f), limits, seq).ok()?;
+    (meta.trace_ref == trace_ref).then_some(meta)
 }
 
 /// A thread-safe, content-addressed store of validated traces.
@@ -393,7 +395,7 @@ impl TraceStore {
         for trace_ref in orphans {
             let path = root.join(blob_rel(&trace_ref));
             let Some(meta) = validate_blob(&path, &trace_ref, cfg.limits, next_seq) else {
-                // Not a decodable v2 trace under our limits, or content
+                // Not a decodable trace under our limits, or content
                 // doesn't match its name: corrupt, not recoverable.
                 dropped += 1;
                 let _ = fs::remove_file(&path);
@@ -424,8 +426,9 @@ impl TraceStore {
         })
     }
 
-    /// Validates, transcodes to v2, and stores a trace. Returns its
-    /// metadata and whether the content was already present (dedup).
+    /// Validates a trace in one streaming pass and stores the bytes as
+    /// sent. Returns its metadata and whether the content was already
+    /// present (dedup).
     ///
     /// # Errors
     ///
@@ -437,47 +440,36 @@ impl TraceStore {
     /// Panics if the store mutex was poisoned.
     pub fn ingest_bytes(&self, bytes: &[u8]) -> Result<(TraceMeta, bool), StoreError> {
         let mut inner = self.inner.lock().expect("trace store lock");
-        // Validate and materialise (accepts v1 and v2).
-        let wl = match TracedWorkload::read_with_limits(bytes, inner.cfg.limits) {
-            Ok(wl) => wl,
+        let meta = match scan(bytes, inner.cfg.limits, inner.next_seq) {
+            Ok(meta) => meta,
             Err(e) => {
                 inner.validation_failures += 1;
                 return Err(StoreError::Invalid(e));
             }
         };
-        // Canonical v2 blob; stream it back once for totals + identity
-        // (also a self-check of our own transcode).
-        let mut blob = Vec::new();
-        write_trace(&wl, &mut blob).map_err(StoreError::Io)?;
-        let mut reader =
-            TraceReader::with_limits(&blob[..], inner.cfg.limits).map_err(StoreError::Invalid)?;
-        while reader.next_warp().map_err(StoreError::Invalid)?.is_some() {}
-        let stats = *reader.stats().expect("fully streamed");
-        let trace_ref = format!("{:016x}", stats.semantic_hash);
-
-        if let Some(existing) = inner.entries.iter().find(|e| e.trace_ref == trace_ref) {
+        if let Some(existing) = inner.entries.iter().find(|e| e.trace_ref == meta.trace_ref) {
             let meta = existing.clone();
             inner.dedup_hits += 1;
             return Ok((meta, true));
         }
 
         let blob_dir = inner.root.join(BLOB_DIR);
-        let tmp = blob_dir.join(format!(".tmp-{trace_ref}"));
+        let tmp = blob_dir.join(format!(".tmp-{}", meta.trace_ref));
         let faults = inner.faults;
         let write_result = (|| -> io::Result<()> {
             let mut f = File::create(&tmp)?;
             // Injected fault: persist only a prefix, as a crash mid-write
             // would, and fail the ingest. The rename never happens, so the
             // store must stay consistent (no index entry, no blob).
-            if let Some(short) = faults.and_then(|inj| inj.store_short_write(blob.len())) {
-                f.write_all(&blob[..short])?;
+            if let Some(short) = faults.and_then(|inj| inj.store_short_write(bytes.len())) {
+                f.write_all(&bytes[..short])?;
                 f.sync_all()?;
                 return Err(io::Error::new(
                     io::ErrorKind::WriteZero,
                     "injected fault: short blob write",
                 ));
             }
-            f.write_all(&blob)?;
+            f.write_all(bytes)?;
             f.sync_all()?;
             Ok(())
         })();
@@ -485,19 +477,9 @@ impl TraceStore {
             let _ = fs::remove_file(&tmp);
             return Err(StoreError::Io(e));
         }
-        fs::rename(&tmp, inner.blob_path(&trace_ref))?;
+        fs::rename(&tmp, inner.blob_path(&meta.trace_ref))?;
         fsync_dir(&blob_dir)?;
 
-        let meta = TraceMeta {
-            trace_ref,
-            name: gsim_trace::WorkloadModel::name(&wl).to_string(),
-            n_kernels: reader.n_kernels() as u64,
-            total_warps: stats.total_warps,
-            total_ops: stats.total_ops,
-            total_warp_instrs: stats.total_warp_instrs,
-            bytes: blob.len() as u64,
-            seq: inner.next_seq,
-        };
         inner.next_seq += 1;
         inner.append_index(&meta)?;
         inner.entries.push(meta.clone());
@@ -580,7 +562,7 @@ impl TraceStore {
     }
 
     /// The on-disk path of a stored trace's blob, if the reference is
-    /// indexed. Useful for streaming readers that want the raw v2 file
+    /// indexed. Useful for streaming readers that want the raw file
     /// without materialising the whole workload.
     ///
     /// # Panics
@@ -637,9 +619,7 @@ impl TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsim_trace::{
-        semantic_hash_of, write_trace_v1, Kernel, PatternKind, PatternSpec, Workload,
-    };
+    use gsim_trace::{semantic_hash_of, write_trace, Kernel, PatternKind, PatternSpec, Workload};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -663,28 +643,63 @@ mod tests {
         b
     }
 
+    /// A re-upload of the same content dedupes; a file in any other
+    /// format version — 1, the unframed format earlier builds wrote,
+    /// included — is refused and stores nothing.
     #[test]
     fn ingest_dedupes_across_format_versions() {
         let dir = tmpdir("dedupe");
         let store = TraceStore::open(&dir, StoreConfig::default()).expect("open");
         let wl = workload(1, 4096);
-        let (meta, dup) = store.ingest_bytes(&trace_bytes(&wl)).expect("ingest v2");
+        let bytes = trace_bytes(&wl);
+        let (meta, dup) = store.ingest_bytes(&bytes).expect("ingest");
         assert!(!dup);
         assert_eq!(meta.trace_ref, format!("{:016x}", semantic_hash_of(&wl)));
         assert_eq!(meta.n_kernels, 1);
         assert_eq!(meta.total_warps, 8 * 4);
         assert_eq!(meta.total_warp_instrs, wl.approx_warp_instrs());
 
-        // The same workload as a v1 file is the same content.
-        let mut v1 = Vec::new();
-        write_trace_v1(&wl, &mut v1).expect("write v1");
-        let (meta2, dup2) = store.ingest_bytes(&v1).expect("ingest v1");
+        let (meta2, dup2) = store.ingest_bytes(&bytes).expect("re-ingest");
         assert!(dup2);
-        assert_eq!(meta2.trace_ref, meta.trace_ref);
+        assert_eq!(meta2, meta);
+
+        let mut v1 = bytes.clone();
+        v1[4] = 1;
+        let err = store.ingest_bytes(&v1).expect_err("v1 refused");
+        assert!(
+            matches!(
+                err,
+                StoreError::Invalid(TraceReadError::UnsupportedVersion(1))
+            ),
+            "{err}"
+        );
 
         let s = store.stats();
         assert_eq!((s.ingests, s.dedup_hits, s.entries), (1, 1, 1));
+        assert_eq!(s.validation_failures, 1);
         assert_eq!(s.store_bytes, meta.bytes);
+        let blobs = fs::read_dir(dir.join(BLOB_DIR)).expect("blob dir").count();
+        assert_eq!(blobs, 1, "the refused upload left no blob");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The blob on disk is the upload byte for byte — here an upload
+    /// whose header-frame length is an overlong (valid) varint, which the
+    /// writer never emits — and `load` replays the uploaded streams.
+    #[test]
+    fn stores_the_validated_upload_as_sent() {
+        let dir = tmpdir("as-sent");
+        let store = TraceStore::open(&dir, StoreConfig::default()).expect("open");
+        let wl = workload(3, 2048);
+        let mut bytes = trace_bytes(&wl);
+        assert!(bytes[6] < 0x80, "one-byte header length");
+        bytes.splice(6..7, [bytes[6] | 0x80, 0]);
+        let (meta, _) = store.ingest_bytes(&bytes).expect("ingest");
+        assert_eq!(meta.bytes, bytes.len() as u64);
+        let path = store.blob_path(&meta.trace_ref).expect("indexed");
+        assert_eq!(fs::read(path).expect("blob"), bytes);
+        let loaded = store.load(&meta.trace_ref).expect("load");
+        assert_eq!(semantic_hash_of(&loaded), semantic_hash_of(&wl));
         fs::remove_dir_all(&dir).ok();
     }
 

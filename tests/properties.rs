@@ -344,13 +344,14 @@ fn lines_of_one_set(rng: &mut Rng64, (slices, sets): (u32, u64), n: u64) -> Vec<
         .collect()
 }
 
-/// [`CapacityReplay`] counts exactly the misses of one [`SlicedLlc`] per
-/// configuration: on the paper's ladder at three memory miniatures, on
-/// ladders whose slice counts do not nest, with duplicate and single
-/// capacities and one-set slices, and on random ladders; over random
-/// read/write streams and over streams confined to one finest set or to
-/// one coarsest set, where a reused way's line must leave every coarser
-/// list it is still on.
+/// [`CapacityReplay`] counts exactly the misses of one sliced LLC per
+/// configuration (`slices` [`Cache`]s, each line in the slice
+/// [`slice_for_line`] gives it): on the paper's ladder at three memory
+/// miniatures, on ladders whose slice counts do not nest, with duplicate
+/// and single capacities and one-set slices, and on random ladders; over
+/// random read/write streams and over streams confined to one finest set
+/// or to one coarsest set, where a reused way's line must leave every
+/// coarser list it is still on.
 #[test]
 fn capacity_replay_is_exact() {
     let mut rng = Rng64::seed_from_u64(0x5eed_0011);
@@ -420,9 +421,12 @@ fn capacity_replay_is_exact() {
         ];
         for (stream, pool) in pools {
             let mut replay = CapacityReplay::new(&configs, ways, 128);
-            let mut oracle: Vec<SlicedLlc> = configs
+            let mut oracle: Vec<Vec<Cache>> = configs
                 .iter()
-                .map(|&(bytes, slices)| SlicedLlc::new(bytes, slices, ways, 128))
+                .map(|&(bytes, slices)| {
+                    let geom = CacheGeometry::new(bytes / u64::from(slices), ways, 128);
+                    vec![Cache::new(geom); slices as usize]
+                })
                 .collect();
             for i in 0..(6 * pool.len()).clamp(2_000, 12_000) {
                 // Half cyclic sweeps (every access an LRU miss once the
@@ -435,10 +439,14 @@ fn capacity_replay_is_exact() {
                 let is_write = rng.gen_bool(0.25);
                 replay.access(line, is_write);
                 for llc in &mut oracle {
-                    llc.access(line, is_write);
+                    let slice = slice_for_line(line, llc.len() as u32) as usize;
+                    llc[slice].access(line, is_write);
                 }
             }
-            let expected: Vec<u64> = oracle.iter().map(SlicedLlc::misses).collect();
+            let expected: Vec<u64> = oracle
+                .iter()
+                .map(|llc| llc.iter().map(Cache::misses).sum())
+                .collect();
             assert_eq!(
                 replay.misses(),
                 expected,
