@@ -7,9 +7,9 @@
 //! or the `--chiplets`-chiplet MCM): a recorded trace, named by file or
 //! by the 16-hex ref of a stored one, or a benchmark — its Table IV
 //! chiplet input under `--chiplets`, its Table IV input at `--sms` under
-//! `--weak`, else its Table II input. `mrc` replays the same inputs over
-//! the 8–128-SM ladder without the timing simulator: the exact curve a
-//! full-path predict embeds, with regions and cliff. `sweep` simulates a
+//! `--weak`, else its Table II input. `mrc` collects the same inputs'
+//! miss-rate curve over the 8–128-SM ladder without the timing
+//! simulator: the curve a predict embeds, with regions and cliff. `sweep` simulates a
 //! benchmark on the whole ladder on a worker pool; `--threads`
 //! parallelises across jobs, one simulation always runs on one thread.
 //!
@@ -378,8 +378,8 @@ fn cmd_run(f: &Flags) {
     print_stats(&format!("{label} on {machine} ({})", f.scale), &st);
 }
 
-/// `gsim mrc`: the exact replayed miss-rate curve of [`input`] over the
-/// ladder, with region labels and the cliff.
+/// `gsim mrc`: the functionally collected miss-rate curve of [`input`]
+/// over the ladder, with region labels and the cliff.
 fn cmd_mrc(f: &Flags) {
     let (label, wl) = input(f);
     let configs: Vec<GpuConfig> = SM_LADDER

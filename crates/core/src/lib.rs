@@ -61,7 +61,7 @@ pub use error::ModelError;
 pub use oneshot::{Forecast, Observation, TargetForecast};
 pub use parallel::{SuiteRun, SweepFailure};
 pub use plan::{
-    collect_replay, collect_sampled, collect_sampled_inline, synthesize_observation, CollectEngine,
+    collect_replay, collect_sampled, collect_sampled_inline, synthesize_observation,
     CollectFailure, CollectStats, Collected, Fit, PlanWorkload, SampledCollectConfig,
 };
 pub use predictor::{

@@ -8,12 +8,13 @@
 //! expensive timing simulation, so consumers can cache, parallelise, and —
 //! when the workload is memory-bound — skip the timing stage entirely.
 //!
-//! * **Stage 1 — collect** ([`collect_replay`],
-//!   [`collect_sampled_inline`]): functional replay of the workload's
-//!   line stream into a miss-rate curve plus the stream statistics a
-//!   compute-intensity gate needs. The sampled collector is one
-//!   streaming pass on the caller's thread — generate, route, record —
-//!   that materialises nothing and gives up once its deadline passes.
+//! * **Stage 1 — collect** ([`collect_sampled_inline`]): one sampled
+//!   stack-distance pass over the workload's line stream
+//!   ([`gsim_sim::collect_curve`]) gives the miss-rate curve plus the
+//!   stream statistics a compute-intensity gate needs. It runs on the
+//!   caller's thread — generate, route, record — materialises nothing
+//!   and gives up once its deadline passes. Both paths read their curve
+//!   from it.
 //! * **Stage 2 — fit** ([`Fit`]): the five predictor fits from the
 //!   observations and curve. A [`Fit`] is a plain value — cloneable,
 //!   comparable, cacheable.
@@ -25,7 +26,7 @@
 //! [`Collected::memory_pressure`]: a workload whose measured memory
 //! traffic per instruction exceeds the machine's DRAM balance point is
 //! answered from synthesized roofline observations
-//! ([`synthesize_observation`]) plus the replayed curve, with no timing
+//! ([`synthesize_observation`]) plus the collected curve, with no timing
 //! simulation at all. Compute-sensitive workloads escalate to the real
 //! 8/16-SM simulations.
 //!
@@ -34,9 +35,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use gsim_mem::mrc::{DistanceEngine, LineRouter, StackDistanceHistogram, TreeStack};
 use gsim_runner::{RunOverrides, Runner};
-use gsim_sim::{FunctionalReplay, GpuConfig, SimStats, Simulator};
+pub use gsim_sim::{CollectFailure, CollectStats};
+use gsim_sim::{FunctionalCurve, GpuConfig, SimStats, Simulator};
 use gsim_trace::{
     Op, SpecStream, TraceStream, TracedWorkload, WarpStream, Workload, WorkloadModel,
     THREADS_PER_WARP,
@@ -137,47 +138,6 @@ impl PlanWorkload {
     }
 }
 
-/// Which collector produced a [`Collected`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollectEngine {
-    /// Exact functional replay (L1-filtered, set-associative LLCs) —
-    /// the curve the full prediction path embeds in its responses.
-    Replay,
-    /// Sampled sharded stack-distance collection — the millisecond
-    /// estimate the fast path and the gate run on.
-    Sampled,
-}
-
-/// Stream statistics from Stage 1, the inputs of the compute-intensity
-/// gate. For sampled collection these are totals *of the sampled
-/// stream*; the gate uses only per-instruction ratios, in which the
-/// sampling rates cancel.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CollectStats {
-    /// Thread instructions replayed.
-    pub thread_instrs: u64,
-    /// Memory thread instructions replayed (loads/stores/atomics).
-    pub mem_thread_instrs: u64,
-    /// Pre-L1 line accesses (every line of every memory operation).
-    pub line_accesses: u64,
-    /// Fraction of CTAs replayed (1.0 for exact collection).
-    pub cta_rate: f64,
-    /// Spatial line-sampling keep rate (1.0 for exact collection).
-    pub line_rate: f64,
-}
-
-impl CollectStats {
-    /// Raw memory traffic per thread instruction, in bytes: line accesses
-    /// times the line size over instructions. Sampling-rate-free because
-    /// both counters are measured on the same (sub)stream.
-    pub fn intensity_bytes_per_instr(&self, line_bytes: u32) -> f64 {
-        if self.thread_instrs == 0 {
-            return 0.0;
-        }
-        self.line_accesses as f64 * f64::from(line_bytes) / self.thread_instrs as f64
-    }
-}
-
 /// The machine's DRAM balance point in bytes per thread instruction: the
 /// traffic intensity at which full-rate issue exactly saturates DRAM.
 /// Under proportional scaling this is size-independent (both DRAM
@@ -197,8 +157,6 @@ pub const MEMORY_BOUND_PRESSURE: f64 = 1.0;
 /// statistics it was measured from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Collected {
-    /// Which collector ran.
-    pub engine: CollectEngine,
     /// `(size, MPKI)` at each configuration's LLC capacity, in input
     /// config order.
     pub points: Vec<(u32, f64)>,
@@ -207,6 +165,13 @@ pub struct Collected {
 }
 
 impl Collected {
+    fn of(configs: &[GpuConfig], curve: FunctionalCurve) -> Self {
+        Self {
+            points: configs.iter().map(|c| c.n_sms).zip(curve.mpki).collect(),
+            stats: curve.stats,
+        }
+    }
+
     /// The curve as a [`SizedMrc`] for the predictor fits.
     pub fn sized_mrc(&self) -> SizedMrc {
         SizedMrc::new(self.points.iter().copied())
@@ -246,160 +211,24 @@ impl Collected {
     }
 }
 
-/// Why a collection did not complete.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CollectFailure {
-    /// The deadline passed first.
-    TimedOut,
-}
+/// The sampled collector's tuning, kept as a type because the
+/// repository's benchmark, which this crate may not edit, passes
+/// `&SampledCollectConfig::default()`. It has no fields: the pass runs
+/// at [`gsim_sim::MAX_CTAS_PER_KERNEL`] CTAs per kernel, keep rate
+/// [`gsim_sim::LINE_RATE`] and [`gsim_sim::N_SHARDS`] shards.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SampledCollectConfig;
 
-impl std::fmt::Display for CollectFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::TimedOut => write!(f, "collection timed out"),
-        }
-    }
-}
-
-/// Exact Stage-1 collection: the full functional replay
-/// ([`gsim_sim::collect_mrc`] plus gate statistics in the same pass).
-/// The curve is numerically identical to `collect_mrc` over the same
-/// configs — this is what the full prediction path embeds in responses.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty.
-pub fn collect_replay<W: WorkloadModel>(wl: &W, configs: &[GpuConfig]) -> Collected {
-    let replay = FunctionalReplay::collect(wl, configs);
-    let points = configs
-        .iter()
-        .zip(replay.curve().points())
-        .map(|(cfg, p)| (cfg.n_sms, p.mpki))
-        .collect();
-    Collected {
-        engine: CollectEngine::Replay,
-        points,
-        stats: CollectStats {
-            thread_instrs: replay.thread_instrs(),
-            mem_thread_instrs: replay.mem_thread_instrs(),
-            line_accesses: replay.line_accesses(),
-            cta_rate: 1.0,
-            line_rate: 1.0,
-        },
-    }
-}
-
-/// Tuning of the sampled sharded collector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SampledCollectConfig {
-    /// CTA-stride sampling: at most this many CTAs per kernel are
-    /// replayed (evenly strided through the grid).
-    pub max_ctas_per_kernel: u32,
-    /// Spatial line-sampling keep rate (SHARDS).
-    pub line_rate: f64,
-    /// Spatial shards the kept lines are routed across.
-    pub n_shards: u32,
-}
-
-impl Default for SampledCollectConfig {
-    fn default() -> Self {
-        Self {
-            max_ctas_per_kernel: 64,
-            line_rate: 0.25,
-            n_shards: 8,
-        }
-    }
-}
-
-/// CTA-stride sampling of one kernel's grid: `(stride, n_slots)`, where
-/// slot `i` replays CTA `i * stride`.
-fn sampled_slots(n_ctas: u32, max_ctas: u32) -> (u32, u32) {
-    let stride = n_ctas.div_ceil(max_ctas).max(1);
-    (stride, n_ctas.div_ceil(stride))
-}
-
-/// Instruction and access totals of the replayed (sampled) stream.
-#[derive(Default)]
-struct StreamCounts {
-    thread_instrs: u64,
-    mem_thread_instrs: u64,
-    line_accesses: u64,
-}
-
-/// Merges the per-shard histograms (ascending shard order) and reads
-/// the curve out at every config's capacity. CTA sampling is compensated
-/// by evaluating each capacity at `capacity × cta_rate`.
-fn finish_sampled(
-    router: &LineRouter,
-    hists: &[StackDistanceHistogram],
-    counts: StreamCounts,
-    (sampled_ctas, total_ctas): (u64, u64),
-    configs: &[GpuConfig],
-) -> Collected {
-    let cta_rate = if total_ctas == 0 {
-        1.0
-    } else {
-        sampled_ctas as f64 / total_ctas as f64
-    };
-    let capacities: Vec<u64> = configs
-        .iter()
-        .map(|c| {
-            let capacity_lines = c.llc_bytes_total / u64::from(c.line_bytes);
-            ((capacity_lines as f64 * cta_rate).round() as u64).max(1)
-        })
-        .collect();
-    let misses = router.merge(hists).misses_at_each(&capacities);
-    let kinsns = counts.thread_instrs as f64 / 1e3;
-    let points = configs
-        .iter()
-        .zip(misses)
-        .map(|(c, m)| (c.n_sms, if kinsns > 0.0 { m / kinsns } else { 0.0 }))
-        .collect();
-    Collected {
-        engine: CollectEngine::Sampled,
-        points,
-        stats: CollectStats {
-            thread_instrs: counts.thread_instrs,
-            mem_thread_instrs: counts.mem_thread_instrs,
-            line_accesses: counts.line_accesses,
-            cta_rate,
-            line_rate: router.keep_rate(),
-        },
-    }
-}
-
-/// Initial time-axis slots of each shard's tree. All the trees are live
-/// at once, so they start small enough to stay cache-resident together
-/// and grow by compaction (distances are exact either way):
-/// [`TreeStack::new`]'s 64 Ki slots are 2 MiB of zeroed memory per
-/// collection and measured 15–25 % slower end to end.
-const SHARD_TREE_SLOTS: usize = 1 << 10;
-
-/// Ops replayed between two looks at the clock. One request can ask for
-/// a single warp of millions of ops, so the deadline is checked by work
-/// done, not by position in the grid; 1 Ki ops is tens of microseconds.
-const DEADLINE_CHECK_OPS: u32 = 1 << 10;
-
-/// Sampled Stage-1 collection: CTA-stride sampling plus SHARDS spatial
-/// line sampling, with the kept lines routed across
-/// [`SampledCollectConfig::n_shards`] fixed spatial shards, each with
-/// its own exact stack-distance tree, merged in ascending shard order.
-///
-/// One streaming pass on the calling thread: kernel → sampled CTA →
-/// warp → op → route → record on that shard's tree. No line is stored
-/// and the workload is never cloned. This is what the prediction
-/// service's fast path runs: a collection is ~1 ms of work, and fanning
-/// it out as pool jobs measured no faster on an idle host and slower
-/// under concurrent requests.
-///
-/// **Deterministic by construction**: sampling decisions are pure
-/// functions of CTA index and line address, and every shard sees its
-/// lines in stream order.
+/// Stage 1: the miss-rate curve at every configuration's LLC capacity
+/// plus the gate statistics, from [`gsim_sim::collect_curve`]'s one
+/// CTA- and SHARDS-sampled stack-distance pass on the calling thread.
+/// This is what every prediction runs: a collection is milliseconds of
+/// work, and fanning it out as pool jobs measured no faster on an idle
+/// host and slower under concurrent requests.
 ///
 /// The curve is an estimate (warp-major streams, no L1 filter, no
-/// associativity): cliff positions and shape track the exact replay,
-/// absolute MPKI can deviate — which is why the full path keeps
-/// [`collect_replay`].
+/// associativity): cliff positions and shape track an exact replay of
+/// each capacity, absolute MPKI can deviate (DESIGN.md §14).
 ///
 /// # Errors
 ///
@@ -409,70 +238,31 @@ const DEADLINE_CHECK_OPS: u32 = 1 << 10;
 ///
 /// # Panics
 ///
-/// Panics if `configs` is empty or `cfg` is degenerate.
+/// Panics if `configs` is empty.
 pub fn collect_sampled_inline<W: WorkloadModel>(
     wl: &W,
     configs: &[GpuConfig],
-    cfg: &SampledCollectConfig,
     deadline: Option<Instant>,
 ) -> Result<Collected, CollectFailure> {
-    assert!(!configs.is_empty(), "need at least one configuration");
-    assert!(cfg.max_ctas_per_kernel > 0);
-    let router = LineRouter::new(cfg.n_shards, cfg.line_rate);
-    let mut trees: Vec<TreeStack> = (0..cfg.n_shards)
-        .map(|_| TreeStack::with_capacity(SHARD_TREE_SLOTS))
-        .collect();
-    let mut counts = StreamCounts::default();
-    let (mut sampled_ctas, mut total_ctas) = (0u64, 0u64);
-    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-    if expired() {
-        return Err(CollectFailure::TimedOut);
-    }
-    let mut ops_to_check = DEADLINE_CHECK_OPS;
-    for kernel in 0..wl.n_kernels() {
-        let (n_ctas, _) = wl.grid(kernel);
-        let (stride, n_slots) = sampled_slots(n_ctas, cfg.max_ctas_per_kernel);
-        total_ctas += u64::from(n_ctas);
-        sampled_ctas += u64::from(n_slots);
-        let warps = wl.warps_per_cta(kernel);
-        for slot in 0..n_slots {
-            for w in 0..warps {
-                let mut stream = wl.warp_stream(kernel, slot * stride, w);
-                while let Some(op) = stream.next_op() {
-                    ops_to_check -= 1;
-                    if ops_to_check == 0 {
-                        if expired() {
-                            return Err(CollectFailure::TimedOut);
-                        }
-                        ops_to_check = DEADLINE_CHECK_OPS;
-                    }
-                    let thread_instrs = op.warp_instrs() * u64::from(THREADS_PER_WARP);
-                    counts.thread_instrs += thread_instrs;
-                    let Some(access) = op.mem() else { continue };
-                    counts.mem_thread_instrs += thread_instrs;
-                    for line in access.lines() {
-                        counts.line_accesses += 1;
-                        if let Some(s) = router.route(line) {
-                            trees[s as usize].record(line);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let hists: Vec<StackDistanceHistogram> = trees.into_iter().map(TreeStack::finish).collect();
-    Ok(finish_sampled(
-        &router,
-        &hists,
-        counts,
-        (sampled_ctas, total_ctas),
-        configs,
-    ))
+    gsim_sim::collect_curve(wl, configs, deadline).map(|curve| Collected::of(configs, curve))
 }
 
-/// [`collect_sampled_inline`] without a deadline. `pool` is ignored: the
-/// parameter survives because the repository's benchmark, which this
-/// crate may not edit, passes one.
+/// [`collect_sampled_inline`] without a deadline, for the callers that
+/// have none: the strong-scaling study and `gsim mrc`.
+///
+/// # Panics
+///
+/// Panics if `configs` is empty.
+pub fn collect_replay<W: WorkloadModel>(wl: &W, configs: &[GpuConfig]) -> Collected {
+    let Ok(collected) = collect_sampled_inline(wl, configs, None) else {
+        unreachable!("no deadline to pass")
+    };
+    collected
+}
+
+/// [`collect_replay`] under the signature the repository's benchmark,
+/// which this crate may not edit, calls: `cfg` has no fields and `pool`
+/// is ignored.
 ///
 /// # Errors
 ///
@@ -480,14 +270,14 @@ pub fn collect_sampled_inline<W: WorkloadModel>(
 ///
 /// # Panics
 ///
-/// Panics if `configs` is empty or `cfg` is degenerate.
+/// Panics if `configs` is empty.
 pub fn collect_sampled<W: WorkloadModel>(
     wl: &W,
     configs: &[GpuConfig],
-    cfg: &SampledCollectConfig,
+    _cfg: &SampledCollectConfig,
     _pool: Option<(&Runner, RunOverrides)>,
 ) -> Result<Collected, CollectFailure> {
-    collect_sampled_inline(wl, configs, cfg, None)
+    Ok(collect_replay(wl, configs))
 }
 
 /// Synthesizes a scale-model observation from Stage-1 statistics alone —
@@ -651,6 +441,9 @@ impl Fit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsim_mem::mrc::{
+        DistanceEngine, LineRouter, NaiveStack, StackDistanceHistogram, TreeStack,
+    };
     use gsim_trace::{Kernel, MemScale, PatternKind, PatternSpec};
 
     fn ladder(sizes: &[u32], scale: MemScale) -> Vec<GpuConfig> {
@@ -677,7 +470,6 @@ mod tests {
         let cfgs = ladder(&[8, 16, 32], MemScale::default());
         let collected = collect_replay(&wl, &cfgs);
         let reference = gsim_sim::collect_mrc(&wl, &cfgs);
-        assert_eq!(collected.engine, CollectEngine::Replay);
         for ((size, mpki), p) in collected.points.iter().zip(reference.points()) {
             assert_eq!(
                 *size,
@@ -688,51 +480,43 @@ mod tests {
             );
             assert_eq!(mpki.to_bits(), p.mpki.to_bits());
         }
+        assert_bit_identical(&collected, &collect_sampled_reference(&wl, &cfgs), "replay");
+        let sampled = collect_sampled(&wl, &cfgs, &SampledCollectConfig, None).unwrap();
+        assert_bit_identical(&collected, &sampled, "sampled");
         assert!(collected.stats.thread_instrs > 0);
         assert!(collected.stats.line_accesses > 0);
     }
 
     fn assert_bit_identical(a: &Collected, b: &Collected, what: &str) {
-        assert_eq!(a.engine, b.engine, "{what}");
         assert_eq!(a.points.len(), b.points.len(), "{what}");
         for (p, q) in a.points.iter().zip(&b.points) {
             assert_eq!((p.0, p.1.to_bits()), (q.0, q.1.to_bits()), "{what}");
         }
-        let (s, t) = (&a.stats, &b.stats);
-        assert_eq!(s.thread_instrs, t.thread_instrs, "{what}");
-        assert_eq!(s.mem_thread_instrs, t.mem_thread_instrs, "{what}");
-        assert_eq!(s.line_accesses, t.line_accesses, "{what}");
-        assert_eq!(s.cta_rate.to_bits(), t.cta_rate.to_bits(), "{what}");
-        assert_eq!(s.line_rate.to_bits(), t.line_rate.to_bits(), "{what}");
+        assert_eq!(a.stats, b.stats, "{what}");
     }
 
     /// The sampled collection written the slow, obvious way: drain the
     /// sampled stream, store every kept line per shard, then build one
     /// full-size tree per shard.
-    fn collect_sampled_reference(
-        wl: &Workload,
-        configs: &[GpuConfig],
-        cfg: &SampledCollectConfig,
-    ) -> Collected {
-        let router = LineRouter::new(cfg.n_shards, cfg.line_rate);
-        let mut shard_lines = vec![Vec::new(); cfg.n_shards as usize];
-        let mut counts = StreamCounts::default();
+    fn collect_sampled_reference<W: WorkloadModel>(wl: &W, configs: &[GpuConfig]) -> Collected {
+        let router = LineRouter::new(gsim_sim::N_SHARDS, gsim_sim::LINE_RATE);
+        let mut shard_lines = vec![Vec::new(); gsim_sim::N_SHARDS as usize];
+        let (mut thread_instrs, mut line_accesses) = (0u64, 0u64);
         let (mut sampled_ctas, mut total_ctas) = (0u64, 0u64);
         for kernel in 0..wl.n_kernels() {
             let (n_ctas, _) = wl.grid(kernel);
-            let (stride, n_slots) = sampled_slots(n_ctas, cfg.max_ctas_per_kernel);
+            let stride = n_ctas.div_ceil(gsim_sim::MAX_CTAS_PER_KERNEL).max(1);
+            let n_slots = n_ctas.div_ceil(stride);
             total_ctas += u64::from(n_ctas);
             sampled_ctas += u64::from(n_slots);
             for slot in 0..n_slots {
                 for w in 0..wl.warps_per_cta(kernel) {
                     let mut stream = wl.warp_stream(kernel, slot * stride, w);
                     while let Some(op) = stream.next_op() {
-                        let thread_instrs = op.warp_instrs() * u64::from(THREADS_PER_WARP);
-                        counts.thread_instrs += thread_instrs;
+                        thread_instrs += op.warp_instrs() * u64::from(THREADS_PER_WARP);
                         let Some(access) = op.mem() else { continue };
-                        counts.mem_thread_instrs += thread_instrs;
                         for line in access.lines() {
-                            counts.line_accesses += 1;
+                            line_accesses += 1;
                             if let Some(s) = router.route(line) {
                                 shard_lines[s as usize].push(line);
                             }
@@ -749,7 +533,27 @@ mod tests {
                 tree.finish()
             })
             .collect();
-        finish_sampled(&router, &hists, counts, (sampled_ctas, total_ctas), configs)
+        let cta_rate = sampled_ctas as f64 / total_ctas as f64;
+        let capacities: Vec<u64> = configs
+            .iter()
+            .map(|c| {
+                let lines = c.llc_bytes_total / u64::from(c.line_bytes);
+                ((lines as f64 * cta_rate).round() as u64).max(1)
+            })
+            .collect();
+        let misses = router.merge(&hists).misses_at_each(&capacities);
+        let kinsns = thread_instrs as f64 / 1e3;
+        Collected {
+            points: configs
+                .iter()
+                .zip(misses)
+                .map(|(c, m)| (c.n_sms, m / kinsns))
+                .collect(),
+            stats: CollectStats {
+                thread_instrs,
+                line_accesses,
+            },
+        }
     }
 
     #[test]
@@ -783,11 +587,9 @@ mod tests {
             workloads.push(Workload::new("seeded", u64::from(i), kernels));
         }
         let cfgs = ladder(&[8, 16, 32, 64, 128], scale);
-        let scfg = SampledCollectConfig::default();
         for wl in &workloads {
-            let inline = collect_sampled_inline(wl, &cfgs, &scfg, None).unwrap();
-            let reference = collect_sampled_reference(wl, &cfgs, &scfg);
-            assert_eq!(inline.engine, CollectEngine::Sampled);
+            let inline = collect_sampled_inline(wl, &cfgs, None).unwrap();
+            let reference = collect_sampled_reference(wl, &cfgs);
             assert_bit_identical(&inline, &reference, WorkloadModel::name(wl));
         }
     }
@@ -817,18 +619,17 @@ mod tests {
     #[test]
     fn an_expired_deadline_times_out_before_collecting() {
         let cfgs = ladder(&[8, 16], MemScale::default());
-        let scfg = SampledCollectConfig::default();
         let expired = Instant::now();
         assert_eq!(
-            collect_sampled_inline(&Untouchable, &cfgs, &scfg, Some(expired)),
+            collect_sampled_inline(&Untouchable, &cfgs, Some(expired)),
             Err(CollectFailure::TimedOut)
         );
         // A deadline that holds changes nothing about the result.
         let wl = membound_workload();
         let far = Instant::now() + std::time::Duration::from_secs(3600);
         assert_eq!(
-            collect_sampled_inline(&wl, &cfgs, &scfg, Some(far)),
-            collect_sampled_inline(&wl, &cfgs, &scfg, None)
+            collect_sampled_inline(&wl, &cfgs, Some(far)),
+            collect_sampled_inline(&wl, &cfgs, None)
         );
     }
 
@@ -842,7 +643,7 @@ mod tests {
         let started = Instant::now();
         let deadline = started + std::time::Duration::from_millis(20);
         assert_eq!(
-            collect_sampled_inline(&wl, &cfgs, &SampledCollectConfig::default(), Some(deadline)),
+            collect_sampled_inline(&wl, &cfgs, Some(deadline)),
             Err(CollectFailure::TimedOut)
         );
         assert!(started.elapsed() < std::time::Duration::from_secs(2));
@@ -851,28 +652,60 @@ mod tests {
     #[test]
     fn sampled_curve_tracks_replayed_shape() {
         // A working set that thrashes the small LLCs and fits the large
-        // ones: both collectors must agree a cliff exists.
+        // ones: the sampled pass and an exact stack over every CTA must
+        // agree a cliff exists.
         let spec =
             PatternSpec::new(PatternKind::GlobalSweep { passes: 1 }, 6_000).compute_per_mem(1.0);
         let wl = Workload::new("cliff", 2, vec![Kernel::new("k", 192, 256, spec); 6]);
         let cfgs = ladder(&[8, 16, 32, 64, 128], MemScale::default());
-        let exact = collect_replay(&wl, &cfgs);
-        let sampled = collect_sampled(&wl, &cfgs, &SampledCollectConfig::default(), None).unwrap();
-        let drop = |c: &Collected| c.points[0].1 / c.points[4].1.max(1e-6);
+        let mut exact = NaiveStack::new();
+        for kernel in 0..wl.n_kernels() {
+            for cta in 0..wl.grid(kernel).0 {
+                for w in 0..wl.warps_per_cta(kernel) {
+                    let mut stream = wl.warp_stream(kernel, cta, w);
+                    while let Some(op) = stream.next_op() {
+                        exact.record_all(op.mem().into_iter().flat_map(|a| a.lines()));
+                    }
+                }
+            }
+        }
+        let exact = exact.finish();
+        let lines = |c: &GpuConfig| c.llc_bytes_total / u64::from(c.line_bytes);
+        let exact_drop = exact.misses_at(lines(&cfgs[0])) / exact.misses_at(lines(&cfgs[4]));
+        let sampled = collect_sampled_inline(&wl, &cfgs, None).unwrap();
+        let drop = sampled.points[0].1 / sampled.points[4].1.max(1e-6);
         assert!(
-            drop(&exact) > 2.0 && drop(&sampled) > 2.0,
-            "both collectors must see the cliff: exact {:?} sampled {:?}",
-            exact.points,
+            exact_drop > 2.0 && drop > 2.0,
+            "both must see the cliff: exact {exact_drop} sampled {:?}",
             sampled.points
         );
     }
 
     #[test]
+    fn a_sub_ladder_reads_the_full_ladders_curve() {
+        // A full-path body prints the curve at its own ladder's sizes,
+        // read from the collection over the whole ladder: each reading
+        // must not depend on the other sizes asked for.
+        let scale = MemScale::default();
+        let sizes: Vec<u32> = (3..=20).map(|k| 1u32 << k).collect();
+        let full = ladder(&sizes, scale);
+        let sub = ladder(&[8, 16, 32, 64, 128], scale);
+        for wl in [membound_workload(), compute_workload()] {
+            let whole = collect_sampled_inline(&wl, &full, None).unwrap();
+            let part = collect_sampled_inline(&wl, &sub, None).unwrap();
+            assert_eq!(part.stats, whole.stats);
+            for &(size, mpki) in &part.points {
+                let at = whole.mpki_at(size).unwrap();
+                assert_eq!(mpki.to_bits(), at.to_bits(), "size {size}");
+            }
+        }
+    }
+
+    #[test]
     fn gate_separates_memory_and_compute_bound() {
         let cfgs = ladder(&[8, 16], MemScale::default());
-        let scfg = SampledCollectConfig::default();
-        let mem = collect_sampled(&membound_workload(), &cfgs, &scfg, None).unwrap();
-        let cmp = collect_sampled(&compute_workload(), &cfgs, &scfg, None).unwrap();
+        let mem = collect_replay(&membound_workload(), &cfgs);
+        let cmp = collect_replay(&compute_workload(), &cfgs);
         assert!(
             mem.takes_fast_path(&cfgs[1]),
             "sweep pressure {}",
@@ -893,14 +726,10 @@ mod tests {
     fn gate_is_one_balance_point_at_the_large_scale_model() {
         let large = GpuConfig::paper_target(16, MemScale::default());
         let with_lines = |line_accesses| Collected {
-            engine: CollectEngine::Sampled,
             points: Vec::new(),
             stats: CollectStats {
                 thread_instrs: 1 << 20,
-                mem_thread_instrs: 0,
                 line_accesses,
-                cta_rate: 1.0,
-                line_rate: 1.0,
             },
         };
         // 4640 lines of 128 B over 2^20 instructions is the 16-SM
@@ -918,13 +747,7 @@ mod tests {
     #[test]
     fn synthesized_observations_fit_and_forecast() {
         let cfgs = ladder(&[8, 16, 32, 64, 128], MemScale::default());
-        let collected = collect_sampled(
-            &membound_workload(),
-            &cfgs,
-            &SampledCollectConfig::default(),
-            None,
-        )
-        .unwrap();
+        let collected = collect_replay(&membound_workload(), &cfgs);
         let small = synthesize_observation(&collected, &cfgs[0]);
         let large = synthesize_observation(&collected, &cfgs[1]);
         assert!(small.ipc > 0.0 && large.ipc >= small.ipc);
@@ -954,9 +777,8 @@ mod tests {
             gsim_trace::semantic_hash_of(&traced)
         );
         let cfgs = ladder(&[8, 16, 32], MemScale::default());
-        let scfg = SampledCollectConfig::default();
-        let a = collect_sampled(&synth, &cfgs, &scfg, None).unwrap();
-        let b = collect_sampled(&traced, &cfgs, &scfg, None).unwrap();
+        let a = collect_replay(&synth, &cfgs);
+        let b = collect_replay(&traced, &cfgs);
         assert_eq!(a, b, "a trace must collect exactly like its source");
     }
 }

@@ -61,14 +61,14 @@ const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
 /// way matches when it equals the key once its dirty bit is masked.
 /// `None` for an address the tag word cannot hold (so cannot be resident).
 #[inline]
-pub(crate) fn key_of(line_addr: u64) -> Option<u64> {
+fn key_of(line_addr: u64) -> Option<u64> {
     (line_addr <= MAX_LINE_ADDR).then_some(line_addr << 2 | VALID)
 }
 
 /// One-byte fingerprint of a line address; never 0, the fingerprint of
 /// empty ways and padding.
 #[inline]
-pub(crate) fn fingerprint(line_addr: u64) -> u8 {
+fn fingerprint(line_addr: u64) -> u8 {
     ((line_addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8).max(1)
 }
 
@@ -88,7 +88,7 @@ fn match_words(bytes: &[u8], byte: u8) -> impl Iterator<Item = u64> + '_ {
 /// The way holding `line_addr` in a set, if resident: tests the
 /// fingerprints eight at a time and compares tags only where they match.
 #[inline]
-pub(crate) fn find(tags: &[u64], fingerprints: &[u8], line_addr: u64) -> Option<usize> {
+fn find(tags: &[u64], fingerprints: &[u8], line_addr: u64) -> Option<usize> {
     let key = key_of(line_addr)?;
     for (i, mut flagged) in match_words(fingerprints, fingerprint(line_addr)).enumerate() {
         while flagged != 0 {

@@ -13,9 +13,8 @@
 //! * [`DramModel`] — a multi-controller main-memory bandwidth model
 //!   (one queueing server per memory controller).
 //! * [`mrc`] — miss-rate-curve collection engines: an exact Mattson stack
-//!   algorithm (naive and O(log n) tree-accelerated variants), a SHARDS-style
-//!   sampled approximation, and an exact replay of every candidate capacity
-//!   through one shared tag store.
+//!   algorithm (naive and O(log n) tree-accelerated variants) and its
+//!   SHARDS-style spatially sampled, sharded approximation.
 //!
 //! Miss-rate curves (LLC misses per thousand instructions as a function of
 //! LLC capacity) are one of the two inputs of GPU scale-model simulation; the

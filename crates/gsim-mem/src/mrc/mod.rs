@@ -5,32 +5,29 @@
 //! the *miss rate curve* of the paper's Figure 2. Section V.A stresses that
 //! these curves can be obtained from a functional address trace orders of
 //! magnitude faster than detailed timing simulation. This module provides
-//! four engines with different speed/accuracy trade-offs:
+//! one stack-distance algorithm and its test oracle:
 //!
 //! * [`NaiveStack`] — the textbook Mattson LRU stack, O(n) per access.
 //!   Only used as a reference implementation in tests.
 //! * [`TreeStack`] — the same exact reuse distances computed with a Fenwick
 //!   tree in O(log n) per access (Conte et al.'s single-pass approach).
-//! * [`ShardsStack`] — SHARDS-style spatially-hashed sampling on top of the
-//!   tree engine; approximate, with a configurable sampling rate, for a
-//!   further constant-factor speedup on long traces.
-//! * [`CapacityReplay`] — exact replay of every candidate capacity as a
-//!   set-associative [`SlicedLlc`](crate::SlicedLlc), from one shared tag
-//!   store searched once per line. Slower, but captures associativity and
-//!   slicing exactly as the timing simulator sees them.
+//! * [`LineRouter`] ([`parallel`]) — SHARDS-style spatially-hashed
+//!   sampling that also routes the kept lines across disjoint spatial
+//!   shards, one [`TreeStack`] each, and merges the rescaled per-shard
+//!   histograms deterministically. This is what the miss-rate-curve
+//!   collector in `gsim-sim` runs.
+//! * [`ShardsStack`] — the same sampling as a single [`DistanceEngine`]:
+//!   one router shard over one tree.
 //!
-//! All exact/approximate stack engines produce a [`StackDistanceHistogram`],
-//! which converts to a [`MissRateCurve`] for any set of capacities.
-//!
-//! For multi-core collection, [`parallel`] routes lines across disjoint
-//! spatial shards whose per-shard histograms can be computed concurrently
-//! and merged deterministically.
+//! Every engine produces a [`StackDistanceHistogram`], which converts to a
+//! [`MissRateCurve`] for any set of capacities. A stack distance models a
+//! fully-associative LRU cache: set conflicts and the L1 filter are not in
+//! the curve.
 
 mod curve;
 mod histogram;
 mod naive;
 pub mod parallel;
-mod replay;
 mod shards;
 mod tree;
 
@@ -38,7 +35,6 @@ pub use curve::{MissRateCurve, MrcPoint};
 pub use histogram::StackDistanceHistogram;
 pub use naive::NaiveStack;
 pub use parallel::LineRouter;
-pub use replay::CapacityReplay;
 pub use shards::ShardsStack;
 pub use tree::TreeStack;
 

@@ -18,8 +18,7 @@
 
 use super::histogram::StackDistanceHistogram;
 
-/// Modulus for the sampling decision (matches
-/// [`ShardsStack`](super::ShardsStack)).
+/// Modulus for the sampling decision.
 const SAMPLE_MOD: u64 = 1 << 24;
 
 /// Deterministically routes line addresses to spatial shards, dropping
@@ -67,9 +66,8 @@ impl LineRouter {
     /// Purely a function of the address — deterministic everywhere.
     #[inline]
     pub fn route(&self, line_addr: u64) -> Option<u32> {
-        // The same multiplicative mix ShardsStack uses; the low 24 bits
-        // decide sampling, higher bits pick the shard so the two choices
-        // stay independent.
+        // A strong multiplicative mix; the low 24 bits decide sampling,
+        // higher bits pick the shard so the two choices stay independent.
         let mut h = line_addr.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
         h ^= h >> 33;
         h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);

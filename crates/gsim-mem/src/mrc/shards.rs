@@ -10,14 +10,14 @@
 //! Eklov's StatStack) for collecting miss-rate curves cheaply.
 
 use super::histogram::StackDistanceHistogram;
+use super::parallel::LineRouter;
 use super::tree::TreeStack;
 use super::DistanceEngine;
 
-/// Modulus for the sampling hash.
-const SAMPLE_MOD: u64 = 1 << 24;
-
 /// Approximate reuse-distance engine with spatial sampling rate `rate`
-/// (e.g. `0.01` analyses ~1 % of distinct lines).
+/// (e.g. `0.01` analyses ~1 % of distinct lines): a one-shard
+/// [`LineRouter`] in front of one [`TreeStack`], finished by the router's
+/// rescaling merge.
 ///
 /// # Example
 ///
@@ -32,8 +32,8 @@ const SAMPLE_MOD: u64 = 1 << 24;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardsStack {
+    router: LineRouter,
     inner: TreeStack,
-    threshold: u64,
 }
 
 impl ShardsStack {
@@ -43,56 +43,33 @@ impl ShardsStack {
     ///
     /// Panics if `rate` is not in `(0, 1]`.
     pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0 && rate <= 1.0, "rate must be in (0, 1]");
         Self {
+            router: LineRouter::new(1, rate),
             inner: TreeStack::new(),
-            threshold: ((rate * SAMPLE_MOD as f64).round() as u64).max(1),
         }
     }
 
     /// The configured sampling rate actually realised by the integer
     /// threshold.
     pub fn effective_rate(&self) -> f64 {
-        self.threshold as f64 / SAMPLE_MOD as f64
-    }
-
-    #[inline]
-    fn is_sampled(&self, line_addr: u64) -> bool {
-        // Strong multiplicative mix; only the line address decides, so all
-        // accesses to a line are consistently kept or dropped (spatial
-        // sampling), which SHARDS requires.
-        let mut h = line_addr.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-        h ^= h >> 33;
-        (h % SAMPLE_MOD) < self.threshold
+        self.router.keep_rate()
     }
 }
 
 impl DistanceEngine for ShardsStack {
     fn record(&mut self, line_addr: u64) {
-        if self.is_sampled(line_addr) {
+        // Only the line address decides, so all accesses to a line are
+        // consistently kept or dropped (spatial sampling), which SHARDS
+        // requires.
+        if self.router.route(line_addr).is_some() {
             self.inner.record(line_addr);
         }
     }
 
+    /// Rescales each sampled distance `d` to `d / rate` with weight
+    /// `1 / rate`, in one pass over the sampled histogram.
     fn finish(self) -> StackDistanceHistogram {
-        let r = self.effective_rate();
-        let sampled_hist = self.inner.finish();
-        let mut out = StackDistanceHistogram::new();
-        out.add_cold(sampled_hist.cold_accesses() / r);
-        if let Some(max_d) = sampled_hist.max_distance() {
-            // Rescale each sampled distance d to d/r with weight 1/r.
-            // Reconstruct per-distance mass via the misses_at deltas.
-            for d in 0..=max_d {
-                let mass = sampled_hist.misses_at(d) - sampled_hist.misses_at(d + 1);
-                if mass > 0.0 {
-                    let scaled_d = (d as f64 / r).round() as u64;
-                    out.add(scaled_d, mass / r);
-                }
-            }
-        }
-        out
+        self.router.merge(&[self.inner.finish()])
     }
 }
 

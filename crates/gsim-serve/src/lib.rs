@@ -7,11 +7,11 @@
 //! `POST /v1/predict` names a workload (a Table II / Table IV benchmark
 //! or a synthetic [`PatternSpec`](gsim_trace::PatternSpec) description),
 //! the target size, and optionally the scale-model sizes and memory
-//! miniature. A memory-bound workload is answered from one sampled
-//! functional collection on the request's own thread (the fast path, no
-//! timing simulation); any other simulates only the two small scale
-//! models on a [`gsim_runner`] pool and replays the functional
-//! miss-rate curve. Either way the [`gsim_core::plan::Fit`] predictors
+//! miniature. Every request with a miss-rate curve runs one sampled
+//! functional collection on its own thread. A memory-bound workload is
+//! answered from it alone (the fast path, no timing simulation); any
+//! other also simulates the two small scale models on a
+//! [`gsim_runner`] pool. Either way the [`gsim_core::plan::Fit`] predictors
 //! turn that into a JSON report.
 //!
 //! Repeated questions are cheap, and a miss always does its own work:

@@ -94,15 +94,15 @@ pub struct Metrics {
     /// Predict requests that named a `trace_ref` (any outcome).
     pub predict_from_trace: AtomicU64,
     /// Predict computations answered by the functional-first fast path
-    /// (replayed-MRC fits, zero timing simulations).
+    /// (synthesized observations, zero timing simulations).
     pub fast_path: AtomicU64,
     /// Auto-path predict computations the compute-intensity gate
     /// escalated to the full timing-simulation path.
     pub escalated: AtomicU64,
-    /// Sampled Stage-1 collections executed.
+    /// Stage-1 miss-rate-curve collections executed (one per computed
+    /// plan with a curve, whatever its path).
     pub collects_started: AtomicU64,
-    /// Detailed timing simulations actually started (excludes the
-    /// functional MRC replay job).
+    /// Detailed timing simulations actually started.
     pub timing_sims_started: AtomicU64,
     /// Jobs started on the simulation runner pool (every attempt).
     pub runner_jobs_started: AtomicU64,

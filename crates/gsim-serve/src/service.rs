@@ -21,19 +21,19 @@
 //! streams, identical whatever the file's names or chunking. A file in
 //! any other format version (such as the unframed version 1) is a 400. A predict
 //! request may then name `trace_ref` instead of a workload or pattern.
-//! A full-path trace predict runs exactly the two scale models plus the
-//! functional MRC replay, and its prediction equals its synthetic twin's
-//! bit for bit.
+//! A full-path trace predict runs one functional MRC collection and
+//! exactly the two scale models, and its prediction equals its synthetic
+//! twin's bit for bit.
 //!
 //! # The staged fast path
 //!
 //! A predict request may carry `"path": "auto" | "fast" | "full"`
-//! (default `auto`). Unless forced onto the full path, the service runs
-//! the staged **collect → fit → predict** pipeline from
-//! [`gsim_core::plan`]: a sampled Stage-1 collection — one streaming
-//! pass on the request's own thread, no runner jobs — measures the
-//! miss-rate curve and the workload's compute intensity in about a
-//! millisecond; a memory-bound workload (measured pressure at or above
+//! (default `auto`). Every request with a miss-rate curve runs the
+//! staged **collect → fit → predict** pipeline from [`gsim_core::plan`]:
+//! a sampled Stage-1 collection — one streaming pass on the request's
+//! own thread, no runner jobs — measures the miss-rate curve and the
+//! workload's compute intensity in milliseconds. Unless forced onto the
+//! full path, a memory-bound workload (measured pressure at or above
 //! the machine's balance point) is then answered from
 //! roofline-synthesized observations plus that curve — **zero timing
 //! simulations** — while a compute-sensitive one escalates to the full
@@ -50,7 +50,7 @@
 //! which skips the parse, the normalization and the key. The bytes index
 //! is never persisted, and it never holds a `trace_ref` body, whose
 //! catalog check runs on every request. A miss always does its own work
-//! — a collection, or two timing simulations plus the replay — and
+//! — a collection, two timing simulations, or both — and
 //! nothing it computes on the way is kept. A repeat workload with other
 //! targets is a different request and computes again.
 //!
@@ -71,8 +71,8 @@ use std::time::{Duration, Instant};
 
 use gsim_core::oneshot::Observation;
 use gsim_core::plan::{
-    collect_replay, collect_sampled_inline, observation_of, synthesize_observation, CollectFailure,
-    Fit, PlanWorkload, SampledCollectConfig,
+    collect_sampled_inline, observation_of, synthesize_observation, CollectFailure, Collected, Fit,
+    PlanWorkload,
 };
 use gsim_json::{obj, Json};
 use gsim_runner::{Job, JobStatus, RunOverrides, Runner, RunnerConfig};
@@ -257,12 +257,6 @@ struct Staged {
     /// `(size, mpki)` points of the miss-rate curve; `None` for per-size
     /// (weak-scaling) plans.
     mrc: Option<Vec<(u32, f64)>>,
-}
-
-/// What one runner job returns.
-enum SimOut {
-    Point(SimPoint),
-    Mrc(Vec<(u32, f64)>),
 }
 
 /// The shared prediction service. Construct once, share behind `Arc`
@@ -606,53 +600,68 @@ impl PredictService {
             })?;
             plan.kind = PlanKind::WithMrc(PlanWorkload::Traced(Arc::new(wl)));
         }
-        let staged = match self.stage_fast(plan, deadline)? {
-            Some(staged) => staged,
-            None => self.stage_full(plan, key, deadline)?,
+        let staged = match &plan.kind {
+            PlanKind::WithMrc(wl) => {
+                let collected = self.collect(plan, wl, deadline)?;
+                match self.stage_fast(plan, &collected) {
+                    Some(staged) => staged,
+                    None => {
+                        // A full body prints the curve at its own
+                        // ladder's sizes.
+                        let mrc = collected
+                            .points
+                            .into_iter()
+                            .filter(|(size, _)| plan.ladder.contains(size))
+                            .collect();
+                        self.stage_full(plan, (wl, wl), Some(mrc), key, deadline)?
+                    }
+                }
+            }
+            PlanKind::PerSize { small_wl, large_wl } => {
+                self.stage_full(plan, (small_wl, large_wl), None, key, deadline)?
+            }
+            PlanKind::Stored(_) => unreachable!("a stored trace was loaded above"),
         };
         self.finish(plan, staged)
     }
 
-    /// The fast path: MRC-capable plans not forced onto the full path
-    /// run the sampled Stage-1 collection and consult the
-    /// compute-intensity gate. Memory-bound workloads are answered from
-    /// roofline observations synthesized from the collection, in about
-    /// a millisecond; compute-sensitive ones (and everything this path
-    /// does not apply to) return `None` and escalate to
-    /// [`Self::stage_full`].
-    ///
-    /// The collection is one streaming pass on this request's thread,
-    /// checked against `deadline` every thousand ops — it never touches
-    /// the runner pool.
-    fn stage_fast(
+    /// Stage 1 of every plan with a miss-rate curve: the sampled
+    /// collection over the whole ladder up to `MAX_TARGET_SMS`, whatever
+    /// the targets (a fast body lists every point, and with the pass
+    /// dominating the cost the extra readouts are nearly free). One
+    /// streaming pass on this request's thread, checked against
+    /// `deadline` every thousand ops — it never touches the runner pool,
+    /// so it fails only by running out of time.
+    fn collect(
         &self,
         plan: &Plan,
+        wl: &PlanWorkload,
         deadline: Option<Instant>,
-    ) -> Result<Option<Staged>, ApiError> {
-        let PlanKind::WithMrc(wl) = &plan.kind else {
-            return Ok(None);
-        };
-        if plan.path == PathMode::Full {
-            return Ok(None);
-        }
-        let cfg_of = |sms: u32| GpuConfig::paper_target(sms, plan.scale);
-        // The whole ladder up to `MAX_TARGET_SMS`, whatever the targets:
-        // a fast body lists every point, and with the replay pass
-        // dominating the cost the extra readouts are nearly free.
+    ) -> Result<Collected, ApiError> {
         let configs: Vec<GpuConfig> = ladder(plan.small, MAX_TARGET_SMS)
             .into_iter()
-            .map(cfg_of)
+            .map(|sms| GpuConfig::paper_target(sms, plan.scale))
             .collect();
         self.metrics
             .collects_started
             .fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let scfg = SampledCollectConfig::default();
-        // No jobs, so nothing to crash: the pass fails only by running
-        // out of time.
-        let collected = collect_sampled_inline(wl, &configs, &scfg, deadline)
+        let collected = collect_sampled_inline(wl, &configs, deadline)
             .map_err(|CollectFailure::TimedOut| self.deadline_exceeded())?;
         Metrics::observe_stage(&self.metrics.stage_collect, started.elapsed());
+        Ok(collected)
+    }
+
+    /// The fast path: plans not forced onto the full path consult the
+    /// compute-intensity gate. Memory-bound workloads are answered from
+    /// roofline observations synthesized from the collection;
+    /// compute-sensitive ones (and forced-full plans) return `None` and
+    /// escalate to [`Self::stage_full`].
+    fn stage_fast(&self, plan: &Plan, collected: &Collected) -> Option<Staged> {
+        if plan.path == PathMode::Full {
+            return None;
+        }
+        let cfg_of = |sms: u32| GpuConfig::paper_target(sms, plan.scale);
         let large = cfg_of(plan.large);
         let pressure = collected.memory_pressure(&large);
         let fast = plan.path == PathMode::Fast || collected.takes_fast_path(&large);
@@ -660,14 +669,14 @@ impl PredictService {
             // Compute matters: the roofline synthesis is not
             // trustworthy, escalate to the real simulations.
             self.metrics.escalated.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
+            return None;
         }
         self.metrics.fast_path.fetch_add(1, Ordering::Relaxed);
         let synthesize = |size: u32| SimPoint {
-            obs: synthesize_observation(&collected, &cfg_of(size)),
+            obs: synthesize_observation(collected, &cfg_of(size)),
             timing: None,
         };
-        Ok(Some(Staged {
+        Some(Staged {
             schema: PREDICT_FAST_SCHEMA,
             head: vec![
                 ("fast_path", Json::from(true)),
@@ -677,23 +686,24 @@ impl PredictService {
             ],
             small: synthesize(plan.small),
             large: synthesize(plan.large),
-            mrc: Some(collected.points),
-        }))
+            mrc: Some(collected.points.clone()),
+        })
     }
 
-    /// The full path: the scale-model simulations (and, for MRC plans,
-    /// the functional replay) as jobs on the runner pool. The `deadline`
-    /// bounds the runner jobs; a run cut short — or one that finished,
-    /// but late — maps to 504.
+    /// The full path: the two scale-model simulations as jobs on the
+    /// runner pool, with the curve the caller collected (`None` for
+    /// per-size plans). The `deadline` bounds the runner jobs; a run cut
+    /// short — or one that finished, but late — maps to 504.
     fn stage_full(
         &self,
         plan: &Plan,
+        (small_wl, large_wl): (&PlanWorkload, &PlanWorkload),
+        mrc: Option<Vec<(u32, f64)>>,
         key: u64,
         deadline: Option<Instant>,
     ) -> Result<Staged, ApiError> {
-        let cfg_of = |sms: u32| GpuConfig::paper_target(sms, plan.scale);
         let sim_job = |sms: u32, wl: PlanWorkload| {
-            let cfg = cfg_of(sms);
+            let cfg = GpuConfig::paper_target(sms, plan.scale);
             let metrics = Arc::clone(&self.metrics);
             Job::new(format!("sim@{sms}sm"), move || {
                 if gsim_faults::active().is_some_and(|f| f.job_panic()) {
@@ -701,30 +711,16 @@ impl PredictService {
                 }
                 metrics.timing_sims_started.fetch_add(1, Ordering::Relaxed);
                 let stats = wl.simulate(cfg.clone());
-                SimOut::Point(SimPoint {
+                SimPoint {
                     obs: observation_of(sms, &stats),
                     timing: Some((stats.mpki(), stats.cycles)),
-                })
+                }
             })
         };
-        let (small_wl, large_wl) = match &plan.kind {
-            PlanKind::WithMrc(wl) => (wl, wl),
-            PlanKind::PerSize { small_wl, large_wl } => (small_wl, large_wl),
-            PlanKind::Stored(_) => unreachable!("compute loads a stored trace before staging"),
-        };
-        let mut jobs = vec![
+        let jobs = vec![
             sim_job(plan.small, small_wl.clone()),
             sim_job(plan.large, large_wl.clone()),
         ];
-        if let PlanKind::WithMrc(wl) = &plan.kind {
-            // One workload at every size: the exact functional replay
-            // over the request's ladder gives its miss-rate curve.
-            let configs: Vec<GpuConfig> = plan.ladder.iter().copied().map(cfg_of).collect();
-            let wl = wl.clone();
-            jobs.push(Job::new("mrc", move || {
-                SimOut::Mrc(collect_replay(&wl, &configs).points)
-            }));
-        }
         // A deadline-bound run does not retry: a retry would double the
         // worst-case wall time past the promise. A job dequeued after the
         // deadline is reported timed out and never started.
@@ -732,13 +728,12 @@ impl PredictService {
         let reports = self
             .runner
             .run_with(&format!("predict-{key:016x}"), jobs, overrides);
-        let (mut sims, mut mrc) = (Vec::new(), None);
+        let mut sims = Vec::new();
         for report in reports {
             let name = report.name.clone();
             let timed_out = matches!(report.status, JobStatus::TimedOut);
             match report.into_ok() {
-                Some(SimOut::Point(p)) => sims.push(p),
-                Some(SimOut::Mrc(m)) => mrc = Some(m),
+                Some(p) => sims.push(p),
                 None if timed_out => return Err(self.deadline_exceeded()),
                 None => {
                     // Crashed even after the runner's retry: the failure

@@ -1,9 +1,10 @@
 //! End-to-end tests of the staged functional-first fast path over real
-//! HTTP sockets: memory-bound `auto` predicts answer from replayed-MRC
-//! fits without scheduling a single timing simulation, every result-cache
+//! HTTP sockets: memory-bound `auto` predicts answer from the collected
+//! curve without scheduling a single timing simulation, every result-cache
 //! miss collects once on the request's own thread, compute-sensitive
 //! workloads escalate to a body that is byte-identical to a forced-full
-//! computation, every response names the path it took in `X-Gsim-Path`,
+//! computation, a full body prints the fast path's curve at its own
+//! sizes, every response names the path it took in `X-Gsim-Path`,
 //! and the collection honours the request deadline. One in-process test
 //! pins which Table II forecasts the fast path puts above the issue peak.
 
@@ -310,6 +311,63 @@ fn compute_bound_auto_escalates_to_bytes_identical_to_forced_full() {
         escalated, forced,
         "escalated and forced-full bodies must match byte for byte"
     );
+    server.stop();
+}
+
+#[test]
+fn a_full_path_predict_collects_once_and_prints_the_fast_paths_curve() {
+    let server = RunningServer::start(ServeConfig::default());
+    let addr = server.addr;
+    let predict = |body: &str| {
+        let (status, headers, resp) = request(addr, "POST", "/v1/predict", body);
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&resp));
+        assert_eq!(header(&headers, "x-gsim-cache"), Some("miss"));
+        let path = header(&headers, "x-gsim-path").expect("path").to_string();
+        (path, resp)
+    };
+    let counts = || {
+        let m = metrics(addr);
+        [
+            metric_at(&m, &["runner_jobs_started"]),
+            metric_at(&m, &["collects_started"]),
+        ]
+    };
+
+    // gemm escalates: one collection for the gate and the curve, then
+    // exactly the two scale-model sims on the pool.
+    let (path, _) = predict(r#"{"workload": "gemm", "targets": [32, 64]}"#);
+    assert_eq!(path, "full");
+    assert_eq!(counts(), [2, 1], "escalated: [runner jobs, collections]");
+    let (path, full) = predict(r#"{"workload": "gemm", "targets": [32, 64, 128], "path": "full"}"#);
+    assert_eq!(path, "full");
+    assert_eq!(counts(), [4, 2], "forced full: [runner jobs, collections]");
+    let (path, fast) = predict(r#"{"workload": "gemm", "targets": [32, 64, 128], "path": "fast"}"#);
+    assert_eq!(path, "fast");
+    assert_eq!(counts(), [4, 3], "forced fast: no runner job");
+
+    // The full body's curve is the fast body's at the full ladder's
+    // sizes, bit for bit.
+    let curve = |body: &[u8]| -> Vec<(u64, u64)> {
+        let doc = gsim_json::parse(std::str::from_utf8(body).expect("utf8")).expect("json");
+        doc.get("mrc")
+            .and_then(|m| m.as_arr())
+            .expect("mrc")
+            .iter()
+            .map(|p| {
+                let p = p.as_arr().expect("point");
+                let mpki = p[1].as_f64().expect("mpki");
+                (p[0].as_u64().expect("size"), mpki.to_bits())
+            })
+            .collect()
+    };
+    let full = curve(&full);
+    let sizes: Vec<u64> = full.iter().map(|&(size, _)| size).collect();
+    assert_eq!(sizes, [8, 16, 32, 64, 128]);
+    let fast: Vec<(u64, u64)> = curve(&fast)
+        .into_iter()
+        .filter(|(size, _)| sizes.contains(size))
+        .collect();
+    assert_eq!(full, fast);
     server.stop();
 }
 

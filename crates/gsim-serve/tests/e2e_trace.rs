@@ -193,7 +193,7 @@ fn trace_predict_matches_synthetic_bit_for_bit_with_its_own_two_sims() {
     let server = RunningServer::start(&cache_dir);
     let addr = server.addr;
 
-    // --- Synthetic prediction first: 2 timing sims + the MRC replay.
+    // --- Synthetic prediction first: one MRC collection + 2 timing sims.
     let synthetic_body = pattern_request(42);
     let (status, body) = request(addr, "POST", "/v1/predict", &synthetic_body);
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
@@ -252,7 +252,8 @@ fn trace_predict_matches_synthetic_bit_for_bit_with_its_own_two_sims() {
     assert_eq!(metric(&m, "trace_store", "entries"), 1, "{}", m.render());
 
     // --- A trace the server has never simulated: exactly 2 scale-model
-    // sims (the MRC comes from functional replay, not the timing core).
+    // sims (the MRC comes from the functional collection, not the timing
+    // core).
     let cold = trace_of(&pattern_workload(7));
     let (status, body) = request_bytes(addr, "POST", "/v1/traces", &cold);
     assert_eq!(status, 200);

@@ -3,7 +3,11 @@
 //! `X-Gsim-Cache` and the FNV-1a of every body. A refactor of the
 //! predict pipeline must pass this file unedited — the constants were
 //! generated at the commit before the degrade fork, the `fits` stage map
-//! and the `oneshot` wrappers were deleted. Prediction bodies hold only
+//! and the `oneshot` wrappers were deleted. The nine full-path rows
+//! whose body prints a miss-rate curve (the `ht`, `gemm` and `2mm`
+//! auto rows, the five `*/full` patterns and `trace twin/full`) were
+//! regenerated when the exact capacity replay gave way to the one
+//! sampled collector (DESIGN.md §14). Prediction bodies hold only
 //! deterministic quantities, so the hashes are the same in debug and
 //! release builds. On a mismatch the failure prints the whole table as
 //! computed, in the form it is written here.
@@ -85,38 +89,38 @@ const GOLDEN: &[(&str, u16, &str, &str, u64)] = &[
     ("pf/auto", 200, "fast", "miss", 0x3bcef2a3dbbbe760),
     ("res50/auto", 200, "fast", "miss", 0x32432779b5dd9332),
     ("res34/auto", 200, "fast", "miss", 0xc5a7ec8723f815bd),
-    ("ht/auto", 200, "full", "miss", 0xc62a42fa280ede0d),
+    ("ht/auto", 200, "full", "miss", 0x7ba95559bb9cfacd),
     ("at/auto", 200, "fast", "miss", 0x2ce39f231f12d183),
-    ("gemm/auto", 200, "full", "miss", 0x48eccaa417a71796),
-    ("2mm/auto", 200, "full", "miss", 0xa9cb228676f773b0),
+    ("gemm/auto", 200, "full", "miss", 0xd73cdd0e5a1cde9b),
+    ("2mm/auto", 200, "full", "miss", 0x4f8b5d8d235f0e16),
     ("lbm/auto", 200, "fast", "miss", 0xfb77b449f36676d5),
     ("bs/auto", 200, "fast", "miss", 0xdb406ac2474626c7),
-    ("global_sweep/full", 200, "full", "miss", 0x9006c2d4869e73c9),
+    ("global_sweep/full", 200, "full", "miss", 0x5f7f7669bedc0920),
     (
         "streaming+hot/full",
         200,
         "full",
         "miss",
-        0xbf754ad861de6ecc,
+        0xa2f1c59bf1eaeb8a,
     ),
     (
         "pointer_chase/full",
         200,
         "full",
         "miss",
-        0x12fd3b5b076de2ab,
+        0xeb856580bf4ca503,
     ),
-    ("tiled/full", 200, "full", "miss", 0x1070c5f42a1da934),
+    ("tiled/full", 200, "full", "miss", 0xd14ad7292cffb074),
     (
         "working_set_mix/full",
         200,
         "full",
         "miss",
-        0xe2beef53cb706830,
+        0x99e1d38fd95ab7ae,
     ),
     ("weak va/auto", 200, "full", "miss", 0x09ded306d2ed2249),
     ("system/removed", 400, "-", "-", 0xd94efff719b5f9f8),
-    ("trace twin/full", 200, "full", "miss", 0xb3e3fda1a2f08cb9),
+    ("trace twin/full", 200, "full", "miss", 0x56220e05ba68d710),
     ("trace twin/fast", 200, "fast", "miss", 0xfef20cc038b6eace),
 ];
 

@@ -1,188 +1,224 @@
 //! Functional simulation for miss-rate-curve collection.
 //!
 //! Section V.A: miss-rate curves must come from *functional* simulation —
-//! a replay of the workload's address stream — because that is orders of
+//! a pass over the workload's address stream — because that is orders of
 //! magnitude faster than detailed timing simulation, and the curve is a
 //! one-time cost reused for every target-system prediction.
 //!
-//! Like the GPU cache model of Nugteren et al. [49], the collector models
-//! the thread-level parallelism that shapes GPU reuse distances: resident
-//! CTAs are scheduled round-robin onto SMs, all resident warps advance one
-//! operation per round, loads filter through their SM's L1, and the
-//! post-L1 stream feeds [`gsim_mem::mrc::CapacityReplay`], which counts
-//! the misses of a set-associative sliced LLC at every candidate capacity
-//! exactly while looking each line up once.
+//! This module holds the one collector. It samples the stream twice and
+//! reads every capacity from one stack-distance pass:
+//!
+//! * **CTA stride:** at most [`MAX_CTAS_PER_KERNEL`] CTAs per kernel are
+//!   generated, evenly strided through the grid; each capacity is read at
+//!   `capacity × cta_rate` to compensate.
+//! * **SHARDS:** a [`LineRouter`] keeps [`LINE_RATE`] of the distinct-line
+//!   hash space and routes the kept lines across [`N_SHARDS`] spatial
+//!   shards, each with its own exact [`TreeStack`]; the rescaled shard
+//!   histograms merge in ascending shard order.
+//!
+//! The curve models a fully-associative LRU LLC fed by every line of every
+//! memory operation, warp by warp: it sees neither the L1 filter nor the
+//! warp interleave nor set conflicts. The forecast reads it only through
+//! its cliff, which the sampled curve places where the exact replay of
+//! each capacity did (DESIGN.md §14).
 
-use gsim_mem::mrc::{CapacityReplay, MissRateCurve};
-use gsim_mem::{Cache, CacheGeometry};
-use gsim_trace::{MemSpace, Op, WarpStream, WorkloadModel, THREADS_PER_WARP};
+use std::time::Instant;
+
+use gsim_mem::mrc::{DistanceEngine, LineRouter, MissRateCurve, StackDistanceHistogram, TreeStack};
+use gsim_trace::{WarpStream, WorkloadModel, THREADS_PER_WARP};
 
 use crate::config::GpuConfig;
 
-/// Functional replay of a workload through L1s and multi-capacity LLCs.
-#[derive(Debug)]
-pub struct FunctionalReplay {
-    replay: CapacityReplay,
-    thread_instrs: u64,
-    mem_thread_instrs: u64,
-    line_accesses: u64,
-    llc_accesses: u64,
+/// CTA-stride sampling: at most this many CTAs per kernel are generated.
+pub const MAX_CTAS_PER_KERNEL: u32 = 64;
+
+/// Spatial line-sampling keep rate (SHARDS).
+pub const LINE_RATE: f64 = 0.25;
+
+/// Spatial shards the kept lines are routed across.
+pub const N_SHARDS: u32 = 8;
+
+/// Initial time-axis slots of each shard's tree. All the trees are live
+/// at once, so they start small enough to stay cache-resident together
+/// and grow by compaction (distances are exact either way):
+/// [`TreeStack::new`]'s 64 Ki slots are 2 MiB of zeroed memory per
+/// collection and measured 15–25 % slower end to end.
+const SHARD_TREE_SLOTS: usize = 1 << 10;
+
+/// Ops generated between two looks at the clock. One request can ask for
+/// a single warp of millions of ops, so the deadline is checked by work
+/// done, not by position in the grid; 1 Ki ops is tens of microseconds.
+const DEADLINE_CHECK_OPS: u32 = 1 << 10;
+
+/// Totals of the sampled stream, the inputs of the compute-intensity
+/// gate. The gate uses only their ratio, in which the sampling rates
+/// cancel.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CollectStats {
+    /// Thread instructions generated.
+    pub thread_instrs: u64,
+    /// Line accesses (every line of every memory operation).
+    pub line_accesses: u64,
 }
 
-impl FunctionalReplay {
-    /// Replays the whole workload (synthetic or trace-driven) through an
-    /// LLC at the capacity of each of `configs`, with the L1s, occupancy
-    /// and SM count of the largest (by SM count) setting the interleave.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty.
-    pub fn collect<W: WorkloadModel>(wl: &W, configs: &[GpuConfig]) -> Self {
-        let biggest = configs
-            .iter()
-            .max_by_key(|c| c.n_sms)
-            .expect("need at least one configuration");
-        let caps: Vec<(u64, u32)> = configs
-            .iter()
-            .map(|c| (c.llc_bytes_total, c.llc_slices))
-            .collect();
-        let mut replay = Self {
-            replay: CapacityReplay::new(&caps, biggest.llc_ways, biggest.line_bytes),
-            thread_instrs: 0,
-            mem_thread_instrs: 0,
-            line_accesses: 0,
-            llc_accesses: 0,
-        };
-        replay.run(wl, biggest);
-        replay
+impl CollectStats {
+    /// Raw memory traffic per thread instruction, in bytes: line accesses
+    /// times the line size over instructions. Sampling-rate-free because
+    /// both counters are measured on the same (sub)stream.
+    pub fn intensity_bytes_per_instr(&self, line_bytes: u32) -> f64 {
+        if self.thread_instrs == 0 {
+            return 0.0;
+        }
+        self.line_accesses as f64 * f64::from(line_bytes) / self.thread_instrs as f64
     }
+}
 
-    fn run<W: WorkloadModel>(&mut self, wl: &W, cfg: &GpuConfig) {
-        // Per-SM L1s and resident warp streams (flattened CTA slots),
-        // allocated once: every kernel starts with cold L1s and ends with
-        // no resident warp.
-        let l1_geom = CacheGeometry::new(cfg.l1_bytes, cfg.l1_ways, cfg.line_bytes);
-        let mut l1s = vec![Cache::new(l1_geom); cfg.n_sms as usize];
-        let mut resident: Vec<Vec<(u32, W::Stream)>> = (0..cfg.n_sms).map(|_| Vec::new()).collect();
-        let mut cta_live: Vec<u32> = Vec::new();
-        for kidx in 0..wl.n_kernels() {
-            let (n_ctas, threads_per_cta) = wl.grid(kidx);
-            let warps_per_cta = wl.warps_per_cta(kidx);
-            let slots = (cfg.ctas_per_sm(threads_per_cta) * warps_per_cta) as usize;
-            let mut next_cta: u32 = 0;
-            l1s.iter_mut().for_each(Cache::reset);
-            cta_live.clear();
-            cta_live.resize(n_ctas as usize, warps_per_cta);
-            // Pulls CTAs onto an SM while it has free slots; returns
-            // whether any arrived.
-            let mut fill = |slot: &mut Vec<(u32, W::Stream)>| {
-                let before = slot.len();
-                while slot.len() < slots && next_cta < n_ctas {
-                    slot.extend(
-                        (0..warps_per_cta).map(|w| (next_cta, wl.warp_stream(kidx, next_cta, w))),
-                    );
-                    next_cta += 1;
-                }
-                slot.len() > before
-            };
-            for slot in &mut resident {
-                fill(slot);
-            }
-            // Round-robin advance: one op per resident warp per round.
-            let mut live = true;
-            while live {
-                live = false;
-                for (slot, l1) in resident.iter_mut().zip(&mut l1s) {
-                    let mut i = 0;
-                    while i < slot.len() {
-                        let (cta, stream) = &mut slot[i];
-                        match stream.next_op() {
-                            Some(op) => {
-                                live = true;
-                                self.thread_instrs +=
-                                    op.warp_instrs() * u64::from(THREADS_PER_WARP);
-                                self.process(l1, &op);
-                                i += 1;
-                            }
-                            None => {
-                                let cta = *cta as usize;
-                                slot.swap_remove(i);
-                                cta_live[cta] -= 1;
-                                // A CTA's last warp frees its slots.
-                                live |= cta_live[cta] == 0 && fill(slot);
-                            }
+/// Why a collection did not complete.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CollectFailure {
+    /// The deadline passed first.
+    TimedOut,
+}
+
+impl std::fmt::Display for CollectFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::TimedOut => write!(f, "collection timed out"),
+        }
+    }
+}
+
+/// One collection: the curve at each configuration's LLC capacity plus
+/// the stream totals it was measured from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FunctionalCurve {
+    /// LLC misses per thousand thread instructions, in input config order.
+    pub mpki: Vec<f64>,
+    /// Totals of the sampled stream.
+    pub stats: CollectStats,
+}
+
+/// CTA-stride sampling of one kernel's grid: `(stride, n_slots)`, where
+/// slot `i` generates CTA `i * stride`.
+fn sampled_slots(n_ctas: u32) -> (u32, u32) {
+    let stride = n_ctas.div_ceil(MAX_CTAS_PER_KERNEL).max(1);
+    (stride, n_ctas.div_ceil(stride))
+}
+
+/// Collects a workload's miss-rate curve over the LLC capacities of
+/// `configs` in one streaming pass on the calling thread: kernel →
+/// sampled CTA → warp → op → route → record on that shard's tree. No line
+/// is stored and the workload is never cloned.
+///
+/// **Deterministic by construction**: sampling decisions are pure
+/// functions of CTA index and line address, and every shard sees its
+/// lines in stream order. The reading at one capacity does not depend on
+/// the other configurations, so a curve over a sub-ladder equals the
+/// full ladder's at the shared sizes.
+///
+/// # Errors
+///
+/// Returns [`CollectFailure::TimedOut`] — and no partial result — once
+/// `deadline` has passed: checked before the first op and every 1 Ki
+/// ops after it.
+///
+/// # Panics
+///
+/// Panics if `configs` is empty.
+pub fn collect_curve<W: WorkloadModel>(
+    wl: &W,
+    configs: &[GpuConfig],
+    deadline: Option<Instant>,
+) -> Result<FunctionalCurve, CollectFailure> {
+    assert!(!configs.is_empty(), "need at least one configuration");
+    let router = LineRouter::new(N_SHARDS, LINE_RATE);
+    let mut trees: Vec<TreeStack> = (0..N_SHARDS)
+        .map(|_| TreeStack::with_capacity(SHARD_TREE_SLOTS))
+        .collect();
+    let mut stats = CollectStats {
+        thread_instrs: 0,
+        line_accesses: 0,
+    };
+    let (mut sampled_ctas, mut total_ctas) = (0u64, 0u64);
+    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+    if expired() {
+        return Err(CollectFailure::TimedOut);
+    }
+    let mut ops_to_check = DEADLINE_CHECK_OPS;
+    for kernel in 0..wl.n_kernels() {
+        let (n_ctas, _) = wl.grid(kernel);
+        let (stride, n_slots) = sampled_slots(n_ctas);
+        total_ctas += u64::from(n_ctas);
+        sampled_ctas += u64::from(n_slots);
+        let warps = wl.warps_per_cta(kernel);
+        for slot in 0..n_slots {
+            for w in 0..warps {
+                let mut stream = wl.warp_stream(kernel, slot * stride, w);
+                while let Some(op) = stream.next_op() {
+                    ops_to_check -= 1;
+                    if ops_to_check == 0 {
+                        if expired() {
+                            return Err(CollectFailure::TimedOut);
+                        }
+                        ops_to_check = DEADLINE_CHECK_OPS;
+                    }
+                    stats.thread_instrs += op.warp_instrs() * u64::from(THREADS_PER_WARP);
+                    let Some(access) = op.mem() else { continue };
+                    for line in access.lines() {
+                        stats.line_accesses += 1;
+                        if let Some(s) = router.route(line) {
+                            trees[s as usize].record(line);
                         }
                     }
                 }
             }
         }
     }
+    let hists: Vec<StackDistanceHistogram> = trees.into_iter().map(TreeStack::finish).collect();
+    Ok(finish(
+        &router,
+        &hists,
+        stats,
+        (sampled_ctas, total_ctas),
+        configs,
+    ))
+}
 
-    fn process(&mut self, l1: &mut Cache, op: &Op) {
-        let Some(access) = op.mem() else { return };
-        self.mem_thread_instrs += op.warp_instrs() * u64::from(THREADS_PER_WARP);
-        for line in access.lines() {
-            self.line_accesses += 1;
-            match (op, access.space) {
-                (Op::Load(_), MemSpace::Global) => {
-                    if l1.access(line, false).is_miss() {
-                        self.llc_accesses += 1;
-                        self.replay.access(line, false);
-                    }
-                }
-                (Op::Store(_), _) => {
-                    // Write-through, no-write-allocate.
-                    self.llc_accesses += 1;
-                    self.replay.access(line, true);
-                }
-                _ => {
-                    // Atomics and bypassing loads skip the L1.
-                    self.llc_accesses += 1;
-                    self.replay.access(line, false);
-                }
-            }
-        }
-    }
-
-    /// Thread instructions replayed.
-    pub fn thread_instrs(&self) -> u64 {
-        self.thread_instrs
-    }
-
-    /// Memory thread instructions replayed (loads/stores/atomics).
-    pub fn mem_thread_instrs(&self) -> u64 {
-        self.mem_thread_instrs
-    }
-
-    /// Pre-L1 line accesses replayed (every line of every memory
-    /// operation, before L1 filtering) — the raw traffic a compute-
-    /// intensity gate wants.
-    pub fn line_accesses(&self) -> u64 {
-        self.line_accesses
-    }
-
-    /// Post-L1 LLC accesses replayed.
-    pub fn llc_accesses(&self) -> u64 {
-        self.llc_accesses
-    }
-
-    /// The miss-rate curve (model-unit capacities → MPKI).
-    pub fn curve(&self) -> MissRateCurve {
-        let mpki = self.replay.mpki(self.thread_instrs);
-        MissRateCurve::from_pairs(
-            self.replay
-                .capacities()
-                .iter()
-                .copied()
-                .zip(mpki.iter().copied()),
-        )
-    }
+/// Merges the per-shard histograms (ascending shard order) and reads the
+/// curve out at every config's capacity. CTA sampling is compensated by
+/// evaluating each capacity at `capacity × cta_rate`.
+fn finish(
+    router: &LineRouter,
+    hists: &[StackDistanceHistogram],
+    stats: CollectStats,
+    (sampled_ctas, total_ctas): (u64, u64),
+    configs: &[GpuConfig],
+) -> FunctionalCurve {
+    let cta_rate = if total_ctas == 0 {
+        1.0
+    } else {
+        sampled_ctas as f64 / total_ctas as f64
+    };
+    let capacities: Vec<u64> = configs
+        .iter()
+        .map(|c| {
+            let capacity_lines = c.llc_bytes_total / u64::from(c.line_bytes);
+            ((capacity_lines as f64 * cta_rate).round() as u64).max(1)
+        })
+        .collect();
+    let misses = router.merge(hists).misses_at_each(&capacities);
+    let kinsns = stats.thread_instrs as f64 / 1e3;
+    let mpki = misses
+        .into_iter()
+        .map(|m| if kinsns > 0.0 { m / kinsns } else { 0.0 })
+        .collect();
+    FunctionalCurve { mpki, stats }
 }
 
 /// Collects a workload's miss-rate curve over the LLC capacities of
-/// `configs` (typically the scale models and candidate targets), using the
-/// largest config's parallelism for the interleave — the one-time cost of
-/// the paper's Figure 3 workflow.
+/// `configs` (typically the scale models and candidate targets) — the
+/// one-time cost of the paper's Figure 3 workflow. [`collect_curve`]
+/// without a deadline, keyed by capacity.
 ///
 /// # Example
 ///
@@ -199,19 +235,56 @@ impl FunctionalReplay {
 /// let mrc = collect_mrc(&wl, &configs);
 /// assert_eq!(mrc.len(), 3);
 /// ```
+///
+/// # Panics
+///
+/// Panics if `configs` is empty.
 pub fn collect_mrc<W: WorkloadModel>(wl: &W, configs: &[GpuConfig]) -> MissRateCurve {
-    FunctionalReplay::collect(wl, configs).curve()
+    let Ok(curve) = collect_curve(wl, configs, None) else {
+        unreachable!("no deadline to pass")
+    };
+    configs
+        .iter()
+        .map(|c| c.llc_bytes_total)
+        .zip(curve.mpki)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsim_mem::mrc::NaiveStack;
     use gsim_trace::{Kernel, MemScale, PatternKind, PatternSpec, Workload};
 
     fn configs() -> Vec<GpuConfig> {
         [8u32, 16, 32, 64, 128]
             .iter()
             .map(|&s| GpuConfig::paper_target(s, MemScale::default()))
+            .collect()
+    }
+
+    /// Misses of a fully-associative LRU cache of each capacity over
+    /// every line of every CTA, from the quadratic reference stack: the
+    /// curve the sampled pass estimates.
+    fn exact_misses(wl: &Workload, configs: &[GpuConfig]) -> Vec<f64> {
+        let mut stack = NaiveStack::new();
+        for kernel in 0..wl.n_kernels() {
+            let (n_ctas, _) = wl.grid(kernel);
+            for cta in 0..n_ctas {
+                for w in 0..wl.warps_per_cta(kernel) {
+                    let mut stream = wl.warp_stream(kernel, cta, w);
+                    while let Some(op) = stream.next_op() {
+                        if let Some(access) = op.mem() {
+                            stack.record_all(access.lines());
+                        }
+                    }
+                }
+            }
+        }
+        let hist = stack.finish();
+        configs
+            .iter()
+            .map(|c| hist.misses_at(c.llc_bytes_total / u64::from(c.line_bytes)))
             .collect()
     }
 
@@ -234,6 +307,9 @@ mod tests {
             pts[1].mpki,
             pts[2].mpki
         );
+        // The exact stack over every CTA puts it in the same place.
+        let exact = exact_misses(&wl, &configs());
+        assert!(exact[1] > 2.0 * exact[2], "exact {exact:?}");
     }
 
     #[test]
@@ -264,7 +340,7 @@ mod tests {
         let mrc = collect_mrc(&wl, &configs());
         for w in mrc.points().windows(2) {
             assert!(
-                w[1].mpki <= w[0].mpki * 1.05,
+                w[1].mpki <= w[0].mpki,
                 "MPKI should not grow with capacity: {:?}",
                 mrc.points()
             );
@@ -274,8 +350,8 @@ mod tests {
     #[test]
     fn traced_replay_yields_bit_identical_mrc() {
         // A trace round-trip preserves streams exactly, so the functional
-        // replay must produce the same curve to the last bit — the
-        // property the serve layer's trace-driven predictions rely on.
+        // pass must produce the same curve to the last bit — the property
+        // the serve layer's trace-driven predictions rely on.
         let spec =
             PatternSpec::new(PatternKind::GlobalSweep { passes: 2 }, 3_000).compute_per_mem(1.0);
         let wl = Workload::new("t", 6, vec![Kernel::new("k", 96, 256, spec)]);
@@ -294,11 +370,12 @@ mod tests {
 
     #[test]
     fn replay_counts_instructions() {
+        // 48 CTAs, under the stride's 64: every CTA is generated.
         let spec = PatternSpec::new(PatternKind::Streaming, 1_000).compute_per_mem(2.0);
         let wl = Workload::new("cnt", 5, vec![Kernel::new("k", 48, 256, spec)]);
         let cfg = GpuConfig::paper_target(8, MemScale::default());
-        let r = FunctionalReplay::collect(&wl, &[cfg]);
-        assert_eq!(r.thread_instrs(), wl.approx_thread_instrs());
-        assert!(r.llc_accesses() > 0);
+        let curve = collect_curve(&wl, &[cfg], None).unwrap();
+        assert_eq!(curve.stats.thread_instrs, wl.approx_thread_instrs());
+        assert!(curve.stats.line_accesses > 0);
     }
 }

@@ -48,5 +48,8 @@ mod stats;
 pub use chiplet::ChipletConfig;
 pub use config::GpuConfig;
 pub use engine::Simulator;
-pub use functional::{collect_mrc, FunctionalReplay};
+pub use functional::{
+    collect_curve, collect_mrc, CollectFailure, CollectStats, FunctionalCurve, LINE_RATE,
+    MAX_CTAS_PER_KERNEL, N_SHARDS,
+};
 pub use stats::SimStats;

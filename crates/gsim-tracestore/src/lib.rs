@@ -428,7 +428,9 @@ impl TraceStore {
 
     /// Validates a trace in one streaming pass and stores the bytes as
     /// sent. Returns its metadata and whether the content was already
-    /// present (dedup).
+    /// present (dedup). The pass needs no store state, so it runs before
+    /// the store lock is taken: `get`, `list` and `load` never wait
+    /// behind an upload's decode, only behind its write.
     ///
     /// # Errors
     ///
@@ -439,14 +441,17 @@ impl TraceStore {
     ///
     /// Panics if the store mutex was poisoned.
     pub fn ingest_bytes(&self, bytes: &[u8]) -> Result<(TraceMeta, bool), StoreError> {
+        let limits = self.inner.lock().expect("trace store lock").cfg.limits;
+        let scanned = scan(bytes, limits, 0);
         let mut inner = self.inner.lock().expect("trace store lock");
-        let meta = match scan(bytes, inner.cfg.limits, inner.next_seq) {
+        let mut meta = match scanned {
             Ok(meta) => meta,
             Err(e) => {
                 inner.validation_failures += 1;
                 return Err(StoreError::Invalid(e));
             }
         };
+        meta.seq = inner.next_seq;
         if let Some(existing) = inner.entries.iter().find(|e| e.trace_ref == meta.trace_ref) {
             let meta = existing.clone();
             inner.dedup_hits += 1;
@@ -641,6 +646,40 @@ mod tests {
         let mut b = Vec::new();
         write_trace(wl, &mut b).expect("write");
         b
+    }
+
+    /// Validation runs outside the lock, so concurrent uploads of one
+    /// content race to the write: exactly one stores it, the rest dedup.
+    #[test]
+    fn concurrent_ingests_of_one_content_store_it_once() {
+        const N: usize = 8;
+        let dir = tmpdir("concurrent");
+        let store = TraceStore::open(&dir, StoreConfig::default()).expect("open");
+        let bytes = trace_bytes(&workload(3, 4096));
+        let barrier = std::sync::Barrier::new(N);
+        let dups: Vec<bool> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..N)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        store.ingest_bytes(&bytes).expect("ingest").1
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("ingest thread"))
+                .collect()
+        });
+        assert_eq!(dups.iter().filter(|&&dup| !dup).count(), 1, "{dups:?}");
+        let stats = store.stats();
+        assert_eq!((stats.ingests, stats.dedup_hits), (1, N as u64 - 1));
+        assert_eq!(stats.entries, 1);
+        let blobs = fs::read_dir(dir.join(BLOB_DIR)).expect("blob dir").count();
+        assert_eq!(blobs, 1, "one blob and no temp file");
+        let index = fs::read_to_string(dir.join(INDEX_FILE)).expect("index");
+        assert_eq!(index.lines().count(), 1, "{index}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A re-upload of the same content dedupes; a file in any other

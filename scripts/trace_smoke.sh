@@ -24,9 +24,9 @@ trap cleanup EXIT
 REF=$("$GSIM" trace ls --store "$WORK/store" | awk '{print $1}')
 [ "${#REF}" -eq 16 ] || { echo "bad trace ref: $REF"; exit 1; }
 
-# `gsim mrc` replays the trace, named by file or by its stored ref, over
-# the 8..128-SM ladder: the curve a full-path predict to 128 SMs (the
-# default targets) embeds.
+# `gsim mrc` collects the trace's curve, named by file or by its stored
+# ref, over the 8..128-SM ladder: the curve a full-path predict to 128
+# SMs (the default targets) embeds.
 "$GSIM" mrc "$WORK/gemm.gstr" | tee "$WORK/mrc.txt"
 "$GSIM" mrc "$REF" --store "$WORK/store" | cmp - "$WORK/mrc.txt"
 "$GSIM" predict gemm --path full > "$WORK/predict.json"

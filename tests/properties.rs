@@ -7,7 +7,7 @@ use gpu_scale_model::core::{
     percent_error, LinearRegression, LogRegression, PowerLawRegression, Proportional,
     ScaleModelInputs, ScaleModelPredictor, ScalingPredictor, SizedMrc,
 };
-use gpu_scale_model::mem::mrc::{CapacityReplay, DistanceEngine, NaiveStack, TreeStack};
+use gpu_scale_model::mem::mrc::{DistanceEngine, NaiveStack, TreeStack};
 use gpu_scale_model::mem::{
     slice_for_line, AccessResult, BankedDramModel, Cache, CacheGeometry, DramModel, DramTiming,
     EvictedLine, Mshr, MshrOutcome, SlicedLlc,
@@ -328,130 +328,6 @@ fn line_indices_equal_their_modulo_definitions() {
             assert_eq!(u64::from(slice_for_line(line, n)), hash(line));
             assert_eq!(u64::from(dram.mc_of(line)), hash(line >> 3));
             assert_eq!(u64::from(banked.mc_of(line)), hash(line >> 3));
-        }
-    }
-}
-
-/// `n` lines of one random set of a sliced cache of `slices` slices of
-/// `sets` sets each.
-fn lines_of_one_set(rng: &mut Rng64, (slices, sets): (u32, u64), n: u64) -> Vec<u64> {
-    let slice = rng.gen_range(0, u64::from(slices)) as u32;
-    let set = rng.gen_range(0, sets);
-    (rng.gen_range(0, 1 << 20)..)
-        .map(|k| set + k * sets)
-        .filter(|&l| slice_for_line(l, slices) == slice)
-        .take(n as usize)
-        .collect()
-}
-
-/// [`CapacityReplay`] counts exactly the misses of one sliced LLC per
-/// configuration (`slices` [`Cache`]s, each line in the slice
-/// [`slice_for_line`] gives it): on the paper's ladder at three memory
-/// miniatures, on ladders whose slice counts do not nest, with duplicate
-/// and single capacities and one-set slices, and on random ladders; over
-/// random read/write streams and over streams confined to one finest set
-/// or to one coarsest set, where a reused way's line must leave every
-/// coarser list it is still on.
-#[test]
-fn capacity_replay_is_exact() {
-    let mut rng = Rng64::seed_from_u64(0x5eed_0011);
-    let paper = |divisor| {
-        [8u32, 16, 32, 64, 128].map(|sms| {
-            let cfg = GpuConfig::paper_target(sms, MemScale::new(divisor));
-            (cfg.llc_bytes_total, cfg.llc_slices)
-        })
-    };
-    // (slices, sets per slice) at `ways` ways of 128 B lines.
-    let shaped = |ways: u32, shapes: &[(u32, u64)]| -> Vec<(u64, u32)> {
-        let way_bytes = u64::from(ways) * 128;
-        shapes
-            .iter()
-            .map(|&(slices, sets)| (u64::from(slices) * sets * way_bytes, slices))
-            .collect()
-    };
-    let mut ladders = vec![
-        (64, paper(1).to_vec()),
-        (64, paper(8).to_vec()),
-        (64, paper(32).to_vec()),
-        (8, shaped(8, &[(3, 4), (5, 4), (6, 4), (12, 4), (24, 4)])),
-        (4, shaped(4, &[(6, 2), (3, 1), (6, 2), (12, 1), (1, 1)])),
-        (16, shaped(16, &[(5, 3)])),
-    ];
-    for _ in 0..cases(6) {
-        let ways = [1u32, 2, 4, 8, 16][rng.gen_range(0, 5) as usize];
-        let configs = (0..rng.gen_range(1, 7))
-            .map(|_| {
-                let slices = [1u32, 2, 3, 4, 5, 6, 8, 12, 16, 24][rng.gen_range(0, 10) as usize];
-                let sets = [1u64, 2, 3, 4, 8, 17][rng.gen_range(0, 6) as usize];
-                // Up to a set short of the next set: the geometry rounds down.
-                let slack = rng.gen_range(0, u64::from(ways)) * 128;
-                let slice_bytes = sets * u64::from(ways) * 128 + slack;
-                (u64::from(slices) * slice_bytes, slices)
-            })
-            .collect();
-        ladders.push((ways, configs));
-    }
-    for (ways, configs) in ladders {
-        let shape = |&(bytes, slices): &(u64, u32)| {
-            let sets = CacheGeometry::new(bytes / u64::from(slices), ways, 128).sets();
-            (slices, u64::from(sets))
-        };
-        let lines = |&(slices, sets): &(u32, u64)| u64::from(slices) * sets;
-        let shapes: Vec<(u32, u64)> = configs.iter().map(shape).collect();
-        let finest = *shapes.iter().max_by_key(|s| lines(s)).expect("non-empty");
-        let coarsest = *shapes.iter().min_by_key(|s| lines(s)).expect("non-empty");
-        let w = u64::from(ways);
-        let pools = [
-            ("random", {
-                let universe = rng.gen_range(w, 2 * w * lines(&finest)).min(4096);
-                (0..universe).map(|_| rng.gen_range(0, 1 << 40)).collect()
-            }),
-            (
-                "one finest set",
-                lines_of_one_set(&mut rng, finest, 2 * w + 1),
-            ),
-            (
-                "one coarsest set",
-                lines_of_one_set(
-                    &mut rng,
-                    coarsest,
-                    w * lines(&finest) / lines(&coarsest) + w + 1,
-                ),
-            ),
-        ];
-        for (stream, pool) in pools {
-            let mut replay = CapacityReplay::new(&configs, ways, 128);
-            let mut oracle: Vec<Vec<Cache>> = configs
-                .iter()
-                .map(|&(bytes, slices)| {
-                    let geom = CacheGeometry::new(bytes / u64::from(slices), ways, 128);
-                    vec![Cache::new(geom); slices as usize]
-                })
-                .collect();
-            for i in 0..(6 * pool.len()).clamp(2_000, 12_000) {
-                // Half cyclic sweeps (every access an LRU miss once the
-                // pool outgrows a set), half random reuse.
-                let line = if rng.gen_bool(0.5) {
-                    pool[i % pool.len()]
-                } else {
-                    pool[rng.gen_range(0, pool.len() as u64) as usize]
-                };
-                let is_write = rng.gen_bool(0.25);
-                replay.access(line, is_write);
-                for llc in &mut oracle {
-                    let slice = slice_for_line(line, llc.len() as u32) as usize;
-                    llc[slice].access(line, is_write);
-                }
-            }
-            let expected: Vec<u64> = oracle
-                .iter()
-                .map(|llc| llc.iter().map(Cache::misses).sum())
-                .collect();
-            assert_eq!(
-                replay.misses(),
-                expected,
-                "{stream} stream, {ways} ways, configs {configs:?}"
-            );
         }
     }
 }

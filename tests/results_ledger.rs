@@ -28,8 +28,8 @@ const KNOWN_BAD: [(&str, &str); 3] = [
 /// two predictions differ, but on some near-linear benchmarks their
 /// errors round to the same tenth.
 const SAME_AS_POWER_LAW: [(&str, &str, usize); 8] = [
-    ("results", "fig4a", 0),
-    ("results", "fig4b", 1),
+    ("results", "fig4a", 1),
+    ("results", "fig4b", 2),
     ("results", "fig6", 6),
     ("results", "fig8", 5),
     ("results/scale1", "fig4a", 2),
