@@ -72,7 +72,7 @@ const VERBS: &[Verb] = &[
     Verb("repro [SECTION...] [--scale D] [--threads N] [--metrics FILE] [-o DIR]"),
     Verb(
         "serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR] \
-         [--runner-threads N] [--max-inflight-predicts N] [--fault-plan SPEC]",
+         [--max-inflight-predicts N] [--fault-plan SPEC]",
     ),
 ];
 
@@ -174,7 +174,6 @@ struct Flags {
     scale: MemScale,
     banked_dram: u32,
     threads: Option<usize>,
-    runner_threads: usize,
     weak: bool,
     addr: String,
     cache_dir: Option<String>,
@@ -226,9 +225,6 @@ fn parse(verb: &Verb, args: &[String]) -> Flags {
             }
             "--banked-dram" => f.banked_dram = flag_u32_in(it, flag, 0, MAX_COUNT, ""),
             "--threads" => f.threads = Some(flag_u32_in(it, flag, 0, MAX_COUNT, "") as usize),
-            "--runner-threads" => {
-                f.runner_threads = flag_u32_in(it, flag, 0, MAX_COUNT, "") as usize
-            }
             "--weak" => f.weak = true,
             "--addr" => f.addr = flag_str(it, flag, "HOST:PORT"),
             "--cache-dir" => f.cache_dir = Some(flag_str(it, flag, "a directory")),
@@ -907,10 +903,10 @@ fn main() {
             let shutdown = ShutdownFlag::new();
             let service = PredictService::new(
                 ServeConfig {
-                    runner_threads: f.runner_threads,
                     cache_dir: f.cache_dir.clone().map(Into::into),
                     trace_store_dir: f.store.clone().map(Into::into),
                     max_inflight_predicts: f.max_inflight_predicts,
+                    ..ServeConfig::default()
                 },
                 shutdown.clone(),
             )

@@ -327,9 +327,13 @@ fn removed_serve_knobs_are_unknown() {
     // Spelt in halves so a grep for the removed flags finds nothing.
     let degrade = concat!("--degrade", "-threshold");
     let gate = concat!("--fast-path", "-gate");
+    // The service runs its two scale models itself, side by side when
+    // the host has more than one CPU.
+    let pool = concat!("--runner", "-threads");
     for args in [
         &["serve", degrade, "1"][..],
         &["serve", gate, "2"],
+        &["serve", pool, "2"],
         &["predict", "bfs", gate, "2"],
     ] {
         let out = gsim(args);
@@ -402,7 +406,7 @@ fn every_verb_rejects_the_flags_it_does_not_read() {
         .iter()
         .flat_map(|v| v.flags.iter().map(|(f, _)| f.as_str()))
         .collect();
-    assert_eq!(flags.len(), 18, "{flags:?}");
+    assert_eq!(flags.len(), 17, "{flags:?}");
     let pairs: usize = verbs.iter().map(|v| v.flags.len()).sum();
     assert!(pairs <= 42, "{pairs} (verb, flag) pairs");
     let cwd = fresh_dir("unread-flags");

@@ -61,8 +61,8 @@ pub use error::ModelError;
 pub use oneshot::{Forecast, Observation, TargetForecast};
 pub use parallel::{SuiteRun, SweepFailure};
 pub use plan::{
-    collect_replay, collect_sampled, collect_sampled_inline, synthesize_observation,
-    CollectFailure, CollectStats, Collected, Fit, PlanWorkload, SampledCollectConfig,
+    collect_replay, collect_sampled, collect_sampled_inline, synthesize_observation, CollectStats,
+    Collected, Fit, PlanWorkload, SampledCollectConfig, TimedOut,
 };
 pub use predictor::{
     LinearRegression, LogRegression, PowerLawRegression, Proportional, ScalingPredictor,

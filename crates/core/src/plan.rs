@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gsim_runner::{RunOverrides, Runner};
-pub use gsim_sim::{CollectFailure, CollectStats};
+pub use gsim_sim::{CollectStats, TimedOut};
 use gsim_sim::{FunctionalCurve, GpuConfig, SimStats, Simulator};
 use gsim_trace::{
     Op, SpecStream, TraceStream, TracedWorkload, WarpStream, Workload, WorkloadModel,
@@ -129,11 +129,20 @@ impl WorkloadModel for PlanWorkload {
 }
 
 impl PlanWorkload {
-    /// Runs one timing simulation.
-    pub fn simulate(&self, cfg: GpuConfig) -> SimStats {
+    /// Runs one timing simulation, which gives up once `deadline` passes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TimedOut`] — and no statistics — once `deadline` has
+    /// passed ([`Simulator::run_until`]).
+    pub fn simulate(
+        &self,
+        cfg: GpuConfig,
+        deadline: Option<Instant>,
+    ) -> Result<SimStats, TimedOut> {
         match self {
-            Self::Synthetic(wl) => Simulator::new(cfg, wl).run(),
-            Self::Traced(wl) => Simulator::new(cfg, &**wl).run(),
+            Self::Synthetic(wl) => Simulator::new(cfg, wl).run_until(deadline),
+            Self::Traced(wl) => Simulator::new(cfg, &**wl).run_until(deadline),
         }
     }
 }
@@ -232,7 +241,7 @@ pub struct SampledCollectConfig;
 ///
 /// # Errors
 ///
-/// Returns [`CollectFailure::TimedOut`] — and no partial result — once
+/// Returns [`TimedOut`] — and no partial result — once
 /// `deadline` has passed: checked before the first op and every 1 Ki
 /// ops after it.
 ///
@@ -243,7 +252,7 @@ pub fn collect_sampled_inline<W: WorkloadModel>(
     wl: &W,
     configs: &[GpuConfig],
     deadline: Option<Instant>,
-) -> Result<Collected, CollectFailure> {
+) -> Result<Collected, TimedOut> {
     gsim_sim::collect_curve(wl, configs, deadline).map(|curve| Collected::of(configs, curve))
 }
 
@@ -276,7 +285,7 @@ pub fn collect_sampled<W: WorkloadModel>(
     configs: &[GpuConfig],
     _cfg: &SampledCollectConfig,
     _pool: Option<(&Runner, RunOverrides)>,
-) -> Result<Collected, CollectFailure> {
+) -> Result<Collected, TimedOut> {
     Ok(collect_replay(wl, configs))
 }
 
@@ -622,7 +631,7 @@ mod tests {
         let expired = Instant::now();
         assert_eq!(
             collect_sampled_inline(&Untouchable, &cfgs, Some(expired)),
-            Err(CollectFailure::TimedOut)
+            Err(TimedOut)
         );
         // A deadline that holds changes nothing about the result.
         let wl = membound_workload();
@@ -644,7 +653,7 @@ mod tests {
         let deadline = started + std::time::Duration::from_millis(20);
         assert_eq!(
             collect_sampled_inline(&wl, &cfgs, Some(deadline)),
-            Err(CollectFailure::TimedOut)
+            Err(TimedOut)
         );
         assert!(started.elapsed() < std::time::Duration::from_secs(2));
     }

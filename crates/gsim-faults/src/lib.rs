@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] is a seeded description of *which faults to inject
 //! where*: delayed socket reads and mid-body disconnects in the HTTP
-//! layer, panics in runner jobs, delayed reads and short writes in the
-//! trace store. The plan is installed once per process (from `gsim
+//! layer, panics in scale-model simulations, delayed reads and short
+//! writes in the trace store. The plan is installed once per process (from `gsim
 //! serve --fault-plan`) and queried at
 //! each injection *site* by name; every query is a pure function of
 //! `(seed, site, per-site sequence number)`, so a given plan replays the
@@ -21,9 +21,10 @@
 //! store_short_write_p=0.5
 //! ```
 //!
-//! Probabilities (`*_p`) are in `[0, 1]`; unknown keys are errors (a
-//! typo must not silently disable the chaos run). An empty spec is a
-//! valid plan that injects nothing.
+//! Probabilities (`*_p`) are in `[0, 1]` and delays (`*_ms`) at most
+//! [`MAX_DELAY_MS`]; unknown keys are errors (a typo must not silently
+//! disable the chaos run). An empty spec is a valid plan that injects
+//! nothing.
 //!
 //! # Determinism
 //!
@@ -45,6 +46,11 @@ use std::time::Duration;
 
 use gsim_rng::SplitMix64;
 
+/// Largest accepted injected delay, in milliseconds. A delay is a
+/// `sleep` on the request's path, so an unbounded one is a hang, not a
+/// fault; a minute is past every timeout the harnesses use.
+pub const MAX_DELAY_MS: u64 = 60_000;
+
 /// A seeded fault-injection plan. All probabilities default to zero: a
 /// default plan injects nothing.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +64,7 @@ pub struct FaultPlan {
     /// Probability of disconnecting mid-body while writing an HTTP
     /// response.
     pub http_disconnect_p: f64,
-    /// Probability that a runner job attempt panics.
+    /// Probability that a scale-model simulation panics.
     pub job_panic_p: f64,
     /// Probability of delaying a trace-store blob read.
     pub store_read_delay_p: f64,
@@ -84,8 +90,8 @@ impl Default for FaultPlan {
     }
 }
 
-/// A malformed plan spec (unknown key, unparsable value, probability out
-/// of range).
+/// A malformed plan spec (unknown key, unparsable value, probability or
+/// delay out of range).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError(String);
 
@@ -103,8 +109,8 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] on unknown keys, unparsable values, or
-    /// probabilities outside `[0, 1]`.
+    /// Returns a [`ParseError`] on unknown keys, unparsable values,
+    /// probabilities outside `[0, 1]`, or delays above [`MAX_DELAY_MS`].
     pub fn parse(spec: &str) -> Result<Self, ParseError> {
         let mut plan = Self::default();
         for pair in spec.split(',') {
@@ -129,14 +135,23 @@ impl FaultPlan {
                     .parse()
                     .map_err(|_| ParseError(format!("{key} takes an integer, got {value:?}")))
             };
+            let delay = || -> Result<u64, ParseError> {
+                let ms = int()?;
+                if ms > MAX_DELAY_MS {
+                    return Err(ParseError(format!(
+                        "{key} must be at most {MAX_DELAY_MS} ms, got {ms}"
+                    )));
+                }
+                Ok(ms)
+            };
             match key.trim() {
                 "seed" => plan.seed = int()?,
                 "http_delay_p" => plan.http_delay_p = prob()?,
-                "http_delay_ms" => plan.http_delay_ms = int()?,
+                "http_delay_ms" => plan.http_delay_ms = delay()?,
                 "http_disconnect_p" => plan.http_disconnect_p = prob()?,
                 "job_panic_p" => plan.job_panic_p = prob()?,
                 "store_read_delay_p" => plan.store_read_delay_p = prob()?,
-                "store_read_delay_ms" => plan.store_read_delay_ms = int()?,
+                "store_read_delay_ms" => plan.store_read_delay_ms = delay()?,
                 "store_short_write_p" => plan.store_short_write_p = prob()?,
                 other => return Err(ParseError(format!("unknown key {other:?}"))),
             }
@@ -236,7 +251,7 @@ impl Injector {
         self.decide("http.disconnect", self.plan.http_disconnect_p)
     }
 
-    /// Should this runner job attempt panic?
+    /// Should this scale-model simulation panic?
     pub fn job_panic(&self) -> bool {
         self.decide("job.panic", self.plan.job_panic_p)
     }
@@ -304,6 +319,17 @@ mod tests {
         assert!(FaultPlan::parse("job_panic_p=1.5").is_err());
         assert!(FaultPlan::parse("jop_panic_p=0.5").is_err());
         assert!(FaultPlan::parse("seed").is_err());
+
+        // A delay is a sleep: past the bound it is refused, naming it.
+        let max = format!("http_delay_ms={MAX_DELAY_MS}");
+        assert_eq!(FaultPlan::parse(&max).unwrap().http_delay_ms, MAX_DELAY_MS);
+        for spec in [
+            "http_delay_ms=18446744073709551615",
+            "store_read_delay_ms=60001",
+        ] {
+            let err = FaultPlan::parse(spec).unwrap_err().to_string();
+            assert!(err.contains("at most 60000 ms"), "{spec}: {err}");
+        }
     }
 
     #[test]

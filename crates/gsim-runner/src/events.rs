@@ -42,7 +42,7 @@ pub enum Event<'a> {
         name: &'a str,
         /// 1 for the first attempt, 2 for the retry.
         attempt: u32,
-        /// Outcome label: "ok", "panicked", or "timed-out".
+        /// Outcome label: "ok" or "panicked".
         outcome: &'static str,
         /// Wall-clock milliseconds of this attempt.
         millis: u128,
@@ -53,7 +53,7 @@ pub enum Event<'a> {
         label: &'a str,
         /// Jobs that produced a value.
         completed: usize,
-        /// Jobs that panicked or timed out after all attempts.
+        /// Jobs that panicked on every attempt.
         failed: usize,
         /// Wall-clock milliseconds of the whole sweep.
         millis: u128,
@@ -150,7 +150,7 @@ impl EventSink for ProgressReporter {
 /// {"event":"sweep_finished","sweep":"strong","completed":21,"failed":0,"elapsed_ms":99000}
 /// ```
 ///
-/// `outcome` is `"ok"`, `"panicked"`, or `"timed-out"`.
+/// `outcome` is `"ok"` or `"panicked"`.
 pub struct JsonlSink {
     out: Mutex<Box<dyn Write + Send>>,
     t0: Instant,

@@ -47,19 +47,14 @@ pub enum JobStatus<T> {
     Done(T),
     /// The job panicked on its final attempt; the payload message is kept.
     Panicked(String),
-    /// The job exceeded the configured wall-clock timeout on its final
-    /// attempt and was abandoned.
-    TimedOut,
 }
 
 impl<T> JobStatus<T> {
-    /// Stable label for events and metrics ("ok", "panicked",
-    /// "timed-out").
+    /// Stable label for events and metrics ("ok", "panicked").
     pub fn label(&self) -> &'static str {
         match self {
             JobStatus::Done(_) => "ok",
             JobStatus::Panicked(_) => "panicked",
-            JobStatus::TimedOut => "timed-out",
         }
     }
 }
@@ -96,7 +91,7 @@ impl<T> JobReport<T> {
         }
     }
 
-    /// Whether the job failed (panicked or timed out) after all attempts.
+    /// Whether the job failed (panicked) after all attempts.
     pub fn is_failed(&self) -> bool {
         !matches!(self.status, JobStatus::Done(_))
     }
@@ -106,7 +101,6 @@ impl<T> JobReport<T> {
         match &self.status {
             JobStatus::Done(_) => None,
             JobStatus::Panicked(msg) => Some(format!("panicked: {msg}")),
-            JobStatus::TimedOut => Some("timed out".to_string()),
         }
     }
 }

@@ -14,30 +14,22 @@
 //!   the unit's result). Re-invocability is what allows the retry-once
 //!   failure policy.
 //! * [`Runner`] — a configured pool ([`RunnerConfig`]: thread count,
-//!   per-job wall-clock timeout, retry policy). [`Runner::run`] executes a
+//!   retry policy). [`Runner::run`] executes a
 //!   batch of jobs and returns one [`JobReport`] per job **ordered by job
 //!   index**, independent of completion order.
 //! * [`EventSink`] — observability: the runner streams
 //!   started/finished/sweep events to any number of sinks.
 //!   [`ProgressReporter`] renders them on stderr; [`JsonlSink`] appends
 //!   one JSON object per event to a writer (the structured metrics file).
-//! * [`handle`] — [`Promise`]/[`JobHandle`] pairs: one producer, many
-//!   blocked waiters sharing the published result. The building block
-//!   services (gsim-serve's single-flight request deduplication) layer on
-//!   top of the pool.
 //!
 //! # Failure policy
 //!
-//! A job that panics is caught (`catch_unwind`); a job that exceeds the
-//! configured timeout is abandoned on a sacrificial thread. Either way the
-//! job is retried once (if [`RunnerConfig::retry_once`] is set, the
-//! default) and, failing again, recorded as [`JobStatus::Panicked`] or
-//! [`JobStatus::TimedOut`] in its report — the sweep itself always runs
-//! to completion; one pathological configuration cannot kill a night of
-//! results. A run may also carry an absolute deadline
-//! ([`RunOverrides::deadline`]): no attempt waits past it, a job still
-//! queued when it passes is reported timed out without starting, and no
-//! job of that run is retried.
+//! A job that panics is caught (`catch_unwind`), retried once (if
+//! [`RunnerConfig::retry_once`] is set, the default) and, failing again,
+//! recorded as [`JobStatus::Panicked`] in its report — the sweep itself
+//! always runs to completion; one pathological configuration cannot kill
+//! a night of results. A job is never abandoned: every job runs on a
+//! pool worker to its end, and [`Runner::run`] returns once all have.
 //!
 //! # Determinism
 //!
@@ -65,11 +57,9 @@
 #![warn(missing_docs)]
 
 pub mod events;
-pub mod handle;
 pub mod job;
 pub mod pool;
 
 pub use events::{Event, EventSink, JsonlSink, ProgressReporter};
-pub use handle::{job_handle, Abandoned, JobHandle, Promise};
 pub use job::{Job, JobReport, JobStatus};
 pub use pool::{RunOverrides, Runner, RunnerConfig};

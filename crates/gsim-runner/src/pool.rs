@@ -15,13 +15,12 @@ pub struct RunnerConfig {
     /// Worker threads. `0` resolves to the machine's available
     /// parallelism.
     pub threads: usize,
-    /// Per-job wall-clock timeout. When set, each job attempt runs on a
-    /// sacrificial thread so an overrunning job can be abandoned (the
-    /// thread is detached — standard library threads cannot be killed).
-    /// `None` runs jobs directly on the workers.
+    /// Accepted and ignored: every job runs to its end. The field stays
+    /// only because the frozen `benchmark/src/{serve,repro}.rs` assigns
+    /// it (like `GpuConfig::sim_threads`); retire it when the benchmark
+    /// next changes.
     pub timeout: Option<Duration>,
-    /// Retry a panicked or timed-out job once before recording it as
-    /// failed.
+    /// Retry a panicked job once before recording it as failed.
     pub retry_once: bool,
 }
 
@@ -47,26 +46,12 @@ impl RunnerConfig {
     }
 }
 
-/// Per-run overrides of the pool's failure policy, for callers whose
-/// budget varies per sweep (a request deadline) while the pool itself is
-/// long-lived and shared.
+/// Has no fields and changes nothing. The type stays only because the
+/// frozen `benchmark/src/serve.rs` passes `RunOverrides::default()` in
+/// `gsim_core::plan::collect_sampled`'s ignored pool argument; retire it
+/// when the benchmark next changes.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RunOverrides {
-    /// An absolute deadline for the whole run, on top of the pool's
-    /// per-job timeout: no attempt waits past it, and a job dequeued after
-    /// it is reported [`JobStatus::TimedOut`] without being started. A run
-    /// with a deadline never retries, whatever [`RunnerConfig::retry_once`]
-    /// says: a retry would double the worst-case wall time, and a job that
-    /// timed out against the deadline once will again.
-    pub deadline: Option<Instant>,
-}
-
-impl RunOverrides {
-    /// Overrides with the absolute deadline `at`.
-    pub fn deadline(at: Instant) -> Self {
-        Self { deadline: Some(at) }
-    }
-}
+pub struct RunOverrides;
 
 /// A configured sweep executor. Cheap to build; reusable across sweeps.
 pub struct Runner {
@@ -91,8 +76,6 @@ struct Shared<T> {
     next: AtomicUsize,
     sinks: Vec<Arc<dyn EventSink>>,
     label: String,
-    timeout: Option<Duration>,
-    deadline: Option<Instant>,
     retry_once: bool,
 }
 
@@ -137,17 +120,6 @@ impl Runner {
     /// free worker the next one, so a slow job holds up only its own
     /// worker. The calling thread only aggregates.
     pub fn run<T: Send + 'static>(&self, label: &str, jobs: Vec<Job<T>>) -> Vec<JobReport<T>> {
-        self.run_with(label, jobs, RunOverrides::default())
-    }
-
-    /// [`run`](Self::run) with this sweep's failure policy adjusted by
-    /// `overrides` — the pool, sinks, and scheduling are unchanged.
-    pub fn run_with<T: Send + 'static>(
-        &self,
-        label: &str,
-        jobs: Vec<Job<T>>,
-        overrides: RunOverrides,
-    ) -> Vec<JobReport<T>> {
         let n = jobs.len();
         let threads = self.cfg.resolved_threads().min(n.max(1));
         let start = Instant::now();
@@ -157,9 +129,7 @@ impl Runner {
             next: AtomicUsize::new(0),
             sinks: self.sinks.clone(),
             label: label.to_string(),
-            timeout: self.cfg.timeout,
-            deadline: overrides.deadline,
-            retry_once: self.cfg.retry_once && overrides.deadline.is_none(),
+            retry_once: self.cfg.retry_once,
         });
 
         shared.emit(&Event::SweepStarted {
@@ -252,22 +222,11 @@ fn worker_loop<T: Send + 'static>(shared: &Arc<Shared<T>>, tx: &mpsc::Sender<Job
     }
 }
 
-/// Runs job `idx` under the failure policy: catch panics, enforce the
-/// timeout and the deadline, retry once. An attempt that would start at
-/// or past the deadline is not started.
-fn execute<T: Send + 'static>(idx: usize, shared: &Arc<Shared<T>>) -> JobReport<T> {
+/// Runs job `idx` under the failure policy: catch panics, retry once.
+fn execute<T: Send + 'static>(idx: usize, shared: &Shared<T>) -> JobReport<T> {
     let max_attempts = if shared.retry_once { 2 } else { 1 };
     let mut attempt = 1;
     loop {
-        if shared.deadline.is_some_and(|d| Instant::now() >= d) {
-            return JobReport {
-                index: idx,
-                name: shared.jobs[idx].name().to_string(),
-                attempts: attempt - 1,
-                duration: Duration::ZERO,
-                status: JobStatus::TimedOut,
-            };
-        }
         shared.emit(&Event::JobStarted {
             label: &shared.label,
             index: idx,
@@ -275,7 +234,7 @@ fn execute<T: Send + 'static>(idx: usize, shared: &Arc<Shared<T>>) -> JobReport<
             attempt,
         });
         let t0 = Instant::now();
-        let status = run_attempt(idx, shared);
+        let status = wrap_panic(catch_unwind(AssertUnwindSafe(|| shared.jobs[idx].run())));
         let duration = t0.elapsed();
         shared.emit(&Event::JobFinished {
             label: &shared.label,
@@ -295,36 +254,6 @@ fn execute<T: Send + 'static>(idx: usize, shared: &Arc<Shared<T>>) -> JobReport<
             };
         }
         attempt += 1;
-    }
-}
-
-fn run_attempt<T: Send + 'static>(idx: usize, shared: &Arc<Shared<T>>) -> JobStatus<T> {
-    let per_job = shared.timeout.map(|t| Instant::now() + t);
-    match per_job.into_iter().chain(shared.deadline).min() {
-        None => wrap_panic(catch_unwind(AssertUnwindSafe(|| shared.jobs[idx].run()))),
-        Some(until) => {
-            // A sacrificial thread makes the attempt abandonable: on
-            // timeout the zombie keeps running detached (it holds its own
-            // Arc on the shared state) while the worker moves on.
-            let (tx, rx) = mpsc::channel();
-            let shared = Arc::clone(shared);
-            let spawned = std::thread::Builder::new()
-                .name(format!("gsim-runner-job-{idx}"))
-                .spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| shared.jobs[idx].run()));
-                    let _ = tx.send(result);
-                });
-            match spawned {
-                Err(e) => JobStatus::Panicked(format!("could not spawn job thread: {e}")),
-                Ok(_) => match rx.recv_timeout(until.saturating_duration_since(Instant::now())) {
-                    Ok(result) => wrap_panic(result),
-                    Err(mpsc::RecvTimeoutError::Timeout) => JobStatus::TimedOut,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        JobStatus::Panicked("job thread vanished".to_string())
-                    }
-                },
-            }
-        }
     }
 }
 
@@ -390,69 +319,6 @@ mod tests {
         assert_eq!(cfg.resolved_threads(), 3);
         let auto = RunnerConfig::default();
         assert!(auto.resolved_threads() >= 1);
-    }
-
-    #[test]
-    fn run_overrides_replace_timeout_and_retry_for_one_run() {
-        // Pool configured with no timeout and retries on.
-        let runner = quiet();
-
-        // Deadline overrides: a slow job times out and is NOT retried.
-        let slow = vec![Job::new("slow", || {
-            std::thread::sleep(Duration::from_millis(400));
-            1u32
-        })];
-        let reports = runner.run_with(
-            "deadline",
-            slow,
-            RunOverrides::deadline(Instant::now() + Duration::from_millis(20)),
-        );
-        assert!(matches!(reports[0].status, JobStatus::TimedOut));
-        assert_eq!(reports[0].attempts, 1, "deadline run must not retry");
-
-        // The same runner afterwards still uses its own config: no
-        // timeout, retry once.
-        let flaky_runs = Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let counter = Arc::clone(&flaky_runs);
-        let flaky = vec![Job::new("flaky", move || {
-            if counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
-                panic!("first attempt fails");
-            }
-            7u32
-        })];
-        let reports = runner.run("after", flaky);
-        assert_eq!(reports[0].ok(), Some(&7));
-        assert_eq!(reports[0].attempts, 2, "config retry_once still applies");
-    }
-
-    #[test]
-    fn a_job_dequeued_after_the_deadline_never_starts() {
-        // One worker: job 2 queues behind job 1, which returns only once
-        // the deadline has passed. The deadline is absolute, so job 2 gets
-        // no budget of its own and is never started.
-        let runner = Runner::new(RunnerConfig {
-            threads: 1,
-            ..RunnerConfig::default()
-        });
-        let deadline = Instant::now() + Duration::from_millis(20);
-        let started = Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let counter = Arc::clone(&started);
-        let jobs = vec![
-            Job::new("past-the-deadline", move || {
-                while Instant::now() <= deadline {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                1u32
-            }),
-            Job::new("queued", move || {
-                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                2u32
-            }),
-        ];
-        let reports = runner.run_with("absolute", jobs, RunOverrides::deadline(deadline));
-        assert!(matches!(reports[1].status, JobStatus::TimedOut));
-        assert_eq!(reports[1].attempts, 0);
-        assert_eq!(started.load(std::sync::atomic::Ordering::SeqCst), 0);
     }
 
     #[test]

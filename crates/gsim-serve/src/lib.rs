@@ -10,9 +10,9 @@
 //! miniature. Every request with a miss-rate curve runs one sampled
 //! functional collection on its own thread. A memory-bound workload is
 //! answered from it alone (the fast path, no timing simulation); any
-//! other also simulates the two small scale models on a
-//! [`gsim_runner`] pool. Either way the [`gsim_core::plan::Fit`] predictors
-//! turn that into a JSON report.
+//! other also simulates the two small scale models, the larger on one
+//! scoped thread beside the request's. Either way the
+//! [`gsim_core::plan::Fit`] predictors turn that into a JSON report.
 //!
 //! Repeated questions are cheap, and a miss always does its own work:
 //!
@@ -26,7 +26,7 @@
 //!   on the way to its body is kept.
 //! * **Single-flight deduplication** ([`singleflight`]): N concurrent
 //!   identical requests cost one computation; followers block on the
-//!   leader's [`gsim_runner::JobHandle`] and receive the identical body.
+//!   leader's [`singleflight::JobHandle`] and receive the identical body.
 //!
 //! A dependency-free HTTP server ([`http`]) carries it: `std::net`
 //! accept loop, bounded workers, strict limits, keep-alive, cooperative
@@ -35,8 +35,10 @@
 //! Under load the service has one story ([`overload`], DESIGN.md §13):
 //! one predict admission budget sheds excess predicts with `429` +
 //! `Retry-After`, a request's `X-Gsim-Deadline-Ms` propagates into the
-//! runner and cuts an over-budget predict off with `504` — never a late
-//! `200` — and shutdown drains within a fixed five-second grace. There
+//! collection and both simulations, each of which stops at it by
+//! itself, and cuts an over-budget predict off with `504` — never a late
+//! `200`, and no thread left running — and shutdown drains within a
+//! fixed five-second grace. There
 //! is no third answer shape: a `200` always carries `predictions`.
 //! A deterministic fault-injection plan ([`gsim_faults`])
 //! exercises all of it in the chaos harness (`scripts/chaos_smoke.sh`).
@@ -57,7 +59,7 @@ pub mod singleflight;
 
 pub use cache::{fnv1a, ResultCache};
 pub use http::{Handler, Request, Response, Server, ServerConfig, ShutdownFlag};
-pub use metrics::{Histogram, Metrics, RunnerJobCounter};
+pub use metrics::{Histogram, Metrics};
 pub use overload::{retry_after_secs, AdmissionGate, Permit};
 pub use service::{ApiError, PredictService, ServeConfig};
 pub use singleflight::{Role, SingleFlight};

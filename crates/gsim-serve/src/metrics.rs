@@ -6,11 +6,10 @@
 //! (`gsim-serve-metrics-v1`).
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use gsim_json::{obj, Json};
-use gsim_runner::{Event, EventSink};
 
 /// Log-scale latency histogram: bucket `i` counts observations in
 /// `[2^i, 2^(i+1))` microseconds, the last bucket is open-ended. 32
@@ -62,7 +61,7 @@ impl Histogram {
 }
 
 /// All counters the service exports. One instance per service, shared
-/// (`Arc`) with the handler, the runner sink, and `GET /metrics`.
+/// (`Arc`) with the handler and `GET /metrics`.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// `GET /healthz` requests served.
@@ -102,10 +101,9 @@ pub struct Metrics {
     /// Stage-1 miss-rate-curve collections executed (one per computed
     /// plan with a curve, whatever its path).
     pub collects_started: AtomicU64,
-    /// Detailed timing simulations actually started.
+    /// Detailed timing simulations actually started: two per full-path
+    /// computation, none on the fast path.
     pub timing_sims_started: AtomicU64,
-    /// Jobs started on the simulation runner pool (every attempt).
-    pub runner_jobs_started: AtomicU64,
     /// Predict requests shed with 429 by the admission gate.
     pub shed_heavy: AtomicU64,
     /// Predict requests that hit their deadline and were answered 504.
@@ -161,9 +159,9 @@ impl Metrics {
             .quantile_us(0.50)
     }
 
-    /// Renders the `/metrics` document. `cache_entries` comes from the
-    /// cache and `trace_store` from the trace store (they own those
-    /// counts); pass `Json::Null` when no store is attached. `admission`
+    /// Renders the `/metrics` document, each counter once.
+    /// `cache_entries` comes from the cache and `trace_store` from the
+    /// trace store (they own those counts); pass `Json::Null` when no store is attached. `admission`
     /// is the gate's limits/in-flight snapshot (or `Json::Null` when the
     /// caller has no gate, e.g. unit tests).
     pub fn to_json(&self, cache_entries: usize, trace_store: Json, admission: Json) -> Json {
@@ -193,10 +191,6 @@ impl Metrics {
                     ("from_trace", Json::from(get(&self.predict_from_trace))),
                     ("fast_path", Json::from(get(&self.fast_path))),
                     ("escalated", Json::from(get(&self.escalated))),
-                    (
-                        "deadline_timeouts",
-                        Json::from(get(&self.deadline_timeouts)),
-                    ),
                 ]),
             ),
             (
@@ -217,16 +211,11 @@ impl Metrics {
                 "timing_sims_started",
                 Json::from(get(&self.timing_sims_started)),
             ),
-            (
-                "runner_jobs_started",
-                Json::from(get(&self.runner_jobs_started)),
-            ),
             ("collects_started", Json::from(get(&self.collects_started))),
             (
                 "in_flight",
                 Json::from(self.in_flight.load(Ordering::Relaxed)),
             ),
-            ("cache_entries", Json::from(cache_entries)),
             ("latency_us", quantiles_json(&self.latency)),
             ("heavy_latency_us", quantiles_json(&self.heavy_latency)),
             ("stage_collect_us", quantiles_json(&self.stage_collect)),
@@ -258,19 +247,6 @@ fn faults_json() -> Json {
             .injected()
             .into_iter()
             .map(|(site, n)| (site, Json::from(n)))),
-    }
-}
-
-/// An [`EventSink`] that counts runner job starts into
-/// [`Metrics::runner_jobs_started`] — how the integration tests observe
-/// "exactly one simulation ran".
-pub struct RunnerJobCounter(pub Arc<Metrics>);
-
-impl EventSink for RunnerJobCounter {
-    fn on_event(&self, event: &Event<'_>) {
-        if matches!(event, Event::JobStarted { .. }) {
-            self.0.runner_jobs_started.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -316,7 +292,6 @@ mod tests {
         );
         let predict = doc.get("predict").unwrap();
         assert_eq!(predict.get("cache_hits").unwrap().as_u64(), Some(2));
-        assert_eq!(doc.get("cache_entries").unwrap().as_u64(), Some(7));
         let overload = doc.get("overload").unwrap();
         assert_eq!(overload.get("shed_heavy").unwrap().as_u64(), Some(4));
         let cache = doc.get("cache").unwrap();
@@ -361,10 +336,8 @@ mod tests {
                 "faults",
                 "trace_store",
                 "timing_sims_started",
-                "runner_jobs_started",
                 "collects_started",
                 "in_flight",
-                "cache_entries",
                 "latency_us",
                 "heavy_latency_us",
                 "stage_collect_us",
@@ -383,7 +356,6 @@ mod tests {
                 "from_trace",
                 "fast_path",
                 "escalated",
-                "deadline_timeouts",
             ]
         );
         assert_eq!(

@@ -1,5 +1,5 @@
 //! The prediction service: request normalization, content addressing,
-//! single-flight computation on the runner pool, and the HTTP router.
+//! single-flight computation, and the HTTP router.
 //!
 //! # Endpoints
 //!
@@ -31,7 +31,7 @@
 //! (default `auto`). Every request with a miss-rate curve runs the
 //! staged **collect → fit → predict** pipeline from [`gsim_core::plan`]:
 //! a sampled Stage-1 collection — one streaming pass on the request's
-//! own thread, no runner jobs — measures the miss-rate curve and the
+//! own thread, no timing simulation — measures the miss-rate curve and the
 //! workload's compute intensity in milliseconds. Unless forced onto the
 //! full path, a memory-bound workload (measured pressure at or above
 //! the machine's balance point) is then answered from
@@ -64,6 +64,7 @@
 //! `X-Gsim-Cache` response header (`hit` / `miss` / `coalesced`), not
 //! the body.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,11 +72,10 @@ use std::time::{Duration, Instant};
 
 use gsim_core::oneshot::Observation;
 use gsim_core::plan::{
-    collect_sampled_inline, observation_of, synthesize_observation, CollectFailure, Collected, Fit,
-    PlanWorkload,
+    collect_sampled_inline, observation_of, synthesize_observation, Collected, Fit, PlanWorkload,
+    TimedOut,
 };
 use gsim_json::{obj, Json};
-use gsim_runner::{Job, JobStatus, RunOverrides, Runner, RunnerConfig};
 use gsim_sim::GpuConfig;
 use gsim_trace::suite::{strong_benchmark, strong_suite};
 use gsim_trace::weak::{weak_benchmark, weak_suite};
@@ -84,7 +84,7 @@ use gsim_tracestore::{StoreConfig, StoreError, StoreStats, TraceMeta, TraceStore
 
 use crate::cache::{fnv1a, ResultCache};
 use crate::http::{Request, Response, ShutdownFlag};
-use crate::metrics::{Metrics, RunnerJobCounter};
+use crate::metrics::Metrics;
 use crate::overload::{retry_after_secs, AdmissionGate};
 use crate::singleflight::{Role, SingleFlight};
 
@@ -99,6 +99,12 @@ const DEADLINE_HEADER: &str = "x-gsim-deadline-ms";
 const MAX_PREDICT_BYTES: usize = 64 * 1024;
 /// Largest accepted target system size.
 const MAX_TARGET_SMS: u32 = 1 << 20;
+/// Largest accepted larger scale model. A full-path predict simulates
+/// it, and a simulator's memory grows with its SM count (a 1 MB
+/// streaming predict peaked at 26 MB of server RSS with a 1,024-SM model
+/// and 139 MB with an 8,192-SM one); 1,024 leaves 32× headroom over the
+/// paper's 4–32-SM scale models.
+const MAX_SCALE_MODEL_SMS: u32 = 1024;
 /// Largest accepted pattern workload in warp instructions — the product
 /// the per-field caps leave unbounded (a 2^20 MB sweep). The largest
 /// catalog input, Table IV `bs` at `mem_scale` 1, is 6.3·10^7; the
@@ -110,7 +116,10 @@ const CACHE_CAPACITY: usize = 256;
 /// Service construction knobs.
 #[derive(Debug, Clone, Default)]
 pub struct ServeConfig {
-    /// Worker threads of the simulation runner pool (0 = auto).
+    /// How a full-path predict runs its two scale-model simulations: `1`
+    /// runs them one after the other on the request thread; any other
+    /// count runs the larger on a scoped thread beside it; `0` (auto)
+    /// does so when the host has more than one CPU.
     pub runner_threads: usize,
     /// Persistence directory for the result cache (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
@@ -262,7 +271,9 @@ struct Staged {
 /// The shared prediction service. Construct once, share behind `Arc`
 /// with the HTTP server's handler.
 pub struct PredictService {
-    runner: Runner,
+    /// Whether a full-path predict runs its two simulations side by side
+    /// ([`ServeConfig::runner_threads`]).
+    side_by_side: bool,
     cache: ResultCache,
     flights: SingleFlight<Outcome>,
     metrics: Arc<Metrics>,
@@ -283,21 +294,18 @@ impl Drop for PredictService {
 }
 
 impl PredictService {
-    /// Builds the service: runner pool, cache (loading any persisted
-    /// entries), trace store, metrics.
+    /// Builds the service: cache (loading any persisted entries), trace
+    /// store, metrics.
     ///
     /// # Errors
     ///
     /// Returns an error if the cache or trace-store directory cannot be
     /// prepared.
     pub fn new(cfg: ServeConfig, shutdown: ShutdownFlag) -> std::io::Result<Arc<Self>> {
-        let metrics = Arc::new(Metrics::default());
-        let runner = Runner::new(RunnerConfig {
-            threads: cfg.runner_threads,
-            timeout: None, // big simulations are legitimate, never kill them
-            retry_once: true,
-        })
-        .with_sink(RunnerJobCounter(Arc::clone(&metrics)));
+        let side_by_side = match cfg.runner_threads {
+            0 => std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
+            n => n > 1,
+        };
         // One directory per service, so dropping one never pulls the
         // store from under another in the same process.
         static SCRATCH_STORES: AtomicU64 = AtomicU64::new(0);
@@ -315,10 +323,10 @@ impl PredictService {
         };
         let store = TraceStore::open(store_root, StoreConfig::default())?;
         Ok(Arc::new(Self {
-            runner,
+            side_by_side,
             cache: ResultCache::new(CACHE_CAPACITY, cfg.cache_dir)?,
             flights: SingleFlight::new(),
-            metrics: Arc::clone(&metrics),
+            metrics: Arc::new(Metrics::default()),
             store,
             shutdown,
             gate: AdmissionGate::new(match cfg.max_inflight_predicts {
@@ -524,7 +532,7 @@ impl PredictService {
                 self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
                 self.metrics.computations.fetch_add(1, Ordering::Relaxed);
                 let started = Instant::now();
-                let outcome: Outcome = self.compute(&mut plan, key, deadline).map(Arc::new);
+                let outcome: Outcome = self.compute(&mut plan, deadline).map(Arc::new);
                 if let Ok(body) = &outcome {
                     self.cache.put(key, &plan.canonical, Arc::clone(body));
                     index();
@@ -587,12 +595,7 @@ impl PredictService {
     /// when it applies, the timing-simulation path otherwise, and one
     /// shared fit → forecast → render tail behind both. A stored trace's
     /// blob is read and decoded here first, by the flight leader only.
-    fn compute(
-        &self,
-        plan: &mut Plan,
-        key: u64,
-        deadline: Option<Instant>,
-    ) -> Result<String, ApiError> {
+    fn compute(&self, plan: &mut Plan, deadline: Option<Instant>) -> Result<String, ApiError> {
         if let PlanKind::Stored(trace_ref) = &plan.kind {
             let wl = self.store.load(trace_ref).map_err(|e| match e {
                 StoreError::NotFound(_) => trace_not_found(trace_ref),
@@ -613,12 +616,12 @@ impl PredictService {
                             .into_iter()
                             .filter(|(size, _)| plan.ladder.contains(size))
                             .collect();
-                        self.stage_full(plan, (wl, wl), Some(mrc), key, deadline)?
+                        self.stage_full(plan, (wl, wl), Some(mrc), deadline)?
                     }
                 }
             }
             PlanKind::PerSize { small_wl, large_wl } => {
-                self.stage_full(plan, (small_wl, large_wl), None, key, deadline)?
+                self.stage_full(plan, (small_wl, large_wl), None, deadline)?
             }
             PlanKind::Stored(_) => unreachable!("a stored trace was loaded above"),
         };
@@ -630,8 +633,8 @@ impl PredictService {
     /// the targets (a fast body lists every point, and with the pass
     /// dominating the cost the extra readouts are nearly free). One
     /// streaming pass on this request's thread, checked against
-    /// `deadline` every thousand ops — it never touches the runner pool,
-    /// so it fails only by running out of time.
+    /// `deadline` every thousand ops, so it fails only by running out of
+    /// time.
     fn collect(
         &self,
         plan: &Plan,
@@ -647,7 +650,7 @@ impl PredictService {
             .fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         let collected = collect_sampled_inline(wl, &configs, deadline)
-            .map_err(|CollectFailure::TimedOut| self.deadline_exceeded())?;
+            .map_err(|TimedOut| self.deadline_exceeded())?;
         Metrics::observe_stage(&self.metrics.stage_collect, started.elapsed());
         Ok(collected)
     }
@@ -690,72 +693,66 @@ impl PredictService {
         })
     }
 
-    /// The full path: the two scale-model simulations as jobs on the
-    /// runner pool, with the curve the caller collected (`None` for
-    /// per-size plans). The `deadline` bounds the runner jobs; a run cut
-    /// short — or one that finished, but late — maps to 504.
+    /// The full path: the two scale-model simulations, with the curve
+    /// the caller collected (`None` for per-size plans). The larger runs
+    /// on a scoped thread beside this one, or after the smaller on this
+    /// thread when the service runs them one after the other. Each
+    /// simulation stops at `deadline` by itself, so nothing outlives the
+    /// request.
+    ///
+    /// A simulation that timed out, or a result that arrives after the
+    /// deadline, is a `504`. A panic in either is a `503` with
+    /// `Retry-After` and no retry: a simulation is deterministic, so it
+    /// would panic again. A panicking side-by-side simulation answers once
+    /// its sibling has stopped too.
     fn stage_full(
         &self,
         plan: &Plan,
         (small_wl, large_wl): (&PlanWorkload, &PlanWorkload),
         mrc: Option<Vec<(u32, f64)>>,
-        key: u64,
         deadline: Option<Instant>,
     ) -> Result<Staged, ApiError> {
-        let sim_job = |sms: u32, wl: PlanWorkload| {
-            let cfg = GpuConfig::paper_target(sms, plan.scale);
-            let metrics = Arc::clone(&self.metrics);
-            Job::new(format!("sim@{sms}sm"), move || {
+        let simulate = |sms: u32, wl: &PlanWorkload| {
+            catch_unwind(AssertUnwindSafe(|| {
                 if gsim_faults::active().is_some_and(|f| f.job_panic()) {
-                    panic!("injected fault: simulation job panic");
+                    panic!("injected fault: scale-model simulation panic");
                 }
-                metrics.timing_sims_started.fetch_add(1, Ordering::Relaxed);
-                let stats = wl.simulate(cfg.clone());
-                SimPoint {
+                self.metrics
+                    .timing_sims_started
+                    .fetch_add(1, Ordering::Relaxed);
+                let stats = wl.simulate(GpuConfig::paper_target(sms, plan.scale), deadline)?;
+                Ok(SimPoint {
                     obs: observation_of(sms, &stats),
                     timing: Some((stats.mpki(), stats.cycles)),
-                }
-            })
+                })
+            }))
         };
-        let jobs = vec![
-            sim_job(plan.small, small_wl.clone()),
-            sim_job(plan.large, large_wl.clone()),
-        ];
-        // A deadline-bound run does not retry: a retry would double the
-        // worst-case wall time past the promise. A job dequeued after the
-        // deadline is reported timed out and never started.
-        let overrides = deadline.map_or_else(RunOverrides::default, RunOverrides::deadline);
-        let reports = self
-            .runner
-            .run_with(&format!("predict-{key:016x}"), jobs, overrides);
-        let mut sims = Vec::new();
-        for report in reports {
-            let name = report.name.clone();
-            let timed_out = matches!(report.status, JobStatus::TimedOut);
-            match report.into_ok() {
-                Some(p) => sims.push(p),
-                None if timed_out => return Err(self.deadline_exceeded()),
-                None => {
-                    // Crashed even after the runner's retry: the failure
-                    // is transient (a panic, an injected fault), not a
-                    // verdict on the request.
-                    return Err(ApiError {
-                        status: 503,
-                        message: format!("job {name} failed; retry later"),
-                    });
-                }
-            }
-        }
-        // The runner abandons every attempt at the deadline, but a job
-        // can still deliver its result a moment past it: that answer is
-        // still a 504, never a late 200.
+        let settle = |sim: std::thread::Result<Result<SimPoint, TimedOut>>, sms: u32| match sim {
+            Ok(Ok(point)) => Ok(point),
+            Ok(Err(TimedOut)) => Err(self.deadline_exceeded()),
+            Err(_) => Err(ApiError {
+                status: 503,
+                message: format!("scale-model simulation at {sms} SMs failed; retry later"),
+            }),
+        };
+        let (small, large) = if self.side_by_side {
+            let (small, large) = std::thread::scope(|s| {
+                let large = s.spawn(|| simulate(plan.large, large_wl));
+                (
+                    simulate(plan.small, small_wl),
+                    large.join().unwrap_or_else(Err),
+                )
+            });
+            (settle(small, plan.small)?, settle(large, plan.large)?)
+        } else {
+            let small = settle(simulate(plan.small, small_wl), plan.small)?;
+            (small, settle(simulate(plan.large, large_wl), plan.large)?)
+        };
+        // A simulation can finish a moment past the deadline: that
+        // answer is still a 504, never a late 200.
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(self.deadline_exceeded());
         }
-        // Reports come back in submission order: small, then large.
-        let Ok([small, large]) = <[SimPoint; 2]>::try_from(sims) else {
-            return Err(ApiError::internal("scale-model simulations missing"));
-        };
         Ok(Staged {
             schema: PREDICT_SCHEMA,
             head: Vec::new(),
@@ -1258,6 +1255,11 @@ fn parse_request(body: &[u8], store: Option<&TraceStore>) -> Result<Plan, ApiErr
     if small == 0 || small >= large {
         return bad("scale_models must satisfy 0 < small < large");
     }
+    if large > MAX_SCALE_MODEL_SMS {
+        return bad(format!(
+            "scale_models: the larger scale model ({large}) must be at most {MAX_SCALE_MODEL_SMS}"
+        ));
+    }
     // One `target_sms` or an array `targets`; sorted + deduped so
     // equivalent requests share one cache entry.
     let mut targets = match (req.get("target_sms"), req.get("targets")) {
@@ -1593,6 +1595,22 @@ mod tests {
         .unwrap_err()
         .message
         .contains("[8, 16, 32, 64, 128]"));
+        // The larger scale model is capped whatever the path, so the
+        // verdict does not depend on which path a body would take.
+        for path in ["fast", "full"] {
+            let ok = format!(
+                r#"{{"workload": "dct", "scale_models": [8, 1024], "target_sms": 2048, "path": "{path}"}}"#
+            );
+            assert!(plan(&ok).is_ok(), "{path}");
+            let err = plan(&format!(r#"{{"workload": "dct", "scale_models": [8, 524288], "target_sms": 1048576, "path": "{path}"}}"#))
+                .unwrap_err();
+            assert_eq!(err.status, 400);
+            assert!(
+                err.message.contains("scale_models") && err.message.contains("1024"),
+                "{}",
+                err.message
+            );
+        }
         assert!(plan(r#"{"workload": "bfs", "target_sms": 128, "mem_scale": 384}"#).is_ok());
         assert!(
             plan(r#"{"workload": "bfs", "target_sms": 128, "mem_scale": 385}"#)
@@ -2042,7 +2060,7 @@ mod tests {
                 Ty::Str(what) => return what.to_string(),
                 Ty::OneOf(o) => return list(o, true),
                 Ty::Kind(o) => return list(o, false),
-                Ty::Pair => return "two integers".into(),
+                Ty::Pair => return format!("two integers, the larger ≤ {MAX_SCALE_MODEL_SMS}"),
                 Ty::Ints => return "non-empty array of integers".into(),
                 Ty::Levels => return "non-empty array of positive `[weight, fraction]`".into(),
                 Ty::Obj(_) | Ty::Later(_) => return "object".into(),
@@ -2496,6 +2514,13 @@ mod tests {
                     "suite",
                 ));
             }
+            // A larger scale model past its cap.
+            let past_cap = Json::from(vec![8, MAX_SCALE_MODEL_SMS * 2]);
+            cases.push(fails(
+                edit(&m, &["scale_models"], Some(past_cap)),
+                400,
+                "scale_models",
+            ));
             let (given, other, v) = match has("targets") {
                 true => ("targets", "target_sms", Json::from(1024.0)),
                 false => ("target_sms", "targets", Json::from(vec![1024u32])),

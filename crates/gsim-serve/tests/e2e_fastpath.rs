@@ -328,22 +328,22 @@ fn a_full_path_predict_collects_once_and_prints_the_fast_paths_curve() {
     let counts = || {
         let m = metrics(addr);
         [
-            metric_at(&m, &["runner_jobs_started"]),
+            metric_at(&m, &["timing_sims_started"]),
             metric_at(&m, &["collects_started"]),
         ]
     };
 
     // gemm escalates: one collection for the gate and the curve, then
-    // exactly the two scale-model sims on the pool.
+    // exactly the two scale-model sims.
     let (path, _) = predict(r#"{"workload": "gemm", "targets": [32, 64]}"#);
     assert_eq!(path, "full");
-    assert_eq!(counts(), [2, 1], "escalated: [runner jobs, collections]");
+    assert_eq!(counts(), [2, 1], "escalated: [timing sims, collections]");
     let (path, full) = predict(r#"{"workload": "gemm", "targets": [32, 64, 128], "path": "full"}"#);
     assert_eq!(path, "full");
-    assert_eq!(counts(), [4, 2], "forced full: [runner jobs, collections]");
+    assert_eq!(counts(), [4, 2], "forced full: [timing sims, collections]");
     let (path, fast) = predict(r#"{"workload": "gemm", "targets": [32, 64, 128], "path": "fast"}"#);
     assert_eq!(path, "fast");
-    assert_eq!(counts(), [4, 3], "forced fast: no runner job");
+    assert_eq!(counts(), [4, 3], "forced fast: no timing sim");
 
     // The full body's curve is the fast body's at the full ladder's
     // sizes, bit for bit.
@@ -377,7 +377,7 @@ fn a_fast_path_collection_runs_on_the_request_thread() {
     let addr = server.addr;
 
     // One memory-bound pattern, two target sets: two result-cache
-    // misses, two collections, no runner job.
+    // misses, two collections, no timing sim.
     let body = |targets: &str| {
         format!(
             r#"{{"pattern": {{"kind": "global_sweep", "footprint_mb": 48.0, "passes": 2,
@@ -393,7 +393,7 @@ fn a_fast_path_collection_runs_on_the_request_thread() {
     let m = metrics(addr);
     assert_eq!(metric_at(&m, &["collects_started"]), 2, "{}", m.render());
     assert_eq!(
-        metric_at(&m, &["runner_jobs_started"]),
+        metric_at(&m, &["timing_sims_started"]),
         0,
         "a fast-path collection runs on the request thread: {}",
         m.render()

@@ -249,7 +249,7 @@ fn deadline_header_cuts_predicts_off_with_504() {
     );
     let m = metrics(addr);
     assert!(
-        metric(&m, "predict", "deadline_timeouts") >= 1,
+        metric(&m, "overload", "deadline_timeouts") >= 1,
         "{}",
         m.render()
     );

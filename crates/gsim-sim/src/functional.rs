@@ -28,6 +28,7 @@ use gsim_mem::mrc::{DistanceEngine, LineRouter, MissRateCurve, StackDistanceHist
 use gsim_trace::{WarpStream, WorkloadModel, THREADS_PER_WARP};
 
 use crate::config::GpuConfig;
+use crate::TimedOut;
 
 /// CTA-stride sampling: at most this many CTAs per kernel are generated.
 pub const MAX_CTAS_PER_KERNEL: u32 = 64;
@@ -73,21 +74,6 @@ impl CollectStats {
     }
 }
 
-/// Why a collection did not complete.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CollectFailure {
-    /// The deadline passed first.
-    TimedOut,
-}
-
-impl std::fmt::Display for CollectFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::TimedOut => write!(f, "collection timed out"),
-        }
-    }
-}
-
 /// One collection: the curve at each configuration's LLC capacity plus
 /// the stream totals it was measured from.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +104,7 @@ fn sampled_slots(n_ctas: u32) -> (u32, u32) {
 ///
 /// # Errors
 ///
-/// Returns [`CollectFailure::TimedOut`] — and no partial result — once
+/// Returns [`TimedOut`] — and no partial result — once
 /// `deadline` has passed: checked before the first op and every 1 Ki
 /// ops after it.
 ///
@@ -129,7 +115,7 @@ pub fn collect_curve<W: WorkloadModel>(
     wl: &W,
     configs: &[GpuConfig],
     deadline: Option<Instant>,
-) -> Result<FunctionalCurve, CollectFailure> {
+) -> Result<FunctionalCurve, TimedOut> {
     assert!(!configs.is_empty(), "need at least one configuration");
     let router = LineRouter::new(N_SHARDS, LINE_RATE);
     let mut trees: Vec<TreeStack> = (0..N_SHARDS)
@@ -142,7 +128,7 @@ pub fn collect_curve<W: WorkloadModel>(
     let (mut sampled_ctas, mut total_ctas) = (0u64, 0u64);
     let expired = || deadline.is_some_and(|d| Instant::now() >= d);
     if expired() {
-        return Err(CollectFailure::TimedOut);
+        return Err(TimedOut);
     }
     let mut ops_to_check = DEADLINE_CHECK_OPS;
     for kernel in 0..wl.n_kernels() {
@@ -158,7 +144,7 @@ pub fn collect_curve<W: WorkloadModel>(
                     ops_to_check -= 1;
                     if ops_to_check == 0 {
                         if expired() {
-                            return Err(CollectFailure::TimedOut);
+                            return Err(TimedOut);
                         }
                         ops_to_check = DEADLINE_CHECK_OPS;
                     }

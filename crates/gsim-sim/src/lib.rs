@@ -49,7 +49,23 @@ pub use chiplet::ChipletConfig;
 pub use config::GpuConfig;
 pub use engine::Simulator;
 pub use functional::{
-    collect_curve, collect_mrc, CollectFailure, CollectStats, FunctionalCurve, LINE_RATE,
-    MAX_CTAS_PER_KERNEL, N_SHARDS,
+    collect_curve, collect_mrc, CollectStats, FunctionalCurve, LINE_RATE, MAX_CTAS_PER_KERNEL,
+    N_SHARDS,
 };
 pub use stats::SimStats;
+
+/// A deadline passed before the work finished: the one error of both
+/// stages of a prediction, [`collect_curve`] and
+/// [`Simulator::run_until`]. Each checks the clock by work done, so it
+/// stops within milliseconds of the deadline and returns no partial
+/// result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimedOut;
+
+impl std::fmt::Display for TimedOut {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "deadline passed before the work finished")
+    }
+}
+
+impl std::error::Error for TimedOut {}

@@ -36,7 +36,7 @@ HOLD=$!
 # --max-inflight-predicts 2 with 16 closed-loop clients is ~8x the predict
 # budget, comfortably past 2x saturation for the whole run.
 "$GSIM" serve --addr 127.0.0.1:0 --cache-dir "$WORK/cache" \
-    --store "$WORK/store" --runner-threads 2 \
+    --store "$WORK/store" \
     --max-inflight-predicts 2 --fault-plan "$FAULT_PLAN" \
     < "$WORK/stdin" > "$WORK/serve.log" 2>&1 &
 SERVER=$!
