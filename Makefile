@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: build test lint results-check trace-smoke chaos-smoke
+.PHONY: build test lint results-check trace-smoke chaos-smoke bench-pairs
 
 build:
 	cargo build --release
@@ -40,3 +40,18 @@ trace-smoke:
 chaos-smoke:
 	cargo build --release -p gsim-bench --bin gsim --bin serve_bench
 	bash scripts/chaos_smoke.sh
+
+# Alternated parent/change pairs of one benchmark workload, with medians,
+# the parent's quartiles, pair ratios, wins and a verdict per end-to-end
+# metric (scripts/bench_pairs.sh). Compare a checkout of the parent with
+# this one, e.g.
+#   make bench-pairs PARENT=../parent WORKLOAD=repro_strong PAIRS=10 SEED0=4001
+# CI runs it A/A (this checkout on both sides) for one smoke pair.
+PARENT ?= .
+CHANGE ?= .
+WORKLOAD ?= sim_membound_64sm
+PAIRS ?= 10
+SEED0 ?= 1
+BENCH_PAIRS_FLAGS ?=
+bench-pairs:
+	bash scripts/bench_pairs.sh $(PARENT) $(CHANGE) $(WORKLOAD) $(PAIRS) $(SEED0) $(BENCH_PAIRS_FLAGS)

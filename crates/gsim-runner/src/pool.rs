@@ -17,8 +17,8 @@ pub struct RunnerConfig {
     pub threads: usize,
     /// Accepted and ignored: every job runs to its end. The field stays
     /// only because the frozen `benchmark/src/{serve,repro}.rs` assigns
-    /// it (like `GpuConfig::sim_threads`); retire it when the benchmark
-    /// next changes.
+    /// it (like `GpuConfig`'s inert thread count); retire it when the
+    /// benchmark next changes.
     pub timeout: Option<Duration>,
     /// Retry a panicked job once before recording it as failed.
     pub retry_once: bool,

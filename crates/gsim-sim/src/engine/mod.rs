@@ -522,10 +522,7 @@ impl<'wl, W: WorkloadModel> EngineCore<'wl, W> {
                 let done = self.resolve_req(mem, ap, sm.chiplet, now, req);
                 match req.kind {
                     LineKind::MissLoad => {
-                        if sm.mshr.is_full() {
-                            sm.mshr.complete_up_to(now);
-                        }
-                        match sm.mshr.register(req.line, done) {
+                        match sm.mshr.register(req.line, done, now) {
                             MshrOutcome::Allocated | MshrOutcome::Full => {
                                 wake = wake.max(done);
                             }

@@ -286,10 +286,7 @@ impl<S: WarpStream> Sm<S> {
                     out.l1_accesses += 1;
                     let t0 = now + p.l1_latency;
                     if self.l1.access(line, false).is_hit() {
-                        let ready = match self.mshr.pending_fill(line) {
-                            Some(fill) if fill > now => fill,
-                            _ => t0,
-                        };
+                        let ready = self.mshr.fill_in_flight(line, now).unwrap_or(t0);
                         base_wake = base_wake.max(ready);
                     } else {
                         out.l1_misses += 1;
