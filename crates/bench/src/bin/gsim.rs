@@ -38,7 +38,7 @@ use std::process::exit;
 use std::sync::Arc;
 
 use gsim_core::experiment::METHODS;
-use gsim_core::{collect_replay, detect_cliff, Fit, Observation, PlanWorkload, SizedMrc};
+use gsim_core::{detect_cliff, Fit, Observation, PlanWorkload, SizedMrc};
 use gsim_runner::{ProgressReporter, Runner, RunnerConfig};
 use gsim_sim::{ChipletConfig, GpuConfig, SimStats, Simulator};
 use gsim_trace::suite::{strong_benchmark, strong_suite, StrongBenchmark};
@@ -357,21 +357,30 @@ fn cmd_run(f: &Flags) {
         exit(2)
     }
     let (label, wl) = input(f);
-    let (machine, st) = match f.chiplets {
+    let (machine, st) = match &wl {
+        PlanWorkload::Synthetic(wl) => simulate(f, wl),
+        PlanWorkload::Traced(wl) => simulate(f, &**wl),
+    };
+    print_stats(&format!("{label} on {machine} ({})", f.scale), &st);
+}
+
+/// `run`'s simulation, monomorphic in the workload so that its streams
+/// inline into the engine; returns the machine's name with the stats.
+fn simulate<W: WorkloadModel>(f: &Flags, wl: &W) -> (String, SimStats) {
+    match f.chiplets {
         Some(chiplets) => {
             let mut mcm = ChipletConfig::paper_mcm(chiplets, f.scale);
             mcm.chiplet.dram_banks_per_mc = f.banked_dram;
             let machine = format!("{chiplets} chiplets = {} SMs", mcm.total_sms());
-            (machine, Simulator::new_mcm(&mcm, &wl).run())
+            (machine, Simulator::new_mcm(&mcm, wl).run())
         }
         None => {
             let sms = f.sms.unwrap_or(DEFAULT_SMS);
             let mut cfg = GpuConfig::paper_target(sms, f.scale);
             cfg.dram_banks_per_mc = f.banked_dram;
-            (format!("{sms} SMs"), Simulator::new(cfg, &wl).run())
+            (format!("{sms} SMs"), Simulator::new(cfg, wl).run())
         }
-    };
-    print_stats(&format!("{label} on {machine} ({})", f.scale), &st);
+    }
 }
 
 /// `gsim mrc`: the functionally collected miss-rate curve of [`input`]
@@ -382,7 +391,7 @@ fn cmd_mrc(f: &Flags) {
         .iter()
         .map(|&z| GpuConfig::paper_target(z, f.scale))
         .collect();
-    let mrc = SizedMrc::new(collect_replay(&wl, &configs).points);
+    let mrc = SizedMrc::new(wl.collect(&configs, None).expect("no deadline").points);
     println!("{label} miss-rate curve:");
     for ((size, region), cfg) in mrc.regions().iter().zip(&configs) {
         println!(

@@ -40,6 +40,9 @@ impl LineRouter {
     /// # Panics
     ///
     /// Panics if `n_shards` is zero or `keep_rate` is not in `(0, 1]`.
+    // Inline across crates: a caller's constant shard count then reaches
+    // `route`, whose shard pick becomes a mask instead of a division.
+    #[inline]
     pub fn new(n_shards: u32, keep_rate: f64) -> Self {
         assert!(n_shards > 0, "need at least one shard");
         assert!(

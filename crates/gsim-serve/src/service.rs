@@ -72,8 +72,7 @@ use std::time::{Duration, Instant};
 
 use gsim_core::oneshot::Observation;
 use gsim_core::plan::{
-    collect_sampled_inline, observation_of, synthesize_observation, Collected, Fit, PlanWorkload,
-    TimedOut,
+    observation_of, synthesize_observation, Collected, Fit, PlanWorkload, TimedOut,
 };
 use gsim_json::{obj, Json};
 use gsim_sim::GpuConfig;
@@ -649,7 +648,8 @@ impl PredictService {
             .collects_started
             .fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let collected = collect_sampled_inline(wl, &configs, deadline)
+        let collected = wl
+            .collect(&configs, deadline)
             .map_err(|TimedOut| self.deadline_exceeded())?;
         Metrics::observe_stage(&self.metrics.stage_collect, started.elapsed());
         Ok(collected)

@@ -351,6 +351,7 @@ pub struct TraceStream {
 }
 
 impl WarpStream for TraceStream {
+    #[inline]
     fn next_op(&mut self) -> Option<Op> {
         self.ops.next()
     }
