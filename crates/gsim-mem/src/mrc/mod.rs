@@ -9,8 +9,9 @@
 //!
 //! * [`NaiveStack`] — the textbook Mattson LRU stack, O(n) per access.
 //!   Only used as a reference implementation in tests.
-//! * [`TreeStack`] — the same exact reuse distances computed with a Fenwick
-//!   tree in O(log n) per access (Conte et al.'s single-pass approach).
+//! * [`TreeStack`] — the same exact reuse distances computed on a rank
+//!   bitmap with a Fenwick tree over its words, in O(log n) per access
+//!   (Conte et al.'s single-pass approach).
 //! * [`LineRouter`] ([`parallel`]) — SHARDS-style spatially-hashed
 //!   sampling that also routes the kept lines across disjoint spatial
 //!   shards, one [`TreeStack`] each, and merges the rescaled per-shard

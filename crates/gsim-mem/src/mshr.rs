@@ -31,6 +31,13 @@ pub enum MshrOutcome {
 /// miss that finds the file full retires the fills that have landed by
 /// then, so a landed entry may still answer a merge until that happens.
 ///
+/// The capacity never throttles a load: the timing engine's flush handles
+/// [`MshrOutcome::Full`] like [`MshrOutcome::Allocated`], waiting for its
+/// own fill with no entry added and no stall. `Full` only bounds merges:
+/// a miss that finds no free entry cannot be merged into later. Table
+/// III's 384 entries per SM stay a printed value, not a limit on
+/// outstanding fills.
+///
 /// The file keeps the footprint [`Mshr::new`] gave it. A release rebuilds
 /// the table from the entries still in flight instead of erasing the
 /// landed ones in place, which would leave tombstones behind and make the

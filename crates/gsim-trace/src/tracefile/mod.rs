@@ -66,6 +66,7 @@ mod writer;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read};
+use std::sync::Arc;
 
 use crate::model::WorkloadModel;
 use crate::op::Op;
@@ -266,8 +267,8 @@ struct TracedKernel {
     name: String,
     n_ctas: u32,
     threads_per_cta: u32,
-    /// Ops per warp, CTA-major.
-    warps: Vec<Vec<Op>>,
+    /// Ops per warp, CTA-major; shared with every stream over the warp.
+    warps: Vec<Arc<[Op]>>,
 }
 
 /// A workload read back from a trace file; replayable through the
@@ -302,12 +303,12 @@ impl TracedWorkload {
         limits: TraceLimits,
     ) -> Result<Self, TraceReadError> {
         let mut reader = TraceReader::with_limits(input, limits)?;
-        let mut warps_by_kernel: Vec<Vec<Vec<Op>>> = Vec::new();
+        let mut warps_by_kernel: Vec<Vec<Arc<[Op]>>> = Vec::new();
         while let Some(w) = reader.next_warp()? {
             if warps_by_kernel.len() <= w.kernel {
                 warps_by_kernel.resize_with(w.kernel + 1, Vec::new);
             }
-            warps_by_kernel[w.kernel].push(w.ops);
+            warps_by_kernel[w.kernel].push(w.ops.into());
         }
         let stats = *reader.stats().expect("reader finished");
         warps_by_kernel.resize_with(reader.n_kernels(), Vec::new);
@@ -344,16 +345,20 @@ impl TracedWorkload {
     }
 }
 
-/// Replay stream over a recorded warp (an owned op cursor).
+/// Replay stream over a recorded warp: a cursor into the warp's ops,
+/// which every stream over the warp shares with the workload.
 #[derive(Debug, Clone)]
 pub struct TraceStream {
-    ops: std::vec::IntoIter<Op>,
+    ops: Arc<[Op]>,
+    next: usize,
 }
 
 impl WarpStream for TraceStream {
     #[inline]
     fn next_op(&mut self) -> Option<Op> {
-        self.ops.next()
+        let op = *self.ops.get(self.next)?;
+        self.next += 1;
+        Some(op)
     }
 }
 
@@ -382,7 +387,8 @@ impl WorkloadModel for TracedWorkload {
         );
         let idx = (cta * wpc + warp) as usize;
         TraceStream {
-            ops: k.warps[idx].clone().into_iter(),
+            ops: Arc::clone(&k.warps[idx]),
+            next: 0,
         }
     }
 
@@ -493,6 +499,28 @@ mod tests {
             vec![Kernel::new("sweep", 12, 256, sweep)]
         });
         assert_ne!(semantic_hash_of(&other), direct);
+    }
+
+    /// Streams over one warp share its ops: each starts at the first op,
+    /// one running ahead does not move the other, and both yield the ops
+    /// the reader decoded for the warp, in order.
+    #[test]
+    fn streams_of_one_warp_each_yield_the_whole_warp() {
+        let wl = demo();
+        let mut bytes = Vec::new();
+        write_trace(&wl, &mut bytes).expect("in-memory write");
+        let traced = TracedWorkload::read(&bytes[..]).expect("well-formed trace");
+        let mut reader = TraceReader::new(&bytes[..]).expect("open");
+        let drain =
+            |mut s: TraceStream| std::iter::from_fn(move || s.next_op()).collect::<Vec<_>>();
+        while let Some(w) = reader.next_warp().expect("stream") {
+            assert!(!w.ops.is_empty());
+            let mut ahead = traced.warp_stream(w.kernel, w.cta, w.warp);
+            let behind = traced.warp_stream(w.kernel, w.cta, w.warp);
+            assert_eq!(ahead.next_op(), Some(w.ops[0]));
+            assert_eq!(drain(behind), w.ops);
+            assert_eq!(drain(ahead), w.ops[1..]);
+        }
     }
 
     #[test]
